@@ -66,40 +66,6 @@ fn benches(c: &mut Criterion) {
     });
     g.finish();
 
-    // Packed-word dispatch ablation: the same fused kernel with the
-    // packer disabled (enum interpreter) vs the default packed loop.
-    let enum_only = chef_exec::compile::compile(
-        arclen,
-        &chef_exec::compile::CompileOptions {
-            pack: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(enum_only.packed.is_none());
-    assert!(fused.packed.is_some());
-    let mut g = c.benchmark_group("vm/packed-vs-enum");
-    g.sample_size(10);
-    g.bench_function("enum", |b| {
-        let mut m = chef_exec::vm::Machine::new();
-        let opts = ExecOptions::default();
-        b.iter(|| {
-            m.run_reused(&enum_only, vec![ArgValue::I(10_000)], &opts)
-                .unwrap()
-                .ret_f()
-        })
-    });
-    g.bench_function("packed", |b| {
-        let mut m = chef_exec::vm::Machine::new();
-        let opts = ExecOptions::default();
-        b.iter(|| {
-            m.run_reused(&fused, vec![ArgValue::I(10_000)], &opts)
-                .unwrap()
-                .ret_f()
-        })
-    });
-    g.finish();
-
     // Shadow-execution overhead: the fused primal+shadow pass against
     // the plain VM run on the same kernel. The acceptance bar for the
     // oracle subsystem is < 4x for the f64 shadow; the double-double

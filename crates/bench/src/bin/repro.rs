@@ -995,7 +995,6 @@ fn oracle_table() {
 
 // ------------------------------------------------------------ perf smoke
 
-/// CI perf smoke: times the engine's hot paths on small workloads and
 /// `repro --cfg <kernel>`: the CFG optimizer tier's debug surface —
 /// basic blocks with immediate dominators, natural loops, and the LICM
 /// plan (hoisted ops, guards, compaction) for one app kernel. The
@@ -1051,6 +1050,7 @@ fn cfg_dump(kernel: &str) {
     }
 }
 
+/// CI perf smoke: times the engine's hot paths on small workloads and
 /// writes a `BENCH_smoke.json` snapshot, so the perf trajectory is
 /// tracked from one commit to the next (compare the JSON across runs;
 /// absolute numbers vary with the runner, ratios should not).
@@ -1061,7 +1061,7 @@ fn smoke() {
 
     // 1. Raw VM dispatch: the arclen primal — full default pipeline
     // (fusion + CFG tier + packing), the same stream with the CFG tier
-    // off, unfused, and enum-dispatched.
+    // off, and unfused.
     let p = chef_apps::arclen::program();
     let primal = p
         .function(chef_apps::arclen::NAME)
@@ -1083,14 +1083,6 @@ fn smoke() {
         },
     )
     .or_fail("arclen unfused compile failed");
-    let enum_only = chef_exec::compile::compile(
-        primal,
-        &chef_exec::compile::CompileOptions {
-            pack: false,
-            ..Default::default()
-        },
-    )
-    .or_fail("arclen enum compile failed");
     // The CFG tier's measurable work on arclen: how many ops LICM lifts
     // out of the loops (snapshot-tracked and gated: zero would mean the
     // tier silently stopped finding the h*h hoist).
@@ -1112,11 +1104,6 @@ fn smoke() {
     });
     let (_, vm_unfused_ms) = time_median(31, || {
         m.run_reused(&unfused, vec![ArgValue::I(10_000)], &opts)
-            .unwrap()
-            .ret_f()
-    });
-    let (_, vm_enum_ms) = time_median(31, || {
-        m.run_reused(&enum_only, vec![ArgValue::I(10_000)], &opts)
             .unwrap()
             .ret_f()
     });
@@ -1427,7 +1414,6 @@ fn smoke() {
         ("vm_arclen_cfg_ms", vm_cfg_ms),
         ("vm_arclen_fused_ms", vm_fused_ms),
         ("vm_arclen_unfused_ms", vm_unfused_ms),
-        ("vm_arclen_enum_ms", vm_enum_ms),
         ("licm_hoisted_arclen", licm_hoisted_arclen),
         ("vm_arclen_profiled_ms", vm_profiled_ms),
         ("vm_arclen_shadowed_ms", vm_shadow_ms),
@@ -1461,10 +1447,6 @@ fn smoke() {
     println!(
         "non-finite trapping: {:.2}x over the plain shadow pass (<= 1.10x bar)",
         vm_shadow_nf_ms / vm_shadow_ms
-    );
-    println!(
-        "packed dispatch: {:.2}x over the enum interpreter on the same stream",
-        vm_enum_ms / vm_cfg_ms
     );
     let telemetry_prof_x = vm_profiled_ms / vm_cfg_ms;
     println!(
@@ -1611,15 +1593,20 @@ fn smoke() {
         failed = true;
     }
 
-    // Telemetry snapshot of the whole smoke run — every counter, span
-    // and histogram the instrumented stack recorded — written for the
-    // CI artifact even when a gate failed (it is the evidence).
+    // Telemetry snapshot of the whole smoke run, written for the CI
+    // artifact even when a gate failed (it is the evidence): counters,
+    // gauges and histograms to TELEMETRY_smoke.json, and the per-run
+    // span trace to TELEMETRY_spans_smoke.json (not kept in the tree).
     let snap = chef_telemetry::snapshot();
     let tdoc = chef_core::report::telemetry_to_json(&snap);
     std::fs::write("TELEMETRY_smoke.json", tdoc.to_string_pretty())
         .or_fail("cannot write TELEMETRY_smoke.json");
+    let sdoc = chef_core::report::spans_to_json(&snap);
+    std::fs::write("TELEMETRY_spans_smoke.json", sdoc.to_string_pretty())
+        .or_fail("cannot write TELEMETRY_spans_smoke.json");
     println!(
-        "telemetry: {} counters, {} histograms, {} spans ({} dropped) -> TELEMETRY_smoke.json",
+        "telemetry: {} counters, {} histograms -> TELEMETRY_smoke.json; \
+         {} spans ({} dropped) -> TELEMETRY_spans_smoke.json",
         snap.counters.len(),
         snap.histograms.len(),
         snap.spans.len(),

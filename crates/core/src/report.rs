@@ -267,11 +267,13 @@ impl Record for EstimateQualityRow {
     }
 }
 
-/// Encodes a [`chef_telemetry::TelemetrySnapshot`] as JSON: counters and
-/// gauges as name→value objects, histograms as name→summary objects,
-/// spans as an array of records (`parent` is `null` for roots). Metric
-/// names are dynamic (registered at runtime), so this builds
-/// [`Json::Obj`] maps directly instead of going through [`Record`].
+/// Encodes the metrics of a [`chef_telemetry::TelemetrySnapshot`] as
+/// JSON: counters and gauges as name→value objects, histograms as
+/// name→summary objects, plus the count of dropped spans. The span
+/// records themselves are [`spans_to_json`]'s: they are a per-run trace,
+/// not a summary. Metric names are dynamic (registered at runtime), so
+/// this builds [`Json::Obj`] maps directly instead of going through
+/// [`Record`].
 pub fn telemetry_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
     use std::collections::BTreeMap;
     let counters: BTreeMap<String, Json> = snap
@@ -300,6 +302,18 @@ pub fn telemetry_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
             (h.name.clone(), summary)
         })
         .collect();
+    Json::obj([
+        ("counters", Json::Obj(counters)),
+        ("gauges", Json::Obj(gauges)),
+        ("histograms", Json::Obj(histograms)),
+        ("spans_dropped", Json::Num(snap.spans_dropped as f64)),
+    ])
+}
+
+/// Encodes the span records of a [`chef_telemetry::TelemetrySnapshot`]
+/// as JSON: an array of records (`parent` is `null` for roots), plus the
+/// count of spans the bounded rings dropped.
+pub fn spans_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
     let spans: Vec<Json> = snap
         .spans
         .iter()
@@ -318,9 +332,6 @@ pub fn telemetry_to_json(snap: &chef_telemetry::TelemetrySnapshot) -> Json {
         })
         .collect();
     Json::obj([
-        ("counters", Json::Obj(counters)),
-        ("gauges", Json::Obj(gauges)),
-        ("histograms", Json::Obj(histograms)),
         ("spans", Json::Arr(spans)),
         ("spans_dropped", Json::Num(snap.spans_dropped as f64)),
     ])

@@ -217,6 +217,30 @@ struct CompiledProfiler {
     cfg: SensitivityConfig,
 }
 
+/// The instrumented adjoint the profiler runs: `func`'s reverse-mode
+/// adjoint with the `_sens_out` accumulation injected at every tracked
+/// assignment, O2-optimized. [`profile_sensitivity`] compiles exactly
+/// this function.
+pub fn profiler_adjoint(
+    program: &Program,
+    func: &str,
+    cfg: &SensitivityConfig,
+) -> Result<Function, ChefError> {
+    let inlined = chef_passes::inline_program(program).map_err(ChefError::Inline)?;
+    let primal = inlined
+        .function(func)
+        .ok_or_else(|| ChefError::UnknownFunction(func.to_string()))?;
+    instrumented_adjoint(primal, cfg)
+}
+
+fn instrumented_adjoint(primal: &Function, cfg: &SensitivityConfig) -> Result<Function, ChefError> {
+    let mut profiler = Profiler { cfg: cfg.clone() };
+    let rcfg = ReverseConfig::default();
+    let mut grad = reverse_diff_with(primal, &rcfg, &mut profiler).map_err(ChefError::Ad)?;
+    chef_passes::optimize_function(&mut grad, chef_passes::OptLevel::O2);
+    Ok(grad)
+}
+
 impl CompiledProfiler {
     fn build(
         program: &Program,
@@ -227,10 +251,7 @@ impl CompiledProfiler {
         let primal = inlined
             .function(func)
             .ok_or_else(|| ChefError::UnknownFunction(func.to_string()))?;
-        let mut profiler = Profiler { cfg: cfg.clone() };
-        let rcfg = ReverseConfig::default();
-        let mut grad = reverse_diff_with(primal, &rcfg, &mut profiler).map_err(ChefError::Ad)?;
-        chef_passes::optimize_function(&mut grad, chef_passes::OptLevel::O2);
+        let grad = instrumented_adjoint(primal, cfg)?;
         let compiled = chef_exec::compile::compile_default(&grad).map_err(ChefError::Compile)?;
         Ok(CompiledProfiler {
             compiled,

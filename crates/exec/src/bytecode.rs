@@ -367,11 +367,15 @@ pub struct CompiledFunction {
     /// Source names of the array registers (every array register is a
     /// variable home; there are no array temporaries).
     pub avar_names: Vec<(u32, String)>,
-    /// The packed `u64` word stream + constant pools produced by
-    /// [`crate::pack`] (`None` when packing is disabled or the packer
-    /// bailed — the VM then dispatches the enum stream). When present it
-    /// is word-for-word equivalent to `instrs`; [`crate::vm::validate_function`]
-    /// enforces that before any unchecked packed dispatch.
+    /// The packed `u64` word stream + constant pool produced by
+    /// [`crate::pack`] — the form the VM and the shadow interpreter
+    /// execute. [`crate::compile::compile`] always fills it (a function
+    /// the format cannot hold is a compile error). It is `None` only on
+    /// a function built or rewritten by hand, or compiled with
+    /// [`crate::compile::CompileOptions::pack`] off, and such a function
+    /// must be packed with [`crate::pack::pack_function`] before it runs:
+    /// [`crate::vm::validate_function`] rejects it otherwise, and checks
+    /// that the words are equivalent to `instrs` word for word.
     pub packed: Option<crate::pack::PackedCode>,
 }
 

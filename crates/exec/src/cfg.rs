@@ -401,6 +401,9 @@ pub struct CfgStats {
     /// `false` when the CFG was irreducible and loop transforms were
     /// skipped.
     pub reducible: bool,
+    /// `true` when hoisting made an instruction unpackable and
+    /// [`optimize`] undid every hoist (`hoisted`/`guards` then read 0).
+    pub hoists_undone: bool,
     /// Debug-readable descriptions of the hoisted instructions, in
     /// hoist order (consumed by `repro --cfg` and the golden test).
     pub hoisted_ops: Vec<String>,
@@ -1309,12 +1312,21 @@ const MAX_ROUNDS: u32 = 64;
 /// recompute after each change) followed by register compaction.
 /// Invalidates `func.packed` — [`crate::compile::compile`] re-packs
 /// afterwards.
+///
+/// The tier never makes a packable function unpackable: hoisting can
+/// rename a def to a fresh register past an operand field's width (an
+/// `FMulAdd` addend above 255), so when the compacted result has an
+/// instruction [`crate::pack::fits`] rejects, the hoists are undone and
+/// only compaction applies.
 pub fn optimize(func: &mut CompiledFunction) -> CfgStats {
     func.packed = None;
     let mut stats = CfgStats {
         reducible: true,
         ..CfgStats::default()
     };
+    // Taken before the first hoist; compaction alone only lowers
+    // register indices, so it needs no undo.
+    let mut unhoisted: Option<CompiledFunction> = None;
     let mut round = 0u32;
     'rounds: loop {
         round += 1;
@@ -1352,12 +1364,23 @@ pub fn optimize(func: &mut CompiledFunction) -> CfgStats {
             for h in &hoists {
                 stats.hoisted_ops.push(format!("{:?}", h.ins));
             }
+            unhoisted.get_or_insert_with(|| func.clone());
             apply_plan(func, &cfg, lp, hoists, guard);
             continue 'rounds;
         }
         break;
     }
     stats.regs_compacted = compact_registers(func);
+    if let Some(input) = unhoisted {
+        if !func.instrs.iter().all(crate::pack::fits) {
+            *func = input;
+            stats.hoisted = 0;
+            stats.guards = 0;
+            stats.hoisted_ops.clear();
+            stats.hoists_undone = true;
+            stats.regs_compacted = compact_registers(func);
+        }
+    }
     chef_telemetry::counter("exec.cfg.blocks").add(stats.blocks as u64);
     chef_telemetry::counter("exec.cfg.loops").add(stats.loops as u64);
     chef_telemetry::counter("exec.cfg.rounds").add(stats.rounds as u64);
@@ -1422,14 +1445,18 @@ mod tests {
     use crate::value::ArgValue;
     use chef_ir::span::Span;
 
-    /// Runs under a 10k-instruction budget, so a miscompiled loop traps
-    /// with `InstrBudgetExhausted` instead of hanging the suite.
+    /// Packs `f` (hand-built streams and `optimize` output carry no
+    /// packed form) and runs it under a 10k-instruction budget, so a
+    /// miscompiled loop traps with `InstrBudgetExhausted` instead of
+    /// hanging the suite.
     fn run_budgeted(f: &CompiledFunction, args: Vec<ArgValue>) -> crate::vm::CallOutcome {
+        let mut f = f.clone();
+        f.packed = crate::pack::pack_function(&f);
         let opts = crate::vm::ExecOptions {
             max_instrs: Some(10_000),
             ..Default::default()
         };
-        crate::vm::run_with(f, args, &opts).unwrap()
+        crate::vm::run_with(&f, args, &opts).unwrap()
     }
 
     fn int_func(instrs: Vec<Instr>, n_iregs: u32) -> CompiledFunction {

@@ -80,10 +80,12 @@ pub struct CompileOptions {
     /// On by default; turn off to inspect or benchmark the raw
     /// instruction stream (results are bit-identical either way).
     pub fuse: bool,
-    /// Pack the (fused) instruction stream into the `u64` word format
-    /// ([`crate::pack`]) so the VM uses the packed dispatch loop. On by
-    /// default; turn off to benchmark or differentially test the enum
-    /// interpreter (results are bit-identical either way).
+    /// Run the final stage, packing the instruction stream into the
+    /// `u64` word format ([`crate::pack`]) the VM executes. On by
+    /// default. Off stops compilation just before that stage, leaving
+    /// `packed` empty for a caller that times or inspects the stages one
+    /// by one; such a function must go through
+    /// [`crate::pack::pack_function`] before it can run.
     pub pack: bool,
     /// Run the CFG optimizer tier ([`crate::cfg`]: dominator-guided
     /// loop-invariant code motion + register-file compaction) between
@@ -93,25 +95,24 @@ pub struct CompileOptions {
 }
 
 impl Default for CompileOptions {
-    /// Fusion, the CFG tier, and packing default to **on**, overridable
-    /// process-wide by the environment: `CHEF_EXEC_FUSE=0` /
-    /// `CHEF_EXEC_CFG=0` / `CHEF_EXEC_PACK=0` (also `false`/`off`/`no`)
-    /// force the respective default off. This is how CI runs the whole
-    /// tier-1 suite against the enum fallback interpreter (or the
-    /// peephole-only pipeline) without a recompile; code that sets the
-    /// flags explicitly is unaffected. Read once per process.
+    /// Every stage defaults to **on**. Fusion and the CFG tier are
+    /// overridable process-wide by the environment: `CHEF_EXEC_FUSE=0` /
+    /// `CHEF_EXEC_CFG=0` (also `false`/`off`/`no`) force the respective
+    /// default off. This is how CI runs the whole tier-1 suite on unfused
+    /// streams (or the peephole-only pipeline) without a recompile; code
+    /// that sets the flags explicitly is unaffected. Read once per
+    /// process. Packing has no override: the VM runs only packed code.
     fn default() -> Self {
         CompileOptions {
             precisions: PrecisionMap::default(),
             fuse: env_toggle(&FUSE_DEFAULT, "CHEF_EXEC_FUSE"),
-            pack: env_toggle(&PACK_DEFAULT, "CHEF_EXEC_PACK"),
+            pack: true,
             cfg: env_toggle(&CFG_DEFAULT, "CHEF_EXEC_CFG"),
         }
     }
 }
 
 static FUSE_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-static PACK_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
 static CFG_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
 
 /// `true` unless the environment variable is set to a falsy value
@@ -187,7 +188,14 @@ pub fn compile(func: &Function, opts: &CompileOptions) -> Result<CompiledFunctio
     }
     if opts.pack {
         let _span = chef_telemetry::span("pack");
-        compiled.packed = crate::pack::pack_function(&compiled);
+        let packed = crate::pack::try_pack(&compiled).map_err(|e| CompileError::Unsupported {
+            msg: format!(
+                "`{}` does not fit the packed format: {}",
+                compiled.name, e.limit
+            ),
+            span: e.pc.map_or(func.span, |pc| compiled.spans[pc]),
+        })?;
+        compiled.packed = Some(packed);
     }
     Ok(compiled)
 }
@@ -1166,6 +1174,40 @@ mod tests {
         check_program(&mut p).unwrap();
         let err = compile_default(p.function("f").unwrap()).unwrap_err();
         assert!(matches!(err, CompileError::UserCallNotInlined { .. }));
+    }
+
+    #[test]
+    fn function_over_the_packed_length_limit_is_a_compile_error() {
+        // Unfused, `s = s + 1.0;` is three instructions: 22 000 of them
+        // exceed the packed format's 65 535.
+        let mut src = String::from("double f(double s) {\n");
+        for _ in 0..22_000 {
+            src.push_str("s = s + 1.0;\n");
+        }
+        src.push_str("return s;\n}\n");
+        let mut p = parse_program(&src).unwrap();
+        check_program(&mut p).unwrap();
+        let opts = CompileOptions {
+            fuse: false,
+            cfg: false,
+            ..Default::default()
+        };
+        let err = compile(&p.functions[0], &opts).unwrap_err();
+        let CompileError::Unsupported { msg, .. } = &err else {
+            panic!("expected Unsupported, got {err:?}");
+        };
+        assert!(msg.contains("65 535"), "{msg}");
+        // Stopping before the pack stage still yields the stream.
+        let unpacked = compile(
+            &p.functions[0],
+            &CompileOptions {
+                pack: false,
+                ..opts
+            },
+        )
+        .unwrap();
+        assert!(unpacked.instrs.len() > 65_535);
+        assert!(unpacked.packed.is_none());
     }
 
     #[test]

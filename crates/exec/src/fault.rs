@@ -38,7 +38,7 @@
 //! interleaving; only *which* call observes a given ordinal is
 //! scheduling-dependent.
 //!
-//! In the style of `CHEF_EXEC_FUSE`/`CHEF_EXEC_PACK`, the environment
+//! In the style of `CHEF_EXEC_FUSE`/`CHEF_EXEC_CFG`, the environment
 //! can install a process-wide plan: [`env_plan`] reads
 //! `CHEF_FAULT_SEED` (u64; unset → no plan) and `CHEF_FAULT_KIND`
 //! (`trap`|`panic`|`nan`|`mix`, default `mix`) once per process.

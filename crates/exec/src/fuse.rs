@@ -17,6 +17,12 @@
 //! | `IConst t,c` ; `IAdd u,i,t` ; `FStore arr,u,s` | [`Instr::FStoreOff`] |
 //! | `FCmp/ICmp t,…` ; `JmpIfFalse/True t,L` | [`Instr::FCmpJmpFalse`] … |
 //!
+//! A fused form is emitted only when [`crate::pack::fits`] says it has a
+//! packed encoding (an `FLoadOff` offset within `i8`, an immediate
+//! compare within `i16`, an `FMulAdd` addend register below 256);
+//! otherwise the window stays unfused, so fusion never makes a function
+//! unpackable.
+//!
 //! Every fused instruction computes the exact composition of the originals
 //! (separate rounding steps, same trap conditions), so fused and unfused
 //! programs are **bit-identical** in results, traps and tape counters —
@@ -631,38 +637,36 @@ fn match_specific(
                 }
                 let base = other_operand(Reg::I(t.0), Reg::I(a.0), Reg::I(b.0))?;
                 let base = IReg(base);
-                // 3-instruction form: the sum feeds an array access.
-                if free(2) && u != t && i32::try_from(v).is_ok() {
-                    match at(2) {
-                        Some(&Instr::FLoad { dst, arr, idx })
-                            if idx == u && dead_i(3, u) && dead_i(3, t) =>
-                        {
-                            stats.load_off += 1;
-                            return Rewrite::one(
-                                Instr::FLoadOff {
-                                    dst,
-                                    arr,
-                                    base,
-                                    off: v as i32,
-                                },
-                                3,
-                            );
-                        }
-                        Some(&Instr::FStore { arr, idx, src })
-                            if idx == u && dead_i(3, u) && dead_i(3, t) =>
-                        {
-                            stats.store_off += 1;
-                            return Rewrite::one(
-                                Instr::FStoreOff {
-                                    arr,
-                                    base,
-                                    off: v as i32,
-                                    src,
-                                },
-                                3,
-                            );
-                        }
-                        _ => {}
+                // 3-instruction form: the sum feeds an array access. Taken
+                // only when the fused form has a packed encoding
+                // (`pack::fits`); otherwise the add-immediate form below
+                // still applies.
+                let fused = match (i32::try_from(v), at(2)) {
+                    (Ok(off), Some(&Instr::FLoad { dst, arr, idx })) if idx == u => Some((
+                        Instr::FLoadOff {
+                            dst,
+                            arr,
+                            base,
+                            off,
+                        },
+                        &mut stats.load_off,
+                    )),
+                    (Ok(off), Some(&Instr::FStore { arr, idx, src })) if idx == u => Some((
+                        Instr::FStoreOff {
+                            arr,
+                            base,
+                            off,
+                            src,
+                        },
+                        &mut stats.store_off,
+                    )),
+                    _ => None,
+                };
+                if let Some((ins, count)) = fused {
+                    let fits = free(2) && u != t && crate::pack::fits(&ins);
+                    if fits && dead_i(3, u) && dead_i(3, t) {
+                        *count += 1;
+                        return Rewrite::one(ins, 3);
                     }
                 }
                 // 2-instruction form: plain add-immediate.
@@ -680,11 +684,8 @@ fn match_specific(
                 return None;
             }
             // IConst t ; ICmpJmpFalse/True involving t → immediate
-            // compare-and-branch (the `i <= 5` inner-loop test). Kept to
-            // i16 immediates so the packed encoding always fits.
-            if i16::try_from(v).is_err() {
-                return None;
-            }
+            // compare-and-branch (the `i <= 5` inner-loop test), when the
+            // immediate fits the packed form.
             let (op, a, b, target, neg) = match *at(1)? {
                 Instr::ICmpJmpFalse { op, a, b, target } if free(1) => (op, a, b, target, true),
                 Instr::ICmpJmpTrue { op, a, b, target } if free(1) => (op, a, b, target, false),
@@ -699,10 +700,6 @@ fn match_specific(
             } else {
                 return None;
             };
-            if !analysis.dead_after(func, &[target as usize, pc + 2], Reg::I(t.0)) {
-                return None;
-            }
-            stats.const_op += 1;
             let ins = if neg {
                 Instr::ICmpImmJmpFalse {
                     op,
@@ -718,6 +715,12 @@ fn match_specific(
                     target,
                 }
             };
+            if !crate::pack::fits(&ins)
+                || !analysis.dead_after(func, &[target as usize, pc + 2], Reg::I(t.0))
+            {
+                return None;
+            }
+            stats.const_op += 1;
             Rewrite::one(ins, 2)
         }
         // FConst t ; arithmetic using t → constant-operand form: the
@@ -758,9 +761,10 @@ fn match_specific(
             match *at(1)? {
                 Instr::FAdd { dst, a: x, b: y } if free(1) => {
                     let c = FReg(other_operand(Reg::F(t.0), Reg::F(x.0), Reg::F(y.0))?);
-                    if dst == t || dead_f(2, t) {
+                    let ins = Instr::FMulAdd { dst, a, b, c };
+                    if crate::pack::fits(&ins) && (dst == t || dead_f(2, t)) {
                         stats.mul_add += 1;
-                        return Rewrite::one(Instr::FMulAdd { dst, a, b, c }, 2);
+                        return Rewrite::one(ins, 2);
                     }
                     None
                 }
@@ -776,13 +780,10 @@ fn match_specific(
                         return None;
                     }
                     let c = FReg(other_operand(Reg::F(t.0), Reg::F(x.0), Reg::F(y.0))?);
-                    if dst == t || dead_f(3, t) {
+                    let ins = Instr::FMulAdd { dst, a, b, c };
+                    if crate::pack::fits(&ins) && (dst == t || dead_f(3, t)) {
                         stats.mul_add += 1;
-                        return Rewrite::two(
-                            Instr::FConst { dst: k, v },
-                            Instr::FMulAdd { dst, a, b, c },
-                            3,
-                        );
+                        return Rewrite::two(Instr::FConst { dst: k, v }, ins, 3);
                     }
                     None
                 }
@@ -958,9 +959,17 @@ mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions};
     use crate::value::ArgValue;
-    use crate::vm::run;
+    use crate::vm::{CallOutcome, Trap};
     use chef_ir::parser::parse_program;
     use chef_ir::typeck::check_program;
+
+    /// Packs `f` and runs it: fusion drops the stale packed form, and
+    /// only packed code runs.
+    fn run(f: &CompiledFunction, args: Vec<ArgValue>) -> Result<CallOutcome, Trap> {
+        let mut f = f.clone();
+        f.packed = crate::pack::pack_function(&f);
+        crate::vm::run(&f, args)
+    }
 
     fn compile_unfused(src: &str) -> CompiledFunction {
         let mut p = parse_program(src).unwrap();

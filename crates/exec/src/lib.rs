@@ -51,6 +51,9 @@
 //!    forms and hoists whole superinstructions), packing last (both
 //!    fusion and the CFG tier invalidate `packed`, and the packed
 //!    stream must be word-for-word equal to the final enum stream).
+//!    Neither tier may leave a function unpackable: fusion emits a
+//!    superinstruction only when [`pack::fits`] accepts it, and the CFG
+//!    tier undoes its hoists when the result would not pack.
 //!
 //!    *Trap/deadline safety of hoisting*: an instruction moves to the
 //!    loop preheader only if its operands are loop-invariant and its
@@ -71,9 +74,8 @@
 //!    taken backward jumps, which the pass neither adds nor removes
 //!    per iteration, so cooperative-deadline semantics are unchanged.
 //!    The `cfg_differential` suite pins CFG-on vs CFG-off
-//!    bit-equality (plain, f64/DD shadow, enum + packed, fault
-//!    injection) on every app kernel, adjoints, and proptest-generated
-//!    branching kernels.
+//!    bit-equality (plain, f64/DD shadow, fault injection) on every app
+//!    kernel, adjoints, and proptest-generated branching kernels.
 //!
 //!    *Cost*: LICM applies one loop plan per round and rebuilds the CFG
 //!    after it (`exec.cfg.rounds` counts the rounds). Within a round,
@@ -82,9 +84,13 @@
 //!    loop plan to share. The optimized output is pinned byte-identical
 //!    by fingerprint in `cfg_differential`, per kernel and mode.
 //! 3. **Packed-word dispatch** ([`pack`]): the fused stream is flattened
-//!    1:1 into fixed-width `u64` words with per-function constant pools,
+//!    1:1 into fixed-width `u64` words with a per-function constant pool,
 //!    and the VM and shadow interpreters dispatch the words through a
-//!    dense-opcode jump table. See *Packed word format* below.
+//!    dense-opcode jump table. This is the only execution format: each
+//!    machine has exactly one dispatch loop (instantiated with and
+//!    without the per-pc profiler), and the enum [`bytecode::Instr`]
+//!    stream is the compiler's IR and the decode target. See *Packed
+//!    word format* below.
 //! 4. **Reusable machines** ([`vm::Machine`]): register files, array
 //!    slots and the [`Tape`]'s buffers persist across calls —
 //!    [`vm::Machine::reset`] re-sizes without re-allocating, and
@@ -130,8 +136,8 @@
 //! [`vm::ExecOptions::deadline`] wall-clock bound, malformed bytecode,
 //! and the opt-in [`vm::TrapKind::NonFinite`].
 //!
-//! Deadlines are **cooperative**, never preemptive: all four dispatch
-//! loops check the clock at taken backward jumps (the only place a
+//! Deadlines are **cooperative**, never preemptive: both dispatch
+//! loops (VM and shadow) check the clock at taken backward jumps (the only place a
 //! run can spend unbounded time), and only once per
 //! [`vm::DEADLINE_STRIDE`] executed instructions, so the disarmed path
 //! costs one always-false register compare per loop iteration and the
@@ -143,7 +149,7 @@
 //!
 //! The opt-in [`vm::TrapKind::NonFinite`], enabled by
 //! [`vm::ExecOptions::trap_on_nonfinite`], checks every float write in
-//! both dispatch loops (plus demoted-parameter entry rounding and the
+//! the VM and shadow dispatch loops (plus demoted-parameter entry rounding and the
 //! rounded return) and traps at the *first* NaN/±Inf with the pc, the
 //! producing opcode, and the written variable's name — the
 //! Herbgrind-style "where did it first go wrong" signal for a demoted
@@ -171,9 +177,10 @@
 //! The engine reports into the process-global `chef-telemetry` registry
 //! as a pure *observer* — no execution decision reads a metric back:
 //!
-//! * **Counters**: arena checkouts (`exec.arena.checkouts`), packer
-//!   bailouts (`exec.pack.bailout.*`), and shadow divergence tallies
-//!   (`exec.shadow.divergences`) are recorded at the same sites that
+//! * **Counters**: arena checkouts (`exec.arena.checkouts`), CFG-tier
+//!   work (`exec.cfg.*`, `exec.licm.hoisted`, `exec.regs.compacted`),
+//!   and shadow divergence tallies (`exec.shadow.divergences`) are
+//!   recorded at the same sites that
 //!   already maintain the public per-call statistics; the existing
 //!   fields ([`vm::ExecStats`], [`shadow::ShadowOutcome`],
 //!   `chef_tuner::TuneResult`) stay authoritative per-run views while
@@ -184,8 +191,8 @@
 //!   `exec.run` span nested per argument set. Spans land in bounded
 //!   per-thread rings and each close records into a `span.<name>.ns`
 //!   histogram; exporting is `chef_telemetry::snapshot()`.
-//! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes all four
-//!   dispatch loops (VM and shadow × enum and packed) count executions
+//! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes both
+//!   dispatch loops (VM and shadow) count executions
 //!   per `pc` into [`vm::ExecProfile`], returned on
 //!   [`vm::CallOutcome::profile`] / `ShadowOutcome::profile`. On a
 //!   successful run the counts sum to exactly
@@ -216,21 +223,29 @@
 //! deduplicated per-function constant pool ([`pack::PackedCode::pool`])
 //! referenced by 16-bit index; intrinsics are coded against the
 //! link-time [`pack::INTRINSICS`] table; small `IConst`/`IAddImm`
-//! immediates are encoded inline. The packer **bails** (leaving
-//! `CompiledFunction::packed` as `None`, so the VM falls back to enum
-//! dispatch) when a function cannot be represented losslessly: more than
-//! 65 535 instructions, a register operand above a field's width, a pool
-//! above 65 536 entries, or an `FLoadOff`/`FStoreOff` offset outside
-//! `i8` — conditions compiler output never hits in practice.
+//! immediates are encoded inline.
+//!
+//! Packing is **total on compiler output**. The per-instruction field
+//! limits (an `FLoadOff`/`FStoreOff` offset within `i8`, an immediate
+//! compare within `i16`, an `FMulAdd` addend register below 256) are
+//! stated once, by [`pack::fits`], and fusion and the CFG tier never
+//! emit a form it rejects. What is left are whole-function limits — more
+//! than 65 535 instructions, or a register index wider than u16 — and
+//! [`compile::compile`] reports those as
+//! [`compile::CompileError::Unsupported`] naming the limit. There is no
+//! unpacked fallback: [`vm::validate_function`] rejects a function whose
+//! `packed` is `None` (one built by hand, or compiled with
+//! [`compile::CompileOptions::pack`] off) with
+//! [`vm::TrapKind::InvalidBytecode`]; [`pack::pack_function`] packs it.
 //!
 //! Packing is 1:1 and order-preserving (word `k` encodes instruction
 //! `k`; `pc`, spans and jump targets are shared), and
 //! [`vm::validate_function`] re-decodes every word against the enum
-//! stream before execution, which is what makes the packed loops'
+//! stream before execution, which is what makes the dispatch loops'
 //! unchecked register/pool accesses sound. The `packed_differential`
-//! test suite pins packed-vs-enum bit-equality (primal, demoted,
-//! adjoint and shadow modes) on every app kernel and on
-//! proptest-generated kernels.
+//! test suite pins that every word decodes back to its instruction
+//! (primal, demoted and adjoint streams of every app kernel, and
+//! proptest-generated kernels).
 //!
 //! ## Persistent variant cache
 //!

@@ -25,21 +25,26 @@
 //! `i16` are encoded inline with a dedicated opcode so the common loop
 //! increments never touch a pool.
 //!
-//! ## When the packer bails
+//! ## Packing is total on compiler output
 //!
-//! [`pack_function`] returns `None` — and the VM falls back to enum
-//! dispatch — when the function cannot be represented losslessly:
+//! The dispatch loops run only packed code, so every function
+//! [`crate::compile::compile`] produces must pack. Two rules make that so:
 //!
-//! * more than 65 535 instructions (jump targets must fit a u16; a target
-//!   equal to the length — "fall off the end" — is still representable);
-//! * a register operand above 65 535, or above 255 in the one 8-bit
-//!   register position ([`Instr::FMulAdd`]'s addend);
-//! * a constant pool exceeding 65 536 entries;
-//! * an [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset outside `i8`.
+//! * Per-instruction range rules (a register above 65 535, or above 255
+//!   in [`Instr::FMulAdd`]'s 8-bit addend position; an
+//!   [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset outside `i8`; an
+//!   [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`] immediate
+//!   outside `i16`) are stated once, by [`fits`]. [`crate::fuse`] asks
+//!   it before emitting a superinstruction and keeps the unfused
+//!   sequence when the answer is no.
+//! * What is left are whole-function limits: more than 65 535
+//!   instructions (jump targets must fit a u16; a target equal to the
+//!   length — "fall off the end" — is still representable), or a
+//!   register index wider than u16. `try_pack` names the limit, and
+//!   `compile` reports it as [`crate::compile::CompileError::Unsupported`].
 //!
-//! Compiler-produced functions never hit these limits in practice; the
-//! bail path exists so hand-built or adversarial bytecode degrades to the
-//! (checked, slower) enum interpreter instead of failing.
+//! A hand-built stream that exceeds a limit gets `None` from
+//! [`pack_function`] and cannot run.
 //!
 //! ## Equivalence guarantee
 //!
@@ -47,8 +52,7 @@
 //! `instrs[k]`, jump targets are unchanged, and [`decode`] is a total
 //! inverse on packer output. [`crate::vm::validate_function`] re-decodes
 //! every word and compares it against the enum stream before execution,
-//! so the packed dispatch loops may access registers and pools unchecked
-//! with the same soundness argument as the enum loop.
+//! so the dispatch loops may access registers and pools unchecked.
 
 use crate::bytecode::*;
 use chef_ir::ast::Intrinsic;
@@ -543,14 +547,6 @@ impl Pools {
         self.map.insert(bits, k);
         Some(k)
     }
-
-    fn fconst(&mut self, v: f64) -> Option<u16> {
-        self.entry(v.to_bits())
-    }
-
-    fn iconst(&mut self, v: i64) -> Option<u16> {
-        self.entry(v as u64)
-    }
 }
 
 #[inline]
@@ -563,12 +559,14 @@ fn r8(r: u32) -> Option<u8> {
     u8::try_from(r).ok()
 }
 
-/// Packs one enum instruction; `None` when it has no packed encoding
-/// (operand out of field range, pool overflow).
-fn pack_instr(ins: &Instr, pools: &mut Pools) -> Option<u64> {
+/// Packs one enum instruction, interning wide constants through `pool`
+/// (bits → pool index); `None` when an operand is outside its field or
+/// `pool` is full. The match arms are the format's range rules, stated
+/// once: [`fits`] asks them with an unbounded pool.
+fn pack_instr(ins: &Instr, pool: &mut impl FnMut(u64) -> Option<u16>) -> Option<u64> {
     use op::*;
     Some(match *ins {
-        Instr::FConst { dst, v } => word(FCONST, r16(dst.0)?, pools.fconst(v)?, 0, 0),
+        Instr::FConst { dst, v } => word(FCONST, r16(dst.0)?, pool(v.to_bits())?, 0, 0),
         Instr::FMov { dst, src } => word(FMOV, r16(dst.0)?, r16(src.0)?, 0, 0),
         Instr::FAdd { dst, a, b } => word(FADD, r16(dst.0)?, r16(a.0)?, r16(b.0)?, 0),
         Instr::FSub { dst, a, b } => word(FSUB, r16(dst.0)?, r16(a.0)?, r16(b.0)?, 0),
@@ -589,7 +587,7 @@ fn pack_instr(ins: &Instr, pools: &mut Pools) -> Option<u64> {
         Instr::I2F { dst, src } => word(I2F, r16(dst.0)?, r16(src.0)?, 0, 0),
         Instr::IConst { dst, v } => match i16::try_from(v) {
             Ok(imm) => word(ICONST, r16(dst.0)?, imm as u16, 0, 0),
-            Err(_) => word(ICONSTP, r16(dst.0)?, pools.iconst(v)?, 0, 0),
+            Err(_) => word(ICONSTP, r16(dst.0)?, pool(v as u64)?, 0, 0),
         },
         Instr::IMov { dst, src } => word(IMOV, r16(dst.0)?, r16(src.0)?, 0, 0),
         Instr::IAdd { dst, a, b } => word(IADD, r16(dst.0)?, r16(a.0)?, r16(b.0)?, 0),
@@ -662,7 +660,7 @@ fn pack_instr(ins: &Instr, pools: &mut Pools) -> Option<u64> {
         }
         Instr::IAddImm { dst, a, imm } => match i16::try_from(imm) {
             Ok(v) => word(IADDIMM, r16(dst.0)?, r16(a.0)?, v as u16, 0),
-            Err(_) => word(IADDIMMP, r16(dst.0)?, r16(a.0)?, pools.iconst(imm)?, 0),
+            Err(_) => word(IADDIMMP, r16(dst.0)?, r16(a.0)?, pool(imm as u64)?, 0),
         },
         Instr::FCmpJmpFalse { op, a, b, target } => {
             word(FCJF, r16(a.0)?, r16(b.0)?, r16(target)?, cmp_code(op))
@@ -676,12 +674,12 @@ fn pack_instr(ins: &Instr, pools: &mut Pools) -> Option<u64> {
         Instr::ICmpJmpTrue { op, a, b, target } => {
             word(ICJT, r16(a.0)?, r16(b.0)?, r16(target)?, cmp_code(op))
         }
-        Instr::FAddC { dst, a, k } => word(FADDC, r16(dst.0)?, r16(a.0)?, pools.fconst(k)?, 0),
-        Instr::FSubC { dst, a, k } => word(FSUBC, r16(dst.0)?, r16(a.0)?, pools.fconst(k)?, 0),
-        Instr::FSubCR { dst, k, a } => word(FSUBCR, r16(dst.0)?, r16(a.0)?, pools.fconst(k)?, 0),
-        Instr::FMulC { dst, a, k } => word(FMULC, r16(dst.0)?, r16(a.0)?, pools.fconst(k)?, 0),
-        Instr::FDivC { dst, a, k } => word(FDIVC, r16(dst.0)?, r16(a.0)?, pools.fconst(k)?, 0),
-        Instr::FDivCR { dst, k, a } => word(FDIVCR, r16(dst.0)?, r16(a.0)?, pools.fconst(k)?, 0),
+        Instr::FAddC { dst, a, k } => word(FADDC, r16(dst.0)?, r16(a.0)?, pool(k.to_bits())?, 0),
+        Instr::FSubC { dst, a, k } => word(FSUBC, r16(dst.0)?, r16(a.0)?, pool(k.to_bits())?, 0),
+        Instr::FSubCR { dst, k, a } => word(FSUBCR, r16(dst.0)?, r16(a.0)?, pool(k.to_bits())?, 0),
+        Instr::FMulC { dst, a, k } => word(FMULC, r16(dst.0)?, r16(a.0)?, pool(k.to_bits())?, 0),
+        Instr::FDivC { dst, a, k } => word(FDIVC, r16(dst.0)?, r16(a.0)?, pool(k.to_bits())?, 0),
+        Instr::FDivCR { dst, k, a } => word(FDIVCR, r16(dst.0)?, r16(a.0)?, pool(k.to_bits())?, 0),
         Instr::ICmpImmJmpFalse { op, a, imm, target } => {
             let imm = i16::try_from(imm).ok()?;
             word(ICJFI, r16(a.0)?, imm as u16, r16(target)?, cmp_code(op))
@@ -698,28 +696,65 @@ fn pack_instr(ins: &Instr, pools: &mut Pools) -> Option<u64> {
     })
 }
 
-/// Packs a whole function; `None` when any instruction has no packed
-/// encoding (the VM then stays on the enum interpreter).
-pub fn pack_function(func: &CompiledFunction) -> Option<PackedCode> {
+/// Whether `ins` has a packed encoding: every register below 65 536
+/// (below 256 for [`Instr::FMulAdd`]'s addend), every jump target below
+/// 65 536, an [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset within
+/// `i8` and an [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`]
+/// immediate within `i16`. (The constant pool never runs short: each
+/// instruction pools at most one constant, so a function within the
+/// length limit needs fewer than the 65 536 indices a u16 addresses.)
+/// [`crate::fuse`] asks this before it emits a superinstruction, so
+/// fusion never produces an unpackable form.
+pub fn fits(ins: &Instr) -> bool {
+    pack_instr(ins, &mut |_| Some(0)).is_some()
+}
+
+/// A function the packed format cannot hold: the limit it exceeds, and
+/// the first instruction over it (`None` for the length limit).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Unpackable {
+    /// Index of the offending instruction, when one is to blame.
+    pub pc: Option<usize>,
+    /// Which limit is exceeded, in words.
+    pub limit: String,
+}
+
+/// Packs a whole function, or reports the format limit it exceeds.
+/// [`crate::compile::compile`] turns the error into a
+/// [`crate::compile::CompileError::Unsupported`].
+pub(crate) fn try_pack(func: &CompiledFunction) -> Result<PackedCode, Unpackable> {
     // Jump targets may legally equal the instruction count ("jump to the
     // end"), so the count itself must fit the 16-bit target field.
     if func.instrs.len() > u16::MAX as usize {
-        chef_telemetry::counter!("exec.pack.bailout.too_long").inc();
-        return None;
+        return Err(Unpackable {
+            pc: None,
+            limit: format!(
+                "{} instructions; the packed format holds at most 65 535",
+                func.instrs.len()
+            ),
+        });
     }
     let mut pools = Pools::new();
     let mut words = Vec::with_capacity(func.instrs.len());
-    for ins in &func.instrs {
-        let Some(w) = pack_instr(ins, &mut pools) else {
-            chef_telemetry::counter!("exec.pack.bailout.unencodable").inc();
-            return None;
+    for (pc, ins) in func.instrs.iter().enumerate() {
+        let Some(w) = pack_instr(ins, &mut |bits| pools.entry(bits)) else {
+            return Err(Unpackable {
+                pc: Some(pc),
+                limit: format!("an operand of {ins:?} is wider than its packed field"),
+            });
         };
         words.push(w);
     }
-    Some(PackedCode {
+    Ok(PackedCode {
         words,
         pool: pools.pool,
     })
+}
+
+/// Packs a whole function; `None` when it exceeds a format limit
+/// ([`crate::compile::compile`] reports which, as a compile error).
+pub fn pack_function(func: &CompiledFunction) -> Option<PackedCode> {
+    try_pack(func).ok()
 }
 
 /// Decodes one packed word back to its enum instruction; `None` for an
@@ -1126,7 +1161,7 @@ mod tests {
 
     fn roundtrip(ins: Instr) {
         let mut pools = Pools::new();
-        let w = pack_instr(&ins, &mut pools).expect("packs");
+        let w = pack_instr(&ins, &mut |b| pools.entry(b)).expect("packs");
         let p = PackedCode {
             words: vec![w],
             pool: pools.pool,
@@ -1277,45 +1312,43 @@ mod tests {
 
     #[test]
     fn packer_bails_on_wide_operands() {
-        let mut pools = Pools::new();
         // 4th register of FMulAdd only has 8 bits.
-        assert!(pack_instr(
-            &Instr::FMulAdd {
+        for (c, ok) in [(255, true), (256, false)] {
+            let ins = Instr::FMulAdd {
                 dst: FReg(0),
                 a: FReg(1),
                 b: FReg(2),
-                c: FReg(256),
-            },
-            &mut pools
-        )
-        .is_none());
+                c: FReg(c),
+            };
+            assert_eq!(fits(&ins), ok, "{ins:?}");
+        }
         // Register above the 16-bit field.
-        assert!(pack_instr(
-            &Instr::FMov {
-                dst: FReg(70_000),
-                src: FReg(0),
-            },
-            &mut pools
-        )
-        .is_none());
-        // Load offset outside i8.
-        assert!(pack_instr(
-            &Instr::FLoadOff {
-                dst: FReg(0),
-                arr: AReg(0),
-                base: IReg(0),
-                off: 1000,
-            },
-            &mut pools
-        )
-        .is_none());
+        assert!(!fits(&Instr::FMov {
+            dst: FReg(70_000),
+            src: FReg(0),
+        }));
+        // Immediate compare-and-branch keeps its immediate in i16.
+        for (imm, ok) in [
+            (-32768, true),
+            (32767, true),
+            (32768, false),
+            (-32769, false),
+        ] {
+            let ins = Instr::ICmpImmJmpFalse {
+                op: CmpOp::Lt,
+                a: IReg(0),
+                imm,
+                target: 0,
+            };
+            assert_eq!(fits(&ins), ok, "{ins:?}");
+        }
     }
 
     #[test]
     fn offset_i8_boundaries_pack_exactly() {
         // The D field holds the offset as `off as u8`, so exactly
         // i8::MIN..=i8::MAX is representable: −128 and 127 round-trip,
-        // −129 and 128 bail (for both the load and the store form).
+        // −129 and 128 do not fit (for both the load and the store form).
         for off in [-128, 127] {
             roundtrip(Instr::FLoadOff {
                 dst: FReg(1),
@@ -1330,35 +1363,63 @@ mod tests {
                 src: FReg(1),
             });
         }
-        for off in [-129, 128] {
-            let mut pools = Pools::new();
+        for off in [-129, 128, 1000] {
             assert!(
-                pack_instr(
-                    &Instr::FLoadOff {
-                        dst: FReg(1),
-                        arr: AReg(0),
-                        base: IReg(2),
-                        off,
-                    },
-                    &mut pools
-                )
-                .is_none(),
-                "FLoadOff off={off} must bail"
+                !fits(&Instr::FLoadOff {
+                    dst: FReg(1),
+                    arr: AReg(0),
+                    base: IReg(2),
+                    off,
+                }),
+                "FLoadOff off={off} must not fit"
             );
             assert!(
-                pack_instr(
-                    &Instr::FStoreOff {
-                        arr: AReg(0),
-                        base: IReg(2),
-                        off,
-                        src: FReg(1),
-                    },
-                    &mut pools
-                )
-                .is_none(),
-                "FStoreOff off={off} must bail"
+                !fits(&Instr::FStoreOff {
+                    arr: AReg(0),
+                    base: IReg(2),
+                    off,
+                    src: FReg(1),
+                }),
+                "FStoreOff off={off} must not fit"
             );
         }
+    }
+
+    #[test]
+    fn try_pack_names_the_limit_it_hits() {
+        let func = |instrs: Vec<Instr>| CompiledFunction {
+            name: "t".into(),
+            spans: vec![chef_ir::span::Span::DUMMY; instrs.len()],
+            instrs,
+            n_fregs: 70_001,
+            n_iregs: 0,
+            n_aregs: 0,
+            params: vec![],
+            ret: RetKind::Void,
+            fvar_names: vec![],
+            avar_names: vec![],
+            packed: None,
+        };
+        let long = func(vec![Instr::RetVoid; 65_536]);
+        let err = try_pack(&long).unwrap_err();
+        assert_eq!(err.pc, None);
+        assert!(err.limit.contains("65 535"), "{}", err.limit);
+        assert!(pack_function(&long).is_none());
+        assert!(try_pack(&func(vec![Instr::RetVoid; 65_535])).is_ok());
+        let wide = func(vec![
+            Instr::RetVoid,
+            Instr::FMov {
+                dst: FReg(70_000),
+                src: FReg(0),
+            },
+        ]);
+        let err = try_pack(&wide).unwrap_err();
+        assert_eq!(err.pc, Some(1));
+        assert!(
+            err.limit.contains("wider than its packed field"),
+            "{}",
+            err.limit
+        );
     }
 
     #[test]
@@ -1369,7 +1430,7 @@ mod tests {
                 dst: FReg(0),
                 v: 2.5,
             },
-            &mut pools,
+            &mut |b| pools.entry(b),
         )
         .unwrap();
         let w2 = pack_instr(
@@ -1377,7 +1438,7 @@ mod tests {
                 dst: FReg(1),
                 v: 2.5,
             },
-            &mut pools,
+            &mut |b| pools.entry(b),
         )
         .unwrap();
         let w3 = pack_instr(
@@ -1385,7 +1446,7 @@ mod tests {
                 dst: FReg(2),
                 v: 3.5,
             },
-            &mut pools,
+            &mut |b| pools.entry(b),
         )
         .unwrap();
         assert_eq!(pools.pool, vec![2.5f64.to_bits(), 3.5f64.to_bits()]);
@@ -1401,7 +1462,7 @@ mod tests {
                 dst: FReg(0),
                 v: 1.5,
             },
-            &mut pools,
+            &mut |b| pools.entry(b),
         )
         .unwrap();
         let p = PackedCode {

@@ -489,19 +489,16 @@ impl<S: ShadowNum> ShadowMachine<S> {
             }
         }
 
-        // Packed dispatch when the packer produced words (the default);
-        // enum dispatch otherwise — identical semantics either way, like
-        // the plain VM. Profiling picks a separately monomorphized loop,
-        // mirroring `Machine::run_prevalidated`.
-        let ret = match (&func.packed, opts.profile) {
-            (Some(p), false) => {
-                self.exec_loop_packed::<false>(func, p, opts, &mut acc, &mut nonfinite)?
-            }
-            (Some(p), true) => {
-                self.exec_loop_packed::<true>(func, p, opts, &mut acc, &mut nonfinite)?
-            }
-            (None, false) => self.exec_loop::<false>(func, opts, &mut acc, &mut nonfinite)?,
-            (None, true) => self.exec_loop::<true>(func, opts, &mut acc, &mut nonfinite)?,
+        // Validation proved `packed` present. Profiling picks a separately
+        // monomorphized loop, mirroring `Machine::run_prevalidated`.
+        let packed = func
+            .packed
+            .as_ref()
+            .expect("validated functions are packed");
+        let ret = if opts.profile {
+            self.exec_loop_packed::<true>(func, packed, opts, &mut acc, &mut nonfinite)?
+        } else {
+            self.exec_loop_packed::<false>(func, packed, opts, &mut acc, &mut nonfinite)?
         };
         self.m.stats.tape_peak_bytes = self.m.tape.peak_bytes();
         self.m.stats.tape_total_pushes = self.m.tape.total_pushes();
@@ -541,843 +538,12 @@ impl<S: ShadowNum> ShadowMachine<S> {
         })
     }
 
-    /// The fused dispatch loop. Mirrors `vm::exec_loop` instruction by
-    /// instruction on the primal side (same results, traps and budget
-    /// checkpoints) and threads the shadow values, local-error samples
-    /// and pending attribution alongside.
-    #[allow(clippy::type_complexity)]
-    fn exec_loop<const PROFILE: bool>(
-        &mut self,
-        func: &CompiledFunction,
-        opts: &ExecOptions,
-        acc: &mut f64,
-        nonfinite: &mut u64,
-    ) -> Result<(Option<Value>, Option<f64>, Option<f64>), Trap> {
-        let ShadowMachine {
-            m,
-            sf,
-            pend,
-            sa,
-            stape,
-            fvar_of,
-            avar_of,
-            var_err,
-            samples,
-            var_div,
-            divs,
-            div_count,
-            ..
-        } = self;
-        let Machine {
-            f,
-            i,
-            a,
-            tape,
-            stats,
-            prof,
-        } = m;
-        let f = &mut f[..];
-        let i = &mut i[..];
-        let instrs = &func.instrs[..];
-        let approx = &opts.approx;
-        let budget = opts.max_instrs.unwrap_or(u64::MAX);
-        let check_div = opts.detect_divergence;
-        let trap_nf = opts.trap_on_nonfinite;
-        let deadline = opts.deadline;
-        let mut deadline_at: u64 = if deadline.is_some() {
-            crate::vm::DEADLINE_STRIDE
-        } else {
-            u64::MAX
-        };
-        let mut executed: u64 = 0;
-        let mut pc: usize = 0;
-
-        let trap = |kind: TrapKind, pc: usize| Trap {
-            kind,
-            pc,
-            span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
-        };
-
-        // Primal register access: validated once (`validate_function`),
-        // like the plain VM. Shadow files share the same bounds, accessed
-        // with the same indices.
-        macro_rules! fr {
-            ($r:expr) => {
-                f[$r.0 as usize]
-            };
-        }
-        macro_rules! ir {
-            ($r:expr) => {
-                i[$r.0 as usize]
-            };
-        }
-        macro_rules! sr {
-            ($r:expr) => {
-                sf[$r.0 as usize]
-            };
-        }
-        // Records one local-error sample at the current pc.
-        macro_rules! sample {
-            ($local:expr) => {{
-                let l: f64 = $local;
-                if l > 0.0 {
-                    if l.is_finite() {
-                        let s = &mut samples[pc];
-                        s.sum += l;
-                        if l > s.max {
-                            s.max = l;
-                        }
-                        s.count += 1;
-                        *acc += l;
-                    } else {
-                        *nonfinite += 1;
-                    }
-                } else if l.is_nan() {
-                    *nonfinite += 1;
-                }
-            }};
-        }
-        // Writes primal+shadow to `dst` and commits the pending error:
-        // charged to the destination's variable if it is named, carried
-        // forward otherwise. The non-finite check watches the *primal*
-        // value: a finite shadow next to a non-finite primal is exactly
-        // the demotion-overflow signal `trap_on_nonfinite` exists for.
-        macro_rules! put {
-            ($dst:expr, $prim:expr, $shadow:expr, $pend:expr) => {{
-                let d = $dst.0 as usize;
-                let prim = $prim;
-                if trap_nf && !prim.is_finite() {
-                    return Err(crate::vm::nonfinite_trap(func, d, prim, pc));
-                }
-                f[d] = prim;
-                sf[d] = $shadow;
-                let mut p: f64 = $pend;
-                let v = fvar_of[d];
-                if v != 0 {
-                    var_err[(v - 1) as usize] += p;
-                    p = 0.0;
-                }
-                pend[d] = p;
-            }};
-        }
-        // Divergence checks: re-evaluates a float comparison (or a
-        // float→int truncation) on the shadow operands and records a
-        // split when the decision differs from the primal one. The primal
-        // trace is still the one followed.
-        macro_rules! diverge_fcmp {
-            ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
-                if check_div {
-                    let (xi, yi) = ($x, $y);
-                    let would = S::cmp($op, sf[xi], sf[yi]);
-                    if would != $taken {
-                        *div_count += 1;
-                        let vx = fvar_of[xi];
-                        if vx != 0 {
-                            var_div[(vx - 1) as usize] += 1;
-                        }
-                        let vy = fvar_of[yi];
-                        if vy != 0 && vy != vx {
-                            var_div[(vy - 1) as usize] += 1;
-                        }
-                        if divs.len() < MAX_DIVERGENCE_POINTS {
-                            divs.push(DivergencePoint {
-                                pc,
-                                at_instr: executed,
-                                kind: DivergenceKind::FCmp {
-                                    op: $op,
-                                    primal: (f[xi], f[yi]),
-                                    shadow: (sf[xi].to_f64(), sf[yi].to_f64()),
-                                    taken: $taken,
-                                    would_take: would,
-                                },
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-        macro_rules! diverge_f2i {
-            ($x:expr, $primal_int:expr) => {{
-                if check_div {
-                    let xi = $x;
-                    let si = S::trunc_i64(sf[xi]);
-                    if si != $primal_int {
-                        *div_count += 1;
-                        let vx = fvar_of[xi];
-                        if vx != 0 {
-                            var_div[(vx - 1) as usize] += 1;
-                        }
-                        if divs.len() < MAX_DIVERGENCE_POINTS {
-                            divs.push(DivergencePoint {
-                                pc,
-                                at_instr: executed,
-                                kind: DivergenceKind::F2I {
-                                    primal: f[xi],
-                                    shadow: sf[xi].to_f64(),
-                                    primal_int: $primal_int,
-                                    shadow_int: si,
-                                },
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-        macro_rules! jump {
-            ($target:expr) => {{
-                let t = $target as usize;
-                if t <= pc {
-                    if executed > budget {
-                        return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
-                    }
-                    if executed >= deadline_at
-                        && crate::vm::deadline_probe(deadline, executed, &mut deadline_at)
-                    {
-                        return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
-                    }
-                }
-                pc = t;
-                continue;
-            }};
-        }
-
-        let ret: (Option<Value>, Option<f64>, Option<f64>) = loop {
-            let Some(ins) = instrs.get(pc) else {
-                break (None, None, None);
-            };
-            executed += 1;
-            if PROFILE {
-                prof[pc] += 1;
-            }
-            match ins {
-                Instr::FConst { dst, v } => put!(dst, *v, S::from_f64(*v), 0.0),
-                Instr::FMov { dst, src } => {
-                    put!(dst, fr!(src), sr!(src), pend[src.0 as usize])
-                }
-                Instr::FAdd { dst, a: x, b: y } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = pa + pb;
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::add(sr!(x), sr!(y)), p);
-                }
-                Instr::FSub { dst, a: x, b: y } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = pa - pb;
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::sub(sr!(x), sr!(y)), p);
-                }
-                Instr::FMul { dst, a: x, b: y } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = pa * pb;
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::mul(sr!(x), sr!(y)), p);
-                }
-                Instr::FDiv { dst, a: x, b: y } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = pa / pb;
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::div(sr!(x), sr!(y)), p);
-                }
-                Instr::FNeg { dst, src } => {
-                    put!(dst, -fr!(src), S::neg(sr!(src)), pend[src.0 as usize])
-                }
-                Instr::FRound { dst, src, ty } => {
-                    let v = fr!(src);
-                    let prim = round_to(v, *ty);
-                    let local = (v - prim).abs();
-                    sample!(local);
-                    put!(dst, prim, sr!(src), pend[src.0 as usize] + local);
-                }
-                Instr::FIntr1 { dst, intr, a: x } => {
-                    let pa = fr!(x);
-                    let prim = eval1(*intr, pa, approx);
-                    let local = S::sub(S::intr1(*intr, S::from_f64(pa), approx), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::intr1(*intr, sr!(x), approx),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FIntr2 {
-                    dst,
-                    intr,
-                    a: x,
-                    b: y,
-                } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = eval2(*intr, pa, pb, approx);
-                    let local = S::sub(
-                        S::intr2(*intr, S::from_f64(pa), S::from_f64(pb), approx),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::intr2(*intr, sr!(x), sr!(y), approx), p);
-                }
-                Instr::FCmp {
-                    dst,
-                    op,
-                    a: x,
-                    b: y,
-                } => {
-                    let taken = fcmp(*op, fr!(x), fr!(y));
-                    i[dst.0 as usize] = taken as i64;
-                    diverge_fcmp!(*op, x.0 as usize, y.0 as usize, taken);
-                }
-                Instr::FLoad { dst, arr, idx } => {
-                    let index = ir!(idx);
-                    let prim = match &a[arr.0 as usize] {
-                        ArraySlot::F(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    };
-                    let sh = sa[arr.0 as usize]
-                        .get(index as usize)
-                        .copied()
-                        .unwrap_or(S::from_f64(prim));
-                    put!(dst, prim, sh, 0.0);
-                }
-                Instr::FStore { arr, idx, src } => {
-                    let index = ir!(idx);
-                    let v = fr!(src);
-                    match &mut a[arr.0 as usize] {
-                        ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                    if let Some(slot) = sa[arr.0 as usize].get_mut(index as usize) {
-                        *slot = sr!(src);
-                    }
-                    let var = avar_of[arr.0 as usize];
-                    if var != 0 {
-                        var_err[(var - 1) as usize] += pend[src.0 as usize];
-                    }
-                    pend[src.0 as usize] = 0.0;
-                }
-                Instr::F2I { dst, src } => {
-                    let trunc = fr!(src) as i64;
-                    i[dst.0 as usize] = trunc;
-                    diverge_f2i!(src.0 as usize, trunc);
-                }
-                Instr::I2F { dst, src } => {
-                    let v = ir!(src) as f64;
-                    put!(dst, v, S::from_f64(v), 0.0);
-                }
-
-                Instr::IConst { dst, v } => i[dst.0 as usize] = *v,
-                Instr::IMov { dst, src } => i[dst.0 as usize] = ir!(src),
-                Instr::IAdd { dst, a: x, b: y } => i[dst.0 as usize] = ir!(x).wrapping_add(ir!(y)),
-                Instr::ISub { dst, a: x, b: y } => i[dst.0 as usize] = ir!(x).wrapping_sub(ir!(y)),
-                Instr::IMul { dst, a: x, b: y } => i[dst.0 as usize] = ir!(x).wrapping_mul(ir!(y)),
-                Instr::IDiv { dst, a: x, b: y } => {
-                    let d = ir!(y);
-                    if d == 0 {
-                        return Err(trap(TrapKind::DivByZero, pc));
-                    }
-                    i[dst.0 as usize] = ir!(x).wrapping_div(d);
-                }
-                Instr::IRem { dst, a: x, b: y } => {
-                    let d = ir!(y);
-                    if d == 0 {
-                        return Err(trap(TrapKind::DivByZero, pc));
-                    }
-                    i[dst.0 as usize] = ir!(x).wrapping_rem(d);
-                }
-                Instr::INeg { dst, src } => i[dst.0 as usize] = ir!(src).wrapping_neg(),
-                Instr::ICmp {
-                    dst,
-                    op,
-                    a: x,
-                    b: y,
-                } => i[dst.0 as usize] = icmp(*op, ir!(x), ir!(y)) as i64,
-                Instr::ILoad { dst, arr, idx } => {
-                    let index = ir!(idx);
-                    match &a[arr.0 as usize] {
-                        ArraySlot::I(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => i[dst.0 as usize] = x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                }
-                Instr::IStore { arr, idx, src } => {
-                    let index = ir!(idx);
-                    let v = ir!(src);
-                    match &mut a[arr.0 as usize] {
-                        ArraySlot::I(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                }
-                Instr::BNot { dst, src } => i[dst.0 as usize] = (ir!(src) == 0) as i64,
-
-                Instr::Jmp { target } => jump!(*target),
-                Instr::JmpIfFalse { cond, target } => {
-                    if ir!(cond) == 0 {
-                        jump!(*target);
-                    }
-                }
-                Instr::JmpIfTrue { cond, target } => {
-                    if ir!(cond) != 0 {
-                        jump!(*target);
-                    }
-                }
-
-                Instr::TPushF { src } => {
-                    if let Err(e) = tape.push_f(fr!(src)) {
-                        return Err(trap(TrapKind::Tape(e), pc));
-                    }
-                    stape.push(sr!(src));
-                }
-                Instr::TPopF { dst } => match tape.pop_f() {
-                    Ok(v) => {
-                        let sh = stape.pop().unwrap_or(S::from_f64(v));
-                        put!(dst, v, sh, 0.0);
-                    }
-                    Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-                },
-                Instr::TPushI { src } => {
-                    if let Err(e) = tape.push_i(ir!(src)) {
-                        return Err(trap(TrapKind::Tape(e), pc));
-                    }
-                }
-                Instr::TPopI { dst } => match tape.pop_i() {
-                    Ok(v) => i[dst.0 as usize] = v,
-                    Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-                },
-
-                Instr::AllocF { arr, len } => {
-                    let n = ir!(len);
-                    if n < 0 {
-                        return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                    }
-                    stats.local_array_bytes += n as usize * 8;
-                    let slot = &mut a[arr.0 as usize];
-                    match slot {
-                        ArraySlot::F(v) | ArraySlot::StaleF(v) => {
-                            v.clear();
-                            v.resize(n as usize, 0.0);
-                            let buf = std::mem::take(v);
-                            *slot = ArraySlot::F(buf);
-                        }
-                        other => *other = ArraySlot::F(vec![0.0; n as usize]),
-                    }
-                    let shadow = &mut sa[arr.0 as usize];
-                    shadow.clear();
-                    shadow.resize(n as usize, S::from_f64(0.0));
-                }
-                Instr::AllocI { arr, len } => {
-                    let n = ir!(len);
-                    if n < 0 {
-                        return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                    }
-                    stats.local_array_bytes += n as usize * 8;
-                    let slot = &mut a[arr.0 as usize];
-                    match slot {
-                        ArraySlot::I(v) | ArraySlot::StaleI(v) => {
-                            v.clear();
-                            v.resize(n as usize, 0);
-                            let buf = std::mem::take(v);
-                            *slot = ArraySlot::I(buf);
-                        }
-                        other => *other = ArraySlot::I(vec![0; n as usize]),
-                    }
-                    sa[arr.0 as usize].clear();
-                }
-
-                // ---- fused superinstructions ----
-                Instr::FMulAdd { dst, a: x, b: y, c } => {
-                    let (pa, pb, pcv) = (fr!(x), fr!(y), fr!(c));
-                    let prim = pa * pb + pcv;
-                    let local = S::sub(
-                        S::add(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(pcv)),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + pend[c.0 as usize] + local;
-                    put!(dst, prim, S::add(S::mul(sr!(x), sr!(y)), sr!(c)), p);
-                }
-                Instr::FAddRound {
-                    dst,
-                    a: x,
-                    b: y,
-                    ty,
-                } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = round_to(pa + pb, *ty);
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::add(sr!(x), sr!(y)), p);
-                }
-                Instr::FSubRound {
-                    dst,
-                    a: x,
-                    b: y,
-                    ty,
-                } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = round_to(pa - pb, *ty);
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::sub(sr!(x), sr!(y)), p);
-                }
-                Instr::FMulRound {
-                    dst,
-                    a: x,
-                    b: y,
-                    ty,
-                } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = round_to(pa * pb, *ty);
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::mul(sr!(x), sr!(y)), p);
-                }
-                Instr::FDivRound {
-                    dst,
-                    a: x,
-                    b: y,
-                    ty,
-                } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = round_to(pa / pb, *ty);
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::div(sr!(x), sr!(y)), p);
-                }
-                Instr::FIntr1Round {
-                    dst,
-                    intr,
-                    a: x,
-                    ty,
-                } => {
-                    let pa = fr!(x);
-                    let prim = round_to(eval1(*intr, pa, approx), *ty);
-                    let local = S::sub(S::intr1(*intr, S::from_f64(pa), approx), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::intr1(*intr, sr!(x), approx),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FIntr2Round {
-                    dst,
-                    intr,
-                    a: x,
-                    b: y,
-                    ty,
-                } => {
-                    let (pa, pb) = (fr!(x), fr!(y));
-                    let prim = round_to(eval2(*intr, pa, pb, approx), *ty);
-                    let local = S::sub(
-                        S::intr2(*intr, S::from_f64(pa), S::from_f64(pb), approx),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x.0 as usize] + pend[y.0 as usize] + local;
-                    put!(dst, prim, S::intr2(*intr, sr!(x), sr!(y), approx), p);
-                }
-                Instr::FAddC { dst, a: x, k } => {
-                    let pa = fr!(x);
-                    let prim = pa + *k;
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(*k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::add(sr!(x), S::from_f64(*k)),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FSubC { dst, a: x, k } => {
-                    let pa = fr!(x);
-                    let prim = pa - *k;
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(*k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::sub(sr!(x), S::from_f64(*k)),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FSubCR { dst, k, a: x } => {
-                    let pa = fr!(x);
-                    let prim = *k - pa;
-                    let local = S::sub(S::sub(S::from_f64(*k), S::from_f64(pa)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::sub(S::from_f64(*k), sr!(x)),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FMulC { dst, a: x, k } => {
-                    let pa = fr!(x);
-                    let prim = pa * *k;
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(*k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::mul(sr!(x), S::from_f64(*k)),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FDivC { dst, a: x, k } => {
-                    let pa = fr!(x);
-                    let prim = pa / *k;
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(*k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::div(sr!(x), S::from_f64(*k)),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::FDivCR { dst, k, a: x } => {
-                    let pa = fr!(x);
-                    let prim = *k / pa;
-                    let local = S::sub(S::div(S::from_f64(*k), S::from_f64(pa)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        dst,
-                        prim,
-                        S::div(S::from_f64(*k), sr!(x)),
-                        pend[x.0 as usize] + local
-                    );
-                }
-                Instr::ICmpImmJmpFalse {
-                    op,
-                    a: x,
-                    imm,
-                    target,
-                } => {
-                    if !icmp(*op, ir!(x), *imm) {
-                        jump!(*target);
-                    }
-                }
-                Instr::ICmpImmJmpTrue {
-                    op,
-                    a: x,
-                    imm,
-                    target,
-                } => {
-                    if icmp(*op, ir!(x), *imm) {
-                        jump!(*target);
-                    }
-                }
-                Instr::FLoadOff {
-                    dst,
-                    arr,
-                    base,
-                    off,
-                } => {
-                    let index = ir!(base).wrapping_add(*off as i64);
-                    let prim = match &a[arr.0 as usize] {
-                        ArraySlot::F(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    };
-                    let sh = sa[arr.0 as usize]
-                        .get(index as usize)
-                        .copied()
-                        .unwrap_or(S::from_f64(prim));
-                    put!(dst, prim, sh, 0.0);
-                }
-                Instr::FStoreOff {
-                    arr,
-                    base,
-                    off,
-                    src,
-                } => {
-                    let index = ir!(base).wrapping_add(*off as i64);
-                    let v = fr!(src);
-                    match &mut a[arr.0 as usize] {
-                        ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                    if let Some(slot) = sa[arr.0 as usize].get_mut(index as usize) {
-                        *slot = sr!(src);
-                    }
-                    let var = avar_of[arr.0 as usize];
-                    if var != 0 {
-                        var_err[(var - 1) as usize] += pend[src.0 as usize];
-                    }
-                    pend[src.0 as usize] = 0.0;
-                }
-                Instr::IAddImm { dst, a: x, imm } => i[dst.0 as usize] = ir!(x).wrapping_add(*imm),
-                Instr::FCmpJmpFalse {
-                    op,
-                    a: x,
-                    b: y,
-                    target,
-                } => {
-                    let taken = fcmp(*op, fr!(x), fr!(y));
-                    diverge_fcmp!(*op, x.0 as usize, y.0 as usize, taken);
-                    if !taken {
-                        jump!(*target);
-                    }
-                }
-                Instr::FCmpJmpTrue {
-                    op,
-                    a: x,
-                    b: y,
-                    target,
-                } => {
-                    let taken = fcmp(*op, fr!(x), fr!(y));
-                    diverge_fcmp!(*op, x.0 as usize, y.0 as usize, taken);
-                    if taken {
-                        jump!(*target);
-                    }
-                }
-                Instr::ICmpJmpFalse {
-                    op,
-                    a: x,
-                    b: y,
-                    target,
-                } => {
-                    if !icmp(*op, ir!(x), ir!(y)) {
-                        jump!(*target);
-                    }
-                }
-                Instr::ICmpJmpTrue {
-                    op,
-                    a: x,
-                    b: y,
-                    target,
-                } => {
-                    if icmp(*op, ir!(x), ir!(y)) {
-                        jump!(*target);
-                    }
-                }
-
-                Instr::RetF { src } => {
-                    let v = fr!(src);
-                    let rounded = match func.ret {
-                        RetKind::F(ft) => round_to(v, ft),
-                        _ => v,
-                    };
-                    if trap_nf && !rounded.is_finite() {
-                        return Err(crate::vm::nonfinite_trap(func, src.0 as usize, rounded, pc));
-                    }
-                    sample!((v - rounded).abs());
-                    // The ground-truth output error is differenced in
-                    // shadow precision *before* rounding the shadow back
-                    // to f64, so DD mode reports sub-ulp self-error
-                    // instead of quantizing it away.
-                    let oerr = S::sub(sr!(src), S::from_f64(rounded)).to_f64().abs();
-                    break (Some(Value::F(rounded)), Some(sr!(src).to_f64()), Some(oerr));
-                }
-                Instr::RetI { src } => break (Some(Value::I(ir!(src))), None, None),
-                Instr::RetB { src } => break (Some(Value::B(ir!(src) != 0)), None, None),
-                Instr::RetVoid => break (None, None, None),
-                Instr::TrapMissingReturn => return Err(trap(TrapKind::MissingReturn, pc)),
-            }
-            pc += 1;
-        };
-        stats.instrs_executed = executed;
-        if executed > budget {
-            return Err(trap(
-                TrapKind::InstrBudgetExhausted { executed },
-                pc.min(instrs.len().saturating_sub(1)),
-            ));
-        }
-        Ok(ret)
-    }
-
-    /// The packed-word fused dispatch loop: mirrors
-    /// [`ShadowMachine::exec_loop`] opcode by opcode — identical primal
-    /// results, traps, samples, attribution and budget checkpoints — but
-    /// fetches 8-byte words and reads hoisted constants from the pools,
-    /// exactly like [`crate::vm`]'s packed loop. Register accesses stay
-    /// bounds-checked by slice indexing (the shadow arithmetic dominates
-    /// this loop's cost).
+    /// The fused primal+shadow dispatch loop. The primal side mirrors
+    /// [`crate::vm`]'s loop opcode by opcode (same results, traps and
+    /// budget checkpoints, read from the same packed words and pool);
+    /// the shadow values, local-error samples and pending attribution
+    /// are threaded alongside. Register accesses stay bounds-checked by
+    /// slice indexing (the shadow arithmetic dominates this loop's cost).
     #[allow(clippy::type_complexity)]
     #[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with other unsafe spots
     fn exec_loop_packed<const PROFILE: bool>(
@@ -1458,8 +624,9 @@ impl<S: ShadowNum> ShadowMachine<S> {
                 }
             }};
         }
-        // Writes primal+shadow to register index `$dst` and commits the
-        // pending error, exactly like the enum loop's `put!`.
+        // Writes primal+shadow to register index `$dst` (trapping a
+        // non-finite primal when armed) and charges the pending error to
+        // the variable homed there, if any.
         macro_rules! put {
             ($dst:expr, $prim:expr, $shadow:expr, $pend:expr) => {{
                 let d: usize = $dst;
@@ -1495,9 +662,9 @@ impl<S: ShadowNum> ShadowMachine<S> {
                 continue;
             }};
         }
-        // Divergence checks — identical semantics to the enum loop's
-        // `diverge_fcmp!`/`diverge_f2i!` (register operands are already
-        // usize indices here).
+        // Divergence checks: re-decide a float compare / float→int
+        // truncation on the shadow operands and record a split when the
+        // decision differs (register operands are usize indices).
         macro_rules! diverge_fcmp {
             ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
                 if check_div {
@@ -2557,47 +1724,6 @@ mod tests {
     }
 
     #[test]
-    fn divergence_is_identical_between_enum_and_packed_dispatch() {
-        let src = "double f(double x, int n) {
-            double s = 0.0;
-            for (int i = 0; i < n; i++) { s = s + x; }
-            double r = 0.0;
-            if (s < 1.0) { r = s * 2.0; } else { r = s * 0.5; }
-            return r;
-        }";
-        let mut p = parse_program(src).unwrap();
-        check_program(&mut p).unwrap();
-        let pm = PrecisionMap::empty().with(VarId(2), FloatTy::F32);
-        let packed = compile(
-            &p.functions[0],
-            &CompileOptions {
-                precisions: pm.clone(),
-                pack: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let enum_only = compile(
-            &p.functions[0],
-            &CompileOptions {
-                precisions: pm,
-                pack: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(packed.packed.is_some() && enum_only.packed.is_none());
-        let args = vec![ArgValue::F(0.01), ArgValue::I(100)];
-        let opts = ExecOptions::default();
-        let a = run_shadow::<f64>(&packed, args.clone(), &opts).unwrap();
-        let b = run_shadow::<f64>(&enum_only, args, &opts).unwrap();
-        assert_eq!(a.divergence_count, b.divergence_count);
-        assert_eq!(a.divergence, b.divergence);
-        assert_eq!(a.var_divergence, b.var_divergence);
-        assert!(a.divergence_count > 0);
-    }
-
-    #[test]
     fn divergence_detection_can_be_disabled() {
         let src = "double f(double x, int n) {
             double s = 0.0;
@@ -2618,6 +1744,7 @@ mod tests {
         assert!(off.divergence.is_empty());
         // Everything else is unchanged by the toggle.
         let on = run_shadow::<f64>(&func, args, &ExecOptions::default()).unwrap();
+        assert!(on.divergence_count > 0);
         assert_eq!(on.ret_f().to_bits(), off.ret_f().to_bits());
         assert_eq!(on.acc_error.to_bits(), off.acc_error.to_bits());
     }
@@ -2652,22 +1779,22 @@ mod tests {
 
     #[test]
     fn deadline_traps_in_both_shadow_loops() {
+        // Both monomorphizations of the dispatch loop: unprofiled and
+        // profiled.
         let mut p = parse_program("void f() { while (true) { } }").unwrap();
         check_program(&mut p).unwrap();
-        for pack in [false, true] {
-            let func = compile(
-                &p.functions[0],
-                &CompileOptions {
-                    pack,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(func.packed.is_some(), pack);
-            let opts = ExecOptions::default().deadline_in(std::time::Duration::from_millis(5));
+        let func = compile_default(&p.functions[0]).unwrap();
+        for profile in [false, true] {
+            let opts = ExecOptions {
+                profile,
+                ..ExecOptions::default().deadline_in(std::time::Duration::from_millis(5))
+            };
             let err = run_shadow::<f64>(&func, vec![], &opts).unwrap_err();
             let TrapKind::DeadlineExceeded { executed } = err.kind else {
-                panic!("expected deadline trap, got {:?} (pack: {pack})", err.kind);
+                panic!(
+                    "expected deadline trap, got {:?} (profile: {profile})",
+                    err.kind
+                );
             };
             assert!(executed >= crate::vm::DEADLINE_STRIDE, "{executed}");
             assert!(err.pc < func.instrs.len(), "pc {} out of range", err.pc);

@@ -330,10 +330,10 @@ fn param_tag(kind: ParamKind) -> (u8, u8) {
 }
 
 /// Serializes `func` under `key`. Returns `None` when the function has
-/// no packed stream (the packer bailed or packing was disabled) — such
-/// functions are never stored; the enum stream can't be reconstructed
-/// without the words, and the packer only bails on shapes compiler
-/// output never produces anyway.
+/// no packed stream (compiled with packing off, or built by hand): such
+/// functions are never stored, since the enum stream can't be
+/// reconstructed without the words. Everything `compile` returns by
+/// default is packed.
 pub fn encode_function(key: &ContentKey, func: &CompiledFunction) -> Option<Vec<u8>> {
     let packed = func.packed.as_ref()?;
     debug_assert_eq!(packed.words.len(), func.instrs.len());

@@ -125,7 +125,7 @@ impl ExecOptions {
 /// overshot by at most one stride of work plus one straight-line block.
 pub const DEADLINE_STRIDE: u64 = 8 * 1024;
 
-/// Amortized deadline probe shared by all four dispatch loops. Returns
+/// Amortized deadline probe shared by the VM and shadow dispatch loops. Returns
 /// `true` when the armed deadline has passed; otherwise advances `next`
 /// by one stride. Cold: reached at most once per [`DEADLINE_STRIDE`]
 /// executed instructions, and never when no deadline is armed (`next`
@@ -251,7 +251,7 @@ impl ExecStats {
 /// dispatch-loop iterations that executed `func.instrs[pc]` (fused
 /// superinstructions count once, like [`ExecStats::instrs_executed`]);
 /// on a successful run the counts sum to exactly `instrs_executed` in
-/// all four dispatch loops (vm + shadow × enum + packed).
+/// both dispatch loops (VM and shadow).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecProfile {
     /// Execution count per instruction index, sized `func.instrs.len()`.
@@ -702,15 +702,17 @@ impl Machine {
         if opts.trap_on_nonfinite {
             check_params_finite(func, &self.f, &self.a)?;
         }
-        // Packed dispatch when the packer produced words (the default);
-        // enum dispatch otherwise. Validation proved the two streams
-        // equivalent, so the choice is unobservable apart from speed.
-        // Profiling selects a separately monomorphized loop so the
-        // default path carries no per-iteration check.
-        let ret = match (&func.packed, opts.profile) {
-            (Some(p), false) => exec_loop_packed::<false>(
+        // Validation proved `packed` present and word-for-word equal to
+        // the enum stream. Profiling selects a separately monomorphized
+        // loop so the default path carries no per-iteration check.
+        let packed = func
+            .packed
+            .as_ref()
+            .expect("validated functions are packed");
+        let ret = if opts.profile {
+            exec_loop_packed::<true>(
                 func,
-                p,
+                packed,
                 opts,
                 &mut self.f,
                 &mut self.i,
@@ -718,10 +720,11 @@ impl Machine {
                 &mut self.tape,
                 &mut self.stats,
                 &mut self.prof,
-            )?,
-            (Some(p), true) => exec_loop_packed::<true>(
+            )?
+        } else {
+            exec_loop_packed::<false>(
                 func,
-                p,
+                packed,
                 opts,
                 &mut self.f,
                 &mut self.i,
@@ -729,27 +732,7 @@ impl Machine {
                 &mut self.tape,
                 &mut self.stats,
                 &mut self.prof,
-            )?,
-            (None, false) => exec_loop::<false>(
-                func,
-                opts,
-                &mut self.f,
-                &mut self.i,
-                &mut self.a,
-                &mut self.tape,
-                &mut self.stats,
-                &mut self.prof,
-            )?,
-            (None, true) => exec_loop::<true>(
-                func,
-                opts,
-                &mut self.f,
-                &mut self.i,
-                &mut self.a,
-                &mut self.tape,
-                &mut self.stats,
-                &mut self.prof,
-            )?,
+            )?
         };
         self.stats.tape_peak_bytes = self.tape.peak_bytes();
         self.stats.tape_total_pushes = self.tape.total_pushes();
@@ -858,8 +841,11 @@ impl Machine {
 }
 
 /// Checks that every register operand and jump target of `func` is within
-/// the declared files, making the dispatch loop's unchecked register
-/// accesses sound. O(instruction count); negligible next to execution.
+/// the declared files and that `func.packed` is present and decodes word
+/// for word to `func.instrs`, making the dispatch loop's unchecked
+/// register accesses sound. An unpacked function is rejected (run it
+/// through [`crate::pack::pack_function`] first). O(instruction count);
+/// negligible next to execution.
 pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
     let nf = func.n_fregs;
     let ni = func.n_iregs;
@@ -1041,420 +1027,44 @@ pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
             ));
         }
     }
-    // The packed stream, when present, must be word-for-word equivalent to
-    // the (just validated) enum stream: the packed dispatch loop reads its
-    // operand fields unchecked, and this equivalence is what carries the
-    // register/target/pool bounds proof over to the words.
-    if let Some(p) = &func.packed {
-        if p.words.len() != func.instrs.len() {
-            return Err(format!(
-                "packed stream has {} words for {} instructions",
-                p.words.len(),
-                func.instrs.len()
-            ));
-        }
-        for (pc, (&w, ins)) in p.words.iter().zip(&func.instrs).enumerate() {
-            match crate::pack::decode(w, p) {
-                Some(d) if crate::pack::instr_eq_bits(&d, ins) => {}
-                _ => {
-                    return Err(format!(
-                        "packed word {pc} ({w:#018x}) does not decode to {ins:?}"
-                    ))
-                }
+    // The dispatch loops run the packed stream, which must be
+    // word-for-word equivalent to the (just validated) enum stream: the
+    // loops read operand fields unchecked, and this equivalence is what
+    // carries the register/target/pool bounds proof over to the words.
+    let Some(p) = &func.packed else {
+        return Err(format!(
+            "function `{}` is not packed; call pack::pack_function (or compile \
+             with CompileOptions::pack) before running it",
+            func.name
+        ));
+    };
+    if p.words.len() != func.instrs.len() {
+        return Err(format!(
+            "packed stream has {} words for {} instructions",
+            p.words.len(),
+            func.instrs.len()
+        ));
+    }
+    for (pc, (&w, ins)) in p.words.iter().zip(&func.instrs).enumerate() {
+        match crate::pack::decode(w, p) {
+            Some(d) if crate::pack::instr_eq_bits(&d, ins) => {}
+            _ => {
+                return Err(format!(
+                    "packed word {pc} ({w:#018x}) does not decode to {ins:?}"
+                ))
             }
         }
     }
     Ok(())
 }
 
-/// The dispatch loop. Register/array-slot indices are unchecked —
-/// [`validate_function`] proved them in range; array *element* indices
-/// are runtime values and stay checked.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)] // own code-layout home: keeps dispatch-loop timing stable
-fn exec_loop<const PROFILE: bool>(
-    func: &CompiledFunction,
-    opts: &ExecOptions,
-    f: &mut [f64],
-    i: &mut [i64],
-    a: &mut [ArraySlot],
-    tape: &mut Tape,
-    stats: &mut ExecStats,
-    prof: &mut [u64],
-) -> Result<Option<Value>, Trap> {
-    let instrs = &func.instrs[..];
-    let approx = &opts.approx;
-    let budget = opts.max_instrs.unwrap_or(u64::MAX);
-    let trap_nf = opts.trap_on_nonfinite;
-    let deadline = opts.deadline;
-    // Next executed-count at which the wall clock is consulted; `MAX`
-    // (deadline disarmed) makes the checkpoint a single dead compare.
-    let mut deadline_at: u64 = if deadline.is_some() {
-        DEADLINE_STRIDE
-    } else {
-        u64::MAX
-    };
-    let mut executed: u64 = 0;
-    let mut pc: usize = 0;
-
-    let trap = |kind: TrapKind, pc: usize| Trap {
-        kind,
-        pc,
-        span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
-    };
-
-    // Register access macros. SAFETY (all four): `validate_function`
-    // checked every register operand of every instruction against the
-    // file sizes the slices were resized to.
-    macro_rules! fr {
-        ($r:expr) => {
-            unsafe { *f.get_unchecked($r.0 as usize) }
-        };
-    }
-    macro_rules! fw {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            if trap_nf && !v.is_finite() {
-                return Err(nonfinite_trap(func, $r.0 as usize, v, pc));
-            }
-            unsafe { *f.get_unchecked_mut($r.0 as usize) = v };
-        }};
-    }
-    macro_rules! ir {
-        ($r:expr) => {
-            unsafe { *i.get_unchecked($r.0 as usize) }
-        };
-    }
-    macro_rules! iw {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            unsafe { *i.get_unchecked_mut($r.0 as usize) = v };
-        }};
-    }
-    macro_rules! aslot {
-        ($r:expr) => {
-            unsafe { &mut *a.get_unchecked_mut($r.0 as usize) }
-        };
-    }
-    // Taken jumps: backward edges also account the instruction budget
-    // and the wall deadline (the only way a program runs forever is
-    // through a backward jump).
-    macro_rules! jump {
-        ($target:expr) => {{
-            let t = $target as usize;
-            if t <= pc {
-                if executed > budget {
-                    return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
-                }
-                if executed >= deadline_at && deadline_probe(deadline, executed, &mut deadline_at) {
-                    return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
-                }
-            }
-            pc = t;
-            continue;
-        }};
-    }
-
-    let ret: Option<Value> = loop {
-        let Some(ins) = instrs.get(pc) else {
-            break None; // treated like RetVoid for robustness
-        };
-        executed += 1;
-        if PROFILE {
-            prof[pc] += 1;
-        }
-        match ins {
-            Instr::FConst { dst, v } => fw!(dst, *v),
-            Instr::FMov { dst, src } => fw!(dst, fr!(src)),
-            Instr::FAdd { dst, a, b } => fw!(dst, fr!(a) + fr!(b)),
-            Instr::FSub { dst, a, b } => fw!(dst, fr!(a) - fr!(b)),
-            Instr::FMul { dst, a, b } => fw!(dst, fr!(a) * fr!(b)),
-            Instr::FDiv { dst, a, b } => fw!(dst, fr!(a) / fr!(b)),
-            Instr::FNeg { dst, src } => fw!(dst, -fr!(src)),
-            Instr::FRound { dst, src, ty } => fw!(dst, round_to(fr!(src), *ty)),
-            Instr::FIntr1 { dst, intr, a } => fw!(dst, eval1(*intr, fr!(a), approx)),
-            Instr::FIntr2 { dst, intr, a, b } => {
-                fw!(dst, eval2(*intr, fr!(a), fr!(b), approx))
-            }
-            Instr::FCmp { dst, op, a, b } => iw!(dst, fcmp(*op, fr!(a), fr!(b)) as i64),
-            Instr::FLoad { dst, arr, idx } => {
-                let index = ir!(idx);
-                match aslot!(arr) {
-                    ArraySlot::F(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => fw!(dst, x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            Instr::FStore { arr, idx, src } => {
-                let index = ir!(idx);
-                let v = fr!(src);
-                match aslot!(arr) {
-                    ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            Instr::F2I { dst, src } => iw!(dst, fr!(src) as i64),
-            Instr::I2F { dst, src } => fw!(dst, ir!(src) as f64),
-
-            Instr::IConst { dst, v } => iw!(dst, *v),
-            Instr::IMov { dst, src } => iw!(dst, ir!(src)),
-            Instr::IAdd { dst, a, b } => iw!(dst, ir!(a).wrapping_add(ir!(b))),
-            Instr::ISub { dst, a, b } => iw!(dst, ir!(a).wrapping_sub(ir!(b))),
-            Instr::IMul { dst, a, b } => iw!(dst, ir!(a).wrapping_mul(ir!(b))),
-            Instr::IDiv { dst, a, b } => {
-                let d = ir!(b);
-                if d == 0 {
-                    return Err(trap(TrapKind::DivByZero, pc));
-                }
-                iw!(dst, ir!(a).wrapping_div(d));
-            }
-            Instr::IRem { dst, a, b } => {
-                let d = ir!(b);
-                if d == 0 {
-                    return Err(trap(TrapKind::DivByZero, pc));
-                }
-                iw!(dst, ir!(a).wrapping_rem(d));
-            }
-            Instr::INeg { dst, src } => iw!(dst, ir!(src).wrapping_neg()),
-            Instr::ICmp { dst, op, a, b } => iw!(dst, icmp(*op, ir!(a), ir!(b)) as i64),
-            Instr::ILoad { dst, arr, idx } => {
-                let index = ir!(idx);
-                match aslot!(arr) {
-                    ArraySlot::I(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => iw!(dst, x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            Instr::IStore { arr, idx, src } => {
-                let index = ir!(idx);
-                let v = ir!(src);
-                match aslot!(arr) {
-                    ArraySlot::I(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            Instr::BNot { dst, src } => iw!(dst, (ir!(src) == 0) as i64),
-
-            Instr::Jmp { target } => jump!(*target),
-            Instr::JmpIfFalse { cond, target } => {
-                if ir!(cond) == 0 {
-                    jump!(*target);
-                }
-            }
-            Instr::JmpIfTrue { cond, target } => {
-                if ir!(cond) != 0 {
-                    jump!(*target);
-                }
-            }
-
-            Instr::TPushF { src } => {
-                if let Err(e) = tape.push_f(fr!(src)) {
-                    return Err(trap(TrapKind::Tape(e), pc));
-                }
-            }
-            Instr::TPopF { dst } => match tape.pop_f() {
-                Ok(v) => fw!(dst, v),
-                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-            },
-            Instr::TPushI { src } => {
-                if let Err(e) = tape.push_i(ir!(src)) {
-                    return Err(trap(TrapKind::Tape(e), pc));
-                }
-            }
-            Instr::TPopI { dst } => match tape.pop_i() {
-                Ok(v) => iw!(dst, v),
-                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-            },
-
-            Instr::AllocF { arr, len } => {
-                let n = ir!(len);
-                if n < 0 {
-                    return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                }
-                stats.local_array_bytes += n as usize * 8;
-                // Reuse the slot's buffer when it already holds floats
-                // (including a stale buffer from a previous call).
-                match aslot!(arr) {
-                    ArraySlot::F(v) | ArraySlot::StaleF(v) => {
-                        v.clear();
-                        v.resize(n as usize, 0.0);
-                        let buf = std::mem::take(v);
-                        *aslot!(arr) = ArraySlot::F(buf);
-                    }
-                    slot => *slot = ArraySlot::F(vec![0.0; n as usize]),
-                }
-            }
-            Instr::AllocI { arr, len } => {
-                let n = ir!(len);
-                if n < 0 {
-                    return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                }
-                stats.local_array_bytes += n as usize * 8;
-                match aslot!(arr) {
-                    ArraySlot::I(v) | ArraySlot::StaleI(v) => {
-                        v.clear();
-                        v.resize(n as usize, 0);
-                        let buf = std::mem::take(v);
-                        *aslot!(arr) = ArraySlot::I(buf);
-                    }
-                    slot => *slot = ArraySlot::I(vec![0; n as usize]),
-                }
-            }
-
-            // ---- fused superinstructions ----
-            Instr::FMulAdd { dst, a, b, c } => {
-                // Two separate roundings, exactly like the unfused pair.
-                let p = fr!(a) * fr!(b);
-                fw!(dst, p + fr!(c));
-            }
-            Instr::FAddRound { dst, a, b, ty } => fw!(dst, round_to(fr!(a) + fr!(b), *ty)),
-            Instr::FSubRound { dst, a, b, ty } => fw!(dst, round_to(fr!(a) - fr!(b), *ty)),
-            Instr::FMulRound { dst, a, b, ty } => fw!(dst, round_to(fr!(a) * fr!(b), *ty)),
-            Instr::FDivRound { dst, a, b, ty } => fw!(dst, round_to(fr!(a) / fr!(b), *ty)),
-            Instr::FIntr1Round { dst, intr, a, ty } => {
-                fw!(dst, round_to(eval1(*intr, fr!(a), approx), *ty))
-            }
-            Instr::FIntr2Round {
-                dst,
-                intr,
-                a,
-                b,
-                ty,
-            } => fw!(dst, round_to(eval2(*intr, fr!(a), fr!(b), approx), *ty)),
-            Instr::FAddC { dst, a, k } => fw!(dst, fr!(a) + *k),
-            Instr::FSubC { dst, a, k } => fw!(dst, fr!(a) - *k),
-            Instr::FSubCR { dst, k, a } => fw!(dst, *k - fr!(a)),
-            Instr::FMulC { dst, a, k } => fw!(dst, fr!(a) * *k),
-            Instr::FDivC { dst, a, k } => fw!(dst, fr!(a) / *k),
-            Instr::FDivCR { dst, k, a } => fw!(dst, *k / fr!(a)),
-            Instr::ICmpImmJmpFalse { op, a, imm, target } => {
-                if !icmp(*op, ir!(a), *imm) {
-                    jump!(*target);
-                }
-            }
-            Instr::ICmpImmJmpTrue { op, a, imm, target } => {
-                if icmp(*op, ir!(a), *imm) {
-                    jump!(*target);
-                }
-            }
-            Instr::FLoadOff {
-                dst,
-                arr,
-                base,
-                off,
-            } => {
-                let index = ir!(base).wrapping_add(*off as i64);
-                match aslot!(arr) {
-                    ArraySlot::F(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => fw!(dst, x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            Instr::FStoreOff {
-                arr,
-                base,
-                off,
-                src,
-            } => {
-                let index = ir!(base).wrapping_add(*off as i64);
-                let v = fr!(src);
-                match aslot!(arr) {
-                    ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            Instr::IAddImm { dst, a, imm } => iw!(dst, ir!(a).wrapping_add(*imm)),
-            Instr::FCmpJmpFalse { op, a, b, target } => {
-                if !fcmp(*op, fr!(a), fr!(b)) {
-                    jump!(*target);
-                }
-            }
-            Instr::FCmpJmpTrue { op, a, b, target } => {
-                if fcmp(*op, fr!(a), fr!(b)) {
-                    jump!(*target);
-                }
-            }
-            Instr::ICmpJmpFalse { op, a, b, target } => {
-                if !icmp(*op, ir!(a), ir!(b)) {
-                    jump!(*target);
-                }
-            }
-            Instr::ICmpJmpTrue { op, a, b, target } => {
-                if icmp(*op, ir!(a), ir!(b)) {
-                    jump!(*target);
-                }
-            }
-
-            Instr::RetF { src } => {
-                let v = fr!(src);
-                let v = match func.ret {
-                    RetKind::F(ft) => round_to(v, ft),
-                    _ => v,
-                };
-                if trap_nf && !v.is_finite() {
-                    return Err(nonfinite_trap(func, src.0 as usize, v, pc));
-                }
-                break Some(Value::F(v));
-            }
-            Instr::RetI { src } => break Some(Value::I(ir!(src))),
-            Instr::RetB { src } => break Some(Value::B(ir!(src) != 0)),
-            Instr::RetVoid => break None,
-            Instr::TrapMissingReturn => return Err(trap(TrapKind::MissingReturn, pc)),
-        }
-        pc += 1;
-    };
-    stats.instrs_executed = executed;
-    // Returns are the other budget checkpoint (backward jumps are the
-    // first): a run never reports success past the budget.
-    if executed > budget {
-        return Err(trap(
-            TrapKind::InstrBudgetExhausted { executed },
-            pc.min(instrs.len().saturating_sub(1)),
-        ));
-    }
-    Ok(ret)
-}
-
-/// The packed-word dispatch loop: the hot path of the engine.
+/// The dispatch loop: the hot path of the engine, and the only one.
 ///
-/// Semantically identical to [`exec_loop`] — same arithmetic, rounding,
-/// traps, tape traffic, statistics and budget checkpoints — but fetches
-/// 8-byte words instead of 24-byte enum instructions, decodes operands
-/// with shifts, reads wide constants from the hoisted pools, and
-/// dispatches on a dense `u8` opcode the compiler lowers to a jump table.
+/// Executes the enum stream's semantics — arithmetic, rounding, traps,
+/// tape traffic, statistics and budget checkpoints — from its packed
+/// form: it fetches 8-byte words, reads operand fields straight out of
+/// them, reads wide constants from the hoisted pool, and dispatches on a
+/// dense `u8` opcode the compiler lowers to a jump table.
 ///
 /// SAFETY of the unchecked accesses: [`validate_function`] proved (a)
 /// every enum operand in range and (b) every packed word decodes to its
@@ -1493,9 +1103,9 @@ fn exec_loop_packed<const PROFILE: bool>(
     // Executed-instruction accounting is block-granular: instead of a
     // loop-carried `executed += 1`, the straight-line run since
     // `block_start` is added at every taken jump and at returns — the
-    // same program points where the budget is checked, so both the final
-    // count and the budget semantics are identical to the enum loop's
-    // per-instruction accounting.
+    // same program points where the budget is checked, so the final
+    // count equals per-instruction accounting and the budget is checked
+    // at block granularity.
     let mut executed: u64 = 0;
     let mut block_start: usize = 0;
     let mut pc: usize = 0;
@@ -2111,29 +1721,18 @@ mod tests {
     fn deadline_stops_infinite_loop_with_a_typed_trap() {
         let mut p = parse_program("void f() { while (true) { } }").unwrap();
         check_program(&mut p).unwrap();
-        // Both dispatch loops: enum (pack: false) and packed.
-        for pack in [false, true] {
-            let f = compile(
-                &p.functions[0],
-                &CompileOptions {
-                    pack,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(f.packed.is_some(), pack);
-            let opts = ExecOptions::default().deadline_in(std::time::Duration::from_millis(5));
-            let err = run_with(&f, vec![], &opts).unwrap_err();
-            let TrapKind::DeadlineExceeded { executed } = err.kind else {
-                panic!("expected deadline trap, got {:?} (pack: {pack})", err.kind);
-            };
-            assert!(
-                executed >= DEADLINE_STRIDE,
-                "the first probe happens a full stride in, not before ({executed})"
-            );
-            // The trap attributes a real pc (the loop's backward jump).
-            assert!(err.pc < f.instrs.len(), "pc {} out of range", err.pc);
-        }
+        let f = compile_default(&p.functions[0]).unwrap();
+        let opts = ExecOptions::default().deadline_in(std::time::Duration::from_millis(5));
+        let err = run_with(&f, vec![], &opts).unwrap_err();
+        let TrapKind::DeadlineExceeded { executed } = err.kind else {
+            panic!("expected deadline trap, got {:?}", err.kind);
+        };
+        assert!(
+            executed >= DEADLINE_STRIDE,
+            "the first probe happens a full stride in, not before ({executed})"
+        );
+        // The trap attributes a real pc (the loop's backward jump).
+        assert!(err.pc < f.instrs.len(), "pc {} out of range", err.pc);
     }
 
     #[test]
@@ -2382,6 +1981,10 @@ mod tests {
             avar_names: vec![],
             packed: None,
         };
+        let b = CompiledFunction {
+            packed: crate::pack::pack_function(&b),
+            ..b
+        };
         let opts = ExecOptions::default();
         let mut m = Machine::new();
         let fresh = Machine::new().run_reused(&b, vec![], &opts).unwrap_err();
@@ -2400,32 +2003,29 @@ mod tests {
         // overflow its assignment rounding to +Inf.
         let mut p = parse_program("double f(double x) { double y = x * x; return y; }").unwrap();
         check_program(&mut p).unwrap();
-        for pack in [true, false] {
-            let copts = CompileOptions {
-                precisions: PrecisionMap::empty().with(VarId(1), chef_ir::types::FloatTy::F32),
-                fuse: true,
-                pack,
-                ..Default::default()
-            };
-            let f = compile(&p.functions[0], &copts).unwrap();
-            // Default options: the overflow flows through silently.
-            let silent = run(&f, vec![ArgValue::F(1e30)]).unwrap();
-            assert!(silent.ret_f().is_infinite());
-            // trap_on_nonfinite: trapped at the producing op, attributed
-            // to the demoted variable — identically in both dispatchers.
-            let nf = ExecOptions {
-                trap_on_nonfinite: true,
-                ..Default::default()
-            };
-            let err = run_with(&f, vec![ArgValue::F(1e30)], &nf).unwrap_err();
-            let TrapKind::NonFinite { value, op, var } = err.kind else {
-                panic!("expected NonFinite, got {:?}", err.kind);
-            };
-            assert!(value.is_infinite());
-            assert!(err.pc < f.instrs.len());
-            assert!(op.contains("Mul") || op.contains("Round"), "op `{op}`");
-            assert_eq!(var.as_deref(), Some("y"), "pack={pack}");
-        }
+        let copts = CompileOptions {
+            precisions: PrecisionMap::empty().with(VarId(1), chef_ir::types::FloatTy::F32),
+            fuse: true,
+            ..Default::default()
+        };
+        let f = compile(&p.functions[0], &copts).unwrap();
+        // Default options: the overflow flows through silently.
+        let silent = run(&f, vec![ArgValue::F(1e30)]).unwrap();
+        assert!(silent.ret_f().is_infinite());
+        // trap_on_nonfinite: trapped at the producing op, attributed
+        // to the demoted variable.
+        let nf = ExecOptions {
+            trap_on_nonfinite: true,
+            ..Default::default()
+        };
+        let err = run_with(&f, vec![ArgValue::F(1e30)], &nf).unwrap_err();
+        let TrapKind::NonFinite { value, op, var } = err.kind else {
+            panic!("expected NonFinite, got {:?}", err.kind);
+        };
+        assert!(value.is_infinite());
+        assert!(err.pc < f.instrs.len());
+        assert!(op.contains("Mul") || op.contains("Round"), "op `{op}`");
+        assert_eq!(var.as_deref(), Some("y"));
     }
 
     #[test]
@@ -2527,8 +2127,33 @@ mod tests {
     }
 
     #[test]
+    fn unpacked_functions_are_rejected_until_packed() {
+        let mut p = parse_program("double f(double x) { return x * x; }").unwrap();
+        check_program(&mut p).unwrap();
+        let copts = CompileOptions {
+            pack: false,
+            ..Default::default()
+        };
+        let mut f = compile(&p.functions[0], &copts).unwrap();
+        assert!(f.packed.is_none());
+        let err = run(&f, vec![ArgValue::F(3.0)]).unwrap_err();
+        let TrapKind::InvalidBytecode(msg) = &err.kind else {
+            panic!("expected InvalidBytecode, got {err:?}");
+        };
+        assert!(msg.contains("pack::pack_function"), "{msg}");
+        f.packed = crate::pack::pack_function(&f);
+        assert_eq!(run(&f, vec![ArgValue::F(3.0)]).unwrap().ret_f(), 9.0);
+    }
+
+    #[test]
     fn malformed_bytecode_is_rejected_not_ub() {
         use chef_ir::span::Span;
+        // Both streams pack (their operands fit the fields); validation
+        // must still reject them.
+        let packed = |f: CompiledFunction| CompiledFunction {
+            packed: crate::pack::pack_function(&f),
+            ..f
+        };
         let f = CompiledFunction {
             name: "bad".into(),
             instrs: vec![Instr::FAdd {
@@ -2546,7 +2171,7 @@ mod tests {
             avar_names: vec![],
             packed: None,
         };
-        let err = run(&f, vec![]).unwrap_err();
+        let err = run(&packed(f), vec![]).unwrap_err();
         assert!(matches!(err.kind, TrapKind::InvalidBytecode(_)), "{err:?}");
         // Out-of-range jump targets are rejected too.
         let f = CompiledFunction {
@@ -2562,7 +2187,7 @@ mod tests {
             avar_names: vec![],
             packed: None,
         };
-        let err = run(&f, vec![]).unwrap_err();
+        let err = run(&packed(f), vec![]).unwrap_err();
         assert!(matches!(err.kind, TrapKind::InvalidBytecode(_)), "{err:?}");
     }
 }

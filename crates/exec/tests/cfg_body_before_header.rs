@@ -4,8 +4,9 @@
 //! deletions from the header onward, the latch's `Jmp` skipped the
 //! header's `i += 1` and the loop never ended.
 //!
-//! Every run goes through `vm::run_with` under an instruction budget, so
-//! a miscompile traps with `InstrBudgetExhausted` instead of hanging.
+//! Every run packs the stream and goes through `vm::run_with` under an
+//! instruction budget, so a miscompile traps with `InstrBudgetExhausted`
+//! instead of hanging.
 
 use chef_exec::bytecode::{CmpOp, CompiledFunction, IReg, Instr, ParamKind, ParamSpec, RetKind};
 use chef_exec::value::ArgValue;
@@ -34,12 +35,18 @@ fn func(instrs: Vec<Instr>) -> CompiledFunction {
     }
 }
 
+/// Packs `f` (hand-built streams and `optimize` output carry no packed
+/// form, and only packed code runs), then runs it under the budget.
 fn run(f: &CompiledFunction, p: i64) -> CallOutcome {
+    let f = CompiledFunction {
+        packed: Some(chef_exec::pack::pack_function(f).expect("stream packs")),
+        ..f.clone()
+    };
     let opts = ExecOptions {
         max_instrs: Some(10_000),
         ..Default::default()
     };
-    run_with(f, vec![ArgValue::I(p)], &opts).unwrap_or_else(|t| panic!("{t}\n{}", f.disassemble()))
+    run_with(&f, vec![ArgValue::I(p)], &opts).unwrap_or_else(|t| panic!("{t}\n{}", f.disassemble()))
 }
 
 /// Optimizes `base`, requires at least one hoist, and checks the result

@@ -3,7 +3,7 @@
 //! Every `chef-apps` kernel is compiled twice — CFG tier off and on —
 //! and executed on the same workload, in three configurations (primal at
 //! declared precisions, primal with every float demoted to `f32`, and
-//! the reverse-AD adjoint), times both dispatch loops (enum and packed).
+//! the reverse-AD adjoint).
 //!
 //! The two compilations must agree **bit-for-bit** on the return value
 //! and every output argument, and exactly on the tape/memory counters.
@@ -35,8 +35,8 @@ use chef_exec::prelude::*;
 use chef_exec::shadow::run_shadow;
 use chef_ir::ast::{Function, Program};
 use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_passes::testgen::{generate, licm_kernel, GenConfig, SplitMix};
 use proptest::prelude::*;
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One app kernel with a representative (small) workload.
@@ -99,7 +99,6 @@ fn demote_all(func: &Function) -> PrecisionMap {
 fn compile_pair(
     func: &Function,
     pm: &PrecisionMap,
-    pack: bool,
 ) -> (
     chef_exec::bytecode::CompiledFunction,
     chef_exec::bytecode::CompiledFunction,
@@ -111,7 +110,7 @@ fn compile_pair(
                 precisions: pm.clone(),
                 fuse: true,
                 cfg: cfg_on,
-                pack,
+                pack: true,
             },
         )
         .expect("kernel compiles")
@@ -154,53 +153,50 @@ fn assert_args_bit_equal(label: &str, a: &[ArgValue], b: &[ArgValue]) {
     }
 }
 
-/// Runs `func` compiled with the CFG tier off and on (both dispatch
-/// loops); asserts the outcomes are indistinguishable except for a
-/// (never larger) instruction count.
+/// Runs `func` compiled with the CFG tier off and on; asserts the
+/// outcomes are indistinguishable except for a (never larger)
+/// instruction count.
 fn assert_cfg_unobservable(label: &str, func: &Function, pm: &PrecisionMap, args: &[ArgValue]) {
-    for pack in [true, false] {
-        let label = format!("{label}/pack={pack}");
-        let (off, on) = compile_pair(func, pm, pack);
-        let opts = big_opts();
-        let a = run_with(&off, args.to_vec(), &opts)
-            .unwrap_or_else(|t| panic!("{label}: cfg-off trapped: {t}"));
-        let b = run_with(
-            &on,
-            args.to_vec(),
-            &candidate_opts(&opts, a.stats.instrs_executed),
-        )
-        .unwrap_or_else(|t| panic!("{label}: cfg-on trapped: {t}"));
+    let (off, on) = compile_pair(func, pm);
+    let opts = big_opts();
+    let a = run_with(&off, args.to_vec(), &opts)
+        .unwrap_or_else(|t| panic!("{label}: cfg-off trapped: {t}"));
+    let b = run_with(
+        &on,
+        args.to_vec(),
+        &candidate_opts(&opts, a.stats.instrs_executed),
+    )
+    .unwrap_or_else(|t| panic!("{label}: cfg-on trapped: {t}"));
 
-        match (&a.ret, &b.ret) {
-            (Some(Value::F(x)), Some(Value::F(y))) => {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label}: float return differs")
-            }
-            (x, y) => assert_eq!(x, y, "{label}: return differs"),
+    match (&a.ret, &b.ret) {
+        (Some(Value::F(x)), Some(Value::F(y))) => {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: float return differs")
         }
-        assert_args_bit_equal(&label, &a.args, &b.args);
-        assert_eq!(
-            a.stats.tape_peak_bytes, b.stats.tape_peak_bytes,
-            "{label}: tape peak"
-        );
-        assert_eq!(
-            a.stats.tape_total_pushes, b.stats.tape_total_pushes,
-            "{label}: tape traffic"
-        );
-        assert_eq!(
-            a.stats.local_array_bytes, b.stats.local_array_bytes,
-            "{label}: local arrays"
-        );
-        assert_eq!(
-            a.stats.arg_array_bytes, b.stats.arg_array_bytes,
-            "{label}: arg arrays"
-        );
-        assert!(
-            b.stats.instrs_executed <= a.stats.instrs_executed,
-            "{label}: CFG tier increased instruction count ({} > {})",
-            b.stats.instrs_executed,
-            a.stats.instrs_executed
-        );
+        (x, y) => assert_eq!(x, y, "{label}: return differs"),
     }
+    assert_args_bit_equal(label, &a.args, &b.args);
+    assert_eq!(
+        a.stats.tape_peak_bytes, b.stats.tape_peak_bytes,
+        "{label}: tape peak"
+    );
+    assert_eq!(
+        a.stats.tape_total_pushes, b.stats.tape_total_pushes,
+        "{label}: tape traffic"
+    );
+    assert_eq!(
+        a.stats.local_array_bytes, b.stats.local_array_bytes,
+        "{label}: local arrays"
+    );
+    assert_eq!(
+        a.stats.arg_array_bytes, b.stats.arg_array_bytes,
+        "{label}: arg arrays"
+    );
+    assert!(
+        b.stats.instrs_executed <= a.stats.instrs_executed,
+        "{label}: CFG tier increased instruction count ({} > {})",
+        b.stats.instrs_executed,
+        a.stats.instrs_executed
+    );
 }
 
 /// Runs the f64-shadow oracle over both compilations; asserts the primal
@@ -215,44 +211,42 @@ fn assert_cfg_shadow_unobservable(
     pm: &PrecisionMap,
     args: &[ArgValue],
 ) {
-    for pack in [true, false] {
-        let label = format!("{label}/shadow/pack={pack}");
-        let (off, on) = compile_pair(func, pm, pack);
-        let opts = big_opts();
-        let sa = run_shadow::<f64>(&off, args.to_vec(), &opts)
-            .unwrap_or_else(|t| panic!("{label}: cfg-off trapped: {t}"));
-        let sb = run_shadow::<f64>(
-            &on,
-            args.to_vec(),
-            &candidate_opts(&opts, sa.stats.instrs_executed),
-        )
-        .unwrap_or_else(|t| panic!("{label}: cfg-on trapped: {t}"));
+    let label = format!("{label}/shadow");
+    let (off, on) = compile_pair(func, pm);
+    let opts = big_opts();
+    let sa = run_shadow::<f64>(&off, args.to_vec(), &opts)
+        .unwrap_or_else(|t| panic!("{label}: cfg-off trapped: {t}"));
+    let sb = run_shadow::<f64>(
+        &on,
+        args.to_vec(),
+        &candidate_opts(&opts, sa.stats.instrs_executed),
+    )
+    .unwrap_or_else(|t| panic!("{label}: cfg-on trapped: {t}"));
 
-        match (&sa.ret, &sb.ret) {
-            (Some(Value::F(x)), Some(Value::F(y))) => {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label}: primal return differs")
-            }
-            (x, y) => assert_eq!(x, y, "{label}: primal return differs"),
+    match (&sa.ret, &sb.ret) {
+        (Some(Value::F(x)), Some(Value::F(y))) => {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: primal return differs")
         }
-        match (sa.shadow_ret, sb.shadow_ret) {
-            (Some(x), Some(y)) => {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label}: shadow return differs")
-            }
-            (x, y) => assert_eq!(x, y, "{label}: shadow return differs"),
-        }
-        assert_args_bit_equal(&label, &sa.args, &sb.args);
-        assert_eq!(
-            sa.divergence_count, sb.divergence_count,
-            "{label}: split count differs"
-        );
-        let ka: Vec<_> = sa.divergence.iter().map(|d| d.kind).collect();
-        let kb: Vec<_> = sb.divergence.iter().map(|d| d.kind).collect();
-        assert_eq!(ka, kb, "{label}: split decision sequence differs");
-        assert_eq!(
-            sa.var_divergence, sb.var_divergence,
-            "{label}: per-variable split attribution differs"
-        );
+        (x, y) => assert_eq!(x, y, "{label}: primal return differs"),
     }
+    match (sa.shadow_ret, sb.shadow_ret) {
+        (Some(x), Some(y)) => {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: shadow return differs")
+        }
+        (x, y) => assert_eq!(x, y, "{label}: shadow return differs"),
+    }
+    assert_args_bit_equal(&label, &sa.args, &sb.args);
+    assert_eq!(
+        sa.divergence_count, sb.divergence_count,
+        "{label}: split count differs"
+    );
+    let ka: Vec<_> = sa.divergence.iter().map(|d| d.kind).collect();
+    let kb: Vec<_> = sb.divergence.iter().map(|d| d.kind).collect();
+    assert_eq!(ka, kb, "{label}: split decision sequence differs");
+    assert_eq!(
+        sa.var_divergence, sb.var_divergence,
+        "{label}: per-variable split attribution differs"
+    );
 }
 
 #[test]
@@ -317,7 +311,7 @@ fn arclen_licm_actually_hoists_and_shrinks_the_run() {
     // instruction count — not just be harmless.
     let func = inlined_kernel(&chef_apps::arclen::program(), chef_apps::arclen::NAME);
     let args = chef_apps::arclen::args(500);
-    let (off, on) = compile_pair(&func, &PrecisionMap::empty(), false);
+    let (off, on) = compile_pair(&func, &PrecisionMap::empty());
 
     let mut opt = off.clone();
     let stats = cfg::optimize(&mut opt);
@@ -342,6 +336,52 @@ fn arclen_licm_actually_hoists_and_shrinks_the_run() {
     );
 }
 
+/// Renaming a hoisted def to a fresh register can push an `FMulAdd`
+/// addend past its 8-bit packed field. The tier must then undo its
+/// hoists, so the function still packs and `compile` still succeeds.
+/// Forward-mode derivatives of the generated programs carry enough
+/// float registers to hit this on some seeds.
+#[test]
+fn cfg_tier_undoes_hoists_that_would_not_pack() {
+    let mut undone = 0;
+    for seed in 0..120 {
+        let g = generate(seed, &GenConfig::default());
+        let fwd = chef_ad::forward::forward_diff(&g.function, "x")
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // Fusion pinned on: it is what forms the `FMulAdd`s.
+        let mut c = compile(
+            &fwd,
+            &CompileOptions {
+                precisions: PrecisionMap::empty(),
+                fuse: true,
+                cfg: false,
+                pack: false,
+            },
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let stats = cfg::optimize(&mut c);
+        assert!(
+            c.instrs.iter().all(chef_exec::pack::fits),
+            "seed {seed}: the tier left an unpackable instruction"
+        );
+        if stats.hoists_undone {
+            undone += 1;
+            assert_eq!(stats.hoisted, 0, "seed {seed}");
+        }
+        let full = CompileOptions {
+            precisions: PrecisionMap::empty(),
+            fuse: true,
+            cfg: true,
+            pack: true,
+        };
+        compile(&fwd, &full).unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
+    }
+    assert!(
+        undone > 0,
+        "no seed exercised the undo: the test is vacuous"
+    );
+}
+
 // ------------------------------------------------------ fault injection
 
 /// Drives `n` calls through identical [`FaultPlan`] schedules with the
@@ -352,7 +392,7 @@ fn assert_fault_schedule_agrees(label: &str, kind: FaultKind, period: u64, phase
     // simpsons' first parameter is a float — required for the Nan kind,
     // which poisons the first float argument after binding.
     let func = inlined_kernel(&chef_apps::simpsons::program(), chef_apps::simpsons::NAME);
-    let (off, on) = compile_pair(&func, &PrecisionMap::empty(), true);
+    let (off, on) = compile_pair(&func, &PrecisionMap::empty());
     let plan_off = FaultPlan::new(Some(kind), period, phase, 1_000);
     let plan_on = FaultPlan::new(Some(kind), period, phase, 1_000);
     let opts_off = ExecOptions {
@@ -412,71 +452,9 @@ fn fault_injection_schedules_agree_cfg_on_vs_off() {
 
 // ------------------------------------------------- random branching kernels
 
-/// Deterministic split-mix generator for kernel synthesis (the same
-/// recipe as `proptest_precision.rs`).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    fn lit(&mut self) -> f64 {
-        0.5 + self.unit() * 1.5
-    }
-}
-
-/// A bounded branching kernel over two inputs, biased toward LICM bait:
-/// loop bodies mix an invariant product (`x0 * x1 * lit`, hoistable)
-/// with the loop-carried accumulation, behind near-tie float branches
-/// and a possibly zero-trip while loop.
-fn branching_kernel(g: &mut Gen) -> String {
-    let mut src = String::from("double f(double x0, double x1) {\n");
-    let inv = format!("x0 * x1 * {:.17}", g.lit());
-    let step = format!("x{} * {:.17}", g.below(2), 0.03 + g.unit() * 0.05);
-    let iters = g.below(44); // 0 and 1 trips exercise the zero-trip guard
-    let _ = writeln!(src, "    double part = 0.0;");
-    let _ = writeln!(
-        src,
-        "    for (int i = 0; i < {iters}; i++) {{ part = part + {step} + {inv}; }}"
-    );
-    let _ = writeln!(src, "    double acc = part;");
-    if g.below(2) == 0 {
-        let _ = writeln!(
-            src,
-            "    for (int i = 0; i < {iters}; i++) {{ acc = acc + {step}; }}"
-        );
-    } else {
-        let _ = writeln!(
-            src,
-            "    while (acc < part * 1.99) {{ acc = acc + {step} + {inv}; }}"
-        );
-    }
-    let _ = writeln!(src, "    double chk = part + part;");
-    let _ = writeln!(src, "    double r = 0.0;");
-    let _ = writeln!(
-        src,
-        "    if (acc < chk) {{ r = acc * {:.17}; }} else {{ r = acc + {:.17}; }}",
-        g.lit(),
-        g.lit()
-    );
-    let _ = writeln!(src, "    return r;\n}}");
-    src
-}
-
 fn compiled_cfg_pair(
     src: &str,
     demote_all_to: Option<FloatTy>,
-    pack: bool,
 ) -> (
     chef_exec::bytecode::CompiledFunction,
     chef_exec::bytecode::CompiledFunction,
@@ -499,7 +477,7 @@ fn compiled_cfg_pair(
                 precisions: pm.clone(),
                 fuse: true,
                 cfg: cfg_on,
-                pack,
+                pack: true,
             },
         )
         .unwrap_or_else(|e| panic!("{e:?}\n{src}"))
@@ -512,11 +490,10 @@ proptest! {
 
     #[test]
     fn branching_kernels_are_bit_identical_cfg_on_vs_off(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
-        let src = branching_kernel(&mut g);
+        let mut g = SplitMix(seed | 1);
+        let src = licm_kernel(&mut g);
         let demote = if g.below(2) == 0 { Some(FloatTy::F32) } else { None };
-        let pack = g.below(2) == 0;
-        let (off, on) = compiled_cfg_pair(&src, demote, pack);
+        let (off, on) = compiled_cfg_pair(&src, demote);
         let args = vec![ArgValue::F(g.lit()), ArgValue::F(g.lit())];
         let opts = ExecOptions {
             max_instrs: Some(1_000_000),

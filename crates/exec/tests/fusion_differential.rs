@@ -245,4 +245,66 @@ fn adjoint_kernels_are_bit_identical_fused_vs_unfused() {
             &grad_args,
         );
     }
+    let (grad, grad_args) = hpccg_profiler_adjoint();
+    assert_fusion_unobservable(
+        "hpccg/profiler-adjoint",
+        &grad,
+        &PrecisionMap::empty(),
+        &grad_args,
+    );
+}
+
+/// The Table IV sensitivity profiler's adjoint of hpccg, built exactly as
+/// `chef_core::sensitivity::profile_sensitivity` builds it for the repro
+/// smoke's `problem(20, 30, 10)` (tracked `r`/`p`/`Ap`, 200 ticks), with
+/// arguments laid out the way that call lays them out. The function does
+/// not depend on the problem size, so it runs here on the small
+/// `problem(4, 4, 4)` the other kernels use. Its
+/// `_sens_out[slot * 200 + tick]` updates carry constant offsets of 200
+/// and 400, which do not fit a packed `FLoadOff`/`FStoreOff`: the fuser
+/// must decline those forms for the function to pack.
+fn hpccg_profiler_adjoint() -> (Function, Vec<ArgValue>) {
+    let cfg = chef_core::sensitivity::SensitivityConfig {
+        tracked: vec!["r".into(), "p".into(), "Ap".into()],
+        tick_on: "rtrans".into(),
+        max_ticks: 200,
+    };
+    let grad = chef_core::sensitivity::profiler_adjoint(
+        &chef_apps::hpccg::program(),
+        chef_apps::hpccg::NAME,
+        &cfg,
+    )
+    .expect("profiler adjoint builds");
+    let mut args = chef_apps::hpccg::args(&chef_apps::hpccg::problem(4, 4, 4));
+    let seeds: Vec<ArgValue> = args
+        .iter()
+        .filter_map(|a| match a {
+            ArgValue::F(_) => Some(ArgValue::F(0.0)),
+            ArgValue::FArr(v) => Some(ArgValue::FArr(vec![0.0; v.len()])),
+            _ => None,
+        })
+        .collect();
+    args.extend(seeds);
+    args.push(ArgValue::FArr(vec![0.0; cfg.tracked.len() * cfg.max_ticks]));
+    (grad, args)
+}
+
+#[test]
+fn hpccg_profiler_adjoint_compiles_packed() {
+    let (grad, _) = hpccg_profiler_adjoint();
+    for fuse in [false, true] {
+        let compiled = compile(
+            &grad,
+            &CompileOptions {
+                fuse,
+                ..Default::default()
+            },
+        )
+        .expect("profiler adjoint compiles");
+        assert!(compiled.packed.is_some(), "fuse={fuse}: left unpacked");
+        assert!(
+            compiled.instrs.iter().all(chef_exec::pack::fits),
+            "fuse={fuse}: an instruction has no packed form"
+        );
+    }
 }

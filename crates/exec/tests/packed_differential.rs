@@ -1,59 +1,46 @@
-//! Differential test: packed-word dispatch must be unobservable.
+//! Packed-word round trip: the words the VM executes are the enum
+//! stream, word for word.
 //!
-//! Every `chef-apps` kernel is compiled twice — packing off (enum
-//! interpreter) and packing on (packed-word interpreter, the default) —
-//! and executed on the same workload in primal, fully-demoted, adjoint
-//! and fused-shadow modes. The two compilations must agree
-//! **bit-for-bit** on return values, output arguments, shadow artifacts
-//! (samples, attribution, accumulated error) and *every* statistic
-//! including `instrs_executed`: packing is 1:1 per instruction, so not
-//! even the dispatch count may change.
-//!
-//! A proptest sweep repeats the primal+shadow comparison on randomly
-//! generated straight-line kernels with random demotion sets, and a
-//! round-trip test pins `decode(pack(instr)) == instr` across every word
-//! the packer emits for the app kernels.
+//! Packing is the last compile stage and the dispatch loops run only its
+//! output, so a word that decoded to anything but its enum instruction
+//! would silently change what runs. Every `chef-apps` kernel is compiled
+//! in primal, fully demoted and adjoint form, and every packed word must
+//! decode back to its instruction bit for bit (constants included). A
+//! proptest sweep does the same on randomly generated straight-line
+//! kernels under random raw-`VarId` demotions, and runs them.
 
 use chef_exec::bytecode::CompiledFunction;
 use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
-use chef_exec::shadow::run_shadow;
 use chef_ir::ast::{Function, Program, VarId};
 use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_passes::testgen::{straight_line_kernel, SplitMix};
 use proptest::prelude::*;
 
-fn kernels() -> Vec<(&'static str, Program, &'static str, Vec<ArgValue>)> {
+/// Every app kernel: (label, program, function name).
+fn kernels() -> Vec<(&'static str, Program, &'static str)> {
     vec![
         (
             "arclen",
             chef_apps::arclen::program(),
             chef_apps::arclen::NAME,
-            chef_apps::arclen::args(500),
         ),
         (
             "simpsons",
             chef_apps::simpsons::program(),
             chef_apps::simpsons::NAME,
-            chef_apps::simpsons::args(500),
         ),
         (
             "kmeans",
             chef_apps::kmeans::program(),
             chef_apps::kmeans::NAME,
-            chef_apps::kmeans::args(&chef_apps::kmeans::workload(100, 5, 4, 42)),
         ),
         (
             "blackscholes",
             chef_apps::blackscholes::program(),
             chef_apps::blackscholes::NAME,
-            chef_apps::blackscholes::args(&chef_apps::blackscholes::workload(50, 42)),
         ),
-        (
-            "hpccg",
-            chef_apps::hpccg::program(),
-            chef_apps::hpccg::NAME,
-            chef_apps::hpccg::args(&chef_apps::hpccg::problem(4, 4, 4)),
-        ),
+        ("hpccg", chef_apps::hpccg::program(), chef_apps::hpccg::NAME),
     ]
 }
 
@@ -75,275 +62,55 @@ fn demote_all(func: &Function) -> PrecisionMap {
     pm
 }
 
-fn compile_pair(func: &Function, pm: &PrecisionMap) -> (CompiledFunction, CompiledFunction) {
-    let enum_only = compile(
-        func,
-        &CompileOptions {
-            precisions: pm.clone(),
-            pack: false,
-            ..Default::default()
-        },
-    )
-    .expect("enum compiles");
-    // `pack: true` is explicit (not `..Default::default()`): the CI
-    // matrix runs this suite with `CHEF_EXEC_PACK=0`, and the point here
-    // is packed-vs-enum, not default-vs-enum.
-    let packed = compile(
-        func,
-        &CompileOptions {
-            precisions: pm.clone(),
-            pack: true,
-            ..Default::default()
-        },
-    )
-    .expect("packed compiles");
-    assert!(enum_only.packed.is_none());
-    assert!(
-        packed.packed.is_some(),
-        "packer bailed on a compiler-produced function"
-    );
-    // The streams themselves are identical; only the packed form differs.
-    assert_eq!(enum_only.instrs, packed.instrs);
-    (enum_only, packed)
-}
-
-fn assert_args_bit_equal(label: &str, a: &[ArgValue], b: &[ArgValue]) {
-    assert_eq!(a.len(), b.len(), "{label}: arg count");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        match (x, y) {
-            (ArgValue::F(x), ArgValue::F(y)) => {
-                assert_eq!(x.to_bits(), y.to_bits(), "{label}: scalar arg {i}")
-            }
-            (ArgValue::FArr(x), ArgValue::FArr(y)) => {
-                assert_eq!(x.len(), y.len(), "{label}: array arg {i} length");
-                for (k, (xv, yv)) in x.iter().zip(y).enumerate() {
-                    assert_eq!(xv.to_bits(), yv.to_bits(), "{label}: array arg {i}[{k}]");
-                }
-            }
-            (x, y) => assert_eq!(x, y, "{label}: arg {i}"),
-        }
-    }
-}
-
-/// Primal comparison: identical outcome and identical statistics —
-/// packing must not even change the dispatch count.
-fn assert_packed_unobservable(label: &str, func: &Function, pm: &PrecisionMap, args: &[ArgValue]) {
-    let (enum_only, packed) = compile_pair(func, pm);
-    let opts = ExecOptions {
-        max_instrs: Some(500_000_000),
-        ..Default::default()
-    };
-    let a = run_with(&enum_only, args.to_vec(), &opts)
-        .unwrap_or_else(|t| panic!("{label}: enum trapped: {t}"));
-    let b = run_with(&packed, args.to_vec(), &opts)
-        .unwrap_or_else(|t| panic!("{label}: packed trapped: {t}"));
-    match (&a.ret, &b.ret) {
-        (Some(Value::F(x)), Some(Value::F(y))) => {
-            assert_eq!(x.to_bits(), y.to_bits(), "{label}: float return differs")
-        }
-        (x, y) => assert_eq!(x, y, "{label}: return differs"),
-    }
-    assert_args_bit_equal(label, &a.args, &b.args);
-    assert_eq!(a.stats, b.stats, "{label}: stats differ");
-}
-
-/// Shadow comparison: identical primal + shadow artifacts.
-fn assert_packed_shadow_unobservable(
-    label: &str,
-    func: &Function,
-    pm: &PrecisionMap,
-    args: &[ArgValue],
-) {
-    let (enum_only, packed) = compile_pair(func, pm);
-    let opts = ExecOptions {
-        max_instrs: Some(500_000_000),
-        ..Default::default()
-    };
-    let a = run_shadow::<f64>(&enum_only, args.to_vec(), &opts)
-        .unwrap_or_else(|t| panic!("{label}: enum shadow trapped: {t}"));
-    let b = run_shadow::<f64>(&packed, args.to_vec(), &opts)
-        .unwrap_or_else(|t| panic!("{label}: packed shadow trapped: {t}"));
-    match (a.ret, b.ret) {
-        (Some(Value::F(x)), Some(Value::F(y))) => {
-            assert_eq!(x.to_bits(), y.to_bits(), "{label}: primal return differs")
-        }
-        (x, y) => assert_eq!(x, y, "{label}: return differs"),
-    }
-    match (a.shadow_ret, b.shadow_ret) {
-        (Some(x), Some(y)) => assert_eq!(x.to_bits(), y.to_bits(), "{label}: shadow return"),
-        (x, y) => assert_eq!(x, y, "{label}: shadow return presence"),
-    }
-    assert_eq!(
-        a.acc_error.to_bits(),
-        b.acc_error.to_bits(),
-        "{label}: acc_error"
-    );
-    assert_eq!(a.stats, b.stats, "{label}: stats");
-    assert_eq!(a.samples.len(), b.samples.len(), "{label}: sample count");
-    for (pc, (x, y)) in a.samples.iter().zip(&b.samples).enumerate() {
-        assert_eq!(
-            x.sum.to_bits(),
-            y.sum.to_bits(),
-            "{label}: sample sum at pc {pc}"
-        );
-        assert_eq!(
-            x.max.to_bits(),
-            y.max.to_bits(),
-            "{label}: sample max at pc {pc}"
-        );
-        assert_eq!(x.count, y.count, "{label}: sample count at pc {pc}");
-    }
-    assert_eq!(a.var_error.len(), b.var_error.len(), "{label}: var table");
-    for ((xn, xe), (yn, ye)) in a.var_error.iter().zip(&b.var_error) {
-        assert_eq!(xn, yn, "{label}: var name");
-        assert_eq!(xe.to_bits(), ye.to_bits(), "{label}: var error {xn}");
-    }
-    assert_args_bit_equal(label, &a.args, &b.args);
-}
-
-#[test]
-fn primal_kernels_are_bit_identical_packed_vs_enum() {
-    for (label, program, name, args) in kernels() {
-        let func = inlined_kernel(&program, name);
-        assert_packed_unobservable(label, &func, &PrecisionMap::empty(), &args);
-    }
-}
-
-#[test]
-fn fully_demoted_kernels_are_bit_identical_packed_vs_enum() {
-    for (label, program, name, args) in kernels() {
-        let func = inlined_kernel(&program, name);
-        let pm = demote_all(&func);
-        assert_packed_unobservable(&format!("{label}/demoted"), &func, &pm, &args);
-    }
-}
-
-#[test]
-fn adjoint_kernels_are_bit_identical_packed_vs_enum() {
-    for (label, program, name, args) in kernels() {
-        let func = inlined_kernel(&program, name);
-        let grad = chef_ad::reverse::reverse_diff(&func)
-            .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
-        let mut grad_args = args.to_vec();
-        for a in &args {
-            match a {
-                ArgValue::F(_) => grad_args.push(ArgValue::F(0.0)),
-                ArgValue::FArr(v) => grad_args.push(ArgValue::FArr(vec![0.0; v.len()])),
-                _ => {}
-            }
-        }
-        assert_packed_unobservable(
-            &format!("{label}/adjoint"),
-            &grad,
-            &PrecisionMap::empty(),
-            &grad_args,
+/// Every word of `compiled` decodes back to its enum instruction, and
+/// the packed disassembly names one instruction per word.
+fn assert_words_decode(label: &str, compiled: &CompiledFunction) {
+    let packed = compiled
+        .packed
+        .as_ref()
+        .unwrap_or_else(|| panic!("{label}: compile left the function unpacked"));
+    assert_eq!(packed.words.len(), compiled.instrs.len(), "{label}");
+    for (pc, (&w, ins)) in packed.words.iter().zip(&compiled.instrs).enumerate() {
+        let decoded = chef_exec::pack::decode(w, packed)
+            .unwrap_or_else(|| panic!("{label}: word {pc} undecodable"));
+        assert!(
+            chef_exec::pack::instr_eq_bits(&decoded, ins),
+            "{label}: word {pc}: {decoded:?} != {ins:?}"
         );
     }
-}
-
-#[test]
-fn shadow_kernels_are_bit_identical_packed_vs_enum() {
-    for (label, program, name, args) in kernels() {
-        let func = inlined_kernel(&program, name);
-        let pm = demote_all(&func);
-        assert_packed_shadow_unobservable(&format!("{label}/shadow"), &func, &pm, &args);
-    }
+    // The packed disassembly round-trips through the same decoder:
+    // one header plus one line per word, each naming its instruction.
+    let disasm = packed.disassemble();
+    assert_eq!(disasm.lines().count(), packed.words.len() + 1, "{label}");
+    assert!(!disasm.contains("<undecodable>"), "{label}:\n{disasm}");
 }
 
 #[test]
 fn packed_words_decode_back_to_their_instructions() {
-    for (label, program, name, _) in kernels() {
+    for (label, program, name) in kernels() {
         let func = inlined_kernel(&program, name);
-        let compiled = compile(
-            &func,
-            &CompileOptions {
-                pack: true,
-                ..Default::default()
-            },
-        )
-        .expect("compiles");
-        let packed = compiled.packed.as_ref().expect("packed");
-        assert_eq!(packed.words.len(), compiled.instrs.len(), "{label}");
-        for (pc, (&w, ins)) in packed.words.iter().zip(&compiled.instrs).enumerate() {
-            let decoded = chef_exec::pack::decode(w, packed)
-                .unwrap_or_else(|| panic!("{label}: word {pc} undecodable"));
-            assert!(
-                chef_exec::pack::instr_eq_bits(&decoded, ins),
-                "{label}: word {pc}: {decoded:?} != {ins:?}"
-            );
+        let grad = chef_ad::reverse::reverse_diff(&func)
+            .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
+        let modes = [
+            ("primal", &func, PrecisionMap::empty()),
+            ("demoted", &func, demote_all(&func)),
+            ("adjoint", &grad, PrecisionMap::empty()),
+        ];
+        for (mode, f, pm) in modes {
+            let compiled = compile(
+                f,
+                &CompileOptions {
+                    precisions: pm,
+                    ..Default::default()
+                },
+            )
+            .unwrap_or_else(|e| panic!("{label}/{mode}: {e}"));
+            assert_words_decode(&format!("{label}/{mode}"), &compiled);
         }
-        // The packed disassembly round-trips through the same decoder:
-        // one header plus one line per word, each naming its instruction.
-        let disasm = packed.disassemble();
-        assert_eq!(disasm.lines().count(), packed.words.len() + 1, "{label}");
-        assert!(!disasm.contains("<undecodable>"), "{label}:\n{disasm}");
     }
 }
 
 // ---------------------------------------------------------------- proptest
-
-/// Deterministic split-mix generator for kernel synthesis (the same
-/// recipe as `chef-shadow`'s proptests).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    fn lit(&mut self) -> f64 {
-        (self.unit() * 4.0 - 2.0) * 1.5 + 0.25
-    }
-}
-
-/// A random straight-line kernel over `n_inputs` inputs and `n_vars`
-/// derived locals; returns the source and the local names.
-fn straight_line_kernel(g: &mut Gen, n_inputs: usize, n_vars: usize) -> (String, Vec<String>) {
-    let mut src = String::from("double f(");
-    for i in 0..n_inputs {
-        if i > 0 {
-            src.push_str(", ");
-        }
-        src.push_str(&format!("double x{i}"));
-    }
-    src.push_str(") {\n");
-    let mut names: Vec<String> = (0..n_inputs).map(|i| format!("x{i}")).collect();
-    let mut locals = Vec::new();
-    for v in 0..n_vars {
-        let a = &names[g.below(names.len())];
-        let b = &names[g.below(names.len())];
-        let expr = match g.below(6) {
-            0 => format!("{a} + {b}"),
-            1 => format!("{a} - {b}"),
-            2 => format!("{a} * {b}"),
-            3 => format!("{a} * {:.6} + {b}", g.lit()),
-            4 => format!("sin({a}) + {:.6}", g.lit()),
-            _ => format!("sqrt({a} * {a} + {b} * {b} + 0.5)"),
-        };
-        src.push_str(&format!("    double v{v} = {expr};\n"));
-        let name = format!("v{v}");
-        names.push(name.clone());
-        locals.push(name);
-    }
-    src.push_str("    return ");
-    for (k, n) in locals.iter().enumerate() {
-        if k > 0 {
-            src.push_str(" + ");
-        }
-        src.push_str(n);
-    }
-    src.push_str(";\n}\n");
-    (src, locals)
-}
 
 fn parse(src: &str) -> Program {
     let mut p = chef_ir::parser::parse_program(src).expect("generated kernel parses");
@@ -351,56 +118,14 @@ fn parse(src: &str) -> Program {
     p
 }
 
-fn config_of(p: &Program, names: &[String]) -> PrecisionMap {
-    let f = &p.functions[0];
-    let mut pm = PrecisionMap::empty();
-    for (id, v) in f.vars_iter() {
-        if names.contains(&v.name) {
-            pm.set(id, FloatTy::F32);
-        }
-    }
-    pm
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn generated_kernels_are_bit_identical_packed_vs_enum(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed);
-        let n_inputs = 2 + g.below(3);
-        let n_vars = 3 + g.below(6);
-        let (src, locals) = straight_line_kernel(&mut g, n_inputs, n_vars);
-        let p = parse(&src);
-        // A random (possibly empty) demotion subset.
-        let demoted: Vec<String> = locals
-            .iter()
-            .filter(|_| g.below(2) == 0)
-            .cloned()
-            .collect();
-        let pm = config_of(&p, &demoted);
-        let args: Vec<ArgValue> = (0..n_inputs).map(|_| ArgValue::F(g.lit())).collect();
-        let func = p.functions[0].clone();
-        assert_packed_unobservable("generated", &func, &pm, &args);
-        assert_packed_shadow_unobservable("generated", &func, &pm, &args);
-        // Round-trip every packed word of the generated kernel too.
-        let compiled = compile(&func, &CompileOptions {
-            precisions: pm,
-            pack: true,
-            ..Default::default()
-        }).unwrap();
-        let packed = compiled.packed.as_ref().unwrap();
-        for (&w, ins) in packed.words.iter().zip(&compiled.instrs) {
-            let decoded = chef_exec::pack::decode(w, packed).expect("decodes");
-            prop_assert!(chef_exec::pack::instr_eq_bits(&decoded, ins));
-        }
-    }
-
-    #[test]
     fn vars_ids_demote_without_packing_bail(seed in 0u64..(1u64 << 60)) {
         // Demoting by raw VarId (any differentiable variable, not just
-        // the sampled locals) must never make the packer bail or diverge.
-        let mut g = Gen(seed);
+        // the sampled locals) must never leave a function unpackable.
+        let mut g = SplitMix(seed);
         let (src, _) = straight_line_kernel(&mut g, 2, 4);
         let p = parse(&src);
         let func = p.functions[0].clone();
@@ -415,7 +140,13 @@ proptest! {
                 pm.set(id, FloatTy::F16);
             }
         }
-        let args = vec![ArgValue::F(g.lit()), ArgValue::F(g.lit())];
-        assert_packed_unobservable("vid", &func, &pm, &args);
+        let args = vec![ArgValue::F(g.signed_lit()), ArgValue::F(g.signed_lit())];
+        let compiled = compile(&func, &CompileOptions {
+            precisions: pm,
+            ..Default::default()
+        })
+        .unwrap_or_else(|e| panic!("{e}\n{src}"));
+        assert_words_decode("vid", &compiled);
+        run(&compiled, args).unwrap_or_else(|t| panic!("{t}\n{src}"));
     }
 }

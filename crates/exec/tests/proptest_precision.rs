@@ -1,19 +1,11 @@
 //! Property tests for the precision-simulation substrate: the soft-float
-//! rounding functions must behave like IEEE 754 conversions, the tape
-//! must be a faithful LIFO, and — on randomly generated *branching*
-//! kernels (bounded loops + float compares) — the packed and enum
-//! dispatch loops must agree bit-for-bit on the primal stream and on the
-//! shadow pass's divergence report, with zero divergences whenever no
-//! demotion is applied.
+//! rounding functions must behave like IEEE 754 conversions, and the
+//! tape must be a faithful LIFO.
 
-use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::precision::{demotion_error, round_to, ulp};
-use chef_exec::prelude::*;
-use chef_exec::shadow::run_shadow;
 use chef_exec::tape::Tape;
 use chef_ir::types::FloatTy;
 use proptest::prelude::*;
-use std::fmt::Write as _;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -122,144 +114,4 @@ fn any_float_ty() -> impl Strategy<Value = FloatTy> {
         Just(FloatTy::F32),
         Just(FloatTy::F64)
     ]
-}
-
-// ------------------------------------------------------- branching kernels
-
-/// Deterministic split-mix generator for kernel synthesis (the same
-/// recipe as `chef-shadow`'s proptests).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    fn lit(&mut self) -> f64 {
-        0.5 + self.unit() * 1.5
-    }
-}
-
-/// A bounded branching kernel over two inputs: a split accumulation
-/// (`part` then `acc`), a float-threshold branch comparing the two
-/// differently-associated sums (a near-tie, so demotions flip it on a
-/// healthy fraction of seeds), and an optional piecewise tail.
-fn branching_kernel(g: &mut Gen) -> String {
-    let mut src = String::from("double f(double x0, double x1) {\n");
-    let step = format!("x{} * {:.17}", g.below(2), 0.03 + g.unit() * 0.05);
-    let iters = 8 + g.below(40);
-    let _ = writeln!(src, "    double part = 0.0;");
-    let _ = writeln!(
-        src,
-        "    for (int i = 0; i < {iters}; i++) {{ part = part + {step}; }}"
-    );
-    let _ = writeln!(src, "    double acc = part;");
-    if g.below(2) == 0 {
-        let _ = writeln!(
-            src,
-            "    for (int i = 0; i < {iters}; i++) {{ acc = acc + {step}; }}"
-        );
-    } else {
-        let _ = writeln!(
-            src,
-            "    while (acc < part * 1.99) {{ acc = acc + {step}; }}"
-        );
-    }
-    let _ = writeln!(src, "    double chk = part + part;");
-    let _ = writeln!(src, "    double r = 0.0;");
-    let _ = writeln!(
-        src,
-        "    if (acc < chk) {{ r = acc * {:.17}; }} else {{ r = acc + {:.17}; }}",
-        g.lit(),
-        g.lit()
-    );
-    if g.below(2) == 0 {
-        let _ = writeln!(src, "    double w = 0.0;");
-        let _ = writeln!(
-            src,
-            "    if (acc * 0.5 <= chk * {:.17}) {{ w = r + {:.17}; }} else {{ w = r * {:.17}; }}",
-            0.5 * (1.0 + (g.unit() - 0.5) * 2e-7),
-            g.lit(),
-            g.lit()
-        );
-        let _ = writeln!(src, "    return w;\n}}");
-    } else {
-        let _ = writeln!(src, "    return r;\n}}");
-    }
-    src
-}
-
-fn compiled_pair(
-    src: &str,
-    demote_all_to: Option<FloatTy>,
-) -> (
-    chef_exec::bytecode::CompiledFunction,
-    chef_exec::bytecode::CompiledFunction,
-) {
-    let mut p = chef_ir::parser::parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
-    chef_ir::typeck::check_program(&mut p).unwrap_or_else(|e| panic!("{e:?}\n{src}"));
-    let func = &p.functions[0];
-    let mut pm = PrecisionMap::empty();
-    if let Some(ty) = demote_all_to {
-        for (id, v) in func.vars_iter() {
-            if v.ty.is_differentiable() {
-                pm.set(id, ty);
-            }
-        }
-    }
-    let mk = |pack: bool| {
-        compile(
-            func,
-            &CompileOptions {
-                precisions: pm.clone(),
-                pack,
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e:?}\n{src}"))
-    };
-    (mk(true), mk(false))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn branching_kernels_are_bit_identical_packed_vs_enum(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
-        let src = branching_kernel(&mut g);
-        let demote = if g.below(2) == 0 { Some(FloatTy::F32) } else { None };
-        let (packed, enum_only) = compiled_pair(&src, demote);
-        prop_assert!(packed.packed.is_some() && enum_only.packed.is_none());
-        let args = vec![ArgValue::F(g.lit()), ArgValue::F(g.lit())];
-        let opts = ExecOptions::default();
-        // Primal: identical results and identical dispatch counts.
-        let a = run_with(&packed, args.clone(), &opts).unwrap_or_else(|t| panic!("{t}\n{src}"));
-        let b = run_with(&enum_only, args.clone(), &opts).unwrap_or_else(|t| panic!("{t}\n{src}"));
-        prop_assert_eq!(a.ret_f().to_bits(), b.ret_f().to_bits(), "{}", src);
-        prop_assert_eq!(a.stats, b.stats, "{}", src);
-        // Shadow: identical divergence reports (count, points, per-var).
-        let sa = run_shadow::<f64>(&packed, args.clone(), &opts)
-            .unwrap_or_else(|t| panic!("{t}\n{src}"));
-        let sb = run_shadow::<f64>(&enum_only, args, &opts)
-            .unwrap_or_else(|t| panic!("{t}\n{src}"));
-        prop_assert_eq!(sa.divergence_count, sb.divergence_count, "{}", src);
-        prop_assert_eq!(&sa.divergence, &sb.divergence, "{}", src);
-        prop_assert_eq!(&sa.var_divergence, &sb.var_divergence, "{}", src);
-        prop_assert_eq!(sa.acc_error.to_bits(), sb.acc_error.to_bits(), "{}", src);
-        // And without demotion the f64 shadow can never diverge.
-        if demote.is_none() {
-            prop_assert_eq!(sa.divergence_count, 0, "{}", src);
-            prop_assert!(sa.divergence.is_empty(), "{src}");
-        }
-    }
 }

@@ -1,20 +1,17 @@
 //! Telemetry-layer integration tests.
 //!
 //! The per-pc profiler is an *observer*: with `ExecOptions::profile` on,
-//! every dispatch loop increments one slot per executed instruction, so
-//! on a successful run the profile must sum to exactly
-//! `ExecStats::instrs_executed` — in the enum interpreter, in the packed
-//! interpreter (whose `executed` accounting is block-granular), and in
-//! both fused-shadow loops. The enum and packed profiles must agree
-//! slot-for-slot, and the shadow profile must match the plain VM profile
-//! on the same kernel (the shadow pass replays the primal instruction
-//! stream 1:1).
+//! the dispatch loop increments one slot per executed instruction, so on
+//! a successful run the profile must sum to exactly
+//! `ExecStats::instrs_executed` (whose accounting is block-granular) —
+//! in the plain VM and in the fused-shadow loop. The shadow profile must
+//! match the plain VM profile slot for slot on the same kernel (the
+//! shadow pass replays the primal instruction stream 1:1).
 //!
 //! Span coverage: `run_batch_parallel_in` opens one `exec.worker` span
 //! per pool checkout and one `exec.run` span per argument set; the run
 //! spans must nest under a worker span on the same thread.
 
-use chef_exec::compile::{compile, CompileOptions};
 use chef_exec::prelude::*;
 use chef_ir::ast::{Function, Program};
 
@@ -61,23 +58,8 @@ fn inlined_kernel(program: &Program, func: &str) -> Function {
         .clone()
 }
 
-fn compile_with(func: &Function, pack: bool) -> chef_exec::bytecode::CompiledFunction {
-    // `pack` is explicit (not `..Default::default()`): the CI matrix runs
-    // this suite with `CHEF_EXEC_PACK=0`, and the point is that *both*
-    // interpreters profile correctly regardless of ambient defaults.
-    compile(
-        func,
-        &CompileOptions {
-            pack,
-            ..Default::default()
-        },
-    )
-    .expect("kernel compiles")
-}
-
-/// The profiled instruction counts bit-match `instrs_executed` for both
-/// dispatch strategies on every app kernel, and the two strategies agree
-/// per-pc (packing is 1:1 per instruction).
+/// The profiled instruction counts bit-match `instrs_executed` on every
+/// app kernel, and profiling leaves the dispatch count unchanged.
 #[test]
 fn profiled_counts_match_executed_on_all_kernels() {
     let opts = ExecOptions {
@@ -86,43 +68,31 @@ fn profiled_counts_match_executed_on_all_kernels() {
     };
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
-        let enum_only = compile_with(&func, false);
-        let packed = compile_with(&func, true);
-        assert!(enum_only.packed.is_none(), "{label}: enum compile packed");
-        assert!(packed.packed.is_some(), "{label}: packer bailed");
+        let compiled = compile_default(&func).expect("kernel compiles");
 
         let mut m = chef_exec::vm::Machine::new();
-        let out_e = m
-            .run_reused(&enum_only, args.clone(), &opts)
-            .unwrap_or_else(|t| panic!("{label}: enum run trapped: {t:?}"));
-        let out_p = m
-            .run_reused(&packed, args.clone(), &opts)
-            .unwrap_or_else(|t| panic!("{label}: packed run trapped: {t:?}"));
-
-        let prof_e = out_e.profile.as_ref().expect("enum profile present");
-        let prof_p = out_p.profile.as_ref().expect("packed profile present");
+        let out = m
+            .run_reused(&compiled, args.clone(), &opts)
+            .unwrap_or_else(|t| panic!("{label}: run trapped: {t:?}"));
+        let prof = out.profile.as_ref().expect("profile present");
         assert_eq!(
-            prof_e.total(),
-            out_e.stats.instrs_executed,
-            "{label}: enum profile total != instrs_executed"
+            prof.total(),
+            out.stats.instrs_executed,
+            "{label}: profile total != instrs_executed"
         );
         assert_eq!(
-            prof_p.total(),
-            out_p.stats.instrs_executed,
-            "{label}: packed profile total != instrs_executed"
-        );
-        assert_eq!(
-            prof_e.pc_counts, prof_p.pc_counts,
-            "{label}: enum and packed per-pc counts differ"
+            prof.pc_counts.len(),
+            compiled.instrs.len(),
+            "{label}: one slot per pc"
         );
 
         // Off by default: the same runs without the flag carry no profile.
         let out_off = m
-            .run_reused(&packed, args.clone(), &ExecOptions::default())
+            .run_reused(&compiled, args.clone(), &ExecOptions::default())
             .expect("off-mode run");
         assert!(out_off.profile.is_none(), "{label}: profile without flag");
         assert_eq!(
-            out_off.stats.instrs_executed, out_p.stats.instrs_executed,
+            out_off.stats.instrs_executed, out.stats.instrs_executed,
             "{label}: profiling changed the dispatch count"
         );
     }
@@ -140,34 +110,32 @@ fn shadow_profile_matches_vm_profile() {
     };
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
-        for pack in [false, true] {
-            let compiled = compile_with(&func, pack);
-            let mut vm = chef_exec::vm::Machine::new();
-            let vm_out = vm
-                .run_reused(&compiled, args.clone(), &opts)
-                .unwrap_or_else(|t| panic!("{label}: vm run trapped: {t:?}"));
-            let mut sm = chef_exec::shadow::ShadowMachine::<f64>::new();
-            let sh_out = sm
-                .run_reused(&compiled, args.clone(), &opts)
-                .unwrap_or_else(|t| panic!("{label}: shadow run trapped: {t:?}"));
+        let compiled = compile_default(&func).expect("kernel compiles");
+        let mut vm = chef_exec::vm::Machine::new();
+        let vm_out = vm
+            .run_reused(&compiled, args.clone(), &opts)
+            .unwrap_or_else(|t| panic!("{label}: vm run trapped: {t:?}"));
+        let mut sm = chef_exec::shadow::ShadowMachine::<f64>::new();
+        let sh_out = sm
+            .run_reused(&compiled, args.clone(), &opts)
+            .unwrap_or_else(|t| panic!("{label}: shadow run trapped: {t:?}"));
 
-            let sh_prof = sh_out.profile.as_ref().expect("shadow profile present");
-            assert_eq!(
-                sh_prof.total(),
-                sh_out.stats.instrs_executed,
-                "{label} pack={pack}: shadow profile total != instrs_executed"
-            );
-            assert_eq!(
-                vm_out.profile.as_ref().unwrap().pc_counts,
-                sh_prof.pc_counts,
-                "{label} pack={pack}: shadow and vm per-pc counts differ"
-            );
-            assert_eq!(
-                sh_prof.pc_counts.len(),
-                sh_out.samples.len(),
-                "{label} pack={pack}: profile not indexed like samples"
-            );
-        }
+        let sh_prof = sh_out.profile.as_ref().expect("shadow profile present");
+        assert_eq!(
+            sh_prof.total(),
+            sh_out.stats.instrs_executed,
+            "{label}: shadow profile total != instrs_executed"
+        );
+        assert_eq!(
+            vm_out.profile.as_ref().unwrap().pc_counts,
+            sh_prof.pc_counts,
+            "{label}: shadow and vm per-pc counts differ"
+        );
+        assert_eq!(
+            sh_prof.pc_counts.len(),
+            sh_out.samples.len(),
+            "{label}: profile not indexed like samples"
+        );
     }
 }
 
@@ -177,7 +145,7 @@ fn shadow_profile_matches_vm_profile() {
 fn profile_merge_and_hottest() {
     let program = chef_apps::arclen::program();
     let func = inlined_kernel(&program, chef_apps::arclen::NAME);
-    let compiled = compile_with(&func, true);
+    let compiled = compile_default(&func).expect("kernel compiles");
     let opts = ExecOptions {
         profile: true,
         ..Default::default()
@@ -211,7 +179,7 @@ fn profile_merge_and_hottest() {
 fn span_nesting_well_formed_under_parallel_batch() {
     let program = chef_apps::arclen::program();
     let func = inlined_kernel(&program, chef_apps::arclen::NAME);
-    let compiled = compile_with(&func, true);
+    let compiled = compile_default(&func).expect("kernel compiles");
     let arena = chef_exec::arena::MachineArena::new();
     let arg_sets: Vec<Vec<ArgValue>> = (1..=16).map(|n| chef_apps::arclen::args(n * 10)).collect();
     let results = chef_exec::vm::run_batch_parallel_in(

@@ -5,18 +5,25 @@
 //! VM results, the inliner must match un-inlined execution, and
 //! reverse-mode gradients must match finite differences on these programs.
 //!
-//! Generated programs are numeric straight-line/structured code over
+//! [`generate`] builds numeric straight-line/structured code over
 //! `double`/`float`/`int` scalars: declarations, (compound) assignments,
 //! bounded `for` loops, `if`/`else` on comparisons, intrinsic calls from a
 //! NaN-safe subset, and a final `double` return. Division denominators are
 //! guarded (`d * d + 1.0`) so results stay finite and comparisons stay
 //! meaningful.
+//!
+//! [`branching_kernel`], [`licm_kernel`] and [`straight_line_kernel`]
+//! instead build one fixed kernel shape each from a seeded [`SplitMix`]
+//! stream: near-tie float branches that demotions flip (the shadow
+//! oracle's divergence tests), loops with hoistable invariants (the CFG
+//! tier's differential tests), and straight-line arithmetic.
 
 use chef_ir::ast::Function;
 use chef_ir::parser::parse_program;
 use chef_ir::typeck::check_program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
 /// Tuning knobs for the generator.
 #[derive(Clone, Debug)]
@@ -282,6 +289,201 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> GeneratedProgram {
 fn pick_args(seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
     vec![rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)]
+}
+
+// ------------------------------------------------- hand-shaped kernels
+//
+// The generators below build kernels of one fixed shape each (bounded
+// loops around near-tie float compares, LICM bait, straight-line
+// arithmetic) from a seeded [`SplitMix`] stream. They return source
+// text; the caller parses it and picks the demotions.
+
+/// Deterministic SplitMix64 stream for the hand-shaped kernel
+/// generators, seeded per proptest case.
+pub struct SplitMix(pub u64);
+
+impl SplitMix {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`, 53 bits.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `0..n`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// A full-precision literal in `[0.5, 2.0)` (virtually never exactly
+    /// representable in `f32`, so demotion sites genuinely round).
+    pub fn lit(&mut self) -> f64 {
+        0.5 + self.unit() * 1.5
+    }
+
+    /// A literal of either sign, in `[-2.75, 3.25)`.
+    pub fn signed_lit(&mut self) -> f64 {
+        (self.unit() * 4.0 - 2.0) * 1.5 + 0.25
+    }
+}
+
+/// A random *branching* kernel built so demotions genuinely flip
+/// decisions on a healthy fraction of seeds: `part` accumulates `K`
+/// steps, `acc` continues for `K` more (a `for` or a bounded `while`
+/// shape), and the threshold branch compares `acc` against `chk = part +
+/// part` — algebraically equal, differently associated. The two sides
+/// land within ~1 ulp of each other at full precision and within ~an f32
+/// ulp when the accumulators are demoted, so the comparison's sign is
+/// decided by exactly the rounding a demotion perturbs. An optional
+/// piecewise tail repeats the trick on the branched value. Returns the
+/// source and the names of the float variables.
+pub fn branching_kernel(g: &mut SplitMix, n_inputs: usize) -> (String, Vec<String>) {
+    let mut src = String::from("double f(");
+    for i in 0..n_inputs {
+        let _ = write!(src, "{}double x{i}", if i > 0 { ", " } else { "" });
+    }
+    src.push_str(") {\n");
+    let mut names: Vec<String> = (0..n_inputs).map(|i| format!("x{i}")).collect();
+    let step = format!("x{} * {:.17}", g.below(n_inputs), 0.03 + g.unit() * 0.05);
+    let iters = 8 + g.below(48);
+    src.push_str("    double part = 0.0;\n");
+    names.push("part".into());
+    let _ = writeln!(
+        src,
+        "    for (int i = 0; i < {iters}; i++) {{ part = part + {step}; }}"
+    );
+    src.push_str("    double acc = part;\n");
+    names.push("acc".into());
+    if g.below(2) == 0 {
+        let _ = writeln!(
+            src,
+            "    for (int i = 0; i < {iters}; i++) {{ acc = acc + {step}; }}"
+        );
+    } else {
+        // The same trip count, as a while shape: inputs are ≥ 0.5, so
+        // the step is bounded below and the loop terminates.
+        let _ = writeln!(
+            src,
+            "    while (acc < part * 1.99) {{ acc = acc + {step}; }}"
+        );
+    }
+    src.push_str("    double chk = part + part;\n");
+    names.push("chk".into());
+    src.push_str("    double r = 0.0;\n");
+    names.push("r".into());
+    let _ = writeln!(
+        src,
+        "    if (acc < chk) {{ r = acc * {:.17}; }} else {{ r = acc + {:.17}; }}",
+        g.lit(),
+        g.lit()
+    );
+    if g.below(2) == 0 {
+        // Piecewise tail: again a near-tie — `acc` against a jittered
+        // rescaling of `chk` (the jitter sits at f32-rounding scale, so
+        // the knot lands inside the demotion's error band).
+        src.push_str("    double w = 0.0;\n");
+        names.push("w".into());
+        let _ = writeln!(
+            src,
+            "    if (acc * 0.5 <= chk * {:.17}) {{ w = r + {:.17}; }} else {{ w = r * {:.17}; }}",
+            0.5 * (1.0 + (g.unit() - 0.5) * 2e-7),
+            g.lit(),
+            g.lit()
+        );
+        src.push_str("    return w;\n}\n");
+    } else {
+        src.push_str("    return r;\n}\n");
+    }
+    (src, names)
+}
+
+/// A bounded branching kernel over two inputs, biased toward LICM bait:
+/// loop bodies mix an invariant product (`x0 * x1 * lit`, hoistable)
+/// with the loop-carried accumulation, behind near-tie float branches
+/// and a possibly zero-trip while loop.
+pub fn licm_kernel(g: &mut SplitMix) -> String {
+    let mut src = String::from("double f(double x0, double x1) {\n");
+    let inv = format!("x0 * x1 * {:.17}", g.lit());
+    let step = format!("x{} * {:.17}", g.below(2), 0.03 + g.unit() * 0.05);
+    let iters = g.below(44); // 0 and 1 trips exercise the zero-trip guard
+    let _ = writeln!(src, "    double part = 0.0;");
+    let _ = writeln!(
+        src,
+        "    for (int i = 0; i < {iters}; i++) {{ part = part + {step} + {inv}; }}"
+    );
+    let _ = writeln!(src, "    double acc = part;");
+    if g.below(2) == 0 {
+        let _ = writeln!(
+            src,
+            "    for (int i = 0; i < {iters}; i++) {{ acc = acc + {step}; }}"
+        );
+    } else {
+        let _ = writeln!(
+            src,
+            "    while (acc < part * 1.99) {{ acc = acc + {step} + {inv}; }}"
+        );
+    }
+    let _ = writeln!(src, "    double chk = part + part;");
+    let _ = writeln!(src, "    double r = 0.0;");
+    let _ = writeln!(
+        src,
+        "    if (acc < chk) {{ r = acc * {:.17}; }} else {{ r = acc + {:.17}; }}",
+        g.lit(),
+        g.lit()
+    );
+    let _ = writeln!(src, "    return r;\n}}");
+    src
+}
+
+/// A random straight-line kernel over `n_inputs` inputs and `n_vars`
+/// derived locals; returns the source and the local names.
+pub fn straight_line_kernel(
+    g: &mut SplitMix,
+    n_inputs: usize,
+    n_vars: usize,
+) -> (String, Vec<String>) {
+    let mut src = String::from("double f(");
+    for i in 0..n_inputs {
+        if i > 0 {
+            src.push_str(", ");
+        }
+        src.push_str(&format!("double x{i}"));
+    }
+    src.push_str(") {\n");
+    let mut names: Vec<String> = (0..n_inputs).map(|i| format!("x{i}")).collect();
+    let mut locals = Vec::new();
+    for v in 0..n_vars {
+        let a = &names[g.below(names.len())];
+        let b = &names[g.below(names.len())];
+        let expr = match g.below(6) {
+            0 => format!("{a} + {b}"),
+            1 => format!("{a} - {b}"),
+            2 => format!("{a} * {b}"),
+            3 => format!("{a} * {:.6} + {b}", g.signed_lit()),
+            4 => format!("sin({a}) + {:.6}", g.signed_lit()),
+            _ => format!("sqrt({a} * {a} + {b} * {b} + 0.5)"),
+        };
+        src.push_str(&format!("    double v{v} = {expr};\n"));
+        let name = format!("v{v}");
+        names.push(name.clone());
+        locals.push(name);
+    }
+    src.push_str("    return ");
+    for (k, n) in locals.iter().enumerate() {
+        if k > 0 {
+            src.push_str(" + ");
+        }
+        src.push_str(n);
+    }
+    src.push_str(";\n}\n");
+    (src, locals)
 }
 
 #[cfg(test)]

@@ -62,55 +62,52 @@ fn demoted_kernels_preserve_the_dd_shadow_report_cfg_on_vs_off() {
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
         let pm = demote_all(&func);
-        for pack in [true, false] {
-            let label = format!("{label}/pack={pack}");
-            let mk = |cfg_on: bool| {
-                compile(
-                    &func,
-                    &CompileOptions {
-                        precisions: pm.clone(),
-                        fuse: true,
-                        cfg: cfg_on,
-                        pack,
-                    },
-                )
-                .expect("kernel compiles")
-            };
-            let opts = ExecOptions {
-                max_instrs: Some(500_000_000),
-                ..Default::default()
-            };
-            let sa = run_shadow::<DD>(&mk(false), args.clone(), &opts)
-                .unwrap_or_else(|t| panic!("{label}: cfg-off trapped: {t}"));
-            let sb = run_shadow::<DD>(&mk(true), args.clone(), &opts)
-                .unwrap_or_else(|t| panic!("{label}: cfg-on trapped: {t}"));
+        let mk = |cfg_on: bool| {
+            compile(
+                &func,
+                &CompileOptions {
+                    precisions: pm.clone(),
+                    fuse: true,
+                    cfg: cfg_on,
+                    pack: true,
+                },
+            )
+            .expect("kernel compiles")
+        };
+        let opts = ExecOptions {
+            max_instrs: Some(500_000_000),
+            ..Default::default()
+        };
+        let sa = run_shadow::<DD>(&mk(false), args.clone(), &opts)
+            .unwrap_or_else(|t| panic!("{label}: cfg-off trapped: {t}"));
+        let sb = run_shadow::<DD>(&mk(true), args.clone(), &opts)
+            .unwrap_or_else(|t| panic!("{label}: cfg-on trapped: {t}"));
 
-            assert_eq!(
-                sa.ret_f().to_bits(),
-                sb.ret_f().to_bits(),
-                "{label}: primal return differs"
-            );
-            match (sa.shadow_ret, sb.shadow_ret) {
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{label}: DD shadow return differs"
-                    )
-                }
-                (x, y) => assert_eq!(x, y, "{label}: DD shadow return differs"),
+        assert_eq!(
+            sa.ret_f().to_bits(),
+            sb.ret_f().to_bits(),
+            "{label}: primal return differs"
+        );
+        match (sa.shadow_ret, sb.shadow_ret) {
+            (Some(x), Some(y)) => {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{label}: DD shadow return differs"
+                )
             }
-            assert_eq!(
-                sa.divergence_count, sb.divergence_count,
-                "{label}: split count differs"
-            );
-            let ka: Vec<_> = sa.divergence.iter().map(|d| d.kind).collect();
-            let kb: Vec<_> = sb.divergence.iter().map(|d| d.kind).collect();
-            assert_eq!(ka, kb, "{label}: split decision sequence differs");
-            assert_eq!(
-                sa.var_divergence, sb.var_divergence,
-                "{label}: per-variable split attribution differs"
-            );
+            (x, y) => assert_eq!(x, y, "{label}: DD shadow return differs"),
         }
+        assert_eq!(
+            sa.divergence_count, sb.divergence_count,
+            "{label}: split count differs"
+        );
+        let ka: Vec<_> = sa.divergence.iter().map(|d| d.kind).collect();
+        let kb: Vec<_> = sb.divergence.iter().map(|d| d.kind).collect();
+        assert_eq!(ka, kb, "{label}: split decision sequence differs");
+        assert_eq!(
+            sa.var_divergence, sb.var_divergence,
+            "{label}: per-variable split attribution differs"
+        );
     }
 }

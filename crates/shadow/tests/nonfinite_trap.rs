@@ -1,7 +1,7 @@
 //! Non-finite traps through the shadow oracle on the adversarial
 //! corpus (`chef_apps::adversarial`): a demoted accumulator that
 //! overflows must trap at a *pinned* instruction with the variable
-//! named — identically in the enum and packed dispatch loops — and a
+//! named — identically with and without the per-pc profiler — and a
 //! NaN input must be attributed to the parameter at entry, instead of
 //! either flowing silently into the report.
 
@@ -15,7 +15,7 @@ use chef_ir::types::FloatTy;
 use chef_shadow::{shadow_run, OracleOptions};
 
 /// The threshold kernel with its flip set (`s`) demoted to `f32`.
-fn demoted(pack: bool) -> CompiledFunction {
+fn demoted() -> CompiledFunction {
     let p = threshold::program();
     let f = p.function(threshold::NAME).expect("kernel exists");
     let mut pm = PrecisionMap::empty();
@@ -29,7 +29,6 @@ fn demoted(pack: bool) -> CompiledFunction {
         &CompileOptions {
             precisions: pm,
             fuse: true,
-            pack,
             ..Default::default()
         },
     )
@@ -45,13 +44,14 @@ fn overflow_args() -> Vec<ArgValue> {
 
 #[test]
 fn overflowing_demoted_accumulator_traps_at_a_pinned_site() {
-    let opts = ExecOptions {
-        trap_on_nonfinite: true,
-        ..Default::default()
-    };
+    let c = demoted();
     let mut pinned: Option<(usize, String)> = None;
-    for pack in [true, false] {
-        let c = demoted(pack);
+    for profile in [false, true] {
+        let opts = ExecOptions {
+            trap_on_nonfinite: true,
+            profile,
+            ..Default::default()
+        };
         let err = run_shadow::<f64>(&c, overflow_args(), &opts)
             .expect_err("the overflowing accumulator must trap");
         let TrapKind::NonFinite { value, op, var } = &err.kind else {
@@ -63,7 +63,8 @@ fn overflowing_demoted_accumulator_traps_at_a_pinned_site() {
             op.contains("Add") || op.contains("Round"),
             "the producing op is the rounded accumulation, got `{op}`"
         );
-        // The same site in both dispatch loops, and on a re-run.
+        // The same site in both instantiations of the dispatch loop, and
+        // on a re-run.
         let again = run_shadow::<f64>(&c, overflow_args(), &opts)
             .expect_err("deterministic")
             .pc;
@@ -71,7 +72,7 @@ fn overflowing_demoted_accumulator_traps_at_a_pinned_site() {
         match &pinned {
             None => pinned = Some((err.pc, op.clone())),
             Some((pc, op0)) => {
-                assert_eq!(*pc, err.pc, "enum and packed loops agree on the pc");
+                assert_eq!(*pc, err.pc, "profiled and plain loops agree on the pc");
                 assert_eq!(op0, op);
             }
         }
@@ -84,7 +85,7 @@ fn nan_input_is_attributed_to_the_parameter_at_entry() {
         trap_on_nonfinite: true,
         ..Default::default()
     };
-    let err = run_shadow::<f64>(&demoted(true), threshold::args(f64::NAN, 3), &opts)
+    let err = run_shadow::<f64>(&demoted(), threshold::args(f64::NAN, 3), &opts)
         .expect_err("a NaN argument must trap before the first instruction");
     let TrapKind::NonFinite { value, op, var } = &err.kind else {
         panic!("expected a NonFinite trap, got {:?}", err.kind);

@@ -16,8 +16,8 @@
 //!   rounding of its own,
 //! * and, on randomly generated **branching** kernels (bounded `for` /
 //!   `while` loops, float-threshold branches, piecewise tails):
-//!   divergence reports are bit-identical between the enum and packed
-//!   dispatch loops, the primal stream still equals a plain run of the
+//!   divergence reports are bit-identical between the plain and the
+//!   profiled dispatch loop, the primal stream still equals a plain run of the
 //!   demoted compilation even when the trace flips, and an undemoted
 //!   `f64`-shadow run never reports a divergence (shadow ≡ primal).
 
@@ -26,33 +26,10 @@ use chef_exec::prelude::*;
 use chef_exec::shadow::run_shadow;
 use chef_ir::ast::{Program, VarId};
 use chef_ir::types::FloatTy;
+use chef_passes::testgen::{branching_kernel, SplitMix};
 use chef_shadow::{shadow_run, OracleOptions};
 use proptest::prelude::*;
 use std::fmt::Write as _;
-
-/// Deterministic generator (SplitMix64) seeded per case.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-    /// A full-precision literal in `[0.5, 2.0)` (virtually never exactly
-    /// representable in `f32`, so demotion sites genuinely round).
-    fn lit(&mut self) -> f64 {
-        0.5 + self.unit() * 1.5
-    }
-}
 
 fn parse(src: &str) -> Program {
     let mut p = chef_ir::parser::parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
@@ -82,7 +59,7 @@ fn config_of(p: &Program, names: &[String]) -> PrecisionMap {
 /// variables over `n_inputs` inputs, ops `+ - *` (division-free so every
 /// value stays finite), returning the last variable. Returns the source
 /// and the variable names.
-fn shared_kernel(g: &mut Gen, n_inputs: usize, n_vars: usize) -> (String, Vec<String>) {
+fn shared_kernel(g: &mut SplitMix, n_inputs: usize, n_vars: usize) -> (String, Vec<String>) {
     let mut src = String::from("double f(");
     for i in 0..n_inputs {
         let _ = write!(src, "{}double x{i}", if i > 0 { ", " } else { "" });
@@ -91,7 +68,7 @@ fn shared_kernel(g: &mut Gen, n_inputs: usize, n_vars: usize) -> (String, Vec<St
     let mut names = Vec::new();
     for k in 0..n_vars {
         // term: input, literal, or an earlier variable.
-        let term = |g: &mut Gen, src: &mut String| match g.below(3) {
+        let term = |g: &mut SplitMix, src: &mut String| match g.below(3) {
             0 => {
                 let _ = write!(src, "x{}", g.below(n_inputs));
             }
@@ -129,7 +106,7 @@ fn shared_kernel(g: &mut Gen, n_inputs: usize, n_vars: usize) -> (String, Vec<St
 /// reads its own input `x{c}` and its own earlier variables), summed in
 /// `f64` at the end. Returns the source and the per-chain variable names
 /// (input included).
-fn chain_kernel(g: &mut Gen, n_chains: usize, chain_len: usize) -> (String, Vec<Vec<String>>) {
+fn chain_kernel(g: &mut SplitMix, n_chains: usize, chain_len: usize) -> (String, Vec<Vec<String>>) {
     let mut src = String::from("double f(");
     for c in 0..n_chains {
         let _ = write!(src, "{}double x{c}", if c > 0 { ", " } else { "" });
@@ -165,77 +142,7 @@ fn chain_kernel(g: &mut Gen, n_chains: usize, chain_len: usize) -> (String, Vec<
     (src, chains)
 }
 
-/// A random *branching* kernel built so demotions genuinely flip
-/// decisions on a healthy fraction of seeds: `part` accumulates `K`
-/// steps, `acc` continues for `K` more (a `for` or a bounded `while`
-/// shape), and the threshold branch compares `acc` against `chk = part +
-/// part` — algebraically equal, differently associated. The two sides
-/// land within ~1 ulp of each other at full precision and within ~an f32
-/// ulp when the accumulators are demoted, so the comparison's sign is
-/// decided by exactly the rounding a demotion perturbs. An optional
-/// piecewise tail repeats the trick on the branched value. Returns the
-/// source and the names of the float variables.
-fn branching_kernel(g: &mut Gen, n_inputs: usize) -> (String, Vec<String>) {
-    let mut src = String::from("double f(");
-    for i in 0..n_inputs {
-        let _ = write!(src, "{}double x{i}", if i > 0 { ", " } else { "" });
-    }
-    src.push_str(") {\n");
-    let mut names: Vec<String> = (0..n_inputs).map(|i| format!("x{i}")).collect();
-    let step = format!("x{} * {:.17}", g.below(n_inputs), 0.03 + g.unit() * 0.05);
-    let iters = 8 + g.below(48);
-    src.push_str("    double part = 0.0;\n");
-    names.push("part".into());
-    let _ = writeln!(
-        src,
-        "    for (int i = 0; i < {iters}; i++) {{ part = part + {step}; }}"
-    );
-    src.push_str("    double acc = part;\n");
-    names.push("acc".into());
-    if g.below(2) == 0 {
-        let _ = writeln!(
-            src,
-            "    for (int i = 0; i < {iters}; i++) {{ acc = acc + {step}; }}"
-        );
-    } else {
-        // The same trip count, as a while shape: inputs are ≥ 0.5, so
-        // the step is bounded below and the loop terminates.
-        let _ = writeln!(
-            src,
-            "    while (acc < part * 1.99) {{ acc = acc + {step}; }}"
-        );
-    }
-    src.push_str("    double chk = part + part;\n");
-    names.push("chk".into());
-    src.push_str("    double r = 0.0;\n");
-    names.push("r".into());
-    let _ = writeln!(
-        src,
-        "    if (acc < chk) {{ r = acc * {:.17}; }} else {{ r = acc + {:.17}; }}",
-        g.lit(),
-        g.lit()
-    );
-    if g.below(2) == 0 {
-        // Piecewise tail: again a near-tie — `acc` against a jittered
-        // rescaling of `chk` (the jitter sits at f32-rounding scale, so
-        // the knot lands inside the demotion's error band).
-        src.push_str("    double w = 0.0;\n");
-        names.push("w".into());
-        let _ = writeln!(
-            src,
-            "    if (acc * 0.5 <= chk * {:.17}) {{ w = r + {:.17}; }} else {{ w = r * {:.17}; }}",
-            0.5 * (1.0 + (g.unit() - 0.5) * 2e-7),
-            g.lit(),
-            g.lit()
-        );
-        src.push_str("    return w;\n}\n");
-    } else {
-        src.push_str("    return r;\n}\n");
-    }
-    (src, names)
-}
-
-fn inputs(g: &mut Gen, n: usize) -> Vec<ArgValue> {
+fn inputs(g: &mut SplitMix, n: usize) -> Vec<ArgValue> {
     (0..n).map(|_| ArgValue::F(g.lit())).collect()
 }
 
@@ -253,14 +160,14 @@ fn plain_run(p: &Program, pm: &PrecisionMap, args: &[ArgValue]) -> f64 {
 
 /// The branching generator is only a meaningful test bed if a healthy
 /// fraction of its seeds *actually* flips a decision under demotion —
-/// otherwise the packed-vs-enum divergence equality would hold vacuously.
+/// otherwise the divergence-report equalities would hold vacuously.
 /// Deterministic (fixed seed range), so this is a generator-coverage pin,
 /// not a flaky statistical test.
 #[test]
 fn branching_generator_produces_divergent_seeds() {
     let mut diverging = 0usize;
     for seed in 1u64..=96 {
-        let mut g = Gen(seed);
+        let mut g = SplitMix(seed);
         let n_inputs = 1 + g.below(3);
         let (src, names) = branching_kernel(&mut g, n_inputs);
         let p = parse(&src);
@@ -284,7 +191,7 @@ proptest! {
 
     #[test]
     fn oracle_is_finite_and_differentially_sound(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
+        let mut g = SplitMix(seed | 1);
         let n_inputs = 1 + g.below(3);
         let n_vars = 2 + g.below(6);
         let (src, names) = shared_kernel(&mut g, n_inputs, n_vars);
@@ -313,7 +220,7 @@ proptest! {
 
     #[test]
     fn no_demotion_measures_exactly_zero(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
+        let mut g = SplitMix(seed | 1);
         let n_inputs = 1 + g.below(3);
         let n_vars = 2 + g.below(6);
         let (src, _) = shared_kernel(&mut g, n_inputs, n_vars);
@@ -329,7 +236,7 @@ proptest! {
 
     #[test]
     fn branching_kernels_never_diverge_without_demotion(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
+        let mut g = SplitMix(seed | 1);
         let n_inputs = 1 + g.below(3);
         let (src, _) = branching_kernel(&mut g, n_inputs);
         let p = parse(&src);
@@ -344,8 +251,8 @@ proptest! {
     }
 
     #[test]
-    fn branching_divergence_reports_are_identical_packed_vs_enum(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
+    fn branching_divergence_reports_are_identical_profiled_vs_plain(seed in 0u64..(1u64 << 60)) {
+        let mut g = SplitMix(seed | 1);
         let n_inputs = 1 + g.below(3);
         let (src, names) = branching_kernel(&mut g, n_inputs);
         let p = parse(&src);
@@ -361,20 +268,19 @@ proptest! {
             demoted.push("acc".into());
         }
         let pm = config_of(&p, &demoted);
-        let mk = |pack: bool| {
-            compile(
-                p.function("f").unwrap(),
-                &CompileOptions { precisions: pm.clone(), pack, ..Default::default() },
-            )
-            .unwrap()
+        let compiled = compile(
+            p.function("f").unwrap(),
+            &CompileOptions { precisions: pm.clone(), ..Default::default() },
+        )
+        .unwrap();
+        // The two instantiations of the dispatch loop (plain and per-pc
+        // profiled) report the same splits and the same values.
+        let run = |profile: bool| {
+            let opts = ExecOptions { profile, ..Default::default() };
+            run_shadow::<f64>(&compiled, args.clone(), &opts)
+                .unwrap_or_else(|e| panic!("{e}\n{src}"))
         };
-        let (packed, enum_only) = (mk(true), mk(false));
-        prop_assert!(packed.packed.is_some() && enum_only.packed.is_none());
-        let opts = ExecOptions::default();
-        let a = run_shadow::<f64>(&packed, args.clone(), &opts)
-            .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        let b = run_shadow::<f64>(&enum_only, args.clone(), &opts)
-            .unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let (a, b) = (run(false), run(true));
         prop_assert_eq!(a.divergence_count, b.divergence_count, "{}", src);
         prop_assert_eq!(&a.divergence, &b.divergence, "{}", src);
         prop_assert_eq!(&a.var_divergence, &b.var_divergence, "{}", src);
@@ -389,7 +295,7 @@ proptest! {
 
     #[test]
     fn accumulated_error_is_monotone_in_nested_demotion_sets(seed in 0u64..(1u64 << 60)) {
-        let mut g = Gen(seed | 1);
+        let mut g = SplitMix(seed | 1);
         let n_chains = 2 + g.below(3);
         let chain_len = 2 + g.below(3);
         let (src, chains) = chain_kernel(&mut g, n_chains, chain_len);

@@ -211,8 +211,8 @@ fn f32_config(p: &Program, func: &str, vars: &[&str]) -> PrecisionMap {
 /// Runs the oracle on `config`, asserting the divergence verdict and —
 /// when a flip is expected — that every recorded split sits on a
 /// comparison/truncation instruction of the compiled stream, that the
-/// flipped variable is attributed, and that enum and packed dispatch
-/// report the identical split list.
+/// flipped variable is attributed, and that a direct shadow run of the
+/// compiled stream reports the identical split list.
 fn divergence_check(
     label: &str,
     p: &Program,
@@ -243,11 +243,10 @@ fn divergence_check(
         primal,
         &CompileOptions {
             precisions: config.clone(),
-            pack: true,
             ..Default::default()
         },
     )
-    .expect("compiles packed");
+    .expect("compiles");
     for point in &rep.divergence {
         let ins = &packed.instrs[point.pc];
         match point.kind {
@@ -271,23 +270,18 @@ fn divergence_check(
         "{label}: split not attributed to `{attributed_var}`: {:?}",
         rep.per_variable_divergence
     );
-    // Enum dispatch reports the identical splits.
-    let enum_only = compile(
-        primal,
-        &CompileOptions {
-            precisions: config.clone(),
-            pack: false,
+    // A direct shadow run of the compiled stream reports the identical
+    // splits — profiled or not (the two instantiations of the loop).
+    for profile in [false, true] {
+        let opts = ExecOptions {
+            profile,
             ..Default::default()
-        },
-    )
-    .expect("compiles enum");
-    let opts = ExecOptions::default();
-    let a = run_shadow::<f64>(&packed, args.to_vec(), &opts).expect("packed shadow");
-    let b = run_shadow::<f64>(&enum_only, args.to_vec(), &opts).expect("enum shadow");
-    assert_eq!(a.divergence_count, b.divergence_count, "{label}");
-    assert_eq!(a.divergence, b.divergence, "{label}");
-    assert_eq!(a.var_divergence, b.var_divergence, "{label}");
-    assert_eq!(a.ret_f().to_bits(), b.ret_f().to_bits(), "{label}");
+        };
+        let out = run_shadow::<f64>(&packed, args.to_vec(), &opts).expect("shadow runs");
+        assert_eq!(out.divergence_count, rep.divergence_count, "{label}");
+        assert_eq!(out.divergence, rep.divergence, "{label}");
+        assert_eq!(out.ret_f().to_bits(), rep.primal.to_bits(), "{label}");
+    }
     rep
 }
 
