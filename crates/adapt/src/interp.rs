@@ -1,5 +1,5 @@
 //! The tracing interpreter: executes a KernelC function while recording
-//! every FP operation into the [`OpTape`](crate::tape::OpTape).
+//! every FP operation into the [`OpTape`].
 //!
 //! This is the architectural model of ADAPT-over-CoDiPack (paper §II-B
 //! "Tracing"): an operator-overloading AD tool re-records the computation

@@ -1914,7 +1914,7 @@ fn profile_table() {
     let acc: f64 = out.samples.iter().map(|s| s.sum).sum();
     println!(
         "{:>4} {:<14} {:>12} {:>7} {:>12} {:>7}",
-        "pc", "op", "count", "time%", "err sum", "err%"
+        "pc", "op", "count", "disp%", "err sum", "err%"
     );
     for (pc, count) in prof.hottest(16) {
         let s = &out.samples[pc];

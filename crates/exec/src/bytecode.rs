@@ -1,6 +1,6 @@
 //! The register bytecode the VM executes.
 //!
-//! KernelC functions are compiled ([`crate::compile`]) to a flat
+//! KernelC functions are compiled ([`mod@crate::compile`]) to a flat
 //! instruction vector over three register files: floats (`f64` slots),
 //! integers (`i64` slots, also holding booleans as 0/1), and arrays.
 //! Narrow float precisions are simulated explicitly in the instruction

@@ -1,7 +1,7 @@
 //! Peephole bytecode fusion: collapses the hot multi-instruction idioms
 //! the compiler emits into single superinstructions.
 //!
-//! The pass runs after codegen (wired into [`crate::compile`] behind
+//! The pass runs after codegen (wired into [`crate::compile::compile`] behind
 //! [`crate::compile::CompileOptions::fuse`], on by default) and rewrites
 //! windows of adjacent instructions:
 //!
@@ -38,7 +38,7 @@
 //!   enter the middle of a fused sequence;
 //! * the eliminated temporary is either overwritten by the window's own
 //!   final instruction, or **dead after the window**: a reachability
-//!   query over the bytecode CFG ([`Analysis::dead_after`]) proves every
+//!   query over the bytecode CFG (`Analysis::dead_after`) proves every
 //!   path re-writes the register before reading it (parameter registers
 //!   are additionally considered read at every function exit, because
 //!   call teardown copies them back to the caller).
@@ -445,7 +445,7 @@ impl Rewrite {
 /// windows to the next (a constant-operand op followed by the `Mov` that
 /// stored its temp, a compare freshly adjacent to its branch, …). Every
 /// rewrite strictly shrinks the stream, so this terminates; the returned
-/// stats are the accumulated totals. This is what [`crate::compile`]
+/// stats are the accumulated totals. This is what [`crate::compile::compile`]
 /// invokes.
 pub fn fuse_to_fixpoint(func: &mut CompiledFunction) -> FuseStats {
     let mut acc = FuseStats::default();

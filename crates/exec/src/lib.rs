@@ -26,7 +26,7 @@
 //! the engine is organized around that pattern in three layers:
 //!
 //! 1. **Bytecode fusion** ([`fuse`]): a peephole pass, run to fixpoint
-//!    by default in [`compile`], collapses the compiler's hot idioms
+//!    by default in [`compile::compile`], collapses the compiler's hot idioms
 //!    into superinstructions — `FMulAdd`, fused op+round (`FAddRound` …,
 //!    the dominant pair in demoted code), intrinsic+round, constant-offset
 //!    array access (`FLoadOff`/`FStoreOff`), add-immediate,
@@ -37,7 +37,7 @@
 //!    (separate roundings, same traps), so fusion is observationally
 //!    bit-identical; the `fusion_differential` test pins this on every
 //!    `chef-apps` kernel.
-//! 2. **CFG optimizer tier** ([`cfg`], between `fuse_to_fixpoint` and
+//! 2. **CFG optimizer tier** ([`mod@cfg`], between `fuse_to_fixpoint` and
 //!    `pack`, default-on via [`compile::CompileOptions::cfg`], env-gated
 //!    by `CHEF_EXEC_CFG=0`): real block-level compiler infrastructure —
 //!    basic-block CFG construction over the fused stream, an iterative
@@ -85,22 +85,24 @@
 //!    by fingerprint in `cfg_differential`, per kernel and mode.
 //! 3. **Packed-word dispatch** ([`pack`]): the fused stream is flattened
 //!    1:1 into fixed-width `u64` words with a per-function constant pool,
-//!    and the VM and shadow interpreters dispatch the words through a
-//!    dense-opcode jump table. This is the only execution format: each
-//!    machine has exactly one dispatch loop (instantiated with and
-//!    without the per-pc profiler), and the enum [`bytecode::Instr`]
-//!    stream is the compiler's IR and the decode target. See *Packed
-//!    word format* below.
+//!    and one dispatch loop runs the words through a dense-opcode jump
+//!    table. This is the only execution format, and the engine has
+//!    exactly one dispatch loop: the shadow pass's loop, which the plain
+//!    VM runs with a zero-sized lane whose shadow work compiles away
+//!    (both also instantiated with and without the per-pc profiler). The enum
+//!    [`bytecode::Instr`] stream is the compiler's IR and the decode
+//!    target. See *Packed word format* below.
 //! 4. **Reusable machines** ([`vm::Machine`]): register files, array
 //!    slots and the [`Tape`]'s buffers persist across calls —
 //!    [`vm::Machine::reset`] re-sizes without re-allocating, and
 //!    [`vm::run`]/[`vm::run_with`] route through a thread-local cached
-//!    machine. Register operands are validated once per call and then
-//!    accessed unchecked in the dispatch loop; the `max_instrs` budget
-//!    is checked at backward jumps and returns instead of on every
-//!    instruction, and the [`vm::ExecOptions::deadline`] wall clock is
-//!    probed at backward jumps only once per [`vm::DEADLINE_STRIDE`]
-//!    instructions.
+//!    machine; the shadow machine wraps one and shares its call frame.
+//!    Register operands are validated once per call and then accessed
+//!    unchecked in the dispatch loop, by the VM and the shadow pass
+//!    alike; the `max_instrs` budget is checked at backward jumps and
+//!    returns instead of on every instruction, and the
+//!    [`vm::ExecOptions::deadline`] wall clock is probed at backward
+//!    jumps only once per [`vm::DEADLINE_STRIDE`] instructions.
 //! 5. **Batched + parallel runs** ([`vm::run_batch`],
 //!    [`vm::run_batch_parallel`]): one machine amortized over a whole
 //!    argument batch, or the batch fanned out over scoped threads (one
@@ -136,9 +138,9 @@
 //! [`vm::ExecOptions::deadline`] wall-clock bound, malformed bytecode,
 //! and the opt-in [`vm::TrapKind::NonFinite`].
 //!
-//! Deadlines are **cooperative**, never preemptive: both dispatch
-//! loops (VM and shadow) check the clock at taken backward jumps (the only place a
-//! run can spend unbounded time), and only once per
+//! Deadlines are **cooperative**, never preemptive: the dispatch loop
+//! (plain and shadow alike) checks the clock at taken backward jumps
+//! (the only place a run can spend unbounded time), and only once per
 //! [`vm::DEADLINE_STRIDE`] executed instructions, so the disarmed path
 //! costs one always-false register compare per loop iteration and the
 //! armed path one `Instant::now()` per ~8k instructions. An expired
@@ -149,7 +151,7 @@
 //!
 //! The opt-in [`vm::TrapKind::NonFinite`], enabled by
 //! [`vm::ExecOptions::trap_on_nonfinite`], checks every float write in
-//! the VM and shadow dispatch loops (plus demoted-parameter entry rounding and the
+//! the dispatch loop (plus demoted-parameter entry rounding and the
 //! rounded return) and traps at the *first* NaN/±Inf with the pc, the
 //! producing opcode, and the written variable's name — the
 //! Herbgrind-style "where did it first go wrong" signal for a demoted
@@ -191,8 +193,8 @@
 //!   `exec.run` span nested per argument set. Spans land in bounded
 //!   per-thread rings and each close records into a `span.<name>.ns`
 //!   histogram; exporting is `chef_telemetry::snapshot()`.
-//! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes both
-//!   dispatch loops (VM and shadow) count executions
+//! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes the
+//!   dispatch loop (plain and shadow runs alike) count executions
 //!   per `pc` into [`vm::ExecProfile`], returned on
 //!   [`vm::CallOutcome::profile`] / `ShadowOutcome::profile`. On a
 //!   successful run the counts sum to exactly
@@ -211,7 +213,7 @@
 //!
 //! ```text
 //! bits  0..8    opcode   dense u8 (see [`pack::op`]) — drives a
-//!               jump-table `match` in the dispatch loops
+//!               jump-table `match` in the dispatch loop
 //! bits  8..24   A        u16: destination register / array slot
 //! bits 24..40   B        u16: source register, pool index, or i16 imm
 //! bits 40..56   C        u16: source register, jump target, or i16 imm
@@ -241,7 +243,7 @@
 //! Packing is 1:1 and order-preserving (word `k` encodes instruction
 //! `k`; `pc`, spans and jump targets are shared), and
 //! [`vm::validate_function`] re-decodes every word against the enum
-//! stream before execution, which is what makes the dispatch loops'
+//! stream before execution, which is what makes the dispatch loop's
 //! unchecked register/pool accesses sound. The `packed_differential`
 //! test suite pins that every word decodes back to its instruction
 //! (primal, demoted and adjoint streams of every app kernel, and
@@ -293,7 +295,7 @@
 //! result must pass the same [`vm::validate_function`] gate (register
 //! bounds + word-for-word packed/enum equivalence) as a fresh
 //! compilation before it can reach the unchecked packed dispatch
-//! loops. A corrupt or crafted entry can therefore fail closed only:
+//! loop. A corrupt or crafted entry can therefore fail closed only:
 //! the checksum catches random corruption, and validation catches
 //! anything that parses but would execute unsafely.
 //!

@@ -1,5 +1,5 @@
 //! Packed-word bytecode: the enum instruction stream flattened into
-//! fixed-width `u64` words for the dispatch loops.
+//! fixed-width `u64` words for the dispatch loop.
 //!
 //! [`Instr`] is a ~24-byte tagged enum — comfortable to build, match and
 //! debug, but three times wider than the information it carries, and its
@@ -27,7 +27,7 @@
 //!
 //! ## Packing is total on compiler output
 //!
-//! The dispatch loops run only packed code, so every function
+//! The dispatch loop runs only packed code, so every function
 //! [`crate::compile::compile`] produces must pack. Two rules make that so:
 //!
 //! * Per-instruction range rules (a register above 65 535, or above 255
@@ -52,7 +52,7 @@
 //! `instrs[k]`, jump targets are unchanged, and [`decode`] is a total
 //! inverse on packer output. [`crate::vm::validate_function`] re-decodes
 //! every word and compares it against the enum stream before execution,
-//! so the dispatch loops may access registers and pools unchecked.
+//! so the dispatch loop may access registers and pools unchecked.
 
 use crate::bytecode::*;
 use chef_ir::ast::Intrinsic;
@@ -197,7 +197,7 @@ pub mod op {
 }
 
 /// Every intrinsic, indexed by its packed 6-bit code ([`intr_code`]).
-/// A link-time constant, so the dispatch loops decode intrinsics without
+/// A link-time constant, so the dispatch loop decodes intrinsics without
 /// carrying a per-function table pointer.
 pub const INTRINSICS: [Intrinsic; 26] = [
     Intrinsic::Sin,

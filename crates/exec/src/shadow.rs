@@ -1,9 +1,10 @@
 //! Shadow execution: one fused VM pass that runs a compiled program and
 //! its high-precision shadow side by side.
 //!
-//! The primal stream executes exactly like [`crate::vm`] — same
-//! arithmetic, same rounding instructions, same traps, bit-identical
-//! results — while every float register, float array slot and float tape
+//! The primal stream executes exactly like [`crate::vm`] — it *is* the
+//! plain VM's dispatch loop, `exec_loop`, instantiated with a shadow
+//! lane — so arithmetic, rounding, traps and results are bit-identical,
+//! while every float register, float array slot and float tape
 //! entry carries a second value of type `S:`[`ShadowNum`] computed with
 //! **unrounded semantics**: `FRound`/`F*Round` are identity on the
 //! shadow, demoted parameters bind their original unrounded inputs, and
@@ -43,18 +44,27 @@
 //! passed through a float are precision-independent and are not checked;
 //! the `F2I` check covers the float→int boundary.
 //!
-//! The pass reuses [`Machine`]'s buffers for the primal state and keeps
-//! the shadow files alongside in [`ShadowMachine`], which is reusable
-//! call-to-call exactly like `Machine`. Batches fan out over scoped
-//! threads through [`crate::par::parallel_map_init`] (one shadow machine
-//! per worker), mirroring [`crate::vm::run_batch_parallel`].
+//! There is one dispatch loop and one call frame in the engine. The
+//! loop, `exec_loop`, is generic over the shadow number type; every
+//! shadow-side statement sits behind `if S::ACTIVE`, and the plain VM
+//! runs it with the zero-sized `NoShadow` lane, for which that
+//! constant is `false` and the shadow work compiles away. The call frame
+//! (`Machine::call`: fault draw, reset, argument binding, entry checks,
+//! the profile monomorph choice, the epilogue) is shared the same way.
+//! [`ShadowMachine`] wraps a [`Machine`] for the primal state and keeps
+//! the shadow files alongside; it is reusable call-to-call exactly like
+//! `Machine`. Batches fan out over scoped threads through
+//! [`crate::par::parallel_map_init`] (one shadow machine per worker),
+//! like [`crate::vm::run_batch_parallel`].
 
 use crate::bytecode::*;
 use crate::intrinsics::{eval1, eval2, ApproxConfig};
 use crate::precision::round_to;
+use crate::tape::Tape;
 use crate::value::{ArgValue, Value};
 use crate::vm::{
-    fcmp, icmp, validate_function, ArraySlot, ExecOptions, ExecStats, Machine, Trap, TrapKind,
+    deadline_probe, fcmp, icmp, invalid_bytecode, nonfinite_trap, validate_function, ArraySlot,
+    ExecOptions, ExecStats, Machine, Trap, TrapKind, DEADLINE_STRIDE,
 };
 use chef_ir::ast::Intrinsic;
 use chef_ir::span::Span;
@@ -65,6 +75,11 @@ use chef_ir::span::Span;
 /// mixed-precision configurations) and by `chef-shadow`'s double-double
 /// `DD` (quasi-exact shadow — the oracle for `f64` programs themselves).
 pub trait ShadowNum: Copy + Send + Sync + 'static {
+    /// Whether this type carries a shadow at all. Leave it at the
+    /// default: `false` is reserved for the crate's zero-sized plain-VM
+    /// lane, for which the dispatch loop compiles every shadow-side
+    /// statement away.
+    const ACTIVE: bool = true;
     /// Injects an exact `f64`.
     fn from_f64(x: f64) -> Self;
     /// Rounds back to `f64`.
@@ -282,18 +297,46 @@ impl ShadowOutcome {
     }
 }
 
-/// A reusable fused primal+shadow activation: wraps a [`Machine`] (whose
-/// register files, array slots and tape serve the primal stream
-/// unchanged) and keeps the shadow register file, shadow arrays, shadow
-/// tape and the attribution state alongside. Reusable across calls like
-/// `Machine` — buffers keep their capacity.
-pub struct ShadowMachine<S: ShadowNum> {
-    m: Machine,
-    /// Shadow float registers, parallel to `m.f`.
+/// The plain VM's lane: a zero-sized [`ShadowNum`] with `ACTIVE = false`.
+/// [`exec_loop`] instantiated with it compiles every shadow-side
+/// statement away, so it *is* the plain VM's dispatch loop.
+#[derive(Clone, Copy)]
+pub(crate) struct NoShadow;
+
+impl ShadowNum for NoShadow {
+    const ACTIVE: bool = false;
+    fn from_f64(_: f64) -> Self {
+        NoShadow
+    }
+    fn to_f64(self) -> f64 {
+        0.0
+    }
+    fn add(_: Self, _: Self) -> Self {
+        NoShadow
+    }
+    fn sub(_: Self, _: Self) -> Self {
+        NoShadow
+    }
+    fn mul(_: Self, _: Self) -> Self {
+        NoShadow
+    }
+    fn div(_: Self, _: Self) -> Self {
+        NoShadow
+    }
+    fn neg(_: Self) -> Self {
+        NoShadow
+    }
+}
+
+/// The shadow side of one call: the shadow register file, arrays and
+/// tape, and the attribution state, kept next to the primal [`Machine`].
+/// Untouched (and never allocated) when `S` is [`NoShadow`].
+pub(crate) struct Lane<S> {
+    /// Shadow float registers, parallel to `Machine::f`.
     sf: Vec<S>,
     /// Pending (not yet committed) absolute local error per float register.
     pend: Vec<f64>,
-    /// Shadow float arrays, parallel to `m.a` (empty for int arrays).
+    /// Shadow float arrays, parallel to `Machine::a` (empty for int arrays).
     sa: Vec<Vec<S>>,
     /// Shadow mirror of the float entries of the tape.
     stape: Vec<S>,
@@ -310,19 +353,23 @@ pub struct ShadowMachine<S: ShadowNum> {
     divs: Vec<DivergencePoint>,
     /// Total splits observed (uncapped).
     div_count: u64,
+    /// Sum of finite local-error samples ([`ShadowOutcome::acc_error`]).
+    acc: f64,
+    /// Non-finite samples ([`ShadowOutcome::nonfinite_samples`]).
+    nonfinite: u64,
+    /// Shadow return and return error, set by `RetF`.
+    shadow_ret: Option<f64>,
+    ret_error: Option<f64>,
+    /// Unrounded originals of demoted float parameters, per parameter:
+    /// `Machine::bind_args` rounds them in place, and the shadow binds
+    /// the value *before* that representation rounding.
+    scalar_orig: Vec<Option<f64>>,
+    array_orig: Vec<Option<Vec<f64>>>,
 }
 
-impl<S: ShadowNum> Default for ShadowMachine<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S: ShadowNum> ShadowMachine<S> {
-    /// An empty shadow machine; buffers grow on first use and persist.
-    pub fn new() -> Self {
-        ShadowMachine {
-            m: Machine::new(),
+impl<S: ShadowNum> Lane<S> {
+    pub(crate) fn new() -> Self {
+        Lane {
             sf: Vec::new(),
             pend: Vec::new(),
             sa: Vec::new(),
@@ -335,11 +382,18 @@ impl<S: ShadowNum> ShadowMachine<S> {
             var_div: Vec::new(),
             divs: Vec::new(),
             div_count: 0,
+            acc: 0.0,
+            nonfinite: 0,
+            shadow_ret: None,
+            ret_error: None,
+            scalar_orig: Vec::new(),
+            array_orig: Vec::new(),
         }
     }
 
-    fn reset(&mut self, func: &CompiledFunction, opts: &ExecOptions) {
-        self.m.reset(func, opts);
+    /// Sizes the shadow state for one call of `func` and snapshots the
+    /// unrounded originals of its demoted float arguments.
+    pub(crate) fn reset(&mut self, func: &CompiledFunction, args: &[ArgValue]) {
         let nf = func.n_fregs as usize;
         self.sf.clear();
         self.sf.resize(nf, S::from_f64(0.0));
@@ -379,45 +433,13 @@ impl<S: ShadowNum> ShadowMachine<S> {
         self.var_div.resize(self.var_names.len(), 0);
         self.divs.clear();
         self.div_count = 0;
-    }
-
-    /// Runs `func` on `args` under `opts`, producing the fused outcome.
-    /// Validates the bytecode per call, exactly like
-    /// [`Machine::run_reused`].
-    pub fn run_reused(
-        &mut self,
-        func: &CompiledFunction,
-        args: Vec<ArgValue>,
-        opts: &ExecOptions,
-    ) -> Result<ShadowOutcome, Trap> {
-        if let Err(msg) = validate_function(func) {
-            return Err(Trap {
-                kind: TrapKind::InvalidBytecode(msg),
-                pc: 0,
-                span: Span::DUMMY,
-            });
-        }
-        self.run_prevalidated(func, args, opts)
-    }
-
-    fn run_prevalidated(
-        &mut self,
-        func: &CompiledFunction,
-        args: Vec<ArgValue>,
-        opts: &ExecOptions,
-    ) -> Result<ShadowOutcome, Trap> {
-        // Fault injection draws exactly like the plain VM's
-        // `run_prevalidated`, so a plan schedules faults uniformly across
-        // plain and shadow trials.
-        let (fault_opts, inject_nan) = crate::vm::drawn_fault(func, opts);
-        let opts = fault_opts.as_ref().unwrap_or(opts);
-        self.reset(func, opts);
-        // Snapshot the unrounded originals of demoted float parameters:
-        // `Machine::bind_args` rounds them in place, and the shadow binds
-        // the value *before* that representation rounding.
-        let mut scalar_orig: Vec<Option<f64>> = Vec::with_capacity(func.params.len());
-        let mut array_orig: Vec<Option<Vec<f64>>> = Vec::with_capacity(func.params.len());
-        for (spec, arg) in func.params.iter().zip(&args) {
+        self.acc = 0.0;
+        self.nonfinite = 0;
+        self.shadow_ret = None;
+        self.ret_error = None;
+        self.scalar_orig.clear();
+        self.array_orig.clear();
+        for (spec, arg) in func.params.iter().zip(args) {
             let (mut s, mut a) = (None, None);
             match (spec.kind, arg) {
                 (ParamKind::F(_), ArgValue::F(v)) => s = Some(*v),
@@ -429,212 +451,334 @@ impl<S: ShadowNum> ShadowMachine<S> {
                 }
                 _ => {}
             }
-            scalar_orig.push(s);
-            array_orig.push(a);
+            self.scalar_orig.push(s);
+            self.array_orig.push(a);
         }
-        self.m.bind_args(func, args)?;
-        if inject_nan {
-            // Primal side only: the shadow keeps the caller's finite
-            // value, so the measurement itself goes non-finite — the
-            // silent-NaN hazard the fault layer exists to surface.
-            crate::vm::inject_nan_param(func, &mut self.m.f);
-        }
-        if opts.trap_on_nonfinite {
-            crate::vm::check_params_finite(func, &self.m.f, &self.m.a)?;
-        }
+    }
 
-        // Bind the shadow parameters and charge entry rounding.
-        let mut acc = 0.0f64;
-        let mut nonfinite = 0u64;
+    /// Binds the shadow parameters from the snapshot and charges the
+    /// entry rounding against the bound primal values `f`/`a`.
+    pub(crate) fn bind_params(&mut self, func: &CompiledFunction, f: &[f64], a: &[ArraySlot]) {
         for (k, spec) in func.params.iter().enumerate() {
             match spec.kind {
                 ParamKind::F(_) => {
-                    let orig = scalar_orig[k].unwrap_or(0.0);
-                    let prim = self.m.f[spec.reg as usize];
+                    let orig = self.scalar_orig[k].unwrap_or(0.0);
+                    let prim = f[spec.reg as usize];
                     self.sf[spec.reg as usize] = S::from_f64(orig);
-                    charge_entry(
-                        (orig - prim).abs(),
-                        self.fvar_of[spec.reg as usize],
-                        &mut self.var_err,
-                        &mut acc,
-                        &mut nonfinite,
-                    );
+                    let var = self.fvar_of[spec.reg as usize];
+                    self.charge_entry((orig - prim).abs(), var);
                 }
                 ParamKind::FArr(_) => {
-                    let slot = &self.m.a[spec.reg as usize];
-                    let prim: &[f64] = match slot {
+                    let prim: &[f64] = match &a[spec.reg as usize] {
                         ArraySlot::F(v) => v,
                         _ => &[],
                     };
-                    let shadow = &mut self.sa[spec.reg as usize];
+                    let mut shadow = std::mem::take(&mut self.sa[spec.reg as usize]);
                     shadow.clear();
-                    match &array_orig[k] {
+                    match self.array_orig[k].take() {
                         Some(orig) => {
                             let var = self.avar_of[spec.reg as usize];
                             for (o, p) in orig.iter().zip(prim) {
                                 shadow.push(S::from_f64(*o));
-                                charge_entry(
-                                    (o - p).abs(),
-                                    var,
-                                    &mut self.var_err,
-                                    &mut acc,
-                                    &mut nonfinite,
-                                );
+                                self.charge_entry((o - p).abs(), var);
                             }
                         }
                         None => shadow.extend(prim.iter().map(|&p| S::from_f64(p))),
                     }
+                    self.sa[spec.reg as usize] = shadow;
                 }
                 _ => {}
             }
         }
-
-        // Validation proved `packed` present. Profiling picks a separately
-        // monomorphized loop, mirroring `Machine::run_prevalidated`.
-        let packed = func
-            .packed
-            .as_ref()
-            .expect("validated functions are packed");
-        let ret = if opts.profile {
-            self.exec_loop_packed::<true>(func, packed, opts, &mut acc, &mut nonfinite)?
-        } else {
-            self.exec_loop_packed::<false>(func, packed, opts, &mut acc, &mut nonfinite)?
-        };
-        self.m.stats.tape_peak_bytes = self.m.tape.peak_bytes();
-        self.m.stats.tape_total_pushes = self.m.tape.total_pushes();
-        let args = self.m.unbind_args(func);
-        let var_error = self
-            .var_names
-            .iter()
-            .cloned()
-            .zip(self.var_err.iter().copied())
-            .collect();
-        let var_divergence = self
-            .var_names
-            .iter()
-            .cloned()
-            .zip(self.var_div.iter().copied())
-            .collect();
-        if self.div_count > 0 {
-            chef_telemetry::counter!("exec.shadow.divergences").add(self.div_count);
-        }
-        let profile = opts.profile.then(|| crate::vm::ExecProfile {
-            pc_counts: std::mem::take(&mut self.m.prof),
-        });
-        Ok(ShadowOutcome {
-            ret: ret.0,
-            shadow_ret: ret.1,
-            ret_error: ret.2,
-            args,
-            stats: self.m.stats,
-            samples: std::mem::take(&mut self.samples),
-            var_error,
-            acc_error: acc,
-            nonfinite_samples: nonfinite,
-            divergence_count: self.div_count,
-            divergence: std::mem::take(&mut self.divs),
-            var_divergence,
-            profile,
-        })
     }
 
-    /// The fused primal+shadow dispatch loop. The primal side mirrors
-    /// [`crate::vm`]'s loop opcode by opcode (same results, traps and
-    /// budget checkpoints, read from the same packed words and pool);
-    /// the shadow values, local-error samples and pending attribution
-    /// are threaded alongside. Register accesses stay bounds-checked by
-    /// slice indexing (the shadow arithmetic dominates this loop's cost).
-    #[allow(clippy::type_complexity)]
-    #[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with other unsafe spots
-    fn exec_loop_packed<const PROFILE: bool>(
+    fn charge_entry(&mut self, err: f64, var: u32) {
+        if err > 0.0 {
+            if err.is_finite() {
+                self.acc += err;
+                if var != 0 {
+                    self.var_err[(var - 1) as usize] += err;
+                }
+            } else {
+                self.nonfinite += 1;
+            }
+        } else if err.is_nan() {
+            self.nonfinite += 1;
+        }
+    }
+}
+
+/// A reusable fused primal+shadow activation: wraps a [`Machine`] (whose
+/// register files, array slots and tape serve the primal stream
+/// unchanged) and keeps the shadow register file, shadow arrays, shadow
+/// tape and the attribution state alongside. Reusable across calls like
+/// `Machine` — buffers keep their capacity.
+pub struct ShadowMachine<S: ShadowNum> {
+    m: Machine,
+    lane: Lane<S>,
+}
+
+impl<S: ShadowNum> Default for ShadowMachine<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S: ShadowNum> ShadowMachine<S> {
+    /// An empty shadow machine; buffers grow on first use and persist.
+    pub fn new() -> Self {
+        ShadowMachine {
+            m: Machine::new(),
+            lane: Lane::new(),
+        }
+    }
+
+    /// Runs `func` on `args` under `opts`, producing the fused outcome.
+    /// Validates the bytecode per call, exactly like
+    /// [`Machine::run_reused`].
+    pub fn run_reused(
         &mut self,
         func: &CompiledFunction,
-        packed: &crate::pack::PackedCode,
+        args: Vec<ArgValue>,
         opts: &ExecOptions,
-        acc: &mut f64,
-        nonfinite: &mut u64,
-    ) -> Result<(Option<Value>, Option<f64>, Option<f64>), Trap> {
-        use crate::pack::{
-            cmp_from, op, ty_from, w_a, w_b, w_b_i16, w_c, w_c_i16, w_d, w_d_i8, w_op, INTRINSICS,
-        };
-        let ShadowMachine {
-            m,
-            sf,
-            pend,
-            sa,
-            stape,
-            fvar_of,
-            avar_of,
-            var_err,
-            samples,
-            var_div,
-            divs,
-            div_count,
-            ..
-        } = self;
-        let Machine {
-            f,
-            i,
-            a,
-            tape,
-            stats,
-            prof,
-        } = m;
-        let f = &mut f[..];
-        let i = &mut i[..];
-        let words = &packed.words[..];
-        let pool = &packed.pool[..];
-        let len = words.len();
-        let approx = &opts.approx;
-        let budget = opts.max_instrs.unwrap_or(u64::MAX);
-        let check_div = opts.detect_divergence;
-        let trap_nf = opts.trap_on_nonfinite;
-        let deadline = opts.deadline;
-        let mut deadline_at: u64 = if deadline.is_some() {
-            crate::vm::DEADLINE_STRIDE
-        } else {
-            u64::MAX
-        };
-        let mut executed: u64 = 0;
-        let mut pc: usize = 0;
+    ) -> Result<ShadowOutcome, Trap> {
+        validate_function(func).map_err(invalid_bytecode)?;
+        self.run_prevalidated(func, args, opts)
+    }
 
-        let trap = |kind: TrapKind, pc: usize| Trap {
-            kind,
-            pc,
-            span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
-        };
+    fn run_prevalidated(
+        &mut self,
+        func: &CompiledFunction,
+        args: Vec<ArgValue>,
+        opts: &ExecOptions,
+    ) -> Result<ShadowOutcome, Trap> {
+        let out = self.m.call(&mut self.lane, func, args, opts)?;
+        let lane = &mut self.lane;
+        if lane.div_count > 0 {
+            chef_telemetry::counter!("exec.shadow.divergences").add(lane.div_count);
+        }
+        let names = lane.var_names.iter().cloned();
+        Ok(ShadowOutcome {
+            ret: out.ret,
+            shadow_ret: lane.shadow_ret,
+            ret_error: lane.ret_error,
+            args: out.args,
+            stats: out.stats,
+            samples: std::mem::take(&mut lane.samples),
+            var_error: names.clone().zip(lane.var_err.iter().copied()).collect(),
+            acc_error: lane.acc,
+            nonfinite_samples: lane.nonfinite,
+            divergence_count: lane.div_count,
+            divergence: std::mem::take(&mut lane.divs),
+            var_divergence: names.zip(lane.var_div.iter().copied()).collect(),
+            profile: out.profile,
+        })
+    }
+}
 
-        macro_rules! sample {
-            ($local:expr) => {{
-                let l: f64 = $local;
-                if l > 0.0 {
-                    if l.is_finite() {
-                        let s = &mut samples[pc];
-                        s.sum += l;
-                        if l > s.max {
-                            s.max = l;
-                        }
-                        s.count += 1;
-                        *acc += l;
-                    } else {
-                        *nonfinite += 1;
+/// The dispatch loop: the hot path of the engine, and the only one. The
+/// plain VM runs it as `exec_loop::<NoShadow, _>`; the fused shadow pass
+/// runs it with `S = f64` or a double-double.
+///
+/// The primal side executes the enum stream's semantics — arithmetic,
+/// rounding, traps, tape traffic, statistics and budget checkpoints —
+/// from its packed form: it fetches 8-byte words, reads operand fields
+/// straight out of them, reads wide constants from the hoisted pool, and
+/// dispatches on a dense `u8` opcode the compiler lowers to a jump table.
+/// Every shadow-side statement (shadow values, local-error samples,
+/// pending attribution, divergence checks, the shadow tape and arrays,
+/// the shadow return) sits behind `if S::ACTIVE`, so the `NoShadow`
+/// instantiation keeps exactly the primal work. Shadow-side register
+/// accesses stay bounds-checked by slice indexing (the shadow arithmetic
+/// dominates that instantiation's cost).
+///
+/// Executed-instruction accounting is block-granular: instead of a
+/// loop-carried `executed += 1`, the straight-line run since
+/// `block_start` is added at every taken jump and at returns — the same
+/// program points where the budget is checked, so the final count equals
+/// per-instruction accounting and the budget is checked at block
+/// granularity.
+///
+/// SAFETY of the unchecked primal accesses: [`validate_function`] proved
+/// (a) every enum operand in range and (b) every packed word decodes to
+/// its enum instruction, so the fields extracted here are exactly the
+/// validated operands; pool and intrinsic indices were bounds-checked by
+/// the decode; jump targets are ≤ `words.len()` and the fetch breaks at
+/// `len`. Every entry point runs [`validate_function`] first (per call,
+/// or once per batch), the shadow ones included.
+#[allow(clippy::too_many_arguments)]
+#[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with the access macros
+#[inline(never)] // own code-layout home: keeps dispatch-loop timing stable
+pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
+    func: &CompiledFunction,
+    packed: &crate::pack::PackedCode,
+    opts: &ExecOptions,
+    f: &mut [f64],
+    i: &mut [i64],
+    a: &mut [ArraySlot],
+    tape: &mut Tape,
+    stats: &mut ExecStats,
+    prof: &mut [u64],
+    lane: &mut Lane<S>,
+) -> Result<Option<Value>, Trap> {
+    use crate::pack::{
+        cmp_from, op, ty_from, w_a, w_b, w_b_i16, w_c, w_c_i16, w_d, w_d_i8, w_op, INTRINSICS,
+    };
+    let Lane {
+        sf,
+        pend,
+        sa,
+        stape,
+        fvar_of,
+        avar_of,
+        var_err,
+        samples,
+        var_div,
+        divs,
+        div_count,
+        acc,
+        nonfinite,
+        shadow_ret,
+        ret_error,
+        ..
+    } = lane;
+    let words = &packed.words[..];
+    let pool = &packed.pool[..];
+    let len = words.len();
+    let approx = &opts.approx;
+    let budget = opts.max_instrs.unwrap_or(u64::MAX);
+    let check_div = opts.detect_divergence;
+    let trap_nf = opts.trap_on_nonfinite;
+    let deadline = opts.deadline;
+    let mut deadline_at: u64 = if deadline.is_some() {
+        DEADLINE_STRIDE
+    } else {
+        u64::MAX
+    };
+    let mut executed: u64 = 0;
+    let mut block_start: usize = 0;
+    let mut pc: usize = 0;
+
+    let trap = |kind: TrapKind, pc: usize| Trap {
+        kind,
+        pc,
+        span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
+    };
+
+    // Primal register/pool access over raw usize fields. SAFETY: see the
+    // function-level comment.
+    macro_rules! fr {
+        ($r:expr) => {
+            unsafe { *f.get_unchecked($r) }
+        };
+    }
+    macro_rules! ir {
+        ($r:expr) => {
+            unsafe { *i.get_unchecked($r) }
+        };
+    }
+    macro_rules! iw {
+        ($r:expr, $v:expr) => {{
+            let v = $v;
+            unsafe { *i.get_unchecked_mut($r) = v };
+        }};
+    }
+    macro_rules! aslot {
+        ($r:expr) => {
+            unsafe { &mut *a.get_unchecked_mut($r) }
+        };
+    }
+    macro_rules! pool {
+        ($k:expr) => {
+            unsafe { *pool.get_unchecked($k) }
+        };
+    }
+    macro_rules! intrinsic {
+        ($k:expr) => {
+            unsafe { *INTRINSICS.get_unchecked($k) }
+        };
+    }
+    // Operand-field macros: direct narrow loads from the word stream,
+    // addressed by `pc` alone. SAFETY: the loop head checks `pc < len`.
+    macro_rules! fld {
+        ($f:ident) => {
+            unsafe { $f(words, pc) }
+        };
+    }
+    // Element `$idx` of array register `$arr` holding `ArraySlot::$kind`,
+    // as a place; out of bounds (or the wrong kind) traps.
+    macro_rules! elem {
+        ($kind:ident, $arr:expr, $idx:expr) => {{
+            let index: i64 = $idx;
+            match aslot!($arr) {
+                ArraySlot::$kind(v) => {
+                    let len = v.len();
+                    match v.get_mut(index as usize) {
+                        Some(x) if index >= 0 => x,
+                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len }, pc)),
                     }
-                } else if l.is_nan() {
+                }
+                _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
+            }
+        }};
+    }
+    macro_rules! jump {
+        ($target:expr) => {{
+            let t = $target;
+            executed += (pc - block_start + 1) as u64;
+            if t <= pc {
+                if executed > budget {
+                    return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
+                }
+                if executed >= deadline_at && deadline_probe(deadline, executed, &mut deadline_at) {
+                    return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
+                }
+            }
+            block_start = t;
+            pc = t;
+            continue;
+        }};
+    }
+    macro_rules! ret {
+        ($v:expr) => {{
+            executed += (pc - block_start + 1) as u64;
+            break $v;
+        }};
+    }
+    // Shadow lane only: accumulates one local-error sample at `pc`.
+    macro_rules! sample {
+        ($local:expr) => {{
+            let l: f64 = $local;
+            if l > 0.0 {
+                if l.is_finite() {
+                    let s = &mut samples[pc];
+                    s.sum += l;
+                    if l > s.max {
+                        s.max = l;
+                    }
+                    s.count += 1;
+                    *acc += l;
+                } else {
                     *nonfinite += 1;
                 }
-            }};
-        }
-        // Writes primal+shadow to register index `$dst` (trapping a
-        // non-finite primal when armed) and charges the pending error to
-        // the variable homed there, if any.
-        macro_rules! put {
-            ($dst:expr, $prim:expr, $shadow:expr, $pend:expr) => {{
-                let d: usize = $dst;
-                let prim = $prim;
-                if trap_nf && !prim.is_finite() {
-                    return Err(crate::vm::nonfinite_trap(func, d, prim, pc));
-                }
-                f[d] = prim;
+            } else if l.is_nan() {
+                *nonfinite += 1;
+            }
+        }};
+    }
+    // Writes the primal float `$prim` to register `$dst` (trapping a
+    // non-finite value when armed). The shadow lane also writes `$shadow`
+    // and charges the pending error `$pend` to the variable homed there,
+    // if any; both expressions are evaluated only in that lane.
+    macro_rules! put {
+        ($dst:expr, $prim:expr, $shadow:expr, $pend:expr) => {{
+            let d: usize = $dst;
+            let prim: f64 = $prim;
+            if trap_nf && !prim.is_finite() {
+                return Err(nonfinite_trap(func, d, prim, pc));
+            }
+            unsafe { *f.get_unchecked_mut(d) = prim };
+            if S::ACTIVE {
                 sf[d] = $shadow;
                 let mut p: f64 = $pend;
                 let v = fvar_of[d];
@@ -643,713 +787,462 @@ impl<S: ShadowNum> ShadowMachine<S> {
                     p = 0.0;
                 }
                 pend[d] = p;
-            }};
-        }
-        macro_rules! jump {
-            ($target:expr) => {{
-                let t = $target;
-                if t <= pc {
-                    if executed > budget {
-                        return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
-                    }
-                    if executed >= deadline_at
-                        && crate::vm::deadline_probe(deadline, executed, &mut deadline_at)
-                    {
-                        return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
-                    }
-                }
-                pc = t;
-                continue;
-            }};
-        }
-        // Divergence checks: re-decide a float compare / float→int
-        // truncation on the shadow operands and record a split when the
-        // decision differs (register operands are usize indices).
-        macro_rules! diverge_fcmp {
-            ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
-                if check_div {
-                    let (xi, yi) = ($x, $y);
-                    let would = S::cmp($op, sf[xi], sf[yi]);
-                    if would != $taken {
-                        *div_count += 1;
-                        let vx = fvar_of[xi];
-                        if vx != 0 {
-                            var_div[(vx - 1) as usize] += 1;
-                        }
-                        let vy = fvar_of[yi];
-                        if vy != 0 && vy != vx {
-                            var_div[(vy - 1) as usize] += 1;
-                        }
-                        if divs.len() < MAX_DIVERGENCE_POINTS {
-                            divs.push(DivergencePoint {
-                                pc,
-                                at_instr: executed,
-                                kind: DivergenceKind::FCmp {
-                                    op: $op,
-                                    primal: (f[xi], f[yi]),
-                                    shadow: (sf[xi].to_f64(), sf[yi].to_f64()),
-                                    taken: $taken,
-                                    would_take: would,
-                                },
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-        macro_rules! diverge_f2i {
-            ($x:expr, $primal_int:expr) => {{
-                if check_div {
-                    let xi = $x;
-                    let si = S::trunc_i64(sf[xi]);
-                    if si != $primal_int {
-                        *div_count += 1;
-                        let vx = fvar_of[xi];
-                        if vx != 0 {
-                            var_div[(vx - 1) as usize] += 1;
-                        }
-                        if divs.len() < MAX_DIVERGENCE_POINTS {
-                            divs.push(DivergencePoint {
-                                pc,
-                                at_instr: executed,
-                                kind: DivergenceKind::F2I {
-                                    primal: f[xi],
-                                    shadow: sf[xi].to_f64(),
-                                    primal_int: $primal_int,
-                                    shadow_int: si,
-                                },
-                            });
-                        }
-                    }
-                }
-            }};
-        }
-        // Operand-field macros: direct narrow loads from the word stream,
-        // addressed by `pc` alone. SAFETY: the loop head checks `pc < len`.
-        macro_rules! fld {
-            ($f:ident) => {
-                unsafe { $f(words, pc) }
-            };
-        }
-
-        let ret: (Option<Value>, Option<f64>, Option<f64>) = loop {
-            if pc >= len {
-                break (None, None, None);
             }
-            executed += 1;
-            if PROFILE {
-                prof[pc] += 1;
+        }};
+    }
+    // A rounding float op into `w_a`: `$prim` is the primal result,
+    // `$exact` the same op evaluated in `S` on the primal operands (their
+    // difference is this op's local error), `$shadow` the op on the
+    // shadow operands and `$pend` the operands' pending error.
+    macro_rules! arith {
+        ($prim:expr, $exact:expr, $shadow:expr, $pend:expr) => {{
+            let prim: f64 = $prim;
+            let mut local = 0.0;
+            if S::ACTIVE {
+                local = S::sub($exact, S::from_f64(prim)).to_f64().abs();
+                sample!(local);
             }
-            match fld!(w_op) {
-                op::FCONST => {
-                    let v = f64::from_bits(pool[fld!(w_b)]);
-                    put!(fld!(w_a), v, S::from_f64(v), 0.0);
-                }
-                op::FMOV => {
-                    let s = fld!(w_b);
-                    put!(fld!(w_a), f[s], sf[s], pend[s]);
-                }
-                op::FADD => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa + pb;
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::add(sf[x], sf[y]), p);
-                }
-                op::FSUB => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa - pb;
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::sub(sf[x], sf[y]), p);
-                }
-                op::FMUL => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa * pb;
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::mul(sf[x], sf[y]), p);
-                }
-                op::FDIV => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = pa / pb;
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::div(sf[x], sf[y]), p);
-                }
-                op::FNEG => {
-                    let s = fld!(w_b);
-                    put!(fld!(w_a), -f[s], S::neg(sf[s]), pend[s]);
-                }
-                op::FROUND => {
-                    let s = fld!(w_b);
-                    let v = f[s];
-                    let prim = round_to(v, ty_from(fld!(w_d) as u8));
-                    let local = (v - prim).abs();
-                    sample!(local);
-                    put!(fld!(w_a), prim, sf[s], pend[s] + local);
-                }
-                op::FINTR1 => {
-                    let x = fld!(w_b);
-                    let intr = INTRINSICS[fld!(w_d)];
-                    let pa = f[x];
-                    let prim = eval1(intr, pa, approx);
-                    let local = S::sub(S::intr1(intr, S::from_f64(pa), approx), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::intr1(intr, sf[x], approx),
-                        pend[x] + local
-                    );
-                }
-                op::FINTR2 => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let intr = INTRINSICS[fld!(w_d)];
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = eval2(intr, pa, pb, approx);
-                    let local = S::sub(
-                        S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::intr2(intr, sf[x], sf[y], approx), p);
-                }
-                op::FCMP => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let cmp = cmp_from(fld!(w_d) as u8);
-                    let taken = fcmp(cmp, f[x], f[y]);
-                    i[fld!(w_a)] = taken as i64;
-                    diverge_fcmp!(cmp, x, y, taken);
-                }
-                op::FLOAD => {
-                    let arr = fld!(w_b);
-                    let index = i[fld!(w_c)];
-                    let prim = match &a[arr] {
-                        ArraySlot::F(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
+            put!(fld!(w_a), prim, $shadow, $pend + local);
+        }};
+    }
+    // Binary `ShadowNum` method `$op` (evaluated in `f64` on the primal
+    // side) on primal operands `$pa`/`$pb` and shadow operands `$sa`/`$sb`,
+    // rounded to `$ty` when given.
+    macro_rules! bin {
+        ($op:ident, $pa:expr, $pb:expr, $sa:expr, $sb:expr, $pend:expr $(, $ty:expr)?) => {{
+            let (pa, pb): (f64, f64) = ($pa, $pb);
+            let prim = <f64 as ShadowNum>::$op(pa, pb);
+            $(let prim = round_to(prim, $ty);)?
+            arith!(
+                prim,
+                S::$op(S::from_f64(pa), S::from_f64(pb)),
+                S::$op($sa, $sb),
+                $pend
+            );
+        }};
+    }
+    // `$op` on registers `w_b` and `w_c`.
+    macro_rules! rr {
+        ($op:ident $(, $ty:expr)?) => {{
+            let (x, y) = (fld!(w_b), fld!(w_c));
+            bin!($op, fr!(x), fr!(y), sf[x], sf[y], pend[x] + pend[y] $(, $ty)?);
+        }};
+    }
+    // `$op` on register `w_b` and pool constant `w_c`; `rev` swaps them.
+    macro_rules! rk {
+        ($op:ident) => {{
+            let (x, k) = (fld!(w_b), f64::from_bits(pool!(fld!(w_c))));
+            bin!($op, fr!(x), k, sf[x], S::from_f64(k), pend[x]);
+        }};
+        (rev $op:ident) => {{
+            let (x, k) = (fld!(w_b), f64::from_bits(pool!(fld!(w_c))));
+            bin!($op, k, fr!(x), S::from_f64(k), sf[x], pend[x]);
+        }};
+    }
+    // Divergence checks (shadow lane, when enabled): re-decide a float
+    // compare / float→int truncation on the shadow operands and record a
+    // split when the decision differs, charged once to each distinct
+    // named operand (`$vx`/`$vy` are `fvar_of` entries, 0 = none).
+    // `at_instr` is the 1-based count of the current instruction: the
+    // closed blocks plus this block so far.
+    macro_rules! diverge {
+        ($kind:expr, $vx:expr, $vy:expr) => {{
+            *div_count += 1;
+            let (vx, vy): (u32, u32) = ($vx, $vy);
+            if vx != 0 {
+                var_div[(vx - 1) as usize] += 1;
+            }
+            if vy != 0 && vy != vx {
+                var_div[(vy - 1) as usize] += 1;
+            }
+            if divs.len() < MAX_DIVERGENCE_POINTS {
+                divs.push(DivergencePoint {
+                    pc,
+                    at_instr: executed + (pc - block_start + 1) as u64,
+                    kind: $kind,
+                });
+            }
+        }};
+    }
+    macro_rules! diverge_fcmp {
+        ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
+            if S::ACTIVE && check_div {
+                let (xi, yi) = ($x, $y);
+                let would = S::cmp($op, sf[xi], sf[yi]);
+                if would != $taken {
+                    let kind = DivergenceKind::FCmp {
+                        op: $op,
+                        primal: (fr!(xi), fr!(yi)),
+                        shadow: (sf[xi].to_f64(), sf[yi].to_f64()),
+                        taken: $taken,
+                        would_take: would,
                     };
-                    let sh = sa[arr]
-                        .get(index as usize)
-                        .copied()
-                        .unwrap_or(S::from_f64(prim));
-                    put!(fld!(w_a), prim, sh, 0.0);
+                    diverge!(kind, fvar_of[xi], fvar_of[yi]);
                 }
-                op::FSTORE => {
-                    let arr = fld!(w_a);
-                    let index = i[fld!(w_b)];
-                    let src = fld!(w_c);
-                    let v = f[src];
-                    match &mut a[arr] {
-                        ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                    if let Some(slot) = sa[arr].get_mut(index as usize) {
-                        *slot = sf[src];
-                    }
-                    let var = avar_of[arr];
-                    if var != 0 {
-                        var_err[(var - 1) as usize] += pend[src];
-                    }
-                    pend[src] = 0.0;
+            }
+        }};
+    }
+    macro_rules! diverge_f2i {
+        ($x:expr, $primal_int:expr) => {{
+            if S::ACTIVE && check_div {
+                let xi = $x;
+                let si = S::trunc_i64(sf[xi]);
+                if si != $primal_int {
+                    let kind = DivergenceKind::F2I {
+                        primal: fr!(xi),
+                        shadow: sf[xi].to_f64(),
+                        primal_int: $primal_int,
+                        shadow_int: si,
+                    };
+                    diverge!(kind, fvar_of[xi], 0);
                 }
-                op::F2I => {
-                    let x = fld!(w_b);
-                    let trunc = f[x] as i64;
-                    i[fld!(w_a)] = trunc;
-                    diverge_f2i!(x, trunc);
+            }
+        }};
+    }
+    macro_rules! fload {
+        ($index:expr) => {{
+            let (arr, index) = (fld!(w_b), $index);
+            let prim = *elem!(F, arr, index);
+            put!(
+                fld!(w_a),
+                prim,
+                sa[arr]
+                    .get(index as usize)
+                    .copied()
+                    .unwrap_or(S::from_f64(prim)),
+                0.0
+            );
+        }};
+    }
+    macro_rules! fstore {
+        ($index:expr) => {{
+            let (arr, index, src) = (fld!(w_a), $index, fld!(w_c));
+            *elem!(F, arr, index) = fr!(src);
+            if S::ACTIVE {
+                if let Some(slot) = sa[arr].get_mut(index as usize) {
+                    *slot = sf[src];
                 }
-                op::I2F => {
-                    let v = i[fld!(w_b)] as f64;
-                    put!(fld!(w_a), v, S::from_f64(v), 0.0);
+                let var = avar_of[arr];
+                if var != 0 {
+                    var_err[(var - 1) as usize] += pend[src];
                 }
+                pend[src] = 0.0;
+            }
+        }};
+    }
+    // Allocates a zeroed `$kind` array of length `w_b` into `w_a`,
+    // reclaiming a stale buffer's capacity; evaluates to the length.
+    macro_rules! alloc {
+        ($kind:ident, $stale:ident, $zero:expr) => {{
+            let n = ir!(fld!(w_b));
+            if n < 0 {
+                return Err(trap(TrapKind::NegativeArrayLen(n), pc));
+            }
+            stats.local_array_bytes += n as usize * 8;
+            let slot = aslot!(fld!(w_a));
+            match slot {
+                ArraySlot::$kind(v) | ArraySlot::$stale(v) => {
+                    v.clear();
+                    v.resize(n as usize, $zero);
+                    let buf = std::mem::take(v);
+                    *slot = ArraySlot::$kind(buf);
+                }
+                other => *other = ArraySlot::$kind(vec![$zero; n as usize]),
+            }
+            n as usize
+        }};
+    }
 
-                op::ICONST => i[fld!(w_a)] = fld!(w_b_i16),
-                op::ICONSTP => i[fld!(w_a)] = pool[fld!(w_b)] as i64,
-                op::IMOV => i[fld!(w_a)] = i[fld!(w_b)],
-                op::IADD => i[fld!(w_a)] = i[fld!(w_b)].wrapping_add(i[fld!(w_c)]),
-                op::ISUB => i[fld!(w_a)] = i[fld!(w_b)].wrapping_sub(i[fld!(w_c)]),
-                op::IMUL => i[fld!(w_a)] = i[fld!(w_b)].wrapping_mul(i[fld!(w_c)]),
-                op::IDIV => {
-                    let d = i[fld!(w_c)];
-                    if d == 0 {
-                        return Err(trap(TrapKind::DivByZero, pc));
-                    }
-                    i[fld!(w_a)] = i[fld!(w_b)].wrapping_div(d);
+    let ret: Option<Value> = loop {
+        if pc >= len {
+            executed += (pc - block_start) as u64;
+            break None; // fall off the end: treated like RetVoid
+        }
+        // Per-pc profiling stays per-iteration even though `executed` is
+        // block-granular: one increment per dispatched word sums to the
+        // same total the block accounting reports.
+        if PROFILE {
+            prof[pc] += 1;
+        }
+        match fld!(w_op) {
+            op::FCONST => {
+                let v = f64::from_bits(pool!(fld!(w_b)));
+                put!(fld!(w_a), v, S::from_f64(v), 0.0);
+            }
+            op::FMOV => {
+                let s = fld!(w_b);
+                put!(fld!(w_a), fr!(s), sf[s], pend[s]);
+            }
+            op::FADD => rr!(add),
+            op::FSUB => rr!(sub),
+            op::FMUL => rr!(mul),
+            op::FDIV => rr!(div),
+            op::FNEG => {
+                let s = fld!(w_b);
+                put!(fld!(w_a), -fr!(s), S::neg(sf[s]), pend[s]);
+            }
+            op::FROUND => {
+                let s = fld!(w_b);
+                let v = fr!(s);
+                let prim = round_to(v, ty_from(fld!(w_d) as u8));
+                let local = (v - prim).abs();
+                if S::ACTIVE {
+                    sample!(local);
                 }
-                op::IREM => {
-                    let d = i[fld!(w_c)];
-                    if d == 0 {
-                        return Err(trap(TrapKind::DivByZero, pc));
-                    }
-                    i[fld!(w_a)] = i[fld!(w_b)].wrapping_rem(d);
-                }
-                op::INEG => i[fld!(w_a)] = i[fld!(w_b)].wrapping_neg(),
-                op::ICMP => {
-                    i[fld!(w_a)] =
-                        icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_b)], i[fld!(w_c)]) as i64;
-                }
-                op::ILOAD => {
-                    let index = i[fld!(w_c)];
-                    match &a[fld!(w_b)] {
-                        ArraySlot::I(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => i[fld!(w_a)] = x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                }
-                op::ISTORE => {
-                    let index = i[fld!(w_b)];
-                    let v = i[fld!(w_c)];
-                    match &mut a[fld!(w_a)] {
-                        ArraySlot::I(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                }
-                op::BNOT => i[fld!(w_a)] = (i[fld!(w_b)] == 0) as i64,
+                put!(fld!(w_a), prim, sf[s], pend[s] + local);
+            }
+            op::FINTR1 => {
+                let (x, intr) = (fld!(w_b), intrinsic!(fld!(w_d)));
+                let pa = fr!(x);
+                arith!(
+                    eval1(intr, pa, approx),
+                    S::intr1(intr, S::from_f64(pa), approx),
+                    S::intr1(intr, sf[x], approx),
+                    pend[x]
+                );
+            }
+            op::FINTR2 => {
+                let (x, y, intr) = (fld!(w_b), fld!(w_c), intrinsic!(fld!(w_d)));
+                let (pa, pb) = (fr!(x), fr!(y));
+                arith!(
+                    eval2(intr, pa, pb, approx),
+                    S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
+                    S::intr2(intr, sf[x], sf[y], approx),
+                    pend[x] + pend[y]
+                );
+            }
+            op::FCMP => {
+                let (x, y, cmp) = (fld!(w_b), fld!(w_c), cmp_from(fld!(w_d) as u8));
+                let taken = fcmp(cmp, fr!(x), fr!(y));
+                iw!(fld!(w_a), taken as i64);
+                diverge_fcmp!(cmp, x, y, taken);
+            }
+            op::FLOAD => fload!(ir!(fld!(w_c))),
+            op::FSTORE => fstore!(ir!(fld!(w_b))),
+            op::F2I => {
+                let x = fld!(w_b);
+                let trunc = fr!(x) as i64;
+                iw!(fld!(w_a), trunc);
+                diverge_f2i!(x, trunc);
+            }
+            op::I2F => {
+                let v = ir!(fld!(w_b)) as f64;
+                put!(fld!(w_a), v, S::from_f64(v), 0.0);
+            }
 
-                op::JMP => jump!(fld!(w_c)),
-                op::JMPF => {
-                    if i[fld!(w_a)] == 0 {
-                        jump!(fld!(w_c));
-                    }
+            op::ICONST => iw!(fld!(w_a), fld!(w_b_i16)),
+            op::ICONSTP => iw!(fld!(w_a), pool!(fld!(w_b)) as i64),
+            op::IMOV => iw!(fld!(w_a), ir!(fld!(w_b))),
+            op::IADD => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(ir!(fld!(w_c)))),
+            op::ISUB => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_sub(ir!(fld!(w_c)))),
+            op::IMUL => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_mul(ir!(fld!(w_c)))),
+            op::IDIV => {
+                let d = ir!(fld!(w_c));
+                if d == 0 {
+                    return Err(trap(TrapKind::DivByZero, pc));
                 }
-                op::JMPT => {
-                    if i[fld!(w_a)] != 0 {
-                        jump!(fld!(w_c));
-                    }
+                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_div(d));
+            }
+            op::IREM => {
+                let d = ir!(fld!(w_c));
+                if d == 0 {
+                    return Err(trap(TrapKind::DivByZero, pc));
                 }
+                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_rem(d));
+            }
+            op::INEG => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_neg()),
+            op::ICMP => iw!(
+                fld!(w_a),
+                icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_b)), ir!(fld!(w_c))) as i64
+            ),
+            op::ILOAD => {
+                let x = *elem!(I, fld!(w_b), ir!(fld!(w_c)));
+                iw!(fld!(w_a), x);
+            }
+            op::ISTORE => {
+                let v = ir!(fld!(w_c));
+                *elem!(I, fld!(w_a), ir!(fld!(w_b))) = v;
+            }
+            op::BNOT => iw!(fld!(w_a), (ir!(fld!(w_b)) == 0) as i64),
 
-                op::TPUSHF => {
-                    let s = fld!(w_a);
-                    if let Err(e) = tape.push_f(f[s]) {
-                        return Err(trap(TrapKind::Tape(e), pc));
-                    }
+            op::JMP => jump!(fld!(w_c)),
+            op::JMPF => {
+                if ir!(fld!(w_a)) == 0 {
+                    jump!(fld!(w_c));
+                }
+            }
+            op::JMPT => {
+                if ir!(fld!(w_a)) != 0 {
+                    jump!(fld!(w_c));
+                }
+            }
+
+            op::TPUSHF => {
+                let s = fld!(w_a);
+                if let Err(e) = tape.push_f(fr!(s)) {
+                    return Err(trap(TrapKind::Tape(e), pc));
+                }
+                if S::ACTIVE {
                     stape.push(sf[s]);
                 }
-                op::TPOPF => match tape.pop_f() {
-                    Ok(v) => {
-                        let sh = stape.pop().unwrap_or(S::from_f64(v));
-                        put!(fld!(w_a), v, sh, 0.0);
-                    }
-                    Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-                },
-                op::TPUSHI => {
-                    if let Err(e) = tape.push_i(i[fld!(w_a)]) {
-                        return Err(trap(TrapKind::Tape(e), pc));
-                    }
+            }
+            op::TPOPF => match tape.pop_f() {
+                Ok(v) => put!(fld!(w_a), v, stape.pop().unwrap_or(S::from_f64(v)), 0.0),
+                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
+            },
+            op::TPUSHI => {
+                if let Err(e) = tape.push_i(ir!(fld!(w_a))) {
+                    return Err(trap(TrapKind::Tape(e), pc));
                 }
-                op::TPOPI => match tape.pop_i() {
-                    Ok(v) => i[fld!(w_a)] = v,
-                    Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-                },
+            }
+            op::TPOPI => match tape.pop_i() {
+                Ok(v) => iw!(fld!(w_a), v),
+                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
+            },
 
-                op::ALLOCF => {
-                    let arr = fld!(w_a);
-                    let n = i[fld!(w_b)];
-                    if n < 0 {
-                        return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                    }
-                    stats.local_array_bytes += n as usize * 8;
-                    let slot = &mut a[arr];
-                    match slot {
-                        ArraySlot::F(v) | ArraySlot::StaleF(v) => {
-                            v.clear();
-                            v.resize(n as usize, 0.0);
-                            let buf = std::mem::take(v);
-                            *slot = ArraySlot::F(buf);
-                        }
-                        other => *other = ArraySlot::F(vec![0.0; n as usize]),
-                    }
-                    let shadow = &mut sa[arr];
+            op::ALLOCF => {
+                let n = alloc!(F, StaleF, 0.0);
+                if S::ACTIVE {
+                    let shadow = &mut sa[fld!(w_a)];
                     shadow.clear();
-                    shadow.resize(n as usize, S::from_f64(0.0));
+                    shadow.resize(n, S::from_f64(0.0));
                 }
-                op::ALLOCI => {
-                    let arr = fld!(w_a);
-                    let n = i[fld!(w_b)];
-                    if n < 0 {
-                        return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                    }
-                    stats.local_array_bytes += n as usize * 8;
-                    let slot = &mut a[arr];
-                    match slot {
-                        ArraySlot::I(v) | ArraySlot::StaleI(v) => {
-                            v.clear();
-                            v.resize(n as usize, 0);
-                            let buf = std::mem::take(v);
-                            *slot = ArraySlot::I(buf);
-                        }
-                        other => *other = ArraySlot::I(vec![0; n as usize]),
-                    }
-                    sa[arr].clear();
+            }
+            op::ALLOCI => {
+                alloc!(I, StaleI, 0);
+                if S::ACTIVE {
+                    sa[fld!(w_a)].clear();
                 }
+            }
 
-                op::FMULADD => {
-                    let (x, y, c) = (fld!(w_b), fld!(w_c), fld!(w_d));
-                    let (pa, pb, pcv) = (f[x], f[y], f[c]);
-                    let prim = pa * pb + pcv;
-                    let local = S::sub(
-                        S::add(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(pcv)),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + pend[c] + local;
-                    put!(fld!(w_a), prim, S::add(S::mul(sf[x], sf[y]), sf[c]), p);
+            op::FMULADD => {
+                // Two separate roundings, exactly like the unfused pair.
+                let (x, y, c) = (fld!(w_b), fld!(w_c), fld!(w_d));
+                let (pa, pb, pcv) = (fr!(x), fr!(y), fr!(c));
+                arith!(
+                    pa * pb + pcv,
+                    S::add(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(pcv)),
+                    S::add(S::mul(sf[x], sf[y]), sf[c]),
+                    pend[x] + pend[y] + pend[c]
+                );
+            }
+            op::FADDROUND => rr!(add, ty_from(fld!(w_d) as u8)),
+            op::FSUBROUND => rr!(sub, ty_from(fld!(w_d) as u8)),
+            op::FMULROUND => rr!(mul, ty_from(fld!(w_d) as u8)),
+            op::FDIVROUND => rr!(div, ty_from(fld!(w_d) as u8)),
+            op::FINTR1ROUND => {
+                let (x, d) = (fld!(w_b), fld!(w_d));
+                let intr = intrinsic!(d & 63);
+                let pa = fr!(x);
+                arith!(
+                    round_to(eval1(intr, pa, approx), ty_from((d >> 6) as u8)),
+                    S::intr1(intr, S::from_f64(pa), approx),
+                    S::intr1(intr, sf[x], approx),
+                    pend[x]
+                );
+            }
+            op::FINTR2ROUND => {
+                let (x, y, d) = (fld!(w_b), fld!(w_c), fld!(w_d));
+                let intr = intrinsic!(d & 63);
+                let (pa, pb) = (fr!(x), fr!(y));
+                arith!(
+                    round_to(eval2(intr, pa, pb, approx), ty_from((d >> 6) as u8)),
+                    S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
+                    S::intr2(intr, sf[x], sf[y], approx),
+                    pend[x] + pend[y]
+                );
+            }
+            op::FLOADOFF => fload!(ir!(fld!(w_c)).wrapping_add(fld!(w_d_i8))),
+            op::FSTOREOFF => fstore!(ir!(fld!(w_b)).wrapping_add(fld!(w_d_i8))),
+            op::IADDIMM => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(fld!(w_c_i16))),
+            op::IADDIMMP => iw!(
+                fld!(w_a),
+                ir!(fld!(w_b)).wrapping_add(pool!(fld!(w_c)) as i64)
+            ),
+            op::FCJF => {
+                let (x, y, cmp) = (fld!(w_a), fld!(w_b), cmp_from(fld!(w_d) as u8));
+                let taken = fcmp(cmp, fr!(x), fr!(y));
+                diverge_fcmp!(cmp, x, y, taken);
+                if !taken {
+                    jump!(fld!(w_c));
                 }
-                op::FADDROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa + pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::add(sf[x], sf[y]), p);
+            }
+            op::FCJT => {
+                let (x, y, cmp) = (fld!(w_a), fld!(w_b), cmp_from(fld!(w_d) as u8));
+                let taken = fcmp(cmp, fr!(x), fr!(y));
+                diverge_fcmp!(cmp, x, y, taken);
+                if taken {
+                    jump!(fld!(w_c));
                 }
-                op::FSUBROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa - pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::sub(sf[x], sf[y]), p);
+            }
+            op::ICJF => {
+                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
+                    jump!(fld!(w_c));
                 }
-                op::FMULROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa * pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::mul(sf[x], sf[y]), p);
+            }
+            op::ICJT => {
+                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
+                    jump!(fld!(w_c));
                 }
-                op::FDIVROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(pa / pb, ty_from(fld!(w_d) as u8));
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(pb)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::div(sf[x], sf[y]), p);
-                }
-                op::FINTR1ROUND => {
-                    let x = fld!(w_b);
-                    let d = fld!(w_d);
-                    let intr = INTRINSICS[d & 63];
-                    let pa = f[x];
-                    let prim = round_to(eval1(intr, pa, approx), ty_from((d >> 6) as u8));
-                    let local = S::sub(S::intr1(intr, S::from_f64(pa), approx), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::intr1(intr, sf[x], approx),
-                        pend[x] + local
-                    );
-                }
-                op::FINTR2ROUND => {
-                    let (x, y) = (fld!(w_b), fld!(w_c));
-                    let d = fld!(w_d);
-                    let intr = INTRINSICS[d & 63];
-                    let (pa, pb) = (f[x], f[y]);
-                    let prim = round_to(eval2(intr, pa, pb, approx), ty_from((d >> 6) as u8));
-                    let local = S::sub(
-                        S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
-                        S::from_f64(prim),
-                    )
-                    .to_f64()
-                    .abs();
-                    sample!(local);
-                    let p = pend[x] + pend[y] + local;
-                    put!(fld!(w_a), prim, S::intr2(intr, sf[x], sf[y], approx), p);
-                }
-                op::FLOADOFF => {
-                    let arr = fld!(w_b);
-                    let index = i[fld!(w_c)].wrapping_add(fld!(w_d_i8));
-                    let prim = match &a[arr] {
-                        ArraySlot::F(v) => match v.get(index as usize) {
-                            Some(&x) if index >= 0 => x,
-                            _ => {
-                                let len = v.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    };
-                    let sh = sa[arr]
-                        .get(index as usize)
-                        .copied()
-                        .unwrap_or(S::from_f64(prim));
-                    put!(fld!(w_a), prim, sh, 0.0);
-                }
-                op::FSTOREOFF => {
-                    let arr = fld!(w_a);
-                    let index = i[fld!(w_b)].wrapping_add(fld!(w_d_i8));
-                    let src = fld!(w_c);
-                    let v = f[src];
-                    match &mut a[arr] {
-                        ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                            Some(slot) if index >= 0 => *slot = v,
-                            _ => {
-                                let len = vec.len();
-                                return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                            }
-                        },
-                        _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                    }
-                    if let Some(slot) = sa[arr].get_mut(index as usize) {
-                        *slot = sf[src];
-                    }
-                    let var = avar_of[arr];
-                    if var != 0 {
-                        var_err[(var - 1) as usize] += pend[src];
-                    }
-                    pend[src] = 0.0;
-                }
-                op::IADDIMM => i[fld!(w_a)] = i[fld!(w_b)].wrapping_add(fld!(w_c_i16)),
-                op::IADDIMMP => i[fld!(w_a)] = i[fld!(w_b)].wrapping_add(pool[fld!(w_c)] as i64),
-                op::FCJF => {
-                    let (x, y) = (fld!(w_a), fld!(w_b));
-                    let cmp = cmp_from(fld!(w_d) as u8);
-                    let taken = fcmp(cmp, f[x], f[y]);
-                    diverge_fcmp!(cmp, x, y, taken);
-                    if !taken {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::FCJT => {
-                    let (x, y) = (fld!(w_a), fld!(w_b));
-                    let cmp = cmp_from(fld!(w_d) as u8);
-                    let taken = fcmp(cmp, f[x], f[y]);
-                    diverge_fcmp!(cmp, x, y, taken);
-                    if taken {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::ICJF => {
-                    if !icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], i[fld!(w_b)]) {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::ICJT => {
-                    if icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], i[fld!(w_b)]) {
-                        jump!(fld!(w_c));
-                    }
-                }
+            }
 
-                op::FADDC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa + k;
-                    let local = S::sub(S::add(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::add(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
+            op::FADDC => rk!(add),
+            op::FSUBC => rk!(sub),
+            op::FSUBCR => rk!(rev sub),
+            op::FMULC => rk!(mul),
+            op::FDIVC => rk!(div),
+            op::FDIVCR => rk!(rev div),
+            op::ICJFI => {
+                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
+                    jump!(fld!(w_c));
                 }
-                op::FSUBC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa - k;
-                    let local = S::sub(S::sub(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::sub(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
+            }
+            op::ICJTI => {
+                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
+                    jump!(fld!(w_c));
                 }
-                op::FSUBCR => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = k - pa;
-                    let local = S::sub(S::sub(S::from_f64(k), S::from_f64(pa)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::sub(S::from_f64(k), sf[x]),
-                        pend[x] + local
-                    );
+            }
+            op::RETF => {
+                let src = fld!(w_a);
+                let v = fr!(src);
+                let rounded = match func.ret {
+                    RetKind::F(ft) => round_to(v, ft),
+                    _ => v,
+                };
+                if trap_nf && !rounded.is_finite() {
+                    return Err(nonfinite_trap(func, src, rounded, pc));
                 }
-                op::FMULC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa * k;
-                    let local = S::sub(S::mul(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::mul(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
-                }
-                op::FDIVC => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = pa / k;
-                    let local = S::sub(S::div(S::from_f64(pa), S::from_f64(k)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::div(sf[x], S::from_f64(k)),
-                        pend[x] + local
-                    );
-                }
-                op::FDIVCR => {
-                    let x = fld!(w_b);
-                    let k = f64::from_bits(pool[fld!(w_c)]);
-                    let pa = f[x];
-                    let prim = k / pa;
-                    let local = S::sub(S::div(S::from_f64(k), S::from_f64(pa)), S::from_f64(prim))
-                        .to_f64()
-                        .abs();
-                    sample!(local);
-                    put!(
-                        fld!(w_a),
-                        prim,
-                        S::div(S::from_f64(k), sf[x]),
-                        pend[x] + local
-                    );
-                }
-                op::ICJFI => {
-                    if !icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], fld!(w_b_i16)) {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::ICJTI => {
-                    if icmp(cmp_from(fld!(w_d) as u8), i[fld!(w_a)], fld!(w_b_i16)) {
-                        jump!(fld!(w_c));
-                    }
-                }
-                op::RETF => {
-                    let src = fld!(w_a);
-                    let v = f[src];
-                    let rounded = match func.ret {
-                        RetKind::F(ft) => round_to(v, ft),
-                        _ => v,
-                    };
-                    if trap_nf && !rounded.is_finite() {
-                        return Err(crate::vm::nonfinite_trap(func, src, rounded, pc));
-                    }
+                if S::ACTIVE {
                     sample!((v - rounded).abs());
-                    let oerr = S::sub(sf[src], S::from_f64(rounded)).to_f64().abs();
-                    break (Some(Value::F(rounded)), Some(sf[src].to_f64()), Some(oerr));
+                    *shadow_ret = Some(sf[src].to_f64());
+                    *ret_error = Some(S::sub(sf[src], S::from_f64(rounded)).to_f64().abs());
                 }
-                op::RETI => break (Some(Value::I(i[fld!(w_a)])), None, None),
-                op::RETB => break (Some(Value::B(i[fld!(w_a)] != 0)), None, None),
-                op::RETVOID => break (None, None, None),
-                op::TRAPMISSING => return Err(trap(TrapKind::MissingReturn, pc)),
-                _ => {
-                    return Err(trap(
-                        TrapKind::InvalidBytecode(format!("unknown packed opcode {}", fld!(w_op))),
-                        pc,
-                    ))
-                }
+                ret!(Some(Value::F(rounded)));
             }
-            pc += 1;
-        };
-        stats.instrs_executed = executed;
-        if executed > budget {
-            return Err(trap(
-                TrapKind::InstrBudgetExhausted { executed },
-                pc.min(len.saturating_sub(1)),
-            ));
-        }
-        Ok(ret)
-    }
-}
-
-fn charge_entry(err: f64, var: u32, var_err: &mut [f64], acc: &mut f64, nonfinite: &mut u64) {
-    if err > 0.0 {
-        if err.is_finite() {
-            *acc += err;
-            if var != 0 {
-                var_err[(var - 1) as usize] += err;
+            op::RETI => ret!(Some(Value::I(ir!(fld!(w_a))))),
+            op::RETB => ret!(Some(Value::B(ir!(fld!(w_a)) != 0))),
+            op::RETVOID => ret!(None),
+            op::TRAPMISSING => return Err(trap(TrapKind::MissingReturn, pc)),
+            // Unreachable for validated functions; kept safe anyway.
+            _ => {
+                return Err(trap(
+                    TrapKind::InvalidBytecode(format!("unknown packed opcode {}", fld!(w_op))),
+                    pc,
+                ))
             }
-        } else {
-            *nonfinite += 1;
         }
-    } else if err.is_nan() {
-        *nonfinite += 1;
+        pc += 1;
+    };
+    stats.instrs_executed = executed;
+    // Returns are the other budget checkpoint (backward jumps are the
+    // first): a run never reports success past the budget.
+    if executed > budget {
+        return Err(trap(
+            TrapKind::InstrBudgetExhausted { executed },
+            pc.min(len.saturating_sub(1)),
+        ));
     }
+    Ok(ret)
 }
 
 /// Runs one fused shadow call through a fresh machine (convenience entry
@@ -1374,11 +1267,7 @@ pub fn run_shadow_batch_parallel<S: ShadowNum>(
     max_threads: Option<usize>,
 ) -> Vec<Result<ShadowOutcome, Trap>> {
     if let Err(msg) = validate_function(func) {
-        let trap = Trap {
-            kind: TrapKind::InvalidBytecode(msg),
-            pc: 0,
-            span: Span::DUMMY,
-        };
+        let trap = invalid_bytecode(msg);
         return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
     }
     crate::par::parallel_map_init(arg_sets, max_threads, ShadowMachine::<S>::new, |m, args| {
@@ -1398,11 +1287,7 @@ pub fn run_shadow_batch_parallel_in<S: ShadowNum>(
     arena: &crate::arena::ShadowMachineArena<S>,
 ) -> Vec<Result<ShadowOutcome, Trap>> {
     if let Err(msg) = validate_function(func) {
-        let trap = Trap {
-            kind: TrapKind::InvalidBytecode(msg),
-            pc: 0,
-            span: Span::DUMMY,
-        };
+        let trap = invalid_bytecode(msg);
         return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
     }
     // Same worker/run span pairing as `vm::run_batch_parallel_in`.
@@ -1421,6 +1306,7 @@ pub fn run_shadow_batch_parallel_in<S: ShadowNum>(
 mod tests {
     use super::*;
     use crate::compile::{compile, compile_default, CompileOptions, PrecisionMap};
+    use crate::tape::TapeError;
     use crate::vm::run;
     use chef_ir::ast::VarId;
     use chef_ir::parser::parse_program;
@@ -1438,6 +1324,19 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// Picks the value pinned for the stream `CompileOptions::default()`
+    /// compiles: full pipeline, CFG tier off, fusion off, or both off
+    /// (`CHEF_EXEC_CFG=0` / `CHEF_EXEC_FUSE=0` change instruction counts).
+    fn per_pipeline<T>(full: T, no_cfg: T, no_fuse: T, neither: T) -> T {
+        let o = CompileOptions::default();
+        match (o.fuse, o.cfg) {
+            (true, true) => full,
+            (true, false) => no_cfg,
+            (false, true) => no_fuse,
+            (false, false) => neither,
+        }
     }
 
     #[test]
@@ -1637,6 +1536,12 @@ mod tests {
         assert!(out.diverged());
         assert_eq!(out.divergence_count, 1, "{:?}", out.divergence);
         let p = &out.divergence[0];
+        // Pinned: the compare's pc and its 1-based position in the run.
+        assert_eq!(
+            (p.pc, p.at_instr),
+            per_pipeline((9, 407), (9, 407), (15, 711), (15, 810)),
+            "{p:?}"
+        );
         match p.kind {
             DivergenceKind::FCmp {
                 op,
@@ -1685,6 +1590,11 @@ mod tests {
             .iter()
             .find(|p| matches!(p.kind, DivergenceKind::F2I { .. }))
             .expect("F2I divergence point");
+        assert_eq!(
+            (p.pc, p.at_instr),
+            per_pipeline((2, 3), (2, 3), (3, 4), (3, 4)),
+            "{p:?}"
+        );
         match p.kind {
             DivergenceKind::F2I {
                 primal_int,
@@ -1749,32 +1659,131 @@ mod tests {
         assert_eq!(on.acc_error.to_bits(), off.acc_error.to_bits());
     }
 
+    /// Runs one failing call through `Machine` and `ShadowMachine<f64>`
+    /// and requires the whole trap — kind, pc and span — to agree.
+    fn same_trap(func: &CompiledFunction, args: Vec<ArgValue>, opts: &ExecOptions) -> Trap {
+        let plain = Machine::new()
+            .run_reused(func, args.clone(), opts)
+            .unwrap_err();
+        let shadow = ShadowMachine::<f64>::new()
+            .run_reused(func, args, opts)
+            .unwrap_err();
+        assert_eq!(plain, shadow);
+        plain
+    }
+
+    /// A hand-built, packed function with one span per instruction.
+    fn hand_packed(instrs: Vec<Instr>, n_fregs: u32, ret: RetKind) -> CompiledFunction {
+        let f = CompiledFunction {
+            name: "hand".into(),
+            spans: (0..instrs.len() as u32)
+                .map(|k| Span::new(10 * k, 10 * k + 5))
+                .collect(),
+            instrs,
+            n_fregs,
+            n_iregs: 0,
+            n_aregs: 0,
+            params: vec![],
+            ret,
+            fvar_names: vec![],
+            avar_names: vec![],
+            packed: None,
+        };
+        CompiledFunction {
+            packed: crate::pack::pack_function(&f),
+            ..f
+        }
+    }
+
     #[test]
     fn traps_mirror_the_plain_vm() {
-        let mut p = parse_program("double f(double a[]) { return a[5]; }").unwrap();
-        check_program(&mut p).unwrap();
-        let func = compile_default(&p.functions[0]).unwrap();
-        let err = run_shadow::<f64>(
-            &func,
+        let src = |s: &str| compiled(s, PrecisionMap::empty());
+        let d = ExecOptions::default();
+        let t = same_trap(
+            &src("double f(double a[]) { return a[5]; }"),
             vec![ArgValue::FArr(vec![1.0, 2.0])],
-            &ExecOptions::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, TrapKind::OobIndex { idx: 5, len: 2 });
+            &d,
+        );
+        assert_eq!(t.kind, TrapKind::OobIndex { idx: 5, len: 2 });
+        let t = same_trap(
+            &src("int f(int x) { return 7 / x; }"),
+            vec![ArgValue::I(0)],
+            &d,
+        );
+        assert_eq!(t.kind, TrapKind::DivByZero);
+        let t = same_trap(
+            &src("void f(int n) { double r[n]; r[0] = 1.0; }"),
+            vec![ArgValue::I(-3)],
+            &d,
+        );
+        assert_eq!(t.kind, TrapKind::NegativeArrayLen(-3));
+        let t = same_trap(
+            &src("double f(double x) { x = x + 1.0; }"),
+            vec![ArgValue::F(0.0)],
+            &d,
+        );
+        assert_eq!(t.kind, TrapKind::MissingReturn);
 
-        let mut p = parse_program("void f() { while (true) { } }").unwrap();
-        check_program(&mut p).unwrap();
-        let func = compile_default(&p.functions[0]).unwrap();
-        let opts = ExecOptions {
+        let budget = ExecOptions {
             max_instrs: Some(1000),
             ..Default::default()
         };
-        let err = run_shadow::<f64>(&func, vec![], &opts).unwrap_err();
-        assert!(
-            matches!(err.kind, TrapKind::InstrBudgetExhausted { executed } if executed > 1000),
-            "{:?}",
-            err.kind
+        let t = same_trap(&src("void f() { while (true) { } }"), vec![], &budget);
+        let executed = per_pipeline(1001, 1002, 1001, 1002);
+        assert_eq!(t.kind, TrapKind::InstrBudgetExhausted { executed });
+
+        let underflow = hand_packed(
+            vec![Instr::TPopF { dst: FReg(0) }, Instr::RetVoid],
+            1,
+            RetKind::Void,
         );
+        let t = same_trap(&underflow, vec![], &d);
+        assert_eq!(
+            (t.kind, t.pc, t.span),
+            (TrapKind::Tape(TapeError::Underflow), 0, Span::new(0, 5))
+        );
+
+        // 1e300 is finite until the f32 return rounding.
+        let overflow = hand_packed(
+            vec![
+                Instr::FConst {
+                    dst: FReg(0),
+                    v: 1e300,
+                },
+                Instr::RetF { src: FReg(0) },
+            ],
+            1,
+            RetKind::F(FloatTy::F32),
+        );
+        let nf = ExecOptions {
+            trap_on_nonfinite: true,
+            ..Default::default()
+        };
+        let t = same_trap(&overflow, vec![], &nf);
+        let expected = TrapKind::NonFinite {
+            value: f64::INFINITY,
+            op: "RetF".to_string(),
+            var: None,
+        };
+        assert_eq!((t.kind, t.pc, t.span), (expected, 1, Span::new(10, 15)));
+    }
+
+    #[test]
+    fn shadow_entry_points_reject_malformed_bytecode() {
+        let opts = ExecOptions::default();
+        let arena = crate::arena::ShadowMachineArena::<f64>::new();
+        let rejected = |r: &Result<ShadowOutcome, Trap>| matches!(r, Err(t) if matches!(t.kind, TrapKind::InvalidBytecode(_)));
+        for f in crate::vm::tests::malformed_functions() {
+            let r = ShadowMachine::<f64>::new().run_reused(&f, vec![], &opts);
+            assert!(rejected(&r), "{}: {r:?}", f.name);
+            let batch = vec![vec![], vec![]];
+            for r in run_shadow_batch_parallel::<f64>(&f, batch.clone(), &opts, Some(2)) {
+                assert!(rejected(&r), "{}: {r:?}", f.name);
+            }
+            for r in run_shadow_batch_parallel_in::<f64>(&f, batch, &opts, Some(2), &arena) {
+                assert!(rejected(&r), "{}: {r:?}", f.name);
+            }
+        }
     }
 
     #[test]

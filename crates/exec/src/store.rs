@@ -25,7 +25,7 @@
 //!   `<32-hex-key>.cfn` file per variant, written atomically (unique
 //!   temp file + `sync_all` + rename) and revalidated on load through
 //!   [`crate::vm::validate_function`] before the function can reach the
-//!   unchecked packed dispatch loops. Anything invalid — bad magic,
+//!   unchecked packed dispatch loop. Anything invalid — bad magic,
 //!   wrong version, checksum mismatch, key mismatch, undecodable word,
 //!   failed validation — is quarantined by renaming the entry to
 //!   `<name>.bad` and counted (`cache.disk.corrupt`), and the caller
@@ -640,7 +640,7 @@ impl DiskStore {
     /// file in the same directory, `sync_all`, then rename over the
     /// final name. A crash at any point leaves either no entry, the old
     /// entry, or the complete new entry — never a torn file under a
-    /// `.cfn` name (leftover `*.tmp` files are ignored by [`load`] and
+    /// `.cfn` name (leftover `*.tmp` files are ignored by [`Self::load`] and
     /// overwritten harmlessly). Returns `false` (without touching the
     /// store) for unpackable functions or on any I/O failure.
     pub fn store(&self, key: &ContentKey, func: &CompiledFunction) -> bool {

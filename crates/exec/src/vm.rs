@@ -17,6 +17,12 @@
 //!   [`Machine::run_reused`] calls allocate nothing after warm-up.
 //! * The convenience entry points [`run`]/[`run_with`] dispatch through a
 //!   thread-local cached machine and inherit that reuse transparently.
+//! * There is no dispatch loop here: the plain VM runs the engine's one
+//!   loop, [`crate::shadow`]'s `exec_loop`, instantiated with the
+//!   zero-sized `NoShadow` lane, for which every shadow-side statement
+//!   compiles away. [`Machine`] also owns the one call frame (fault
+//!   draw, argument binding, entry checks, epilogue) that
+//!   [`crate::shadow::ShadowMachine`] reuses.
 //! * Register operands are bounds-validated **once per call**
 //!   ([`validate_function`]) and then accessed unchecked in the dispatch
 //!   loop; array *element* indices remain checked on every access (they
@@ -30,8 +36,9 @@
 //!   machine per thread).
 
 use crate::bytecode::*;
-use crate::intrinsics::{eval1, eval2, ApproxConfig};
+use crate::intrinsics::ApproxConfig;
 use crate::precision::round_to;
+use crate::shadow::{exec_loop, Lane, NoShadow, ShadowNum};
 use crate::tape::{Tape, TapeError};
 use crate::value::{ArgValue, Value};
 use chef_ir::span::Span;
@@ -87,9 +94,10 @@ pub struct ExecOptions {
     /// iteration increments a per-instruction counter, surfaced as
     /// [`CallOutcome::profile`] / `ShadowOutcome::profile`
     /// ([`ExecProfile`]). The flag selects a separately monomorphized
-    /// copy of each dispatch loop (`<const PROFILE: bool>`), so the
-    /// off path's machine code is unchanged — the `telemetry/overhead`
-    /// bench group pins the off-mode ratio at ≤1.02×.
+    /// copy of the dispatch loop (`<const PROFILE: bool>`), so the off
+    /// path's machine code is unchanged — the `repro --smoke` gate holds
+    /// the off-mode ratio to ≤1.02× (the `telemetry/overhead` bench group
+    /// measures both modes).
     pub profile: bool,
 }
 
@@ -118,14 +126,15 @@ impl ExecOptions {
 }
 
 /// Instructions between wall-clock reads when [`ExecOptions::deadline`]
-/// is armed. The dispatch loops compare `executed` against the next
+/// is armed. The dispatch loop compares `executed` against the next
 /// probe point at every taken backward jump (one register compare, the
 /// same checkpoint the instruction budget uses) and only touch
 /// `Instant::now()` when the stride is crossed, so a deadline can be
 /// overshot by at most one stride of work plus one straight-line block.
 pub const DEADLINE_STRIDE: u64 = 8 * 1024;
 
-/// Amortized deadline probe shared by the VM and shadow dispatch loops. Returns
+/// Amortized deadline probe of the dispatch loop (plain and shadow
+/// instantiations alike). Returns
 /// `true` when the armed deadline has passed; otherwise advances `next`
 /// by one stride. Cold: reached at most once per [`DEADLINE_STRIDE`]
 /// executed instructions, and never when no deadline is armed (`next`
@@ -189,8 +198,8 @@ pub enum TrapKind {
     NonFinite {
         /// The offending value (NaN, +Inf or −Inf).
         value: f64,
-        /// Disassembled mnemonic of the producing instruction (or
-        /// `"bind_args"` / `"ret"` for entry rounding and return sites).
+        /// Disassembled mnemonic of the producing instruction — `RetF`
+        /// for a rounded return — or `"bind_args"` for entry rounding.
         op: String,
         /// Name of the variable whose home register was written, when
         /// the destination is a named variable (not a temporary).
@@ -250,8 +259,8 @@ impl ExecStats {
 /// [`ExecOptions::profile`] is set. `pc_counts[pc]` is the number of
 /// dispatch-loop iterations that executed `func.instrs[pc]` (fused
 /// superinstructions count once, like [`ExecStats::instrs_executed`]);
-/// on a successful run the counts sum to exactly `instrs_executed` in
-/// both dispatch loops (VM and shadow).
+/// on a successful run the counts sum to exactly `instrs_executed`, for
+/// plain and shadow runs alike.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecProfile {
     /// Execution count per instruction index, sized `func.instrs.len()`.
@@ -390,7 +399,7 @@ pub fn run_with(
     })
 }
 
-fn invalid_bytecode(msg: String) -> Trap {
+pub(crate) fn invalid_bytecode(msg: String) -> Trap {
     Trap {
         kind: TrapKind::InvalidBytecode(msg),
         pc: 0,
@@ -401,7 +410,7 @@ fn invalid_bytecode(msg: String) -> Trap {
 /// Builds the [`TrapKind::NonFinite`] trap for a non-finite value written
 /// to float register `dst` by the instruction at `pc`. Cold: only reached
 /// when [`ExecOptions::trap_on_nonfinite`] fires, so the mnemonic/name
-/// string work stays off the dispatch loops' hot path.
+/// string work stays off the dispatch loop's hot path.
 #[cold]
 #[inline(never)]
 pub(crate) fn nonfinite_trap(func: &CompiledFunction, dst: usize, value: f64, pc: usize) -> Trap {
@@ -425,11 +434,7 @@ pub(crate) fn nonfinite_trap(func: &CompiledFunction, dst: usize, value: f64, pc
 /// demoted parameter whose entry rounding overflowed (finite `f64` →
 /// `inf` in a narrower type) is attributed to the parameter by name
 /// before the first instruction runs.
-pub(crate) fn check_params_finite(
-    func: &CompiledFunction,
-    f: &[f64],
-    a: &[ArraySlot],
-) -> Result<(), Trap> {
+fn check_params_finite(func: &CompiledFunction, f: &[f64], a: &[ArraySlot]) -> Result<(), Trap> {
     for spec in &func.params {
         let bad = match spec.kind {
             ParamKind::F(_) => {
@@ -468,10 +473,7 @@ pub(crate) fn check_params_finite(
 /// launder into a finite-but-wrong result (NaN comparisons are all
 /// false; `fmin`/`fmax` discard NaN) and evade detection entirely.
 /// Returns the replacement options and the NaN flag.
-pub(crate) fn drawn_fault(
-    func: &CompiledFunction,
-    opts: &ExecOptions,
-) -> (Option<ExecOptions>, bool) {
+fn drawn_fault(func: &CompiledFunction, opts: &ExecOptions) -> (Option<ExecOptions>, bool) {
     let Some(plan) = &opts.fault else {
         return (None, false);
     };
@@ -498,7 +500,7 @@ pub(crate) fn drawn_fault(
 
 /// Poisons the first float parameter register with NaN (the injected-NaN
 /// fault). No-op for functions without float parameters.
-pub(crate) fn inject_nan_param(func: &CompiledFunction, f: &mut [f64]) {
+fn inject_nan_param(func: &CompiledFunction, f: &mut [f64]) {
     if let Some(spec) = func
         .params
         .iter()
@@ -692,15 +694,43 @@ impl Machine {
         args: Vec<ArgValue>,
         opts: &ExecOptions,
     ) -> Result<CallOutcome, Trap> {
+        self.call(&mut Lane::<NoShadow>::new(), func, args, opts)
+    }
+
+    /// The one call frame, shared by the plain VM (`S =`
+    /// [`NoShadow`]) and [`crate::shadow::ShadowMachine`]: fault draw,
+    /// reset, argument binding, NaN injection and the entry finiteness
+    /// check, the profile monomorph choice, then the epilogue (tape
+    /// statistics, argument unbinding, profile harvest). The shadow
+    /// lane's own steps run only when `S::ACTIVE`. `func` must have
+    /// passed [`validate_function`].
+    pub(crate) fn call<S: ShadowNum>(
+        &mut self,
+        lane: &mut Lane<S>,
+        func: &CompiledFunction,
+        args: Vec<ArgValue>,
+        opts: &ExecOptions,
+    ) -> Result<CallOutcome, Trap> {
+        // One draw per call, plain or shadow, so a plan schedules faults
+        // uniformly across both kinds of trial.
         let (fault_opts, inject_nan) = drawn_fault(func, opts);
         let opts = fault_opts.as_ref().unwrap_or(opts);
         self.reset(func, opts);
+        if S::ACTIVE {
+            lane.reset(func, &args);
+        }
         self.bind_args(func, args)?;
         if inject_nan {
+            // Primal side only: the shadow keeps the caller's finite
+            // value, so the measurement itself goes non-finite — the
+            // silent-NaN hazard the fault layer exists to surface.
             inject_nan_param(func, &mut self.f);
         }
         if opts.trap_on_nonfinite {
             check_params_finite(func, &self.f, &self.a)?;
+        }
+        if S::ACTIVE {
+            lane.bind_params(func, &self.f, &self.a);
         }
         // Validation proved `packed` present and word-for-word equal to
         // the enum stream. Profiling selects a separately monomorphized
@@ -709,31 +739,23 @@ impl Machine {
             .packed
             .as_ref()
             .expect("validated functions are packed");
-        let ret = if opts.profile {
-            exec_loop_packed::<true>(
-                func,
-                packed,
-                opts,
-                &mut self.f,
-                &mut self.i,
-                &mut self.a,
-                &mut self.tape,
-                &mut self.stats,
-                &mut self.prof,
-            )?
+        let exec = if opts.profile {
+            exec_loop::<S, true>
         } else {
-            exec_loop_packed::<false>(
-                func,
-                packed,
-                opts,
-                &mut self.f,
-                &mut self.i,
-                &mut self.a,
-                &mut self.tape,
-                &mut self.stats,
-                &mut self.prof,
-            )?
+            exec_loop::<S, false>
         };
+        let ret = exec(
+            func,
+            packed,
+            opts,
+            &mut self.f,
+            &mut self.i,
+            &mut self.a,
+            &mut self.tape,
+            &mut self.stats,
+            &mut self.prof,
+            lane,
+        )?;
         self.stats.tape_peak_bytes = self.tape.peak_bytes();
         self.stats.tape_total_pushes = self.tape.total_pushes();
         let args = self.unbind_args(func);
@@ -1027,9 +1049,9 @@ pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
             ));
         }
     }
-    // The dispatch loops run the packed stream, which must be
+    // The dispatch loop runs the packed stream, which must be
     // word-for-word equivalent to the (just validated) enum stream: the
-    // loops read operand fields unchecked, and this equivalence is what
+    // loop reads operand fields unchecked, and this equivalence is what
     // carries the register/target/pool bounds proof over to the words.
     let Some(p) = &func.packed else {
         return Err(format!(
@@ -1058,484 +1080,6 @@ pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
     Ok(())
 }
 
-/// The dispatch loop: the hot path of the engine, and the only one.
-///
-/// Executes the enum stream's semantics — arithmetic, rounding, traps,
-/// tape traffic, statistics and budget checkpoints — from its packed
-/// form: it fetches 8-byte words, reads operand fields straight out of
-/// them, reads wide constants from the hoisted pool, and dispatches on a
-/// dense `u8` opcode the compiler lowers to a jump table.
-///
-/// SAFETY of the unchecked accesses: [`validate_function`] proved (a)
-/// every enum operand in range and (b) every packed word decodes to its
-/// enum instruction, so the fields extracted here are exactly the
-/// validated operands; pool indices were bounds-checked by the decode;
-/// jump targets are ≤ `words.len()` and the fetch breaks at `len`.
-#[allow(clippy::too_many_arguments)]
-#[allow(unused_unsafe)] // `fld!` is an unsafe load and composes with the access macros
-#[inline(never)] // own code-layout home: keeps dispatch-loop timing stable
-fn exec_loop_packed<const PROFILE: bool>(
-    func: &CompiledFunction,
-    packed: &crate::pack::PackedCode,
-    opts: &ExecOptions,
-    f: &mut [f64],
-    i: &mut [i64],
-    a: &mut [ArraySlot],
-    tape: &mut Tape,
-    stats: &mut ExecStats,
-    prof: &mut [u64],
-) -> Result<Option<Value>, Trap> {
-    use crate::pack::{
-        cmp_from, op, ty_from, w_a, w_b, w_b_i16, w_c, w_c_i16, w_d, w_d_i8, w_op, INTRINSICS,
-    };
-    let words = &packed.words[..];
-    let pool = &packed.pool[..];
-    let len = words.len();
-    let approx = &opts.approx;
-    let budget = opts.max_instrs.unwrap_or(u64::MAX);
-    let trap_nf = opts.trap_on_nonfinite;
-    let deadline = opts.deadline;
-    let mut deadline_at: u64 = if deadline.is_some() {
-        DEADLINE_STRIDE
-    } else {
-        u64::MAX
-    };
-    // Executed-instruction accounting is block-granular: instead of a
-    // loop-carried `executed += 1`, the straight-line run since
-    // `block_start` is added at every taken jump and at returns — the
-    // same program points where the budget is checked, so the final
-    // count equals per-instruction accounting and the budget is checked
-    // at block granularity.
-    let mut executed: u64 = 0;
-    let mut block_start: usize = 0;
-    let mut pc: usize = 0;
-
-    let trap = |kind: TrapKind, pc: usize| Trap {
-        kind,
-        pc,
-        span: func.spans.get(pc).copied().unwrap_or(Span::DUMMY),
-    };
-
-    // Register/pool access macros over raw usize fields. SAFETY: see the
-    // function-level comment.
-    macro_rules! fr {
-        ($r:expr) => {
-            unsafe { *f.get_unchecked($r) }
-        };
-    }
-    macro_rules! fw {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            if trap_nf && !v.is_finite() {
-                return Err(nonfinite_trap(func, $r, v, pc));
-            }
-            unsafe { *f.get_unchecked_mut($r) = v };
-        }};
-    }
-    macro_rules! ir {
-        ($r:expr) => {
-            unsafe { *i.get_unchecked($r) }
-        };
-    }
-    macro_rules! iw {
-        ($r:expr, $v:expr) => {{
-            let v = $v;
-            unsafe { *i.get_unchecked_mut($r) = v };
-        }};
-    }
-    macro_rules! aslot {
-        ($r:expr) => {
-            unsafe { &mut *a.get_unchecked_mut($r) }
-        };
-    }
-    // Operand-field macros: direct narrow loads from the word stream,
-    // addressed by `pc` alone. SAFETY: the loop head checks `pc < len`.
-    macro_rules! fld {
-        ($f:ident) => {
-            unsafe { $f(words, pc) }
-        };
-    }
-    macro_rules! jump {
-        ($target:expr) => {{
-            let t = $target;
-            executed += (pc - block_start + 1) as u64;
-            if t <= pc {
-                if executed > budget {
-                    return Err(trap(TrapKind::InstrBudgetExhausted { executed }, pc));
-                }
-                if executed >= deadline_at && deadline_probe(deadline, executed, &mut deadline_at) {
-                    return Err(trap(TrapKind::DeadlineExceeded { executed }, pc));
-                }
-            }
-            block_start = t;
-            pc = t;
-            continue;
-        }};
-    }
-
-    let ret: Option<Value> = loop {
-        if pc >= len {
-            executed += (pc - block_start) as u64;
-            break None; // fall off the end: treated like RetVoid
-        }
-        // Per-pc profiling stays per-iteration even though `executed` is
-        // block-granular here: one increment per dispatched word sums to
-        // the same total the block accounting reports.
-        if PROFILE {
-            prof[pc] += 1;
-        }
-        match fld!(w_op) {
-            op::FCONST => fw!(
-                fld!(w_a),
-                f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_b)) })
-            ),
-            op::FMOV => fw!(fld!(w_a), fr!(fld!(w_b))),
-            op::FADD => fw!(fld!(w_a), fr!(fld!(w_b)) + fr!(fld!(w_c))),
-            op::FSUB => fw!(fld!(w_a), fr!(fld!(w_b)) - fr!(fld!(w_c))),
-            op::FMUL => fw!(fld!(w_a), fr!(fld!(w_b)) * fr!(fld!(w_c))),
-            op::FDIV => fw!(fld!(w_a), fr!(fld!(w_b)) / fr!(fld!(w_c))),
-            op::FNEG => fw!(fld!(w_a), -fr!(fld!(w_b))),
-            op::FROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FINTR1 => {
-                let intr = unsafe { *INTRINSICS.get_unchecked(fld!(w_d)) };
-                fw!(fld!(w_a), eval1(intr, fr!(fld!(w_b)), approx));
-            }
-            op::FINTR2 => {
-                let intr = unsafe { *INTRINSICS.get_unchecked(fld!(w_d)) };
-                fw!(
-                    fld!(w_a),
-                    eval2(intr, fr!(fld!(w_b)), fr!(fld!(w_c)), approx)
-                );
-            }
-            op::FCMP => iw!(
-                fld!(w_a),
-                fcmp(cmp_from(fld!(w_d) as u8), fr!(fld!(w_b)), fr!(fld!(w_c))) as i64
-            ),
-            op::FLOAD => {
-                let index = ir!(fld!(w_c));
-                match aslot!(fld!(w_b)) {
-                    ArraySlot::F(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => fw!(fld!(w_a), x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::FSTORE => {
-                let index = ir!(fld!(w_b));
-                let v = fr!(fld!(w_c));
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::F2I => iw!(fld!(w_a), fr!(fld!(w_b)) as i64),
-            op::I2F => fw!(fld!(w_a), ir!(fld!(w_b)) as f64),
-
-            op::ICONST => iw!(fld!(w_a), fld!(w_b_i16)),
-            op::ICONSTP => iw!(fld!(w_a), unsafe { *pool.get_unchecked(fld!(w_b)) } as i64),
-            op::IMOV => iw!(fld!(w_a), ir!(fld!(w_b))),
-            op::IADD => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(ir!(fld!(w_c)))),
-            op::ISUB => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_sub(ir!(fld!(w_c)))),
-            op::IMUL => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_mul(ir!(fld!(w_c)))),
-            op::IDIV => {
-                let d = ir!(fld!(w_c));
-                if d == 0 {
-                    return Err(trap(TrapKind::DivByZero, pc));
-                }
-                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_div(d));
-            }
-            op::IREM => {
-                let d = ir!(fld!(w_c));
-                if d == 0 {
-                    return Err(trap(TrapKind::DivByZero, pc));
-                }
-                iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_rem(d));
-            }
-            op::INEG => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_neg()),
-            op::ICMP => iw!(
-                fld!(w_a),
-                icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_b)), ir!(fld!(w_c))) as i64
-            ),
-            op::ILOAD => {
-                let index = ir!(fld!(w_c));
-                match aslot!(fld!(w_b)) {
-                    ArraySlot::I(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => iw!(fld!(w_a), x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::ISTORE => {
-                let index = ir!(fld!(w_b));
-                let v = ir!(fld!(w_c));
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::I(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::BNOT => iw!(fld!(w_a), (ir!(fld!(w_b)) == 0) as i64),
-
-            op::JMP => jump!(fld!(w_c)),
-            op::JMPF => {
-                if ir!(fld!(w_a)) == 0 {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::JMPT => {
-                if ir!(fld!(w_a)) != 0 {
-                    jump!(fld!(w_c));
-                }
-            }
-
-            op::TPUSHF => {
-                if let Err(e) = tape.push_f(fr!(fld!(w_a))) {
-                    return Err(trap(TrapKind::Tape(e), pc));
-                }
-            }
-            op::TPOPF => match tape.pop_f() {
-                Ok(v) => fw!(fld!(w_a), v),
-                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-            },
-            op::TPUSHI => {
-                if let Err(e) = tape.push_i(ir!(fld!(w_a))) {
-                    return Err(trap(TrapKind::Tape(e), pc));
-                }
-            }
-            op::TPOPI => match tape.pop_i() {
-                Ok(v) => iw!(fld!(w_a), v),
-                Err(e) => return Err(trap(TrapKind::Tape(e), pc)),
-            },
-
-            op::ALLOCF => {
-                let n = ir!(fld!(w_b));
-                if n < 0 {
-                    return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                }
-                stats.local_array_bytes += n as usize * 8;
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::F(v) | ArraySlot::StaleF(v) => {
-                        v.clear();
-                        v.resize(n as usize, 0.0);
-                        let buf = std::mem::take(v);
-                        *aslot!(fld!(w_a)) = ArraySlot::F(buf);
-                    }
-                    slot => *slot = ArraySlot::F(vec![0.0; n as usize]),
-                }
-            }
-            op::ALLOCI => {
-                let n = ir!(fld!(w_b));
-                if n < 0 {
-                    return Err(trap(TrapKind::NegativeArrayLen(n), pc));
-                }
-                stats.local_array_bytes += n as usize * 8;
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::I(v) | ArraySlot::StaleI(v) => {
-                        v.clear();
-                        v.resize(n as usize, 0);
-                        let buf = std::mem::take(v);
-                        *aslot!(fld!(w_a)) = ArraySlot::I(buf);
-                    }
-                    slot => *slot = ArraySlot::I(vec![0; n as usize]),
-                }
-            }
-
-            op::FMULADD => {
-                // Two separate roundings, exactly like the unfused pair.
-                let p = fr!(fld!(w_b)) * fr!(fld!(w_c));
-                fw!(fld!(w_a), p + fr!(fld!(w_d)));
-            }
-            op::FADDROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) + fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FSUBROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) - fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FMULROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) * fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FDIVROUND => fw!(
-                fld!(w_a),
-                round_to(fr!(fld!(w_b)) / fr!(fld!(w_c)), ty_from(fld!(w_d) as u8))
-            ),
-            op::FINTR1ROUND => {
-                let d = fld!(w_d);
-                let intr = unsafe { *INTRINSICS.get_unchecked(d & 63) };
-                fw!(
-                    fld!(w_a),
-                    round_to(eval1(intr, fr!(fld!(w_b)), approx), ty_from((d >> 6) as u8))
-                );
-            }
-            op::FINTR2ROUND => {
-                let d = fld!(w_d);
-                let intr = unsafe { *INTRINSICS.get_unchecked(d & 63) };
-                fw!(
-                    fld!(w_a),
-                    round_to(
-                        eval2(intr, fr!(fld!(w_b)), fr!(fld!(w_c)), approx),
-                        ty_from((d >> 6) as u8)
-                    )
-                );
-            }
-            op::FLOADOFF => {
-                let index = ir!(fld!(w_c)).wrapping_add(fld!(w_d_i8));
-                match aslot!(fld!(w_b)) {
-                    ArraySlot::F(v) => match v.get(index as usize) {
-                        Some(&x) if index >= 0 => fw!(fld!(w_a), x),
-                        _ => {
-                            let len = v.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::FSTOREOFF => {
-                let index = ir!(fld!(w_b)).wrapping_add(fld!(w_d_i8));
-                let v = fr!(fld!(w_c));
-                match aslot!(fld!(w_a)) {
-                    ArraySlot::F(vec) => match vec.get_mut(index as usize) {
-                        Some(slot) if index >= 0 => *slot = v,
-                        _ => {
-                            let len = vec.len();
-                            return Err(trap(TrapKind::OobIndex { idx: index, len }, pc));
-                        }
-                    },
-                    _ => return Err(trap(TrapKind::OobIndex { idx: index, len: 0 }, pc)),
-                }
-            }
-            op::IADDIMM => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(fld!(w_c_i16))),
-            op::IADDIMMP => iw!(
-                fld!(w_a),
-                ir!(fld!(w_b)).wrapping_add(unsafe { *pool.get_unchecked(fld!(w_c)) } as i64)
-            ),
-            op::FCJF => {
-                if !fcmp(cmp_from(fld!(w_d) as u8), fr!(fld!(w_a)), fr!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::FCJT => {
-                if fcmp(cmp_from(fld!(w_d) as u8), fr!(fld!(w_a)), fr!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::ICJF => {
-                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::ICJT => {
-                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), ir!(fld!(w_b))) {
-                    jump!(fld!(w_c));
-                }
-            }
-
-            op::FADDC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) + f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FSUBC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) - f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FSUBCR => fw!(
-                fld!(w_a),
-                f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) }) - fr!(fld!(w_b))
-            ),
-            op::FMULC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) * f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FDIVC => fw!(
-                fld!(w_a),
-                fr!(fld!(w_b)) / f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) })
-            ),
-            op::FDIVCR => fw!(
-                fld!(w_a),
-                f64::from_bits(unsafe { *pool.get_unchecked(fld!(w_c)) }) / fr!(fld!(w_b))
-            ),
-            op::ICJFI => {
-                if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::ICJTI => {
-                if icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
-                    jump!(fld!(w_c));
-                }
-            }
-            op::RETF => {
-                let v = fr!(fld!(w_a));
-                let v = match func.ret {
-                    RetKind::F(ft) => round_to(v, ft),
-                    _ => v,
-                };
-                if trap_nf && !v.is_finite() {
-                    return Err(nonfinite_trap(func, fld!(w_a), v, pc));
-                }
-                executed += (pc - block_start + 1) as u64;
-                break Some(Value::F(v));
-            }
-            op::RETI => {
-                executed += (pc - block_start + 1) as u64;
-                break Some(Value::I(ir!(fld!(w_a))));
-            }
-            op::RETB => {
-                executed += (pc - block_start + 1) as u64;
-                break Some(Value::B(ir!(fld!(w_a)) != 0));
-            }
-            op::RETVOID => {
-                executed += (pc - block_start + 1) as u64;
-                break None;
-            }
-            op::TRAPMISSING => return Err(trap(TrapKind::MissingReturn, pc)),
-            // Unreachable for validated functions; kept safe anyway.
-            _ => {
-                return Err(trap(
-                    TrapKind::InvalidBytecode(format!("unknown packed opcode {}", fld!(w_op))),
-                    pc,
-                ))
-            }
-        }
-        pc += 1;
-    };
-    stats.instrs_executed = executed;
-    // Returns are the other budget checkpoint (backward jumps are the
-    // first): a run never reports success past the budget.
-    if executed > budget {
-        return Err(trap(
-            TrapKind::InstrBudgetExhausted { executed },
-            pc.min(len.saturating_sub(1)),
-        ));
-    }
-    Ok(ret)
-}
-
 #[inline]
 pub(crate) fn fcmp(op: CmpOp, x: f64, y: f64) -> bool {
     match op {
@@ -1561,7 +1105,7 @@ pub(crate) fn icmp(op: CmpOp, x: i64, y: i64) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compile::{compile, compile_default, CompileOptions, PrecisionMap};
     use chef_ir::ast::VarId;
@@ -2145,49 +1689,51 @@ mod tests {
         assert_eq!(run(&f, vec![ArgValue::F(3.0)]).unwrap().ret_f(), 9.0);
     }
 
-    #[test]
-    fn malformed_bytecode_is_rejected_not_ub() {
+    /// Two hand-built functions that pack (their operands fit the word
+    /// fields) yet reference an out-of-range register and an
+    /// out-of-range jump target: validation must reject both before any
+    /// dispatch loop reads an operand unchecked.
+    pub(crate) fn malformed_functions() -> Vec<CompiledFunction> {
         use chef_ir::span::Span;
-        // Both streams pack (their operands fit the fields); validation
-        // must still reject them.
         let packed = |f: CompiledFunction| CompiledFunction {
             packed: crate::pack::pack_function(&f),
             ..f
         };
-        let f = CompiledFunction {
-            name: "bad".into(),
-            instrs: vec![Instr::FAdd {
-                dst: FReg(0),
-                a: FReg(7),
-                b: FReg(0),
-            }],
-            spans: vec![Span::DUMMY],
-            n_fregs: 1,
-            n_iregs: 0,
-            n_aregs: 0,
-            params: vec![],
-            ret: RetKind::Void,
-            fvar_names: vec![],
-            avar_names: vec![],
-            packed: None,
+        let hand = |name: &str, instrs: Vec<Instr>, n_fregs: u32| {
+            packed(CompiledFunction {
+                name: name.into(),
+                spans: vec![Span::DUMMY; instrs.len()],
+                instrs,
+                n_fregs,
+                n_iregs: 0,
+                n_aregs: 0,
+                params: vec![],
+                ret: RetKind::Void,
+                fvar_names: vec![],
+                avar_names: vec![],
+                packed: None,
+            })
         };
-        let err = run(&packed(f), vec![]).unwrap_err();
-        assert!(matches!(err.kind, TrapKind::InvalidBytecode(_)), "{err:?}");
-        // Out-of-range jump targets are rejected too.
-        let f = CompiledFunction {
-            name: "bad_jmp".into(),
-            instrs: vec![Instr::Jmp { target: 99 }],
-            spans: vec![Span::DUMMY],
-            n_fregs: 0,
-            n_iregs: 0,
-            n_aregs: 0,
-            params: vec![],
-            ret: RetKind::Void,
-            fvar_names: vec![],
-            avar_names: vec![],
-            packed: None,
-        };
-        let err = run(&packed(f), vec![]).unwrap_err();
-        assert!(matches!(err.kind, TrapKind::InvalidBytecode(_)), "{err:?}");
+        vec![
+            hand(
+                "bad",
+                vec![Instr::FAdd {
+                    dst: FReg(0),
+                    a: FReg(7),
+                    b: FReg(0),
+                }],
+                1,
+            ),
+            hand("bad_jmp", vec![Instr::Jmp { target: 99 }], 0),
+        ]
+    }
+
+    #[test]
+    fn malformed_bytecode_is_rejected_not_ub() {
+        for f in malformed_functions() {
+            assert!(f.packed.is_some(), "{} must pack", f.name);
+            let err = run(&f, vec![]).unwrap_err();
+            assert!(matches!(err.kind, TrapKind::InvalidBytecode(_)), "{err:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Packed-word round trip: the words the VM executes are the enum
 //! stream, word for word.
 //!
-//! Packing is the last compile stage and the dispatch loops run only its
+//! Packing is the last compile stage and the dispatch loop runs only its
 //! output, so a word that decoded to anything but its enum instruction
 //! would silently change what runs. Every `chef-apps` kernel is compiled
 //! in primal, fully demoted and adjoint form, and every packed word must

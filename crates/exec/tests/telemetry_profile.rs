@@ -98,7 +98,8 @@ fn profiled_counts_match_executed_on_all_kernels() {
     }
 }
 
-/// The fused-shadow loops replay the primal stream 1:1, so the shadow
+/// The fused shadow pass runs the plain VM's dispatch loop with a shadow
+/// lane and replays the primal stream 1:1, so the shadow
 /// profile equals the plain VM profile on the same compiled function —
 /// and is indexed like `samples`, making `pc_counts[pc] * samples[pc]`
 /// a frequency-times-error hotness signal.

@@ -2,8 +2,8 @@
 //!
 //! This AST plays the role Clang's AST plays for Clad: it is the typed,
 //! source-located representation on which the AD transformation
-//! ([`chef-ad`]), the optimization passes ([`chef-passes`]) and the error
-//! estimation module ([`chef-core`]) all operate.
+//! (`chef-ad`), the optimization passes (`chef-passes`) and the error
+//! estimation module (`chef-core`) all operate.
 //!
 //! Two node kinds exist only in *generated* code and are never produced by
 //! the parser: [`StmtKind::TapePush`] and [`StmtKind::TapePop`]. They are

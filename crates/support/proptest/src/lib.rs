@@ -260,7 +260,7 @@ pub mod collection {
         VecStrategy { elem, lens }
     }
 
-    /// [`vec`]'s return type.
+    /// [`vec()`]'s return type.
     pub struct VecStrategy<S> {
         elem: S,
         lens: Range<usize>,

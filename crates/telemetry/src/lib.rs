@@ -311,7 +311,7 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
         .or_insert_with(|| Box::leak(Box::default()))
 }
 
-/// Cached [`counter`] lookup: resolves the registry handle once per
+/// Cached [`counter()`] lookup: resolves the registry handle once per
 /// call site, so the steady-state cost is one relaxed atomic add.
 #[macro_export]
 macro_rules! counter {
@@ -321,7 +321,7 @@ macro_rules! counter {
     }};
 }
 
-/// Cached [`gauge`] lookup (see [`counter!`]).
+/// Cached [`gauge()`] lookup (see [`counter!`]).
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
@@ -330,7 +330,7 @@ macro_rules! gauge {
     }};
 }
 
-/// Cached [`histogram`] lookup (see [`counter!`]).
+/// Cached [`histogram()`] lookup (see [`counter!`]).
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{

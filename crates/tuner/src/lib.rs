@@ -467,7 +467,7 @@ const WRITE_BACK_BATCH: usize = 8;
 /// marked with a zero-length `compile.skipped` span — no
 /// `compile`/`fuse`/`pack` work happens at all. A genuine miss compiles
 /// and *enqueues* the variant for write-back; pending write-backs flush
-/// every [`WRITE_BACK_BATCH`] compilations, on [`VariantCache::flush_disk`]
+/// every `WRITE_BACK_BATCH` compilations, on [`VariantCache::flush_disk`]
 /// (the server's drain calls this), and on drop. [`VariantCache::misses`]
 /// keeps meaning "compilations actually performed" — a disk hit is
 /// neither a memory hit nor a miss; the store's own
