@@ -296,6 +296,232 @@ pub enum Instr {
     TrapMissingReturn,
 }
 
+/// The register file an operand lives in.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum RegClass {
+    /// Float registers ([`FReg`]).
+    F,
+    /// Integer registers ([`IReg`]).
+    I,
+    /// Array registers ([`AReg`]).
+    A,
+}
+
+/// One register: its file and its index in that file.
+pub(crate) type Reg = (RegClass, u32);
+
+impl Instr {
+    /// The operand table: calls `f(class, &mut index, is_write)` for every
+    /// register operand, reads and writes alike (arrays included), and
+    /// returns the jump target, if any. This is the one place that says
+    /// which fields of each variant are registers and targets; the
+    /// fuser's dataflow, the CFG tier and
+    /// [`crate::vm::validate_function`] all derive from it, so a new
+    /// variant is described here (and in `pack_instr`/`decode` and the
+    /// dispatch loop) and nowhere else.
+    // Inlined into each visitor so the closure folds into the match: the
+    // fuser and validation walk every instruction through it.
+    #[inline(always)]
+    fn operands_mut(&mut self, mut f: impl FnMut(RegClass, &mut u32, bool)) -> Option<&mut u32> {
+        use Instr::*;
+        use RegClass::*;
+        match self {
+            FConst { dst, .. } => f(F, &mut dst.0, true),
+            FMov { dst, src } | FNeg { dst, src } | FRound { dst, src, .. } => {
+                f(F, &mut src.0, false);
+                f(F, &mut dst.0, true);
+            }
+            FAdd { dst, a, b }
+            | FSub { dst, a, b }
+            | FMul { dst, a, b }
+            | FDiv { dst, a, b }
+            | FAddRound { dst, a, b, .. }
+            | FSubRound { dst, a, b, .. }
+            | FMulRound { dst, a, b, .. }
+            | FDivRound { dst, a, b, .. }
+            | FIntr2 { dst, a, b, .. }
+            | FIntr2Round { dst, a, b, .. } => {
+                f(F, &mut a.0, false);
+                f(F, &mut b.0, false);
+                f(F, &mut dst.0, true);
+            }
+            FIntr1 { dst, a, .. }
+            | FIntr1Round { dst, a, .. }
+            | FAddC { dst, a, .. }
+            | FSubC { dst, a, .. }
+            | FSubCR { dst, a, .. }
+            | FMulC { dst, a, .. }
+            | FDivC { dst, a, .. }
+            | FDivCR { dst, a, .. } => {
+                f(F, &mut a.0, false);
+                f(F, &mut dst.0, true);
+            }
+            FMulAdd { dst, a, b, c } => {
+                f(F, &mut a.0, false);
+                f(F, &mut b.0, false);
+                f(F, &mut c.0, false);
+                f(F, &mut dst.0, true);
+            }
+            FCmp { dst, a, b, .. } => {
+                f(F, &mut a.0, false);
+                f(F, &mut b.0, false);
+                f(I, &mut dst.0, true);
+            }
+            FLoad {
+                dst,
+                arr,
+                idx: base,
+            }
+            | FLoadOff { dst, arr, base, .. } => {
+                f(A, &mut arr.0, false);
+                f(I, &mut base.0, false);
+                f(F, &mut dst.0, true);
+            }
+            FStore {
+                arr,
+                idx: base,
+                src,
+            }
+            | FStoreOff { arr, base, src, .. } => {
+                f(A, &mut arr.0, false);
+                f(I, &mut base.0, false);
+                f(F, &mut src.0, false);
+            }
+            F2I { dst, src } => {
+                f(F, &mut src.0, false);
+                f(I, &mut dst.0, true);
+            }
+            I2F { dst, src } => {
+                f(I, &mut src.0, false);
+                f(F, &mut dst.0, true);
+            }
+            IConst { dst, .. } => f(I, &mut dst.0, true),
+            IMov { dst, src }
+            | INeg { dst, src }
+            | BNot { dst, src }
+            | IAddImm { dst, a: src, .. } => {
+                f(I, &mut src.0, false);
+                f(I, &mut dst.0, true);
+            }
+            IAdd { dst, a, b }
+            | ISub { dst, a, b }
+            | IMul { dst, a, b }
+            | IDiv { dst, a, b }
+            | IRem { dst, a, b }
+            | ICmp { dst, a, b, .. } => {
+                f(I, &mut a.0, false);
+                f(I, &mut b.0, false);
+                f(I, &mut dst.0, true);
+            }
+            ILoad { dst, arr, idx } => {
+                f(A, &mut arr.0, false);
+                f(I, &mut idx.0, false);
+                f(I, &mut dst.0, true);
+            }
+            IStore { arr, idx, src } => {
+                f(A, &mut arr.0, false);
+                f(I, &mut idx.0, false);
+                f(I, &mut src.0, false);
+            }
+            Jmp { target } => return Some(target),
+            JmpIfFalse { cond, target } | JmpIfTrue { cond, target } => {
+                f(I, &mut cond.0, false);
+                return Some(target);
+            }
+            FCmpJmpFalse { a, b, target, .. } | FCmpJmpTrue { a, b, target, .. } => {
+                f(F, &mut a.0, false);
+                f(F, &mut b.0, false);
+                return Some(target);
+            }
+            ICmpJmpFalse { a, b, target, .. } | ICmpJmpTrue { a, b, target, .. } => {
+                f(I, &mut a.0, false);
+                f(I, &mut b.0, false);
+                return Some(target);
+            }
+            ICmpImmJmpFalse { a, target, .. } | ICmpImmJmpTrue { a, target, .. } => {
+                f(I, &mut a.0, false);
+                return Some(target);
+            }
+            TPushF { src } | RetF { src } => f(F, &mut src.0, false),
+            TPopF { dst } => f(F, &mut dst.0, true),
+            TPushI { src } | RetI { src } | RetB { src } => f(I, &mut src.0, false),
+            TPopI { dst } => f(I, &mut dst.0, true),
+            AllocF { arr, len } | AllocI { arr, len } => {
+                f(I, &mut len.0, false);
+                f(A, &mut arr.0, true);
+            }
+            RetVoid | TrapMissingReturn => {}
+        }
+        None
+    }
+
+    /// Calls `f(class, &mut index, is_write)` for every register operand
+    /// (see [`Instr::operands_mut`]).
+    pub(crate) fn visit_regs_mut(&mut self, f: impl FnMut(RegClass, &mut u32, bool)) {
+        self.operands_mut(f);
+    }
+
+    /// Calls `f(class, index, is_write)` for every register operand and
+    /// returns the jump target, if any.
+    pub(crate) fn visit_regs(&self, mut f: impl FnMut(RegClass, u32, bool)) -> Option<u32> {
+        self.clone()
+            .operands_mut(|class, r, w| f(class, *r, w))
+            .copied()
+    }
+
+    /// The jump-target field, if the instruction has one.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        self.operands_mut(|_, _, _| {})
+    }
+
+    /// The jump target, if the instruction has one.
+    pub(crate) fn target(&self) -> Option<u32> {
+        self.visit_regs(|_, _, _| {})
+    }
+
+    /// Calls `visit` for every scalar (float or int) register read.
+    pub(crate) fn for_each_read(&self, mut visit: impl FnMut(Reg)) {
+        self.visit_regs(|class, r, w| {
+            if !w && class != RegClass::A {
+                visit((class, r))
+            }
+        });
+    }
+
+    /// The scalar register the instruction writes, if any.
+    pub(crate) fn write(&self) -> Option<Reg> {
+        let mut out = None;
+        self.visit_regs(|class, r, w| {
+            if w && class != RegClass::A {
+                out = Some((class, r));
+            }
+        });
+        out
+    }
+
+    /// Successor program points of the instruction at `pc` into `out`
+    /// (taken target first); `false` when it exits the function (a
+    /// return, or the missing-return trap).
+    pub(crate) fn successors(&self, pc: usize, out: &mut [Option<usize>; 2]) -> bool {
+        let target = self.target().map(|t| t as usize);
+        let exits = matches!(
+            self,
+            Instr::RetF { .. }
+                | Instr::RetI { .. }
+                | Instr::RetB { .. }
+                | Instr::RetVoid
+                | Instr::TrapMissingReturn
+        );
+        *out = match self {
+            _ if exits => [None, None],
+            Instr::Jmp { .. } => [target, None],
+            _ if target.is_some() => [target, Some(pc + 1)],
+            _ => [Some(pc + 1), None],
+        };
+        !exits
+    }
+}
+
 /// Scalar/array kind of one parameter in the compiled signature.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParamKind {
@@ -311,6 +537,17 @@ pub enum ParamKind {
     FArr(FloatTy),
     /// Int array.
     IArr,
+}
+
+impl ParamKind {
+    /// The register file the parameter binds in.
+    pub(crate) fn class(self) -> RegClass {
+        match self {
+            ParamKind::F(_) => RegClass::F,
+            ParamKind::I | ParamKind::B => RegClass::I,
+            ParamKind::FArr(_) | ParamKind::IArr => RegClass::A,
+        }
+    }
 }
 
 /// One parameter of a compiled function.
@@ -425,5 +662,98 @@ mod tests {
         let d = f.disassemble();
         assert!(d.contains("FConst"));
         assert!(d.contains("RetF"));
+    }
+
+    /// The `(class, index)` operands and the jump target `Debug` prints,
+    /// read off the text: an oracle that shares no code with the
+    /// operand table.
+    fn debug_operands(ins: &Instr) -> (Vec<Reg>, Option<u32>) {
+        let text = format!("{ins:?}");
+        let number = |rest: &str| -> u32 {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        let mut regs = Vec::new();
+        for (tag, class) in [
+            ("FReg(", RegClass::F),
+            ("IReg(", RegClass::I),
+            ("AReg(", RegClass::A),
+        ] {
+            for (at, _) in text.match_indices(tag) {
+                regs.push((class, number(&text[at + tag.len()..])));
+            }
+        }
+        regs.sort_unstable_by_key(|&(c, r)| (c as u8, r));
+        let target = text.find("target: ").map(|at| number(&text[at + 8..]));
+        (regs, target)
+    }
+
+    /// A one-instruction function (padded with returns up to its jump
+    /// target) whose register files are exactly as large as `ins` needs.
+    fn function_of(ins: &Instr) -> CompiledFunction {
+        let mut size = [0u32; 3];
+        ins.visit_regs(|class, r, _w| size[class as usize] = size[class as usize].max(r + 1));
+        let len = ins.target().map_or(1, |t| t.max(1)) as usize;
+        let mut instrs = vec![Instr::RetVoid; len];
+        instrs[0] = ins.clone();
+        let mut f = CompiledFunction {
+            name: "shape".into(),
+            spans: vec![Span::DUMMY; len],
+            instrs,
+            n_fregs: size[0],
+            n_iregs: size[1],
+            n_aregs: size[2],
+            params: vec![],
+            ret: RetKind::Void,
+            fvar_names: vec![],
+            avar_names: vec![],
+            packed: None,
+        };
+        f.packed = crate::pack::pack_function(&f);
+        f
+    }
+
+    #[test]
+    fn operand_table_matches_debug_and_guards_validation() {
+        for ins in crate::pack::tests::instruction_shapes() {
+            // The table reports exactly the operands `Debug` shows.
+            let mut regs = Vec::new();
+            ins.visit_regs(|class, r, _w| regs.push((class, r)));
+            regs.sort_unstable_by_key(|&(c, r)| (c as u8, r));
+            assert_eq!(
+                (regs.clone(), ins.target()),
+                debug_operands(&ins),
+                "{ins:?}"
+            );
+
+            let func = function_of(&ins);
+            crate::vm::validate_function(&func).unwrap_or_else(|e| panic!("{ins:?}: {e}"));
+            // Any one operand at its file's size, or a target past the
+            // end, is rejected before anything reads the packed words.
+            let size = [func.n_fregs, func.n_iregs, func.n_aregs];
+            let mutants = (0..regs.len()).map(|k| {
+                let mut m = ins.clone();
+                let mut seen = 0;
+                m.visit_regs_mut(|class, r, _w| {
+                    if seen == k {
+                        *r = size[class as usize];
+                    }
+                    seen += 1;
+                });
+                m
+            });
+            let past_end = ins.target().map(|_| {
+                let mut m = ins.clone();
+                *m.target_mut().unwrap() = func.instrs.len() as u32 + 1;
+                m
+            });
+            for m in mutants.chain(past_end) {
+                let mut bad = func.clone();
+                bad.instrs[0] = m.clone();
+                bad.packed = crate::pack::pack_function(&bad);
+                let err = crate::vm::validate_function(&bad).expect_err(&format!("{m:?}"));
+                assert!(err.contains("out-of-range"), "{m:?}: {err}");
+            }
+        }
     }
 }

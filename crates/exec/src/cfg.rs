@@ -61,6 +61,12 @@
 //! taken backward jumps, which LICM neither adds nor removes per
 //! iteration — it only removes straight-line work between them).
 //!
+//! Every register and jump-target access (dataflow, hoist renaming,
+//! target remapping, compaction) goes through the operand table on
+//! [`Instr`] in [`crate::bytecode`], the one the fuser and
+//! [`crate::vm::validate_function`] also use; only the hoist classes and
+//! the guard's polarity flip match on instruction kinds here.
+//!
 //! Irreducible control flow (a retreating edge whose target does not
 //! dominate its source — impossible to emit from KernelC but possible
 //! in hand-built bytecode) makes the pass bail cleanly: no hoisting,
@@ -81,8 +87,7 @@
 //! `cfg_differential` suite pins it byte for byte: fingerprints of the
 //! optimized functions of every app kernel, primal, demoted and adjoint.
 
-use crate::bytecode::{CompiledFunction, Instr, ParamKind};
-use crate::fuse::{for_each_read, successors, write_of, Reg};
+use crate::bytecode::{CompiledFunction, Instr, Reg, RegClass};
 use std::ops::Range;
 
 /// Version of the CFG pass tier, hashed into [`crate::store::content_key`]
@@ -127,21 +132,7 @@ impl Cfg {
         }
         let mut out = [None, None];
         for (pc, ins) in func.instrs.iter().enumerate() {
-            let cont = successors(ins, pc, &mut out);
-            let is_term = !cont
-                || matches!(
-                    ins,
-                    Instr::Jmp { .. }
-                        | Instr::JmpIfFalse { .. }
-                        | Instr::JmpIfTrue { .. }
-                        | Instr::FCmpJmpFalse { .. }
-                        | Instr::FCmpJmpTrue { .. }
-                        | Instr::ICmpJmpFalse { .. }
-                        | Instr::ICmpJmpTrue { .. }
-                        | Instr::ICmpImmJmpFalse { .. }
-                        | Instr::ICmpImmJmpTrue { .. }
-                );
-            if is_term {
+            if !ins.successors(pc, &mut out) || ins.target().is_some() {
                 if pc + 1 < n {
                     leader[pc + 1] = true;
                 }
@@ -184,7 +175,7 @@ impl Cfg {
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (b, blk) in blocks.iter().enumerate() {
             let last = blk.range.end - 1;
-            if successors(&func.instrs[last], last, &mut out) {
+            if func.instrs[last].successors(last, &mut out) {
                 for s in out.iter().flatten() {
                     if *s < n {
                         edges.push((b, block_of[*s]));
@@ -410,165 +401,6 @@ pub struct CfgStats {
 }
 
 // ---------------------------------------------------------------------
-// Register visitors (shared by use-rewriting and compaction)
-// ---------------------------------------------------------------------
-
-/// Register file a mutable operand lives in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RegClass {
-    F,
-    I,
-    A,
-}
-
-/// Calls `f(class, &mut index, is_write)` for every register operand of
-/// `ins`, reads and writes alike (arrays included).
-fn visit_regs_mut(ins: &mut Instr, f: &mut impl FnMut(RegClass, &mut u32, bool)) {
-    use Instr::*;
-    use RegClass::*;
-    match ins {
-        FConst { dst, .. } => f(F, &mut dst.0, true),
-        FMov { dst, src } | FNeg { dst, src } | FRound { dst, src, .. } => {
-            f(F, &mut src.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FAdd { dst, a, b }
-        | FSub { dst, a, b }
-        | FMul { dst, a, b }
-        | FDiv { dst, a, b }
-        | FAddRound { dst, a, b, .. }
-        | FSubRound { dst, a, b, .. }
-        | FMulRound { dst, a, b, .. }
-        | FDivRound { dst, a, b, .. }
-        | FIntr2 { dst, a, b, .. }
-        | FIntr2Round { dst, a, b, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FIntr1 { dst, a, .. } | FIntr1Round { dst, a, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FMulAdd { dst, a, b, c } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-            f(F, &mut c.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FAddC { dst, a, .. }
-        | FSubC { dst, a, .. }
-        | FSubCR { dst, a, .. }
-        | FMulC { dst, a, .. }
-        | FDivC { dst, a, .. }
-        | FDivCR { dst, a, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FCmp { dst, a, b, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-            f(I, &mut dst.0, true);
-        }
-        FLoad { dst, arr, idx } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FStore { arr, idx, src } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(F, &mut src.0, false);
-        }
-        FLoadOff { dst, arr, base, .. } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut base.0, false);
-            f(F, &mut dst.0, true);
-        }
-        FStoreOff { arr, base, src, .. } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut base.0, false);
-            f(F, &mut src.0, false);
-        }
-        F2I { dst, src } => {
-            f(F, &mut src.0, false);
-            f(I, &mut dst.0, true);
-        }
-        I2F { dst, src } => {
-            f(I, &mut src.0, false);
-            f(F, &mut dst.0, true);
-        }
-        IConst { dst, .. } => f(I, &mut dst.0, true),
-        IMov { dst, src } | INeg { dst, src } | BNot { dst, src } => {
-            f(I, &mut src.0, false);
-            f(I, &mut dst.0, true);
-        }
-        IAdd { dst, a, b }
-        | ISub { dst, a, b }
-        | IMul { dst, a, b }
-        | IDiv { dst, a, b }
-        | IRem { dst, a, b }
-        | ICmp { dst, a, b, .. } => {
-            f(I, &mut a.0, false);
-            f(I, &mut b.0, false);
-            f(I, &mut dst.0, true);
-        }
-        IAddImm { dst, a, .. } => {
-            f(I, &mut a.0, false);
-            f(I, &mut dst.0, true);
-        }
-        ILoad { dst, arr, idx } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(I, &mut dst.0, true);
-        }
-        IStore { arr, idx, src } => {
-            f(A, &mut arr.0, false);
-            f(I, &mut idx.0, false);
-            f(I, &mut src.0, false);
-        }
-        Jmp { .. } | RetVoid | TrapMissingReturn => {}
-        JmpIfFalse { cond, .. } | JmpIfTrue { cond, .. } => f(I, &mut cond.0, false),
-        FCmpJmpFalse { a, b, .. } | FCmpJmpTrue { a, b, .. } => {
-            f(F, &mut a.0, false);
-            f(F, &mut b.0, false);
-        }
-        ICmpJmpFalse { a, b, .. } | ICmpJmpTrue { a, b, .. } => {
-            f(I, &mut a.0, false);
-            f(I, &mut b.0, false);
-        }
-        ICmpImmJmpFalse { a, .. } | ICmpImmJmpTrue { a, .. } => f(I, &mut a.0, false),
-        TPushF { src } => f(F, &mut src.0, false),
-        TPopF { dst } => f(F, &mut dst.0, true),
-        TPushI { src } => f(I, &mut src.0, false),
-        TPopI { dst } => f(I, &mut dst.0, true),
-        AllocF { arr, len } | AllocI { arr, len } => {
-            f(I, &mut len.0, false);
-            f(A, &mut arr.0, true);
-        }
-        RetF { src } => f(F, &mut src.0, false),
-        RetI { src } | RetB { src } => f(I, &mut src.0, false),
-    }
-}
-
-/// The jump-target field of `ins`, if it has one.
-fn target_mut(ins: &mut Instr) -> Option<&mut u32> {
-    use Instr::*;
-    match ins {
-        Jmp { target }
-        | JmpIfFalse { target, .. }
-        | JmpIfTrue { target, .. }
-        | FCmpJmpFalse { target, .. }
-        | FCmpJmpTrue { target, .. }
-        | ICmpJmpFalse { target, .. }
-        | ICmpJmpTrue { target, .. }
-        | ICmpImmJmpFalse { target, .. }
-        | ICmpImmJmpTrue { target, .. } => Some(target),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------
 // LICM
 // ---------------------------------------------------------------------
 
@@ -659,10 +491,11 @@ impl RegSpace {
         }
     }
 
-    fn index(&self, r: Reg) -> usize {
-        match r {
-            Reg::F(i) => i as usize,
-            Reg::I(i) => self.nf + i as usize,
+    /// Dense index of a scalar register (never called for arrays).
+    fn index(&self, (class, i): Reg) -> usize {
+        match class {
+            RegClass::I => self.nf + i as usize,
+            _ => i as usize,
         }
     }
 }
@@ -701,7 +534,7 @@ impl RoundFacts {
         let space = RegSpace::of(func);
         let mut read_start = vec![0usize; space.len + 1];
         for ins in &func.instrs {
-            for_each_read(ins, |r| read_start[space.index(r) + 1] += 1);
+            ins.for_each_read(|r| read_start[space.index(r) + 1] += 1);
         }
         for r in 0..space.len {
             read_start[r + 1] += read_start[r];
@@ -709,7 +542,7 @@ impl RoundFacts {
         let mut cursor = read_start.clone();
         let mut read_pcs = vec![0usize; read_start[space.len]];
         for (pc, ins) in func.instrs.iter().enumerate() {
-            for_each_read(ins, |r| {
+            ins.for_each_read(|r| {
                 let c = &mut cursor[space.index(r)];
                 read_pcs[*c] = pc;
                 *c += 1;
@@ -717,17 +550,13 @@ impl RoundFacts {
         }
         let mut param_homes = vec![0u64; space.words];
         for p in &func.params {
-            match p.kind {
-                ParamKind::F(_) => set_bit(&mut param_homes, space.index(Reg::F(p.reg))),
-                ParamKind::I | ParamKind::B => {
-                    set_bit(&mut param_homes, space.index(Reg::I(p.reg)))
-                }
-                ParamKind::FArr(_) | ParamKind::IArr => {}
+            if p.kind.class() != RegClass::A {
+                set_bit(&mut param_homes, space.index((p.kind.class(), p.reg)));
             }
         }
         let mut named_f = vec![0u64; space.words];
         for (r, _) in &func.fvar_names {
-            set_bit(&mut named_f, space.index(Reg::F(*r)));
+            set_bit(&mut named_f, space.index((RegClass::F, *r)));
         }
         let live_out = live_out(func, cfg, space, &param_homes);
         RoundFacts {
@@ -775,18 +604,18 @@ fn live_out(func: &CompiledFunction, cfg: &Cfg, space: RegSpace, param_homes: &[
         let def_b = &mut def[b * w..(b + 1) * w];
         for pc in blk.range.clone() {
             let ins = &func.instrs[pc];
-            for_each_read(ins, |r| {
+            ins.for_each_read(|r| {
                 let i = space.index(r);
                 if !has_bit(def_b, i) {
                     set_bit(ue_b, i);
                 }
             });
-            if let Some(wr) = write_of(ins) {
+            if let Some(wr) = ins.write() {
                 set_bit(def_b, space.index(wr));
             }
         }
         let last = blk.range.end - 1;
-        exits[b] = !successors(&func.instrs[last], last, &mut out);
+        exits[b] = !func.instrs[last].successors(last, &mut out);
     }
     let mut live_in = vec![0u64; nb * w];
     let mut live_out = vec![0u64; nb * w];
@@ -821,23 +650,14 @@ fn synthesize_guard(
     lp: &NaturalLoop,
     member: &[bool],
 ) -> Option<(Instr, usize)> {
-    use Instr::*;
     let hb = &cfg.blocks[lp.header];
     let t_pc = hb.range.end - 1;
     let ins = &func.instrs[t_pc];
-    let in_loop = |b: usize| member[b];
-    let target = match ins {
-        JmpIfFalse { target, .. }
-        | JmpIfTrue { target, .. }
-        | ICmpJmpFalse { target, .. }
-        | ICmpJmpTrue { target, .. }
-        | ICmpImmJmpFalse { target, .. }
-        | ICmpImmJmpTrue { target, .. } => *target as usize,
-        _ => return None, // unconditional, float-compare, or exit
-    };
+    let flipped = flipped_int_branch(ins)?;
+    let target = ins.target()? as usize;
     let n = func.instrs.len();
-    let taken_in = target < n && in_loop(cfg.block_of[target]);
-    let fall_in = t_pc + 1 < n && in_loop(cfg.block_of[t_pc + 1]);
+    let taken_in = target < n && member[cfg.block_of[target]];
+    let fall_in = t_pc + 1 < n && member[cfg.block_of[t_pc + 1]];
     // Exactly one side must leave the loop.
     if taken_in == fall_in {
         return None;
@@ -845,9 +665,9 @@ fn synthesize_guard(
     // The guard reads its operands at the preheader, before the header
     // prefix runs; they must be untouched by that prefix.
     let mut operands: Vec<Reg> = Vec::new();
-    for_each_read(ins, |r| operands.push(r));
+    ins.for_each_read(|r| operands.push(r));
     for pc in hb.range.start..t_pc {
-        if let Some(w) = write_of(&func.instrs[pc]) {
+        if let Some(w) = func.instrs[pc].write() {
             if operands.contains(&w) {
                 return None;
             }
@@ -857,52 +677,25 @@ fn synthesize_guard(
     // the guard jumps to the relocated header iff the loop exits. The
     // placeholder target 0 is patched by the caller once the preheader
     // size is known.
-    let guard = if !taken_in {
-        // Taken side exits: same polarity.
-        let mut g = ins.clone();
-        *target_mut(&mut g).unwrap() = 0;
-        g
-    } else {
-        // Fall-through exits: flip the branch polarity.
-        let mut g = match ins {
-            JmpIfFalse { cond, .. } => JmpIfTrue {
-                cond: *cond,
-                target: 0,
-            },
-            JmpIfTrue { cond, .. } => JmpIfFalse {
-                cond: *cond,
-                target: 0,
-            },
-            ICmpJmpFalse { op, a, b, .. } => ICmpJmpTrue {
-                op: *op,
-                a: *a,
-                b: *b,
-                target: 0,
-            },
-            ICmpJmpTrue { op, a, b, .. } => ICmpJmpFalse {
-                op: *op,
-                a: *a,
-                b: *b,
-                target: 0,
-            },
-            ICmpImmJmpFalse { op, a, imm, .. } => ICmpImmJmpTrue {
-                op: *op,
-                a: *a,
-                imm: *imm,
-                target: 0,
-            },
-            ICmpImmJmpTrue { op, a, imm, .. } => ICmpImmJmpFalse {
-                op: *op,
-                a: *a,
-                imm: *imm,
-                target: 0,
-            },
-            _ => unreachable!(),
-        };
-        let _ = target_mut(&mut g);
-        g
-    };
+    let mut guard = if taken_in { flipped } else { ins.clone() };
+    *guard.target_mut()? = 0;
     Some((guard, t_pc))
+}
+
+/// `ins` with its branch polarity flipped, for the integer conditional
+/// branches a zero-trip guard may copy; `None` for anything else
+/// (unconditional, float-compare, or exit).
+fn flipped_int_branch(ins: &Instr) -> Option<Instr> {
+    use Instr::*;
+    Some(match *ins {
+        JmpIfFalse { cond, target } => JmpIfTrue { cond, target },
+        JmpIfTrue { cond, target } => JmpIfFalse { cond, target },
+        ICmpJmpFalse { op, a, b, target } => ICmpJmpTrue { op, a, b, target },
+        ICmpJmpTrue { op, a, b, target } => ICmpJmpFalse { op, a, b, target },
+        ICmpImmJmpFalse { op, a, imm, target } => ICmpImmJmpTrue { op, a, imm, target },
+        ICmpImmJmpTrue { op, a, imm, target } => ICmpImmJmpFalse { op, a, imm, target },
+        _ => return None,
+    })
 }
 
 /// Plans the hoists for one loop. Returns the hoists plus the guard
@@ -927,7 +720,7 @@ fn plan_loop(
     let mut loop_writes = vec![0u32; space.len];
     for &b in &lp.blocks {
         for pc in cfg.blocks[b].range.clone() {
-            if let Some(w) = write_of(&func.instrs[pc]) {
+            if let Some(w) = func.instrs[pc].write() {
                 loop_writes[space.index(w)] += 1;
             }
         }
@@ -943,7 +736,7 @@ fn plan_loop(
     for &b in &lp.blocks {
         let blk = &cfg.blocks[b];
         let last = blk.range.end - 1;
-        if !successors(&func.instrs[last], last, &mut out) {
+        if !func.instrs[last].successors(last, &mut out) {
             exit_sources.push(b); // returns straight out of the loop
             continue;
         }
@@ -964,14 +757,14 @@ fn plan_loop(
                 Some(c) => c,
                 None => continue,
             };
-            let dst = match write_of(ins) {
+            let dst = match ins.write() {
                 Some(d) => d,
                 None => continue,
             };
             // Operands must be loop-invariant (and untouched by hoists
             // already planned this round, which count as loop writes).
             let mut invariant = true;
-            for_each_read(ins, |r| {
+            ins.for_each_read(|r| {
                 if loop_writes[space.index(r)] != 0 {
                     invariant = false;
                 }
@@ -1040,7 +833,7 @@ fn plan_loop(
             let mut window_end = blk.range.end;
             let mut closed_by_write = false;
             for w in pc + 1..blk.range.end {
-                if write_of(&func.instrs[w]) == Some(dst) {
+                if func.instrs[w].write() == Some(dst) {
                     window_end = w + 1; // its reads still see the old def
                     closed_by_write = true;
                     break;
@@ -1058,30 +851,18 @@ fn plan_loop(
             {
                 continue;
             }
-            let fresh = match dst {
-                Reg::F(_) => {
-                    let r = next_freg;
-                    next_freg += 1;
-                    Reg::F(r)
-                }
-                Reg::I(_) => {
-                    let r = next_ireg;
-                    next_ireg += 1;
-                    Reg::I(r)
-                }
+            let next = match dst.0 {
+                RegClass::F => &mut next_freg,
+                _ => &mut next_ireg,
             };
+            let fresh_idx = *next;
+            *next += 1;
             let mut renamed = ins.clone();
-            visit_regs_mut(&mut renamed, &mut |class, idx, is_write| {
-                if is_write {
-                    match (fresh, class) {
-                        (Reg::F(nr), RegClass::F) | (Reg::I(nr), RegClass::I) => *idx = nr,
-                        _ => {}
-                    }
+            renamed.visit_regs_mut(|class, idx, is_write| {
+                if is_write && class == dst.0 {
+                    *idx = fresh_idx;
                 }
             });
-            let fresh_idx = match fresh {
-                Reg::F(i) | Reg::I(i) => i,
-            };
             let rewrites: Vec<(usize, Reg, u32)> = reads
                 .iter()
                 .filter(|&&u| u > pc && u < window_end)
@@ -1167,19 +948,17 @@ fn apply_plan(
         if old_pc == h {
             if let Some((g, g_pc)) = &guard {
                 let mut g = g.clone();
-                *target_mut(&mut g).unwrap() = header as u32;
+                *g.target_mut().expect("a guard is a branch") = header as u32;
                 instrs.push(g);
                 spans.push(func.spans[*g_pc]);
             }
             for hs in &hoists {
-                let mut reg_hi = |class: RegClass, idx: &mut u32, _w: bool| match class {
-                    RegClass::F => max_f = max_f.max(*idx + 1),
-                    RegClass::I => max_i = max_i.max(*idx + 1),
+                hs.ins.visit_regs(|class, idx, _w| match class {
+                    RegClass::F => max_f = max_f.max(idx + 1),
+                    RegClass::I => max_i = max_i.max(idx + 1),
                     RegClass::A => {}
-                };
-                let mut ins = hs.ins.clone();
-                visit_regs_mut(&mut ins, &mut reg_hi);
-                instrs.push(ins);
+                });
+                instrs.push(hs.ins.clone());
                 spans.push(func.spans[hs.pc]);
             }
         }
@@ -1193,21 +972,15 @@ fn apply_plan(
         let mut ins = func.instrs[old_pc].clone();
         let rw = &rewrites[rw_start..rw_at];
         if !rw.is_empty() {
-            visit_regs_mut(&mut ins, &mut |class, idx, is_write| {
-                if is_write {
-                    return;
-                }
+            ins.visit_regs_mut(|class, idx, is_write| {
                 for &(_, old, new) in rw {
-                    match (old, class) {
-                        (Reg::F(o), RegClass::F) | (Reg::I(o), RegClass::I) if *idx == o => {
-                            *idx = new;
-                        }
-                        _ => {}
+                    if !is_write && old == (class, *idx) {
+                        *idx = new;
                     }
                 }
             });
         }
-        if let Some(t) = target_mut(&mut ins) {
+        if let Some(t) = ins.target_mut() {
             *t = remap_target(*t as usize, old_pc) as u32;
         }
         instrs.push(ins);
@@ -1228,76 +1001,50 @@ fn apply_plan(
 /// variable (names are kept so shadow attribution and trap naming are
 /// unchanged). Returns the number of slots eliminated.
 fn compact_registers(func: &mut CompiledFunction) -> u32 {
-    let mut f_used = vec![false; func.n_fregs as usize];
-    let mut i_used = vec![false; func.n_iregs as usize];
-    let mut a_used = vec![false; func.n_aregs as usize];
-    let mut mark = |class: RegClass, idx: &mut u32, _w: bool| {
-        let i = *idx as usize;
-        match class {
-            RegClass::F => f_used[i] = true,
-            RegClass::I => i_used[i] = true,
-            RegClass::A => a_used[i] = true,
-        }
-    };
-    for ins in &mut func.instrs {
-        visit_regs_mut(ins, &mut mark);
+    use RegClass::{A, F};
+    // Indexed by `RegClass as usize`: F, I, A.
+    let sizes = [func.n_fregs, func.n_iregs, func.n_aregs];
+    let mut used = sizes.map(|n| vec![false; n as usize]);
+    for ins in &func.instrs {
+        ins.visit_regs(|class, r, _w| used[class as usize][r as usize] = true);
     }
     for p in &func.params {
-        match p.kind {
-            ParamKind::F(_) => f_used[p.reg as usize] = true,
-            ParamKind::I | ParamKind::B => i_used[p.reg as usize] = true,
-            ParamKind::FArr(_) | ParamKind::IArr => a_used[p.reg as usize] = true,
-        }
+        used[p.kind.class() as usize][p.reg as usize] = true;
     }
     for (r, _) in &func.fvar_names {
-        f_used[*r as usize] = true;
+        used[F as usize][*r as usize] = true;
     }
     for (r, _) in &func.avar_names {
-        a_used[*r as usize] = true;
+        used[A as usize][*r as usize] = true;
     }
-    let dense = |used: &[bool]| -> (Vec<u32>, u32) {
-        let mut map = vec![u32::MAX; used.len()];
-        let mut next = 0u32;
-        for (i, &u) in used.iter().enumerate() {
-            if u {
-                map[i] = next;
-                next += 1;
-            }
-        }
-        (map, next)
-    };
-    let (f_map, nf) = dense(&f_used);
-    let (i_map, ni) = dense(&i_used);
-    let (a_map, na) = dense(&a_used);
-    let saved = (func.n_fregs - nf) + (func.n_iregs - ni) + (func.n_aregs - na);
+    // Dense renumbering per file: `map[c][old]` is the new index.
+    let mut len = [0u32; 3];
+    let map: Vec<Vec<u32>> = (0..3)
+        .map(|c| {
+            let n = &mut len[c];
+            used[c]
+                .iter()
+                .map(|&u| std::mem::replace(n, *n + u32::from(u)))
+                .collect()
+        })
+        .collect();
+    let saved: u32 = (0..3).map(|c| sizes[c] - len[c]).sum();
     if saved == 0 {
         return 0;
     }
     for ins in &mut func.instrs {
-        visit_regs_mut(ins, &mut |class, idx, _w| {
-            *idx = match class {
-                RegClass::F => f_map[*idx as usize],
-                RegClass::I => i_map[*idx as usize],
-                RegClass::A => a_map[*idx as usize],
-            };
-        });
+        ins.visit_regs_mut(|class, r, _w| *r = map[class as usize][*r as usize]);
     }
     for p in &mut func.params {
-        p.reg = match p.kind {
-            ParamKind::F(_) => f_map[p.reg as usize],
-            ParamKind::I | ParamKind::B => i_map[p.reg as usize],
-            ParamKind::FArr(_) | ParamKind::IArr => a_map[p.reg as usize],
-        };
+        p.reg = map[p.kind.class() as usize][p.reg as usize];
     }
     for (r, _) in &mut func.fvar_names {
-        *r = f_map[*r as usize];
+        *r = map[F as usize][*r as usize];
     }
     for (r, _) in &mut func.avar_names {
-        *r = a_map[*r as usize];
+        *r = map[A as usize][*r as usize];
     }
-    func.n_fregs = nf;
-    func.n_iregs = ni;
-    func.n_aregs = na;
+    [func.n_fregs, func.n_iregs, func.n_aregs] = len;
     saved
 }
 
@@ -1441,7 +1188,7 @@ pub fn dump(func: &CompiledFunction) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{CmpOp, IReg, ParamSpec, RetKind};
+    use crate::bytecode::{CmpOp, IReg, ParamKind, ParamSpec, RetKind};
     use crate::value::ArgValue;
     use chef_ir::span::Span;
 

@@ -27,16 +27,31 @@
 //!     launder into a finite-but-*wrong* result (NaN comparisons are
 //!     all false) and evade detection.
 //!
-//! Because `period ≥ 2` for any seeded plan, two consecutive draws never
-//! both fire: a caller that retries a failed call exactly once always
-//! sees the retry succeed, which is what lets the whole test suite stay
-//! green under an injection seed — only the fault *counters* change.
-//!
 //! The counter is shared by all clones of a plan (`ExecOptions` is
 //! cloned per worker thread), so the total number of fires over N draws
 //! is exactly `|{ k < N : k % period == phase }|` regardless of thread
 //! interleaving; only *which* call observes a given ordinal is
 //! scheduling-dependent.
+//!
+//! ## Retry-once recovery
+//!
+//! A retried unit of work (a `chef-tuner` trial) pins its draws instead
+//! of taking whatever ordinal the shared counter holds when each attempt
+//! runs: [`FaultPlan::pin_trial`] reserves the trial's ordinal `n` and
+//! returns a plan on which every draw of the first attempt evaluates
+//! `n`; [`FaultPlan::retry`] returns the plan for the one retry, whose
+//! draws evaluate `n + 1`. Because `period ≥ 2` for any seeded plan, `n`
+//! and `n + 1` never both fire: **a trial's retry never fires, whatever
+//! other threads draw in between**, which is what lets the whole test
+//! suite stay green under an injection seed — only the fault *counters*
+//! change. (`period == 1` fires on both, so the retry is defeated and
+//! the trial quarantines.) Both calls also consume one ordinal each from
+//! the shared counter, as the attempts' own draws would, so a serial
+//! schedule is the same pinned or not.
+//!
+//! An unpinned caller that retries (the service's job retry) draws the
+//! retry's ordinal from the shared counter, so its retry recovers only
+//! when no other thread draws between its two attempts.
 //!
 //! In the style of `CHEF_EXEC_FUSE`/`CHEF_EXEC_CFG`, the environment
 //! can install a process-wide plan: [`env_plan`] reads
@@ -73,6 +88,9 @@ pub struct FaultPlan {
     instr: u64,
     /// Draw counter, shared across clones of this plan.
     ticks: Arc<AtomicU64>,
+    /// The ordinal every draw evaluates, on a plan pinned to one trial
+    /// attempt ([`FaultPlan::pin_trial`]); such draws consume nothing.
+    pinned: Option<u64>,
 }
 
 impl FaultPlan {
@@ -88,6 +106,7 @@ impl FaultPlan {
             phase: phase % period.max(1),
             instr: instr.max(1),
             ticks: Arc::new(AtomicU64::new(0)),
+            pinned: None,
         }
     }
 
@@ -99,13 +118,17 @@ impl FaultPlan {
         FaultPlan::new(kind, period, (z >> 8) % period, 8 + (z >> 16) % 56)
     }
 
-    /// Consumes one ordinal from the shared counter and reports the
-    /// fault to inject, if this draw fires.
+    /// Consumes one ordinal from the shared counter (or, on a pinned
+    /// plan, evaluates the pinned one) and reports the fault to inject,
+    /// if this draw fires.
     pub fn draw(&self) -> Option<FaultKind> {
         if self.period == 0 {
             return None;
         }
-        let n = self.ticks.fetch_add(1, Ordering::Relaxed);
+        let n = match self.pinned {
+            Some(n) => n,
+            None => self.ticks.fetch_add(1, Ordering::Relaxed),
+        };
         if n % self.period != self.phase {
             return None;
         }
@@ -114,6 +137,36 @@ impl FaultPlan {
             1 => FaultKind::Panic,
             _ => FaultKind::Nan,
         }))
+    }
+
+    /// Starts a retried trial: consumes the next ordinal `n` from the
+    /// shared counter and returns the plan for the trial's first
+    /// attempt, on which every draw evaluates `n` (see the module docs).
+    pub fn pin_trial(&self) -> FaultPlan {
+        let n = if self.period == 0 {
+            0
+        } else {
+            self.ticks.fetch_add(1, Ordering::Relaxed)
+        };
+        FaultPlan {
+            pinned: Some(n),
+            ..self.clone()
+        }
+    }
+
+    /// The plan for the retry of the trial this plan is pinned to
+    /// (ordinal `n`): its draws evaluate `n + 1`, so with `period ≥ 2`
+    /// the retry of a fired attempt never fires. Consumes one ordinal
+    /// from the shared counter, as the retry's own draw would. An
+    /// unpinned plan is returned unchanged.
+    pub fn retry(&self) -> FaultPlan {
+        match self.pinned {
+            Some(n) => FaultPlan {
+                pinned: Some(n + 1),
+                ..self.pin_trial()
+            },
+            None => self.clone(),
+        }
     }
 
     /// The instruction budget an injected trap installs.
@@ -217,6 +270,46 @@ mod tests {
             distinct.insert((p.period, p.phase, p.instr));
         }
         assert!(distinct.len() > 8, "seeds should spread the schedule");
+    }
+
+    #[test]
+    fn a_pinned_retry_never_fires_whatever_else_draws() {
+        for period in 2..8u64 {
+            for phase in 0..period {
+                let plan = FaultPlan::new(Some(FaultKind::Trap), period, phase, 16);
+                for _ in 0..2 * period {
+                    let first = plan.pin_trial();
+                    // Other threads draw between the two attempts.
+                    for _ in 1..period {
+                        plan.draw();
+                    }
+                    let retry = first.retry();
+                    assert!(first.draw().is_none() || retry.draw().is_none());
+                    // Pinned draws repeat their ordinal and consume nothing.
+                    let draws = plan.draws();
+                    assert_eq!(first.draw(), first.draw());
+                    assert_eq!(plan.draws(), draws);
+                }
+            }
+        }
+        // Period 1 fires on every draw: the retry is defeated too.
+        let every = FaultPlan::new(None, 1, 0, 16).pin_trial();
+        assert!(every.draw().is_some() && every.retry().draw().is_some());
+    }
+
+    #[test]
+    fn pinning_keeps_a_serial_schedule() {
+        let a = FaultPlan::new(None, 3, 1, 16);
+        let b = FaultPlan::new(None, 3, 1, 16);
+        for _ in 0..12 {
+            let first = a.pin_trial();
+            let fired = first.draw();
+            assert_eq!(fired, b.draw());
+            if fired.is_some() {
+                assert_eq!(first.retry().draw(), b.draw());
+            }
+        }
+        assert_eq!(a.draws(), b.draws());
     }
 
     #[test]

@@ -23,7 +23,14 @@
 //!
 //! The analysis loop calls the same compiled function thousands of times
 //! (sensitivity profiling, tuner candidates, the benchmark sweeps), and
-//! the engine is organized around that pattern in three layers:
+//! the engine is organized around that pattern in the layers below.
+//! Which fields of an [`bytecode::Instr`] are registers (and in which
+//! file, read or written) and which is a jump target is stated once, by
+//! the instruction's operand table in [`bytecode`]: the fuser's
+//! dataflow, the CFG tier's liveness, renaming and compaction, and
+//! [`vm::validate_function`]'s bounds check all derive from it. A new
+//! instruction is described there, in the packer (`pack_instr` and
+//! [`pack::decode`]) and in the dispatch loop.
 //!
 //! 1. **Bytecode fusion** ([`fuse`]): a peephole pass, run to fixpoint
 //!    by default in [`compile::compile`], collapses the compiler's hot idioms
@@ -97,9 +104,10 @@
 //!    [`vm::Machine::reset`] re-sizes without re-allocating, and
 //!    [`vm::run`]/[`vm::run_with`] route through a thread-local cached
 //!    machine; the shadow machine wraps one and shares its call frame.
-//!    Register operands are validated once per call and then accessed
-//!    unchecked in the dispatch loop, by the VM and the shadow pass
-//!    alike; the `max_instrs` budget is checked at backward jumps and
+//!    Register operands are validated once per call (every operand the
+//!    operand table reports is checked against its file's size) and then
+//!    accessed unchecked in the dispatch loop, by the VM and the shadow
+//!    pass alike; the `max_instrs` budget is checked at backward jumps and
 //!    returns instead of on every instruction, and the
 //!    [`vm::ExecOptions::deadline`] wall clock is probed at backward
 //!    jumps only once per [`vm::DEADLINE_STRIDE`] instructions.

@@ -50,9 +50,13 @@
 //!
 //! Packing is per-instruction and order-preserving: word `k` encodes
 //! `instrs[k]`, jump targets are unchanged, and [`decode`] is a total
-//! inverse on packer output. [`crate::vm::validate_function`] re-decodes
-//! every word and compares it against the enum stream before execution,
-//! so the dispatch loop may access registers and pools unchecked.
+//! inverse on packer output. The packer is also the bit-exact equality:
+//! [`instr_eq_bits`] holds when two instructions pack to the same word
+//! (constants compare by `to_bits`). [`crate::vm::validate_function`]
+//! bounds-checks every operand of the enum stream through the
+//! instruction's operand table, then re-decodes every word and compares
+//! it against the enum stream with [`instr_eq_bits`], so the dispatch
+//! loop may access registers and pools unchecked.
 
 use crate::bytecode::*;
 use chef_ir::ast::Intrinsic;
@@ -1073,93 +1077,35 @@ pub fn decode(w: u64, p: &PackedCode) -> Option<Instr> {
 }
 
 /// Instruction equality with bit-exact float comparison (`FConst` holding
-/// a NaN must still round-trip; `PartialEq` on `f64` would reject it).
+/// a NaN must still round-trip; `PartialEq` on `f64` would reject it):
+/// both instructions pack to the same word. Each instruction pools at
+/// most one constant, so the two packings share a two-entry interner,
+/// and equal words mean equal constant bits. An instruction the format
+/// cannot hold equals nothing.
 pub fn instr_eq_bits(x: &Instr, y: &Instr) -> bool {
-    match (x, y) {
-        (Instr::FConst { dst: d1, v: v1 }, Instr::FConst { dst: d2, v: v2 }) => {
-            d1 == d2 && v1.to_bits() == v2.to_bits()
-        }
-        (
-            Instr::FAddC {
-                dst: d1,
-                a: a1,
-                k: k1,
-            },
-            Instr::FAddC {
-                dst: d2,
-                a: a2,
-                k: k2,
-            },
-        )
-        | (
-            Instr::FSubC {
-                dst: d1,
-                a: a1,
-                k: k1,
-            },
-            Instr::FSubC {
-                dst: d2,
-                a: a2,
-                k: k2,
-            },
-        )
-        | (
-            Instr::FSubCR {
-                dst: d1,
-                a: a1,
-                k: k1,
-            },
-            Instr::FSubCR {
-                dst: d2,
-                a: a2,
-                k: k2,
-            },
-        )
-        | (
-            Instr::FMulC {
-                dst: d1,
-                a: a1,
-                k: k1,
-            },
-            Instr::FMulC {
-                dst: d2,
-                a: a2,
-                k: k2,
-            },
-        )
-        | (
-            Instr::FDivC {
-                dst: d1,
-                a: a1,
-                k: k1,
-            },
-            Instr::FDivC {
-                dst: d2,
-                a: a2,
-                k: k2,
-            },
-        )
-        | (
-            Instr::FDivCR {
-                dst: d1,
-                a: a1,
-                k: k1,
-            },
-            Instr::FDivCR {
-                dst: d2,
-                a: a2,
-                k: k2,
-            },
-        ) => d1 == d2 && a1 == a2 && k1.to_bits() == k2.to_bits(),
-        _ => x == y,
-    }
+    let mut seen = [0u64; 2];
+    let mut len = 0;
+    let mut intern = |bits: u64| {
+        let k = seen[..len]
+            .iter()
+            .position(|&s| s == bits)
+            .unwrap_or_else(|| {
+                seen[len] = bits;
+                len += 1;
+                len - 1
+            });
+        Some(k as u16)
+    };
+    let wx = pack_instr(x, &mut intern);
+    wx.is_some() && wx == pack_instr(y, &mut intern)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn roundtrip(ins: Instr) {
+    /// Packs, decodes and compares one instruction; returns its word.
+    fn roundtrip(ins: Instr) -> u64 {
         let mut pools = Pools::new();
         let w = pack_instr(&ins, &mut |b| pools.entry(b)).expect("packs");
         let p = PackedCode {
@@ -1168,14 +1114,18 @@ mod tests {
         };
         let back = decode(w, &p).expect("decodes");
         assert!(instr_eq_bits(&ins, &back), "{ins:?} != {back:?}");
+        w
     }
 
-    #[test]
-    fn every_instruction_shape_round_trips() {
+    /// One instruction of every shape, with edge-case constants,
+    /// immediates, offsets and operand widths. Every packed opcode has
+    /// at least one (checked by `every_instruction_shape_round_trips`),
+    /// so every `Instr` variant does too.
+    pub(crate) fn instruction_shapes() -> Vec<Instr> {
         use chef_ir::ast::Intrinsic;
         let f = FReg;
         let i = IReg;
-        let cases = vec![
+        vec![
             Instr::FConst { dst: f(3), v: 1.5 },
             Instr::FConst {
                 dst: f(0),
@@ -1304,10 +1254,180 @@ mod tests {
             Instr::RetF { src: f(0) },
             Instr::RetVoid,
             Instr::TrapMissingReturn,
-        ];
-        for ins in cases {
-            roundtrip(ins);
-        }
+            Instr::FSub {
+                dst: f(4),
+                a: f(5),
+                b: f(6),
+            },
+            Instr::FMul {
+                dst: f(4),
+                a: f(4),
+                b: f(6),
+            },
+            Instr::FDiv {
+                dst: f(6),
+                a: f(5),
+                b: f(4),
+            },
+            Instr::FNeg {
+                dst: f(2),
+                src: f(7),
+            },
+            Instr::F2I {
+                dst: i(3),
+                src: f(4),
+            },
+            Instr::I2F {
+                dst: f(3),
+                src: i(4),
+            },
+            Instr::IMov {
+                dst: i(3),
+                src: i(5),
+            },
+            Instr::IAdd {
+                dst: i(4),
+                a: i(5),
+                b: i(6),
+            },
+            Instr::ISub {
+                dst: i(6),
+                a: i(5),
+                b: i(4),
+            },
+            Instr::IMul {
+                dst: i(4),
+                a: i(4),
+                b: i(4),
+            },
+            Instr::IDiv {
+                dst: i(1),
+                a: i(2),
+                b: i(3),
+            },
+            Instr::IRem {
+                dst: i(3),
+                a: i(2),
+                b: i(1),
+            },
+            Instr::INeg {
+                dst: i(2),
+                src: i(8),
+            },
+            Instr::ICmp {
+                dst: i(1),
+                op: CmpOp::Eq,
+                a: i(2),
+                b: i(3),
+            },
+            Instr::ILoad {
+                dst: i(1),
+                arr: AReg(2),
+                idx: i(3),
+            },
+            Instr::IStore {
+                arr: AReg(3),
+                idx: i(2),
+                src: i(1),
+            },
+            Instr::BNot {
+                dst: i(1),
+                src: i(1),
+            },
+            Instr::JmpIfTrue {
+                cond: i(2),
+                target: 3,
+            },
+            Instr::TPopF { dst: f(4) },
+            Instr::TPushI { src: i(4) },
+            Instr::AllocI {
+                arr: AReg(2),
+                len: i(5),
+            },
+            Instr::FSubRound {
+                dst: f(1),
+                a: f(2),
+                b: f(3),
+                ty: FloatTy::F16,
+            },
+            Instr::FMulRound {
+                dst: f(3),
+                a: f(2),
+                b: f(1),
+                ty: FloatTy::BF16,
+            },
+            Instr::FDivRound {
+                dst: f(2),
+                a: f(3),
+                b: f(1),
+                ty: FloatTy::F64,
+            },
+            Instr::FCmpJmpTrue {
+                op: CmpOp::Lt,
+                a: f(3),
+                b: f(1),
+                target: 2,
+            },
+            Instr::ICmpJmpFalse {
+                op: CmpOp::Ge,
+                a: i(3),
+                b: i(4),
+                target: 5,
+            },
+            Instr::ICmpImmJmpFalse {
+                op: CmpOp::Lt,
+                a: i(2),
+                imm: -32768,
+                target: 4,
+            },
+            Instr::ICmpImmJmpTrue {
+                op: CmpOp::Ge,
+                a: i(5),
+                imm: 32767,
+                target: 1,
+            },
+            Instr::FAddC {
+                dst: f(1),
+                a: f(2),
+                k: 0.5,
+            },
+            Instr::FSubC {
+                dst: f(2),
+                a: f(1),
+                k: f64::INFINITY,
+            },
+            Instr::FSubCR {
+                dst: f(3),
+                k: -0.0,
+                a: f(4),
+            },
+            Instr::FMulC {
+                dst: f(4),
+                a: f(4),
+                k: f64::NAN,
+            },
+            Instr::FDivC {
+                dst: f(5),
+                a: f(6),
+                k: 3.0,
+            },
+            Instr::FDivCR {
+                dst: f(6),
+                k: 1.0,
+                a: f(5),
+            },
+            Instr::RetI { src: i(7) },
+            Instr::RetB { src: i(0) },
+        ]
+    }
+
+    #[test]
+    fn every_instruction_shape_round_trips() {
+        let opcodes: std::collections::HashSet<u8> = instruction_shapes()
+            .into_iter()
+            .map(|ins| opcode(roundtrip(ins)))
+            .collect();
+        assert_eq!(opcodes.len(), op::COUNT as usize, "an opcode has no shape");
     }
 
     #[test]

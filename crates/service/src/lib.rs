@@ -26,7 +26,8 @@
 //! 3. **Fault isolation + circuit breaking**: a trap or panic in one
 //!    job is caught at the job boundary, retried once (injected faults
 //!    from seeded [`FaultPlan`]s fire at most every other draw, so one
-//!    retry always recovers them), and reported as an [`Outcome`]. The
+//!    retry recovers them unless another worker draws in between; see
+//!    [`chef_exec::fault`]), and reported as an [`Outcome`]. The
 //!    neighbouring sessions' machines live in separate pool checkouts —
 //!    a faulting session cannot corrupt their state (pinned
 //!    bit-identically by the isolation tests). Repeated faults trip the

@@ -284,20 +284,6 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// `exec` with its instruction budget raised to at least `floor` (a
-/// retry after [`TrapKind::InstrBudgetExhausted`] escalates
-/// proportionally to the count the trap carried). An unlimited budget
-/// stays unlimited.
-fn with_budget_floor(exec: &ExecOptions, floor: Option<u64>) -> ExecOptions {
-    match floor {
-        None => exec.clone(),
-        Some(fl) => ExecOptions {
-            max_instrs: exec.max_instrs.map(|b| b.max(fl)),
-            ..exec.clone()
-        },
-    }
-}
-
 /// Hard ceiling on the [`TrapKind::InstrBudgetExhausted`] retry
 /// escalation, as a multiple of the admission-time budget: a retry may
 /// run with at most `ESCALATION_CAP ×` the budget the trial was admitted
@@ -308,25 +294,43 @@ fn with_budget_floor(exec: &ExecOptions, floor: Option<u64>) -> ExecOptions {
 /// worst-case spend at `(1 + ESCALATION_CAP) ×` the admitted budget.
 pub const ESCALATION_CAP: u64 = 2;
 
+/// One attempt of a trial, given its instruction-budget floor and the
+/// options to run with (see [`run_trial`]).
+type Attempt<'a, T> = dyn FnMut(Option<u64>, &ExecOptions) -> Result<T, ChefError> + 'a;
+
 /// Runs one trial with fault isolation: a trap, a panic, or (when
 /// `value_of` yields the trial's measurement) a non-finite value is
 /// recorded in `log` and retried once; a second fault quarantines the
 /// trial. Non-fault errors (compile, unknown function, …) propagate
 /// unchanged — they are deterministic caller mistakes, not per-trial
-/// weather. `attempt` receives the retry's instruction-budget floor,
-/// escalated from the trap's executed count but never past
-/// [`ESCALATION_CAP`] × `admitted` (the trial's admission-time
-/// `max_instrs`).
+/// weather. `attempt` receives its instruction-budget floor (`None` on
+/// the first attempt) and the options to run with: `exec` with the
+/// fault plan pinned to the trial
+/// ([`chef_exec::fault::FaultPlan::pin_trial`]), so the retry of an
+/// injected fault never fires again whatever other threads draw, and
+/// the budget raised to at least the floor (an unlimited budget stays
+/// unlimited). A retry after [`TrapKind::InstrBudgetExhausted`]
+/// escalates its floor from the trap's executed count but never past
+/// [`ESCALATION_CAP`] × `exec.max_instrs` (the trial's admission-time
+/// budget).
 fn run_trial<T>(
     log: &FaultLog,
     what: &dyn Fn() -> String,
-    admitted: Option<u64>,
-    attempt: &mut dyn FnMut(Option<u64>) -> Result<T, ChefError>,
+    exec: &ExecOptions,
+    attempt: &mut Attempt<'_, T>,
     value_of: &dyn Fn(&T) -> Option<f64>,
 ) -> Result<TrialOutcome<T>, ChefError> {
     let _span = chef_telemetry::span("trial");
-    let mut once = |floor: Option<u64>| -> Result<Result<T, (Fault, Option<T>)>, ChefError> {
-        match catch_unwind(AssertUnwindSafe(|| attempt(floor))) {
+    let pinned = exec.fault.as_ref().map(FaultPlan::pin_trial);
+    let mut once = |floor: Option<u64>,
+                    fault: Option<FaultPlan>|
+     -> Result<Result<T, (Fault, Option<T>)>, ChefError> {
+        let e = ExecOptions {
+            max_instrs: exec.max_instrs.map(|b| floor.map_or(b, |fl| b.max(fl))),
+            fault,
+            ..exec.clone()
+        };
+        match catch_unwind(AssertUnwindSafe(|| attempt(floor, &e))) {
             Ok(Ok(v)) => match value_of(&v) {
                 Some(x) if !x.is_finite() => Ok(Err((Fault::NonFinite(x), Some(v)))),
                 _ => Ok(Ok(v)),
@@ -339,7 +343,7 @@ fn run_trial<T>(
             }
         }
     };
-    let (first, _) = match once(None)? {
+    let (first, _) = match once(None, pinned.clone())? {
         Ok(v) => return Ok(TrialOutcome::Done(v)),
         Err(f) => f,
     };
@@ -347,7 +351,7 @@ fn run_trial<T>(
         Fault::Trap(t) => match t.kind {
             TrapKind::InstrBudgetExhausted { executed } => {
                 let escalated = executed.saturating_mul(2);
-                let cap = admitted.map(|b| b.saturating_mul(ESCALATION_CAP));
+                let cap = exec.max_instrs.map(|b| b.saturating_mul(ESCALATION_CAP));
                 Some(cap.map_or(escalated, |c| escalated.min(c)))
             }
             _ => None,
@@ -359,7 +363,7 @@ fn run_trial<T>(
         s.bump(&first);
         s.retried += 1;
     });
-    match once(floor)? {
+    match once(floor, pinned.as_ref().map(FaultPlan::retry))? {
         Ok(v) => {
             chef_telemetry::counter!("tuner.faults.recovered").inc();
             log.with(|s| {
@@ -798,11 +802,8 @@ fn estimate_ranking(
     let out = accept_or_propagate(run_trial(
         log,
         &|| format!("estimate `{func}`"),
-        exec.max_instrs,
-        &mut |floor| {
-            est.execute_with(args, &with_budget_floor(&exec, floor))
-                .map_err(ChefError::Trap)
-        },
+        &exec,
+        &mut |_, e| est.execute_with(args, e).map_err(ChefError::Trap),
         &|out: &EstimateOutcome| Some(out.value),
     )?)?;
 
@@ -957,17 +958,16 @@ fn validate_configs_impl(
         accept_or_propagate(run_trial(
             log,
             what,
-            exec.max_instrs,
-            &mut |floor| {
+            &exec,
+            &mut |_, e| {
                 let c = compile_cfg(pm)?;
-                let e = with_budget_floor(&exec, floor);
                 let out = match cache {
                     // Shared session: draw a pooled machine so every
                     // variant run in the session reuses the same buffers.
                     // A panicking run drops the guard mid-unwind and the
                     // arena discards the machine (see `chef_exec::arena`).
-                    Some(cache) => cache.arena().checkout().run_reused(&c, args.to_vec(), &e),
-                    None => chef_exec::vm::run_with(&c, args.to_vec(), &e),
+                    Some(cache) => cache.arena().checkout().run_reused(&c, args.to_vec(), e),
+                    None => chef_exec::vm::run_with(&c, args.to_vec(), e),
                 };
                 out.map(|o| o.ret_f()).map_err(ChefError::Trap)
             },
@@ -1144,16 +1144,15 @@ pub fn tune_with_oracle(
     // fine: `run_reused` fully re-initializes it on the next call.
     let mut m64 = cache.shadow64().checkout();
     let mut mdd = cache.shadow_dd().checkout();
-    let mut measure = |names: &[String], floor: Option<u64>| -> Result<ShadowReport, ChefError> {
+    let mut measure = |names: &[String], e: &ExecOptions| -> Result<ShadowReport, ChefError> {
         let _span = chef_telemetry::span("oracle_run");
         let pm = config_for(primal, names, cfg.target);
         let compiled = cache
             .get_or_compile(primal, &pm)
             .map_err(ChefError::Compile)?;
-        let e = with_budget_floor(&exec, floor);
         let out = match opts.oracle.mode {
-            chef_shadow::ShadowMode::F64 => m64.run_reused(&compiled, args.to_vec(), &e),
-            chef_shadow::ShadowMode::DD => mdd.run_reused(&compiled, args.to_vec(), &e),
+            chef_shadow::ShadowMode::F64 => m64.run_reused(&compiled, args.to_vec(), e),
+            chef_shadow::ShadowMode::DD => mdd.run_reused(&compiled, args.to_vec(), e),
         }
         .map_err(ChefError::Trap)?;
         chef_shadow::report_from_outcome(&compiled, out)
@@ -1167,8 +1166,8 @@ pub fn tune_with_oracle(
         let outcome = run_trial(
             &log,
             &|| format!("oracle trial `{func}` [{}]", names.join(", ")),
-            exec.max_instrs,
-            &mut |floor| measure(names, floor),
+            &exec,
+            &mut |_, e| measure(names, e),
             &|rep: &ShadowReport| Some(rep.output_error),
         )?;
         Ok(match outcome {
@@ -1185,15 +1184,15 @@ pub fn tune_with_oracle(
         accept_or_propagate(run_trial(
             &log,
             what,
-            exec.max_instrs,
-            &mut |floor| {
+            &exec,
+            &mut |_, e| {
                 let compiled = cache
                     .get_or_compile(primal, pm)
                     .map_err(ChefError::Compile)?;
                 cache
                     .arena()
                     .checkout()
-                    .run_reused(&compiled, args.to_vec(), &with_budget_floor(&exec, floor))
+                    .run_reused(&compiled, args.to_vec(), e)
                     .map(|o| o.ret_f())
                     .map_err(ChefError::Trap)
             },
@@ -1898,6 +1897,64 @@ mod tests {
         assert_eq!(res2.demoted, res.demoted);
     }
 
+    /// A trial's retry runs with the plan pinned to the trial, so the
+    /// ordinals other threads draw between its two attempts cannot make
+    /// the retry fire: here `period − 1` extra draws land in between,
+    /// which would hand an unpinned retry the next firing ordinal.
+    #[test]
+    fn a_trial_retry_never_fires_whatever_other_threads_draw() {
+        use chef_exec::fault::{FaultKind, FaultPlan};
+        let p = program("double f(double a) { double b = a * 3.0; return b; }");
+        let f = compile(p.function("f").unwrap(), &CompileOptions::default()).unwrap();
+        for period in 1..6u64 {
+            for kind in [FaultKind::Trap, FaultKind::Panic, FaultKind::Nan] {
+                let plan = FaultPlan::new(Some(kind), period, 0, 1);
+                let exec = ExecOptions {
+                    fault: Some(plan.clone()),
+                    ..Default::default()
+                };
+                let mut attempts = 0;
+                let mut attempt = |_: Option<u64>, e: &ExecOptions| {
+                    attempts += 1;
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        chef_exec::vm::run_with(&f, vec![ArgValue::F(0.5)], e)
+                    }));
+                    if attempts == 1 {
+                        for _ in 1..period {
+                            plan.draw();
+                        }
+                    }
+                    match out {
+                        Ok(r) => r.map(|o| o.ret_f()).map_err(ChefError::Trap),
+                        Err(payload) => resume_unwind(payload),
+                    }
+                };
+                let log = FaultLog::default();
+                let out = run_trial(&log, &|| "pinned".into(), &exec, &mut attempt, &|v| {
+                    Some(*v)
+                })
+                .unwrap();
+                let (mut recovered, mut quarantined) = (0, 0);
+                log.with(|s| (recovered, quarantined) = (s.recovered, s.quarantined));
+                if period == 1 {
+                    // Every ordinal fires: the retry is defeated.
+                    assert!(matches!(out, TrialOutcome::Faulted(..)), "{kind:?}");
+                    assert_eq!((recovered, quarantined), (0, 1), "{kind:?}");
+                } else {
+                    assert!(
+                        matches!(out, TrialOutcome::Done(v) if v == 1.5),
+                        "period {period}, {kind:?}"
+                    );
+                    assert_eq!(
+                        (recovered, quarantined),
+                        (1, 0),
+                        "period {period}, {kind:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn retry_escalation_is_capped_by_the_admitted_budget() {
         // A "kernel" needing 50 instructions under an admitted budget of
@@ -1906,7 +1963,7 @@ mod tests {
         // retry runs with the escalated floor.
         let needs: u64 = 50;
         let admitted: u64 = 10;
-        let mut attempt = |floor: Option<u64>| -> Result<f64, ChefError> {
+        let mut attempt = |floor: Option<u64>, _: &ExecOptions| -> Result<f64, ChefError> {
             let budget = floor.unwrap_or(admitted);
             if budget >= needs {
                 Ok(1.0)
@@ -1924,7 +1981,7 @@ mod tests {
         let out = run_trial(
             &log,
             &|| "uncapped".to_string(),
-            None,
+            &ExecOptions::default(),
             &mut attempt,
             &|v: &f64| Some(*v),
         )
@@ -1937,7 +1994,10 @@ mod tests {
         let out = run_trial(
             &log,
             &|| "capped".to_string(),
-            Some(admitted),
+            &ExecOptions {
+                max_instrs: Some(admitted),
+                ..Default::default()
+            },
             &mut attempt,
             &|v: &f64| Some(*v),
         )
