@@ -110,6 +110,101 @@ fn packed_words_decode_back_to_their_instructions() {
     }
 }
 
+// ------------------------------------------------------- wire-format pin
+
+use chef_exec::bytecode::{AReg, CmpOp, FReg, IReg, Instr, RetKind};
+use chef_exec::pack::PackedCode;
+
+include!("common/instruction_shapes.rs");
+
+/// FNV-1a over the packed words and the constant pool, lengths first.
+fn wire_hash(p: &PackedCode) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let lens = [p.words.len() as u64, p.pool.len() as u64];
+    for x in lens.iter().chain(&p.words).chain(&p.pool) {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The packed wire format is pinned bit for bit: the words and pool of
+/// every instruction shape (packed as one stream, so pool sharing is
+/// pinned too) and of every app kernel in every mode, compiled through
+/// the whole pipeline. Stored cache entries hold these words, so a change
+/// here must bump `store::FORMAT_VERSION`.
+#[test]
+fn packed_wire_format_is_pinned() {
+    let instrs = instruction_shapes();
+    let shapes = CompiledFunction {
+        name: "shapes".into(),
+        spans: vec![chef_ir::span::Span::DUMMY; instrs.len()],
+        instrs,
+        n_fregs: 0,
+        n_iregs: 0,
+        n_aregs: 0,
+        params: vec![],
+        ret: RetKind::Void,
+        fvar_names: vec![],
+        avar_names: vec![],
+        packed: None,
+    };
+    let packed = chef_exec::pack::pack_function(&shapes).expect("every shape packs");
+    let mut actual = vec![("shapes".to_string(), wire_hash(&packed))];
+    for (label, program, name) in kernels() {
+        let func = inlined_kernel(&program, name);
+        let grad = chef_ad::reverse::reverse_diff(&func)
+            .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
+        let modes = [
+            ("primal", &func, PrecisionMap::empty()),
+            ("demoted", &func, demote_all(&func)),
+            ("adjoint", &grad, PrecisionMap::empty()),
+        ];
+        for (mode, f, pm) in modes {
+            let options = CompileOptions {
+                precisions: pm,
+                fuse: true,
+                cfg: true,
+                pack: true,
+            };
+            let compiled = compile(f, &options).expect("kernel compiles");
+            let packed = compiled.packed.as_ref().expect("compile packs");
+            actual.push((format!("{label}/{mode}"), wire_hash(packed)));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(l, h)| format!("    (\"{l}\", 0x{h:016x}),\n"))
+        .collect();
+    let expected: Vec<(String, u64)> = GOLDEN_WIRE_FORMAT
+        .iter()
+        .map(|&(l, h)| (l.to_string(), h))
+        .collect();
+    assert_eq!(actual, expected, "\nactual table:\n{table}");
+}
+
+/// `(shapes or kernel/mode, wire_hash of its packed code)`.
+const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
+    ("shapes", 0xdc98935d2030629d),
+    ("arclen/primal", 0x8d9c1ca7eac9ad94),
+    ("arclen/demoted", 0xfcf4fca063979594),
+    ("arclen/adjoint", 0xad53a1964fea2b56),
+    ("simpsons/primal", 0x50ff43da23be0c2e),
+    ("simpsons/demoted", 0xa18ea2ae3c0985e0),
+    ("simpsons/adjoint", 0x09272ebd750df53e),
+    ("kmeans/primal", 0x93b8303f78a75f18),
+    ("kmeans/demoted", 0x17c904071118ad90),
+    ("kmeans/adjoint", 0x350d9cba6d70c5ae),
+    ("blackscholes/primal", 0xe765ee664b58d52a),
+    ("blackscholes/demoted", 0x8161d6ddd0a0cfff),
+    ("blackscholes/adjoint", 0xdddbd672c4ec8cf6),
+    ("hpccg/primal", 0x195543d60468f72f),
+    ("hpccg/demoted", 0xfac4947b7792e150),
+    ("hpccg/adjoint", 0x3af6203cb5601ce5),
+];
+
 // ---------------------------------------------------------------- proptest
 
 fn parse(src: &str) -> Program {
