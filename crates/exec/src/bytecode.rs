@@ -311,167 +311,9 @@ pub(crate) enum RegClass {
 pub(crate) type Reg = (RegClass, u32);
 
 impl Instr {
-    /// The operand table: calls `f(class, &mut index, is_write)` for every
-    /// register operand, reads and writes alike (arrays included), and
-    /// returns the jump target, if any. This is the one place that says
-    /// which fields of each variant are registers and targets; the
-    /// fuser's dataflow, the CFG tier and
-    /// [`crate::vm::validate_function`] all derive from it, so a new
-    /// variant is described here (and in `pack_instr`/`decode` and the
-    /// dispatch loop) and nowhere else.
-    // Inlined into each visitor so the closure folds into the match: the
-    // fuser and validation walk every instruction through it.
-    #[inline(always)]
-    fn operands_mut(&mut self, mut f: impl FnMut(RegClass, &mut u32, bool)) -> Option<&mut u32> {
-        use Instr::*;
-        use RegClass::*;
-        match self {
-            FConst { dst, .. } => f(F, &mut dst.0, true),
-            FMov { dst, src } | FNeg { dst, src } | FRound { dst, src, .. } => {
-                f(F, &mut src.0, false);
-                f(F, &mut dst.0, true);
-            }
-            FAdd { dst, a, b }
-            | FSub { dst, a, b }
-            | FMul { dst, a, b }
-            | FDiv { dst, a, b }
-            | FAddRound { dst, a, b, .. }
-            | FSubRound { dst, a, b, .. }
-            | FMulRound { dst, a, b, .. }
-            | FDivRound { dst, a, b, .. }
-            | FIntr2 { dst, a, b, .. }
-            | FIntr2Round { dst, a, b, .. } => {
-                f(F, &mut a.0, false);
-                f(F, &mut b.0, false);
-                f(F, &mut dst.0, true);
-            }
-            FIntr1 { dst, a, .. }
-            | FIntr1Round { dst, a, .. }
-            | FAddC { dst, a, .. }
-            | FSubC { dst, a, .. }
-            | FSubCR { dst, a, .. }
-            | FMulC { dst, a, .. }
-            | FDivC { dst, a, .. }
-            | FDivCR { dst, a, .. } => {
-                f(F, &mut a.0, false);
-                f(F, &mut dst.0, true);
-            }
-            FMulAdd { dst, a, b, c } => {
-                f(F, &mut a.0, false);
-                f(F, &mut b.0, false);
-                f(F, &mut c.0, false);
-                f(F, &mut dst.0, true);
-            }
-            FCmp { dst, a, b, .. } => {
-                f(F, &mut a.0, false);
-                f(F, &mut b.0, false);
-                f(I, &mut dst.0, true);
-            }
-            FLoad {
-                dst,
-                arr,
-                idx: base,
-            }
-            | FLoadOff { dst, arr, base, .. } => {
-                f(A, &mut arr.0, false);
-                f(I, &mut base.0, false);
-                f(F, &mut dst.0, true);
-            }
-            FStore {
-                arr,
-                idx: base,
-                src,
-            }
-            | FStoreOff { arr, base, src, .. } => {
-                f(A, &mut arr.0, false);
-                f(I, &mut base.0, false);
-                f(F, &mut src.0, false);
-            }
-            F2I { dst, src } => {
-                f(F, &mut src.0, false);
-                f(I, &mut dst.0, true);
-            }
-            I2F { dst, src } => {
-                f(I, &mut src.0, false);
-                f(F, &mut dst.0, true);
-            }
-            IConst { dst, .. } => f(I, &mut dst.0, true),
-            IMov { dst, src }
-            | INeg { dst, src }
-            | BNot { dst, src }
-            | IAddImm { dst, a: src, .. } => {
-                f(I, &mut src.0, false);
-                f(I, &mut dst.0, true);
-            }
-            IAdd { dst, a, b }
-            | ISub { dst, a, b }
-            | IMul { dst, a, b }
-            | IDiv { dst, a, b }
-            | IRem { dst, a, b }
-            | ICmp { dst, a, b, .. } => {
-                f(I, &mut a.0, false);
-                f(I, &mut b.0, false);
-                f(I, &mut dst.0, true);
-            }
-            ILoad { dst, arr, idx } => {
-                f(A, &mut arr.0, false);
-                f(I, &mut idx.0, false);
-                f(I, &mut dst.0, true);
-            }
-            IStore { arr, idx, src } => {
-                f(A, &mut arr.0, false);
-                f(I, &mut idx.0, false);
-                f(I, &mut src.0, false);
-            }
-            Jmp { target } => return Some(target),
-            JmpIfFalse { cond, target } | JmpIfTrue { cond, target } => {
-                f(I, &mut cond.0, false);
-                return Some(target);
-            }
-            FCmpJmpFalse { a, b, target, .. } | FCmpJmpTrue { a, b, target, .. } => {
-                f(F, &mut a.0, false);
-                f(F, &mut b.0, false);
-                return Some(target);
-            }
-            ICmpJmpFalse { a, b, target, .. } | ICmpJmpTrue { a, b, target, .. } => {
-                f(I, &mut a.0, false);
-                f(I, &mut b.0, false);
-                return Some(target);
-            }
-            ICmpImmJmpFalse { a, target, .. } | ICmpImmJmpTrue { a, target, .. } => {
-                f(I, &mut a.0, false);
-                return Some(target);
-            }
-            TPushF { src } | RetF { src } => f(F, &mut src.0, false),
-            TPopF { dst } => f(F, &mut dst.0, true),
-            TPushI { src } | RetI { src } | RetB { src } => f(I, &mut src.0, false),
-            TPopI { dst } => f(I, &mut dst.0, true),
-            AllocF { arr, len } | AllocI { arr, len } => {
-                f(I, &mut len.0, false);
-                f(A, &mut arr.0, true);
-            }
-            RetVoid | TrapMissingReturn => {}
-        }
-        None
-    }
-
-    /// Calls `f(class, &mut index, is_write)` for every register operand
-    /// (see [`Instr::operands_mut`]).
-    pub(crate) fn visit_regs_mut(&mut self, f: impl FnMut(RegClass, &mut u32, bool)) {
-        self.operands_mut(f);
-    }
-
-    /// Calls `f(class, index, is_write)` for every register operand and
-    /// returns the jump target, if any.
-    pub(crate) fn visit_regs(&self, mut f: impl FnMut(RegClass, u32, bool)) -> Option<u32> {
-        self.clone()
-            .operands_mut(|class, r, w| f(class, *r, w))
-            .copied()
-    }
-
     /// The jump-target field, if the instruction has one.
     pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
-        self.operands_mut(|_, _, _| {})
+        self.visit_regs_mut(|_, _, _| {})
     }
 
     /// The jump target, if the instruction has one.
@@ -611,8 +453,9 @@ pub struct CompiledFunction {
     /// a function built or rewritten by hand, or compiled with
     /// [`crate::compile::CompileOptions::pack`] off, and such a function
     /// must be packed with [`crate::pack::pack_function`] before it runs:
-    /// [`crate::vm::validate_function`] rejects it otherwise, and checks
-    /// that the words are equivalent to `instrs` word for word.
+    /// [`crate::vm::validate_function`] rejects it otherwise, and requires
+    /// each word to be the canonical packing of its instruction in
+    /// `instrs`.
     pub packed: Option<crate::pack::PackedCode>,
 }
 

@@ -49,9 +49,8 @@
 //! the shared counter, as the attempts' own draws would, so a serial
 //! schedule is the same pinned or not.
 //!
-//! An unpinned caller that retries (the service's job retry) draws the
-//! retry's ordinal from the shared counter, so its retry recovers only
-//! when no other thread draws between its two attempts.
+//! Both retrying callers pin this way: the tuner's trial retry and
+//! `chef-service`'s job retry.
 //!
 //! In the style of `CHEF_EXEC_FUSE`/`CHEF_EXEC_CFG`, the environment
 //! can install a process-wide plan: [`env_plan`] reads

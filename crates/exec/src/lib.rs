@@ -26,11 +26,12 @@
 //! the engine is organized around that pattern in the layers below.
 //! Which fields of an [`bytecode::Instr`] are registers (and in which
 //! file, read or written) and which is a jump target is stated once, by
-//! the instruction's operand table in [`bytecode`]: the fuser's
-//! dataflow, the CFG tier's liveness, renaming and compaction, and
-//! [`vm::validate_function`]'s bounds check all derive from it. A new
-//! instruction is described there, in the packer (`pack_instr` and
-//! [`pack::decode`]) and in the dispatch loop.
+//! the opcode table in `opcodes.rs`, which generates the operand visitor
+//! along with the [`pack::op`] numbers, the packer and [`pack::decode`]:
+//! the fuser's dataflow, the CFG tier's liveness, renaming and
+//! compaction, and [`vm::validate_function`]'s checks all derive from
+//! it. A new instruction is an [`bytecode::Instr`] variant, one table
+//! row and one arm in the dispatch loop.
 //!
 //! 1. **Bytecode fusion** ([`fuse`]): a peephole pass, run to fixpoint
 //!    by default in [`compile::compile`], collapses the compiler's hot idioms
@@ -249,13 +250,15 @@
 //! [`vm::TrapKind::InvalidBytecode`]; [`pack::pack_function`] packs it.
 //!
 //! Packing is 1:1 and order-preserving (word `k` encodes instruction
-//! `k`; `pc`, spans and jump targets are shared), and
-//! [`vm::validate_function`] re-decodes every word against the enum
-//! stream before execution, which is what makes the dispatch loop's
-//! unchecked register/pool accesses sound. The `packed_differential`
-//! test suite pins that every word decodes back to its instruction
-//! (primal, demoted and adjoint streams of every app kernel, and
-//! proptest-generated kernels).
+//! `k`; `pc`, spans and jump targets are shared), and before execution
+//! [`vm::validate_function`] requires every word to be the canonical
+//! packing of its bounds-checked instruction (one pack per word, pool
+//! indices taken from the word and checked), which is what makes the
+//! dispatch loop's unchecked register/pool accesses sound. The
+//! `packed_differential` test suite pins the wire format by hash and
+//! that every word decodes back to its instruction (primal, demoted and
+//! adjoint streams of every app kernel, and proptest-generated
+//! kernels).
 //!
 //! ## Persistent variant cache
 //!
@@ -326,6 +329,7 @@ pub mod compile;
 pub mod fault;
 pub mod fuse;
 pub mod intrinsics;
+mod opcodes;
 pub mod pack;
 pub mod par;
 pub mod precision;

@@ -863,11 +863,12 @@ impl Machine {
 }
 
 /// Checks that every register operand and jump target of `func` is within
-/// the declared files and that `func.packed` is present and decodes word
-/// for word to `func.instrs`, making the dispatch loop's unchecked
-/// register accesses sound. An unpacked function is rejected (run it
-/// through [`crate::pack::pack_function`] first). O(instruction count);
-/// negligible next to execution.
+/// the declared files and that `func.packed` is present and each word is
+/// the canonical packing of its instruction, with pool indices that name
+/// the instruction's constants. This makes the dispatch loop's unchecked
+/// register and pool accesses sound. An unpacked function is rejected
+/// (run it through [`crate::pack::pack_function`] first). One visit and
+/// one pack per instruction; negligible next to execution.
 pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
     let size = |class: RegClass| match class {
         RegClass::F => func.n_fregs,
@@ -892,10 +893,11 @@ pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
             ));
         }
     }
-    // The dispatch loop runs the packed stream, which must be
-    // word-for-word equivalent to the (just validated) enum stream: the
-    // loop reads operand fields unchecked, and this equivalence is what
-    // carries the register/target/pool bounds proof over to the words.
+    // The dispatch loop runs the packed stream and reads its operand
+    // fields unchecked. Each word must be the canonical packing of its
+    // (just validated) instruction, which carries the register/target
+    // bounds proof over to the words; `Named` takes each pool index from
+    // the word and checks that the entry holds the instruction's constant.
     let Some(p) = &func.packed else {
         return Err(format!(
             "function `{}` is not packed; call pack::pack_function (or compile \
@@ -911,13 +913,11 @@ pub fn validate_function(func: &CompiledFunction) -> Result<(), String> {
         ));
     }
     for (pc, (&w, ins)) in p.words.iter().zip(&func.instrs).enumerate() {
-        match crate::pack::decode(w, p) {
-            Some(d) if crate::pack::instr_eq_bits(&d, ins) => {}
-            _ => {
-                return Err(format!(
-                    "packed word {pc} ({w:#018x}) does not decode to {ins:?}"
-                ))
-            }
+        let named = &mut crate::opcodes::Named { w, pool: &p.pool };
+        if crate::opcodes::pack_instr(ins, named) != Some(w) {
+            return Err(format!(
+                "packed word {pc} ({w:#018x}) is not the packing of {ins:?}"
+            ));
         }
     }
     Ok(())
@@ -1557,6 +1557,19 @@ pub(crate) mod tests {
                 packed: None,
             })
         };
+        // Words edited after packing. Each function passes the
+        // enum-stream bounds check, so only the word check can reject it.
+        let tampered = |name: &str, instrs: Vec<Instr>, edit: fn(&mut Vec<u64>, &mut [Instr])| {
+            let mut f = hand(name, instrs, 2);
+            f.n_iregs = 1;
+            edit(&mut f.packed.as_mut().unwrap().words, &mut f.instrs);
+            f
+        };
+        let add = Instr::FAdd {
+            dst: FReg(0),
+            a: FReg(0),
+            b: FReg(1),
+        };
         vec![
             hand(
                 "bad",
@@ -1568,7 +1581,64 @@ pub(crate) mod tests {
                 1,
             ),
             hand("bad_jmp", vec![Instr::Jmp { target: 99 }], 0),
+            tampered("stale_word", vec![add, Instr::RetVoid], |_, instrs| {
+                instrs[0] = Instr::FSub {
+                    dst: FReg(0),
+                    a: FReg(0),
+                    b: FReg(1),
+                }
+            }),
+            tampered(
+                "pool_index_names_another_constant",
+                vec![
+                    Instr::FConst {
+                        dst: FReg(0),
+                        v: 1.0,
+                    },
+                    Instr::FConst {
+                        dst: FReg(1),
+                        v: 2.0,
+                    },
+                    Instr::RetVoid,
+                ],
+                |words, _| words[0] = (words[0] & !(0xffff << 24)) | 1 << 24,
+            ),
+            tampered("opcode_out_of_range", vec![Instr::RetVoid], |words, _| {
+                words[0] = (words[0] & !0xff) | u64::from(crate::pack::op::COUNT)
+            }),
+            tampered(
+                "fmov_junk_in_unused_field",
+                vec![
+                    Instr::FMov {
+                        dst: FReg(0),
+                        src: FReg(1),
+                    },
+                    Instr::RetVoid,
+                ],
+                |words, _| words[0] |= 1 << 40,
+            ),
+            tampered(
+                "fcmp_code_7",
+                vec![
+                    Instr::FCmp {
+                        dst: IReg(0),
+                        op: CmpOp::Ge,
+                        a: FReg(0),
+                        b: FReg(1),
+                    },
+                    Instr::RetVoid,
+                ],
+                |words, _| words[0] = (words[0] & !(0xff << 56)) | 7 << 56,
+            ),
         ]
+    }
+
+    #[test]
+    fn tampered_words_fail_the_word_check() {
+        for f in malformed_functions().into_iter().skip(2) {
+            let err = validate_function(&f).expect_err(&f.name);
+            assert!(err.contains("is not the packing of"), "{}: {err}", f.name);
+        }
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //!    neither queue wait nor a failed first attempt eats a session's
 //!    execution budget.
 //! 3. **Fault isolation + circuit breaking**: a trap or panic in one
-//!    job is caught at the job boundary, retried once (injected faults
-//!    from seeded [`FaultPlan`]s fire at most every other draw, so one
-//!    retry recovers them unless another worker draws in between; see
-//!    [`chef_exec::fault`]), and reported as an [`Outcome`]. The
-//!    neighbouring sessions' machines live in separate pool checkouts —
-//!    a faulting session cannot corrupt their state (pinned
-//!    bit-identically by the isolation tests). Repeated faults trip the
-//!    session's [`CircuitBreaker`], quarantining it at admission until a
-//!    half-open probe succeeds.
+//!    job is caught at the job boundary, retried once (the two attempts
+//!    run on consecutive pinned ordinals of the session's
+//!    [`FaultPlan`], and a seeded plan fires at most every other
+//!    ordinal, so the retry of an injected fault never fires, whatever
+//!    other workers draw; see [`chef_exec::fault`]), and reported as an
+//!    [`Outcome`]. The neighbouring sessions' machines live in
+//!    separate pool checkouts — a faulting session cannot corrupt their
+//!    state (pinned bit-identically by the isolation tests). Repeated
+//!    faults trip the session's [`CircuitBreaker`], quarantining it at
+//!    admission until a half-open probe succeeds.
 //! 4. **Graceful drain** ([`AnalysisServer::drain`]): new work is
 //!    rejected, queued-but-unstarted jobs are cancelled, in-flight jobs
 //!    complete, and the [`DrainReport`] verifies through the arena
@@ -868,11 +869,21 @@ impl SessionHandle {
                 return;
             }
             let shard = &inner.shards[widx];
+            // A retryable job's attempts run pinned (see
+            // `chef_exec::fault`): the first on the ordinal it reserves
+            // here, the retry on the next one, so a seeded plan never
+            // fires on the retry, whatever other workers draw meanwhile.
+            let pinned = retryable
+                .then(|| st.exec_options().fault.map(|p| p.pin_trial()))
+                .flatten();
             // Exec options are rebuilt (and the deadline re-armed) per
             // attempt, so a retried fault gets the session's full wall
             // budget instead of whatever the failed attempt left over.
-            let mut run_once = || {
-                let opts = st.exec_options();
+            let mut run_once = |retry: bool| {
+                let mut opts = st.exec_options();
+                if let Some(p) = &pinned {
+                    opts.fault = Some(if retry { p.retry() } else { p.clone() });
+                }
                 match catch_unwind(AssertUnwindSafe(|| attempt(shard, &opts))) {
                     Ok(Ok(v)) => Ok(v),
                     Ok(Err(f)) => Err(f),
@@ -895,7 +906,7 @@ impl SessionHandle {
                     }
                 }
             };
-            let outcome = match run_once() {
+            let outcome = match run_once(false) {
                 Ok(value) => Outcome::Completed {
                     value,
                     latency_ns: submitted_at.elapsed().as_nanos() as u64,
@@ -903,7 +914,7 @@ impl SessionHandle {
                 },
                 // Deadline overruns and deterministic errors are not
                 // retried: the budget is spent / the error will repeat.
-                Err(JobFault::Trap(t)) if retryable && !is_deadline(&t) => match run_once() {
+                Err(JobFault::Trap(t)) if retryable && !is_deadline(&t) => match run_once(true) {
                     Ok(value) => Outcome::Completed {
                         value,
                         latency_ns: submitted_at.elapsed().as_nanos() as u64,
@@ -912,7 +923,7 @@ impl SessionHandle {
                     Err(second) => classify(second, true),
                 },
                 Err(JobFault::Error(msg)) if retryable && msg.starts_with(PANIC_TAG) => {
-                    match run_once() {
+                    match run_once(true) {
                         Ok(value) => Outcome::Completed {
                             value,
                             latency_ns: submitted_at.elapsed().as_nanos() as u64,
@@ -964,4 +975,56 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
         return format!("{PANIC_TAG}{s}");
     }
     format!("{PANIC_TAG}opaque payload")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chef_exec::fault::FaultKind;
+    use std::panic::resume_unwind;
+
+    /// A job's retry runs with the plan pinned to the job, so an ordinal
+    /// another worker draws between its two attempts cannot make the
+    /// retry fire: here one extra draw lands in between, which would
+    /// hand an unpinned retry the next firing ordinal of a period-2 plan.
+    #[test]
+    fn a_job_retry_never_fires_whatever_other_workers_draw() {
+        let mut p =
+            chef_ir::parser::parse_program("double f(double a) { return a * 3.0; }").unwrap();
+        chef_ir::typeck::check_program(&mut p).unwrap();
+        let func = Arc::new(chef_exec::compile::compile_default(&p.functions[0]).unwrap());
+        for kind in [FaultKind::Trap, FaultKind::Panic] {
+            let plan = FaultPlan::new(Some(kind), 2, 0, 1);
+            let server = AnalysisServer::new(ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            });
+            let session = server
+                .open_session(SessionSpec::named("pinned").with_fault(plan.clone()))
+                .unwrap();
+            let func = Arc::clone(&func);
+            let mut attempts = 0;
+            let ticket = session
+                .submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
+                    attempts += 1;
+                    let out = catch_unwind(AssertUnwindSafe(|| {
+                        let args = vec![vec![ArgValue::F(0.5)]];
+                        run_batch_parallel_in(&func, args, opts, Some(1), &shard.arena).pop()
+                    }));
+                    if attempts == 1 {
+                        plan.draw();
+                    }
+                    match out {
+                        Ok(r) => r.expect("one result").map_err(JobFault::Trap),
+                        Err(payload) => resume_unwind(payload),
+                    }
+                })
+                .unwrap();
+            let outcome = ticket.wait();
+            assert!(
+                matches!(outcome, Outcome::Completed { retried: true, .. }),
+                "{kind:?}: {outcome:?}"
+            );
+        }
+    }
 }

@@ -62,7 +62,9 @@ fn retry_after_semantics_per_reason() {
     let gated = session
         .submit_task(move || gate_rx.recv().unwrap())
         .unwrap();
-    while server.active_jobs() == 0 {
+    // `take_job` raises `active` before it lowers `pending`: wait for
+    // both, so the gated job no longer counts against the queue.
+    while !(server.active_jobs() == 1 && server.queue_depth() == 0) {
         std::thread::yield_now();
     }
     let queued = session.submit_task(|| ()).unwrap();
