@@ -316,8 +316,12 @@ impl Instr {
         self.visit_regs_mut(|_, _, _| {})
     }
 
-    /// The jump target, if the instruction has one.
+    /// The jump target, if the instruction has one. Most instructions
+    /// have none, and asking first skips the visitor's jump table.
     pub(crate) fn target(&self) -> Option<u32> {
+        if !self.has_target() {
+            return None;
+        }
         self.visit_regs(|_, _, _| {})
     }
 

@@ -135,6 +135,8 @@ enum Operand<R> {
 /// A field kind: how a field of type `T` is stored in its slot and what
 /// it is to the operand visitor.
 trait Kind<T> {
+    /// Whether the field is the jump target.
+    const TARGET: bool = false;
     /// `v` in place in `slot`, or `None` when it does not fit.
     fn enc(v: T, slot: Slot, pool: &mut impl Interner) -> Option<u64>;
     /// The field held in `slot` of `w`; `None` when the bits name none.
@@ -193,6 +195,7 @@ reg_kinds! {
 enum Target {}
 
 impl Kind<u32> for Target {
+    const TARGET: bool = true;
     #[inline(always)]
     fn enc(v: u32, slot: Slot, _: &mut impl Interner) -> Option<u64> {
         slot.put(u64::from(v))
@@ -353,7 +356,21 @@ macro_rules! opcodes {
             })
         }
 
+        /// Whether a field of type `T` and kind `K` is the jump target.
+        const fn is_target<K: Kind<T>, T>(_: &T) -> bool {
+            K::TARGET
+        }
+
         impl Instr {
+            /// Whether the instruction has a jump target. Every arm is a
+            /// constant, which the compiler can lower to a bit test.
+            #[inline(always)]
+            pub(crate) fn has_target(&self) -> bool {
+                match self {
+                    $(Instr::$v { $($f),* } => false $(|| is_target::<$k, _>($f))*,)*
+                }
+            }
+
             /// The operand visitor: calls `f(class, &mut index, is_write)`
             /// for every register operand, arrays included — in slot
             /// order, the reads first and then the write — and returns
