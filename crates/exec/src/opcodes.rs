@@ -135,8 +135,6 @@ enum Operand<R> {
 /// A field kind: how a field of type `T` is stored in its slot and what
 /// it is to the operand visitor.
 trait Kind<T> {
-    /// Whether the field is the jump target.
-    const TARGET: bool = false;
     /// `v` in place in `slot`, or `None` when it does not fit.
     fn enc(v: T, slot: Slot, pool: &mut impl Interner) -> Option<u64>;
     /// The field held in `slot` of `w`; `None` when the bits name none.
@@ -195,7 +193,6 @@ reg_kinds! {
 enum Target {}
 
 impl Kind<u32> for Target {
-    const TARGET: bool = true;
     #[inline(always)]
     fn enc(v: u32, slot: Slot, _: &mut impl Interner) -> Option<u64> {
         slot.put(u64::from(v))
@@ -325,18 +322,28 @@ macro_rules! opcodes {
         /// Packs one instruction with the first of its rows whose fields
         /// fit, interning wide constants through `pool`; `None` when no
         /// row fits or `pool` gives no index.
-        // Each row is a closure called in place: a try block, so a field
-        // that does not fit moves on to the next row.
-        #[allow(clippy::redundant_closure_call)]
+        // A field that does not fit breaks out of its row's block, on to
+        // the next row (a wide constant is always a row's last field, so a
+        // failed row interns nothing). A row without fields always packs.
+        #[allow(unused_labels, unreachable_code)]
         pub(crate) fn pack_instr(ins: &Instr, pool: &mut impl Interner) -> Option<u64> {
-            match *ins {
-                $(Instr::$v { $($f),* } => {
-                    (|| Some(u64::from(op::$op) $(| <$k as Kind<_>>::enc($f, Slot::$s, pool)?)*))()
-                    $(.or_else(|| {
-                        Some(u64::from(op::$op2) $(| <$k2 as Kind<_>>::enc($f2, Slot::$s2, pool)?)*)
-                    }))?
+            Some(match *ins {
+                $(Instr::$v { $($f),* } => 'packed: {
+                    'row: {
+                        break 'packed u64::from(op::$op) $(| match <$k as Kind<_>>::enc($f, Slot::$s, pool) {
+                            Some(bits) => bits,
+                            None => break 'row,
+                        })*;
+                    }
+                    $('row: {
+                        break 'packed u64::from(op::$op2) $(| match <$k2 as Kind<_>>::enc($f2, Slot::$s2, pool) {
+                            Some(bits) => bits,
+                            None => break 'row,
+                        })*;
+                    })?
+                    return None;
                 })*
-            }
+            })
         }
 
         /// Decodes one packed word back to its enum instruction; `None`
@@ -356,18 +363,15 @@ macro_rules! opcodes {
             })
         }
 
-        /// Whether a field of type `T` and kind `K` is the jump target.
-        const fn is_target<K: Kind<T>, T>(_: &T) -> bool {
-            K::TARGET
-        }
-
         impl Instr {
             /// Whether the instruction has a jump target. Every arm is a
             /// constant, which the compiler can lower to a bit test.
             #[inline(always)]
             pub(crate) fn has_target(&self) -> bool {
                 match self {
-                    $(Instr::$v { $($f),* } => false $(|| is_target::<$k, _>($f))*,)*
+                    $(Instr::$v { $($f),* } => {
+                        false $(|| matches!(<$k as Kind<_>>::operand($f), Operand::Target(_)))*
+                    })*
                 }
             }
 
