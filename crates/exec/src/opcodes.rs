@@ -330,16 +330,18 @@ macro_rules! opcodes {
             Some(match *ins {
                 $(Instr::$v { $($f),* } => 'packed: {
                     'row: {
-                        break 'packed u64::from(op::$op) $(| match <$k as Kind<_>>::enc($f, Slot::$s, pool) {
-                            Some(bits) => bits,
-                            None => break 'row,
-                        })*;
+                        break 'packed u64::from(op::$op)
+                            $(| match <$k as Kind<_>>::enc($f, Slot::$s, pool) {
+                                Some(bits) => bits,
+                                None => break 'row,
+                            })*;
                     }
                     $('row: {
-                        break 'packed u64::from(op::$op2) $(| match <$k2 as Kind<_>>::enc($f2, Slot::$s2, pool) {
-                            Some(bits) => bits,
-                            None => break 'row,
-                        })*;
+                        break 'packed u64::from(op::$op2)
+                            $(| match <$k2 as Kind<_>>::enc($f2, Slot::$s2, pool) {
+                                Some(bits) => bits,
+                                None => break 'row,
+                            })*;
                     })?
                     return None;
                 })*

@@ -56,17 +56,18 @@
 //!
 //! Packing is per-instruction and order-preserving: word `k` encodes
 //! `instrs[k]`, jump targets are unchanged, and [`decode`] is a total
-//! inverse on packer output. Each instruction has exactly one packing,
-//! its canonical word. [`crate::vm::validate_function`] bounds-checks
-//! every operand of the enum stream through the operand visitor, then
-//! packs each instruction once more, taking pool indices from the word
-//! itself (after checking that the entry holds the instruction's
-//! constant bits), and requires the result to equal the word. So a word
-//! runs only if it is the canonical packing of its checked instruction:
-//! no stale word, no unknown opcode or code, no junk in an unused field,
-//! and no pool index naming another constant. The dispatch loop may then
-//! access registers and pools unchecked. [`instr_eq_bits`] is the same
-//! packer used as bit-exact equality (constants compare by `to_bits`).
+//! inverse on packer output. Given where its constant sits in the pool,
+//! an instruction has one canonical word. [`crate::vm::validate_function`]
+//! bounds-checks every operand of the enum stream through the operand
+//! visitor, then packs each instruction once more, taking pool indices
+//! from the word itself (after checking that the entry holds the
+//! instruction's constant bits), and requires the result to equal the
+//! word. So a word runs only if it is the canonical packing of its
+//! checked instruction: no stale word, no unknown opcode or code, no
+//! junk in an unused field, and no pool index naming another constant.
+//! The dispatch loop may then access registers and pools unchecked.
+//! [`instr_eq_bits`] is the same packer used as bit-exact equality
+//! (constants compare by `to_bits`).
 
 use crate::bytecode::*;
 use crate::opcodes::pack_instr;
