@@ -62,10 +62,11 @@
 //! iteration — it only removes straight-line work between them).
 //!
 //! Every register and jump-target access (dataflow, hoist renaming,
-//! target remapping, compaction) goes through the operand table on
-//! [`Instr`] in [`crate::bytecode`], the one the fuser and
-//! [`crate::vm::validate_function`] also use; only the hoist classes and
-//! the guard's polarity flip match on instruction kinds here.
+//! target remapping, compaction) goes through [`Instr`]'s operand
+//! visitor, generated from the opcode table (`opcodes.rs`), the one the
+//! fuser and [`crate::vm::validate_function`] also use; only the hoist
+//! classes and the guard's polarity flip match on instruction kinds
+//! here.
 //!
 //! Irreducible control flow (a retreating edge whose target does not
 //! dominate its source — impossible to emit from KernelC but possible

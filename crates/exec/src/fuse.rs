@@ -39,8 +39,8 @@
 //! * the eliminated temporary is either overwritten by the window's own
 //!   final instruction, or **dead after the window**: a reachability
 //!   query over the bytecode CFG (`Analysis::dead_after`, reading the
-//!   reads, writes and jump targets off [`Instr`]'s operand table in
-//!   [`crate::bytecode`]) proves every
+//!   reads, writes and jump targets off [`Instr`]'s operand visitor,
+//!   generated from the opcode table in `opcodes.rs`) proves every
 //!   path re-writes the register before reading it (parameter registers
 //!   are additionally considered read at every function exit, because
 //!   call teardown copies them back to the caller).

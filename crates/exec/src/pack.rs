@@ -109,17 +109,17 @@ pub const INTRINSICS: [Intrinsic; 26] = [
     Intrinsic::FastNormCdf,
 ];
 
-/// Every precision, indexed by its packed 2-bit code.
-pub const FLOAT_TYS: [FloatTy; 4] = [FloatTy::F16, FloatTy::BF16, FloatTy::F32, FloatTy::F64];
+/// Every precision, indexed by its packed 2-bit code ([`ty_from`]).
+pub const FLOAT_TYS: [FloatTy; 4] = [ty_from(0), ty_from(1), ty_from(2), ty_from(3)];
 
-/// Every comparison, indexed by its packed code.
+/// Every comparison, indexed by its packed code ([`cmp_from`]).
 pub const CMP_OPS: [CmpOp; 6] = [
-    CmpOp::Eq,
-    CmpOp::Ne,
-    CmpOp::Lt,
-    CmpOp::Le,
-    CmpOp::Gt,
-    CmpOp::Ge,
+    cmp_from(0),
+    cmp_from(1),
+    cmp_from(2),
+    cmp_from(3),
+    cmp_from(4),
+    cmp_from(5),
 ];
 
 /// The packed program: one `u64` word per enum instruction, plus the
@@ -303,17 +303,32 @@ pub unsafe fn w_d_i8(words: &[u64], pc: usize) -> i64 {
     return crate::opcodes::Slot::D.get_signed(*words.get_unchecked(pc));
 }
 
-/// The precision of a packed 2-bit code.
+/// The precision of a packed 2-bit code: the one statement of the
+/// code order ([`FLOAT_TYS`] lists it). A `match`, so the dispatch loop
+/// decodes without a table load.
 #[inline(always)]
-pub fn ty_from(code: u8) -> FloatTy {
-    FLOAT_TYS[code as usize & 3]
+pub const fn ty_from(code: u8) -> FloatTy {
+    match code & 3 {
+        0 => FloatTy::F16,
+        1 => FloatTy::BF16,
+        2 => FloatTy::F32,
+        _ => FloatTy::F64,
+    }
 }
 
-/// The comparison of a packed code (codes ≥ 6 alias `Ge`; the packer
-/// never emits them and validation rejects words that hold one).
+/// The comparison of a packed code, stated as for [`ty_from`] (codes
+/// ≥ 6 alias `Ge`; the packer never emits them and validation rejects
+/// words that hold one).
 #[inline(always)]
-pub fn cmp_from(code: u8) -> CmpOp {
-    CMP_OPS[(code as usize).min(5)]
+pub const fn cmp_from(code: u8) -> CmpOp {
+    match code {
+        0 => CmpOp::Eq,
+        1 => CmpOp::Ne,
+        2 => CmpOp::Lt,
+        3 => CmpOp::Le,
+        4 => CmpOp::Gt,
+        _ => CmpOp::Ge,
+    }
 }
 
 // ----------------------------------------------------------------- pack
