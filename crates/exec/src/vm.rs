@@ -1565,11 +1565,6 @@ pub(crate) mod tests {
             edit(&mut f.packed.as_mut().unwrap().words, &mut f.instrs);
             f
         };
-        let add = Instr::FAdd {
-            dst: FReg(0),
-            a: FReg(0),
-            b: FReg(1),
-        };
         vec![
             hand(
                 "bad",
@@ -1581,13 +1576,24 @@ pub(crate) mod tests {
                 1,
             ),
             hand("bad_jmp", vec![Instr::Jmp { target: 99 }], 0),
-            tampered("stale_word", vec![add, Instr::RetVoid], |_, instrs| {
-                instrs[0] = Instr::FSub {
-                    dst: FReg(0),
-                    a: FReg(0),
-                    b: FReg(1),
-                }
-            }),
+            tampered(
+                "stale_word",
+                vec![
+                    Instr::FAdd {
+                        dst: FReg(0),
+                        a: FReg(0),
+                        b: FReg(1),
+                    },
+                    Instr::RetVoid,
+                ],
+                |_, instrs| {
+                    instrs[0] = Instr::FSub {
+                        dst: FReg(0),
+                        a: FReg(0),
+                        b: FReg(1),
+                    }
+                },
+            ),
             tampered(
                 "pool_index_names_another_constant",
                 vec![
