@@ -54,18 +54,20 @@ impl<T> OrFail for Option<T> {
     }
 }
 
+/// Every argument `repro` accepts, besides the kernel name after `--cfg`.
+const SELECTORS: &str = "all table1 table2 table3 table4 oracle --oracle fig4 fig5 fig6 fig7 \
+                         fig8 fig9 smoke --smoke serve-smoke --serve-smoke profile --profile --cfg";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(k) = args.iter().position(|a| a == "--perf-delta") {
-        let (old, new) = match (args.get(k + 1), args.get(k + 2)) {
-            (Some(o), Some(n)) => (o.clone(), n.clone()),
-            _ => {
-                eprintln!("usage: repro --perf-delta <old.json> <new.json>");
-                std::process::exit(2);
-            }
-        };
-        perf_delta(&old, &new);
-        return;
+    // Reject an unknown argument before doing any work, so a typo in a
+    // CI step fails instead of passing without running anything.
+    for (i, a) in args.iter().enumerate() {
+        let kernel_of_cfg = i > 0 && args[i - 1] == "--cfg";
+        if !kernel_of_cfg && !SELECTORS.split_whitespace().any(|s| s == a) {
+            eprintln!("repro: unknown argument `{a}`; usage: repro [{SELECTORS} [kernel]]...");
+            std::process::exit(2);
+        }
     }
     if args.iter().any(|a| a == "--smoke" || a == "smoke") {
         smoke();
@@ -1050,160 +1052,54 @@ fn cfg_dump(kernel: &str) {
     }
 }
 
-/// CI perf smoke: times the engine's hot paths on small workloads and
-/// writes a `BENCH_smoke.json` snapshot, so the perf trajectory is
-/// tracked from one commit to the next (compare the JSON across runs;
-/// absolute numbers vary with the runner, ratios should not).
+/// CI smoke: functional gates on small workloads — the per-pc
+/// profiler's budget, the service's leak-free drain, persistent-cache
+/// reuse, the estimate-quality band and the adversarial divergence
+/// corpus. The profiler budget is the only gate that reads a clock;
+/// speed is measured by `perfbench/`, not here. The oracle rows go to
+/// `BENCH_oracle_smoke.json`, which repeats byte for byte run to run.
 fn smoke() {
     use chef_core::json::Json;
 
-    header("perf smoke (scaled-down hot paths; snapshot -> BENCH_smoke.json)");
+    header("smoke (functional gates; oracle rows -> BENCH_oracle_smoke.json)");
 
-    // 1. Raw VM dispatch: the arclen primal — full default pipeline
-    // (fusion + CFG tier + packing), the same stream with the CFG tier
-    // off, and unfused.
+    // 1. Per-pc profiler budget: the arclen primal (full default
+    // pipeline) with the profiler armed against the same run with it
+    // off. Profile-off dispatch is a separately monomorphized loop, so
+    // only the armed loop carries the counting cost; gated at ≤ 1.5x
+    // below.
     let p = chef_apps::arclen::program();
     let primal = p
         .function(chef_apps::arclen::NAME)
         .or_fail("arclen kernel not found");
     let fused = compile_default(primal).or_fail("arclen compile failed");
-    let cfg_off = chef_exec::compile::compile(
-        primal,
-        &chef_exec::compile::CompileOptions {
-            cfg: false,
-            ..Default::default()
-        },
-    )
-    .or_fail("arclen cfg-off compile failed");
-    let unfused = chef_exec::compile::compile(
-        primal,
-        &chef_exec::compile::CompileOptions {
-            fuse: false,
-            ..Default::default()
-        },
-    )
-    .or_fail("arclen unfused compile failed");
-    // The CFG tier's measurable work on arclen: how many ops LICM lifts
-    // out of the loops (snapshot-tracked and gated: zero would mean the
-    // tier silently stopped finding the h*h hoist).
-    let licm_hoisted_arclen = {
-        let mut c = cfg_off.clone();
-        f64::from(chef_exec::cfg::optimize(&mut c).hoisted)
-    };
     let opts = ExecOptions::default();
-    let mut m = chef_exec::vm::Machine::new();
-    let (_, vm_cfg_ms) = time_median(31, || {
-        m.run_reused(&fused, vec![ArgValue::I(10_000)], &opts)
-            .unwrap()
-            .ret_f()
-    });
-    let (_, vm_fused_ms) = time_median(31, || {
-        m.run_reused(&cfg_off, vec![ArgValue::I(10_000)], &opts)
-            .unwrap()
-            .ret_f()
-    });
-    let (_, vm_unfused_ms) = time_median(31, || {
-        m.run_reused(&unfused, vec![ArgValue::I(10_000)], &opts)
-            .unwrap()
-            .ret_f()
-    });
-    // Telemetry gates (PR 7): the same fused run with the per-pc
-    // profiler armed, and an interleaved re-measurement of the
-    // profile-off path. Profile-off dispatch is a separately
-    // monomorphized loop — machine code identical to a build without
-    // telemetry — so its paired ratio must stay within noise; gated at
-    // ≤ 1.02x below, min-of-3 so runner jitter cannot fail CI.
     let prof_opts = ExecOptions {
         profile: true,
         ..Default::default()
     };
+    let mut m = chef_exec::vm::Machine::new();
+    let (_, vm_ms) = time_median(31, || {
+        m.run_reused(&fused, vec![ArgValue::I(10_000)], &opts)
+            .unwrap()
+            .ret_f()
+    });
     let (_, vm_profiled_ms) = time_median(31, || {
         m.run_reused(&fused, vec![ArgValue::I(10_000)], &prof_opts)
             .unwrap()
             .ret_f()
     });
-    let telemetry_off_x = (0..3)
-        .map(|_| {
-            let (_, again_ms) = time_median(31, || {
-                m.run_reused(&fused, vec![ArgValue::I(10_000)], &opts)
-                    .unwrap()
-                    .ret_f()
-            });
-            again_ms / vm_cfg_ms
-        })
-        .fold(f64::INFINITY, f64::min);
+    let telemetry_prof_x = vm_profiled_ms / vm_ms;
+    println!(
+        "per-pc profiling: {telemetry_prof_x:.2}x over the profile-off dispatch (<= 1.5x bar)"
+    );
 
-    // 2. Analysis end-to-end: build + run the arclen estimator.
-    let est = estimate_error(&p, chef_apps::arclen::NAME, &EstimateOptions::default())
-        .or_fail("estimator build failed");
-    let args = chef_apps::arclen::args(2_000);
-    let (_, analysis_ms) = time_median(5, || est.execute(&args).unwrap().fp_error);
-
-    // 3. Batched analysis: 32 independent estimates through the batch path.
-    let sets: Vec<Vec<ArgValue>> = (0..32).map(|_| chef_apps::arclen::args(500)).collect();
-    let (_, batch_ms) = time_median(3, || {
-        est.execute_batch(&sets)
-            .into_iter()
-            .map(|r| r.unwrap().fp_error)
-            .sum::<f64>()
-    });
-
-    // 4. Tuner end-to-end (tune + validate) on simpsons.
-    let ps = chef_apps::simpsons::program();
-    let targs = chef_apps::simpsons::args(2_000);
-    let (_, tuner_ms) = time_median(3, || {
-        let cfg = TunerConfig::with_threshold(1e-6);
-        let res = tune(&ps, chef_apps::simpsons::NAME, &targs, &cfg).unwrap();
-        validate(&ps, chef_apps::simpsons::NAME, &targs, &res.config)
-            .unwrap()
-            .actual_error
-    });
-
-    // 5. Sensitivity profile on a small HPCCG problem.
-    let prob = chef_apps::hpccg::problem(4, 4, 4);
-    let (_, sens_ms) = time_median(3, || hpccg_profile(&prob).unwrap().ticks);
-
-    // 6. Fused shadow pass vs the plain VM run on the same kernel (the
-    // shadow/overhead bench group's headline ratio, snapshot-tracked) —
-    // timed with divergence detection off (the pure shadow cost) and on
-    // (the default engine configuration, the acceptance bar's number).
-    let mut sm = chef_exec::shadow::ShadowMachine::<f64>::new();
-    let nodiv = ExecOptions {
-        detect_divergence: false,
-        ..Default::default()
-    };
-    let (_, vm_shadow_ms) = time_median(31, || {
-        sm.run_reused(&fused, vec![ArgValue::I(10_000)], &nodiv)
-            .unwrap()
-            .ret_f()
-    });
-    let (_, vm_shadow_div_ms) = time_median(31, || {
-        sm.run_reused(&fused, vec![ArgValue::I(10_000)], &opts)
-            .unwrap()
-            .ret_f()
-    });
-    // Same pass with non-finite trapping armed (PR 6): on a finite run
-    // the checks never fire, so this prices the per-instruction
-    // `is_finite` probes alone (acceptance bar: ≤ 1.10x the plain
-    // shadow pass above).
-    let nonfinite = ExecOptions {
-        detect_divergence: false,
-        trap_on_nonfinite: true,
-        ..Default::default()
-    };
-    let (_, vm_shadow_nf_ms) = time_median(31, || {
-        sm.run_reused(&fused, vec![ArgValue::I(10_000)], &nonfinite)
-            .unwrap()
-            .ret_f()
-    });
-
-    // 7. Service layer: the same fused kernel, 64 independent runs
-    // pushed through an `AnalysisServer` session — admission, per-job
-    // stats and telemetry included. The session's own latency ledger
-    // yields the p50/p99 per-job figures; the wall time prices the
-    // whole round trip (its `service.*` counters land in the telemetry
-    // snapshot below).
-    let (service_wall_ms, service_p50_ms, service_p99_ms) = {
+    // 2. Service layer: the same kernel, 64 independent runs pushed
+    // through an `AnalysisServer` session — admission, per-job stats
+    // and telemetry included (its `service.*` counters land in the
+    // telemetry snapshot below). Every job must complete and the drain
+    // must leave no machine checked out.
+    {
         let server = chef_service::AnalysisServer::new(chef_service::ServiceConfig {
             max_queue_depth: 128,
             ..Default::default()
@@ -1215,7 +1111,6 @@ fn smoke() {
             )
             .or_fail("service session rejected");
         let func = std::sync::Arc::new(fused.clone());
-        let t0 = std::time::Instant::now();
         let tickets: Vec<_> = (0..64)
             .map(|_| {
                 session
@@ -1226,7 +1121,6 @@ fn smoke() {
         for t in tickets {
             t.wait().completed().or_fail("service job did not complete");
         }
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
         let report = server.drain();
         if !report.leak_free() {
             eprintln!(
@@ -1235,22 +1129,17 @@ fn smoke() {
             );
             std::process::exit(1);
         }
-        let (p50, _, p99) = session
-            .stats()
-            .latency_quantiles()
-            .or_fail("service session recorded no latencies");
-        (wall, p50 as f64 / 1e6, p99 as f64 / 1e6)
-    };
+        println!("service: 64 jobs completed, drain leak-free");
+    }
 
-    // 8. Persistent variant cache: cold compile vs warm disk load over
+    // 3. Persistent variant cache: cold compile vs warm disk load over
     // the five app kernels. The store lives in `CHEF_CACHE_DIR` when
     // set (the CI cache-reuse job shares it across two runs, so the
     // second run resolves every kernel from disk) or in a throwaway
-    // temp dir otherwise — the `compile_{cold,warm}_ms` snapshot
-    // fields exist either way. With `CHEF_SMOKE_EXPECT_WARM=1` the
-    // populate phase is *required* to be all disk hits (zero
-    // compiles); any miss fails the run.
-    let (compile_cold_ms, compile_warm_ms, cache_failed) = {
+    // temp dir otherwise. With `CHEF_SMOKE_EXPECT_WARM=1` the populate
+    // phase is *required* to be all disk hits (zero compiles); any miss
+    // fails the run.
+    let cache_failed = {
         use chef_exec::store::DiskStore;
         use std::sync::Arc;
 
@@ -1298,14 +1187,12 @@ fn smoke() {
             })
             .collect();
 
-        // Cold baseline: direct compiles, no cache — the cost the warm
+        // Cold baseline: direct compiles, no cache — the work the warm
         // path is supposed to skip entirely.
-        let (cold_funcs, cold_ms) = time_ms(|| {
-            primals
-                .iter()
-                .map(|(_, primal, _)| compile_default(primal).or_fail("cold compile failed"))
-                .collect::<Vec<_>>()
-        });
+        let cold_funcs: Vec<_> = primals
+            .iter()
+            .map(|(_, primal, _)| compile_default(primal).or_fail("cold compile failed"))
+            .collect();
 
         let shared = std::env::var_os("CHEF_CACHE_DIR").is_some();
         let dir = std::env::var_os("CHEF_CACHE_DIR")
@@ -1354,16 +1241,14 @@ fn smoke() {
         let (compiles_before, packs_before) = (spans_of("compile"), spans_of("pack"));
         let warm_store = Arc::new(DiskStore::open(&dir).or_fail("cannot reopen cache dir"));
         let warm_cache = chef_tuner::VariantCache::new().with_store(Arc::clone(&warm_store));
-        let (warm_funcs, warm_ms) = time_ms(|| {
-            primals
-                .iter()
-                .map(|(_, primal, _)| {
-                    warm_cache
-                        .get_or_compile(primal, &empty_pm)
-                        .or_fail("warm load failed")
-                })
-                .collect::<Vec<_>>()
-        });
+        let warm_funcs: Vec<_> = primals
+            .iter()
+            .map(|(_, primal, _)| {
+                warm_cache
+                    .get_or_compile(primal, &empty_pm)
+                    .or_fail("warm load failed")
+            })
+            .collect();
         if warm_cache.misses() > 0 || warm_store.misses() > 0 || warm_store.corrupt() > 0 {
             eprintln!(
                 "cache regression: warm pass compiled {} / missed {} / corrupt {}",
@@ -1394,78 +1279,21 @@ fn smoke() {
             }
         }
         println!(
-            "cache: {} kernels | populate hits {} misses {} writes {} | warm hits {} in {:.3} ms \
-             (cold compile {:.3} ms)",
+            "cache: {} kernels | populate hits {} misses {} writes {} | warm hits {}",
             primals.len(),
             populate_store.hits(),
             populate_store.misses(),
             populate_store.writes(),
-            warm_store.hits(),
-            warm_ms,
-            cold_ms
+            warm_store.hits()
         );
         if !shared {
             let _ = std::fs::remove_dir_all(&dir);
         }
-        (cold_ms, warm_ms, bad)
+        bad
     };
 
-    let rows = [
-        ("vm_arclen_cfg_ms", vm_cfg_ms),
-        ("vm_arclen_fused_ms", vm_fused_ms),
-        ("vm_arclen_unfused_ms", vm_unfused_ms),
-        ("licm_hoisted_arclen", licm_hoisted_arclen),
-        ("vm_arclen_profiled_ms", vm_profiled_ms),
-        ("vm_arclen_shadowed_ms", vm_shadow_ms),
-        ("vm_arclen_shadowed_div_ms", vm_shadow_div_ms),
-        ("vm_arclen_shadowed_nonfinite_ms", vm_shadow_nf_ms),
-        ("analysis_arclen_ms", analysis_ms),
-        ("analysis_batch32_ms", batch_ms),
-        ("tuner_simpsons_ms", tuner_ms),
-        ("sensitivity_hpccg_ms", sens_ms),
-        ("service_batch64_wall_ms", service_wall_ms),
-        ("service_job_p50_ms", service_p50_ms),
-        ("service_job_p99_ms", service_p99_ms),
-        ("compile_cold_ms", compile_cold_ms),
-        ("compile_warm_ms", compile_warm_ms),
-    ];
-    for (name, ms) in &rows {
-        println!("{name:<32} {ms:>9.3} ms");
-    }
-    println!(
-        "cfg tier: {:.2}x the fusion-only dispatch on arclen (<= 1.0 expected)",
-        vm_cfg_ms / vm_fused_ms
-    );
-    println!(
-        "shadow overhead: {:.2}x over the plain fused run (detection off)",
-        vm_shadow_ms / vm_cfg_ms
-    );
-    println!(
-        "shadow + divergence detection: {:.2}x over the plain fused run (< 4x bar)",
-        vm_shadow_div_ms / vm_cfg_ms
-    );
-    println!(
-        "non-finite trapping: {:.2}x over the plain shadow pass (<= 1.10x bar)",
-        vm_shadow_nf_ms / vm_shadow_ms
-    );
-    let telemetry_prof_x = vm_profiled_ms / vm_cfg_ms;
-    println!(
-        "telemetry off: {telemetry_off_x:.3}x paired re-run of the profile-off dispatch (<= 1.02x bar)"
-    );
-    println!(
-        "per-pc profiling: {telemetry_prof_x:.2}x over the profile-off dispatch (<= 1.5x bar)"
-    );
-    let doc = Json::obj(rows.iter().map(|&(name, ms)| (name, Json::Num(ms))).chain([
-        ("telemetry_off_overhead_x", Json::Num(telemetry_off_x)),
-        ("telemetry_profiled_overhead_x", Json::Num(telemetry_prof_x)),
-    ]));
-    let path = "BENCH_smoke.json";
-    std::fs::write(path, doc.to_string_pretty()).or_fail("cannot write BENCH_smoke.json");
-    println!("snapshot written to {path}");
-
-    // Shadow-oracle smoke table: small workloads, same estimated-vs-
-    // measured rows as `repro --oracle`, written next to the perf
-    // snapshot for the CI artifact.
+    // 4. Shadow-oracle smoke table: small workloads, same estimated-vs-
+    // measured rows as `repro --oracle`, written for the CI artifact.
     header("oracle smoke (estimated vs shadow-measured; -> BENCH_oracle_smoke.json)");
     let mut rows = Vec::new();
     {
@@ -1515,11 +1343,6 @@ fn smoke() {
                     .collect(),
             ),
         ),
-        ("shadow_overhead_x", Json::Num(vm_shadow_ms / vm_cfg_ms)),
-        (
-            "divergence_overhead_x",
-            Json::Num(vm_shadow_div_ms / vm_cfg_ms),
-        ),
     ]);
     let path = "BENCH_oracle_smoke.json";
     std::fs::write(path, doc.to_string_pretty()).or_fail("cannot write BENCH_oracle_smoke.json");
@@ -1560,32 +1383,8 @@ fn smoke() {
             failed = true;
         }
     }
-    // CFG-tier gates: LICM must keep finding work on arclen (the h*h
-    // hoist), and the optimized stream must not dispatch slower than the
-    // fusion-only baseline (5% jitter allowance for the CI runner; the
-    // committed snapshot is expected at ≤ 1.0x).
-    if licm_hoisted_arclen < 1.0 {
-        eprintln!("cfg regression: LICM hoisted nothing on arclen");
-        failed = true;
-    }
-    if vm_cfg_ms > vm_fused_ms * 1.05 {
-        eprintln!(
-            "cfg regression: optimized arclen dispatch ran at {:.3}x the \
-             fusion-only baseline (> 1.05x bar)",
-            vm_cfg_ms / vm_fused_ms
-        );
-        failed = true;
-    }
-    // Telemetry gates: profile-off dispatch must be free (the off loop
-    // is the same machine code as a build without telemetry), and the
-    // profiling loop must stay within its documented budget.
-    if telemetry_off_x > 1.02 {
-        eprintln!(
-            "telemetry regression: profile-off dispatch re-ran at {telemetry_off_x:.3}x \
-             (> 1.02x bar)"
-        );
-        failed = true;
-    }
+    // Profiler budget: the armed per-pc counting loop must stay within
+    // 1.5x of the profile-off dispatch.
     if telemetry_prof_x > 1.5 {
         eprintln!(
             "telemetry regression: per-pc profiling ran at {telemetry_prof_x:.2}x (> 1.5x bar)"
@@ -1596,7 +1395,8 @@ fn smoke() {
     // Telemetry snapshot of the whole smoke run, written for the CI
     // artifact even when a gate failed (it is the evidence): counters,
     // gauges and histograms to TELEMETRY_smoke.json, and the per-run
-    // span trace to TELEMETRY_spans_smoke.json (not kept in the tree).
+    // span trace to TELEMETRY_spans_smoke.json (neither kept in the
+    // tree).
     let snap = chef_telemetry::snapshot();
     let tdoc = chef_core::report::telemetry_to_json(&snap);
     std::fs::write("TELEMETRY_smoke.json", tdoc.to_string_pretty())
@@ -1938,50 +1738,4 @@ fn profile_table() {
         prof.total(),
         sci(acc)
     );
-}
-
-// ------------------------------------------------------------ perf delta
-
-/// Prints a before/after table of two `BENCH_smoke.json` snapshots (CI's
-/// perf-delta step). Informational: absolute numbers vary across runners,
-/// so the gate is the test suite and the oracle band, not this table.
-fn perf_delta(old_path: &str, new_path: &str) {
-    use chef_core::json::{parse, Json};
-    let load = |path: &str| -> Json {
-        let text = std::fs::read_to_string(path).or_fail(&format!("cannot read snapshot `{path}`"));
-        parse(&text).or_fail(&format!("snapshot `{path}` is not valid JSON"))
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    header(&format!("perf delta: {old_path} -> {new_path}"));
-    println!(
-        "{:<26} {:>12} {:>12} {:>9}",
-        "metric", "old ms", "new ms", "speedup"
-    );
-    let (Json::Obj(old_map), Json::Obj(new_map)) = (&old, &new) else {
-        eprintln!("repro: snapshots are not JSON objects");
-        std::process::exit(1);
-    };
-    let mut keys: Vec<&String> = old_map.keys().chain(new_map.keys()).collect();
-    keys.sort();
-    keys.dedup();
-    for key in keys {
-        match (
-            old_map.get(key.as_str()).and_then(Json::as_f64),
-            new_map.get(key.as_str()).and_then(Json::as_f64),
-        ) {
-            (Some(o), Some(n)) => {
-                println!("{key:<26} {o:>12.3} {n:>12.3} {:>8.2}x", o / n);
-            }
-            // A key present on only one side (snapshots gain and lose
-            // metrics across PRs) is informational, never an error.
-            (o, n) => {
-                let fmt = |v: Option<f64>| match v {
-                    Some(v) => format!("{v:.3}"),
-                    None => "-".to_string(),
-                };
-                println!("{key:<26} {:>12} {:>12} {:>9}", fmt(o), fmt(n), "n/a");
-            }
-        }
-    }
 }

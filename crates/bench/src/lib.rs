@@ -1,5 +1,8 @@
-//! # chef-bench — harness utilities for the paper-reproduction binary and
-//! the criterion micro-benchmarks.
+//! # chef-bench — timing and formatting helpers for the `repro` binary.
+//!
+//! `repro` regenerates the paper's tables and figures and runs the
+//! functional smoke gates (`repro --smoke`). Performance is measured by
+//! `perfbench/`, the repository's one timing harness, not here.
 
 use std::time::Instant;
 
