@@ -530,7 +530,7 @@ fn table3() {
             pm
         })
         .collect();
-    let reports = chef_tuner::validate_configs(&p, chef_apps::kmeans::NAME, &args, &configs)
+    let reports = chef_tuner::validate_configs(&p, chef_apps::kmeans::NAME, &args, &configs, None)
         .or_fail("config validation failed");
     assert_eq!(reports[0].baseline, baseline);
     println!(

@@ -304,8 +304,8 @@ impl ErrorEstimator {
     ///
     /// This is the analysis-loop fast path: the generated code is
     /// compiled once, and independent estimates (tuner candidates, the
-    /// per-option study of Table IV) fan out over
-    /// [`chef_exec::vm::run_batch_parallel`].
+    /// per-option study of Table IV) fan out over the estimator's arena
+    /// ([`chef_exec::arena::Pool::run_batch`]).
     pub fn execute_batch(&self, arg_sets: &[Vec<ArgValue>]) -> Vec<Result<EstimateOutcome, Trap>> {
         self.execute_batch_with(arg_sets, &self.exec, None)
     }
@@ -321,16 +321,11 @@ impl ErrorEstimator {
     ) -> Vec<Result<EstimateOutcome, Trap>> {
         let vm_args: Vec<Vec<ArgValue>> =
             arg_sets.iter().map(|set| self.build_vm_args(set)).collect();
-        chef_exec::vm::run_batch_parallel_in(
-            &self.compiled,
-            vm_args,
-            exec,
-            max_threads,
-            &self.arena,
-        )
-        .into_iter()
-        .map(|r| r.map(|out| self.decode_outcome(out)))
-        .collect()
+        self.arena
+            .run_batch(&self.compiled, vm_args, exec, max_threads)
+            .into_iter()
+            .map(|r| r.map(|out| self.decode_outcome(out)))
+            .collect()
     }
 
     /// The estimator's machine arena — expose it to share machine

@@ -226,12 +226,6 @@ impl EstimateQualityRow {
         let (e, m) = (self.estimated.abs(), self.measured.abs());
         m <= 10.0 * e + floor && e <= 10.0 * m + floor
     }
-
-    /// Relative deviation of the estimate from the measurement, as a
-    /// fraction (`|estimated − measured| / max(|measured|, 1e-300)`).
-    pub fn rel_deviation(&self) -> f64 {
-        (self.estimated - self.measured).abs() / self.measured.abs().max(1e-300)
-    }
 }
 
 impl Record for EstimateQualityRow {

@@ -1,20 +1,26 @@
-//! Machine pooling across functions: one analysis or tuner session
-//! compiles hundreds of `PrecisionMap` variants (and their adjoints) and
-//! runs each through its own machine. The register files, array slots and
-//! tape buffers of those machines are interchangeable — [`Machine::reset`]
-//! re-sizes without releasing capacity — so a session-scoped arena lets
-//! **different** compiled functions share one set of allocations, sized by
-//! the largest function the session has executed.
+//! Machine pooling: the one way the engine reuses machines. An analysis
+//! or tuner session compiles hundreds of `PrecisionMap` variants (and
+//! their adjoints) and runs each of them; the register files, array
+//! slots and tape buffers of the machines that run them are
+//! interchangeable — [`Machine::reset`] re-sizes without releasing
+//! capacity — so a pool lets **different** compiled functions share one
+//! set of allocations, sized by the largest function it has executed.
 //!
 //! [`Pool`] is the generic shape (any `Default` machine type);
 //! [`MachineArena`] and [`ShadowMachineArena`] are the two instantiations
-//! the engine uses. Checkout hands out a guard that returns the machine on
-//! drop, so the pool never grows beyond the peak number of *concurrent*
-//! activations (one per worker thread in the batch APIs, one per greedy
-//! loop in the tuner).
+//! the engine uses. The process has one [`MachineArena`] of its own,
+//! behind [`crate::vm::run_with`] and [`crate::vm::run_batch_parallel`];
+//! sessions (the tuner's `VariantCache`, the estimator, the service's
+//! worker shards) hold their own. Checkout hands out a guard that
+//! returns the machine on drop, so a pool never grows beyond the peak
+//! number of *concurrent* activations (one per worker thread of a
+//! batch, one per greedy loop in the tuner). [`Pool::run_batch`] is the
+//! one batch body, for plain and shadow machines alike.
 
+use crate::bytecode::CompiledFunction;
 use crate::shadow::ShadowMachine;
-use crate::vm::Machine;
+use crate::value::ArgValue;
+use crate::vm::{invalid_bytecode, validate_function, ExecOptions, Machine, Trap};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -53,7 +59,7 @@ impl<M: Default> Default for Pool<M> {
 impl<M: Default> Pool<M> {
     /// An empty pool; machines are created on first checkout and retained
     /// (with their grown buffers) on return.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Pool {
             slots: Mutex::new(Vec::new()),
             checked_out: AtomicUsize::new(0),
@@ -134,6 +140,73 @@ impl<M: Default> Drop for Pooled<'_, M> {
         if let Some(m) = self.m.take() {
             self.pool.slots().push(m);
         }
+    }
+}
+
+/// The machine kinds a [`Pool`] batch runs: the plain VM ([`Machine`],
+/// yielding a `CallOutcome`) and the fused shadow machine
+/// ([`ShadowMachine`], yielding a `ShadowOutcome`). Sealed in a private
+/// module, because `run_prevalidated` skips the bytecode validation the
+/// dispatch loop's unchecked accesses rely on.
+pub(crate) mod sealed {
+    use super::*;
+
+    /// A machine kind with a call that trusts its caller to have run
+    /// [`validate_function`] on `func`.
+    pub trait Run: Default + Send {
+        /// What one successful call returns.
+        type Outcome: Send;
+        /// Runs `func` on `args`; `func` must have passed
+        /// [`validate_function`].
+        fn run_prevalidated(
+            &mut self,
+            func: &CompiledFunction,
+            args: Vec<ArgValue>,
+            opts: &ExecOptions,
+        ) -> Result<Self::Outcome, Trap>;
+    }
+}
+
+impl<M: sealed::Run> Pool<M> {
+    /// Runs `func` on every argument set: the bytecode is validated once
+    /// for the whole batch, then the sets fan out over
+    /// [`crate::par::parallel_map_init`] with one machine checked out
+    /// per worker (inside an `exec.worker` span) and one `exec.run` span
+    /// per set. Results keep the input order; `max_threads = None` uses
+    /// the available parallelism and tiny batches run inline.
+    ///
+    /// A set whose run panics drops its worker's machine instead of
+    /// parking it; the worker checks out another for its remaining sets,
+    /// and the panic is re-raised once every set has run.
+    pub fn run_batch(
+        &self,
+        func: &CompiledFunction,
+        arg_sets: Vec<Vec<ArgValue>>,
+        opts: &ExecOptions,
+        max_threads: Option<usize>,
+    ) -> Vec<Result<M::Outcome, Trap>> {
+        if let Err(msg) = validate_function(func) {
+            let trap = invalid_bytecode(msg);
+            return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
+        }
+        // The worker span opens at checkout and closes when the worker's
+        // state drops, so each `exec.run` span nests under its worker.
+        crate::par::parallel_map_init(
+            arg_sets,
+            max_threads,
+            || (self.checkout(), chef_telemetry::span("exec.worker")),
+            |(pooled, _worker), args| {
+                let _run = chef_telemetry::span("exec.run");
+                // The machine leaves its guard for the run: a panic
+                // unwinds past this local and drops it, so the guard
+                // `parallel_map_init` later drops (outside the unwind)
+                // has nothing to park.
+                let mut m = pooled.m.take().expect("parked between runs");
+                let out = m.run_prevalidated(func, args, opts);
+                pooled.m = Some(m);
+                out
+            },
+        )
     }
 }
 
@@ -222,6 +295,37 @@ mod tests {
             .unwrap();
         assert_eq!(out.ret_f(), 2.0);
         assert_eq!(arena.idle(), 1);
+    }
+
+    /// A one-worker batch whose second run panics: the worker's machine
+    /// is dropped, the third run gets a fresh one, and only that one is
+    /// parked.
+    fn panicking_batch_run_discards_its_machine<M: sealed::Run>() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let arena = Pool::<M>::new();
+        let f = compiled("double f(double x) { return x + 1.0; }");
+        let opts = ExecOptions {
+            fault: Some(FaultPlan::new(Some(FaultKind::Panic), 3, 1, 16)),
+            ..Default::default()
+        };
+        let sets = vec![vec![ArgValue::F(1.0)]; 3];
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            arena.run_batch(&f, sets, &opts, Some(1))
+        }));
+        assert!(r.is_err(), "the injected panic is re-raised");
+        assert_eq!(arena.idle(), 1);
+        assert_eq!(arena.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_panicking_batch_run_discards_the_plain_machine() {
+        panicking_batch_run_discards_its_machine::<Machine>();
+    }
+
+    #[test]
+    fn a_panicking_batch_run_discards_the_shadow_machine() {
+        panicking_batch_run_discards_its_machine::<ShadowMachine<f64>>();
     }
 
     #[test]

@@ -102,31 +102,31 @@
 //!    target. See *Packed word format* below.
 //! 4. **Reusable machines** ([`vm::Machine`]): register files, array
 //!    slots and the [`Tape`]'s buffers persist across calls —
-//!    [`vm::Machine::reset`] re-sizes without re-allocating, and
-//!    [`vm::run`]/[`vm::run_with`] route through a thread-local cached
-//!    machine; the shadow machine wraps one and shares its call frame.
-//!    Register operands are validated once per call (every operand the
-//!    operand table reports is checked against its file's size) and then
-//!    accessed unchecked in the dispatch loop, by the VM and the shadow
-//!    pass alike; the `max_instrs` budget is checked at backward jumps and
-//!    returns instead of on every instruction, and the
+//!    [`vm::Machine::reset`] re-sizes without re-allocating; the shadow
+//!    machine wraps one and shares its call frame. Register operands are
+//!    validated once per call (every operand the operand table reports
+//!    is checked against its file's size) and then accessed unchecked in
+//!    the dispatch loop, by the VM and the shadow pass alike; the
+//!    `max_instrs` budget is checked at backward jumps and returns
+//!    instead of on every instruction, and the
 //!    [`vm::ExecOptions::deadline`] wall clock is probed at backward
 //!    jumps only once per [`vm::DEADLINE_STRIDE`] instructions.
-//! 5. **Batched + parallel runs** ([`vm::run_batch`],
-//!    [`vm::run_batch_parallel`]): one machine amortized over a whole
-//!    argument batch, or the batch fanned out over scoped threads (one
-//!    machine per thread, input order preserved). The higher layers —
-//!    `chef_core`'s `ErrorEstimator::execute_batch` /
-//!    `profile_sensitivity_batch` and `chef_tuner`'s `validate_configs` —
-//!    ride on these.
+//! 5. **One batch body** ([`arena::Pool::run_batch`]): for plain and
+//!    shadow machines alike, a batch is validated once and fanned out
+//!    over scoped threads, one pooled machine per worker, input order
+//!    preserved. [`vm::run_batch_parallel`] is that body on the process
+//!    arena; `chef_core`'s `ErrorEstimator::execute_batch` and
+//!    `profile_sensitivity_batch` and `chef-service`'s batch jobs ride on
+//!    it.
 //! 6. **Machine pooling across functions** ([`arena`]): a tuner or
 //!    analysis session compiles hundreds of `PrecisionMap` variants;
 //!    [`arena::MachineArena`] (and the shadow counterpart) lets all of
 //!    their runs share one set of register-file/tape allocations, sized
-//!    to the session maximum. Wired through
-//!    [`vm::run_batch_parallel_in`] /
-//!    [`shadow::run_shadow_batch_parallel_in`], `chef_core`'s estimator
-//!    batches and `chef_tuner`'s `VariantCache`.
+//!    to the session maximum. A pool is the only way machines are
+//!    reused: the process has one [`arena::MachineArena`], behind
+//!    [`vm::run`]/[`vm::run_with`] and [`vm::run_batch_parallel`], and
+//!    sessions (`chef_core`'s estimator, `chef_tuner`'s `VariantCache`,
+//!    `chef-service`'s worker shards) hold their own.
 //! 7. **Divergence-aware shadow execution** ([`shadow`]): the fused
 //!    primal+shadow pass evaluates every float comparison and float→int
 //!    truncation a second time on the shadow operands and reports
@@ -169,9 +169,10 @@
 //! Failures that are not traps are isolated rather than amplified:
 //! [`par::parallel_map`] catches a panicking item with `catch_unwind`,
 //! lets the sibling items of the batch finish, and re-raises the first
-//! panic afterwards; [`arena`] guards discard a machine checked out by a
-//! panicking thread instead of parking possibly-corrupt state, and the
-//! pools recover from mutex poisoning. `chef-tuner` builds its
+//! panic afterwards; [`arena`] discards a machine whose run panicked —
+//! held by a guard dropped in the unwind, or by a batch worker —
+//! instead of parking possibly-corrupt state, and the pools recover
+//! from mutex poisoning. `chef-tuner` builds its
 //! per-trial retry/quarantine layer on exactly these pieces.
 //!
 //! For proving all of that works, [`fault::FaultPlan`]
@@ -197,9 +198,9 @@
 //!   `chef_tuner::TuneResult`) stay authoritative per-run views while
 //!   the registry accumulates process totals.
 //! * **Spans**: [`compile::compile`] wraps itself and its fuse/pack
-//!   phases in `compile`/`fuse`/`pack` spans, and the pooled parallel
-//!   batch runners open one `exec.worker` span per checkout with an
-//!   `exec.run` span nested per argument set. Spans land in bounded
+//!   phases in `compile`/`fuse`/`pack` spans, and the batch body
+//!   ([`arena::Pool::run_batch`]) opens one `exec.worker` span per
+//!   checkout with an `exec.run` span nested per argument set. Spans land in bounded
 //!   per-thread rings and each close records into a `span.<name>.ns`
 //!   histogram; exporting is `chef_telemetry::snapshot()`.
 //! * **Per-pc profiler**: [`vm::ExecOptions::profile`] makes the
@@ -355,15 +356,15 @@ pub mod prelude {
     pub use crate::pack::{pack_function, PackedCode};
     pub use crate::precision::{demotion_error, round_to, ulp};
     pub use crate::shadow::{
-        run_shadow, run_shadow_batch_parallel, run_shadow_batch_parallel_in, DivergenceKind,
-        DivergencePoint, PcSample, ShadowMachine, ShadowNum, ShadowOutcome, MAX_DIVERGENCE_POINTS,
+        run_shadow, DivergenceKind, DivergencePoint, PcSample, ShadowMachine, ShadowNum,
+        ShadowOutcome, MAX_DIVERGENCE_POINTS,
     };
     pub use crate::store::{content_key, ContentKey, DiskStore, FORMAT_VERSION};
     pub use crate::tape::{Tape, TapeError};
     pub use crate::value::{ArgValue, Value};
     pub use crate::vm::{
-        run, run_batch, run_batch_parallel, run_batch_parallel_in, run_with, CallOutcome,
-        ExecOptions, ExecProfile, ExecStats, Machine, Trap, TrapKind, DEADLINE_STRIDE,
+        run, run_batch_parallel, run_with, CallOutcome, ExecOptions, ExecProfile, ExecStats,
+        Machine, Trap, TrapKind, DEADLINE_STRIDE,
     };
 }
 

@@ -53,10 +53,11 @@
 //! the profile monomorph choice, the epilogue) is shared the same way.
 //! [`ShadowMachine`] wraps a [`Machine`] for the primal state and keeps
 //! the shadow files alongside; it is reusable call-to-call exactly like
-//! `Machine`. Batches fan out over scoped threads through
-//! [`crate::par::parallel_map_init`] (one shadow machine per worker),
-//! like [`crate::vm::run_batch_parallel`].
+//! `Machine`. Batches run through the same body as the plain VM's,
+//! [`Pool::run_batch`](crate::arena::Pool::run_batch) on a
+//! [`ShadowMachineArena`](crate::arena::ShadowMachineArena).
 
+use crate::arena::sealed::Run;
 use crate::bytecode::*;
 use crate::intrinsics::{eval1, eval2, ApproxConfig};
 use crate::precision::round_to;
@@ -545,6 +546,10 @@ impl<S: ShadowNum> ShadowMachine<S> {
         validate_function(func).map_err(invalid_bytecode)?;
         self.run_prevalidated(func, args, opts)
     }
+}
+
+impl<S: ShadowNum> Run for ShadowMachine<S> {
+    type Outcome = ShadowOutcome;
 
     fn run_prevalidated(
         &mut self,
@@ -647,7 +652,6 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
     let len = words.len();
     let approx = &opts.approx;
     let budget = opts.max_instrs.unwrap_or(u64::MAX);
-    let check_div = opts.detect_divergence;
     let trap_nf = opts.trap_on_nonfinite;
     let deadline = opts.deadline;
     let mut deadline_at: u64 = if deadline.is_some() {
@@ -866,7 +870,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
     }
     macro_rules! diverge_fcmp {
         ($op:expr, $x:expr, $y:expr, $taken:expr) => {{
-            if S::ACTIVE && check_div {
+            if S::ACTIVE {
                 let (xi, yi) = ($x, $y);
                 let would = S::cmp($op, sf[xi], sf[yi]);
                 if would != $taken {
@@ -884,7 +888,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
     }
     macro_rules! diverge_f2i {
         ($x:expr, $primal_int:expr) => {{
-            if S::ACTIVE && check_div {
+            if S::ACTIVE {
                 let xi = $x;
                 let si = S::trunc_i64(sf[xi]);
                 if si != $primal_int {
@@ -1255,53 +1259,6 @@ pub fn run_shadow<S: ShadowNum>(
     ShadowMachine::<S>::new().run_reused(func, args, opts)
 }
 
-/// Runs `func` in fused shadow mode over every argument set, fanned out
-/// over scoped threads via [`crate::par::parallel_map_init`] — one
-/// reusable [`ShadowMachine`] per worker, results in input order, the
-/// bytecode validated once for the whole batch (the shadow counterpart
-/// of [`crate::vm::run_batch_parallel`]).
-pub fn run_shadow_batch_parallel<S: ShadowNum>(
-    func: &CompiledFunction,
-    arg_sets: Vec<Vec<ArgValue>>,
-    opts: &ExecOptions,
-    max_threads: Option<usize>,
-) -> Vec<Result<ShadowOutcome, Trap>> {
-    if let Err(msg) = validate_function(func) {
-        let trap = invalid_bytecode(msg);
-        return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
-    }
-    crate::par::parallel_map_init(arg_sets, max_threads, ShadowMachine::<S>::new, |m, args| {
-        m.run_prevalidated(func, args, opts)
-    })
-}
-
-/// [`run_shadow_batch_parallel`] drawing per-worker machines from a
-/// shared [`ShadowMachineArena`](crate::arena::ShadowMachineArena):
-/// consecutive oracle batches — even of different compiled variants —
-/// reuse the same primal+shadow buffer allocations.
-pub fn run_shadow_batch_parallel_in<S: ShadowNum>(
-    func: &CompiledFunction,
-    arg_sets: Vec<Vec<ArgValue>>,
-    opts: &ExecOptions,
-    max_threads: Option<usize>,
-    arena: &crate::arena::ShadowMachineArena<S>,
-) -> Vec<Result<ShadowOutcome, Trap>> {
-    if let Err(msg) = validate_function(func) {
-        let trap = invalid_bytecode(msg);
-        return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
-    }
-    // Same worker/run span pairing as `vm::run_batch_parallel_in`.
-    crate::par::parallel_map_init(
-        arg_sets,
-        max_threads,
-        || (arena.checkout(), chef_telemetry::span("exec.worker")),
-        |worker, args| {
-            let _run = chef_telemetry::span("exec.run");
-            worker.0.run_prevalidated(func, args, opts)
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1504,7 +1461,8 @@ mod tests {
             .map(|k| vec![ArgValue::F(0.1 + k as f64 * 0.01), ArgValue::I(50)])
             .collect();
         let opts = ExecOptions::default();
-        let par = run_shadow_batch_parallel::<f64>(&func, sets.clone(), &opts, Some(4));
+        let arena = crate::arena::ShadowMachineArena::<f64>::new();
+        let par = arena.run_batch(&func, sets.clone(), &opts, Some(4));
         let mut m = ShadowMachine::<f64>::new();
         for (set, p) in sets.into_iter().zip(&par) {
             let s = m.run_reused(&func, set, &opts).unwrap();
@@ -1633,32 +1591,6 @@ mod tests {
         assert!(out.acc_error > 0.0, "demotion still rounds");
     }
 
-    #[test]
-    fn divergence_detection_can_be_disabled() {
-        let src = "double f(double x, int n) {
-            double s = 0.0;
-            for (int i = 0; i < n; i++) { s = s + x; }
-            double r = 0.0;
-            if (s < 1.0) { r = s * 2.0; } else { r = s * 0.5; }
-            return r;
-        }";
-        let pm = PrecisionMap::empty().with(VarId(2), FloatTy::F32);
-        let func = compiled(src, pm);
-        let args = vec![ArgValue::F(0.01), ArgValue::I(100)];
-        let opts = ExecOptions {
-            detect_divergence: false,
-            ..Default::default()
-        };
-        let off = run_shadow::<f64>(&func, args.clone(), &opts).unwrap();
-        assert_eq!(off.divergence_count, 0);
-        assert!(off.divergence.is_empty());
-        // Everything else is unchanged by the toggle.
-        let on = run_shadow::<f64>(&func, args, &ExecOptions::default()).unwrap();
-        assert!(on.divergence_count > 0);
-        assert_eq!(on.ret_f().to_bits(), off.ret_f().to_bits());
-        assert_eq!(on.acc_error.to_bits(), off.acc_error.to_bits());
-    }
-
     /// Runs one failing call through `Machine` and `ShadowMachine<f64>`
     /// and requires the whole trap — kind, pc and span — to agree.
     fn same_trap(func: &CompiledFunction, args: Vec<ArgValue>, opts: &ExecOptions) -> Trap {
@@ -1777,10 +1709,7 @@ mod tests {
             let r = ShadowMachine::<f64>::new().run_reused(&f, vec![], &opts);
             assert!(rejected(&r), "{}: {r:?}", f.name);
             let batch = vec![vec![], vec![]];
-            for r in run_shadow_batch_parallel::<f64>(&f, batch.clone(), &opts, Some(2)) {
-                assert!(rejected(&r), "{}: {r:?}", f.name);
-            }
-            for r in run_shadow_batch_parallel_in::<f64>(&f, batch, &opts, Some(2), &arena) {
+            for r in arena.run_batch(&f, batch, &opts, Some(2)) {
                 assert!(rejected(&r), "{}: {r:?}", f.name);
             }
         }

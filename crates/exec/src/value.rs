@@ -94,22 +94,6 @@ impl ArgValue {
             other => panic!("expected float-array argument, got {other:?}"),
         }
     }
-
-    /// Borrows the int-array payload; panics otherwise.
-    pub fn as_iarr(&self) -> &[i64] {
-        match self {
-            ArgValue::IArr(v) => v,
-            other => panic!("expected int-array argument, got {other:?}"),
-        }
-    }
-
-    /// Takes the float-array payload; panics otherwise.
-    pub fn into_farr(self) -> Vec<f64> {
-        match self {
-            ArgValue::FArr(v) => v,
-            other => panic!("expected float-array argument, got {other:?}"),
-        }
-    }
 }
 
 #[cfg(test)]

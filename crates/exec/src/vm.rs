@@ -15,8 +15,9 @@
 //!   and is **reusable**: [`Machine::reset`] re-sizes the buffers for a
 //!   function without releasing their capacity, so repeated
 //!   [`Machine::run_reused`] calls allocate nothing after warm-up.
-//! * The convenience entry points [`run`]/[`run_with`] dispatch through a
-//!   thread-local cached machine and inherit that reuse transparently.
+//! * The convenience entry points [`run`]/[`run_with`] check a machine
+//!   out of the process's [`MachineArena`] and inherit that reuse
+//!   transparently.
 //! * There is no dispatch loop here: the plain VM runs the engine's one
 //!   loop, [`crate::shadow`]'s `exec_loop`, instantiated with the
 //!   zero-sized `NoShadow` lane, for which every shadow-side statement
@@ -31,10 +32,11 @@
 //!   granularity — on taken backward jumps and at returns — instead of
 //!   per instruction, so the budget may be overshot by at most one
 //!   straight-line block.
-//! * [`run_batch`] amortizes one machine over a whole argument batch, and
-//!   [`run_batch_parallel`] fans a batch out over scoped threads (one
-//!   machine per thread).
+//! * [`run_batch_parallel`] fans a batch out over scoped threads through
+//!   [`Pool::run_batch`](crate::arena::Pool::run_batch) on the same
+//!   process arena (one machine per worker, validated once per batch).
 
+use crate::arena::{sealed::Run, MachineArena};
 use crate::bytecode::*;
 use crate::intrinsics::ApproxConfig;
 use crate::precision::round_to;
@@ -43,10 +45,9 @@ use crate::tape::{Tape, TapeError};
 use crate::value::{ArgValue, Value};
 use chef_ir::span::Span;
 use chef_ir::types::FloatTy;
-use std::cell::RefCell;
 
 /// Runtime execution options.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
     /// Approximate-intrinsics configuration (the FastApprox relink).
     pub approx: ApproxConfig,
@@ -70,13 +71,6 @@ pub struct ExecOptions {
     /// the instruction budget, exceeding one is a typed trap with pc
     /// attribution, never a panic.
     pub deadline: Option<std::time::Instant>,
-    /// Shadow-execution divergence detection (on by default): the fused
-    /// shadow pass re-evaluates every float comparison and float→int
-    /// truncation on the shadow operands and records a
-    /// [`crate::shadow::DivergencePoint`] whenever the decision differs
-    /// from the primal one. Ignored by the plain VM; turn off only to
-    /// benchmark the raw fused pass (`shadow/divergence-overhead`).
-    pub detect_divergence: bool,
     /// Trap with [`TrapKind::NonFinite`] the first time a float write —
     /// an instruction result, a demoted parameter's entry rounding, or a
     /// rounded return — produces NaN or ±Inf (off by default). The trap
@@ -101,21 +95,6 @@ pub struct ExecOptions {
     /// the counts sum to `instrs_executed` and that profiling leaves the
     /// dispatch count unchanged.
     pub profile: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            approx: ApproxConfig::default(),
-            tape_limit: None,
-            max_instrs: None,
-            deadline: None,
-            detect_divergence: true,
-            trap_on_nonfinite: false,
-            fault: None,
-            profile: false,
-        }
-    }
 }
 
 impl ExecOptions {
@@ -376,29 +355,24 @@ pub(crate) enum ArraySlot {
     StaleI(Vec<i64>),
 }
 
-thread_local! {
-    static TLS_MACHINE: RefCell<Machine> = RefCell::new(Machine::new());
-}
+/// The process's machine arena, shared by [`run_with`] and
+/// [`run_batch_parallel`].
+static MACHINES: MachineArena = MachineArena::new();
 
-/// Runs `func` on `args` with default options (through the thread-local
-/// reusable machine).
+/// Runs `func` on `args` with default options (on a machine from the
+/// process arena).
 pub fn run(func: &CompiledFunction, args: Vec<ArgValue>) -> Result<CallOutcome, Trap> {
     run_with(func, args, &ExecOptions::default())
 }
 
-/// Runs `func` on `args` under `opts` (through the thread-local reusable
-/// machine).
+/// Runs `func` on `args` under `opts` (on a machine from the process
+/// arena).
 pub fn run_with(
     func: &CompiledFunction,
     args: Vec<ArgValue>,
     opts: &ExecOptions,
 ) -> Result<CallOutcome, Trap> {
-    TLS_MACHINE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut m) => m.run_reused(func, args, opts),
-        // Re-entrant call (e.g. from a panic hook): fall back to a fresh
-        // machine rather than poisoning the cached one.
-        Err(_) => Machine::new().run_reused(func, args, opts),
-    })
+    MACHINES.checkout().run_reused(func, args, opts)
 }
 
 pub(crate) fn invalid_bytecode(msg: String) -> Trap {
@@ -512,79 +486,18 @@ fn inject_nan_param(func: &CompiledFunction, f: &mut [f64]) {
     }
 }
 
-/// Runs `func` over every argument set in order, reusing one [`Machine`]
-/// (register files, array slots and tape capacity persist across calls).
-/// The bytecode is validated once for the whole batch, not per call.
-pub fn run_batch(
-    func: &CompiledFunction,
-    arg_sets: Vec<Vec<ArgValue>>,
-    opts: &ExecOptions,
-) -> Vec<Result<CallOutcome, Trap>> {
-    if let Err(msg) = validate_function(func) {
-        let trap = invalid_bytecode(msg);
-        return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
-    }
-    let mut m = Machine::new();
-    arg_sets
-        .into_iter()
-        .map(|args| m.run_prevalidated(func, args, opts))
-        .collect()
-}
-
-/// Like [`run_batch`] but fanned out over scoped threads (via
-/// [`crate::par::parallel_map`]), one reusable machine per thread;
-/// results keep the input order. `max_threads = None` uses the machine's
-/// available parallelism; tiny batches run inline.
+/// Runs `func` over every argument set, fanned out over scoped threads
+/// with one machine from the process arena per worker
+/// ([`Pool::run_batch`](crate::arena::Pool::run_batch)); results keep the
+/// input order. `max_threads = None` uses the machine's available
+/// parallelism; tiny batches run inline.
 pub fn run_batch_parallel(
     func: &CompiledFunction,
     arg_sets: Vec<Vec<ArgValue>>,
     opts: &ExecOptions,
     max_threads: Option<usize>,
 ) -> Vec<Result<CallOutcome, Trap>> {
-    if let Err(msg) = validate_function(func) {
-        let trap = invalid_bytecode(msg);
-        return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
-    }
-    thread_local! {
-        static BATCH_MACHINE: RefCell<Machine> = RefCell::new(Machine::new());
-    }
-    crate::par::parallel_map(arg_sets, max_threads, |args| {
-        BATCH_MACHINE.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut m) => m.run_prevalidated(func, args, opts),
-            Err(_) => Machine::new().run_prevalidated(func, args, opts),
-        })
-    })
-}
-
-/// [`run_batch_parallel`] drawing per-worker machines from a shared
-/// [`MachineArena`](crate::arena::MachineArena) instead of thread-local
-/// state: each worker checks one machine out for its whole chunk and
-/// parks it back on completion, so consecutive batches — even of
-/// *different* compiled functions — reuse the same register-file/tape
-/// allocations, sized to the session maximum.
-pub fn run_batch_parallel_in(
-    func: &CompiledFunction,
-    arg_sets: Vec<Vec<ArgValue>>,
-    opts: &ExecOptions,
-    max_threads: Option<usize>,
-    arena: &crate::arena::MachineArena,
-) -> Vec<Result<CallOutcome, Trap>> {
-    if let Err(msg) = validate_function(func) {
-        let trap = invalid_bytecode(msg);
-        return arg_sets.into_iter().map(|_| Err(trap.clone())).collect();
-    }
-    // Worker state pairs the pooled machine with an `exec.worker` span:
-    // the span opens at worker init and closes when the chunk's state
-    // drops, so each per-item `exec.run` span nests under its worker.
-    crate::par::parallel_map_init(
-        arg_sets,
-        max_threads,
-        || (arena.checkout(), chef_telemetry::span("exec.worker")),
-        |worker, args| {
-            let _run = chef_telemetry::span("exec.run");
-            worker.0.run_prevalidated(func, args, opts)
-        },
-    )
+    MACHINES.run_batch(func, arg_sets, opts, max_threads)
 }
 
 /// A reusable VM activation: owns the register files, array slots and the
@@ -681,22 +594,11 @@ impl Machine {
         // accesses, and caching it by function pointer identity would be
         // ABA-unsound (a dropped-and-reallocated CompiledFunction at the
         // same address could skip validation of malformed code). Batch
-        // callers amortize through run_batch/run_batch_parallel instead.
+        // callers amortize through `Pool::run_batch` instead.
         if let Err(msg) = validate_function(func) {
             return Err(invalid_bytecode(msg));
         }
         self.run_prevalidated(func, args, opts)
-    }
-
-    /// [`Machine::run_reused`] without the bytecode validation — for the
-    /// batch entry points, which validate once for the whole batch.
-    fn run_prevalidated(
-        &mut self,
-        func: &CompiledFunction,
-        args: Vec<ArgValue>,
-        opts: &ExecOptions,
-    ) -> Result<CallOutcome, Trap> {
-        self.call(&mut Lane::<NoShadow>::new(), func, args, opts)
     }
 
     /// The one call frame, shared by the plain VM (`S =`
@@ -861,6 +763,19 @@ impl Machine {
             out.push(v);
         }
         out
+    }
+}
+
+impl Run for Machine {
+    type Outcome = CallOutcome;
+
+    fn run_prevalidated(
+        &mut self,
+        func: &CompiledFunction,
+        args: Vec<ArgValue>,
+        opts: &ExecOptions,
+    ) -> Result<CallOutcome, Trap> {
+        self.call(&mut Lane::<NoShadow>::new(), func, args, opts)
     }
 }
 
@@ -1310,7 +1225,7 @@ pub(crate) mod tests {
         let sets: Vec<Vec<ArgValue>> = (0..20)
             .map(|k| vec![ArgValue::F(k as f64 * 0.37)])
             .collect();
-        let batched = run_batch(&f, sets.clone(), &opts);
+        let batched = run_batch_parallel(&f, sets.clone(), &opts, Some(1));
         let parallel = run_batch_parallel(&f, sets.clone(), &opts, Some(4));
         for ((set, b), par) in sets.into_iter().zip(&batched).zip(&parallel) {
             let single = run_with(&f, set, &opts).unwrap();

@@ -47,8 +47,7 @@ use chef_core::prelude::ChefError;
 use chef_exec::arena::{MachineArena, ShadowMachineArena};
 use chef_exec::fault::FaultPlan;
 use chef_exec::prelude::{
-    run_batch_parallel_in, run_shadow_batch_parallel_in, ArgValue, CallOutcome, CompiledFunction,
-    ExecOptions, ShadowOutcome, Trap, TrapKind,
+    ArgValue, CallOutcome, CompiledFunction, ExecOptions, ShadowOutcome, Trap, TrapKind,
 };
 use chef_exec::store::DiskStore;
 use chef_ir::ast::Program;
@@ -293,17 +292,6 @@ impl<T> Ticket<T> {
             msg: "worker lost before reporting an outcome".to_string(),
         })
     }
-
-    /// Non-blocking poll; `Err(self)` if the job is still running.
-    pub fn try_wait(self) -> Result<Outcome<T>, Ticket<T>> {
-        match self.rx.try_recv() {
-            Ok(o) => Ok(o),
-            Err(mpsc::TryRecvError::Empty) => Err(self),
-            Err(mpsc::TryRecvError::Disconnected) => Ok(Outcome::Panicked {
-                msg: "worker lost before reporting an outcome".to_string(),
-            }),
-        }
-    }
 }
 
 // ------------------------------------------------------------------------
@@ -431,7 +419,6 @@ impl SessionState {
 struct WorkerShard {
     arena: MachineArena,
     shadow64: ShadowMachineArena<f64>,
-    shadow_dd: ShadowMachineArena<chef_shadow::DD>,
 }
 
 impl WorkerShard {
@@ -439,12 +426,11 @@ impl WorkerShard {
         WorkerShard {
             arena: MachineArena::new(),
             shadow64: ShadowMachineArena::new(),
-            shadow_dd: ShadowMachineArena::new(),
         }
     }
 
     fn outstanding(&self) -> usize {
-        self.arena.outstanding() + self.shadow64.outstanding() + self.shadow_dd.outstanding()
+        self.arena.outstanding() + self.shadow64.outstanding()
     }
 }
 
@@ -529,11 +515,6 @@ impl AnalysisServer {
     /// Jobs currently executing on a worker.
     pub fn active_jobs(&self) -> usize {
         self.inner.sched.active()
-    }
-
-    /// Currently open sessions.
-    pub fn session_count(&self) -> usize {
-        self.inner.sessions().len()
     }
 
     /// Opens a session, or rejects it (draining, or the registry is at
@@ -707,9 +688,10 @@ impl SessionHandle {
         args: Vec<ArgValue>,
     ) -> Result<Ticket<CallOutcome>, Rejected> {
         self.submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
-            run_batch_parallel_in(&func, vec![args.clone()], opts, Some(1), &shard.arena)
-                .pop()
-                .expect("one result per arg set")
+            shard
+                .arena
+                .checkout()
+                .run_reused(&func, args.clone(), opts)
                 .map_err(JobFault::Trap)
         })
     }
@@ -725,13 +707,9 @@ impl SessionHandle {
     ) -> Result<Ticket<Vec<Result<CallOutcome, Trap>>>, Rejected> {
         let threads = self.inner.cfg.batch_threads;
         self.submit_job(false, move |shard: &WorkerShard, opts: &ExecOptions| {
-            Ok(run_batch_parallel_in(
-                &func,
-                arg_sets.clone(),
-                opts,
-                threads,
-                &shard.arena,
-            ))
+            Ok(shard
+                .arena
+                .run_batch(&func, arg_sets.clone(), opts, threads))
         })
     }
 
@@ -742,16 +720,11 @@ impl SessionHandle {
         args: Vec<ArgValue>,
     ) -> Result<Ticket<ShadowOutcome>, Rejected> {
         self.submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
-            run_shadow_batch_parallel_in::<f64>(
-                &func,
-                vec![args.clone()],
-                opts,
-                Some(1),
-                &shard.shadow64,
-            )
-            .pop()
-            .expect("one result per arg set")
-            .map_err(JobFault::Trap)
+            shard
+                .shadow64
+                .checkout()
+                .run_reused(&func, args.clone(), opts)
+                .map_err(JobFault::Trap)
         })
     }
 
@@ -1008,14 +981,14 @@ mod tests {
                 .submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
                     attempts += 1;
                     let out = catch_unwind(AssertUnwindSafe(|| {
-                        let args = vec![vec![ArgValue::F(0.5)]];
-                        run_batch_parallel_in(&func, args, opts, Some(1), &shard.arena).pop()
+                        let args = vec![ArgValue::F(0.5)];
+                        shard.arena.checkout().run_reused(&func, args, opts)
                     }));
                     if attempts == 1 {
                         plan.draw();
                     }
                     match out {
-                        Ok(r) => r.expect("one result").map_err(JobFault::Trap),
+                        Ok(r) => r.map_err(JobFault::Trap),
                         Err(payload) => resume_unwind(payload),
                     }
                 })

@@ -58,7 +58,7 @@ pub use dd::DD;
 use chef_core::api::ChefError;
 use chef_core::report::EstimateQualityRow;
 use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
-use chef_exec::shadow::{run_shadow_batch_parallel, ShadowMachine, ShadowOutcome};
+use chef_exec::shadow::ShadowOutcome;
 use chef_exec::value::ArgValue;
 use chef_exec::vm::{ExecOptions, ExecStats};
 use chef_ir::ast::Program;
@@ -256,7 +256,18 @@ pub fn shadow_run(
     config: &PrecisionMap,
     opts: &OracleOptions,
 ) -> Result<ShadowReport, ChefError> {
-    let compiled = compile_config(program, func, config)?;
+    let inlined = chef_passes::inline_program(program).map_err(ChefError::Inline)?;
+    let primal = inlined
+        .function(func)
+        .ok_or_else(|| ChefError::UnknownFunction(func.to_string()))?;
+    let compiled = compile(
+        primal,
+        &CompileOptions {
+            precisions: config.clone(),
+            ..Default::default()
+        },
+    )
+    .map_err(ChefError::Compile)?;
     shadow_run_compiled(&compiled, args.to_vec(), opts)
 }
 
@@ -272,124 +283,6 @@ pub fn shadow_run_compiled(
     }
     .map_err(ChefError::Trap)?;
     build_report(&compiled.name, compiled, out)
-}
-
-/// Measured ground-truth output error of `config` on `args` — the
-/// one-pass replacement for a demoted-vs-baseline validation pair.
-pub fn measure_config(
-    program: &Program,
-    func: &str,
-    args: &[ArgValue],
-    config: &PrecisionMap,
-    opts: &OracleOptions,
-) -> Result<f64, ChefError> {
-    shadow_run(program, func, args, config, opts).map(|r| r.output_error)
-}
-
-/// Runs the oracle over many argument sets for one configuration,
-/// fanning out over [`chef_exec::shadow::run_shadow_batch_parallel`]
-/// (one shadow machine per worker thread, input order preserved).
-pub fn shadow_run_batch(
-    program: &Program,
-    func: &str,
-    arg_sets: &[Vec<ArgValue>],
-    config: &PrecisionMap,
-    opts: &OracleOptions,
-    max_threads: Option<usize>,
-) -> Result<Vec<Result<ShadowReport, ChefError>>, ChefError> {
-    let compiled = compile_config(program, func, config)?;
-    let sets: Vec<Vec<ArgValue>> = arg_sets.to_vec();
-    let outs = match opts.mode {
-        ShadowMode::F64 => {
-            run_shadow_batch_parallel::<f64>(&compiled, sets, &opts.exec, max_threads)
-        }
-        ShadowMode::DD => run_shadow_batch_parallel::<DD>(&compiled, sets, &opts.exec, max_threads),
-    };
-    Ok(outs
-        .into_iter()
-        .map(|r| {
-            r.map_err(ChefError::Trap)
-                .and_then(|out| build_report(&compiled.name, &compiled, out))
-        })
-        .collect())
-}
-
-/// Inlines `program` and compiles `func` under `config` — the oracle's
-/// compilation front door (shared with `chef-tuner`'s variant cache).
-pub fn compile_config(
-    program: &Program,
-    func: &str,
-    config: &PrecisionMap,
-) -> Result<chef_exec::bytecode::CompiledFunction, ChefError> {
-    let inlined = chef_passes::inline_program(program).map_err(ChefError::Inline)?;
-    let primal = inlined
-        .function(func)
-        .ok_or_else(|| ChefError::UnknownFunction(func.to_string()))?;
-    compile(
-        primal,
-        &CompileOptions {
-            precisions: config.clone(),
-            ..Default::default()
-        },
-    )
-    .map_err(ChefError::Compile)
-}
-
-/// A reusable oracle session over one compiled configuration: holds a
-/// [`ShadowMachine`] so repeated measurements allocate nothing after
-/// warm-up (the greedy tuner's inner loop).
-pub struct OracleSession {
-    compiled: chef_exec::bytecode::CompiledFunction,
-    exec: ExecOptions,
-    m64: ShadowMachine<f64>,
-    mdd: ShadowMachine<DD>,
-    mode: ShadowMode,
-}
-
-impl OracleSession {
-    /// Builds a session for `func` under `config`.
-    pub fn new(
-        program: &Program,
-        func: &str,
-        config: &PrecisionMap,
-        opts: &OracleOptions,
-    ) -> Result<Self, ChefError> {
-        Ok(OracleSession {
-            compiled: compile_config(program, func, config)?,
-            exec: opts.exec.clone(),
-            m64: ShadowMachine::new(),
-            mdd: ShadowMachine::new(),
-            mode: opts.mode,
-        })
-    }
-
-    /// A session over an already-compiled variant (cache-friendly).
-    pub fn from_compiled(
-        compiled: chef_exec::bytecode::CompiledFunction,
-        opts: &OracleOptions,
-    ) -> Self {
-        OracleSession {
-            compiled,
-            exec: opts.exec.clone(),
-            m64: ShadowMachine::new(),
-            mdd: ShadowMachine::new(),
-            mode: opts.mode,
-        }
-    }
-
-    /// One fused measurement.
-    pub fn run(&mut self, args: &[ArgValue]) -> Result<ShadowReport, ChefError> {
-        let out = match self.mode {
-            ShadowMode::F64 => self
-                .m64
-                .run_reused(&self.compiled, args.to_vec(), &self.exec),
-            ShadowMode::DD => self
-                .mdd
-                .run_reused(&self.compiled, args.to_vec(), &self.exec),
-        }
-        .map_err(ChefError::Trap)?;
-        build_report(&self.compiled.name, &self.compiled, out)
-    }
 }
 
 #[cfg(test)]
@@ -528,41 +421,5 @@ mod tests {
             matches!(err, ChefError::Unsupported(_)),
             "expected Unsupported, got {err}"
         );
-    }
-
-    #[test]
-    fn oracle_session_is_reusable_and_consistent() {
-        let src = "double f(double x) { double t = x / 7.0; return t * t; }";
-        let p = program(src);
-        let config = PrecisionMap::empty().with(VarId(1), FloatTy::F32);
-        let mut sess = OracleSession::new(&p, "f", &config, &OracleOptions::default()).unwrap();
-        let one = shadow_run(
-            &p,
-            "f",
-            &[ArgValue::F(2.5)],
-            &config,
-            &OracleOptions::default(),
-        )
-        .unwrap();
-        for _ in 0..5 {
-            let again = sess.run(&[ArgValue::F(2.5)]).unwrap();
-            assert_eq!(again.output_error.to_bits(), one.output_error.to_bits());
-            assert_eq!(again.primal.to_bits(), one.primal.to_bits());
-        }
-    }
-
-    #[test]
-    fn batch_oracle_preserves_order_and_matches_serial() {
-        let src = "double f(double x) { double t = x * 0.123456789; return t + x; }";
-        let p = program(src);
-        let config = PrecisionMap::empty().with(VarId(1), FloatTy::F32);
-        let sets: Vec<Vec<ArgValue>> = (0..8).map(|k| vec![ArgValue::F(0.3 + k as f64)]).collect();
-        let batch =
-            shadow_run_batch(&p, "f", &sets, &config, &OracleOptions::default(), Some(3)).unwrap();
-        for (set, rep) in sets.iter().zip(batch) {
-            let rep = rep.unwrap();
-            let serial = shadow_run(&p, "f", set, &config, &OracleOptions::default()).unwrap();
-            assert_eq!(rep.output_error.to_bits(), serial.output_error.to_bits());
-        }
     }
 }

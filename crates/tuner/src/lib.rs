@@ -442,10 +442,10 @@ const WRITE_BACK_BATCH: usize = 8;
 /// The greedy loops and sweeps recompile overlapping `PrecisionMap`s —
 /// the empty baseline on every validation call, the accepted
 /// configuration of each greedy step, the single-demotion configs shared
-/// between [`sweep_single_demotions`] and [`tune_with_oracle`]'s first
-/// round. Shareable across calls (interior mutability; `Sync`) and —
-/// because keys are content hashes — safely shareable across *programs*
-/// and sessions.
+/// between a [`sweep_single_demotions`] given this cache and
+/// [`tune_with_oracle`]'s first round. Shareable across calls (interior
+/// mutability; `Sync`) and — because keys are content hashes — safely
+/// shareable across *programs* and sessions.
 ///
 /// Compiling hundreds of variants is only half the cost — each one also
 /// runs. The embedded [`MachineArena`]s let every run of every variant
@@ -883,7 +883,8 @@ pub fn validate(
     args: &[ArgValue],
     config: &PrecisionMap,
 ) -> Result<ValidationReport, ChefError> {
-    validate_configs(program, func, args, std::slice::from_ref(config)).map(|mut v| v.remove(0))
+    validate_configs(program, func, args, std::slice::from_ref(config), None)
+        .map(|mut v| v.remove(0))
 }
 
 /// Validates many candidate configurations against one full-precision
@@ -891,20 +892,13 @@ pub fn validate(
 /// (scoped; the batch is embarrassingly parallel), results in input
 /// order. This is the tuner's candidate-evaluation fast path — wall-clock
 /// scales with the slowest candidate instead of the sum.
+///
+/// With a shared [`VariantCache`], the baseline and every candidate
+/// compile and run through it, so repeated validations of overlapping
+/// configurations compile each variant once and share its machines.
+/// Without one, a local in-memory cache serves the call (it never
+/// writes to `CHEF_CACHE_DIR`).
 pub fn validate_configs(
-    program: &Program,
-    func: &str,
-    args: &[ArgValue],
-    configs: &[PrecisionMap],
-) -> Result<Vec<ValidationReport>, ChefError> {
-    validate_configs_with(program, func, args, configs, None)
-}
-
-/// [`validate_configs`] with an optional shared [`VariantCache`]: the
-/// baseline and every candidate compilation go through the cache, so
-/// repeated validations of overlapping configurations compile each
-/// variant once.
-pub fn validate_configs_with(
     program: &Program,
     func: &str,
     args: &[ArgValue],
@@ -915,7 +909,7 @@ pub fn validate_configs_with(
     validate_configs_impl(program, func, args, configs, cache, None, &log)
 }
 
-/// The fault-isolated body of [`validate_configs_with`]: each config
+/// The fault-isolated body of [`validate_configs`]: each config
 /// (and the baseline) is one trial — a trap or a panic is retried once
 /// before propagating, so a transient or injected fault never discards
 /// the batch, while a deterministic failure still errors as it always
@@ -940,36 +934,25 @@ fn validate_configs_impl(
         fault: resolved_fault(fault),
         ..Default::default()
     };
-    let compile_cfg = |pm: &PrecisionMap| -> Result<Arc<CompiledFunction>, ChefError> {
-        match cache {
-            Some(c) => c.get_or_compile(primal, pm).map_err(ChefError::Compile),
-            None => compile(
-                primal,
-                &CompileOptions {
-                    precisions: pm.clone(),
-                    ..Default::default()
-                },
-            )
-            .map(Arc::new)
-            .map_err(ChefError::Compile),
-        }
-    };
+    let local = VariantCache::new().without_store();
+    let cache = cache.unwrap_or(&local);
     let run_cfg = |pm: &PrecisionMap, what: &dyn Fn() -> String| -> Result<f64, ChefError> {
         accept_or_propagate(run_trial(
             log,
             what,
             &exec,
             &mut |_, e| {
-                let c = compile_cfg(pm)?;
-                let out = match cache {
-                    // Shared session: draw a pooled machine so every
-                    // variant run in the session reuses the same buffers.
-                    // A panicking run drops the guard mid-unwind and the
-                    // arena discards the machine (see `chef_exec::arena`).
-                    Some(cache) => cache.arena().checkout().run_reused(&c, args.to_vec(), e),
-                    None => chef_exec::vm::run_with(&c, args.to_vec(), e),
-                };
-                out.map(|o| o.ret_f()).map_err(ChefError::Trap)
+                let c = cache
+                    .get_or_compile(primal, pm)
+                    .map_err(ChefError::Compile)?;
+                // A panicking run drops the guard mid-unwind and the
+                // arena discards the machine (see `chef_exec::arena`).
+                cache
+                    .arena()
+                    .checkout()
+                    .run_reused(&c, args.to_vec(), e)
+                    .map(|o| o.ret_f())
+                    .map_err(ChefError::Trap)
             },
             &|v: &f64| Some(*v),
         )?)
@@ -1005,20 +988,11 @@ pub fn validate_with_oracle(
 /// variable **on its own** and measure the actual output error, with the
 /// candidates evaluated in parallel. Returns `(variable, report)` pairs
 /// in candidate order.
+///
+/// A shared [`VariantCache`] de-duplicates compilations with
+/// [`tune_with_oracle`]: the single-variable configs are exactly its
+/// first greedy round.
 pub fn sweep_single_demotions(
-    program: &Program,
-    func: &str,
-    args: &[ArgValue],
-    cfg: &TunerConfig,
-) -> Result<Vec<(String, ValidationReport)>, ChefError> {
-    sweep_single_demotions_with(program, func, args, cfg, None)
-}
-
-/// [`sweep_single_demotions`] through an optional shared [`VariantCache`]
-/// (the single-variable configs are exactly the first greedy round of
-/// [`tune_with_oracle`], so a shared cache de-duplicates those
-/// compilations).
-pub fn sweep_single_demotions_with(
     program: &Program,
     func: &str,
     args: &[ArgValue],
@@ -1410,7 +1384,7 @@ mod tests {
             .iter()
             .map(|&id| PrecisionMap::empty().with(id, FloatTy::F32))
             .collect();
-        let batch = validate_configs(&p, "f", &args, &configs).unwrap();
+        let batch = validate_configs(&p, "f", &args, &configs, None).unwrap();
         for (cfg, report) in configs.iter().zip(&batch) {
             let serial = validate(&p, "f", &args, cfg).unwrap();
             assert_eq!(report.baseline.to_bits(), serial.baseline.to_bits());
@@ -1428,7 +1402,7 @@ mod tests {
         }";
         let p = program(src);
         let cfg = TunerConfig::with_threshold(1.0);
-        let sweep = sweep_single_demotions(&p, "f", &[ArgValue::F(0.511)], &cfg).unwrap();
+        let sweep = sweep_single_demotions(&p, "f", &[ArgValue::F(0.511)], &cfg, None).unwrap();
         let names: Vec<&str> = sweep.iter().map(|(n, _)| n.as_str()).collect();
         assert!(
             names.contains(&"a")
@@ -1473,18 +1447,18 @@ mod tests {
             .map(|&id| PrecisionMap::empty().with(id, FloatTy::F32))
             .collect();
         let cache = VariantCache::new().without_store();
-        let first = validate_configs_with(&p, "f", &args, &configs, Some(&cache)).unwrap();
+        let first = validate_configs(&p, "f", &args, &configs, Some(&cache)).unwrap();
         let after_first = cache.misses();
         assert!(after_first >= 1 + configs.len() as u64 - 1); // baseline + variants
                                                               // Second pass over the same configs: baseline + variants all hit.
-        let second = validate_configs_with(&p, "f", &args, &configs, Some(&cache)).unwrap();
+        let second = validate_configs(&p, "f", &args, &configs, Some(&cache)).unwrap();
         assert_eq!(cache.misses(), after_first, "no recompilation");
         assert!(cache.hits() > configs.len() as u64);
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.demoted.to_bits(), b.demoted.to_bits());
         }
         // Uncached path agrees bit-for-bit with cached.
-        let uncached = validate_configs(&p, "f", &args, &configs).unwrap();
+        let uncached = validate_configs(&p, "f", &args, &configs, None).unwrap();
         for (a, b) in first.iter().zip(&uncached) {
             assert_eq!(a.demoted.to_bits(), b.demoted.to_bits());
             assert_eq!(a.actual_error.to_bits(), b.actual_error.to_bits());
@@ -1751,7 +1725,7 @@ mod tests {
         let args = vec![ArgValue::F(0.4)];
         let cache = VariantCache::new().without_store();
         let first =
-            validate_configs_with(&p, "f", &args, &[PrecisionMap::empty()], Some(&cache)).unwrap();
+            validate_configs(&p, "f", &args, &[PrecisionMap::empty()], Some(&cache)).unwrap();
         // Poison the table's mutex the hard way.
         let r = catch_unwind(AssertUnwindSafe(|| {
             let _g = cache.inner.lock().unwrap();
@@ -1763,7 +1737,7 @@ mod tests {
         assert!(!cache.is_empty());
         let misses = cache.misses();
         let again =
-            validate_configs_with(&p, "f", &args, &[PrecisionMap::empty()], Some(&cache)).unwrap();
+            validate_configs(&p, "f", &args, &[PrecisionMap::empty()], Some(&cache)).unwrap();
         assert_eq!(cache.misses(), misses, "poisoning must not evict");
         assert_eq!(again[0].demoted.to_bits(), first[0].demoted.to_bits());
     }
