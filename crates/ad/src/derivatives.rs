@@ -12,7 +12,7 @@
 //! branch (handled with an `if` in the caller, see
 //! [`min_max_select`]).
 
-use chef_ir::ast::{BinOp, Expr, ExprKind, Intrinsic};
+use chef_ir::ast::{BinOp, Expr, Intrinsic};
 use chef_ir::types::{FloatTy, Type};
 
 /// `2/sqrt(pi)`, the prefactor of `erf'`.
@@ -152,12 +152,6 @@ pub fn min_max_select(i: Intrinsic, a: &Expr, b: &Expr) -> Expr {
         other => panic!("{} is not fmin/fmax", other.name()),
     };
     Expr::binary(op, a.clone(), b.clone())
-}
-
-/// `true` when an expression is a literal (used to prune trivial adjoint
-/// updates like `d += seed * 0`).
-pub fn is_zero_literal(e: &Expr) -> bool {
-    matches!(e.kind, ExprKind::FloatLit(v) if v == 0.0)
 }
 
 #[cfg(test)]

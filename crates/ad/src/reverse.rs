@@ -20,7 +20,7 @@
 //! where each float scalar parameter `x` gains `double &_d_x` and each
 //! float array parameter `a` gains `double _d_a[]`.
 
-use crate::activity::{assigned_in, is_diff, reads_of, UsageInfo};
+use crate::activity::{is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
 use chef_ir::ast::*;
 use chef_ir::span::Span;
@@ -1159,10 +1159,4 @@ fn has_diff_reads(e: &Expr, grad: &Function) -> bool {
     let mut v = V { grad, found: false };
     v.visit_expr(e);
     v.found
-}
-
-/// Quick sanity helper used by tests: all variables assigned anywhere in
-/// the generated body (exported for white-box assertions).
-pub fn generated_assigned_vars(f: &Function) -> HashSet<VarId> {
-    assigned_in(&f.body)
 }

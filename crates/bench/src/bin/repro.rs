@@ -1433,7 +1433,8 @@ fn smoke() {
 /// * **typed degradation**: deadline overruns surface as
 ///   `DeadlineExceeded` with a valid pc, budget exhaustion quarantines
 ///   the session via its breaker instead of failing the run;
-/// * **leak-free drain**: zero machine-arena checkouts outstanding.
+/// * **leak-free drain**: zero job attempts (so zero machine checkouts)
+///   of the server still in flight.
 ///
 /// Exits non-zero on any violation.
 fn serve_smoke() {
@@ -1633,7 +1634,7 @@ fn serve_smoke() {
     let report = server.drain();
     if !report.leak_free() {
         eprintln!(
-            "leak: {} machine-arena checkout(s) outstanding after drain",
+            "leak: {} job attempt(s) still holding machines after drain",
             report.outstanding_checkouts
         );
         failed = true;

@@ -133,11 +133,6 @@ pub struct ErrorEstimator {
     n_primal: usize,
     attribution: bool,
     exec: ExecOptions,
-    /// Session-scoped machine arena: batch executions draw per-worker
-    /// machines from here, so consecutive batches (and other estimators
-    /// sharing the analysis session via [`ErrorEstimator::arena`]) reuse
-    /// one set of register-file/tape allocations.
-    arena: chef_exec::arena::MachineArena,
     /// Number of assignments the model instrumented.
     pub instrumented_assignments: usize,
 }
@@ -241,7 +236,6 @@ pub fn estimate_error_with(
         n_primal: primal.params.len(),
         attribution: opts.attribution,
         exec: opts.exec.clone(),
-        arena: chef_exec::arena::MachineArena::new(),
         instrumented_assignments: instrumented,
     })
 }
@@ -304,8 +298,8 @@ impl ErrorEstimator {
     ///
     /// This is the analysis-loop fast path: the generated code is
     /// compiled once, and independent estimates (tuner candidates, the
-    /// per-option study of Table IV) fan out over the estimator's arena
-    /// ([`chef_exec::arena::Pool::run_batch`]).
+    /// per-option study of Table IV) fan out over the process's machine
+    /// pool ([`chef_exec::vm::run_batch_parallel`]).
     pub fn execute_batch(&self, arg_sets: &[Vec<ArgValue>]) -> Vec<Result<EstimateOutcome, Trap>> {
         self.execute_batch_with(arg_sets, &self.exec, None)
     }
@@ -321,17 +315,10 @@ impl ErrorEstimator {
     ) -> Vec<Result<EstimateOutcome, Trap>> {
         let vm_args: Vec<Vec<ArgValue>> =
             arg_sets.iter().map(|set| self.build_vm_args(set)).collect();
-        self.arena
-            .run_batch(&self.compiled, vm_args, exec, max_threads)
+        chef_exec::vm::run_batch_parallel(&self.compiled, vm_args, exec, max_threads)
             .into_iter()
             .map(|r| r.map(|out| self.decode_outcome(out)))
             .collect()
-    }
-
-    /// The estimator's machine arena — expose it to share machine
-    /// allocations with other engines in the same analysis session.
-    pub fn arena(&self) -> &chef_exec::arena::MachineArena {
-        &self.arena
     }
 
     /// Appends adjoint seeds and EE output slots to the primal arguments.

@@ -1,31 +1,16 @@
 //! Serializable experiment records (consumed by the bench harness and
 //! EXPERIMENTS.md generation).
 //!
-//! Serialization goes through the workspace-local [`crate::json`] module
+//! Serialization goes through the workspace-local [`crate::json`] writer
 //! (the build is offline, so there is no `serde`); every record implements
-//! [`Record`] with an explicit field mapping in both directions.
+//! [`Record`] with an explicit field mapping.
 
-use crate::json::{parse, Json, JsonError};
+use crate::json::Json;
 
-/// A record that converts to and from a JSON object.
-pub trait Record: Sized {
+/// A record that writes itself as a JSON object.
+pub trait Record {
     /// The JSON representation.
     fn to_json_value(&self) -> Json;
-    /// Rebuilds the record; `Err` carries the missing/mistyped field name.
-    fn from_json_value(v: &Json) -> Result<Self, String>;
-}
-
-fn num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing number `{key}`"))
-}
-
-fn string(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string `{key}`"))
 }
 
 /// One row of the paper's Table I: a mixed-precision configuration and its
@@ -56,28 +41,6 @@ impl Record for MixedPrecisionRow {
             ("speedup", Json::Num(self.speedup)),
             ("demoted", Json::str_arr(&self.demoted)),
         ])
-    }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        let demoted = v
-            .get("demoted")
-            .and_then(Json::as_arr)
-            .ok_or("missing array `demoted`")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or("non-string in `demoted`".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(MixedPrecisionRow {
-            benchmark: string(v, "benchmark")?,
-            threshold: num(v, "threshold")?,
-            actual_error: num(v, "actual_error")?,
-            estimated_error: num(v, "estimated_error")?,
-            speedup: num(v, "speedup")?,
-            demoted,
-        })
     }
 }
 
@@ -110,20 +73,6 @@ impl Record for AnalysisSample {
             ),
         ])
     }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        let peak_bytes = match v.get("peak_bytes") {
-            Some(Json::Null) | None => None,
-            Some(j) => Some(j.as_f64().ok_or("mistyped `peak_bytes`")? as u64),
-        };
-        Ok(AnalysisSample {
-            benchmark: string(v, "benchmark")?,
-            tool: string(v, "tool")?,
-            scale: num(v, "scale")? as u64,
-            time_ms: num(v, "time_ms")?,
-            peak_bytes,
-        })
-    }
 }
 
 /// One row of the paper's Table IV: an approximate-function configuration.
@@ -148,29 +97,6 @@ impl Record for ApproxRow {
             ("estimated", triple(&self.estimated)),
             ("speedup", Json::Num(self.speedup)),
         ])
-    }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        let triple = |key: &str| -> Result<[f64; 3], String> {
-            let arr = v
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or(format!("missing array `{key}`"))?;
-            if arr.len() != 3 {
-                return Err(format!("`{key}` must have 3 entries"));
-            }
-            let mut out = [0.0; 3];
-            for (slot, item) in out.iter_mut().zip(arr) {
-                *slot = item.as_f64().ok_or(format!("non-number in `{key}`"))?;
-            }
-            Ok(out)
-        };
-        Ok(ApproxRow {
-            config: string(v, "config")?,
-            actual: triple("actual")?,
-            estimated: triple("estimated")?,
-            speedup: num(v, "speedup")?,
-        })
     }
 }
 
@@ -241,23 +167,6 @@ impl Record for EstimateQualityRow {
             ("diverged", Json::Bool(self.diverged())),
             ("fault_count", Json::Num(self.fault_count as f64)),
         ])
-    }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        // `ratio`/`within_10x`/`diverged` are derived on write and
-        // recomputed on read; `divergence_count` is absent in pre-oracle
-        // snapshots and defaults to 0 (straight-line era: no divergence),
-        // and `fault_count` likewise defaults to 0 in snapshots written
-        // before the fault-isolation layer existed.
-        let count = |key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        Ok(EstimateQualityRow {
-            kernel: string(v, "kernel")?,
-            threshold: num(v, "threshold")?,
-            estimated: num(v, "estimated")?,
-            measured: num(v, "measured")?,
-            divergence_count: count("divergence_count"),
-            fault_count: count("fault_count"),
-        })
     }
 }
 
@@ -336,12 +245,6 @@ pub fn to_json<T: Record>(value: &T) -> String {
     value.to_json_value().to_string_pretty()
 }
 
-/// Reads a record back from JSON text.
-pub fn from_json<T: Record>(text: &str) -> Result<T, JsonError> {
-    let v = parse(text)?;
-    T::from_json_value(&v).map_err(|msg| JsonError { msg, at: 0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,11 +259,20 @@ mod tests {
             speedup: 1.11,
             demoted: vec!["t1".into(), "t2".into()],
         };
-        let json = to_json(&row);
-        let back: MixedPrecisionRow = from_json(&json).unwrap();
-        assert_eq!(back.benchmark, "arclen");
-        assert_eq!(back.demoted.len(), 2);
-        assert_eq!(back.actual_error, 3.24e-6);
+        assert_eq!(
+            to_json(&row),
+            r#"{
+  "actual_error": 0.00000324,
+  "benchmark": "arclen",
+  "demoted": [
+    "t1",
+    "t2"
+  ],
+  "estimated_error": 0.00000324,
+  "speedup": 1.11,
+  "threshold": 0.00001
+}"#
+        );
     }
 
     #[test]
@@ -372,11 +284,21 @@ mod tests {
             time_ms: 12.5,
             peak_bytes: None,
         };
-        let json = to_json(&s);
-        assert!(json.contains("\"peak_bytes\": null"), "{json}");
-        let back: AnalysisSample = from_json(&json).unwrap();
-        assert_eq!(back.peak_bytes, None);
-        assert_eq!(back.scale, 100_000);
+        assert_eq!(
+            to_json(&s),
+            r#"{
+  "benchmark": "kmeans",
+  "peak_bytes": null,
+  "scale": 100000,
+  "time_ms": 12.5,
+  "tool": "adapt"
+}"#
+        );
+        let measured = AnalysisSample {
+            peak_bytes: Some(4096),
+            ..s
+        };
+        assert!(to_json(&measured).contains("\"peak_bytes\": 4096,"));
     }
 
     #[test]
@@ -391,17 +313,30 @@ mod tests {
         };
         assert!(row.within_order_of_magnitude());
         assert!((row.ratio() - 2.4 / 3.1).abs() < 1e-12);
-        let json = to_json(&row);
-        assert!(json.contains("\"within_10x\": true"), "{json}");
-        let back: EstimateQualityRow = from_json(&json).unwrap();
-        assert_eq!(back.estimated, row.estimated);
-        assert_eq!(back.measured, row.measured);
+        assert_eq!(
+            to_json(&row),
+            format!(
+                r#"{{
+  "diverged": false,
+  "divergence_count": 0,
+  "estimated": 0.0000031,
+  "fault_count": 0,
+  "kernel": "arclen",
+  "measured": 0.0000024,
+  "ratio": {},
+  "threshold": 0.00001,
+  "within_10x": true
+}}"#,
+                row.ratio()
+            )
+        );
         // Order-of-magnitude violations are flagged...
         let bad = EstimateQualityRow {
             measured: 1.0,
             ..row.clone()
         };
         assert!(!bad.within_order_of_magnitude());
+        assert!(to_json(&bad).contains("\"within_10x\": false"));
         // ...but two ~zero errors count as agreement (nothing demoted).
         let zero = EstimateQualityRow {
             kernel: "kmeans".into(),
@@ -427,22 +362,15 @@ mod tests {
         };
         assert!(row.diverged());
         let json = to_json(&row);
-        assert!(json.contains("\"divergence_count\": 3"), "{json}");
-        assert!(json.contains("\"diverged\": true"), "{json}");
-        let back: EstimateQualityRow = from_json(&json).unwrap();
-        assert_eq!(back.divergence_count, 3);
-        assert_eq!(back.fault_count, 2);
-        // Pre-oracle snapshots without the field read back as 0.
-        let legacy: EstimateQualityRow = from_json(
-            "{\"kernel\": \"a\", \"threshold\": 1.0, \"estimated\": 1.0, \"measured\": 1.0}",
-        )
-        .unwrap();
-        assert_eq!(legacy.divergence_count, 0);
-        assert_eq!(
-            legacy.fault_count, 0,
-            "pre-fault-layer snapshots default to 0"
-        );
-        assert!(!legacy.diverged());
+        assert!(json.contains("\"divergence_count\": 3,"), "{json}");
+        assert!(json.contains("\"diverged\": true,"), "{json}");
+        assert!(json.contains("\"fault_count\": 2,"), "{json}");
+        let clean = EstimateQualityRow {
+            divergence_count: 0,
+            ..row
+        };
+        assert!(!clean.diverged());
+        assert!(to_json(&clean).contains("\"diverged\": false,"));
     }
 
     #[test]
@@ -453,8 +381,22 @@ mod tests {
             estimated: [1.1e-3, 2.1e-3, 3.1e-3],
             speedup: 2.4,
         };
-        let back: ApproxRow = from_json(&to_json(&r)).unwrap();
-        assert_eq!(back.actual, r.actual);
-        assert_eq!(back.config, r.config);
+        assert_eq!(
+            to_json(&r),
+            r#"{
+  "actual": [
+    0.001,
+    0.002,
+    0.003
+  ],
+  "config": "w/ fast exp",
+  "estimated": [
+    0.0011,
+    0.0021,
+    0.0031
+  ],
+  "speedup": 2.4
+}"#
+        );
     }
 }

@@ -2,33 +2,37 @@
 //! or tuner session compiles hundreds of `PrecisionMap` variants (and
 //! their adjoints) and runs each of them; the register files, array
 //! slots and tape buffers of the machines that run them are
-//! interchangeable — [`Machine::reset`] re-sizes without releasing
-//! capacity — so a pool lets **different** compiled functions share one
-//! set of allocations, sized by the largest function it has executed.
+//! interchangeable — [`crate::vm::Machine::reset`] re-sizes without
+//! releasing capacity — so a pool lets **different** compiled functions
+//! share one set of allocations, sized by the largest function it has
+//! executed.
 //!
-//! [`Pool`] is the generic shape (any `Default` machine type);
-//! [`MachineArena`] and [`ShadowMachineArena`] are the two instantiations
-//! the engine uses. The process has one [`MachineArena`] of its own,
-//! behind [`crate::vm::run_with`] and [`crate::vm::run_batch_parallel`];
-//! sessions (the tuner's `VariantCache`, the estimator, the service's
-//! worker shards) hold their own. Checkout hands out a guard that
-//! returns the machine on drop, so a pool never grows beyond the peak
-//! number of *concurrent* activations (one per worker thread of a
-//! batch, one per greedy loop in the tuner). [`Pool::run_batch`] is the
-//! one batch body, for plain and shadow machines alike.
+//! The process keeps one pool per machine kind and nothing else holds
+//! one: `vm`'s `MACHINES` behind [`crate::vm::run_with`] and
+//! [`crate::vm::run_batch_parallel`], and one pool of
+//! `ShadowMachine<S>` per shadow type behind
+//! [`crate::shadow::run_shadow`] ([`shadow_pool`]). The estimator, the
+//! tuner's `VariantCache` and the service run through those entry
+//! points. Checkout hands out a guard that returns the machine on drop,
+//! so a pool never grows beyond the peak number of *concurrent*
+//! activations (one per worker thread of a batch or of the service),
+//! and it hands out the idle machine with the most buffer capacity, so
+//! only as many machines grow to the largest function as ever ran it
+//! at once. [`Pool::run_batch`] is the one batch body, for plain and
+//! shadow machines alike.
 
 use crate::bytecode::CompiledFunction;
-use crate::shadow::ShadowMachine;
+use crate::shadow::{ShadowMachine, ShadowNum};
 use crate::value::ArgValue;
-use crate::vm::{invalid_bytecode, validate_function, ExecOptions, Machine, Trap};
+use crate::vm::{invalid_bytecode, validate_function, ExecOptions, Trap};
+use std::any::Any;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Process-wide count of machines currently checked out of any pool,
-/// mirrored into the `exec.arena.outstanding` gauge. A drained server
-/// (every trial finished, every guard dropped) reads exactly zero here —
-/// the leak detector behind `chef-service`'s drain verification.
+/// mirrored into the `exec.arena.outstanding` gauge: zero whenever no
+/// run is in flight anywhere in the process.
 static OUTSTANDING: AtomicI64 = AtomicI64::new(0);
 
 fn note_checkout() {
@@ -42,24 +46,17 @@ fn note_return() {
     chef_telemetry::gauge!("exec.arena.outstanding").set(now as f64);
 }
 
-/// A pool of reusable machines. Cheap to create; `Sync`, so one instance
-/// can serve every worker thread of a batch and every step of a greedy
-/// loop.
-pub struct Pool<M> {
+/// A pool of reusable machines. `Sync`, so one instance serves every
+/// thread of the process.
+pub(crate) struct Pool<M> {
     slots: Mutex<Vec<M>>,
     checked_out: AtomicUsize,
 }
 
-impl<M: Default> Default for Pool<M> {
-    fn default() -> Self {
-        Pool::new()
-    }
-}
-
-impl<M: Default> Pool<M> {
+impl<M: sealed::Run> Pool<M> {
     /// An empty pool; machines are created on first checkout and retained
     /// (with their grown buffers) on return.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Pool {
             slots: Mutex::new(Vec::new()),
             checked_out: AtomicUsize::new(0),
@@ -75,9 +72,10 @@ impl<M: Default> Pool<M> {
         self.slots.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Takes a machine out of the pool (creating one if none is idle).
-    /// The guard returns it — buffers intact — when dropped.
-    pub fn checkout(&self) -> Pooled<'_, M> {
+    /// Takes the idle machine with the largest footprint out of the pool
+    /// (creating one if none is idle). The guard returns it — buffers
+    /// intact — when dropped.
+    pub(crate) fn checkout(&self) -> Pooled<'_, M> {
         note_checkout();
         self.checked_out.fetch_add(1, Ordering::Relaxed);
         let m = self.slots().pop();
@@ -88,7 +86,8 @@ impl<M: Default> Pool<M> {
     }
 
     /// Number of idle machines currently parked in the pool.
-    pub fn idle(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn idle(&self) -> usize {
         self.slots().len()
     }
 
@@ -96,32 +95,33 @@ impl<M: Default> Pool<M> {
     /// yet returned. A machine discarded because its run panicked still
     /// counts as returned (the guard's drop ran) — outstanding means a
     /// live guard somewhere, i.e. a trial still holding resources.
-    pub fn outstanding(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> usize {
         self.checked_out.load(Ordering::Relaxed)
     }
 }
 
 /// Checkout guard of a [`Pool`]: derefs to the machine and parks it back
 /// into the pool on drop.
-pub struct Pooled<'a, M: Default> {
+pub(crate) struct Pooled<'a, M: sealed::Run> {
     pool: &'a Pool<M>,
     m: Option<M>,
 }
 
-impl<M: Default> Deref for Pooled<'_, M> {
+impl<M: sealed::Run> Deref for Pooled<'_, M> {
     type Target = M;
     fn deref(&self) -> &M {
         self.m.as_ref().expect("present until drop")
     }
 }
 
-impl<M: Default> DerefMut for Pooled<'_, M> {
+impl<M: sealed::Run> DerefMut for Pooled<'_, M> {
     fn deref_mut(&mut self) -> &mut M {
         self.m.as_mut().expect("present until drop")
     }
 }
 
-impl<M: Default> Drop for Pooled<'_, M> {
+impl<M: sealed::Run> Drop for Pooled<'_, M> {
     fn drop(&mut self) {
         // Return accounting runs unconditionally — a discarded machine
         // is still a *returned* checkout (nothing holds it any more), so
@@ -137,17 +137,25 @@ impl<M: Default> Drop for Pooled<'_, M> {
         if std::thread::panicking() {
             return;
         }
+        // Parked in footprint order, so checkout (`pop`) hands out the
+        // largest idle machine: a single run gets the machine already
+        // sized for the biggest function, and the extra machines a batch
+        // needed stay small. Parked in return order instead, every
+        // machine of a shared pool grows to the biggest function.
         if let Some(m) = self.m.take() {
-            self.pool.slots().push(m);
+            let size = m.footprint();
+            let mut slots = self.pool.slots();
+            let at = slots.partition_point(|idle| idle.footprint() <= size);
+            slots.insert(at, m);
         }
     }
 }
 
-/// The machine kinds a [`Pool`] batch runs: the plain VM ([`Machine`],
-/// yielding a `CallOutcome`) and the fused shadow machine
-/// ([`ShadowMachine`], yielding a `ShadowOutcome`). Sealed in a private
-/// module, because `run_prevalidated` skips the bytecode validation the
-/// dispatch loop's unchecked accesses rely on.
+/// The machine kinds a [`Pool`] holds: the plain VM
+/// ([`crate::vm::Machine`], yielding a `CallOutcome`) and the fused
+/// shadow machine ([`ShadowMachine`], yielding a `ShadowOutcome`).
+/// Sealed in a private module, because `run_prevalidated` skips the
+/// bytecode validation the dispatch loop's unchecked accesses rely on.
 pub(crate) mod sealed {
     use super::*;
 
@@ -164,6 +172,9 @@ pub(crate) mod sealed {
             args: Vec<ArgValue>,
             opts: &ExecOptions,
         ) -> Result<Self::Outcome, Trap>;
+        /// Bytes of buffer capacity (registers, arrays, tape) the
+        /// machine keeps between runs; the pool's parking order.
+        fn footprint(&self) -> usize;
     }
 }
 
@@ -178,7 +189,7 @@ impl<M: sealed::Run> Pool<M> {
     /// A set whose run panics drops its worker's machine instead of
     /// parking it; the worker checks out another for its remaining sets,
     /// and the panic is re-raised once every set has run.
-    pub fn run_batch(
+    pub(crate) fn run_batch(
         &self,
         func: &CompiledFunction,
         arg_sets: Vec<Vec<ArgValue>>,
@@ -210,18 +221,30 @@ impl<M: sealed::Run> Pool<M> {
     }
 }
 
-/// A session-scoped pool of plain VM [`Machine`]s.
-pub type MachineArena = Pool<Machine>;
-
-/// A session-scoped pool of fused primal+shadow machines.
-pub type ShadowMachineArena<S> = Pool<ShadowMachine<S>>;
+/// The process's pool of `ShadowMachine<S>`, created on first use. Rust
+/// has no generic statics, so the pools (one per shadow type: `f64`,
+/// `chef-shadow`'s double-double, any other [`ShadowNum`]) sit in one
+/// type-keyed list; each is leaked once and lives as long as the
+/// process, like `vm`'s `MACHINES`.
+pub(crate) fn shadow_pool<S: ShadowNum>() -> &'static Pool<ShadowMachine<S>> {
+    static POOLS: Mutex<Vec<&'static (dyn Any + Send + Sync)>> = Mutex::new(Vec::new());
+    let mut pools = POOLS.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(pool) = pools.iter().find_map(|&p| p.downcast_ref()) {
+        return pool;
+    }
+    let pool: &'static Pool<ShadowMachine<S>> = Box::leak(Box::new(Pool::new()));
+    pools.push(pool);
+    pool
+}
 
 #[cfg(test)]
 mod tests {
+    use super::sealed::Run;
     use super::*;
     use crate::compile::compile_default;
+    use crate::shadow::run_shadow;
     use crate::value::ArgValue;
-    use crate::vm::ExecOptions;
+    use crate::vm::{ExecOptions, Machine};
 
     fn compiled(src: &str) -> crate::bytecode::CompiledFunction {
         let mut p = chef_ir::parser::parse_program(src).unwrap();
@@ -231,7 +254,7 @@ mod tests {
 
     #[test]
     fn checkout_reuses_machines_across_different_functions() {
-        let arena = MachineArena::new();
+        let arena = Pool::<Machine>::new();
         let small = compiled("double f(double x) { return x * 2.0; }");
         let big = compiled(
             "double g(int n) { double s = 0.0; for (int i = 0; i < n; i++) { s += i * 0.5; } return s; }",
@@ -262,8 +285,29 @@ mod tests {
     }
 
     #[test]
+    fn checkout_takes_the_largest_idle_machine() {
+        let arena = Pool::<Machine>::new();
+        let big = compiled(
+            "double g(int n) { double a[n]; double s = 0.0; for (int i = 0; i < n; i++) { a[i] = i * 0.5; s += a[i]; } return s; }",
+        );
+        let small = compiled("double f(double x) { return x * 2.0; }");
+        let opts = ExecOptions::default();
+        let mut a = arena.checkout();
+        let mut b = arena.checkout();
+        a.run_reused(&big, vec![ArgValue::I(4096)], &opts).unwrap();
+        b.run_reused(&small, vec![ArgValue::F(1.0)], &opts).unwrap();
+        let big_footprint = a.footprint();
+        assert!(big_footprint > b.footprint());
+        // Returned last, the small machine would come out first in
+        // return order; the pool hands out the large one instead.
+        drop(a);
+        drop(b);
+        assert_eq!(arena.checkout().footprint(), big_footprint);
+    }
+
+    #[test]
     fn concurrent_checkouts_get_distinct_machines() {
-        let arena = MachineArena::new();
+        let arena = Pool::<Machine>::new();
         let a = arena.checkout();
         let b = arena.checkout();
         drop(a);
@@ -277,7 +321,7 @@ mod tests {
     #[test]
     fn a_panicking_checkout_is_discarded_and_the_pool_stays_usable() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let arena = MachineArena::new();
+        let arena = Pool::<Machine>::new();
         drop(arena.checkout());
         assert_eq!(arena.idle(), 1);
         let r = catch_unwind(AssertUnwindSafe(|| {
@@ -330,7 +374,7 @@ mod tests {
 
     #[test]
     fn pooled_runs_are_bit_identical_to_fresh_machines() {
-        let arena = MachineArena::new();
+        let arena = Pool::<Machine>::new();
         let f = compiled(
             "double f(double x, int n) { double s = 0.0; for (int i = 0; i < n; i++) { s += sin(x + i * 0.01); } return s; }",
         );
@@ -344,6 +388,61 @@ mod tests {
             let fresh = Machine::new().run_reused(&f, args, &opts).unwrap();
             assert_eq!(pooled.ret_f().to_bits(), fresh.ret_f().to_bits());
             assert_eq!(pooled.stats, fresh.stats);
+        }
+
+        // The process's shadow pools: `run_shadow` on two different
+        // functions, one after the other, matches a fresh machine bit
+        // for bit on `f64`, and on a lane type no other test of this
+        // binary runs (so nothing else touches its pool) it leaves
+        // exactly one idle machine.
+        let g = compiled("double g(double x) { double t = x * 0.1; return sqrt(t * t + 1.0); }");
+        let work = [
+            (&f, vec![ArgValue::F(0.3), ArgValue::I(40)]),
+            (&g, vec![ArgValue::F(1.7)]),
+        ];
+        for (func, args) in work.iter().chain(&work) {
+            let pooled = run_shadow::<f64>(func, args.clone(), &opts).unwrap();
+            let own = run_shadow::<OwnLane>(func, args.clone(), &opts).unwrap();
+            let fresh = ShadowMachine::<f64>::new()
+                .run_reused(func, args.clone(), &opts)
+                .unwrap();
+            for out in [&pooled, &own] {
+                assert_eq!(out.ret_f().to_bits(), fresh.ret_f().to_bits());
+                assert_eq!(out.shadow_f().to_bits(), fresh.shadow_f().to_bits());
+                assert_eq!(out.acc_error.to_bits(), fresh.acc_error.to_bits());
+                assert_eq!(out.samples, fresh.samples);
+                assert_eq!(out.stats, fresh.stats);
+            }
+            assert_eq!(shadow_pool::<OwnLane>().idle(), 1);
+        }
+    }
+
+    /// An `f64` shadow under a type of its own, so its process pool
+    /// belongs to [`pooled_runs_are_bit_identical_to_fresh_machines`].
+    #[derive(Clone, Copy)]
+    struct OwnLane(f64);
+
+    impl ShadowNum for OwnLane {
+        fn from_f64(x: f64) -> Self {
+            OwnLane(x)
+        }
+        fn to_f64(self) -> f64 {
+            self.0
+        }
+        fn add(a: Self, b: Self) -> Self {
+            OwnLane(a.0 + b.0)
+        }
+        fn sub(a: Self, b: Self) -> Self {
+            OwnLane(a.0 - b.0)
+        }
+        fn mul(a: Self, b: Self) -> Self {
+            OwnLane(a.0 * b.0)
+        }
+        fn div(a: Self, b: Self) -> Self {
+            OwnLane(a.0 / b.0)
+        }
+        fn neg(a: Self) -> Self {
+            OwnLane(-a.0)
         }
     }
 }

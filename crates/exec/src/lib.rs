@@ -111,22 +111,23 @@
 //!    instead of on every instruction, and the
 //!    [`vm::ExecOptions::deadline`] wall clock is probed at backward
 //!    jumps only once per [`vm::DEADLINE_STRIDE`] instructions.
-//! 5. **One batch body** ([`arena::Pool::run_batch`]): for plain and
-//!    shadow machines alike, a batch is validated once and fanned out
-//!    over scoped threads, one pooled machine per worker, input order
-//!    preserved. [`vm::run_batch_parallel`] is that body on the process
-//!    arena; `chef_core`'s `ErrorEstimator::execute_batch` and
+//! 5. **One batch body**: for plain and shadow machines alike, a batch
+//!    is validated once and fanned out over scoped threads, one pooled
+//!    machine per worker, input order preserved.
+//!    [`vm::run_batch_parallel`] is that body on the process pool;
+//!    `chef_core`'s `ErrorEstimator::execute_batch` and
 //!    `profile_sensitivity_batch` and `chef-service`'s batch jobs ride on
 //!    it.
-//! 6. **Machine pooling across functions** ([`arena`]): a tuner or
-//!    analysis session compiles hundreds of `PrecisionMap` variants;
-//!    [`arena::MachineArena`] (and the shadow counterpart) lets all of
-//!    their runs share one set of register-file/tape allocations, sized
-//!    to the session maximum. A pool is the only way machines are
-//!    reused: the process has one [`arena::MachineArena`], behind
+//! 6. **One pool per machine kind**: a tuner or analysis session
+//!    compiles hundreds of `PrecisionMap` variants, and a pool lets all
+//!    of their runs share one set of register-file/tape allocations,
+//!    sized to the largest run. The process owns every pool and nothing
+//!    else holds one: one of plain machines behind
 //!    [`vm::run`]/[`vm::run_with`] and [`vm::run_batch_parallel`], and
-//!    sessions (`chef_core`'s estimator, `chef_tuner`'s `VariantCache`,
-//!    `chef-service`'s worker shards) hold their own.
+//!    one per shadow type behind [`shadow::run_shadow`]. `chef_core`'s
+//!    estimator, `chef_tuner`'s `VariantCache` (a compile cache only),
+//!    `chef-shadow`'s oracle and `chef-service`'s jobs all run through
+//!    those entry points.
 //! 7. **Divergence-aware shadow execution** ([`shadow`]): the fused
 //!    primal+shadow pass evaluates every float comparison and float→int
 //!    truncation a second time on the shadow operands and reports
@@ -169,7 +170,7 @@
 //! Failures that are not traps are isolated rather than amplified:
 //! [`par::parallel_map`] catches a panicking item with `catch_unwind`,
 //! lets the sibling items of the batch finish, and re-raises the first
-//! panic afterwards; [`arena`] discards a machine whose run panicked —
+//! panic afterwards; a pool discards a machine whose run panicked —
 //! held by a guard dropped in the unwind, or by a batch worker —
 //! instead of parking possibly-corrupt state, and the pools recover
 //! from mutex poisoning. `chef-tuner` builds its
@@ -199,7 +200,7 @@
 //!   the registry accumulates process totals.
 //! * **Spans**: [`compile::compile`] wraps itself and its fuse/pack
 //!   phases in `compile`/`fuse`/`pack` spans, and the batch body
-//!   ([`arena::Pool::run_batch`]) opens one `exec.worker` span per
+//!   ([`vm::run_batch_parallel`]) opens one `exec.worker` span per
 //!   checkout with an `exec.run` span nested per argument set. Spans land in bounded
 //!   per-thread rings and each close records into a `span.<name>.ns`
 //!   histogram; exporting is `chef_telemetry::snapshot()`.
@@ -325,7 +326,7 @@
 //! assert_eq!(out.ret_f(), 9.0);
 //! ```
 
-pub mod arena;
+mod arena;
 pub mod bytecode;
 pub mod cfg;
 pub mod compile;
@@ -344,7 +345,6 @@ pub mod vm;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::arena::{MachineArena, Pool, Pooled, ShadowMachineArena};
     pub use crate::bytecode::{CompiledFunction, ParamKind, RetKind};
     pub use crate::cfg::{natural_loops, BasicBlock, Cfg, CfgStats, Dominators, NaturalLoop};
     pub use crate::compile::{

@@ -53,9 +53,8 @@
 //! the profile monomorph choice, the epilogue) is shared the same way.
 //! [`ShadowMachine`] wraps a [`Machine`] for the primal state and keeps
 //! the shadow files alongside; it is reusable call-to-call exactly like
-//! `Machine`. Batches run through the same body as the plain VM's,
-//! [`Pool::run_batch`](crate::arena::Pool::run_batch) on a
-//! [`ShadowMachineArena`](crate::arena::ShadowMachineArena).
+//! `Machine`. [`run_shadow`] checks one out of the process's pool for
+//! its shadow type, the shadow counterpart of [`crate::vm::run_with`].
 
 use crate::arena::sealed::Run;
 use crate::bytecode::*;
@@ -550,6 +549,12 @@ impl<S: ShadowNum> ShadowMachine<S> {
 
 impl<S: ShadowNum> Run for ShadowMachine<S> {
     type Outcome = ShadowOutcome;
+
+    /// The primal machine's footprint: the shadow files are sized in
+    /// step with it, so it orders shadow machines just as well.
+    fn footprint(&self) -> usize {
+        self.m.footprint()
+    }
 
     fn run_prevalidated(
         &mut self,
@@ -1249,14 +1254,17 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
     Ok(ret)
 }
 
-/// Runs one fused shadow call through a fresh machine (convenience entry
-/// point; batch and reuse callers hold a [`ShadowMachine`]).
+/// Runs one fused shadow call on a machine from the process's pool of
+/// `ShadowMachine<S>` (one pool per shadow type, shared by every caller
+/// in the process).
 pub fn run_shadow<S: ShadowNum>(
     func: &CompiledFunction,
     args: Vec<ArgValue>,
     opts: &ExecOptions,
 ) -> Result<ShadowOutcome, Trap> {
-    ShadowMachine::<S>::new().run_reused(func, args, opts)
+    crate::arena::shadow_pool::<S>()
+        .checkout()
+        .run_reused(func, args, opts)
 }
 
 #[cfg(test)]
@@ -1461,7 +1469,7 @@ mod tests {
             .map(|k| vec![ArgValue::F(0.1 + k as f64 * 0.01), ArgValue::I(50)])
             .collect();
         let opts = ExecOptions::default();
-        let arena = crate::arena::ShadowMachineArena::<f64>::new();
+        let arena = crate::arena::Pool::<ShadowMachine<f64>>::new();
         let par = arena.run_batch(&func, sets.clone(), &opts, Some(4));
         let mut m = ShadowMachine::<f64>::new();
         for (set, p) in sets.into_iter().zip(&par) {
@@ -1703,7 +1711,7 @@ mod tests {
     #[test]
     fn shadow_entry_points_reject_malformed_bytecode() {
         let opts = ExecOptions::default();
-        let arena = crate::arena::ShadowMachineArena::<f64>::new();
+        let arena = crate::arena::Pool::<ShadowMachine<f64>>::new();
         let rejected = |r: &Result<ShadowOutcome, Trap>| matches!(r, Err(t) if matches!(t.kind, TrapKind::InvalidBytecode(_)));
         for f in crate::vm::tests::malformed_functions() {
             let r = ShadowMachine::<f64>::new().run_reused(&f, vec![], &opts);

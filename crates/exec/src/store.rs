@@ -97,11 +97,6 @@ impl Fnv64 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Absorbs a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Absorbs a length-prefixed string (so `("ab","c")` and `("a","bc")`
     /// hash differently).
     pub fn write_str(&mut self, s: &str) {

@@ -167,6 +167,11 @@ impl Tape {
         self.peak_entries * 8
     }
 
+    /// Bytes of buffer capacity the tape keeps across `reset`s.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        (self.f.capacity() + self.i.capacity()) * 8
+    }
+
     /// Total pushes ever performed (the *traffic*, distinct from the peak).
     pub fn total_pushes(&self) -> u64 {
         self.total_pushes

@@ -16,8 +16,8 @@
 //!   function without releasing their capacity, so repeated
 //!   [`Machine::run_reused`] calls allocate nothing after warm-up.
 //! * The convenience entry points [`run`]/[`run_with`] check a machine
-//!   out of the process's [`MachineArena`] and inherit that reuse
-//!   transparently.
+//!   out of the process's pool of machines (`MACHINES`) and inherit that
+//!   reuse transparently.
 //! * There is no dispatch loop here: the plain VM runs the engine's one
 //!   loop, [`crate::shadow`]'s `exec_loop`, instantiated with the
 //!   zero-sized `NoShadow` lane, for which every shadow-side statement
@@ -33,10 +33,10 @@
 //!   per instruction, so the budget may be overshot by at most one
 //!   straight-line block.
 //! * [`run_batch_parallel`] fans a batch out over scoped threads through
-//!   [`Pool::run_batch`](crate::arena::Pool::run_batch) on the same
-//!   process arena (one machine per worker, validated once per batch).
+//!   the engine's one batch body on the same process pool (one machine
+//!   per worker, validated once per batch).
 
-use crate::arena::{sealed::Run, MachineArena};
+use crate::arena::{sealed::Run, Pool};
 use crate::bytecode::*;
 use crate::intrinsics::ApproxConfig;
 use crate::precision::round_to;
@@ -355,18 +355,19 @@ pub(crate) enum ArraySlot {
     StaleI(Vec<i64>),
 }
 
-/// The process's machine arena, shared by [`run_with`] and
-/// [`run_batch_parallel`].
-static MACHINES: MachineArena = MachineArena::new();
+/// The process's pool of plain machines, shared by [`run_with`] and
+/// [`run_batch_parallel`]; nothing else in the process pools a
+/// [`Machine`].
+static MACHINES: Pool<Machine> = Pool::new();
 
 /// Runs `func` on `args` with default options (on a machine from the
-/// process arena).
+/// process pool).
 pub fn run(func: &CompiledFunction, args: Vec<ArgValue>) -> Result<CallOutcome, Trap> {
     run_with(func, args, &ExecOptions::default())
 }
 
 /// Runs `func` on `args` under `opts` (on a machine from the process
-/// arena).
+/// pool).
 pub fn run_with(
     func: &CompiledFunction,
     args: Vec<ArgValue>,
@@ -487,8 +488,7 @@ fn inject_nan_param(func: &CompiledFunction, f: &mut [f64]) {
 }
 
 /// Runs `func` over every argument set, fanned out over scoped threads
-/// with one machine from the process arena per worker
-/// ([`Pool::run_batch`](crate::arena::Pool::run_batch)); results keep the
+/// with one machine from the process pool per worker; results keep the
 /// input order. `max_threads = None` uses the machine's available
 /// parallelism; tiny batches run inline.
 pub fn run_batch_parallel(
@@ -594,7 +594,7 @@ impl Machine {
         // accesses, and caching it by function pointer identity would be
         // ABA-unsound (a dropped-and-reallocated CompiledFunction at the
         // same address could skip validation of malformed code). Batch
-        // callers amortize through `Pool::run_batch` instead.
+        // callers amortize through `run_batch_parallel` instead.
         if let Err(msg) = validate_function(func) {
             return Err(invalid_bytecode(msg));
         }
@@ -776,6 +776,20 @@ impl Run for Machine {
         opts: &ExecOptions,
     ) -> Result<CallOutcome, Trap> {
         self.call(&mut Lane::<NoShadow>::new(), func, args, opts)
+    }
+
+    fn footprint(&self) -> usize {
+        let arrays: usize = self
+            .a
+            .iter()
+            .map(|slot| match slot {
+                ArraySlot::F(v) | ArraySlot::StaleF(v) => v.capacity() * 8,
+                ArraySlot::I(v) | ArraySlot::StaleI(v) => v.capacity() * 8,
+                ArraySlot::Empty => 0,
+            })
+            .sum();
+        let regs = (self.f.capacity() + self.i.capacity()) * 8;
+        arrays + regs + self.tape.capacity_bytes()
     }
 }
 

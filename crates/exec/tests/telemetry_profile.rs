@@ -8,7 +8,7 @@
 //! match the plain VM profile slot for slot on the same kernel (the
 //! shadow pass replays the primal instruction stream 1:1).
 //!
-//! Span coverage: `Pool::run_batch` opens one `exec.worker` span
+//! Span coverage: the batch body opens one `exec.worker` span
 //! per pool checkout and one `exec.run` span per argument set; the run
 //! spans must nest under a worker span on the same thread.
 
@@ -171,7 +171,7 @@ fn profile_merge_and_hottest() {
     assert!(hot.iter().all(|&(_, n)| n > 0), "zero-count pc reported");
 }
 
-/// Under `Pool::run_batch`, every `exec.run` span this test owns
+/// Under `run_batch_parallel`, every `exec.run` span this test owns
 /// nests under an `exec.worker` span recorded on the same thread. Other
 /// tests in this binary run concurrently and also emit spans, so the
 /// assertion is existential over our batch (matched by span count), not
@@ -181,9 +181,8 @@ fn span_nesting_well_formed_under_parallel_batch() {
     let program = chef_apps::arclen::program();
     let func = inlined_kernel(&program, chef_apps::arclen::NAME);
     let compiled = compile_default(&func).expect("kernel compiles");
-    let arena = chef_exec::arena::MachineArena::new();
     let arg_sets: Vec<Vec<ArgValue>> = (1..=16).map(|n| chef_apps::arclen::args(n * 10)).collect();
-    let results = arena.run_batch(&compiled, arg_sets, &ExecOptions::default(), Some(4));
+    let results = run_batch_parallel(&compiled, arg_sets, &ExecOptions::default(), Some(4));
     assert!(results.iter().all(|r| r.is_ok()));
 
     let snap = chef_telemetry::snapshot();

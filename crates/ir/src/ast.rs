@@ -538,24 +538,6 @@ impl Expr {
             ty,
         )
     }
-
-    /// `true` if the expression is a literal.
-    pub fn is_lit(&self) -> bool {
-        matches!(
-            self.kind,
-            ExprKind::FloatLit(_) | ExprKind::IntLit(_) | ExprKind::BoolLit(_)
-        )
-    }
-
-    /// If the expression is a float or int literal, returns its numeric
-    /// value as `f64`.
-    pub fn as_number(&self) -> Option<f64> {
-        match self.kind {
-            ExprKind::FloatLit(v) => Some(v),
-            ExprKind::IntLit(v) => Some(v as f64),
-            _ => None,
-        }
-    }
 }
 
 /// Assignable location: a scalar variable or an array element.
@@ -575,14 +557,6 @@ pub enum LValue {
 impl LValue {
     /// The variable being written (the array itself for element writes).
     pub fn var(&self) -> &VarRef {
-        match self {
-            LValue::Var(v) => v,
-            LValue::Index { base, .. } => base,
-        }
-    }
-
-    /// Mutable access to the written variable.
-    pub fn var_mut(&mut self) -> &mut VarRef {
         match self {
             LValue::Var(v) => v,
             LValue::Index { base, .. } => base,
@@ -904,11 +878,6 @@ impl Program {
     /// Finds a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Finds a function by name, mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 }
 

@@ -52,16 +52,6 @@ impl FloatTy {
         }
     }
 
-    /// Width of the representation in bytes (used for memory-traffic
-    /// accounting in the mixed-precision speedup model).
-    pub fn byte_width(self) -> usize {
-        match self {
-            FloatTy::F16 | FloatTy::BF16 => 2,
-            FloatTy::F32 => 4,
-            FloatTy::F64 => 8,
-        }
-    }
-
     /// The KernelC keyword for this precision.
     pub fn keyword(self) -> &'static str {
         match self {
@@ -135,14 +125,6 @@ impl Type {
     /// `true` for scalar numeric types (float or int).
     pub fn is_numeric_scalar(self) -> bool {
         matches!(self, Type::Float(_) | Type::Int)
-    }
-
-    /// The float precision, if this is a float scalar or float array.
-    pub fn float_ty(self) -> Option<FloatTy> {
-        match self {
-            Type::Float(ft) | Type::Array(ElemTy::Float(ft)) => Some(ft),
-            _ => None,
-        }
     }
 
     /// `true` if values of this type participate in differentiation

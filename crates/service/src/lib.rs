@@ -2,9 +2,9 @@
 //!
 //! A long-lived, dependency-free front end over the CHEF-FP substrate:
 //! many *sessions* (one per client/kernel-under-analysis) share a fixed
-//! pool of worker threads and their machine-arena shards, submitting
-//! plain runs, shadow-oracle runs, batches and whole tuning jobs, and
-//! getting typed outcomes back — never a panic, never a wedged worker.
+//! pool of worker threads, submitting plain runs, shadow-oracle runs,
+//! batches and whole tuning jobs, and getting typed outcomes back —
+//! never a panic, never a wedged worker.
 //!
 //! The robustness layer has four stages, applied in order:
 //!
@@ -29,22 +29,23 @@
 //!    [`FaultPlan`], and a seeded plan fires at most every other
 //!    ordinal, so the retry of an injected fault never fires, whatever
 //!    other workers draw; see [`chef_exec::fault`]), and reported as an
-//!    [`Outcome`]. The neighbouring sessions' machines live in
-//!    separate pool checkouts — a faulting session cannot corrupt their
-//!    state (pinned bit-identically by the isolation tests). Repeated
-//!    faults trip the session's [`CircuitBreaker`], quarantining it at
-//!    admission until a half-open probe succeeds.
+//!    [`Outcome`]. Every run checks its machine out of chef-exec's
+//!    process pools for the run alone, and a machine whose run panicked
+//!    is discarded, never parked — a faulting session cannot corrupt a
+//!    neighbour's state (pinned bit-identically by the isolation tests).
+//!    Repeated faults trip the session's [`CircuitBreaker`],
+//!    quarantining it at admission until a half-open probe succeeds.
 //! 4. **Graceful drain** ([`AnalysisServer::drain`]): new work is
 //!    rejected, queued-but-unstarted jobs are cancelled, in-flight jobs
-//!    complete, and the [`DrainReport`] verifies through the arena
-//!    checkout gauge that every machine went back to its pool —
-//!    `outstanding_checkouts == 0` is the leak-freedom proof.
+//!    complete, and the [`DrainReport`] verifies that no job attempt of
+//!    this server is still in flight. Every machine checkout happens
+//!    inside one attempt, so `outstanding_checkouts == 0` is the
+//!    leak-freedom proof.
 //!
 //! See `ARCHITECTURE.md` next to this crate for the full lifecycle and
 //! failure-mode table.
 
 use chef_core::prelude::ChefError;
-use chef_exec::arena::{MachineArena, ShadowMachineArena};
 use chef_exec::fault::FaultPlan;
 use chef_exec::prelude::{
     ArgValue, CallOutcome, CompiledFunction, ExecOptions, ShadowOutcome, Trap, TrapKind,
@@ -55,7 +56,7 @@ use chef_tuner::{tune_with_oracle, OracleTuneOptions, TuneResult, TunerConfig, V
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -72,7 +73,7 @@ pub use breaker::{Admission, BreakerConfig, CircuitBreaker};
 /// the crate docs for the four-stage lifecycle.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads (and machine-arena shards). Minimum 1.
+    /// Worker threads. Minimum 1.
     pub workers: usize,
     /// Maximum concurrently open sessions; `open_session` past this is
     /// rejected with [`RejectReason::SessionLimit`].
@@ -375,13 +376,6 @@ impl SessionState {
         }
     }
 
-    /// Machines this session's own cache arenas still have out.
-    fn outstanding(&self) -> usize {
-        self.cache.arena().outstanding()
-            + self.cache.shadow64().outstanding()
-            + self.cache.shadow_dd().outstanding()
-    }
-
     fn record_outcome<T>(&self, outcome: &Outcome<T>, latency_ns: u64) {
         let mut s = self.stats();
         match outcome {
@@ -412,32 +406,11 @@ impl SessionState {
 // Server
 // ------------------------------------------------------------------------
 
-/// One worker thread's machine pools. Jobs are routed to the shard of
-/// the worker that runs them, so concurrent sessions never contend on a
-/// pool's mutex while a machine is in use — and a faulting job's
-/// discarded machine only ever costs its own shard a re-allocation.
-struct WorkerShard {
-    arena: MachineArena,
-    shadow64: ShadowMachineArena<f64>,
-}
-
-impl WorkerShard {
-    fn new() -> Self {
-        WorkerShard {
-            arena: MachineArena::new(),
-            shadow64: ShadowMachineArena::new(),
-        }
-    }
-
-    fn outstanding(&self) -> usize {
-        self.arena.outstanding() + self.shadow64.outstanding()
-    }
-}
-
 struct ServerInner {
     cfg: ServiceConfig,
     sched: scheduler::Scheduler,
-    shards: Vec<WorkerShard>,
+    /// Job attempts of this server in flight (see [`AttemptGuard`]).
+    attempts: AtomicUsize,
     /// The persistent variant store every session's cache shares
     /// ([`ServiceConfig::cache_dir`], falling back to `CHEF_CACHE_DIR`);
     /// `None` = in-memory caches only.
@@ -456,6 +429,27 @@ impl ServerInner {
     }
 }
 
+/// Counts one job attempt as in flight on its server from creation
+/// until drop — also when the attempt panics, since the unwind drops
+/// it. Machines come from chef-exec's process pools, which every server
+/// in the process shares, so the server counts its own attempts
+/// instead: each checkout happens inside one, and zero attempts means
+/// zero machines held for this server.
+struct AttemptGuard<'a>(&'a AtomicUsize);
+
+impl<'a> AttemptGuard<'a> {
+    fn start(attempts: &'a AtomicUsize) -> Self {
+        attempts.fetch_add(1, Ordering::SeqCst);
+        AttemptGuard(attempts)
+    }
+}
+
+impl Drop for AttemptGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// The server. Dropping it drains the scheduler (queued jobs cancel,
 /// in-flight jobs finish) and joins the workers.
 pub struct AnalysisServer {
@@ -466,15 +460,16 @@ pub struct AnalysisServer {
 /// isolation tests (and the smoke gate) pin.
 #[derive(Debug)]
 pub struct DrainReport {
-    /// Machines still checked out of any server or session pool after
-    /// quiescence — 0 on a clean drain.
+    /// Job attempts of this server still in flight after quiescence —
+    /// and so machines still checked out for it; 0 on a clean drain.
     pub outstanding_checkouts: usize,
     /// Final per-session stats, by session name, open sessions first.
     pub sessions: Vec<(String, SessionStats)>,
 }
 
 impl DrainReport {
-    /// Every pooled machine went back to its pool.
+    /// Every attempt ended, so every machine it held went back to its
+    /// pool.
     pub fn leak_free(&self) -> bool {
         self.outstanding_checkouts == 0
     }
@@ -491,7 +486,7 @@ impl AnalysisServer {
         };
         let inner = Arc::new(ServerInner {
             sched: scheduler::Scheduler::new(workers),
-            shards: (0..workers).map(|_| WorkerShard::new()).collect(),
+            attempts: AtomicUsize::new(0),
             store,
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -569,17 +564,11 @@ impl AnalysisServer {
         })
     }
 
-    /// Machines currently checked out of any pool the server owns
-    /// (worker shards + every open session's cache arenas).
+    /// Job attempts of this server currently in flight: an upper bound
+    /// on the machines checked out for it, since every checkout happens
+    /// inside one attempt.
     pub fn outstanding_checkouts(&self) -> usize {
-        let shards: usize = self.inner.shards.iter().map(|s| s.outstanding()).sum();
-        let sessions: usize = self
-            .inner
-            .sessions()
-            .values()
-            .map(|s| s.outstanding())
-            .sum();
-        shards + sessions
+        self.inner.attempts.load(Ordering::SeqCst)
     }
 
     /// The persistent variant store sessions share, if one is attached.
@@ -687,12 +676,8 @@ impl SessionHandle {
         func: Arc<CompiledFunction>,
         args: Vec<ArgValue>,
     ) -> Result<Ticket<CallOutcome>, Rejected> {
-        self.submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
-            shard
-                .arena
-                .checkout()
-                .run_reused(&func, args.clone(), opts)
-                .map_err(JobFault::Trap)
+        self.submit_job(true, move |opts: &ExecOptions| {
+            chef_exec::vm::run_with(&func, args.clone(), opts).map_err(JobFault::Trap)
         })
     }
 
@@ -706,10 +691,13 @@ impl SessionHandle {
         arg_sets: Vec<Vec<ArgValue>>,
     ) -> Result<Ticket<Vec<Result<CallOutcome, Trap>>>, Rejected> {
         let threads = self.inner.cfg.batch_threads;
-        self.submit_job(false, move |shard: &WorkerShard, opts: &ExecOptions| {
-            Ok(shard
-                .arena
-                .run_batch(&func, arg_sets.clone(), opts, threads))
+        self.submit_job(false, move |opts: &ExecOptions| {
+            Ok(chef_exec::vm::run_batch_parallel(
+                &func,
+                arg_sets.clone(),
+                opts,
+                threads,
+            ))
         })
     }
 
@@ -719,12 +707,8 @@ impl SessionHandle {
         func: Arc<CompiledFunction>,
         args: Vec<ArgValue>,
     ) -> Result<Ticket<ShadowOutcome>, Rejected> {
-        self.submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
-            shard
-                .shadow64
-                .checkout()
-                .run_reused(&func, args.clone(), opts)
-                .map_err(JobFault::Trap)
+        self.submit_job(true, move |opts: &ExecOptions| {
+            chef_exec::shadow::run_shadow::<f64>(&func, args.clone(), opts).map_err(JobFault::Trap)
         })
     }
 
@@ -743,7 +727,7 @@ impl SessionHandle {
         opts: OracleTuneOptions,
     ) -> Result<Ticket<TuneResult>, Rejected> {
         let st = Arc::clone(&self.st);
-        self.submit_job(false, move |_shard: &WorkerShard, exec: &ExecOptions| {
+        self.submit_job(false, move |exec: &ExecOptions| {
             let opts = OracleTuneOptions {
                 oracle: chef_shadow::OracleOptions {
                     exec: exec.clone(),
@@ -768,7 +752,7 @@ impl SessionHandle {
         task: impl FnOnce() -> T + Send + 'static,
     ) -> Result<Ticket<T>, Rejected> {
         let mut task = Some(task);
-        self.submit_job(false, move |_shard: &WorkerShard, _opts: &ExecOptions| {
+        self.submit_job(false, move |_opts: &ExecOptions| {
             Ok((task.take().expect("tasks run at most once"))())
         })
     }
@@ -814,13 +798,14 @@ impl SessionHandle {
     }
 
     /// The shared job wrapper: admission, then a closure that runs on a
-    /// worker shard under the session's exec options, with panic
-    /// catching, classification, a single retry for retryable faults,
-    /// stats/telemetry recording and breaker feedback.
+    /// worker under the session's exec options, with panic catching,
+    /// classification, a single retry for retryable faults,
+    /// stats/telemetry recording and breaker feedback. Each attempt is
+    /// counted in flight by an [`AttemptGuard`].
     fn submit_job<T: Send + 'static>(
         &self,
         retryable: bool,
-        mut attempt: impl FnMut(&WorkerShard, &ExecOptions) -> Result<T, JobFault> + Send + 'static,
+        mut attempt: impl FnMut(&ExecOptions) -> Result<T, JobFault> + Send + 'static,
     ) -> Result<Ticket<T>, Rejected> {
         let is_probe = self.admit()? == Admission::Probe;
         self.st.stats().submitted += 1;
@@ -829,7 +814,7 @@ impl SessionHandle {
         let st = Arc::clone(&self.st);
         let inner = Arc::clone(&self.inner);
         let submitted_at = Instant::now();
-        self.inner.sched.submit(Box::new(move |widx| {
+        self.inner.sched.submit(Box::new(move || {
             if inner.cancel_queued.load(Ordering::SeqCst) {
                 // A cancelled probe gives the breaker no verdict; re-arm
                 // it so the session is not stranded in HalfOpen.
@@ -841,7 +826,6 @@ impl SessionHandle {
                 let _ = tx.send(outcome);
                 return;
             }
-            let shard = &inner.shards[widx];
             // A retryable job's attempts run pinned (see
             // `chef_exec::fault`): the first on the ordinal it reserves
             // here, the retry on the next one, so a seeded plan never
@@ -857,7 +841,10 @@ impl SessionHandle {
                 if let Some(p) = &pinned {
                     opts.fault = Some(if retry { p.retry() } else { p.clone() });
                 }
-                match catch_unwind(AssertUnwindSafe(|| attempt(shard, &opts))) {
+                match catch_unwind(AssertUnwindSafe(|| {
+                    let _in_flight = AttemptGuard::start(&inner.attempts);
+                    attempt(&opts)
+                })) {
                     Ok(Ok(v)) => Ok(v),
                     Ok(Err(f)) => Err(f),
                     Err(payload) => Err(JobFault::Error(panic_text(payload.as_ref()))),
@@ -978,11 +965,10 @@ mod tests {
             let func = Arc::clone(&func);
             let mut attempts = 0;
             let ticket = session
-                .submit_job(true, move |shard: &WorkerShard, opts: &ExecOptions| {
+                .submit_job(true, move |opts: &ExecOptions| {
                     attempts += 1;
                     let out = catch_unwind(AssertUnwindSafe(|| {
-                        let args = vec![ArgValue::F(0.5)];
-                        shard.arena.checkout().run_reused(&func, args, opts)
+                        chef_exec::vm::run_with(&func, vec![ArgValue::F(0.5)], opts)
                     }));
                     if attempts == 1 {
                         plan.draw();

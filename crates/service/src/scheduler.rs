@@ -3,13 +3,12 @@
 //! stealing from their neighbours.
 //!
 //! The scheduler is deliberately *dumb* about what a job is — a job is a
-//! boxed closure handed the index of the worker running it, which the
-//! server uses to route the job onto that worker's machine-arena shard
-//! (see [`crate::WorkerShard`]). All resilience decisions (admission,
-//! budgets, retries, breakers) happen in the closure; the scheduler only
-//! guarantees that every accepted job runs exactly once, on some worker,
-//! and that [`Scheduler::quiesce`] returns only when nothing is queued
-//! *or* executing.
+//! boxed closure, and it does not matter which worker runs it: machines
+//! come from chef-exec's process pools, not from the worker. All
+//! resilience decisions (admission, budgets, retries, breakers) happen
+//! in the closure; the scheduler only guarantees that every accepted job
+//! runs exactly once, on some worker, and that [`Scheduler::quiesce`]
+//! returns only when nothing is queued *or* executing.
 //!
 //! Counting protocol: `pending` is jobs accepted but not yet picked up,
 //! `active` is jobs currently executing. A submitter increments
@@ -26,9 +25,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// A unit of work: runs on some worker thread, receiving that worker's
-/// index (stable for the scheduler's lifetime).
-pub(crate) type Job = Box<dyn FnOnce(usize) + Send + 'static>;
+/// A unit of work: runs once, on some worker thread.
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct SchedInner {
     /// One deque per worker; workers pop their own front and steal from
@@ -184,7 +182,7 @@ fn worker_loop(inner: &SchedInner, me: usize) {
                 // scheduler's own guarantee that a worker thread (and the
                 // `active` count `quiesce` depends on) survives anything
                 // a job does.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(me)));
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                 inner.active.fetch_sub(1, Ordering::SeqCst);
                 let _g = lock(&inner.done);
                 inner.done_cv.notify_all();
@@ -246,12 +244,12 @@ mod tests {
         for _ in 0..200 {
             let hits = Arc::clone(&hits);
             let used = Arc::clone(&used);
-            sched.submit(Box::new(move |w| {
+            sched.submit(Box::new(move || {
                 // Enough dwell time that one worker cannot drain the
                 // whole burst before the others wake.
                 std::thread::sleep(Duration::from_micros(300));
                 hits.fetch_add(1, Ordering::SeqCst);
-                used.lock().unwrap().insert(w);
+                used.lock().unwrap().insert(std::thread::current().id());
             }));
         }
         sched.quiesce();
@@ -269,27 +267,11 @@ mod tests {
         let sched = Scheduler::new(2);
         let done = Arc::new(AtomicBool::new(false));
         let d = Arc::clone(&done);
-        sched.submit(Box::new(move |_| {
+        sched.submit(Box::new(move || {
             std::thread::sleep(Duration::from_millis(30));
             d.store(true, Ordering::SeqCst);
         }));
         sched.quiesce();
         assert!(done.load(Ordering::SeqCst), "quiesce returned early");
-    }
-
-    #[test]
-    fn worker_index_is_a_valid_shard_route() {
-        let sched = Scheduler::new(3);
-        let bad = Arc::new(AtomicU64::new(0));
-        for _ in 0..50 {
-            let bad = Arc::clone(&bad);
-            sched.submit(Box::new(move |w| {
-                if w >= 3 {
-                    bad.fetch_add(1, Ordering::SeqCst);
-                }
-            }));
-        }
-        sched.quiesce();
-        assert_eq!(bad.load(Ordering::SeqCst), 0);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! * a session full of injected faults cannot perturb its neighbours'
 //!   results by a single bit;
-//! * a graceful drain leaves zero outstanding machine checkouts and
+//! * a graceful drain leaves zero job attempts (so zero machine
+//!   checkouts) outstanding, even after a job that panicked twice, and
 //!   rejects everything afterwards;
 //! * a deadline overrun is a typed trap with pc attribution, never a
 //!   panic;
@@ -97,6 +98,28 @@ fn faulty_session_neighbors_stay_bit_identical_to_solo_runs() {
             "nothing was draining, so nothing may cancel"
         );
     }
+    let report = server.drain();
+    assert!(report.leak_free(), "outstanding: {report:?}");
+}
+
+/// A job whose two attempts both panic inside the VM (a plan that
+/// fires on every draw, so the retry fires too): each attempt ends in
+/// the unwind, and the drain finds nothing of this server in flight.
+#[test]
+fn a_job_panicking_on_both_attempts_drains_leak_free() {
+    let server = AnalysisServer::new(ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let every_draw = FaultPlan::new(Some(FaultKind::Panic), 1, 0, 1);
+    let session = server
+        .open_session(SessionSpec::named("panics").with_fault(every_draw))
+        .unwrap();
+    let outcome = session
+        .submit_run(compiled(KERNEL), vec![ArgValue::F(0.5), ArgValue::I(10)])
+        .unwrap()
+        .wait();
+    assert!(matches!(outcome, Outcome::Panicked { .. }), "{outcome:?}");
     let report = server.drain();
     assert!(report.leak_free(), "outstanding: {report:?}");
 }

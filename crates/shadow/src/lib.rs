@@ -179,25 +179,18 @@ impl ShadowReport {
     }
 }
 
-/// Packages a raw [`ShadowOutcome`] as a ranked [`ShadowReport`];
-/// errors (instead of panicking) when the function did not return a
-/// float, which is the one shape the oracle's output-error notion does
-/// not cover.
-pub fn report_from_outcome(
-    func: &chef_exec::bytecode::CompiledFunction,
-    out: ShadowOutcome,
-) -> Result<ShadowReport, ChefError> {
-    build_report(&func.name, func, out)
-}
-
+/// Packages a raw [`ShadowOutcome`] of `func` as a ranked
+/// [`ShadowReport`]; errors (instead of panicking) when the function did
+/// not return a float, which is the one shape the oracle's output-error
+/// notion does not cover.
 fn build_report(
-    kernel: &str,
     func: &chef_exec::bytecode::CompiledFunction,
     out: ShadowOutcome,
 ) -> Result<ShadowReport, ChefError> {
     if out.ret.is_none() || out.shadow_ret.is_none() {
         return Err(ChefError::Unsupported(format!(
-            "shadow oracle needs a float-returning function; `{kernel}` returns none"
+            "shadow oracle needs a float-returning function; `{}` returns none",
+            func.name
         )));
     }
     let mut per_instruction: Vec<InstrAttribution> = out
@@ -229,7 +222,7 @@ fn build_report(
         .collect();
     per_variable_divergence.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     Ok(ShadowReport {
-        kernel: kernel.to_string(),
+        kernel: func.name.clone(),
         primal: out.ret_f(),
         shadow: out.shadow_f(),
         output_error: out.output_error(),
@@ -271,7 +264,10 @@ pub fn shadow_run(
     shadow_run_compiled(&compiled, args.to_vec(), opts)
 }
 
-/// [`shadow_run`] on an already-compiled function.
+/// [`shadow_run`] on an already-compiled function. The run takes a
+/// machine from the process's pool for the mode's shadow type
+/// ([`chef_exec::shadow::run_shadow`]), so repeated measurements reuse
+/// one set of buffers.
 pub fn shadow_run_compiled(
     compiled: &chef_exec::bytecode::CompiledFunction,
     args: Vec<ArgValue>,
@@ -282,7 +278,7 @@ pub fn shadow_run_compiled(
         ShadowMode::DD => chef_exec::shadow::run_shadow::<DD>(compiled, args, &opts.exec),
     }
     .map_err(ChefError::Trap)?;
-    build_report(&compiled.name, compiled, out)
+    build_report(compiled, out)
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! Dedicated tests for the machine arenas (`chef_exec::arena`): a pooled
-//! machine checked out, used, returned and checked out again — across
-//! **different** compiled functions, including a branch-flipping one —
-//! must be observationally identical to a fresh machine, for the plain
-//! VM and for both shadow modes (`f64` and double-double). The pool
-//! itself must recycle instead of growing.
+//! Dedicated tests for chef-exec's process pools of machines: a run on
+//! a pooled machine (`vm::run_with`, `shadow::run_shadow::<S>`) —
+//! across **different** compiled functions, including a branch-flipping
+//! one, on whatever machine an earlier run parked — must be
+//! observationally identical to a run on a fresh machine, for the plain
+//! VM and for both shadow modes (`f64` and double-double). That the
+//! pools recycle instead of growing is pinned in chef-exec's own
+//! `arena::tests`.
 
 use chef_apps::adversarial;
-use chef_exec::arena::{MachineArena, ShadowMachineArena};
 use chef_exec::bytecode::CompiledFunction;
 use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
-use chef_exec::shadow::{ShadowMachine, ShadowNum, ShadowOutcome};
+use chef_exec::shadow::{run_shadow, ShadowMachine, ShadowNum, ShadowOutcome};
 use chef_exec::vm::Machine;
 use chef_ir::types::FloatTy;
 use chef_shadow::DD;
@@ -89,25 +90,19 @@ fn assert_outcomes_bit_equal(label: &str, a: &ShadowOutcome, b: &ShadowOutcome) 
 }
 
 fn shadow_arena_roundtrip<S: ShadowNum>(label: &str) {
-    let arena = ShadowMachineArena::<S>::new();
     let opts = ExecOptions::default();
-    // Two passes over the whole workload: the second pass reuses the
-    // machine the first one parked, with buffers sized by whichever
-    // function ran last — exactly the cross-function hazard.
+    // Two passes over the whole workload: each run reuses a machine an
+    // earlier run parked, with buffers sized by whichever function ran
+    // on it last — exactly the cross-function hazard.
     for pass in 0..2 {
         for (k, (func, args)) in workload().iter().enumerate() {
-            let pooled = {
-                let mut m = arena.checkout();
-                m.run_reused(func, args.clone(), &opts)
-                    .unwrap_or_else(|t| panic!("{label}: {t}"))
-            };
+            let pooled = run_shadow::<S>(func, args.clone(), &opts)
+                .unwrap_or_else(|t| panic!("{label}: {t}"));
             let fresh = ShadowMachine::<S>::new()
                 .run_reused(func, args.clone(), &opts)
                 .unwrap();
             assert_outcomes_bit_equal(&format!("{label}/pass{pass}/fn{k}"), &pooled, &fresh);
         }
-        // One machine serves the whole serial pass.
-        assert_eq!(arena.idle(), 1, "{label}: pool must recycle, not grow");
     }
 }
 
@@ -123,14 +118,10 @@ fn dd_shadow_arena_reuse_is_bit_identical_across_functions() {
 
 #[test]
 fn plain_arena_reuse_is_bit_identical_across_functions() {
-    let arena = MachineArena::new();
     let opts = ExecOptions::default();
     for pass in 0..2 {
         for (k, (func, args)) in workload().iter().enumerate() {
-            let pooled = {
-                let mut m = arena.checkout();
-                m.run_reused(func, args.clone(), &opts).unwrap()
-            };
+            let pooled = run_with(func, args.clone(), &opts).unwrap();
             let fresh = Machine::new()
                 .run_reused(func, args.clone(), &opts)
                 .unwrap();
@@ -141,35 +132,42 @@ fn plain_arena_reuse_is_bit_identical_across_functions() {
             );
             assert_eq!(pooled.stats, fresh.stats, "pass{pass}/fn{k}");
         }
-        assert_eq!(arena.idle(), 1);
     }
 }
 
+/// Two threads (the batch-worker shape) call `run_shadow` on different
+/// functions round after round, each round started together by a
+/// barrier. Whichever machine a run gets from the shared pool — a new
+/// one while the other thread holds the parked one, or the one the
+/// other thread just parked — the outcome matches a fresh machine.
 #[test]
 fn concurrent_shadow_checkouts_stay_distinct_then_pool() {
-    let arena = ShadowMachineArena::<f64>::new();
     let w = workload();
     let opts = ExecOptions::default();
-    // Hold two machines at once (the batch-worker shape): each runs a
-    // different function; outcomes still match fresh machines.
-    let mut a = arena.checkout();
-    let mut b = arena.checkout();
-    let ra = a.run_reused(&w[0].0, w[0].1.clone(), &opts).unwrap();
-    let rb = b.run_reused(&w[2].0, w[2].1.clone(), &opts).unwrap();
+    let (a, b) = (&w[0], &w[2]);
     let fa = ShadowMachine::<f64>::new()
-        .run_reused(&w[0].0, w[0].1.clone(), &opts)
+        .run_reused(&a.0, a.1.clone(), &opts)
         .unwrap();
     let fb = ShadowMachine::<f64>::new()
-        .run_reused(&w[2].0, w[2].1.clone(), &opts)
+        .run_reused(&b.0, b.1.clone(), &opts)
         .unwrap();
-    assert_outcomes_bit_equal("concurrent/a", &ra, &fa);
-    assert_outcomes_bit_equal("concurrent/b", &rb, &fb);
-    assert!(ra.diverged(), "the threshold flip survives pooling");
-    assert!(!rb.diverged());
-    drop(a);
-    drop(b);
-    assert_eq!(arena.idle(), 2);
-    // Further checkouts drain the pool instead of growing it.
-    let _c = arena.checkout();
-    assert_eq!(arena.idle(), 1);
+    assert!(fa.diverged(), "the threshold flip survives pooling");
+    assert!(!fb.diverged());
+    let opts = &opts;
+    let start = &std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for ((func, args), fresh, label) in [(a, &fa, "a"), (b, &fb, "b")] {
+            scope.spawn(move || {
+                for round in 0..8 {
+                    start.wait();
+                    let pooled = run_shadow::<f64>(func, args.clone(), opts).unwrap();
+                    assert_outcomes_bit_equal(
+                        &format!("concurrent/{label}/{round}"),
+                        &pooled,
+                        fresh,
+                    );
+                }
+            });
+        }
+    });
 }

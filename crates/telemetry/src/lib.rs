@@ -344,8 +344,8 @@ macro_rules! histogram {
 // Dynamically keyed metrics (per-session labels)
 // ---------------------------------------------------------------------------
 
-/// Cap on distinct dynamically keyed metric names ([`counter_keyed`] /
-/// [`gauge_keyed`] / [`histogram_keyed`]). Keyed names are interned
+/// Cap on distinct dynamically keyed metric names ([`counter_keyed`]).
+/// Keyed names are interned
 /// (leaked once, like every registry name), so an unbounded label space
 /// would be a leak; past the cap, new keys collapse into the shared
 /// `<base>.overflow` cell instead of minting fresh names — bounded by
@@ -382,16 +382,6 @@ fn intern_keyed(base: &'static str, key: &str) -> &'static str {
 /// the intern lock — cache the returned handle in hot paths.
 pub fn counter_keyed(base: &'static str, key: &str) -> &'static Counter {
     counter(intern_keyed(base, key))
-}
-
-/// A gauge under a dynamic key (see [`counter_keyed`]).
-pub fn gauge_keyed(base: &'static str, key: &str) -> &'static Gauge {
-    gauge(intern_keyed(base, key))
-}
-
-/// A histogram under a dynamic key (see [`counter_keyed`]).
-pub fn histogram_keyed(base: &'static str, key: &str) -> &'static Histogram {
-    histogram(intern_keyed(base, key))
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@
 //!   `CHEF_FAULT_SEED` environment toggle) exercises the whole layer.
 
 use chef_core::prelude::*;
-use chef_exec::arena::{MachineArena, ShadowMachineArena};
 use chef_exec::compile::{compile, CompileError, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_ir::ast::{Function, Program, VarId};
@@ -409,6 +408,28 @@ fn accept_or_propagate<T>(outcome: TrialOutcome<T>) -> Result<T, ChefError> {
     }
 }
 
+/// One plain run of `primal` compiled under `pm` through `cache`, as a
+/// fault-isolated trial ([`run_trial`]) that yields the returned value.
+fn plain_trial(
+    log: &FaultLog,
+    what: &dyn Fn() -> String,
+    exec: &ExecOptions,
+    cache: &VariantCache,
+    primal: &Function,
+    pm: &PrecisionMap,
+    args: &[ArgValue],
+) -> Result<f64, ChefError> {
+    let mut run = |_: Option<u64>, e: &ExecOptions| {
+        let compiled = cache
+            .get_or_compile(primal, pm)
+            .map_err(ChefError::Compile)?;
+        chef_exec::vm::run_with(&compiled, args.to_vec(), e)
+            .map(|o| o.ret_f())
+            .map_err(ChefError::Trap)
+    };
+    accept_or_propagate(run_trial(log, what, exec, &mut run, &|v: &f64| Some(*v))?)
+}
+
 /// The fault plan in effect for a session: an explicit plan wins,
 /// otherwise the `CHEF_FAULT_SEED` environment plan (if set) applies.
 fn resolved_fault(explicit: Option<&FaultPlan>) -> Option<FaultPlan> {
@@ -437,7 +458,9 @@ const WRITE_BACK_BATCH: usize = 8;
 
 /// A cache of compiled mixed-precision variants keyed by content hash
 /// ([`ContentKey`] — canonical source + options, never the function
-/// name), bundled with the session's machine arenas.
+/// name). It caches compilations only: every run of a variant takes its
+/// machine from chef-exec's process pools (`chef_exec::vm::run_with`,
+/// `chef_shadow::shadow_run_compiled`), which all sessions share.
 ///
 /// The greedy loops and sweeps recompile overlapping `PrecisionMap`s —
 /// the empty baseline on every validation call, the accepted
@@ -446,11 +469,6 @@ const WRITE_BACK_BATCH: usize = 8;
 /// [`tune_with_oracle`]'s first round. Shareable across calls (interior
 /// mutability; `Sync`) and — because keys are content hashes — safely
 /// shareable across *programs* and sessions.
-///
-/// Compiling hundreds of variants is only half the cost — each one also
-/// runs. The embedded [`MachineArena`]s let every run of every variant
-/// (plain validation and both shadow-oracle modes) share one set of
-/// register-file/tape allocations, sized to the session maximum.
 ///
 /// The table is **bounded**: past [`VariantCache::capacity`] entries, the
 /// least-recently-used variant is evicted (counted in
@@ -486,9 +504,6 @@ pub struct VariantCache {
     evictions: AtomicU64,
     disk: Option<Arc<DiskStore>>,
     pending: Mutex<Vec<(ContentKey, Arc<CompiledFunction>)>>,
-    arena: MachineArena,
-    shadow64: ShadowMachineArena<f64>,
-    shadow_dd: ShadowMachineArena<chef_shadow::DD>,
 }
 
 struct CachedVariant {
@@ -525,9 +540,6 @@ impl VariantCache {
             evictions: AtomicU64::new(0),
             disk: DiskStore::from_env(),
             pending: Mutex::new(Vec::new()),
-            arena: MachineArena::new(),
-            shadow64: ShadowMachineArena::new(),
-            shadow_dd: ShadowMachineArena::new(),
         }
     }
 
@@ -555,21 +567,6 @@ impl VariantCache {
     /// Maximum number of compiled variants retained.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The session's plain-VM machine arena.
-    pub fn arena(&self) -> &MachineArena {
-        &self.arena
-    }
-
-    /// The session's `f64`-shadow machine arena.
-    pub fn shadow64(&self) -> &ShadowMachineArena<f64> {
-        &self.shadow64
-    }
-
-    /// The session's double-double-shadow machine arena.
-    pub fn shadow_dd(&self) -> &ShadowMachineArena<chef_shadow::DD> {
-        &self.shadow_dd
     }
 
     /// Number of cache hits so far.
@@ -936,26 +933,8 @@ fn validate_configs_impl(
     };
     let local = VariantCache::new().without_store();
     let cache = cache.unwrap_or(&local);
-    let run_cfg = |pm: &PrecisionMap, what: &dyn Fn() -> String| -> Result<f64, ChefError> {
-        accept_or_propagate(run_trial(
-            log,
-            what,
-            &exec,
-            &mut |_, e| {
-                let c = cache
-                    .get_or_compile(primal, pm)
-                    .map_err(ChefError::Compile)?;
-                // A panicking run drops the guard mid-unwind and the
-                // arena discards the machine (see `chef_exec::arena`).
-                cache
-                    .arena()
-                    .checkout()
-                    .run_reused(&c, args.to_vec(), e)
-                    .map(|o| o.ret_f())
-                    .map_err(ChefError::Trap)
-            },
-            &|v: &f64| Some(*v),
-        )?)
+    let run_cfg = |pm: &PrecisionMap, what: &dyn Fn() -> String| {
+        plain_trial(log, what, &exec, cache, primal, pm, args)
     };
     let baseline = run_cfg(&PrecisionMap::empty(), &|| format!("baseline `{func}`"))?;
 
@@ -1111,32 +1090,24 @@ pub fn tune_with_oracle(
         ..opts.oracle.exec.clone()
     };
 
-    // One pooled shadow machine per mode for the whole greedy loop —
-    // drawn from the session cache's arenas, so the different compiled
-    // variants (and any other tuning run sharing the cache) reuse the
-    // same buffers. A panic mid-run leaves the machine stale, which is
-    // fine: `run_reused` fully re-initializes it on the next call.
-    let mut m64 = cache.shadow64().checkout();
-    let mut mdd = cache.shadow_dd().checkout();
-    let mut measure = |names: &[String], e: &ExecOptions| -> Result<ShadowReport, ChefError> {
+    let measure = |names: &[String], e: &ExecOptions| -> Result<ShadowReport, ChefError> {
         let _span = chef_telemetry::span("oracle_run");
         let pm = config_for(primal, names, cfg.target);
         let compiled = cache
             .get_or_compile(primal, &pm)
             .map_err(ChefError::Compile)?;
-        let out = match opts.oracle.mode {
-            chef_shadow::ShadowMode::F64 => m64.run_reused(&compiled, args.to_vec(), e),
-            chef_shadow::ShadowMode::DD => mdd.run_reused(&compiled, args.to_vec(), e),
-        }
-        .map_err(ChefError::Trap)?;
-        chef_shadow::report_from_outcome(&compiled, out)
+        let oracle = OracleOptions {
+            exec: e.clone(),
+            ..opts.oracle
+        };
+        chef_shadow::shadow_run_compiled(&compiled, args.to_vec(), &oracle)
     };
     // Every oracle measurement is a fault-isolated trial; a trial that
     // faults twice is quarantined (`None`) — never admitted, never
     // aborting the tune — and a non-finite measured error counts as a
     // fault, so a demoted config that overflows cannot poison the greedy
     // comparisons.
-    let mut measure_isolated = |names: &[String]| -> Result<Option<ShadowReport>, ChefError> {
+    let measure_isolated = |names: &[String]| -> Result<Option<ShadowReport>, ChefError> {
         let outcome = run_trial(
             &log,
             &|| format!("oracle trial `{func}` [{}]", names.join(", ")),
@@ -1151,27 +1122,11 @@ pub fn tune_with_oracle(
     };
 
     // Two-run fallback for divergent trials: both sides run plain (no
-    // shadow) through the cache and its machine arena. The baseline is
-    // computed once, on first need.
+    // shadow), compiled through the cache. The baseline is computed
+    // once, on first need.
     let mut baseline_run: Option<f64> = None;
-    let run_plain = |pm: &PrecisionMap, what: &dyn Fn() -> String| -> Result<f64, ChefError> {
-        accept_or_propagate(run_trial(
-            &log,
-            what,
-            &exec,
-            &mut |_, e| {
-                let compiled = cache
-                    .get_or_compile(primal, pm)
-                    .map_err(ChefError::Compile)?;
-                cache
-                    .arena()
-                    .checkout()
-                    .run_reused(&compiled, args.to_vec(), e)
-                    .map(|o| o.ret_f())
-                    .map_err(ChefError::Trap)
-            },
-            &|v: &f64| Some(*v),
-        )?)
+    let run_plain = |pm: &PrecisionMap, what: &dyn Fn() -> String| {
+        plain_trial(&log, what, &exec, cache, primal, pm, args)
     };
     let mut divergent_trials = 0u64;
 
@@ -1216,9 +1171,9 @@ pub fn tune_with_oracle(
     // when the run was divergence-free, the policy's answer otherwise
     // (`None` = the trial may not be admitted — divergent-and-rejected
     // or quarantined by the fault layer).
-    let mut trusted_error = |names: &[String],
-                             baseline_run: &mut Option<f64>,
-                             divergent_trials: &mut u64|
+    let trusted_error = |names: &[String],
+                         baseline_run: &mut Option<f64>,
+                         divergent_trials: &mut u64|
      -> Result<Option<f64>, ChefError> {
         let Some(rep) = measure_isolated(names)? else {
             return Ok(None);

@@ -45,9 +45,11 @@ fn oracle_check(label: &str, p: &Program, func: &str, args: &[ArgValue], cfg: Tu
     assert_eq!(rep.primal.to_bits(), two_run.demoted.to_bits(), "{label}");
     // The row is a serializable artifact (`repro --oracle`).
     let json = chef_fp::core::report::to_json(&row);
-    let back: chef_fp::core::report::EstimateQualityRow =
-        chef_fp::core::report::from_json(&json).expect("round-trips");
-    assert_eq!(back.measured, rep.output_error);
+    let measured = chef_fp::core::json::Json::Num(rep.output_error).to_string_compact();
+    assert!(
+        json.contains(&format!("\"measured\": {measured},")),
+        "{json}"
+    );
 }
 
 #[test]
@@ -462,9 +464,8 @@ fn divergent_rows_are_flagged_in_the_quality_record() {
     assert_eq!(row.divergence_count, rep.divergence_count);
     let json = chef_fp::core::report::to_json(&row);
     assert!(json.contains("\"diverged\": true"), "{json}");
-    let back: chef_fp::core::report::EstimateQualityRow =
-        chef_fp::core::report::from_json(&json).unwrap();
-    assert_eq!(back.divergence_count, rep.divergence_count);
+    let count = format!("\"divergence_count\": {},", rep.divergence_count);
+    assert!(json.contains(&count), "{json}");
 }
 
 #[test]
