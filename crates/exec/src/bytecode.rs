@@ -252,6 +252,13 @@ pub enum Instr {
         off: i32,
         src: FReg,
     },
+    /// `farr[arr][i[idx]] += f[src]` (bounds-checked) — the array
+    /// accumulation `FLoad` ; `FAdd` ; `FStore` of adjoint and
+    /// error-estimation code, with the loaded element the left operand.
+    FAddTo { arr: AReg, idx: IReg, src: FReg },
+    /// `farr[arr][k] += f[src]` (bounds-checked) — [`Instr::FAddTo`] at a
+    /// constant index.
+    FAddToK { arr: AReg, k: i64, src: FReg },
     /// `i[dst] = i[a] + imm` (wrapping) — loop increments.
     IAddImm { dst: IReg, a: IReg, imm: i64 },
     /// Jump to `target` when `!(f[a] op f[b])` — fused compare-and-branch

@@ -3,10 +3,16 @@
 //! The compiler assigns every variable a register, then lowers statements
 //! to the flat [`Instr`] stream. Floating-point precision is handled
 //! **bottom-up at compile time**: every expression has an *effective
-//! precision* computed from its operands (C promotion rules), and any
-//! operation whose effective precision is below `f64` gets an explicit
-//! [`Instr::FRound`] after it. Assignments round to the target variable's
-//! effective precision.
+//! precision* computed from its operands, and any operation whose
+//! effective precision is below `f64` gets an explicit [`Instr::FRound`]
+//! after it. An arithmetic operation takes the higher of its operands'
+//! precisions (an integer operand counts as `f64`). An intrinsic call
+//! takes the highest precision among its float arguments, or `f64` when
+//! it has none: the `<cmath>` overload rule, under which `sin` of a
+//! `float` is computed and rounded as `float` (C's `sin` would promote
+//! it to `double`). Assignments round to the target variable's effective
+//! precision. The index of a compound `a[e] op= v` is evaluated once, as
+//! in C.
 //!
 //! "Effective" matters because of [`PrecisionMap`]: a mixed-precision
 //! configuration demotes chosen variables without touching the source,
@@ -546,93 +552,113 @@ impl<'a> Compiler<'a> {
 
     fn assign(&mut self, lhs: &LValue, op: AssignOp, rhs: &Expr) -> Result<(), CompileError> {
         let rhs_op = self.expr(rhs)?;
-        let final_op = match op.binop() {
-            None => rhs_op,
-            Some(bop) => {
-                // Compound: load current value, apply, store.
-                let cur = self.load_lvalue(lhs)?;
-                self.binary_op(bop, cur, rhs_op)?
+        match lhs {
+            LValue::Var(v) => {
+                let value = match op.binop() {
+                    None => rhs_op,
+                    Some(bop) => {
+                        let cur = self.var_operand(v)?;
+                        self.binary_op(bop, cur, rhs_op)?
+                    }
+                };
+                let slot = self.slot(v)?;
+                self.store_to_slot(slot, value)
             }
-        };
-        self.store_lvalue(lhs, final_op)
-    }
-
-    fn load_lvalue(&mut self, lv: &LValue) -> Result<Operand, CompileError> {
-        match lv {
-            LValue::Var(v) => Ok(match self.slot(v)? {
-                Slot::F(r, p) => Operand::F(r, p),
-                Slot::I(r) => Operand::I(r),
-                Slot::B(r) => Operand::B(r),
-                Slot::FA(..) | Slot::IA(..) => {
-                    return Err(CompileError::Unsupported {
-                        msg: "whole-array read".into(),
-                        span: v.span,
-                    })
-                }
-            }),
             LValue::Index { base, index } => {
                 let slot = self.slot(base)?;
-                let idx = self.expr_as_i(index)?;
-                match slot {
-                    Slot::FA(arr, p) => {
-                        let dst = self.temp_f();
-                        self.emit(Instr::FLoad { dst, arr, idx });
-                        Ok(Operand::F(dst, p))
+                let (idx, src) = match op.binop() {
+                    None => {
+                        // Round before the index is computed, so the round
+                        // stays next to the op that produced the value.
+                        let src = self.elem_value(slot, rhs_op)?;
+                        (self.expr_as_i(index)?, src)
                     }
-                    Slot::IA(arr) => {
-                        let dst = self.temp_i();
-                        self.emit(Instr::ILoad { dst, arr, idx });
-                        Ok(Operand::I(dst))
+                    Some(bop) => {
+                        // C evaluates the index of `a[e] op= v` once.
+                        let idx = self.expr_as_i(index)?;
+                        let cur = self.load_elem(slot, idx, base.span)?;
+                        let value = self.binary_op(bop, cur, rhs_op)?;
+                        (idx, self.elem_value(slot, value)?)
                     }
-                    _ => Err(CompileError::Unsupported {
-                        msg: "indexing a scalar".into(),
-                        span: base.span,
-                    }),
-                }
+                };
+                self.store_elem(slot, idx, src, base.span)
             }
         }
     }
 
-    fn store_lvalue(&mut self, lv: &LValue, op: Operand) -> Result<(), CompileError> {
-        match lv {
-            LValue::Var(v) => {
-                let slot = self.slot(v)?;
-                self.store_to_slot(slot, op)
+    /// The value of scalar variable `v`.
+    fn var_operand(&self, v: &VarRef) -> Result<Operand, CompileError> {
+        Ok(match self.slot(v)? {
+            Slot::F(r, p) => Operand::F(r, p),
+            Slot::I(r) => Operand::I(r),
+            Slot::B(r) => Operand::B(r),
+            Slot::FA(..) | Slot::IA(..) => {
+                return Err(CompileError::Unsupported {
+                    msg: format!("array `{}` used as a scalar", v.name),
+                    span: v.span,
+                })
             }
-            LValue::Index { base, index } => {
-                let slot = self.slot(base)?;
-                match slot {
-                    Slot::FA(arr, prec) => {
-                        let (src, sp) = self.operand_as_f(op)?;
-                        // Round to the element precision on store (unless
-                        // the value is already at most that precise).
-                        let src = if prec != FloatTy::F64 && sp > prec {
-                            let t = self.temp_f();
-                            self.emit(Instr::FRound {
-                                dst: t,
-                                src,
-                                ty: prec,
-                            });
-                            t
-                        } else {
-                            src
-                        };
-                        let idx = self.expr_as_i(index)?;
-                        self.emit(Instr::FStore { arr, idx, src });
-                        Ok(())
-                    }
-                    Slot::IA(arr) => {
-                        let src = self.operand_as_i(op)?;
-                        let idx = self.expr_as_i(index)?;
-                        self.emit(Instr::IStore { arr, idx, src });
-                        Ok(())
-                    }
-                    _ => Err(CompileError::Unsupported {
-                        msg: "indexing a scalar".into(),
-                        span: base.span,
-                    }),
-                }
+        })
+    }
+
+    /// Loads element `idx` of the array in `slot`.
+    fn load_elem(&mut self, slot: Slot, idx: IReg, span: Span) -> Result<Operand, CompileError> {
+        match slot {
+            Slot::FA(arr, p) => {
+                let dst = self.temp_f();
+                self.emit(Instr::FLoad { dst, arr, idx });
+                Ok(Operand::F(dst, p))
             }
+            Slot::IA(arr) => {
+                let dst = self.temp_i();
+                self.emit(Instr::ILoad { dst, arr, idx });
+                Ok(Operand::I(dst))
+            }
+            _ => Err(indexing_a_scalar(span)),
+        }
+    }
+
+    /// `op` as an element of the array in `slot`: a float is rounded to
+    /// the element precision (unless it is already at most that precise).
+    fn elem_value(&mut self, slot: Slot, op: Operand) -> Result<Operand, CompileError> {
+        let Slot::FA(_, prec) = slot else {
+            return Ok(op);
+        };
+        let (src, sp) = self.operand_as_f(op)?;
+        if prec != FloatTy::F64 && sp > prec {
+            let t = self.temp_f();
+            self.emit(Instr::FRound {
+                dst: t,
+                src,
+                ty: prec,
+            });
+            Ok(Operand::F(t, prec))
+        } else {
+            Ok(Operand::F(src, sp))
+        }
+    }
+
+    /// Stores `op` (see [`Compiler::elem_value`]) into element `idx` of
+    /// the array in `slot`.
+    fn store_elem(
+        &mut self,
+        slot: Slot,
+        idx: IReg,
+        op: Operand,
+        span: Span,
+    ) -> Result<(), CompileError> {
+        match slot {
+            Slot::FA(arr, _) => {
+                let (src, _) = self.operand_as_f(op)?;
+                self.emit(Instr::FStore { arr, idx, src });
+                Ok(())
+            }
+            Slot::IA(arr) => {
+                let src = self.operand_as_i(op)?;
+                self.emit(Instr::IStore { arr, idx, src });
+                Ok(())
+            }
+            _ => Err(indexing_a_scalar(span)),
         }
     }
 
@@ -703,23 +729,11 @@ impl<'a> Compiler<'a> {
                 self.emit(Instr::IConst { dst, v: *b as i64 });
                 Ok(Operand::B(dst))
             }
-            ExprKind::Var(v) => Ok(match self.slot(v)? {
-                Slot::F(r, p) => Operand::F(r, p),
-                Slot::I(r) => Operand::I(r),
-                Slot::B(r) => Operand::B(r),
-                Slot::FA(..) | Slot::IA(..) => {
-                    return Err(CompileError::Unsupported {
-                        msg: format!("array `{}` used as a scalar", v.name),
-                        span: v.span,
-                    })
-                }
-            }),
+            ExprKind::Var(v) => self.var_operand(v),
             ExprKind::Index { base, index } => {
-                let lv = LValue::Index {
-                    base: base.clone(),
-                    index: (**index).clone(),
-                };
-                self.load_lvalue(&lv)
+                let slot = self.slot(base)?;
+                let idx = self.expr_as_i(index)?;
+                self.load_elem(slot, idx, base.span)
             }
             ExprKind::Unary { op, operand } => {
                 let inner = self.expr(operand)?;
@@ -757,8 +771,16 @@ impl<'a> Compiler<'a> {
                 if op.is_logic() {
                     return self.logic_op(*op, lhs, rhs);
                 }
-                let a = self.expr(lhs)?;
-                let b = self.expr(rhs)?;
+                // A literal left operand is materialized after the right
+                // one, next to its use, where the fuser folds it into a
+                // constant-operand form. Literals cannot trap, so the
+                // order is unobservable.
+                let (a, b) = if matches!(lhs.kind, ExprKind::FloatLit(_)) {
+                    let b = self.expr(rhs)?;
+                    (self.expr(lhs)?, b)
+                } else {
+                    (self.expr(lhs)?, self.expr(rhs)?)
+                };
                 self.binary_op(*op, a, b)
             }
             ExprKind::Call { callee, args } => match callee {
@@ -1050,6 +1072,13 @@ impl<'a> Compiler<'a> {
     }
 }
 
+fn indexing_a_scalar(span: Span) -> CompileError {
+    CompileError::Unsupported {
+        msg: "indexing a scalar".into(),
+        span,
+    }
+}
+
 fn cmp_of(op: BinOp) -> CmpOp {
     match op {
         BinOp::Eq => CmpOp::Eq,
@@ -1242,6 +1271,45 @@ mod tests {
         let f = compile_src("void f(int n) { double r[n]; r[0] = 1.0; }");
         assert!(f.instrs.iter().any(|i| matches!(i, Instr::AllocF { .. })));
         assert!(f.instrs.iter().any(|i| matches!(i, Instr::FStore { .. })));
+    }
+
+    #[test]
+    fn compound_array_assignment_evaluates_its_index_once() {
+        let mut p =
+            parse_program("void f(double a[], int idx[], int j, double v) { a[idx[j]] += v; }")
+                .unwrap();
+        check_program(&mut p).unwrap();
+        let opts = CompileOptions {
+            fuse: false,
+            cfg: false,
+            ..Default::default()
+        };
+        let f = compile(&p.functions[0], &opts).unwrap();
+        let iloads = f
+            .instrs
+            .iter()
+            .filter(|i| matches!(i, Instr::ILoad { .. }))
+            .count();
+        assert_eq!(iloads, 1, "{}", f.disassemble());
+    }
+
+    #[test]
+    fn literal_left_operand_folds_into_a_constant_operand_form() {
+        // `2.5` is materialized after `sqrt(x)`, next to the multiply.
+        let mut p = parse_program("double f(double x) { return 2.5 * sqrt(x); }").unwrap();
+        check_program(&mut p).unwrap();
+        let opts = CompileOptions {
+            fuse: true,
+            ..Default::default()
+        };
+        let f = compile(&p.functions[0], &opts).unwrap();
+        assert!(
+            f.instrs
+                .iter()
+                .any(|i| matches!(i, Instr::FMulC { k, .. } if *k == 2.5)),
+            "{}",
+            f.disassemble()
+        );
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! | `IConst t,c` ; `IAdd u,i,t` ; `FLoad d,arr,u` | [`Instr::FLoadOff`] |
 //! | `IConst t,c` ; `IAdd u,i,t` ; `FStore arr,u,s` | [`Instr::FStoreOff`] |
 //! | `FCmp/ICmp t,…` ; `JmpIfFalse/True t,L` | [`Instr::FCmpJmpFalse`] … |
+//! | `FLoad u,arr,i` ; `FAdd w,u,s` ; `FStore arr,i,w` | [`Instr::FAddTo`] |
+//! | `IConst t,k` ; `FAddTo arr,t,s` | [`Instr::FAddToK`] |
 //!
 //! A fused form is emitted only when [`crate::pack::fits`] says it has a
 //! packed encoding (an `FLoadOff` offset within `i8`, an immediate
-//! compare within `i16`, an `FMulAdd` addend register below 256);
+//! compare or `FAddToK` index within `i16`, an `FMulAdd` addend register
+//! below 256);
 //! otherwise the window stays unfused, so fusion never makes a function
 //! unpackable.
 //!
@@ -44,6 +47,14 @@
 //!   path re-writes the register before reading it (parameter registers
 //!   are additionally considered read at every function exit, because
 //!   call teardown copies them back to the caller).
+//!
+//! The accumulate window (`a[i] += s`) has two more: the loaded element
+//! must be the sum's **left** operand, so the fused add sees its
+//! operands in the original order; and neither the element's nor the
+//! sum's register may be a named variable, because the shadow lane
+//! charges a named register's pending error to that variable and a
+//! non-finite trap names it. `f32`/`f16` arrays round the sum before
+//! the store, so their accumulations keep the `FRound` and stay unfused.
 
 use crate::bytecode::*;
 
@@ -58,6 +69,9 @@ pub struct FuseStats {
     pub load_off: u32,
     /// Constant-offset array stores.
     pub store_off: u32,
+    /// `FLoad`+`FAdd`+`FStore` → [`Instr::FAddTo`], and `IConst`+`FAddTo`
+    /// → [`Instr::FAddToK`].
+    pub accumulate: u32,
     /// `IConst`+`IAdd` → [`Instr::IAddImm`].
     pub add_imm: u32,
     /// Compare + conditional jump.
@@ -76,12 +90,13 @@ pub struct FuseStats {
 
 impl FuseStats {
     /// The counters as one array (order matches the field declarations).
-    fn counters(&mut self) -> [&mut u32; 10] {
+    fn counters(&mut self) -> [&mut u32; 11] {
         [
             &mut self.mul_add,
             &mut self.op_round,
             &mut self.load_off,
             &mut self.store_off,
+            &mut self.accumulate,
             &mut self.add_imm,
             &mut self.cmp_branch,
             &mut self.intr_round,
@@ -355,8 +370,17 @@ fn match_specific(
 
     match *at(0)? {
         // IConst t ; IAdd … — address arithmetic and loop increments —
-        // or IConst t ; ICmpJmp… — the constant-bound loop test.
+        // IConst t ; FAddTo arr,t,s — an accumulation at a constant index
+        // — or IConst t ; ICmpJmp… — the constant-bound loop test.
         Instr::IConst { dst: t, v } => {
+            if let Some(&Instr::FAddTo { arr, idx, src }) = at(1) {
+                let ins = Instr::FAddToK { arr, k: v, src };
+                if free(1) && idx == t && crate::pack::fits(&ins) && dead_i(2, t) {
+                    stats.accumulate += 1;
+                    return Rewrite::one(ins, 2);
+                }
+                return None;
+            }
             if let Some(&Instr::IAdd { dst: u, a, b }) = at(1) {
                 if !free(1) {
                     return None;
@@ -448,6 +472,36 @@ fn match_specific(
             }
             stats.const_op += 1;
             Rewrite::one(ins, 2)
+        }
+        // FLoad u,arr,i ; FAdd w,u,s ; FStore arr,i,w → FAddTo arr,i,s:
+        // the `a[i] += s` of adjoint and error-estimation code.
+        Instr::FLoad { dst: u, arr, idx } => {
+            let &Instr::FAdd { dst: w, a, b: s } = at(1)? else {
+                return None;
+            };
+            let &Instr::FStore {
+                arr: arr2,
+                idx: idx2,
+                src,
+            } = at(2)?
+            else {
+                return None;
+            };
+            let named = |r: FReg| func.fvar_names.iter().any(|&(n, _)| n == r.0);
+            if !free(1)
+                || !free(2)
+                || a != u
+                || s == u
+                || (arr2, idx2, src) != (arr, idx, w)
+                || named(u)
+                || named(w)
+                || !dead_f(3, u)
+                || (w != u && !dead_f(3, w))
+            {
+                return None;
+            }
+            stats.accumulate += 1;
+            Rewrite::one(Instr::FAddTo { arr, idx, src: s }, 3)
         }
         // FConst t ; arithmetic using t → constant-operand form: the
         // constant stops being re-materialized on every loop iteration.
@@ -986,6 +1040,43 @@ mod tests {
         let b = run(&unfused, vec![ArgValue::F(3.0), ArgValue::F(0.0)]).unwrap();
         assert_eq!(a.args[1], b.args[1]);
         assert_eq!(a.args[1], ArgValue::F(7.0));
+    }
+
+    #[test]
+    fn array_accumulation_fuses_to_one_dispatch() {
+        let src = "void f(double a[], int i, double v) { a[i] += v; a[3] += v; }";
+        let mut fused = compile_unfused(src);
+        let unfused = compile_unfused(src);
+        let stats = fuse_to_fixpoint(&mut fused);
+        // Two `FAddTo`s, then the constant index folds into `FAddToK`.
+        assert_eq!(stats.accumulate, 3, "{stats:?}\n{}", fused.disassemble());
+        assert!(
+            fused
+                .instrs
+                .iter()
+                .any(|i| matches!(i, Instr::FAddToK { k: 3, .. })),
+            "{}",
+            fused.disassemble()
+        );
+        let args = || {
+            vec![
+                ArgValue::FArr(vec![0.5, 1.0 / 3.0, 0.1, 0.7]),
+                ArgValue::I(1),
+                ArgValue::F(0.2),
+            ]
+        };
+        let a = run(&fused, args()).unwrap();
+        let b = run(&unfused, args()).unwrap();
+        assert_eq!(a.args, b.args);
+        assert_eq!(b.stats.instrs_executed - a.stats.instrs_executed, 5);
+    }
+
+    #[test]
+    fn narrow_array_accumulation_keeps_its_round() {
+        // The sum is rounded to `float` before the store: no window.
+        let mut f = compile_unfused("void f(float a[], int i, double v) { a[i] += v; }");
+        let stats = fuse_to_fixpoint(&mut f);
+        assert_eq!(stats.accumulate, 0, "{}", f.disassemble());
     }
 
     #[test]

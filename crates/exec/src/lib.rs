@@ -37,7 +37,9 @@
 //!    by default in [`compile::compile`], collapses the compiler's hot idioms
 //!    into superinstructions — `FMulAdd`, fused op+round (`FAddRound` …,
 //!    the dominant pair in demoted code), intrinsic+round, constant-offset
-//!    array access (`FLoadOff`/`FStoreOff`), add-immediate,
+//!    array access (`FLoadOff`/`FStoreOff`), array accumulation
+//!    (`FAddTo`/`FAddToK`: the `a[i] += v` load-add-store of adjoint and
+//!    error-estimation code in one dispatch), add-immediate,
 //!    compare-and-branch (register and immediate forms), constant-operand
 //!    arithmetic (`FMulC` …, so loop bodies stop re-materializing
 //!    `FConst`s every iteration) and generic copy elimination. Each
@@ -242,7 +244,8 @@
 //!
 //! Packing is **total on compiler output**. The per-instruction field
 //! limits (an `FLoadOff`/`FStoreOff` offset within `i8`, an immediate
-//! compare within `i16`, an `FMulAdd` addend register below 256) are
+//! compare or `FAddToK` index within `i16`, an `FMulAdd` addend register
+//! below 256) are
 //! stated once, by [`pack::fits`], and fusion and the CFG tier never
 //! emit a form it rejects. What is left are whole-function limits — more
 //! than 65 535 instructions, or a register index wider than u16 — and

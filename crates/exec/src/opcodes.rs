@@ -497,4 +497,6 @@ opcodes! {
     FDIVCR = 62 => FDivCR { dst: FW @ A, a: FR @ B, k: Pool @ C };
     ICJFI = 63 => ICmpImmJmpFalse { a: IR @ A, imm: Imm @ B, target: Target @ C, op: Code @ D };
     ICJTI = 64 => ICmpImmJmpTrue { a: IR @ A, imm: Imm @ B, target: Target @ C, op: Code @ D };
+    FADDTO = 65 => FAddTo { arr: AR @ A, idx: IR @ B, src: FR @ C };
+    FADDTOK = 66 => FAddToK { arr: AR @ A, k: Imm @ B, src: FR @ C };
 }

@@ -39,8 +39,8 @@
 //! * Per-instruction range rules (a register above 65 535, or above 255
 //!   in [`Instr::FMulAdd`]'s 8-bit addend position; an
 //!   [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset outside `i8`; an
-//!   [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`] immediate
-//!   outside `i16`) are stated once, by [`fits`]. [`crate::fuse`] asks
+//!   [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`] immediate or
+//!   [`Instr::FAddToK`] index outside `i16`) are stated once, by [`fits`]. [`crate::fuse`] asks
 //!   it before emitting a superinstruction and keeps the unfused
 //!   sequence when the answer is no.
 //! * What is left are whole-function limits: more than 65 535
@@ -362,7 +362,7 @@ impl Pools {
 /// (below 256 for [`Instr::FMulAdd`]'s addend), every jump target below
 /// 65 536, an [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset within
 /// `i8` and an [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`]
-/// immediate within `i16`. (The constant pool never runs short: each
+/// immediate or [`Instr::FAddToK`] index within `i16`. (The constant pool never runs short: each
 /// instruction pools at most one constant, so a function within the
 /// length limit needs fewer than the 65 536 indices a u16 addresses.)
 /// [`crate::fuse`] asks this before it emits a superinstruction, so

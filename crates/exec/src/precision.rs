@@ -9,8 +9,11 @@
 //! `f64`".
 //!
 //! `f32` rounding uses the hardware conversion. `binary16` and `bfloat16`
-//! are implemented in software with IEEE 754 round-to-nearest-even,
-//! including overflow-to-infinity and subnormal handling.
+//! are rounded in software, once, straight from the `f64` bits, with IEEE
+//! 754 round-to-nearest-even, including overflow-to-infinity and
+//! subnormal handling. (Going through `f32` first would round twice: an
+//! `f64` just above a half-way point can land exactly on it in `f32` and
+//! then tie to even, the wrong way.)
 
 use chef_ir::types::FloatTy;
 
@@ -18,14 +21,15 @@ use chef_ir::types::FloatTy;
 ///
 /// This is the `fl_p(x)` operation of rounding-error analysis: the nearest
 /// representable number in precision `p` (ties to even), with overflow
-/// going to ±∞ like the hardware conversion would.
+/// going to ±∞ like the hardware conversion would. NaN and ±∞ pass
+/// through.
 #[inline]
 pub fn round_to(x: f64, ty: FloatTy) -> f64 {
     match ty {
         FloatTy::F64 => x,
         FloatTy::F32 => x as f32 as f64,
-        FloatTy::F16 => f16_to_f64(f32_to_f16(x as f32)),
-        FloatTy::BF16 => bf16_to_f64(f32_to_bf16(x as f32)),
+        FloatTy::F16 => round_narrow(x, 10, -14, 15),
+        FloatTy::BF16 => round_narrow(x, 7, -126, 127),
     }
 }
 
@@ -39,62 +43,42 @@ pub fn demotion_error(x: f64, ty: FloatTy) -> f64 {
     x - round_to(x, ty)
 }
 
-/// Converts an `f32` to IEEE 754 binary16 bits (round-to-nearest-even).
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
+/// `2^e`, for `e` in the normal `f64` exponent range.
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((e + 1023) as u64) << 52)
+}
 
-    if exp == 0xFF {
-        // Inf or NaN.
-        let man16 = if man != 0 { 0x0200 } else { 0 };
-        return sign | 0x7C00 | man16;
+/// Rounds `x` to the nearest number with `man_bits` fraction bits and
+/// normal exponents `emin..=emax` (ties to even, gradual underflow,
+/// overflow to ±∞), in one step from its `f64` bits.
+fn round_narrow(x: f64, man_bits: i32, emin: i32, emax: i32) -> f64 {
+    if !x.is_finite() {
+        return x;
     }
-    // Unbiased exponent.
-    let e = exp - 127;
-    if e > 15 {
-        // Overflow -> infinity.
-        return sign | 0x7C00;
+    let bits = x.to_bits();
+    let sign = bits & (1 << 63);
+    let biased = ((bits >> 52) & 0x7FF) as i32;
+    if biased == 0 {
+        // Zero, or an `f64` subnormal: far below half the narrow format's
+        // smallest subnormal.
+        return f64::from_bits(sign);
     }
-    if e >= -14 {
-        // Normal range for f16.
-        let mut man16 = (man >> 13) as u16;
-        let rest = man & 0x1FFF;
-        // Round to nearest, ties to even.
-        if rest > 0x1000 || (rest == 0x1000 && (man16 & 1) == 1) {
-            man16 += 1;
-        }
-        let mut exp16 = (e + 15) as u16;
-        if man16 == 0x0400 {
-            // Mantissa overflowed into the exponent.
-            man16 = 0;
-            exp16 += 1;
-            if exp16 >= 0x1F {
-                return sign | 0x7C00;
-            }
-        }
-        return sign | (exp16 << 10) | man16;
-    }
-    if e >= -25 {
-        // Subnormal f16 (including the half-way band just below the
-        // smallest subnormal, which can round up to it): shift the
-        // (implicit-1-extended) mantissa right.
-        let full = man | 0x0080_0000; // implicit leading 1
-        let shift = (-14 - e) as u32 + 13;
-        let man16 = (full >> shift) as u16;
-        let rest = full & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let mut man16 = man16;
-        if rest > half || (rest == half && (man16 & 1) == 1) {
-            man16 += 1;
-        }
-        // A subnormal rounding up to 0x0400 becomes the smallest normal —
-        // the bit pattern works out because exp field 1 | mantissa 0.
-        return sign | man16;
-    }
-    // Underflow to zero (with sign).
-    sign
+    let e = biased - 1023;
+    let m = (bits & ((1 << 52) - 1)) | (1 << 52);
+    // The result's spacing is 2^q: `man_bits` below the leading bit, but
+    // never finer than the subnormal spacing 2^(emin - man_bits).
+    let q = e.max(emin) - man_bits;
+    // Bits of `m` below that spacing; at least 52 - man_bits. Past 63,
+    // `m` is below half the spacing and rounds to zero just the same.
+    let shift = (q - (e - 52)).min(63) as u32;
+    let kept = m >> shift;
+    let rest = m & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    let kept = kept + u64::from(rest > half || (rest == half && kept & 1 == 1));
+    let max = ((1u64 << (man_bits + 1)) - 1) as f64 * pow2(emax - man_bits);
+    let mag = kept as f64 * pow2(q);
+    let mag = if mag > max { f64::INFINITY } else { mag };
+    f64::from_bits(mag.to_bits() | sign)
 }
 
 /// Converts IEEE 754 binary16 bits to `f64` (exact).
@@ -113,21 +97,6 @@ pub fn f16_to_f64(h: u16) -> f64 {
         }
         _ => sign * (1.0 + man / 1024.0) * 2f64.powi(exp - 15),
     }
-}
-
-/// Converts an `f32` to bfloat16 bits (round-to-nearest-even).
-pub fn f32_to_bf16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        // Preserve NaN, force a quiet bit so truncation can't produce Inf.
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let rest = bits & 0xFFFF;
-    let mut hi = (bits >> 16) as u16;
-    if rest > 0x8000 || (rest == 0x8000 && (hi & 1) == 1) {
-        hi = hi.wrapping_add(1); // may carry into exponent: correct (-> Inf)
-    }
-    hi
 }
 
 /// Converts bfloat16 bits to `f64` (exact: widen to f32 then f64).
@@ -172,8 +141,7 @@ mod tests {
             if x.is_nan() {
                 continue;
             }
-            let back = f16_to_f64(f32_to_f16(x as f32));
-            assert_eq!(back, x, "h={h:#06x} x={x}");
+            assert_eq!(round_to(x, FloatTy::F16), x, "h={h:#06x} x={x}");
         }
     }
 
@@ -215,9 +183,54 @@ mod tests {
             if x.is_nan() {
                 continue;
             }
-            let back = bf16_to_f64(f32_to_bf16(x as f32));
-            assert_eq!(back, x, "hi={hi:#06x}");
+            assert_eq!(round_to(x, FloatTy::BF16), x, "hi={hi:#06x}");
         }
+    }
+
+    #[test]
+    fn half_and_bfloat_round_once() {
+        // Through f32, the 2^-40 is lost first and the f32 value is then
+        // a tie that goes to even, down to 1.0.
+        let x = 1.0 + 2f64.powi(-11) + 2f64.powi(-40);
+        assert_eq!(round_to(x, FloatTy::F16), 1.0 + 2f64.powi(-10));
+        let x = 1.0 + 2f64.powi(-8) + 2f64.powi(-40);
+        assert_eq!(round_to(x, FloatTy::BF16), 1.0 + 2f64.powi(-7));
+    }
+
+    /// Checks every midpoint between adjacent finite values of a 16-bit
+    /// format (`decode` maps its bits to `f64`; `inf` is the bits of +∞),
+    /// and the `f64` values one ulp either side: the midpoint ties to the
+    /// even neighbour, the others round to the nearer one. Above the
+    /// largest finite value the next value is 2^(emax+1), which rounds to
+    /// ∞.
+    fn check_midpoints(ty: FloatTy, decode: fn(u16) -> f64, inf: u16, top: f64) {
+        for h in 0..inf {
+            let lo = decode(h);
+            let hi = if h + 1 == inf { top } else { decode(h + 1) };
+            let hi_rounded = decode(h + 1);
+            let mid = (lo + hi) / 2.0; // exact: both have few bits
+            let even = if h % 2 == 0 { lo } else { hi_rounded };
+            let below = f64::from_bits(mid.to_bits() - 1);
+            let above = f64::from_bits(mid.to_bits() + 1);
+            for (x, want) in [(mid, even), (below, lo), (above, hi_rounded)] {
+                for sign in [1.0, -1.0] {
+                    let got = round_to(sign * x, ty);
+                    assert_eq!(
+                        got.to_bits(),
+                        (sign * want).to_bits(),
+                        "{ty} bits {h:#06x}: round({:e}) = {got:e}, want {:e}",
+                        sign * x,
+                        sign * want
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_half_and_bfloat_midpoint_rounds_to_nearest_even() {
+        check_midpoints(FloatTy::F16, f16_to_f64, 0x7C00, 65536.0);
+        check_midpoints(FloatTy::BF16, bf16_to_f64, 0x7F80, 2f64.powi(128));
     }
 
     #[test]

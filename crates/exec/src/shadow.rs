@@ -784,7 +784,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             let d: usize = $dst;
             let prim: f64 = $prim;
             if trap_nf && !prim.is_finite() {
-                return Err(nonfinite_trap(func, d, prim, pc));
+                return Err(nonfinite_trap(func, Some(d), prim, pc));
             }
             unsafe { *f.get_unchecked_mut(d) = prim };
             if S::ACTIVE {
@@ -936,6 +936,36 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                     var_err[(var - 1) as usize] += pend[src];
                 }
                 pend[src] = 0.0;
+            }
+        }};
+    }
+    // `farr[w_a][$index] += f[w_c]`: the work of the `FLoad` ; `FAdd` ;
+    // `FStore` it fuses, in order, with the element and the sum in no
+    // register (the unfused stream held them in unnamed temporaries).
+    macro_rules! faddto {
+        ($index:expr) => {{
+            let (arr, index, src) = (fld!(w_a), $index, fld!(w_c));
+            let slot = elem!(F, arr, index);
+            let (old, x) = (*slot, fr!(src));
+            if trap_nf && !old.is_finite() {
+                return Err(nonfinite_trap(func, None, old, pc));
+            }
+            let sum = old + x;
+            if trap_nf && !sum.is_finite() {
+                return Err(nonfinite_trap(func, None, sum, pc));
+            }
+            *slot = sum;
+            if S::ACTIVE {
+                let exact = S::add(S::from_f64(old), S::from_f64(x));
+                let local = S::sub(exact, S::from_f64(sum)).to_f64().abs();
+                sample!(local);
+                if let Some(shadow) = sa[arr].get_mut(index as usize) {
+                    *shadow = S::add(*shadow, sf[src]);
+                }
+                let var = avar_of[arr];
+                if var != 0 {
+                    var_err[(var - 1) as usize] += pend[src] + local;
+                }
             }
         }};
     }
@@ -1201,6 +1231,8 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             op::FMULC => rk!(mul),
             op::FDIVC => rk!(div),
             op::FDIVCR => rk!(rev div),
+            op::FADDTO => faddto!(ir!(fld!(w_b))),
+            op::FADDTOK => faddto!(fld!(w_b_i16)),
             op::ICJFI => {
                 if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
                     jump!(fld!(w_c));
@@ -1219,7 +1251,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                     _ => v,
                 };
                 if trap_nf && !rounded.is_finite() {
-                    return Err(nonfinite_trap(func, src, rounded, pc));
+                    return Err(nonfinite_trap(func, Some(src), rounded, pc));
                 }
                 if S::ACTIVE {
                     sample!((v - rounded).abs());

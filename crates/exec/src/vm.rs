@@ -385,12 +385,19 @@ pub(crate) fn invalid_bytecode(msg: String) -> Trap {
 }
 
 /// Builds the [`TrapKind::NonFinite`] trap for a non-finite value written
-/// to float register `dst` by the instruction at `pc`. Cold: only reached
-/// when [`ExecOptions::trap_on_nonfinite`] fires, so the mnemonic/name
-/// string work stays off the dispatch loop's hot path.
+/// to float register `dst` by the instruction at `pc`; `None` for a value
+/// no register holds (the element and the sum of an [`Instr::FAddTo`],
+/// which the unfused stream kept in unnamed temporaries). Cold: only
+/// reached when [`ExecOptions::trap_on_nonfinite`] fires, so the
+/// mnemonic/name string work stays off the dispatch loop's hot path.
 #[cold]
 #[inline(never)]
-pub(crate) fn nonfinite_trap(func: &CompiledFunction, dst: usize, value: f64, pc: usize) -> Trap {
+pub(crate) fn nonfinite_trap(
+    func: &CompiledFunction,
+    dst: Option<usize>,
+    value: f64,
+    pc: usize,
+) -> Trap {
     let op = match func.instrs.get(pc) {
         Some(ins) => instr_mnemonic(ins),
         None => "ret".to_string(),
@@ -398,7 +405,7 @@ pub(crate) fn nonfinite_trap(func: &CompiledFunction, dst: usize, value: f64, pc
     let var = func
         .fvar_names
         .iter()
-        .find(|(r, _)| *r as usize == dst)
+        .find(|(r, _)| Some(*r as usize) == dst)
         .map(|(_, n)| n.clone());
     Trap {
         kind: TrapKind::NonFinite { value, op, var },

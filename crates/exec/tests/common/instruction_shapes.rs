@@ -301,6 +301,16 @@ pub(crate) fn instruction_shapes() -> Vec<Instr> {
             k: 1.0,
             a: f(5),
         },
+        Instr::FAddTo {
+            arr: AReg(1),
+            idx: i(2),
+            src: f(3),
+        },
+        Instr::FAddToK {
+            arr: AReg(2),
+            k: -32768,
+            src: f(5),
+        },
         Instr::RetI { src: i(7) },
         Instr::RetB { src: i(0) },
     ]

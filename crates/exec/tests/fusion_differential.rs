@@ -308,3 +308,88 @@ fn hpccg_profiler_adjoint_compiles_packed() {
         );
     }
 }
+
+// ------------------------------------------------ fused accumulate traps
+
+/// `a[i] += v` at a register index and `a[2] += v` at a constant one,
+/// compiled unfused and fused; the fused stream must hold the
+/// accumulate form under test.
+fn accumulate_pair(
+    src: &str,
+    fused_form: fn(&chef_exec::bytecode::Instr) -> bool,
+) -> [CompiledFunction; 2] {
+    let mut p = chef_ir::parser::parse_program(src).expect("parses");
+    chef_ir::typeck::check_program(&mut p).expect("typechecks");
+    let [unfused, fused] = [false, true].map(|fuse| {
+        compile(
+            &p.functions[0],
+            &CompileOptions {
+                fuse,
+                ..Default::default()
+            },
+        )
+        .expect("compiles")
+    });
+    assert!(
+        fused.instrs.iter().any(fused_form),
+        "{}",
+        fused.disassemble()
+    );
+    [unfused, fused]
+}
+
+fn accumulates() -> [([CompiledFunction; 2], Vec<ArgValue>); 2] {
+    use chef_exec::bytecode::Instr;
+    let at_reg = accumulate_pair("void f(double a[], int i, double v) { a[i] += v; }", |i| {
+        matches!(i, Instr::FAddTo { .. })
+    });
+    let at_const = accumulate_pair("void f(double a[], int i, double v) { a[2] += v; }", |i| {
+        matches!(i, Instr::FAddToK { k: 2, .. })
+    });
+    [
+        (at_reg, vec![ArgValue::I(2)]),
+        (at_const, vec![ArgValue::I(0)]),
+    ]
+}
+
+/// Runs both compilations of `pair` on `a`, `i` and `v` and returns
+/// their traps.
+fn both_trap(pair: &[CompiledFunction; 2], a: Vec<f64>, i: &[ArgValue], v: f64) -> [Trap; 2] {
+    let opts = ExecOptions {
+        trap_on_nonfinite: true,
+        ..Default::default()
+    };
+    pair.each_ref().map(|f| {
+        let args = vec![ArgValue::FArr(a.clone()), i[0].clone(), ArgValue::F(v)];
+        run_with(f, args, &opts).expect_err("traps")
+    })
+}
+
+#[test]
+fn fused_accumulate_traps_out_of_bounds_like_unfused() {
+    for (pair, i) in accumulates() {
+        let [unfused, fused] = both_trap(&pair, vec![1.0, 2.0], &i, 0.5);
+        assert_eq!(unfused.kind, TrapKind::OobIndex { idx: 2, len: 2 });
+        assert_eq!(fused.kind, unfused.kind);
+    }
+}
+
+#[test]
+fn fused_accumulate_traps_non_finite_like_unfused() {
+    let nonfinite = |t: &Trap| match &t.kind {
+        TrapKind::NonFinite { value, var, .. } => (value.to_bits(), var.clone()),
+        other => panic!("expected NonFinite, got {other:?}"),
+    };
+    for (pair, i) in accumulates() {
+        // The sum overflows; then a non-finite element is loaded: ∞ plus
+        // −∞ traps on the loaded ∞, not on the NaN sum.
+        for (elem, v) in [
+            (1e308, 1e308),
+            (f64::INFINITY, f64::NEG_INFINITY),
+            (f64::NAN, 1.0),
+        ] {
+            let [unfused, fused] = both_trap(&pair, vec![0.0, 0.0, elem], &i, v);
+            assert_eq!(nonfinite(&fused), nonfinite(&unfused), "elem {elem}, v {v}");
+        }
+    }
+}

@@ -1,0 +1,310 @@
+//! The five paper kernels' error-estimating adjoints (what
+//! `chef_core::estimate_error` generates and runs) under the fused
+//! array accumulation.
+//!
+//! * The fused accumulation is unobservable in the shadow lane: the
+//!   per-variable tables, the return error and the accumulated local
+//!   error are bit-identical, at declared precisions and with every
+//!   float scalar demoted to `f32` (the arrays stay `f64`, so the
+//!   accumulations still fuse and carry pending rounding error). On the
+//!   `f64` shadow, fused and unfused compilations are compared with the
+//!   CFG tier off: its loop-invariant code motion hoists different
+//!   instructions out of the two streams, and a hoisted instruction
+//!   samples its local error once per loop entry instead of once per
+//!   iteration. On the double-double shadow, the shipped stream (fusion
+//!   and CFG tier on) is compared with itself with each
+//!   `FAddTo`/`FAddToK` expanded back into its `FLoad` ; `FAdd` ;
+//!   `FStore` window: other fused forms (`FMulAdd`, …) sample one local
+//!   error where their unfused pair samples two, which only a shadow
+//!   more precise than `f64` can tell apart.
+//! * A dispatch-count gate: each adjoint's `instrs_executed` on a small
+//!   fixed input is pinned exactly, below the count before accumulations
+//!   fused, so a lost fusion fails here without a clock;
+//!   `tape_total_pushes` is pinned alongside and did not move.
+
+use chef_core::prelude::{estimate_error, ErrorEstimator, EstimateOptions};
+use chef_exec::bytecode::{FReg, IReg, Instr};
+use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
+use chef_exec::prelude::*;
+use chef_exec::shadow::{run_shadow, ShadowNum, ShadowOutcome};
+use chef_ir::ast::Program;
+use chef_ir::types::{FloatTy, Type};
+use chef_shadow::DD;
+
+/// One kernel's estimator with the arguments of one run: the primal
+/// inputs, then zeroed adjoint seeds, `_fp_error`, `_primal_out` and the
+/// attribution table, in the order `ErrorEstimator::execute` appends
+/// them.
+struct Case {
+    label: &'static str,
+    est: ErrorEstimator,
+    args: Vec<ArgValue>,
+}
+
+fn cases() -> Vec<Case> {
+    let kernels: [(&str, Program, &str, Vec<ArgValue>); 5] = [
+        (
+            "arclen",
+            chef_apps::arclen::program(),
+            chef_apps::arclen::NAME,
+            chef_apps::arclen::args(500),
+        ),
+        (
+            "simpsons",
+            chef_apps::simpsons::program(),
+            chef_apps::simpsons::NAME,
+            chef_apps::simpsons::args(500),
+        ),
+        (
+            "kmeans",
+            chef_apps::kmeans::program(),
+            chef_apps::kmeans::NAME,
+            chef_apps::kmeans::args(&chef_apps::kmeans::workload(100, 5, 4, 42)),
+        ),
+        (
+            "blackscholes",
+            chef_apps::blackscholes::program(),
+            chef_apps::blackscholes::NAME,
+            chef_apps::blackscholes::args(&chef_apps::blackscholes::workload(50, 42)),
+        ),
+        (
+            "hpccg",
+            chef_apps::hpccg::program(),
+            chef_apps::hpccg::NAME,
+            chef_apps::hpccg::args(&chef_apps::hpccg::problem(4, 4, 4)),
+        ),
+    ];
+    kernels
+        .into_iter()
+        .map(|(label, program, name, primal)| {
+            let mut opts = EstimateOptions::default();
+            if label == "kmeans" {
+                opts = opts
+                    .with_array_len("attributes", "npoints * nfeatures")
+                    .with_array_len("clusters", "nclusters * nfeatures");
+            }
+            let est = estimate_error(&program, name, &opts)
+                .unwrap_or_else(|e| panic!("{label}: estimator builds: {e}"));
+            let mut args = primal.clone();
+            args.extend(primal.iter().filter_map(|a| match a {
+                ArgValue::F(_) => Some(ArgValue::F(0.0)),
+                ArgValue::FArr(v) => Some(ArgValue::FArr(vec![0.0; v.len()])),
+                _ => None,
+            }));
+            args.push(ArgValue::F(0.0));
+            args.push(ArgValue::F(0.0));
+            args.push(ArgValue::FArr(vec![0.0; est.slots().len()]));
+            Case { label, est, args }
+        })
+        .collect()
+}
+
+fn compiled(case: &Case, precisions: PrecisionMap, fuse: bool, cfg: bool) -> CompiledFunction {
+    compile(
+        &case.est.grad,
+        &CompileOptions {
+            precisions,
+            fuse,
+            cfg,
+            pack: true,
+        },
+    )
+    .unwrap_or_else(|e| panic!("{}: adjoint compiles: {e}", case.label))
+}
+
+/// Every float scalar of the adjoint demoted to `f32`; arrays untouched.
+fn scalars_demoted(case: &Case) -> PrecisionMap {
+    let mut pm = PrecisionMap::empty();
+    for (id, v) in case.est.grad.vars_iter() {
+        if let Type::Float(_) = v.ty {
+            pm.set(id, FloatTy::F32);
+        }
+    }
+    pm
+}
+
+/// The parts of a shadow outcome fusion must not move, with every float
+/// as its bits. Left out: `samples` and the split `pc`s, indexed by pc,
+/// which fusion renumbers, and `nonfinite_samples`, which counts
+/// non-finite samples per instruction, so an `FMulAdd` counts once where
+/// its unfused pair counts twice.
+fn observable(o: &ShadowOutcome) -> impl PartialEq + std::fmt::Debug {
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    let args: Vec<String> = o
+        .args
+        .iter()
+        .map(|a| match a {
+            ArgValue::F(x) => format!("{:x}", x.to_bits()),
+            ArgValue::FArr(v) => {
+                format!("{:x?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            }
+            other => format!("{other:?}"),
+        })
+        .collect();
+    let var_error: Vec<(String, u64)> = o
+        .var_error
+        .iter()
+        .map(|(n, e)| (n.clone(), e.to_bits()))
+        .collect();
+    (
+        (bits(o.ret_error), bits(o.shadow_ret), args, var_error),
+        o.acc_error.to_bits(),
+        (o.divergence_count, o.var_divergence.clone()),
+    )
+}
+
+/// The jump target of `ins`, if it has one.
+fn target_mut(ins: &mut Instr) -> Option<&mut u32> {
+    use Instr::*;
+    match ins {
+        Jmp { target }
+        | JmpIfFalse { target, .. }
+        | JmpIfTrue { target, .. }
+        | FCmpJmpFalse { target, .. }
+        | FCmpJmpTrue { target, .. }
+        | ICmpJmpFalse { target, .. }
+        | ICmpJmpTrue { target, .. }
+        | ICmpImmJmpFalse { target, .. }
+        | ICmpImmJmpTrue { target, .. } => Some(target),
+        _ => None,
+    }
+}
+
+/// `f` with every `FAddTo`/`FAddToK` expanded back into `[IConst t,k ;]
+/// FLoad u,arr,i ; FAdd w,u,s ; FStore arr,i,w` through fresh unnamed
+/// registers, re-packed.
+fn accumulates_expanded(f: &CompiledFunction) -> CompiledFunction {
+    let (u, w, t) = (FReg(f.n_fregs), FReg(f.n_fregs + 1), IReg(f.n_iregs));
+    let mut out = f.clone();
+    out.instrs.clear();
+    out.spans.clear();
+    let mut remap = Vec::with_capacity(f.instrs.len() + 1);
+    for (ins, &span) in f.instrs.iter().zip(&f.spans) {
+        remap.push(out.instrs.len() as u32);
+        let window = match *ins {
+            Instr::FAddTo { arr, idx, src } => vec![
+                Instr::FLoad { dst: u, arr, idx },
+                Instr::FAdd {
+                    dst: w,
+                    a: u,
+                    b: src,
+                },
+                Instr::FStore { arr, idx, src: w },
+            ],
+            Instr::FAddToK { arr, k, src } => vec![
+                Instr::IConst { dst: t, v: k },
+                Instr::FLoad {
+                    dst: u,
+                    arr,
+                    idx: t,
+                },
+                Instr::FAdd {
+                    dst: w,
+                    a: u,
+                    b: src,
+                },
+                Instr::FStore {
+                    arr,
+                    idx: t,
+                    src: w,
+                },
+            ],
+            ref other => vec![other.clone()],
+        };
+        out.spans.extend(std::iter::repeat_n(span, window.len()));
+        out.instrs.extend(window);
+    }
+    remap.push(out.instrs.len() as u32);
+    for ins in &mut out.instrs {
+        if let Some(target) = target_mut(ins) {
+            *target = remap[*target as usize];
+        }
+    }
+    out.n_fregs += 2;
+    out.n_iregs += 1;
+    out.packed = chef_exec::pack::pack_function(&out);
+    out
+}
+
+/// Runs `a` and `b` on the `S` shadow; asserts their outcomes agree on
+/// everything fusion must not move, and returns whether any error was
+/// charged to a variable.
+fn assert_shadow_unmoved<S: ShadowNum>(
+    case: &Case,
+    [a, b]: [&CompiledFunction; 2],
+    what: &str,
+) -> bool {
+    let opts = ExecOptions::default();
+    let [a, b] = [a, b].map(|f| {
+        run_shadow::<S>(f, case.args.clone(), &opts)
+            .unwrap_or_else(|t| panic!("{} {what} trapped: {t}", case.label))
+    });
+    assert_eq!(
+        observable(&a),
+        observable(&b),
+        "{} {what}: shadow outcome differs",
+        case.label
+    );
+    a.var_error.iter().any(|&(_, e)| e != 0.0)
+}
+
+#[test]
+fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
+    for case in cases() {
+        let fused = compiled(&case, PrecisionMap::empty(), true, true);
+        assert!(
+            fused
+                .instrs
+                .iter()
+                .any(|i| matches!(i, Instr::FAddTo { .. } | Instr::FAddToK { .. })),
+            "{}: no accumulation fused — test is vacuous",
+            case.label
+        );
+        let demoted = scalars_demoted(&case);
+        for (pm, what) in [(PrecisionMap::empty(), "declared"), (demoted, "demoted")] {
+            let [unfused, fused] =
+                [false, true].map(|fuse| compiled(&case, pm.clone(), fuse, false));
+            assert_shadow_unmoved::<f64>(&case, [&fused, &unfused], &format!("{what}/f64"));
+            let shipped = compiled(&case, pm.clone(), true, true);
+            let expanded = accumulates_expanded(&shipped);
+            let charged =
+                assert_shadow_unmoved::<DD>(&case, [&shipped, &expanded], &format!("{what}/dd"));
+            assert!(charged, "{} {what}/dd: nothing charged", case.label);
+        }
+    }
+}
+
+/// `(kernel, instrs_executed, tape_total_pushes)` of one run of the
+/// estimator adjoint compiled with fusion and the CFG tier on.
+const PINNED_COUNTS: [(&str, u64, u64); 5] = [
+    ("arclen", 184_051, 12_004),
+    ("simpsons", 73_025, 4_998),
+    ("kmeans", 119_763, 9_733),
+    ("blackscholes", 15_101, 1_053),
+    ("hpccg", 184_489, 12_174),
+];
+
+/// `instrs_executed` of the same runs before accumulations fused (same
+/// kernel order); each pinned count must stay below.
+const BEFORE_FUSED_ACCUMULATE: [u64; 5] = [226_066, 86_041, 161_832, 20_412, 238_130];
+
+#[test]
+fn estimator_adjoint_dispatch_counts_are_pinned() {
+    let actual: Vec<(&str, u64, u64)> = cases()
+        .iter()
+        .map(|case| {
+            let f = compiled(case, PrecisionMap::empty(), true, true);
+            let out = chef_exec::vm::run_with(&f, case.args.clone(), &ExecOptions::default())
+                .unwrap_or_else(|t| panic!("{}: trapped: {t}", case.label));
+            (
+                case.label,
+                out.stats.instrs_executed,
+                out.stats.tape_total_pushes,
+            )
+        })
+        .collect();
+    assert_eq!(actual, PINNED_COUNTS, "dispatch or tape counts moved");
+    for ((label, now, _), before) in PINNED_COUNTS.iter().zip(BEFORE_FUSED_ACCUMULATE) {
+        assert!(*now < before, "{label}: {now} is not below {before}");
+    }
+}
