@@ -47,9 +47,7 @@ pub mod prelude {
     };
     pub use crate::model::{AdaptModel, ApproxModel, ErrorModel, ModelCtx, SumModel, TaylorModel};
     pub use crate::module::{EstimationModule, ModuleConfig, VarSlots};
-    pub use crate::sensitivity::{
-        profile_sensitivity, profile_sensitivity_batch, SensitivityConfig, SensitivityProfile,
-    };
+    pub use crate::sensitivity::{profile_sensitivity, SensitivityConfig, SensitivityProfile};
 }
 
 pub use prelude::*;

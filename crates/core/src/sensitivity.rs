@@ -333,38 +333,6 @@ pub fn profile_sensitivity(
     Ok(profiler.extract(out.args[sens_at].as_farr()))
 }
 
-/// Profiles `func` over many argument sets (e.g. a sweep of problem
-/// scales or input distributions), compiling the instrumented adjoint
-/// **once** and fanning the runs out over
-/// [`chef_exec::vm::run_batch_parallel`]. Results keep the input order;
-/// the first trapped run reports its error.
-pub fn profile_sensitivity_batch(
-    program: &Program,
-    func: &str,
-    cfg: &SensitivityConfig,
-    arg_sets: &[Vec<ArgValue>],
-    exec: &ExecOptions,
-) -> Result<Vec<SensitivityProfile>, ChefError> {
-    let profiler = CompiledProfiler::build(program, func, cfg)?;
-    let mut sens_positions = Vec::with_capacity(arg_sets.len());
-    let vm_args: Vec<Vec<ArgValue>> = arg_sets
-        .iter()
-        .map(|set| {
-            let (args, sens_at) = profiler.build_vm_args(set);
-            sens_positions.push(sens_at);
-            args
-        })
-        .collect();
-    chef_exec::vm::run_batch_parallel(&profiler.compiled, vm_args, exec, None)
-        .into_iter()
-        .zip(sens_positions)
-        .map(|(res, sens_at)| {
-            res.map(|out| profiler.extract(out.args[sens_at].as_farr()))
-                .map_err(ChefError::Trap)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -117,9 +117,8 @@
 //!    is validated once and fanned out over scoped threads, one pooled
 //!    machine per worker, input order preserved.
 //!    [`vm::run_batch_parallel`] is that body on the process pool;
-//!    `chef_core`'s `ErrorEstimator::execute_batch` and
-//!    `profile_sensitivity_batch` and `chef-service`'s batch jobs ride on
-//!    it.
+//!    `chef_core`'s `ErrorEstimator::execute_batch` and `chef-service`'s
+//!    batch jobs ride on it.
 //! 6. **One pool per machine kind**: a tuner or analysis session
 //!    compiles hundreds of `PrecisionMap` variants, and a pool lets all
 //!    of their runs share one set of register-file/tape allocations,

@@ -2,9 +2,9 @@
 //!
 //! A long-lived, dependency-free front end over the CHEF-FP substrate:
 //! many *sessions* (one per client/kernel-under-analysis) share a fixed
-//! pool of worker threads, submitting plain runs, shadow-oracle runs,
-//! batches and whole tuning jobs, and getting typed outcomes back —
-//! never a panic, never a wedged worker.
+//! pool of worker threads draining one FIFO job queue, submitting plain
+//! runs, shadow-oracle runs, batches and whole tuning jobs, and getting
+//! typed outcomes back — never a panic, never a wedged worker.
 //!
 //! The robustness layer has four stages, applied in order:
 //!
@@ -87,11 +87,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Per-session circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Intra-job thread cap for [`SessionHandle::submit_batch`]
-    /// (`None` = one thread per argument set, capped by the runtime).
-    /// Single runs always use one thread — the scheduler itself is the
-    /// parallelism.
-    pub batch_threads: Option<usize>,
     /// Directory of the persistent compiled-variant store shared by
     /// every session ([`chef_exec::store::DiskStore`]). `None` (the
     /// default) falls back to the process-wide `CHEF_CACHE_DIR` store,
@@ -112,7 +107,6 @@ impl Default for ServiceConfig {
             max_queue_depth: 64,
             cache_capacity: chef_tuner::DEFAULT_CACHE_CAPACITY,
             breaker: BreakerConfig::default(),
-            batch_threads: Some(1),
             cache_dir: None,
         }
     }
@@ -497,11 +491,6 @@ impl AnalysisServer {
         AnalysisServer { inner }
     }
 
-    /// Worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.inner.sched.workers()
-    }
-
     /// Jobs accepted but not yet started.
     pub fn queue_depth(&self) -> usize {
         self.inner.sched.queue_depth()
@@ -619,9 +608,11 @@ impl Drop for AnalysisServer {
 // Session handle & job submission
 // ------------------------------------------------------------------------
 
-/// A fault the job wrapper classifies. Panics are caught a level up.
+/// A fault the job wrapper classifies.
 enum JobFault {
     Trap(Trap),
+    /// A caught panic, with its payload's text.
+    Panic(String),
     Error(String),
 }
 
@@ -681,22 +672,22 @@ impl SessionHandle {
         })
     }
 
-    /// One batch of runs of `func`, fanned out over
-    /// [`ServiceConfig::batch_threads`] inside the job. Per-argument-set
-    /// traps are *data* in the completed value (they don't fault the
-    /// job or feed the breaker) — a batch is the caller's own sweep.
+    /// One batch of runs of `func`, run on one thread inside the job:
+    /// the scheduler's workers are the service's parallelism.
+    /// Per-argument-set traps are *data* in the completed value (they
+    /// don't fault the job or feed the breaker) — a batch is the
+    /// caller's own sweep.
     pub fn submit_batch(
         &self,
         func: Arc<CompiledFunction>,
         arg_sets: Vec<Vec<ArgValue>>,
     ) -> Result<Ticket<Vec<Result<CallOutcome, Trap>>>, Rejected> {
-        let threads = self.inner.cfg.batch_threads;
         self.submit_job(false, move |opts: &ExecOptions| {
             Ok(chef_exec::vm::run_batch_parallel(
                 &func,
                 arg_sets.clone(),
                 opts,
-                threads,
+                Some(1),
             ))
         })
     }
@@ -717,7 +708,9 @@ impl SessionHandle {
     /// `opts.oracle.exec` — the session owns execution policy, the
     /// caller owns tuning policy. Not retried at the service level: the
     /// tuner's own per-trial retry/quarantine layer already isolates
-    /// faults, so an error surfacing here is persistent.
+    /// faults, so an error surfacing here is persistent. A trial that
+    /// overruns the session deadline ends the job as
+    /// [`Outcome::DeadlineExceeded`].
     pub fn submit_tune(
         &self,
         program: Arc<Program>,
@@ -841,58 +834,41 @@ impl SessionHandle {
                 if let Some(p) = &pinned {
                     opts.fault = Some(if retry { p.retry() } else { p.clone() });
                 }
-                match catch_unwind(AssertUnwindSafe(|| {
+                catch_unwind(AssertUnwindSafe(|| {
                     let _in_flight = AttemptGuard::start(&inner.attempts);
                     attempt(&opts)
-                })) {
-                    Ok(Ok(v)) => Ok(v),
-                    Ok(Err(f)) => Err(f),
-                    Err(payload) => Err(JobFault::Error(panic_text(payload.as_ref()))),
-                }
+                }))
+                .unwrap_or_else(|payload| Err(JobFault::Panic(panic_text(payload.as_ref()))))
             };
-            let classify = |fault: JobFault, retried: bool| match fault {
-                JobFault::Trap(trap) => match trap.kind {
+            let settle = |result: Result<T, JobFault>, retried: bool| match result {
+                Ok(value) => Outcome::Completed {
+                    value,
+                    latency_ns: submitted_at.elapsed().as_nanos() as u64,
+                    retried,
+                },
+                Err(JobFault::Trap(trap)) => match trap.kind {
                     TrapKind::DeadlineExceeded { executed } => Outcome::DeadlineExceeded {
                         pc: trap.pc,
                         executed,
                     },
                     _ => Outcome::Faulted { trap, retried },
                 },
-                JobFault::Error(msg) => {
-                    if msg.starts_with(PANIC_TAG) {
-                        Outcome::Panicked { msg }
-                    } else {
-                        Outcome::Error { msg }
-                    }
-                }
+                Err(JobFault::Panic(msg)) => Outcome::Panicked {
+                    msg: format!("panic: {msg}"),
+                },
+                Err(JobFault::Error(msg)) => Outcome::Error { msg },
             };
             let outcome = match run_once(false) {
-                Ok(value) => Outcome::Completed {
-                    value,
-                    latency_ns: submitted_at.elapsed().as_nanos() as u64,
-                    retried: false,
-                },
-                // Deadline overruns and deterministic errors are not
-                // retried: the budget is spent / the error will repeat.
-                Err(JobFault::Trap(t)) if retryable && !is_deadline(&t) => match run_once(true) {
-                    Ok(value) => Outcome::Completed {
-                        value,
-                        latency_ns: submitted_at.elapsed().as_nanos() as u64,
-                        retried: true,
-                    },
-                    Err(second) => classify(second, true),
-                },
-                Err(JobFault::Error(msg)) if retryable && msg.starts_with(PANIC_TAG) => {
-                    match run_once(true) {
-                        Ok(value) => Outcome::Completed {
-                            value,
-                            latency_ns: submitted_at.elapsed().as_nanos() as u64,
-                            retried: true,
-                        },
-                        Err(second) => classify(second, true),
-                    }
+                // Traps and panics are retried once; deadline overruns and
+                // deterministic errors are not: the budget is spent / the
+                // error will repeat.
+                Err(JobFault::Trap(t))
+                    if retryable && !matches!(t.kind, TrapKind::DeadlineExceeded { .. }) =>
+                {
+                    settle(run_once(true), true)
                 }
-                Err(first) => classify(first, false),
+                Err(JobFault::Panic(_)) if retryable => settle(run_once(true), true),
+                first => settle(first, false),
             };
             match &outcome {
                 Outcome::Completed { .. } => st.breaker.on_success(),
@@ -918,23 +894,14 @@ impl SessionHandle {
     }
 }
 
-fn is_deadline(t: &Trap) -> bool {
-    matches!(t.kind, TrapKind::DeadlineExceeded { .. })
-}
-
-/// Prefix marking a caught panic's message, so the classifier can tell
-/// panics from deterministic errors without another enum variant
-/// crossing the `catch_unwind` boundary.
-const PANIC_TAG: &str = "panic: ";
-
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        return format!("{PANIC_TAG}{s}");
+        return (*s).to_string();
     }
     if let Some(s) = payload.downcast_ref::<String>() {
-        return format!("{PANIC_TAG}{s}");
+        return s.clone();
     }
-    format!("{PANIC_TAG}opaque payload")
+    "opaque payload".to_string()
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! Work-stealing batch scheduler: a fixed pool of worker threads, one
-//! job deque per worker, submissions spread round-robin and idle workers
-//! stealing from their neighbours.
+//! Batch scheduler: a fixed pool of worker threads draining one FIFO
+//! job queue.
 //!
 //! The scheduler is deliberately *dumb* about what a job is — a job is a
 //! boxed closure, and it does not matter which worker runs it: machines
@@ -10,151 +9,102 @@
 //! runs exactly once, on some worker, and that [`Scheduler::quiesce`]
 //! returns only when nothing is queued *or* executing.
 //!
-//! Counting protocol: `pending` is jobs accepted but not yet picked up,
-//! `active` is jobs currently executing. A submitter increments
-//! `pending` **before** pushing the job onto a deque, and a worker
-//! increments `active` **before** decrementing `pending` when it takes
-//! one — so `pending + active` never reads zero while a job is in
-//! transit between the two counters (it may transiently *over*count by
-//! one, which only errs conservative for backpressure and quiesce).
-//! That is what makes the quiesce loop's exit test sound without a
-//! global lock around job execution.
+//! One mutex guards the queue, the count of executing jobs and the
+//! shutdown flag, so every count is exact and every wait has a matching
+//! notify: `work` wakes a worker for a new job (or for shutdown), `idle`
+//! wakes `quiesce` when the last job finishes. No wait needs a timeout.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// A unit of work: runs once, on some worker thread.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct SchedInner {
-    /// One deque per worker; workers pop their own front and steal from
-    /// the back of their neighbours'.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs accepted and queued but not yet taken by a worker.
-    pending: AtomicUsize,
+struct State {
+    /// Jobs accepted but not yet taken by a worker, oldest first.
+    queue: VecDeque<Job>,
     /// Jobs currently executing on some worker.
-    active: AtomicUsize,
-    /// Round-robin cursor for submissions.
-    next: AtomicUsize,
-    /// Workers exit once this is set and the queues are empty.
-    shutdown: AtomicBool,
-    /// Sleep/wake for idle workers. The mutex guards the *notification*,
-    /// not the counters; waits use a timeout so a lost race costs a tick
-    /// of latency, never a hang.
-    wake: Mutex<()>,
-    wake_cv: Condvar,
-    /// Signalled after every job completion for `quiesce` waiters.
-    done: Mutex<()>,
-    done_cv: Condvar,
+    active: usize,
+    /// Workers exit once this is set and the queue is empty.
+    shutdown: bool,
 }
 
-/// Fixed-size work-stealing thread pool. See the module docs for the
-/// counting protocol that backs [`Scheduler::quiesce`].
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when a job is queued or shutdown begins.
+    work: Condvar,
+    /// Signalled when the queue is empty and no job is executing.
+    idle: Condvar,
+}
+
+/// Fixed-size thread pool over one FIFO queue.
 pub(crate) struct Scheduler {
-    inner: Arc<SchedInner>,
+    shared: Arc<Shared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// How long an idle worker (or a quiesce waiter) sleeps between
-/// re-checks when a wakeup raced past it.
-const IDLE_TICK: Duration = Duration::from_millis(2);
-
 impl Scheduler {
     pub(crate) fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let inner = Arc::new(SchedInner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            wake: Mutex::new(()),
-            wake_cv: Condvar::new(),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                active: 0,
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            idle: Condvar::new(),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|i| {
-                let inner = Arc::clone(&inner);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("chef-service-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn service worker")
             })
             .collect();
         Scheduler {
-            inner,
+            shared,
             workers: Mutex::new(handles),
         }
-    }
-
-    /// Number of worker threads.
-    pub(crate) fn workers(&self) -> usize {
-        self.inner.queues.len()
     }
 
     /// Jobs accepted but not yet started — the admission layer's
     /// backpressure signal.
     pub(crate) fn queue_depth(&self) -> usize {
-        self.inner.pending.load(Ordering::Relaxed)
+        lock(&self.shared.state).queue.len()
     }
 
     /// Jobs currently executing.
     pub(crate) fn active(&self) -> usize {
-        self.inner.active.load(Ordering::Relaxed)
+        lock(&self.shared.state).active
     }
 
-    /// Enqueues a job (round-robin across worker deques) and wakes a
-    /// worker. Panics if called after [`Scheduler::shutdown`] — the
-    /// server's admission layer rejects before this point.
+    /// Enqueues a job and wakes a worker. Panics if called after
+    /// [`Scheduler::shutdown`] — the server's admission layer rejects
+    /// before this point.
     pub(crate) fn submit(&self, job: Job) {
-        assert!(
-            !self.inner.shutdown.load(Ordering::SeqCst),
-            "submit after shutdown"
-        );
-        let n = self.inner.queues.len();
-        let at = self.inner.next.fetch_add(1, Ordering::Relaxed) % n;
-        // `pending` goes up *before* the job becomes visible in a deque
-        // (mirroring the active-before-pending order on the take side):
-        // a worker can only decrement after the push, so `pending` never
-        // wraps below zero, and `quiesce` can never observe
-        // pending == 0 && active == 0 while this job is still in flight.
-        self.inner.pending.fetch_add(1, Ordering::SeqCst);
-        lock(&self.inner.queues[at]).push_back(job);
-        let _g = lock(&self.inner.wake);
-        self.inner.wake_cv.notify_one();
+        let mut st = lock(&self.shared.state);
+        assert!(!st.shutdown, "submit after shutdown");
+        st.queue.push_back(job);
+        self.shared.work.notify_one();
     }
 
     /// Blocks until no job is queued or executing. Callers stop
     /// admitting first (otherwise this chases a moving target).
     pub(crate) fn quiesce(&self) {
-        loop {
-            let g = lock(&self.inner.done);
-            if self.inner.pending.load(Ordering::SeqCst) == 0
-                && self.inner.active.load(Ordering::SeqCst) == 0
-            {
-                return;
-            }
-            let _ = self
-                .inner
-                .done_cv
-                .wait_timeout(g, IDLE_TICK)
-                .unwrap_or_else(|p| p.into_inner());
+        let mut st = lock(&self.shared.state);
+        while !(st.queue.is_empty() && st.active == 0) {
+            st = self.shared.idle.wait(st).unwrap_or_else(|p| p.into_inner());
         }
     }
 
     /// Stops the workers: runs everything still queued, then joins the
     /// threads. Idempotent.
     pub(crate) fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _g = lock(&self.inner.wake);
-            self.inner.wake_cv.notify_all();
-        }
-        let handles = std::mem::take(&mut *lock(&self.workers));
-        for h in handles {
+        lock(&self.shared.state).shutdown = true;
+        self.shared.work.notify_all();
+        for h in std::mem::take(&mut *lock(&self.workers)) {
             let _ = h.join();
         }
     }
@@ -166,75 +116,42 @@ impl Drop for Scheduler {
     }
 }
 
-/// Poison-tolerant lock: a panicking *job* is caught inside the job
-/// wrapper, but defence-in-depth keeps the scheduler serviceable even if
-/// a queue mutex is ever poisoned.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Poison-tolerant lock: jobs never run under a scheduler lock and their
+/// panics are caught, but a poisoned mutex would still stay usable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn worker_loop(inner: &SchedInner, me: usize) {
+fn worker_loop(shared: &Shared) {
+    let mut st = lock(&shared.state);
     loop {
-        match take_job(inner, me) {
-            Some(job) => {
-                // The server's job wrapper already catches panics and
-                // converts them into outcomes; this outer catch is the
-                // scheduler's own guarantee that a worker thread (and the
-                // `active` count `quiesce` depends on) survives anything
-                // a job does.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                inner.active.fetch_sub(1, Ordering::SeqCst);
-                let _g = lock(&inner.done);
-                inner.done_cv.notify_all();
+        if let Some(job) = st.queue.pop_front() {
+            st.active += 1;
+            drop(st);
+            // The server's job wrapper already catches panics and
+            // converts them into outcomes; this outer catch is the
+            // scheduler's own guarantee that a worker thread (and the
+            // `active` count `quiesce` depends on) survives anything a
+            // job does.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            st = lock(&shared.state);
+            st.active -= 1;
+            if st.active == 0 && st.queue.is_empty() {
+                shared.idle.notify_all();
             }
-            None => {
-                if inner.shutdown.load(Ordering::SeqCst)
-                    && inner.pending.load(Ordering::SeqCst) == 0
-                {
-                    return;
-                }
-                let g = lock(&inner.wake);
-                // Re-check under the wake lock so a submit that fired
-                // between `take_job` and here is not slept through for a
-                // full tick (it usually isn't even for the timeout).
-                if inner.pending.load(Ordering::SeqCst) == 0
-                    && !inner.shutdown.load(Ordering::SeqCst)
-                {
-                    let _ = inner
-                        .wake_cv
-                        .wait_timeout(g, IDLE_TICK)
-                        .unwrap_or_else(|p| p.into_inner());
-                }
-            }
-        }
-    }
-}
-
-/// Takes one job: own queue front first (cache-warm), then steals from
-/// the back of the other queues. Increments `active` *before*
-/// decrementing `pending` — see the module docs.
-fn take_job(inner: &SchedInner, me: usize) -> Option<Job> {
-    let n = inner.queues.len();
-    for k in 0..n {
-        let i = (me + k) % n;
-        let job = if i == me {
-            lock(&inner.queues[i]).pop_front()
+        } else if st.shutdown {
+            return;
         } else {
-            lock(&inner.queues[i]).pop_back()
-        };
-        if let Some(job) = job {
-            inner.active.fetch_add(1, Ordering::SeqCst);
-            inner.pending.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
+            st = shared.work.wait(st).unwrap_or_else(|p| p.into_inner());
         }
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn runs_every_job_exactly_once_across_workers() {
@@ -254,8 +171,7 @@ mod tests {
         }
         sched.quiesce();
         assert_eq!(hits.load(Ordering::SeqCst), 200);
-        // The burst is spread over more than one worker (work stealing
-        // plus round-robin placement).
+        // The burst is spread over more than one worker.
         assert!(lock(&used).len() > 1);
         sched.shutdown();
         assert_eq!(sched.queue_depth(), 0);
@@ -273,5 +189,33 @@ mod tests {
         }));
         sched.quiesce();
         assert!(done.load(Ordering::SeqCst), "quiesce returned early");
+    }
+
+    #[test]
+    fn shutdown_runs_jobs_still_queued_behind_a_gated_job() {
+        let sched = Arc::new(Scheduler::new(1));
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let ran = Arc::new(AtomicBool::new(false));
+        sched.submit(Box::new(move || gate_rx.recv().unwrap()));
+        let r = Arc::clone(&ran);
+        sched.submit(Box::new(move || r.store(true, Ordering::SeqCst)));
+        // The lone worker holds the gated job; the second waits behind it.
+        while !(sched.active() == 1 && sched.queue_depth() == 1) {
+            std::thread::yield_now();
+        }
+        let stopper = {
+            let sched = Arc::clone(&sched);
+            std::thread::spawn(move || sched.shutdown())
+        };
+        // Shutdown has begun (further submits are refused) while the
+        // queued job still waits for the gate.
+        while !lock(&sched.shared.state).shutdown {
+            std::thread::yield_now();
+        }
+        assert!(!ran.load(Ordering::SeqCst));
+        gate_tx.send(()).unwrap();
+        stopper.join().unwrap();
+        assert!(ran.load(Ordering::SeqCst), "shutdown dropped a queued job");
+        assert_eq!(sched.queue_depth(), 0);
     }
 }

@@ -62,8 +62,8 @@ fn retry_after_semantics_per_reason() {
     let gated = session
         .submit_task(move || gate_rx.recv().unwrap())
         .unwrap();
-    // `take_job` raises `active` before it lowers `pending`: wait for
-    // both, so the gated job no longer counts against the queue.
+    // Wait until a worker has taken the gated job off the queue, so it
+    // no longer counts against the queue depth.
     while !(server.active_jobs() == 1 && server.queue_depth() == 0) {
         std::thread::yield_now();
     }

@@ -7,7 +7,7 @@
 //!   checkouts) outstanding, even after a job that panicked twice, and
 //!   rejects everything afterwards;
 //! * a deadline overrun is a typed trap with pc attribution, never a
-//!   panic;
+//!   panic, for a single run and for a whole tuning job;
 //! * admission rejects with typed reasons at the session limit, under
 //!   queue backpressure, and while a breaker quarantines a session.
 
@@ -208,6 +208,47 @@ fn deadline_overrun_is_a_typed_trap_with_pc_never_a_panic() {
         Outcome::Completed { value, .. } => assert_eq!(value.ret_f(), 2.0),
         other => panic!("expected completion after deadline trap: {other:?}"),
     }
+    assert!(server.drain().leak_free());
+}
+
+/// A tuning job past its session deadline reports the overrun: the
+/// deadline is one instant for the whole job, so the tuner does not
+/// retry the trapped trial (its retry would trap again) and quarantine
+/// it as if the trial alone had faulted.
+#[test]
+fn a_tune_job_past_its_deadline_reports_deadline_exceeded() {
+    let server = AnalysisServer::new(ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let session = server
+        .open_session(
+            SessionSpec::named("late-tune")
+                .with_deadline(Duration::ZERO)
+                .with_fault(no_injection()),
+        )
+        .unwrap();
+    let mut p = chef_ir::parser::parse_program(KERNEL).unwrap();
+    chef_ir::typeck::check_program(&mut p).unwrap();
+    let mut cfg = chef_tuner::TunerConfig::with_threshold(1e-3);
+    cfg.fault_plan = Some(no_injection());
+    let outcome = session
+        .submit_tune(
+            Arc::new(p),
+            "f".to_string(),
+            vec![ArgValue::F(0.37), ArgValue::I(20_000)],
+            cfg,
+            chef_tuner::OracleTuneOptions::default(),
+        )
+        .unwrap()
+        .wait();
+    match outcome {
+        Outcome::DeadlineExceeded { executed, .. } => {
+            assert!(executed >= DEADLINE_STRIDE, "{executed}");
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    assert_eq!(session.stats().deadline_exceeded, 1);
     assert!(server.drain().leak_free());
 }
 

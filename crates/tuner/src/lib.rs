@@ -29,7 +29,9 @@
 //!   measurement is retried once — escalating the instruction budget
 //!   proportionally after `InstrBudgetExhausted`, but never past
 //!   [`ESCALATION_CAP`] × the admitted budget — and a second fault
-//!   quarantines that trial instead of aborting the tune.
+//!   quarantines that trial instead of aborting the tune. A
+//!   `DeadlineExceeded` trap is not retried: it ends the tune with the
+//!   trap, since the deadline is shared by every later attempt.
 //!   [`TuneResult::faults`] reports the counts; deterministic fault
 //!   injection (explicit [`TunerConfig::fault_plan`] or the
 //!   `CHEF_FAULT_SEED` environment toggle) exercises the whole layer.
@@ -302,9 +304,11 @@ type Attempt<'a, T> = dyn FnMut(Option<u64>, &ExecOptions) -> Result<T, ChefErro
 /// recorded in `log` and retried once; a second fault quarantines the
 /// trial. Non-fault errors (compile, unknown function, …) propagate
 /// unchanged — they are deterministic caller mistakes, not per-trial
-/// weather. `attempt` receives its instruction-budget floor (`None` on
-/// the first attempt) and the options to run with: `exec` with the
-/// fault plan pinned to the trial
+/// weather — and so does a [`TrapKind::DeadlineExceeded`] trap: the
+/// deadline is an absolute instant that the retry would share, so the
+/// whole tune is out of time, not one trial. `attempt` receives its
+/// instruction-budget floor (`None` on the first attempt) and the
+/// options to run with: `exec` with the fault plan pinned to the trial
 /// ([`chef_exec::fault::FaultPlan::pin_trial`]), so the retry of an
 /// injected fault never fires again whatever other threads draw, and
 /// the budget raised to at least the floor (an unlimited budget stays
@@ -334,7 +338,9 @@ fn run_trial<T>(
                 Some(x) if !x.is_finite() => Ok(Err((Fault::NonFinite(x), Some(v)))),
                 _ => Ok(Ok(v)),
             },
-            Ok(Err(ChefError::Trap(t))) => Ok(Err((Fault::Trap(t), None))),
+            Ok(Err(ChefError::Trap(t))) if !matches!(t.kind, TrapKind::DeadlineExceeded { .. }) => {
+                Ok(Err((Fault::Trap(t), None)))
+            }
             Ok(Err(e)) => Err(e),
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
