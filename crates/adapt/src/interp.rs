@@ -746,12 +746,11 @@ impl<'a> Interp<'a> {
     }
 
     fn intrinsic(&mut self, i: Intrinsic, vals: &[TVal]) -> Result<TVal, AdaptError> {
-        let approx = chef_exec::intrinsics::ApproxConfig::exact();
         if i.arity() == 2 {
             let (x, xi, px) = vals[0].as_f();
             let (y, yi, py) = vals[1].as_f();
             let prec = px.max(py);
-            let value = round_to(chef_exec::intrinsics::eval2(i, x, y, &approx), prec);
+            let value = round_to(chef_exec::intrinsics::eval2(i, x, y), prec);
             let (da, db) = match i {
                 Intrinsic::Pow => (y * x.powf(y - 1.0), x.powf(y) * x.ln()),
                 Intrinsic::Fmin => {
@@ -782,7 +781,7 @@ impl<'a> Interp<'a> {
             return Ok(TVal::F(value, idx, prec));
         }
         let (x, xi, prec) = vals[0].as_f();
-        let value = round_to(chef_exec::intrinsics::eval1(i, x, &approx), prec);
+        let value = round_to(chef_exec::intrinsics::eval1(i, x), prec);
         let d = numeric_derivative(i, x);
         let idx = match xi {
             Some(j) => Some(self.tape.record(Entry {

@@ -82,12 +82,10 @@ pub struct EstimateOptions {
     pub opt_level: OptLevel,
     /// Run the TBR analysis (fewer tape pushes).
     pub tbr: bool,
-    /// Per-variable error attribution.
-    pub attribution: bool,
     /// Array parameter name → length parameter name (enables input-error
     /// loops over array inputs).
     pub array_lens: HashMap<String, String>,
-    /// VM options for execution (tape limits, approximate intrinsics…).
+    /// VM options for execution (tape limits, budgets, faults…).
     pub exec: ExecOptions,
 }
 
@@ -96,7 +94,6 @@ impl Default for EstimateOptions {
         EstimateOptions {
             opt_level: OptLevel::O2,
             tbr: true,
-            attribution: true,
             array_lens: HashMap::new(),
             exec: ExecOptions::default(),
         }
@@ -131,7 +128,6 @@ pub struct ErrorEstimator {
     slots: VarSlots,
     adjoints: Vec<AdjointSlot>,
     n_primal: usize,
-    attribution: bool,
     exec: ExecOptions,
     /// Number of assignments the model instrumented.
     pub instrumented_assignments: usize,
@@ -146,7 +142,8 @@ pub struct EstimateOutcome {
     pub fp_error: f64,
     /// Gradient of each differentiable input: name → adjoint value(s).
     pub gradient: Vec<(String, ArgValue)>,
-    /// Per-variable error attribution (empty unless enabled).
+    /// Per-variable error attribution: every float variable of the
+    /// primal, by name.
     pub per_variable: HashMap<String, f64>,
     /// VM statistics (analysis time proxies: instructions, tape peak…).
     pub stats: ExecStats,
@@ -198,7 +195,7 @@ pub fn estimate_error_with(
         .ok_or_else(|| ChefError::UnknownFunction(func.to_string()))?;
 
     let cfg = ModuleConfig {
-        attribution: opts.attribution,
+        attribution: true,
         array_lens: opts.array_lens.clone(),
     };
     let mut module = EstimationModule::new(model, primal, cfg);
@@ -234,7 +231,6 @@ pub fn estimate_error_with(
         slots,
         adjoints,
         n_primal: primal.params.len(),
-        attribution: opts.attribution,
         exec: opts.exec.clone(),
         instrumented_assignments: instrumented,
     })
@@ -282,7 +278,7 @@ impl ErrorEstimator {
         self.execute_with(primal_args, &self.exec)
     }
 
-    /// Executes with explicit VM options (tape limits, approximations).
+    /// Executes with explicit VM options (tape limits, budgets, faults).
     pub fn execute_with(
         &self,
         primal_args: &[ArgValue],
@@ -334,9 +330,7 @@ impl ErrorEstimator {
         }
         args.push(ArgValue::F(0.0)); // _fp_error
         args.push(ArgValue::F(0.0)); // _primal_out
-        if self.attribution {
-            args.push(ArgValue::FArr(vec![0.0; self.slots.len()]));
-        }
+        args.push(ArgValue::FArr(vec![0.0; self.slots.len()])); // _var_err
         args
     }
 
@@ -345,12 +339,10 @@ impl ErrorEstimator {
         let extras_at = self.n_primal + self.adjoints.len();
         let fp_error = out.args[extras_at].as_f();
         let value = out.args[extras_at + 1].as_f();
+        let table = out.args[extras_at + 2].as_farr();
         let mut per_variable = HashMap::new();
-        if self.attribution {
-            let table = out.args[extras_at + 2].as_farr();
-            for (slot, name) in self.slots.names.iter().enumerate() {
-                per_variable.insert(name.clone(), table[slot]);
-            }
+        for (slot, name) in self.slots.names.iter().enumerate() {
+            per_variable.insert(name.clone(), table[slot]);
         }
         let gradient = self
             .adjoints

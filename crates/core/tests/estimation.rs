@@ -162,23 +162,17 @@ fn quantized_inputs_have_zero_adapt_error() {
 fn approx_model_reproduces_algorithm2() {
     // v = exp(u) with u mapped to exp/fasterexp: the estimate must track
     // the measured FastApprox substitution error.
-    let src = "double price(double u) {
-        double v = exp(u) * 2.0 + 1.0;
-        return v;
-    }";
-    let p = program(src);
+    let kernel =
+        |f: &str| format!("double price(double u) {{ double v = {f}(u) * 2.0 + 1.0; return v; }}");
+    let p = program(&kernel("exp"));
     let mut model = ApproxModel::new().with("u", Intrinsic::Exp, Intrinsic::FasterExp);
     let est = estimate_error_with(&p, "price", &mut model, &EstimateOptions::default()).unwrap();
+    // Ground truth: the same kernel with exp replaced by fasterexp.
+    let approx = program(&kernel("fasterexp"));
+    let c = chef_exec::compile::compile_default(approx.function("price").unwrap()).unwrap();
     for &u in &[0.1, 0.9, 1.7, -0.4] {
         let out = est.execute(&[ArgValue::F(u)]).unwrap();
-        // Ground truth: run with exp replaced by fasterexp.
-        let exec = ExecOptions {
-            approx: ApproxConfig::exact().with("exp", fastapprox::registry::Grade::Faster),
-            ..Default::default()
-        };
-        let inlined = chef_passes::inline_program(&p).unwrap();
-        let c = chef_exec::compile::compile_default(inlined.function("price").unwrap()).unwrap();
-        let approx_val = run_with(&c, vec![ArgValue::F(u)], &exec).unwrap().ret_f();
+        let approx_val = run(&c, vec![ArgValue::F(u)]).unwrap().ret_f();
         let actual = (approx_val - out.value).abs();
         // Algorithm 2 weighs Δ with the adjoint of the *input* variable
         // (which includes f'), so the estimate overshoots by roughly

@@ -1,77 +1,15 @@
-//! Exact and approximate evaluation of KernelC math intrinsics.
+//! Evaluation of KernelC math intrinsics.
 //!
-//! The VM evaluates every intrinsic in `f64`. When an [`ApproxConfig`] is
-//! installed (the paper's FastApprox substitution study, §IV-5), the
-//! configured intrinsics dispatch to their `fastapprox` counterparts
-//! instead — exactly like relinking a C program against the approximate
-//! math library.
+//! The VM evaluates every intrinsic in `f64`. The paper's FastApprox
+//! substitution study (§IV-5) is written in the source: a kernel calls
+//! `fastexp`, `fasterexp`, `fastlog`, `fastsqrt` or `fastnormcdf`, and
+//! those intrinsics evaluate the `fastapprox` functions.
 
 use chef_ir::ast::Intrinsic;
-use fastapprox::registry::{lookup, Grade};
-use std::collections::HashMap;
 
-/// Which intrinsics are replaced by approximations, and at which grade.
-///
-/// Mirrors the paper's two Black-Scholes configurations: Table IV row 1 is
-/// `{log: Fast, sqrt: Fast}`; row 2 additionally sets `{exp: Faster}`.
-#[derive(Clone, Debug, Default)]
-pub struct ApproxConfig {
-    grades: HashMap<&'static str, Grade>,
-}
-
-impl ApproxConfig {
-    /// No approximations (every intrinsic exact).
-    pub fn exact() -> Self {
-        ApproxConfig::default()
-    }
-
-    /// Adds an approximate replacement for `name` at `grade`; panics if
-    /// the function has no FastApprox counterpart.
-    pub fn with(mut self, name: &'static str, grade: Grade) -> Self {
-        assert!(
-            lookup(name).is_some(),
-            "no approximate implementation for `{name}`"
-        );
-        self.grades.insert(name, grade);
-        self
-    }
-
-    /// The paper's "FastApprox w/o Fast exp" configuration:
-    /// approximate `log` and `sqrt` (and `normcdf`, whose polynomial uses
-    /// them), keep `exp` exact.
-    pub fn without_fast_exp() -> Self {
-        ApproxConfig::exact()
-            .with("log", Grade::Fast)
-            .with("sqrt", Grade::Fast)
-    }
-
-    /// The paper's "FastApprox w/ Fast exp" configuration: additionally
-    /// replace `exp` with the coarse `fasterexp`.
-    pub fn with_fast_exp() -> Self {
-        ApproxConfig::without_fast_exp().with("exp", Grade::Faster)
-    }
-
-    /// The grade configured for `name`, if any.
-    pub fn grade_of(&self, name: &str) -> Option<Grade> {
-        self.grades.get(name).copied()
-    }
-
-    /// `true` if no intrinsic is approximated.
-    pub fn is_exact(&self) -> bool {
-        self.grades.is_empty()
-    }
-
-    /// Names of all approximated intrinsics (sorted, for reports).
-    pub fn approximated(&self) -> Vec<&'static str> {
-        let mut v: Vec<_> = self.grades.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-}
-
-/// Evaluates a unary intrinsic exactly (in `f64`).
+/// Evaluates a unary intrinsic in `f64`.
 #[inline]
-pub fn eval_exact1(i: Intrinsic, a: f64) -> f64 {
+pub fn eval1(i: Intrinsic, a: f64) -> f64 {
     match i {
         Intrinsic::Sin => a.sin(),
         Intrinsic::Cos => a.cos(),
@@ -104,9 +42,9 @@ pub fn eval_exact1(i: Intrinsic, a: f64) -> f64 {
     }
 }
 
-/// Evaluates a binary intrinsic exactly (in `f64`).
+/// Evaluates a binary intrinsic in `f64`.
 #[inline]
-pub fn eval_exact2(i: Intrinsic, a: f64, b: f64) -> f64 {
+pub fn eval2(i: Intrinsic, a: f64, b: f64) -> f64 {
     match i {
         Intrinsic::Pow => a.powf(b),
         Intrinsic::Fmin => a.min(b),
@@ -115,78 +53,20 @@ pub fn eval_exact2(i: Intrinsic, a: f64, b: f64) -> f64 {
     }
 }
 
-/// Evaluates a unary intrinsic under an approximation config: configured
-/// names use their FastApprox replacement, everything else stays exact.
-#[inline]
-pub fn eval1(i: Intrinsic, a: f64, cfg: &ApproxConfig) -> f64 {
-    // Fast path for the (default) exact configuration: skip the
-    // string-keyed grade lookup, which would otherwise hash the intrinsic
-    // name on every dispatched call in the VM's hot loop.
-    if cfg.is_exact() {
-        return eval_exact1(i, a);
-    }
-    if let Some(grade) = cfg.grade_of(i.name()) {
-        if let Some(entry) = lookup(i.name()) {
-            return entry.approx(grade)(a);
-        }
-    }
-    eval_exact1(i, a)
-}
-
-/// Evaluates a binary intrinsic under an approximation config.
-///
-/// Of the binary intrinsics only `pow` has a FastApprox counterpart.
-#[inline]
-pub fn eval2(i: Intrinsic, a: f64, b: f64, cfg: &ApproxConfig) -> f64 {
-    if cfg.is_exact() {
-        return eval_exact2(i, a, b);
-    }
-    if i == Intrinsic::Pow && cfg.grade_of("pow").is_some() {
-        return fastapprox::wide::fastpow64(a, b);
-    }
-    eval_exact2(i, a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn exact_matches_std() {
-        assert_eq!(eval_exact1(Intrinsic::Sin, 1.2), 1.2f64.sin());
-        assert_eq!(eval_exact1(Intrinsic::Sqrt, 2.0), 2.0f64.sqrt());
-        assert_eq!(eval_exact2(Intrinsic::Pow, 2.0, 10.0), 1024.0);
-        assert_eq!(eval_exact2(Intrinsic::Fmin, 1.0, -1.0), -1.0);
-    }
-
-    #[test]
-    fn approx_config_swaps_only_configured() {
-        let cfg = ApproxConfig::exact().with("exp", Grade::Fast);
-        let approx = eval1(Intrinsic::Exp, 1.0, &cfg);
-        assert_ne!(approx, 1.0f64.exp());
-        assert!((approx - 1.0f64.exp()).abs() < 1e-3);
-        // log untouched.
-        assert_eq!(eval1(Intrinsic::Log, 2.0, &cfg), 2.0f64.ln());
-    }
-
-    #[test]
-    fn paper_configurations() {
-        let row1 = ApproxConfig::without_fast_exp();
-        assert_eq!(row1.approximated(), vec!["log", "sqrt"]);
-        assert!(row1.grade_of("exp").is_none());
-        let row2 = ApproxConfig::with_fast_exp();
-        assert_eq!(row2.approximated(), vec!["exp", "log", "sqrt"]);
-        assert_eq!(row2.grade_of("exp"), Some(Grade::Faster));
-    }
-
-    #[test]
-    #[should_panic(expected = "no approximate implementation")]
-    fn unknown_approx_name_panics() {
-        let _ = ApproxConfig::exact().with("sin", Grade::Fast);
+        assert_eq!(eval1(Intrinsic::Sin, 1.2), 1.2f64.sin());
+        assert_eq!(eval1(Intrinsic::Sqrt, 2.0), 2.0f64.sqrt());
+        assert_eq!(eval2(Intrinsic::Pow, 2.0, 10.0), 1024.0);
+        assert_eq!(eval2(Intrinsic::Fmin, 1.0, -1.0), -1.0);
     }
 
     #[test]
     fn normcdf_exact_sane() {
-        assert!((eval_exact1(Intrinsic::NormCdf, 0.0) - 0.5).abs() < 1e-12);
+        assert!((eval1(Intrinsic::NormCdf, 0.0) - 0.5).abs() < 1e-12);
     }
 }

@@ -13,8 +13,10 @@
 //!   narrow-precision operation, so a [`compile::PrecisionMap`] of
 //!   demotions behaves exactly like the paper's hand-rewritten
 //!   mixed-precision source.
-//! * **Approximate intrinsics** ([`intrinsics`]): relink `exp`/`log`/
-//!   `sqrt`/… against FastApprox per call, for the approximation study.
+//! * **Approximate intrinsics** ([`intrinsics`]): the approximation
+//!   study's `fastexp`/`fasterexp`/`fastlog`/`fastsqrt`/`fastnormcdf`
+//!   are intrinsics a kernel calls in its source; they evaluate the
+//!   FastApprox functions.
 //! * **Tape accounting** ([`tape`]): the adjoint's push/pop stack tracks
 //!   peak bytes and supports a hard budget, reproducing the "ADAPT runs
 //!   out of memory" behaviour of the paper's figures.
@@ -354,7 +356,6 @@ pub mod prelude {
     };
     pub use crate::fault::{FaultKind, FaultPlan};
     pub use crate::fuse::{fuse_function, fuse_to_fixpoint, FuseStats};
-    pub use crate::intrinsics::ApproxConfig;
     pub use crate::pack::{pack_function, PackedCode};
     pub use crate::precision::{demotion_error, round_to, ulp};
     pub use crate::shadow::{

@@ -58,7 +58,7 @@
 
 use crate::arena::sealed::Run;
 use crate::bytecode::*;
-use crate::intrinsics::{eval1, eval2, ApproxConfig};
+use crate::intrinsics::{eval1, eval2};
 use crate::precision::round_to;
 use crate::tape::Tape;
 use crate::value::{ArgValue, Value};
@@ -95,13 +95,16 @@ pub trait ShadowNum: Copy + Send + Sync + 'static {
     /// `-a`.
     fn neg(a: Self) -> Self;
     /// Unary intrinsic. The default evaluates through `f64` (correct for
-    /// the `f64` shadow; a wider type may override per intrinsic).
-    fn intr1(i: Intrinsic, a: Self, approx: &ApproxConfig) -> Self {
-        Self::from_f64(eval1(i, a.to_f64(), approx))
+    /// the `f64` shadow; a wider type may override per intrinsic). An
+    /// override keeps the `fast*` intrinsics on their `fastapprox`
+    /// functions: the approximation is the program's semantics, so the
+    /// shadow measures precision error, not approximation error.
+    fn intr1(i: Intrinsic, a: Self) -> Self {
+        Self::from_f64(eval1(i, a.to_f64()))
     }
     /// Binary intrinsic (see [`ShadowNum::intr1`]).
-    fn intr2(i: Intrinsic, a: Self, b: Self, approx: &ApproxConfig) -> Self {
-        Self::from_f64(eval2(i, a.to_f64(), b.to_f64(), approx))
+    fn intr2(i: Intrinsic, a: Self, b: Self) -> Self {
+        Self::from_f64(eval2(i, a.to_f64(), b.to_f64()))
     }
     /// Comparison in shadow precision — what divergence detection asks to
     /// decide how the shadow *would have* branched. The default rounds
@@ -655,7 +658,6 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
     let words = &packed.words[..];
     let pool = &packed.pool[..];
     let len = words.len();
-    let approx = &opts.approx;
     let budget = opts.max_instrs.unwrap_or(u64::MAX);
     let trap_nf = opts.trap_on_nonfinite;
     let deadline = opts.deadline;
@@ -1034,9 +1036,9 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 let (x, intr) = (fld!(w_b), intrinsic!(fld!(w_d)));
                 let pa = fr!(x);
                 arith!(
-                    eval1(intr, pa, approx),
-                    S::intr1(intr, S::from_f64(pa), approx),
-                    S::intr1(intr, sf[x], approx),
+                    eval1(intr, pa),
+                    S::intr1(intr, S::from_f64(pa)),
+                    S::intr1(intr, sf[x]),
                     pend[x]
                 );
             }
@@ -1044,9 +1046,9 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 let (x, y, intr) = (fld!(w_b), fld!(w_c), intrinsic!(fld!(w_d)));
                 let (pa, pb) = (fr!(x), fr!(y));
                 arith!(
-                    eval2(intr, pa, pb, approx),
-                    S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
-                    S::intr2(intr, sf[x], sf[y], approx),
+                    eval2(intr, pa, pb),
+                    S::intr2(intr, S::from_f64(pa), S::from_f64(pb)),
+                    S::intr2(intr, sf[x], sf[y]),
                     pend[x] + pend[y]
                 );
             }
@@ -1174,9 +1176,9 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 let intr = intrinsic!(d & 63);
                 let pa = fr!(x);
                 arith!(
-                    round_to(eval1(intr, pa, approx), ty_from((d >> 6) as u8)),
-                    S::intr1(intr, S::from_f64(pa), approx),
-                    S::intr1(intr, sf[x], approx),
+                    round_to(eval1(intr, pa), ty_from((d >> 6) as u8)),
+                    S::intr1(intr, S::from_f64(pa)),
+                    S::intr1(intr, sf[x]),
                     pend[x]
                 );
             }
@@ -1185,9 +1187,9 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 let intr = intrinsic!(d & 63);
                 let (pa, pb) = (fr!(x), fr!(y));
                 arith!(
-                    round_to(eval2(intr, pa, pb, approx), ty_from((d >> 6) as u8)),
-                    S::intr2(intr, S::from_f64(pa), S::from_f64(pb), approx),
-                    S::intr2(intr, sf[x], sf[y], approx),
+                    round_to(eval2(intr, pa, pb), ty_from((d >> 6) as u8)),
+                    S::intr2(intr, S::from_f64(pa), S::from_f64(pb)),
+                    S::intr2(intr, sf[x], sf[y]),
                     pend[x] + pend[y]
                 );
             }

@@ -38,7 +38,6 @@
 
 use crate::arena::{sealed::Run, Pool};
 use crate::bytecode::*;
-use crate::intrinsics::ApproxConfig;
 use crate::precision::round_to;
 use crate::shadow::{exec_loop, Lane, NoShadow, ShadowNum};
 use crate::tape::{Tape, TapeError};
@@ -49,8 +48,6 @@ use chef_ir::types::FloatTy;
 /// Runtime execution options.
 #[derive(Clone, Debug, Default)]
 pub struct ExecOptions {
-    /// Approximate-intrinsics configuration (the FastApprox relink).
-    pub approx: ApproxConfig,
     /// Tape memory budget in bytes; exceeding it traps with
     /// [`TrapKind::Tape`] — this reproduces the ADAPT out-of-memory points
     /// in the paper's figures.
@@ -1096,21 +1093,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn approx_config_changes_results() {
-        let mut p = parse_program("double f(double x) { return exp(x); }").unwrap();
-        check_program(&mut p).unwrap();
-        let f = compile_default(&p.functions[0]).unwrap();
-        let exact = run(&f, vec![ArgValue::F(1.0)]).unwrap().ret_f();
-        let opts = ExecOptions {
-            approx: ApproxConfig::exact().with("exp", fastapprox::registry::Grade::Fast),
-            ..Default::default()
-        };
-        let approx = run_with(&f, vec![ArgValue::F(1.0)], &opts).unwrap().ret_f();
-        assert_ne!(exact, approx);
-        assert!((exact - approx).abs() < 1e-3);
-    }
-
-    #[test]
     fn demoted_param_rounds_on_entry() {
         let mut p = parse_program("double f(double x) { return x; }").unwrap();
         check_program(&mut p).unwrap();
@@ -1440,7 +1422,8 @@ pub(crate) mod tests {
         assert_eq!(err.pc, 0);
         assert_eq!(run_with(&f, args(), &opts).unwrap().ret_f(), 50.0);
 
-        // Injected panic unwinds and the thread-local machine survives.
+        // Injected panic unwinds: the pool discards the panicking run's
+        // machine and the next call checks out a clean one.
         let opts = ExecOptions {
             fault: Some(FaultPlan::new(Some(FaultKind::Panic), 2, 0, 16)),
             ..Default::default()

@@ -13,18 +13,17 @@
 //!   that trade much more accuracy for speed.
 //!
 //! All functions operate on `f32` like the C originals; `f64`-in/out
-//! wrappers (used by the KernelC VM, which stores all floats as `f64`)
-//! live in the [`wide`] module. The [`registry`] module maps intrinsic
-//! names to exact/approximate implementation pairs, which is how the
-//! approximation-error model of `chef-core` (paper Algorithm 2) evaluates
-//! `f(x) − f̃(x)`.
+//! wrappers live in the [`wide`] module. The KernelC VM, which stores
+//! all floats as `f64`, evaluates its `fast*` intrinsics through them.
+//! The approximation-error model of `chef-core` (paper Algorithm 2)
+//! emits `f(x) − f̃(x)` as KernelC source, with `f̃` one of those
+//! intrinsics.
 
 pub mod erf;
 pub mod exp;
 pub mod hyperbolic;
 pub mod log;
 pub mod pow;
-pub mod registry;
 pub mod sqrt;
 pub mod wide;
 

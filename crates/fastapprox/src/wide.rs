@@ -1,14 +1,15 @@
 //! `f64`-in/out wrappers over the `f32` approximations.
 //!
 //! The KernelC VM stores every float as `f64` and simulates narrower
-//! precisions by rounding on assignment, so its approximate-intrinsic
-//! table needs `fn(f64) -> f64` entry points. Each wrapper narrows the
+//! precisions by rounding on assignment, so each of its approximate
+//! intrinsics (`fastexp`, `fasterexp`, `fastlog`, `fastsqrt`,
+//! `fastnormcdf`) evaluates one of these `fn(f64) -> f64` wrappers,
+//! and so do the native FastApprox prices of the Black-Scholes study.
+//! Each wrapper narrows the
 //! argument to `f32` (exactly what calling the C library from a double
 //! context does), applies the `f32` approximation and widens the result.
 
-use crate::{
-    erf, exp::fasterexp, fastexp, fastlog, fastnormcdf, fastpow, fastsqrt, fasttanh, log::fasterlog,
-};
+use crate::{exp::fasterexp, fastexp, fastlog, fastnormcdf, fastsqrt};
 
 /// `fastexp` on doubles.
 pub fn fastexp64(x: f64) -> f64 {
@@ -25,39 +26,14 @@ pub fn fastlog64(x: f64) -> f64 {
     fastlog(x as f32) as f64
 }
 
-/// `fasterlog` on doubles.
-pub fn fasterlog64(x: f64) -> f64 {
-    fasterlog(x as f32) as f64
-}
-
 /// `fastsqrt` on doubles.
 pub fn fastsqrt64(x: f64) -> f64 {
     fastsqrt(x as f32) as f64
 }
 
-/// `fastpow` on doubles.
-pub fn fastpow64(x: f64, p: f64) -> f64 {
-    fastpow(x as f32, p as f32) as f64
-}
-
-/// `fasterf` on doubles.
-pub fn fasterf64(x: f64) -> f64 {
-    erf::fasterf(x as f32) as f64
-}
-
-/// `fasterfc` on doubles.
-pub fn fasterfc64(x: f64) -> f64 {
-    erf::fasterfc(x as f32) as f64
-}
-
 /// `fastnormcdf` on doubles.
 pub fn fastnormcdf64(x: f64) -> f64 {
     fastnormcdf(x as f32) as f64
-}
-
-/// `fasttanh` on doubles.
-pub fn fasttanh64(x: f64) -> f64 {
-    fasttanh(x as f32) as f64
 }
 
 #[cfg(test)]
@@ -69,13 +45,14 @@ mod tests {
         assert_eq!(fastexp64(1.25), fastexp(1.25) as f64);
         assert_eq!(fastlog64(7.5), fastlog(7.5) as f64);
         assert_eq!(fastsqrt64(3.0), fastsqrt(3.0) as f64);
-        assert_eq!(fastpow64(2.0, 0.5), fastpow(2.0, 0.5) as f64);
+        assert_eq!(fasterexp64(1.25), fasterexp(1.25) as f64);
+        assert_eq!(fastnormcdf64(0.5), fastnormcdf(0.5) as f64);
     }
 
     #[test]
     fn wrappers_are_close_to_std() {
         assert!((fastexp64(2.0) - 2.0f64.exp()).abs() / 2.0f64.exp() < 1e-3);
         assert!((fastlog64(10.0) - 10.0f64.ln()).abs() < 1e-3);
-        assert!((fastnormcdf64(0.5) - erf::normcdf64(0.5)).abs() < 2e-2);
+        assert!((fastnormcdf64(0.5) - crate::erf::normcdf64(0.5)).abs() < 2e-2);
     }
 }

@@ -79,13 +79,4 @@ proptest! {
     fn erfc64_complement(x in -5f64..5.0) {
         prop_assert!((erf::erf64(x) + erf::erfc64(x) - 1.0).abs() < 1e-11, "x={x}");
     }
-
-    #[test]
-    fn registry_gap_matches_direct_difference(x in 0.1f64..50.0) {
-        use fastapprox::registry::{lookup, Grade};
-        let e = lookup("exp").unwrap();
-        let gap = e.gap(Grade::Fast, x);
-        let direct = x.exp() - fastapprox::wide::fastexp64(x);
-        prop_assert_eq!(gap, direct);
-    }
 }

@@ -13,11 +13,11 @@
 //!
 //! Intrinsics (`sin`, `exp`, …) evaluate through `f64` — a documented
 //! precision floor: their local error reads as zero in DD mode. `sqrt`
-//! is refined to full DD precision with one Newton step (gated on the
-//! intrinsic not being relinked to an approximate implementation), and
-//! `fabs`/`fmin`/`fmax` are exact.
+//! is refined to full DD precision with one Newton step, and
+//! `fabs`/`fmin`/`fmax` are exact. The approximate `fast*` intrinsics
+//! (`fastsqrt` included) evaluate their `fastapprox` function, like the
+//! primal.
 
-use chef_exec::intrinsics::ApproxConfig;
 use chef_exec::shadow::ShadowNum;
 use chef_ir::ast::Intrinsic;
 
@@ -162,7 +162,7 @@ impl ShadowNum for DD {
         }
     }
 
-    fn intr1(i: Intrinsic, a: Self, approx: &ApproxConfig) -> Self {
+    fn intr1(i: Intrinsic, a: Self) -> Self {
         match i {
             // Exact at DD precision.
             Intrinsic::Fabs => {
@@ -172,16 +172,15 @@ impl ShadowNum for DD {
                     a
                 }
             }
-            // Full-DD sqrt, unless relinked to an approximate sqrt (then
-            // the shadow must follow the approximation to isolate
-            // *precision* error from *approximation* error).
-            Intrinsic::Sqrt if approx.grade_of("sqrt").is_none() => DD::sqrt(a),
-            // Everything else: f64 evaluation (documented precision floor).
-            _ => DD::new(chef_exec::intrinsics::eval1(i, a.hi, approx)),
+            // Full-DD sqrt (one Newton step).
+            Intrinsic::Sqrt => DD::sqrt(a),
+            // Everything else, `fastsqrt` included: f64 evaluation
+            // (documented precision floor).
+            _ => DD::new(chef_exec::intrinsics::eval1(i, a.hi)),
         }
     }
 
-    fn intr2(i: Intrinsic, a: Self, b: Self, approx: &ApproxConfig) -> Self {
+    fn intr2(i: Intrinsic, a: Self, b: Self) -> Self {
         match i {
             // Selection intrinsics are exact: compare at DD precision.
             // IEEE fmin/fmax semantics like the primal's `f64::min/max`:
@@ -204,7 +203,7 @@ impl ShadowNum for DD {
                     b
                 }
             }
-            _ => DD::new(chef_exec::intrinsics::eval2(i, a.hi, b.hi, approx)),
+            _ => DD::new(chef_exec::intrinsics::eval2(i, a.hi, b.hi)),
         }
     }
 
@@ -308,27 +307,19 @@ mod tests {
 
     #[test]
     fn fmin_fmax_discard_nan_like_the_primal() {
-        use chef_exec::intrinsics::ApproxConfig;
         use chef_exec::shadow::ShadowNum;
         use chef_ir::ast::Intrinsic;
-        let approx = ApproxConfig::exact();
         let nan = DD::new(f64::NAN);
         let five = DD::new(5.0);
         for i in [Intrinsic::Fmin, Intrinsic::Fmax] {
-            assert_eq!(<DD as ShadowNum>::intr2(i, nan, five, &approx).hi, 5.0);
-            assert_eq!(<DD as ShadowNum>::intr2(i, five, nan, &approx).hi, 5.0);
+            assert_eq!(<DD as ShadowNum>::intr2(i, nan, five).hi, 5.0);
+            assert_eq!(<DD as ShadowNum>::intr2(i, five, nan).hi, 5.0);
         }
         // Ordinary ordering still compares at DD precision.
         let lo = DD::add(DD::new(1.0), DD::new(2f64.powi(-70)));
         let hi = DD::add(DD::new(1.0), DD::new(2f64.powi(-60)));
-        assert_eq!(
-            <DD as ShadowNum>::intr2(Intrinsic::Fmin, lo, hi, &approx),
-            lo
-        );
-        assert_eq!(
-            <DD as ShadowNum>::intr2(Intrinsic::Fmax, lo, hi, &approx),
-            hi
-        );
+        assert_eq!(<DD as ShadowNum>::intr2(Intrinsic::Fmin, lo, hi), lo);
+        assert_eq!(<DD as ShadowNum>::intr2(Intrinsic::Fmax, lo, hi), hi);
     }
 
     #[test]
