@@ -259,6 +259,20 @@ pub enum Instr {
     /// `farr[arr][k] += f[src]` (bounds-checked) — [`Instr::FAddTo`] at a
     /// constant index.
     FAddToK { arr: AReg, k: i64, src: FReg },
+    /// `f[dst] = |f[a] * f[b]| * k` — the error term `ε·|x·x̄|` of
+    /// error-estimation code: `FMul t,a,b` ; `FIntr1 u,Fabs,t` ;
+    /// `FMulC dst,u,k`, each step rounded as before, with the product
+    /// and its absolute value in no register.
+    FAbsMulC { dst: FReg, a: FReg, k: f64, b: FReg },
+    /// `f[acc] += f[src]`, then `farr[arr][k] += f[src]`
+    /// (bounds-checked) — an error term added to the running total and
+    /// to its attribution slot: `FAdd acc,acc,src` ; `FAddToK arr,k,src`.
+    FAddAccK {
+        acc: FReg,
+        k: i64,
+        src: FReg,
+        arr: AReg,
+    },
     /// `i[dst] = i[a] + imm` (wrapping) — loop increments.
     IAddImm { dst: IReg, a: IReg, imm: i64 },
     /// Jump to `target` when `!(f[a] op f[b])` — fused compare-and-branch
@@ -570,15 +584,33 @@ mod tests {
     #[test]
     fn operand_table_matches_debug_and_guards_validation() {
         for ins in crate::pack::tests::instruction_shapes() {
-            // The table reports exactly the operands `Debug` shows.
+            // The table reports exactly the operands `Debug` shows, one
+            // visit per field.
             let mut regs = Vec::new();
-            ins.visit_regs(|class, r, _w| regs.push((class, r)));
+            ins.clone()
+                .visit_regs_mut(|class, r, _w| regs.push((class, *r)));
             regs.sort_unstable_by_key(|&(c, r)| (c as u8, r));
             assert_eq!(
                 (regs.clone(), ins.target()),
                 debug_operands(&ins),
                 "{ins:?}"
             );
+            // The shared visitor reports the same uses, with a field
+            // updated in place as both a read and a write.
+            let mut uses = Vec::new();
+            ins.visit_regs(|class, r, w| uses.push((class, r, w)));
+            let updated = ins.updated();
+            let mut once: Vec<Reg> = uses
+                .iter()
+                .filter(|&&(c, r, w)| w || updated != Some((c, r)))
+                .map(|&(c, r, _)| (c, r))
+                .collect();
+            once.sort_unstable_by_key(|&(c, r)| (c as u8, r));
+            assert_eq!(once, regs, "{ins:?}");
+            if let Some(u) = updated {
+                assert_eq!(ins.write(), Some(u), "{ins:?}");
+                assert!(uses.contains(&(u.0, u.1, false)), "{ins:?}");
+            }
 
             let func = function_of(&ins);
             crate::vm::validate_function(&func).unwrap_or_else(|e| panic!("{ins:?}: {e}"));

@@ -37,10 +37,11 @@
 //!   invisible: the write is trap-free and its value can only be read
 //!   by uses dominated by the original definition.
 //! * **Class B — float ops whose result may be non-finite** (`FAdd`,
-//!   `FMul`, `FDiv`, rounds, intrinsics, constant-operand forms, …),
-//!   hoisted behind a **zero-trip guard**: a copy of the loop header's
-//!   integer compare-and-branch exit test, retargeted to skip the
-//!   hoisted block when the loop would not execute. With the guard,
+//!   `FMul`, `FDiv`, rounds, intrinsics, constant-operand forms, the
+//!   fused error term `FAbsMulC`, …), hoisted behind a **zero-trip
+//!   guard**: a copy of the loop header's integer compare-and-branch
+//!   exit test, retargeted to skip the hoisted block when the loop
+//!   would not execute. With the guard,
 //!   the hoisted op executes exactly when the first iteration would
 //!   have executed it, with bit-identical operands, so a `NonFinite`
 //!   trap fires in the optimized stream iff it fired in the original
@@ -54,12 +55,13 @@
 //!   duplicating or de-duplicating them would change divergence
 //!   reports.
 //!
-//! `IDiv`/`IRem` (DivByZero), loads/stores (OobIndex, memory order),
-//! tape ops (side effects) and anything reading a register written in
-//! the loop are never hoisted. Deadline/budget semantics are
-//! unchanged: hoisted code is straight-line (probes happen only at
-//! taken backward jumps, which LICM neither adds nor removes per
-//! iteration — it only removes straight-line work between them).
+//! `IDiv`/`IRem` (DivByZero), loads/stores and accumulations (OobIndex,
+//! memory order), tape ops (side effects) and anything reading a
+//! register written in the loop are never hoisted. Deadline/budget
+//! semantics are unchanged: hoisted code is straight-line (probes
+//! happen only at taken backward jumps, which LICM neither adds nor
+//! removes per iteration — it only removes straight-line work between
+//! them).
 //!
 //! Every register and jump-target access (dataflow, hoist renaming,
 //! target remapping, compaction) goes through [`Instr`]'s operand
@@ -455,7 +457,8 @@ fn hoist_class(ins: &Instr) -> Option<HoistClass> {
         | FSubCR { .. }
         | FMulC { .. }
         | FDivC { .. }
-        | FDivCR { .. } => Some(HoistClass::NeedsGuard),
+        | FDivCR { .. }
+        | FAbsMulC { .. } => Some(HoistClass::NeedsGuard),
         _ => None,
     }
 }
@@ -845,11 +848,13 @@ fn plan_loop(
             }
             // Reads of dst outside the window would observe the deleted
             // def: reject (can only happen via same-block reads before
-            // pc; cross-block reads imply live-out, handled above).
-            if reads
-                .iter()
-                .any(|&u| cfg.block_of[u] == b && (u <= pc || u >= window_end))
-            {
+            // pc; cross-block reads imply live-out, handled above). A
+            // read that is also the in-place write of an accumulator
+            // cannot be renamed apart from it: reject that too.
+            if reads.iter().any(|&u| {
+                cfg.block_of[u] == b
+                    && (u <= pc || u >= window_end || func.instrs[u].updated() == Some(dst))
+            }) {
                 continue;
             }
             let next = match dst.0 {
@@ -1189,7 +1194,7 @@ pub fn dump(func: &CompiledFunction) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{CmpOp, IReg, ParamKind, ParamSpec, RetKind};
+    use crate::bytecode::{CmpOp, FReg, IReg, ParamKind, ParamSpec, RetKind};
     use crate::value::ArgValue;
     use chef_ir::span::Span;
 
@@ -1427,6 +1432,77 @@ mod tests {
         assert_eq!(func.n_iregs, 2);
         let after = run_budgeted(&func, vec![ArgValue::I(4)]);
         assert_eq!(before.ret, after.ret);
+    }
+
+    #[test]
+    fn licm_leaves_a_def_read_by_an_accumulator_in_place() {
+        use Instr::*;
+        // `t = x * x` is invariant, but the `FAddAccK` that reads it also
+        // writes it through the same field: renaming the hoisted def
+        // would rename that write too, so nothing is hoisted and every
+        // iteration recomputes `t`.
+        let (x, t, n, i) = (FReg(0), FReg(1), IReg(0), IReg(1));
+        let instrs = vec![
+            IConst { dst: i, v: 0 },
+            ICmpJmpFalse {
+                op: CmpOp::Lt,
+                a: i,
+                b: n,
+                target: 6,
+            },
+            FMul { dst: t, a: x, b: x },
+            FAddAccK {
+                acc: t,
+                k: 0,
+                src: x,
+                arr: crate::bytecode::AReg(0),
+            },
+            IAddImm {
+                dst: i,
+                a: i,
+                imm: 1,
+            },
+            Jmp { target: 1 },
+            RetF { src: t },
+        ];
+        let param = |name: &str, kind, reg| ParamSpec {
+            name: name.into(),
+            kind,
+            by_ref: false,
+            reg,
+        };
+        let func = CompiledFunction {
+            name: "hand".into(),
+            spans: vec![Span::default(); instrs.len()],
+            instrs,
+            n_fregs: 2,
+            n_iregs: 2,
+            n_aregs: 1,
+            params: vec![
+                param("x", ParamKind::F(chef_ir::types::FloatTy::F64), 0),
+                param("n", ParamKind::I, 0),
+                param("a", ParamKind::FArr(chef_ir::types::FloatTy::F64), 0),
+            ],
+            ret: RetKind::F(chef_ir::types::FloatTy::F64),
+            fvar_names: vec![],
+            avar_names: vec![(0, "a".into())],
+            packed: None,
+        };
+        let mut opt = func.clone();
+        let stats = optimize(&mut opt);
+        assert_eq!(stats.hoisted, 0, "{}", opt.disassemble());
+        for trips in [1i64, 3] {
+            let args = || {
+                vec![
+                    ArgValue::F(1.5),
+                    ArgValue::I(trips),
+                    ArgValue::FArr(vec![0.0]),
+                ]
+            };
+            let a = run_budgeted(&func, args());
+            let b = run_budgeted(&opt, args());
+            assert_eq!((a.ret, a.args), (b.ret, b.args), "trips={trips}");
+        }
     }
 
     #[test]

@@ -471,9 +471,10 @@ impl<'a> Compiler<'a> {
                         self.emit(Instr::RetVoid);
                     }
                     (Some(e), Type::Float(ft)) => {
-                        let (r, _) = self.expr_as_f(e)?;
-                        // Round to the declared return precision.
-                        let out = if ft != FloatTy::F64 {
+                        let (r, prec) = self.expr_as_f(e)?;
+                        // Round to the declared return precision, unless
+                        // the value already has it.
+                        let out = if ft != FloatTy::F64 && prec != ft {
                             let t = self.temp_f();
                             self.emit(Instr::FRound {
                                 dst: t,
@@ -1135,11 +1136,15 @@ mod tests {
     #[test]
     fn f32_arithmetic_gets_rounds() {
         let f = compile_src("float f(float x, float y) { float z; z = x + y; return z; }");
-        // x + y at f32 must be followed by a round to f32.
+        // x + y at f32 must be followed by a round to f32 (which the
+        // fuser folds into the add).
         assert!(
             f.instrs.iter().any(|i| matches!(
                 i,
                 Instr::FRound {
+                    ty: FloatTy::F32,
+                    ..
+                } | Instr::FAddRound {
                     ty: FloatTy::F32,
                     ..
                 }
@@ -1310,6 +1315,51 @@ mod tests {
             "{}",
             f.disassemble()
         );
+    }
+
+    #[test]
+    fn return_at_the_declared_precision_is_not_rounded_again() {
+        // `a + b` is rounded to `float` once; `return z` has nothing left
+        // to round, with fusion on or off.
+        let mut p =
+            parse_program("float f(float a, float b) { float z = a + b; return z; }").unwrap();
+        check_program(&mut p).unwrap();
+        let [unfused, fused] = [false, true].map(|fuse| {
+            let opts = CompileOptions {
+                fuse,
+                ..Default::default()
+            };
+            compile(&p.functions[0], &opts).unwrap()
+        });
+        for f in [&unfused, &fused] {
+            let rounds = f.instrs.iter().filter(|i| {
+                matches!(
+                    i,
+                    Instr::FRound { .. }
+                        | Instr::FAddRound { .. }
+                        | Instr::FSubRound { .. }
+                        | Instr::FMulRound { .. }
+                        | Instr::FDivRound { .. }
+                )
+            });
+            assert_eq!(rounds.count(), 1, "{}", f.disassemble());
+        }
+        // The result is the native `f32` sum.
+        let pairs = [
+            (0.1, 0.2),
+            (1.0, f64::from(f32::EPSILON) / 2.0),
+            (3.0e38, 3.0e38),
+            (-1.5e-45, 1.0e-45),
+            (16_777_216.0, 1.0),
+        ];
+        for (a, b) in pairs {
+            let native = f64::from(a as f32 + b as f32);
+            for f in [&unfused, &fused] {
+                let args = vec![crate::value::ArgValue::F(a), crate::value::ArgValue::F(b)];
+                let got = crate::vm::run(f, args).unwrap().ret_f();
+                assert_eq!(got.to_bits(), native.to_bits(), "{a} + {b}");
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,18 @@
 //! | `FCmp/ICmp t,…` ; `JmpIfFalse/True t,L` | [`Instr::FCmpJmpFalse`] … |
 //! | `FLoad u,arr,i` ; `FAdd w,u,s` ; `FStore arr,i,w` | [`Instr::FAddTo`] |
 //! | `IConst t,k` ; `FAddTo arr,t,s` | [`Instr::FAddToK`] |
+//! | `FMul t,a,b` ; `FIntr1 u,Fabs,t` ; `FMulC d,u,k` | [`Instr::FAbsMulC`] |
+//! | `FAdd acc,acc,s` ; `FAddToK arr,k,s` | [`Instr::FAddAccK`] |
+//!
+//! The last two are the error-estimation code's `ε·|x·x̄|` term and its
+//! two accumulations (into the running total and the variable's
+//! attribution slot), which every instrumented assignment repeats.
 //!
 //! A fused form is emitted only when [`crate::pack::fits`] says it has a
 //! packed encoding (an `FLoadOff` offset within `i8`, an immediate
-//! compare or `FAddToK` index within `i16`, an `FMulAdd` addend register
-//! below 256);
+//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`
+//! addend, `FAbsMulC` second factor or `FAddAccK` array register below
+//! 256);
 //! otherwise the window stays unfused, so fusion never makes a function
 //! unpackable.
 //!
@@ -55,6 +62,10 @@
 //! charges a named register's pending error to that variable and a
 //! non-finite trap names it. `f32`/`f16` arrays round the sum before
 //! the store, so their accumulations keep the `FRound` and stay unfused.
+//! The error-term window's product and magnitude registers must be
+//! unnamed for the same reasons; `FAddAccK` eliminates no register, but
+//! its add must read the accumulator on the left and a source distinct
+//! from it, so the fused op adds the same operands in the same order.
 
 use crate::bytecode::*;
 
@@ -72,6 +83,9 @@ pub struct FuseStats {
     /// `FLoad`+`FAdd`+`FStore` → [`Instr::FAddTo`], and `IConst`+`FAddTo`
     /// → [`Instr::FAddToK`].
     pub accumulate: u32,
+    /// `FMul`+`FIntr1 Fabs`+`FMulC` → [`Instr::FAbsMulC`], and
+    /// `FAdd`+`FAddToK` → [`Instr::FAddAccK`].
+    pub error_term: u32,
     /// `IConst`+`IAdd` → [`Instr::IAddImm`].
     pub add_imm: u32,
     /// Compare + conditional jump.
@@ -90,13 +104,14 @@ pub struct FuseStats {
 
 impl FuseStats {
     /// The counters as one array (order matches the field declarations).
-    fn counters(&mut self) -> [&mut u32; 11] {
+    fn counters(&mut self) -> [&mut u32; 12] {
         [
             &mut self.mul_add,
             &mut self.op_round,
             &mut self.load_off,
             &mut self.store_off,
             &mut self.accumulate,
+            &mut self.error_term,
             &mut self.add_imm,
             &mut self.cmp_branch,
             &mut self.intr_round,
@@ -331,8 +346,11 @@ fn mov_elim(
         _ => return None,
     };
     let ins = &func.instrs[pc];
+    // An accumulator's read and write share one field: retargeting the
+    // write would move the read too.
     if analysis.is_target[pc + 1]
         || ins.write() != Some(t)
+        || ins.updated() == Some(t)
         || d == t.1
         || !analysis.dead_after(func, &[pc + 2], t)
     {
@@ -367,6 +385,7 @@ fn match_specific(
         |width: usize, r: FReg| analysis.dead_after(func, &[pc + width], (RegClass::F, r.0));
     let dead_i =
         |width: usize, r: IReg| analysis.dead_after(func, &[pc + width], (RegClass::I, r.0));
+    let named = |r: FReg| func.fvar_names.iter().any(|&(n, _)| n == r.0);
 
     match *at(0)? {
         // IConst t ; IAdd … — address arithmetic and loop increments —
@@ -487,7 +506,6 @@ fn match_specific(
             else {
                 return None;
             };
-            let named = |r: FReg| func.fvar_names.iter().any(|&(n, _)| n == r.0);
             if !free(1)
                 || !free(2)
                 || a != u
@@ -536,9 +554,26 @@ fn match_specific(
                 None
             }
         }
-        // FMul t,a,b ; [FConst k ;] FAdd d,t,c  →  FMulAdd.
+        // FMul t,a,b ; [FConst k ;] FAdd d,t,c  →  FMulAdd, or
+        // FMul t,a,b ; FIntr1 u,Fabs,t ; FMulC d,u,k  →  FAbsMulC.
         Instr::FMul { dst: t, a, b } => {
             match *at(1)? {
+                Instr::FIntr1 {
+                    dst: u,
+                    intr: chef_ir::ast::Intrinsic::Fabs,
+                    a: t2,
+                } if free(1) && t2 == t => {
+                    let &Instr::FMulC { dst, a: u2, k } = at(2)? else {
+                        return None;
+                    };
+                    let ins = Instr::FAbsMulC { dst, a, k, b };
+                    let gone = |r: FReg| !named(r) && (r == dst || dead_f(3, r));
+                    if free(2) && u2 == u && crate::pack::fits(&ins) && gone(t) && gone(u) {
+                        stats.error_term += 1;
+                        return Rewrite::one(ins, 3);
+                    }
+                    None
+                }
                 Instr::FAdd { dst, a: x, b: y } if free(1) => {
                     let c = FReg(other_operand(t.0, x.0, y.0)?);
                     let ins = Instr::FMulAdd { dst, a, b, c };
@@ -577,21 +612,38 @@ fn match_specific(
                 _ => None,
             }
         }
+        // FAdd acc,acc,s ; FAddToK arr,k,s  →  FAddAccK (the error term
+        // added to the running total and to its attribution slot), or
         // FAdd/FSub/FDiv t,a,b ; FRound d,t  →  fused op+round.
-        Instr::FAdd { dst: t, a, b } => fuse_round(at(1), free(1), t, |dst, ty| Instr::FAddRound {
-            dst,
-            a,
-            b,
-            ty,
-        })
-        .and_then(|(ins, dst)| {
-            if dst == t || dead_f(2, t) {
-                stats.op_round += 1;
-                Rewrite::one(ins, 2)
-            } else {
-                None
+        Instr::FAdd { dst: t, a, b } => {
+            if let Some(&Instr::FAddToK { arr, k, src }) = at(1) {
+                let ins = Instr::FAddAccK {
+                    acc: t,
+                    k,
+                    src,
+                    arr,
+                };
+                if free(1) && a == t && b == src && src != t && crate::pack::fits(&ins) {
+                    stats.error_term += 1;
+                    return Rewrite::one(ins, 2);
+                }
+                return None;
             }
-        }),
+            fuse_round(at(1), free(1), t, |dst, ty| Instr::FAddRound {
+                dst,
+                a,
+                b,
+                ty,
+            })
+            .and_then(|(ins, dst)| {
+                if dst == t || dead_f(2, t) {
+                    stats.op_round += 1;
+                    Rewrite::one(ins, 2)
+                } else {
+                    None
+                }
+            })
+        }
         Instr::FSub { dst: t, a, b } => fuse_round(at(1), free(1), t, |dst, ty| Instr::FSubRound {
             dst,
             a,
@@ -739,6 +791,7 @@ mod tests {
     use crate::vm::{CallOutcome, Trap};
     use chef_ir::parser::parse_program;
     use chef_ir::typeck::check_program;
+    use chef_ir::types::FloatTy;
 
     /// Packs `f` and runs it: fusion drops the stale packed form, and
     /// only packed code runs.
@@ -1069,6 +1122,97 @@ mod tests {
         let b = run(&unfused, args()).unwrap();
         assert_eq!(a.args, b.args);
         assert_eq!(b.stats.instrs_executed - a.stats.instrs_executed, 5);
+    }
+
+    #[test]
+    fn error_term_and_its_accumulations_fuse_to_two_dispatches() {
+        // The estimator's instrumented assignment in miniature.
+        let src = "void f(double x, double xb, double v[], double &fp) {
+            double ee = 1e-16 * fabs(x * xb);
+            fp += ee;
+            v[1] += ee;
+        }";
+        let mut fused = compile_unfused(src);
+        let unfused = compile_unfused(src);
+        let stats = fuse_to_fixpoint(&mut fused);
+        assert_eq!(stats.error_term, 2, "{stats:?}\n{}", fused.disassemble());
+        assert!(
+            matches!(
+                fused.instrs[..],
+                [Instr::FAbsMulC { .. }, Instr::FAddAccK { k: 1, .. }, ..]
+            ),
+            "{}",
+            fused.disassemble()
+        );
+        let args = || {
+            vec![
+                ArgValue::F(0.1),
+                ArgValue::F(-3.0),
+                ArgValue::FArr(vec![0.5, 1.0 / 3.0]),
+                ArgValue::F(0.7),
+            ]
+        };
+        let a = run(&fused, args()).unwrap();
+        let b = run(&unfused, args()).unwrap();
+        assert_eq!(a.args, b.args);
+    }
+
+    #[test]
+    fn a_named_product_keeps_the_error_term_unfused() {
+        // `p` is a variable: its write is observable, so the product
+        // stays in its own instruction.
+        let mut f = compile_unfused(
+            "double f(double x, double xb) { double p = x * xb; return 1e-16 * fabs(p); }",
+        );
+        let stats = fuse_to_fixpoint(&mut f);
+        assert_eq!(stats.error_term, 0, "{}", f.disassemble());
+    }
+
+    #[test]
+    fn copy_elimination_leaves_an_accumulator_alone() {
+        // `FAddAccK t,…` ; `FMov d,t` with `t` dead afterwards: moving
+        // the write to `d` would move the read of `t` with it.
+        let (x, t, d) = (FReg(0), FReg(1), FReg(2));
+        let instrs = vec![
+            Instr::FConst { dst: t, v: 2.0 },
+            Instr::FAddAccK {
+                acc: t,
+                k: 0,
+                src: x,
+                arr: AReg(0),
+            },
+            Instr::FMov { dst: d, src: t },
+            Instr::RetF { src: d },
+        ];
+        let param = |name: &str, kind, reg| ParamSpec {
+            name: name.into(),
+            kind,
+            by_ref: false,
+            reg,
+        };
+        let unfused = CompiledFunction {
+            name: "hand".into(),
+            spans: vec![chef_ir::span::Span::default(); instrs.len()],
+            instrs,
+            n_fregs: 3,
+            n_iregs: 0,
+            n_aregs: 1,
+            params: vec![
+                param("x", ParamKind::F(FloatTy::F64), 0),
+                param("a", ParamKind::FArr(FloatTy::F64), 0),
+            ],
+            ret: RetKind::F(FloatTy::F64),
+            fvar_names: vec![],
+            avar_names: vec![(0, "a".into())],
+            packed: None,
+        };
+        let mut fused = unfused.clone();
+        let stats = fuse_to_fixpoint(&mut fused);
+        assert_eq!(stats.mov_elim, 0, "{}", fused.disassemble());
+        let args = || vec![ArgValue::F(0.25), ArgValue::FArr(vec![1.0])];
+        let a = run(&fused, args()).unwrap();
+        let b = run(&unfused, args()).unwrap();
+        assert_eq!((a.ret, a.args), (b.ret, b.args));
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! (sensitivity profiling, tuner candidates, the benchmark sweeps), and
 //! the engine is organized around that pattern in the layers below.
 //! Which fields of an [`bytecode::Instr`] are registers (and in which
-//! file, read or written) and which is a jump target is stated once, by
+//! file; read, written, or both, as an accumulator is) and which is a
+//! jump target is stated once, by
 //! the opcode table in `opcodes.rs`, which generates the operand visitor
 //! along with the [`pack::op`] numbers, the packer and [`pack::decode`]:
 //! the fuser's dataflow, the CFG tier's liveness, renaming and
@@ -41,7 +42,10 @@
 //!    the dominant pair in demoted code), intrinsic+round, constant-offset
 //!    array access (`FLoadOff`/`FStoreOff`), array accumulation
 //!    (`FAddTo`/`FAddToK`: the `a[i] += v` load-add-store of adjoint and
-//!    error-estimation code in one dispatch), add-immediate,
+//!    error-estimation code in one dispatch), the estimator's error term
+//!    (`FAbsMulC`: `ε·|x·x̄|` as one dispatch for its mul, `fabs` and
+//!    constant multiply) and its two accumulations (`FAddAccK`: the
+//!    running total and the variable's attribution slot), add-immediate,
 //!    compare-and-branch (register and immediate forms), constant-operand
 //!    arithmetic (`FMulC` …, so loop bodies stop re-materializing
 //!    `FConst`s every iteration) and generic copy elimination. Each
@@ -245,10 +249,10 @@
 //!
 //! Packing is **total on compiler output**. The per-instruction field
 //! limits (an `FLoadOff`/`FStoreOff` offset within `i8`, an immediate
-//! compare or `FAddToK` index within `i16`, an `FMulAdd` addend register
-//! below 256) are
-//! stated once, by [`pack::fits`], and fusion and the CFG tier never
-//! emit a form it rejects. What is left are whole-function limits — more
+//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`
+//! addend, `FAbsMulC` second factor or `FAddAccK` array register below
+//! 256) are stated once, by [`pack::fits`], and fusion and the CFG tier
+//! never emit a form it rejects. What is left are whole-function limits — more
 //! than 65 535 instructions, or a register index wider than u16 — and
 //! [`compile::compile`] reports those as
 //! [`compile::CompileError::Unsupported`] naming the limit. There is no

@@ -11,7 +11,9 @@
 //! * [`decode`], its inverse;
 //! * the operand visitor, [`Instr::visit_regs_mut`] and its borrowing
 //!   twin [`Instr::visit_regs`]: one arm per variant, visiting register
-//!   fields in slot order, reads first and then the write.
+//!   fields in slot order, reads first and then the write;
+//! * [`Instr::updated`], the register an instruction reads and writes
+//!   through one field.
 //!
 //! The compiler checks the table against [`Instr`]: every row lists
 //! every field of its variant, and each kind is implemented only for
@@ -124,10 +126,18 @@ impl Interner for Named<'_> {
     }
 }
 
+/// How an instruction uses a register field.
+enum Access {
+    Read,
+    Write,
+    /// Read, then written in place: one field, one index, both uses.
+    Update,
+}
+
 /// What a field is to the operand visitor: a register (file, index,
-/// whether written), the jump target, or neither.
+/// access), the jump target, or neither.
 enum Operand<R> {
-    Reg(RegClass, R, bool),
+    Reg(RegClass, R, Access),
     Target(R),
     Other,
 }
@@ -150,7 +160,7 @@ trait Kind<T> {
 }
 
 macro_rules! reg_kinds {
-    ($($(#[$doc:meta])* $k:ident: $t:ident in $class:ident, $write:literal;)*) => {$(
+    ($($(#[$doc:meta])* $k:ident: $t:ident in $class:ident, $access:ident;)*) => {$(
         $(#[$doc])*
         enum $k {}
         impl Kind<$t> for $k {
@@ -164,11 +174,11 @@ macro_rules! reg_kinds {
             }
             #[inline(always)]
             fn operand(v: &$t) -> Operand<u32> {
-                Operand::Reg(RegClass::$class, v.0, $write)
+                Operand::Reg(RegClass::$class, v.0, Access::$access)
             }
             #[inline(always)]
             fn operand_mut(v: &mut $t) -> Operand<&mut u32> {
-                Operand::Reg(RegClass::$class, &mut v.0, $write)
+                Operand::Reg(RegClass::$class, &mut v.0, Access::$access)
             }
         }
     )*};
@@ -176,17 +186,20 @@ macro_rules! reg_kinds {
 
 reg_kinds! {
     /// A float register the instruction reads.
-    FR: FReg in F, false;
+    FR: FReg in F, Read;
     /// The float register the instruction writes.
-    FW: FReg in F, true;
+    FW: FReg in F, Write;
+    /// The float register the instruction reads and then writes in
+    /// place (an accumulator).
+    FU: FReg in F, Update;
     /// An integer register the instruction reads.
-    IR: IReg in I, false;
+    IR: IReg in I, Read;
     /// The integer register the instruction writes.
-    IW: IReg in I, true;
+    IW: IReg in I, Write;
     /// An array register the instruction reads (or stores into).
-    AR: AReg in A, false;
+    AR: AReg in A, Read;
     /// The array register the instruction allocates.
-    AW: AReg in A, true;
+    AW: AReg in A, Write;
 }
 
 /// The jump target: an instruction index.
@@ -323,8 +336,9 @@ macro_rules! opcodes {
         /// fit, interning wide constants through `pool`; `None` when no
         /// row fits or `pool` gives no index.
         // A field that does not fit breaks out of its row's block, on to
-        // the next row (a wide constant is always a row's last field, so a
-        // failed row interns nothing). A row without fields always packs.
+        // the next row (in a row that has a next row, a wide constant is
+        // the last field, so a failed row interns nothing). A row without
+        // fields always packs.
         #[allow(unused_labels, unreachable_code)]
         pub(crate) fn pack_instr(ins: &Instr, pool: &mut impl Interner) -> Option<u64> {
             Some(match *ins {
@@ -378,11 +392,14 @@ macro_rules! opcodes {
             }
 
             /// The operand visitor: calls `f(class, &mut index, is_write)`
-            /// for every register operand, arrays included — in slot
+            /// once for every register field, arrays included — in slot
             /// order, the reads first and then the write — and returns
-            /// the jump target, if any. Generated from the opcode table,
-            /// the one statement of which fields are registers and which
-            /// is the target; the fuser's dataflow, the CFG tier and
+            /// the jump target, if any. A field the instruction updates
+            /// in place ([`Instr::updated`]) is one index for both uses,
+            /// so it is visited once, as the write: renaming it renames
+            /// the read too. Generated from the opcode table, the one
+            /// statement of which fields are registers and which is the
+            /// target; the fuser's dataflow, the CFG tier and
             /// [`crate::vm::validate_function`] all derive from it.
             #[inline(always)]
             pub(crate) fn visit_regs_mut(
@@ -391,10 +408,12 @@ macro_rules! opcodes {
             ) -> Option<&mut u32> {
                 match self {
                     $(Instr::$v { $($f),* } => {
-                        $(if let Operand::Reg(c, r, false) = <$k as Kind<_>>::operand_mut($f) {
+                        $(if let Operand::Reg(c, r, Access::Read) = <$k as Kind<_>>::operand_mut($f) {
                             f(c, r, false)
                         })*
-                        $(if let Operand::Reg(c, r, true) = <$k as Kind<_>>::operand_mut($f) {
+                        $(if let Operand::Reg(c, r, Access::Write | Access::Update) =
+                            <$k as Kind<_>>::operand_mut($f)
+                        {
                             f(c, r, true)
                         })*
                         $(if let Operand::Target(t) = <$k as Kind<_>>::operand_mut($f) {
@@ -405,21 +424,42 @@ macro_rules! opcodes {
                 None
             }
 
-            /// [`Instr::visit_regs_mut`] by shared reference: calls
-            /// `f(class, index, is_write)` in the same order and returns
-            /// the jump target, if any.
+            /// The register uses by shared reference: calls
+            /// `f(class, index, is_write)` for every read and every write
+            /// in the order of [`Instr::visit_regs_mut`], and returns the
+            /// jump target, if any. A field updated in place is both a
+            /// read and a write, so it is visited twice.
             #[inline(always)]
             pub(crate) fn visit_regs(&self, mut f: impl FnMut(RegClass, u32, bool)) -> Option<u32> {
                 match self {
                     $(Instr::$v { $($f),* } => {
-                        $(if let Operand::Reg(c, r, false) = <$k as Kind<_>>::operand($f) {
+                        $(if let Operand::Reg(c, r, Access::Read | Access::Update) =
+                            <$k as Kind<_>>::operand($f)
+                        {
                             f(c, r, false)
                         })*
-                        $(if let Operand::Reg(c, r, true) = <$k as Kind<_>>::operand($f) {
+                        $(if let Operand::Reg(c, r, Access::Write | Access::Update) =
+                            <$k as Kind<_>>::operand($f)
+                        {
                             f(c, r, true)
                         })*
                         $(if let Operand::Target(t) = <$k as Kind<_>>::operand($f) {
                             return Some(t);
+                        })*
+                    })*
+                }
+                None
+            }
+
+            /// The register the instruction reads and then writes through
+            /// one field, if any ([`Instr::FAddAccK`]'s accumulator). A
+            /// pass that renames reads apart from writes must leave such
+            /// an instruction alone.
+            pub(crate) fn updated(&self) -> Option<Reg> {
+                match self {
+                    $(Instr::$v { $($f),* } => {
+                        $(if let Operand::Reg(c, r, Access::Update) = <$k as Kind<_>>::operand($f) {
+                            return Some((c, r));
                         })*
                     })*
                 }
@@ -499,4 +539,6 @@ opcodes! {
     ICJTI = 64 => ICmpImmJmpTrue { a: IR @ A, imm: Imm @ B, target: Target @ C, op: Code @ D };
     FADDTO = 65 => FAddTo { arr: AR @ A, idx: IR @ B, src: FR @ C };
     FADDTOK = 66 => FAddToK { arr: AR @ A, k: Imm @ B, src: FR @ C };
+    FABSMULC = 67 => FAbsMulC { dst: FW @ A, a: FR @ B, k: Pool @ C, b: FR @ D };
+    FADDACCK = 68 => FAddAccK { acc: FU @ A, k: Imm @ B, src: FR @ C, arr: AR @ D };
 }

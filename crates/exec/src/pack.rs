@@ -37,12 +37,14 @@
 //! [`crate::compile::compile`] produces must pack. Two rules make that so:
 //!
 //! * Per-instruction range rules (a register above 65 535, or above 255
-//!   in [`Instr::FMulAdd`]'s 8-bit addend position; an
-//!   [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset outside `i8`; an
+//!   in an 8-bit D position: [`Instr::FMulAdd`]'s addend,
+//!   [`Instr::FAbsMulC`]'s second factor, [`Instr::FAddAccK`]'s array;
+//!   an [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset outside `i8`; an
 //!   [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`] immediate or
-//!   [`Instr::FAddToK`] index outside `i16`) are stated once, by [`fits`]. [`crate::fuse`] asks
-//!   it before emitting a superinstruction and keeps the unfused
-//!   sequence when the answer is no.
+//!   [`Instr::FAddToK`]/[`Instr::FAddAccK`] index outside `i16`) are
+//!   stated once, by [`fits`]. [`crate::fuse`] asks it before emitting a
+//!   superinstruction and keeps the unfused sequence when the answer is
+//!   no.
 //! * What is left are whole-function limits: more than 65 535
 //!   instructions (jump targets must fit a u16; a target equal to the
 //!   length — "fall off the end" — is still representable), or a
@@ -358,13 +360,15 @@ impl Pools {
 }
 
 /// Whether `ins` has a packed encoding, by the opcode table's slot
-/// widths: every register below 65 536
-/// (below 256 for [`Instr::FMulAdd`]'s addend), every jump target below
-/// 65 536, an [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset within
-/// `i8` and an [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`]
-/// immediate or [`Instr::FAddToK`] index within `i16`. (The constant pool never runs short: each
-/// instruction pools at most one constant, so a function within the
-/// length limit needs fewer than the 65 536 indices a u16 addresses.)
+/// widths: every register below 65 536 (below 256 in the D slot:
+/// [`Instr::FMulAdd`]'s addend, [`Instr::FAbsMulC`]'s second factor,
+/// [`Instr::FAddAccK`]'s array), every jump target below 65 536, an
+/// [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset within `i8` and an
+/// [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`] immediate or
+/// [`Instr::FAddToK`]/[`Instr::FAddAccK`] index within `i16`. (The
+/// constant pool never runs short: each instruction pools at most one
+/// constant, so a function within the length limit needs fewer than the
+/// 65 536 indices a u16 addresses.)
 /// [`crate::fuse`] asks this before it emits a superinstruction, so
 /// fusion never produces an unpackable form.
 pub fn fits(ins: &Instr) -> bool {
@@ -484,6 +488,24 @@ pub(crate) mod tests {
                 c: FReg(c),
             };
             assert_eq!(fits(&ins), ok, "{ins:?}");
+        }
+        // So do `FAbsMulC`'s second factor and `FAddAccK`'s array, and
+        // `FAddAccK` keeps its index in i16.
+        for (r, k, ok) in [(255, 32767, true), (256, 0, false), (0, 32768, false)] {
+            let term = Instr::FAbsMulC {
+                dst: FReg(0),
+                a: FReg(1),
+                k: 0.5,
+                b: FReg(r),
+            };
+            let acc = Instr::FAddAccK {
+                acc: FReg(0),
+                k,
+                src: FReg(1),
+                arr: AReg(r),
+            };
+            assert_eq!(fits(&term), r < 256, "{term:?}");
+            assert_eq!(fits(&acc), ok, "{acc:?}");
         }
         // Register above the 16-bit field.
         assert!(!fits(&Instr::FMov {

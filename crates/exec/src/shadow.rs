@@ -941,12 +941,12 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             }
         }};
     }
-    // `farr[w_a][$index] += f[w_c]`: the work of the `FLoad` ; `FAdd` ;
+    // `farr[$arr][$index] += f[$src]`: the work of the `FLoad` ; `FAdd` ;
     // `FStore` it fuses, in order, with the element and the sum in no
     // register (the unfused stream held them in unnamed temporaries).
     macro_rules! faddto {
-        ($index:expr) => {{
-            let (arr, index, src) = (fld!(w_a), $index, fld!(w_c));
+        ($arr:expr, $index:expr, $src:expr) => {{
+            let (arr, index, src): (usize, i64, usize) = ($arr, $index, $src);
             let slot = elem!(F, arr, index);
             let (old, x) = (*slot, fr!(src));
             if trap_nf && !old.is_finite() {
@@ -1233,8 +1233,55 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             op::FMULC => rk!(mul),
             op::FDIVC => rk!(div),
             op::FDIVCR => rk!(rev div),
-            op::FADDTO => faddto!(ir!(fld!(w_b))),
-            op::FADDTOK => faddto!(fld!(w_b_i16)),
+            op::FADDTO => faddto!(fld!(w_a), ir!(fld!(w_b)), fld!(w_c)),
+            op::FADDTOK => faddto!(fld!(w_a), fld!(w_b_i16), fld!(w_c)),
+            op::FABSMULC => {
+                // The error term `|a·b|·k` in the steps of the `FMul` ;
+                // `FIntr1 Fabs` ; `FMulC` it fuses, with the product and
+                // its magnitude in no register (the unfused stream held
+                // them in unnamed temporaries): each step keeps its
+                // sample, and the exact `fabs` records one only for a
+                // non-finite product.
+                let (x, y) = (fld!(w_b), fld!(w_d));
+                let (pa, pb) = (fr!(x), fr!(y));
+                let prod = pa * pb;
+                if trap_nf && !prod.is_finite() {
+                    return Err(nonfinite_trap(func, None, prod, pc));
+                }
+                // `|prod|` is finite exactly when `prod` is.
+                let mag = prod.abs();
+                let (mut l_mul, mut l_abs) = (0.0, 0.0);
+                if S::ACTIVE {
+                    let exact = S::mul(S::from_f64(pa), S::from_f64(pb));
+                    l_mul = S::sub(exact, S::from_f64(prod)).to_f64().abs();
+                    sample!(l_mul);
+                    let exact = S::intr1(Intrinsic::Fabs, S::from_f64(prod));
+                    l_abs = S::sub(exact, S::from_f64(mag)).to_f64().abs();
+                    sample!(l_abs);
+                }
+                let k = f64::from_bits(pool!(fld!(w_c)));
+                bin!(
+                    mul,
+                    mag,
+                    k,
+                    S::intr1(Intrinsic::Fabs, S::mul(sf[x], sf[y])),
+                    S::from_f64(k),
+                    pend[x] + pend[y] + l_mul + l_abs
+                );
+            }
+            op::FADDACCK => {
+                // `FAdd acc,acc,src`, then `FAddToK arr,k,src`.
+                let (acc, src) = (fld!(w_a), fld!(w_c));
+                bin!(
+                    add,
+                    fr!(acc),
+                    fr!(src),
+                    sf[acc],
+                    sf[src],
+                    pend[acc] + pend[src]
+                );
+                faddto!(fld!(w_d), fld!(w_b_i16), src);
+            }
             op::ICJFI => {
                 if !icmp(cmp_from(fld!(w_d) as u8), ir!(fld!(w_a)), fld!(w_b_i16)) {
                     jump!(fld!(w_c));

@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock};
 /// fail the version check, are quarantined, and get recompiled; the
 /// version also feeds [`content_key`], so a bump changes every key and
 /// stale-format entries are simply never looked up again.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Entry file magic.
 const MAGIC: [u8; 8] = *b"CHEFFUNC";

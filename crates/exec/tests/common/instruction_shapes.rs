@@ -311,6 +311,18 @@ pub(crate) fn instruction_shapes() -> Vec<Instr> {
             k: -32768,
             src: f(5),
         },
+        Instr::FAbsMulC {
+            dst: f(6),
+            a: f(7),
+            k: f64::EPSILON / 2.0,
+            b: f(255),
+        },
+        Instr::FAddAccK {
+            acc: f(2),
+            k: 32767,
+            src: f(3),
+            arr: AReg(255),
+        },
         Instr::RetI { src: i(7) },
         Instr::RetB { src: i(0) },
     ]

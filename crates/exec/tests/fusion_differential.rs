@@ -15,6 +15,7 @@
 //! `arg_array_bytes`). Only `instrs_executed` may differ — fusion's whole
 //! point — and it must not grow.
 
+use chef_exec::bytecode::Instr;
 use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_ir::ast::{Function, Program};
@@ -392,4 +393,128 @@ fn fused_accumulate_traps_non_finite_like_unfused() {
             assert_eq!(nonfinite(&fused), nonfinite(&unfused), "elem {elem}, v {v}");
         }
     }
+}
+
+// ------------------------------------------------ fused error term traps
+
+/// `f` with each `FAbsMulC`/`FAddAccK` expanded back into the window it
+/// fused (through fresh unnamed registers), re-packed: the fused stream
+/// as it was before these two fusions, with copy elimination and the
+/// other fusions kept. `f` must be straight-line code.
+fn error_forms_expanded(f: &CompiledFunction) -> CompiledFunction {
+    use chef_exec::bytecode::FReg;
+    assert!(!f.disassemble().contains("target"), "{}", f.disassemble());
+    let (u, w) = (FReg(f.n_fregs), FReg(f.n_fregs + 1));
+    let mut out = f.clone();
+    out.instrs.clear();
+    out.spans.clear();
+    for (ins, &span) in f.instrs.iter().zip(&f.spans) {
+        let window = match *ins {
+            Instr::FAbsMulC { dst, a, k, b } => vec![
+                Instr::FMul { dst: u, a, b },
+                Instr::FIntr1 {
+                    dst: w,
+                    intr: chef_ir::ast::Intrinsic::Fabs,
+                    a: u,
+                },
+                Instr::FMulC { dst, a: w, k },
+            ],
+            Instr::FAddAccK { acc, k, src, arr } => vec![
+                Instr::FAdd {
+                    dst: acc,
+                    a: acc,
+                    b: src,
+                },
+                Instr::FAddToK { arr, k, src },
+            ],
+            ref other => vec![other.clone()],
+        };
+        out.spans.extend(std::iter::repeat_n(span, window.len()));
+        out.instrs.extend(window);
+    }
+    out.n_fregs += 2;
+    out.packed = chef_exec::pack::pack_function(&out);
+    out
+}
+
+/// The trap's kind, and for a non-finite trap its value bits and the
+/// variable it names.
+fn trap_parts(t: &Trap) -> (String, Option<(u64, Option<String>)>) {
+    match &t.kind {
+        TrapKind::NonFinite { value, var, .. } => {
+            ("NonFinite".into(), Some((value.to_bits(), var.clone())))
+        }
+        other => (format!("{other:?}"), None),
+    }
+}
+
+/// Compiles `src` unfused and fused (the fused stream must hold a form
+/// `fused_form` accepts) and runs each case of `cases` on the unfused
+/// stream, the fused one and the fused one with the error forms
+/// expanded, with non-finite values trapping. All three must trap with
+/// the same kind and value; the fused and expanded traps must also name
+/// the same variable. (The unfused stream may name none where copy
+/// elimination moved a write from a temporary into the variable.)
+fn assert_traps_match(src: &str, fused_form: fn(&Instr) -> bool, cases: &[Vec<ArgValue>]) {
+    let [unfused, fused] = accumulate_pair(src, fused_form);
+    let expanded = error_forms_expanded(&fused);
+    let opts = ExecOptions {
+        trap_on_nonfinite: true,
+        ..Default::default()
+    };
+    for args in cases {
+        let [u, f, e] = [&unfused, &fused, &expanded]
+            .map(|c| trap_parts(&run_with(c, args.clone(), &opts).expect_err("traps")));
+        assert_eq!(f, e, "{args:?}");
+        assert_eq!(
+            (&f.0, f.1.as_ref().map(|p| p.0)),
+            (&u.0, u.1.as_ref().map(|p| p.0)),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn fused_error_term_traps_non_finite_like_unfused() {
+    // The estimator's `ε·|x·x̄|` with a constant large enough that the
+    // last step can overflow too. The product is +∞, −∞ or NaN (an
+    // intermediate, named by no variable); then the product is finite
+    // and `·k` overflows (`e`).
+    let cases: Vec<Vec<ArgValue>> = [
+        (1e200, 1e200),
+        (-1e200, 1e200),
+        (f64::NAN, 1.0),
+        (2.0, f64::NAN),
+        (1e300, 1.0),
+    ]
+    .iter()
+    .map(|&(x, xb)| vec![ArgValue::F(x), ArgValue::F(xb)])
+    .collect();
+    assert_traps_match(
+        "double f(double x, double xb) { double e = 1e10 * fabs(x * xb); return e; }",
+        |i| matches!(i, Instr::FAbsMulC { .. }),
+        &cases,
+    );
+}
+
+#[test]
+fn fused_error_accumulation_traps_like_unfused() {
+    // `_fp_error += _ee; _var_err[1] += _ee;` in miniature. The running
+    // total overflows (it names `fp`); the slot sum overflows; the slot
+    // holds ∞ or NaN before the add; the slot is out of bounds.
+    let cases: Vec<Vec<ArgValue>> = [
+        (vec![0.0, 0.0], 1e308, 1e308),
+        (vec![0.0, 1e308], 1e308, 0.0),
+        (vec![0.0, f64::INFINITY], 1.0, 0.0),
+        (vec![0.0, f64::NAN], 1.0, 0.0),
+        (vec![0.0], 1.0, 0.0),
+    ]
+    .into_iter()
+    .map(|(slots, ee, fp)| vec![ArgValue::FArr(slots), ArgValue::F(ee), ArgValue::F(fp)])
+    .collect();
+    assert_traps_match(
+        "void f(double v[], double ee, double &fp) { fp += ee; v[1] += ee; }",
+        |i| matches!(i, Instr::FAddAccK { k: 1, .. }),
+        &cases,
+    );
 }

@@ -1,8 +1,8 @@
 //! The five paper kernels' error-estimating adjoints (what
 //! `chef_core::estimate_error` generates and runs) under the fused
-//! array accumulation.
+//! array accumulation and the fused error term.
 //!
-//! * The fused accumulation is unobservable in the shadow lane: the
+//! * The fused forms are unobservable in the shadow lane: the
 //!   per-variable tables, the return error and the accumulated local
 //!   error are bit-identical, at declared precisions and with every
 //!   float scalar demoted to `f32` (the arrays stay `f64`, so the
@@ -14,12 +14,14 @@
 //!   iteration. On the double-double shadow, the shipped stream (fusion
 //!   and CFG tier on) is compared with itself with each
 //!   `FAddTo`/`FAddToK` expanded back into its `FLoad` ; `FAdd` ;
-//!   `FStore` window: other fused forms (`FMulAdd`, …) sample one local
-//!   error where their unfused pair samples two, which only a shadow
-//!   more precise than `f64` can tell apart.
+//!   `FStore` window, each `FAbsMulC` into its `FMul` ; `FIntr1 Fabs` ;
+//!   `FMulC` window and each `FAddAccK` into its `FAdd` ; `FAddToK`
+//!   pair: other fused forms (`FMulAdd`, …) sample one local error where
+//!   their unfused pair samples two, which only a shadow more precise
+//!   than `f64` can tell apart.
 //! * A dispatch-count gate: each adjoint's `instrs_executed` on a small
-//!   fixed input is pinned exactly, below the count before accumulations
-//!   fused, so a lost fusion fails here without a clock;
+//!   fixed input is pinned exactly, below the count before the error
+//!   term fused, so a lost fusion fails here without a clock;
 //!   `tape_total_pushes` is pinned alongside and did not move.
 
 use chef_core::prelude::{estimate_error, ErrorEstimator, EstimateOptions};
@@ -170,47 +172,57 @@ fn target_mut(ins: &mut Instr) -> Option<&mut u32> {
     }
 }
 
-/// `f` with every `FAddTo`/`FAddToK` expanded back into `[IConst t,k ;]
-/// FLoad u,arr,i ; FAdd w,u,s ; FStore arr,i,w` through fresh unnamed
-/// registers, re-packed.
+/// `ins` with every fused accumulation or error term expanded back into
+/// its window through the unnamed registers `u`, `w` and `t`.
+fn expand(ins: &Instr, (u, w, t): (FReg, FReg, IReg)) -> Vec<Instr> {
+    match *ins {
+        Instr::FAddTo { arr, idx, src } => vec![
+            Instr::FLoad { dst: u, arr, idx },
+            Instr::FAdd {
+                dst: w,
+                a: u,
+                b: src,
+            },
+            Instr::FStore { arr, idx, src: w },
+        ],
+        Instr::FAddToK { arr, k, src } => {
+            let mut window = vec![Instr::IConst { dst: t, v: k }];
+            window.extend(expand(&Instr::FAddTo { arr, idx: t, src }, (u, w, t)));
+            window
+        }
+        Instr::FAbsMulC { dst, a, k, b } => vec![
+            Instr::FMul { dst: u, a, b },
+            Instr::FIntr1 {
+                dst: w,
+                intr: chef_ir::ast::Intrinsic::Fabs,
+                a: u,
+            },
+            Instr::FMulC { dst, a: w, k },
+        ],
+        Instr::FAddAccK { acc, k, src, arr } => {
+            let mut window = vec![Instr::FAdd {
+                dst: acc,
+                a: acc,
+                b: src,
+            }];
+            window.extend(expand(&Instr::FAddToK { arr, k, src }, (u, w, t)));
+            window
+        }
+        ref other => vec![other.clone()],
+    }
+}
+
+/// `f` with every `FAddTo`/`FAddToK`/`FAbsMulC`/`FAddAccK` expanded back
+/// into its window through fresh unnamed registers, re-packed.
 fn accumulates_expanded(f: &CompiledFunction) -> CompiledFunction {
-    let (u, w, t) = (FReg(f.n_fregs), FReg(f.n_fregs + 1), IReg(f.n_iregs));
+    let fresh = (FReg(f.n_fregs), FReg(f.n_fregs + 1), IReg(f.n_iregs));
     let mut out = f.clone();
     out.instrs.clear();
     out.spans.clear();
     let mut remap = Vec::with_capacity(f.instrs.len() + 1);
     for (ins, &span) in f.instrs.iter().zip(&f.spans) {
         remap.push(out.instrs.len() as u32);
-        let window = match *ins {
-            Instr::FAddTo { arr, idx, src } => vec![
-                Instr::FLoad { dst: u, arr, idx },
-                Instr::FAdd {
-                    dst: w,
-                    a: u,
-                    b: src,
-                },
-                Instr::FStore { arr, idx, src: w },
-            ],
-            Instr::FAddToK { arr, k, src } => vec![
-                Instr::IConst { dst: t, v: k },
-                Instr::FLoad {
-                    dst: u,
-                    arr,
-                    idx: t,
-                },
-                Instr::FAdd {
-                    dst: w,
-                    a: u,
-                    b: src,
-                },
-                Instr::FStore {
-                    arr,
-                    idx: t,
-                    src: w,
-                },
-            ],
-            ref other => vec![other.clone()],
-        };
+        let window = expand(ins, fresh);
         out.spans.extend(std::iter::repeat_n(span, window.len()));
         out.instrs.extend(window);
     }
@@ -252,14 +264,19 @@ fn assert_shadow_unmoved<S: ShadowNum>(
 fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
     for case in cases() {
         let fused = compiled(&case, PrecisionMap::empty(), true, true);
-        assert!(
-            fused
-                .instrs
-                .iter()
-                .any(|i| matches!(i, Instr::FAddTo { .. } | Instr::FAddToK { .. })),
-            "{}: no accumulation fused — test is vacuous",
-            case.label
-        );
+        for (form, fused_form) in [
+            (
+                "error term",
+                (|i| matches!(i, Instr::FAbsMulC { .. })) as fn(&Instr) -> bool,
+            ),
+            ("accumulation", |i| matches!(i, Instr::FAddAccK { .. })),
+        ] {
+            assert!(
+                fused.instrs.iter().any(fused_form),
+                "{}: no {form} fused — test is vacuous",
+                case.label
+            );
+        }
         let demoted = scalars_demoted(&case);
         for (pm, what) in [(PrecisionMap::empty(), "declared"), (demoted, "demoted")] {
             let [unfused, fused] =
@@ -277,16 +294,17 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
 /// `(kernel, instrs_executed, tape_total_pushes)` of one run of the
 /// estimator adjoint compiled with fusion and the CFG tier on.
 const PINNED_COUNTS: [(&str, u64, u64); 5] = [
-    ("arclen", 184_051, 12_004),
-    ("simpsons", 73_025, 4_998),
-    ("kmeans", 119_763, 9_733),
-    ("blackscholes", 15_101, 1_053),
-    ("hpccg", 184_489, 12_174),
+    ("arclen", 160_042, 12_004),
+    ("simpsons", 64_019, 4_998),
+    ("kmeans", 102_210, 9_733),
+    ("blackscholes", 12_248, 1_053),
+    ("hpccg", 166_070, 12_174),
 ];
 
-/// `instrs_executed` of the same runs before accumulations fused (same
-/// kernel order); each pinned count must stay below.
-const BEFORE_FUSED_ACCUMULATE: [u64; 5] = [226_066, 86_041, 161_832, 20_412, 238_130];
+/// `instrs_executed` of the same runs before the error term and its
+/// accumulations fused (same kernel order); each pinned count must stay
+/// below.
+const BEFORE_FUSED_ERROR_TERM: [u64; 5] = [184_051, 73_025, 119_763, 15_101, 184_489];
 
 #[test]
 fn estimator_adjoint_dispatch_counts_are_pinned() {
@@ -304,7 +322,7 @@ fn estimator_adjoint_dispatch_counts_are_pinned() {
         })
         .collect();
     assert_eq!(actual, PINNED_COUNTS, "dispatch or tape counts moved");
-    for ((label, now, _), before) in PINNED_COUNTS.iter().zip(BEFORE_FUSED_ACCUMULATE) {
+    for ((label, now, _), before) in PINNED_COUNTS.iter().zip(BEFORE_FUSED_ERROR_TERM) {
         assert!(*now < before, "{label}: {now} is not below {before}");
     }
 }
