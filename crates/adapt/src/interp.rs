@@ -639,7 +639,7 @@ impl<'a> Interp<'a> {
                 match ty {
                     Type::Float(ft) => {
                         let (x, idx, p) = v.as_f();
-                        if *ft != FloatTy::F64 && p > *ft {
+                        if !p.fits_in(*ft) {
                             let r = round_to(x, *ft);
                             let i = match idx {
                                 Some(j) => Some(self.tape.record(Entry {
@@ -651,8 +651,9 @@ impl<'a> Interp<'a> {
                             };
                             Ok(TVal::F(r, i, *ft))
                         } else {
-                            // Widening (or same-width) casts are exact.
-                            Ok(TVal::F(x, idx, p.min(*ft)))
+                            // A cast to a precision holding every value
+                            // of `p` is exact.
+                            Ok(TVal::F(x, idx, p))
                         }
                     }
                     Type::Int => match v {

@@ -106,6 +106,20 @@ mod tests {
     }
 
     #[test]
+    fn half_to_bfloat_cast_rounds_like_chef_exec() {
+        // 1 + 2^-10 is a half but not a bfloat, so the cast rounds it to
+        // 1 (`Ord` puts half below bfloat; the cast must not skip the
+        // round on that account).
+        let f = func("double f(half h) { return (bfloat) h; }");
+        let h = 1.0 + 2f64.powi(-10);
+        let out = analyze(&f, &[ArgValue::F(h)], &Default::default()).unwrap();
+        assert_eq!(out.value, 1.0);
+        let widen = func("double f(half h) { return (float) h; }");
+        let out = analyze(&widen, &[ArgValue::F(h)], &Default::default()).unwrap();
+        assert_eq!(out.value, h);
+    }
+
+    #[test]
     fn array_inputs_get_per_element_adjoints() {
         let f = func(
             "double dot(double a[], double b[], int n) { double s = 0.0; for (int i = 0; i < n; i++) { s += a[i] * b[i]; } return s; }",

@@ -1132,7 +1132,26 @@ fn smoke() {
         println!("service: 64 jobs completed, drain leak-free");
     }
 
-    // 3. Persistent variant cache: cold compile vs warm disk load over
+    // 3. Span memory: each parallel batch runs on fresh worker threads
+    // that open spans (the steps above open spans on this thread only),
+    // and an exited worker's span ring is reused, so 200 batches leave
+    // at most the retired-ring budget plus the threads that held rings
+    // at once; gated below. The oldest retired rings' spans are evicted
+    // (counted as dropped) on the way.
+    for _ in 0..200 {
+        let sets = vec![vec![ArgValue::I(100)]; 4];
+        for out in chef_exec::vm::run_batch_parallel(&fused, sets, &opts, Some(2)) {
+            out.or_fail("span-memory batch trapped");
+        }
+    }
+    let span_rings = chef_telemetry::gauge("telemetry.span_rings").get() as usize;
+    let span_rings_bound = chef_telemetry::retired_span_ring_budget()
+        + chef_telemetry::gauge("telemetry.span_threads_peak").get() as usize;
+    println!(
+        "span rings: {span_rings} registered after 200 parallel batches (bound {span_rings_bound})"
+    );
+
+    // 4. Persistent variant cache: cold compile vs warm disk load over
     // the five app kernels. The store lives in `CHEF_CACHE_DIR` when
     // set (the CI cache-reuse job shares it across two runs, so the
     // second run resolves every kernel from disk) or in a throwaway
@@ -1292,7 +1311,7 @@ fn smoke() {
         bad
     };
 
-    // 4. Shadow-oracle smoke table: small workloads, same estimated-vs-
+    // 5. Shadow-oracle smoke table: small workloads, same estimated-vs-
     // measured rows as `repro --oracle`, written for the CI artifact.
     header("oracle smoke (estimated vs shadow-measured; -> BENCH_oracle_smoke.json)");
     let mut rows = Vec::new();
@@ -1388,6 +1407,14 @@ fn smoke() {
     if telemetry_prof_x > 1.5 {
         eprintln!(
             "telemetry regression: per-pc profiling ran at {telemetry_prof_x:.2}x (> 1.5x bar)"
+        );
+        failed = true;
+    }
+
+    // Span memory: threads that exited gave their span rings back.
+    if span_rings > span_rings_bound {
+        eprintln!(
+            "telemetry regression: {span_rings} span rings registered (bound {span_rings_bound})"
         );
         failed = true;
     }

@@ -205,9 +205,9 @@ impl<M: sealed::Run> Pool<M> {
         crate::par::parallel_map_init(
             arg_sets,
             max_threads,
-            || (self.checkout(), chef_telemetry::span("exec.worker")),
+            || (self.checkout(), chef_telemetry::span!("exec.worker")),
             |(pooled, _worker), args| {
-                let _run = chef_telemetry::span("exec.run");
+                let _run = chef_telemetry::span!("exec.run");
                 // The machine leaves its guard for the run: a panic
                 // unwinds past this local and drops it, so the guard
                 // `parallel_map_init` later drops (outside the unwind)

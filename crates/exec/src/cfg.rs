@@ -1087,7 +1087,7 @@ pub fn optimize(func: &mut CompiledFunction) -> CfgStats {
             break;
         }
         stats.rounds = round;
-        let _build = chef_telemetry::span("cfg.build");
+        let _build = chef_telemetry::span!("cfg.build");
         let cfg = Cfg::build(func);
         let dom = Dominators::compute(&cfg);
         let loops = match natural_loops(&cfg, &dom) {
@@ -1105,7 +1105,7 @@ pub fn optimize(func: &mut CompiledFunction) -> CfgStats {
             stats.loops = loops.len() as u32;
         }
         drop(_build);
-        let _licm = chef_telemetry::span("licm");
+        let _licm = chef_telemetry::span!("licm");
         let facts = RoundFacts::build(func, &cfg);
         for lp in &loops {
             let (hoists, guard) = plan_loop(func, &cfg, &dom, &facts, lp);

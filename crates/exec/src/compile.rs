@@ -180,20 +180,20 @@ pub fn compile_default(func: &Function) -> Result<CompiledFunction, CompileError
 
 /// Compiles `func` under `opts`.
 pub fn compile(func: &Function, opts: &CompileOptions) -> Result<CompiledFunction, CompileError> {
-    let _span = chef_telemetry::span("compile");
+    let _span = chef_telemetry::span!("compile");
     let mut c = Compiler::new(func, opts);
     c.assign_var_slots();
     c.compile_body()?;
     let mut compiled = c.finish();
     if opts.fuse {
-        let _span = chef_telemetry::span("fuse");
+        let _span = chef_telemetry::span!("fuse");
         crate::fuse::fuse_to_fixpoint(&mut compiled);
     }
     if opts.cfg {
         crate::cfg::optimize(&mut compiled);
     }
     if opts.pack {
-        let _span = chef_telemetry::span("pack");
+        let _span = chef_telemetry::span!("pack");
         let packed = crate::pack::try_pack(&compiled).map_err(|e| CompileError::Unsupported {
             msg: format!(
                 "`{}` does not fit the packed format: {}",
@@ -473,8 +473,8 @@ impl<'a> Compiler<'a> {
                     (Some(e), Type::Float(ft)) => {
                         let (r, prec) = self.expr_as_f(e)?;
                         // Round to the declared return precision, unless
-                        // the value already has it.
-                        let out = if ft != FloatTy::F64 && prec != ft {
+                        // the value already fits in it.
+                        let out = if !prec.fits_in(ft) {
                             let t = self.temp_f();
                             self.emit(Instr::FRound {
                                 dst: t,
@@ -620,13 +620,14 @@ impl<'a> Compiler<'a> {
     }
 
     /// `op` as an element of the array in `slot`: a float is rounded to
-    /// the element precision (unless it is already at most that precise).
+    /// the element precision unless its own precision fits in it
+    /// ([`FloatTy::fits_in`]).
     fn elem_value(&mut self, slot: Slot, op: Operand) -> Result<Operand, CompileError> {
         let Slot::FA(_, prec) = slot else {
             return Ok(op);
         };
         let (src, sp) = self.operand_as_f(op)?;
-        if prec != FloatTy::F64 && sp > prec {
+        if !sp.fits_in(prec) {
             let t = self.temp_f();
             self.emit(Instr::FRound {
                 dst: t,
@@ -667,7 +668,7 @@ impl<'a> Compiler<'a> {
         match slot {
             Slot::F(dst, prec) => {
                 let (src, sp) = self.operand_as_f(op)?;
-                if prec != FloatTy::F64 && sp > prec {
+                if !sp.fits_in(prec) {
                     self.emit(Instr::FRound { dst, src, ty: prec });
                 } else if src != dst {
                     self.emit(Instr::FMov { dst, src });
@@ -796,7 +797,7 @@ impl<'a> Compiler<'a> {
                 match ty {
                     Type::Float(ft) => {
                         let (r, p) = self.operand_as_f(inner)?;
-                        if *ft != FloatTy::F64 && p > *ft {
+                        if !p.fits_in(*ft) {
                             let dst = self.temp_f();
                             self.emit(Instr::FRound {
                                 dst,
@@ -805,7 +806,7 @@ impl<'a> Compiler<'a> {
                             });
                             Ok(Operand::F(dst, *ft))
                         } else {
-                            Ok(Operand::F(r, p.min(*ft)))
+                            Ok(Operand::F(r, p))
                         }
                     }
                     Type::Int => match inner {

@@ -39,6 +39,13 @@
 //! only `ExecStats::instrs_executed` shrinks. The `fusion_differential`
 //! integration test pins this across every `chef-apps` kernel.
 //!
+//! One caveat: the variable a `NonFinite` trap names can differ. Copy
+//! elimination retargets a write from a temporary to the variable the
+//! following `FMov` fed, so the trap raised by that write names the
+//! variable when fused and nothing when unfused:
+//! `double e = 1e10 * fabs(x * xb);` overflowing at the multiply by
+//! `1e10` traps with `var: Some("e")` fused and `var: None` unfused.
+//!
 //! ## Safety conditions
 //!
 //! A window is only fused when eliminating its intermediate register

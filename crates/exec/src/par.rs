@@ -78,8 +78,18 @@ where
         let chunk = n.div_ceil(threads);
         let run_chunk = &run_chunk;
         std::thread::scope(|s| {
-            for (res_chunk, item_chunk) in results.chunks_mut(chunk).zip(items.chunks_mut(chunk)) {
-                s.spawn(move || run_chunk(item_chunk, res_chunk));
+            let workers: Vec<_> = results
+                .chunks_mut(chunk)
+                .zip(items.chunks_mut(chunk))
+                .map(|(res_chunk, item_chunk)| s.spawn(move || run_chunk(item_chunk, res_chunk)))
+                .collect();
+            // Joined by hand: the scope's implicit join may return before
+            // a worker's thread-locals are destroyed, `join` only after,
+            // so a worker has released its span ring when the map returns.
+            for w in workers {
+                if let Err(p) = w.join() {
+                    resume_unwind(p);
+                }
             }
         });
     }

@@ -276,3 +276,49 @@ fn fusion_changes_the_stream_under_test() {
         }
     }
 }
+
+/// Compiles and runs `src`'s only function on `args`, fused or not.
+fn run_source(src: &str, args: Vec<ArgValue>, fuse: bool) -> CallOutcome {
+    let mut p = parse_program(src).unwrap();
+    check_program(&mut p).unwrap();
+    let opts = CompileOptions {
+        fuse,
+        ..Default::default()
+    };
+    let f = compile(&p.functions[0], &opts).unwrap();
+    run_with(&f, args, &ExecOptions::default()).expect("runs")
+}
+
+#[test]
+fn half_to_bfloat_conversions_round() {
+    // 1 + 2^-10 is a half but not a bfloat (7 stored significand bits),
+    // so every half-to-bfloat conversion must round it, to 1. A store
+    // into a scalar, a store into an array element and a cast each
+    // decide this; `Ord` puts half below bfloat, which once made all
+    // three skip the round.
+    let h = 1.0 + 2f64.powi(-10);
+    assert_eq!(HALF.round(h as f32), h);
+    for fuse in [true, false] {
+        let out = run_source(
+            "void f(half h, bfloat &b) { b = h; }",
+            vec![ArgValue::F(h), ArgValue::F(0.0)],
+            fuse,
+        );
+        assert_eq!(out.args[1].as_f(), 1.0, "scalar store (fuse {fuse})");
+        let out = run_source(
+            "void f(half h, bfloat b[]) { b[0] = h; }",
+            vec![ArgValue::F(h), ArgValue::FArr(vec![0.0])],
+            fuse,
+        );
+        let ArgValue::FArr(b) = &out.args[1] else {
+            panic!("array argument comes back as an array");
+        };
+        assert_eq!(b[0], 1.0, "array store (fuse {fuse})");
+        let out = run_source(
+            "double f(half h) { return (bfloat) h; }",
+            vec![ArgValue::F(h)],
+            fuse,
+        );
+        assert_eq!(out.ret_f(), 1.0, "cast (fuse {fuse})");
+    }
+}

@@ -72,6 +72,18 @@ impl FloatTy {
         }
     }
 
+    /// `true` when every value of `self` is a value of `wider`, so a
+    /// conversion from `self` to `wider` is exact. `Ord` does not say
+    /// this: `half` has the longer significand and `bfloat` the wider
+    /// exponent range, so neither holds the other.
+    pub fn fits_in(self, wider: FloatTy) -> bool {
+        match (self, wider) {
+            (a, b) if a == b => true,
+            (_, FloatTy::F64) | (FloatTy::F16 | FloatTy::BF16, FloatTy::F32) => true,
+            _ => false,
+        }
+    }
+
     /// All precisions, lowest first.
     pub const ALL: [FloatTy; 4] = [FloatTy::F16, FloatTy::BF16, FloatTy::F32, FloatTy::F64];
 }
@@ -176,6 +188,18 @@ mod tests {
         assert!(FloatTy::F16 < FloatTy::BF16);
         assert!(FloatTy::BF16 < FloatTy::F32);
         assert!(FloatTy::F32 < FloatTy::F64);
+    }
+
+    #[test]
+    fn fits_in_is_value_inclusion_not_order() {
+        use FloatTy::*;
+        for t in FloatTy::ALL {
+            assert!(t.fits_in(t) && t.fits_in(F64));
+        }
+        assert!(F16.fits_in(F32) && BF16.fits_in(F32));
+        // Half has more significand bits, bfloat more exponent range.
+        assert!(!F16.fits_in(BF16) && !BF16.fits_in(F16));
+        assert!(!F32.fits_in(F16) && !F64.fits_in(F32));
     }
 
     #[test]

@@ -30,16 +30,31 @@
 //!
 //! ## Spans
 //!
-//! [`span`] returns a guard that records a [`SpanRecord`] — name,
-//! monotonic start/end nanoseconds, parent link, thread id — into a
-//! **bounded per-thread ring buffer** ([`SPAN_RING_CAPACITY`] entries;
-//! the oldest records are overwritten and tallied in
-//! `spans_dropped`). Parents are tracked by a per-thread stack of open
-//! span ids, so nesting needs no allocation per span. On drop, the
-//! span's duration is additionally recorded into the histogram
-//! `span.<name>.ns`, which is where p50/p95/p99 latency per phase comes
-//! from. Timing uses a process-global [`std::time::Instant`] anchor, so
-//! start/end values are comparable across threads.
+//! [`span!`] (or the uncached [`span()`]) returns a guard that records a
+//! [`SpanRecord`] — name, monotonic start/end nanoseconds, parent link,
+//! thread id — into a **bounded ring buffer** held by the thread
+//! ([`SPAN_RING_CAPACITY`] entries; the oldest records are overwritten
+//! and tallied in `spans_dropped`). Parents are tracked by a per-thread
+//! stack of open span ids, so nesting needs no allocation per span. On
+//! drop, the span's duration is additionally recorded into the
+//! histogram `span.<name>.ns`, which is where p50/p95/p99 latency per
+//! phase comes from. Timing uses a process-global [`std::time::Instant`]
+//! anchor, so start/end values are comparable across threads.
+//!
+//! A ring belongs to a live thread. When the thread exits its ring is
+//! *retired*: it stays registered, so its records reach the next
+//! [`snapshot`]. A thread opening its first span takes over an empty
+//! retired ring (one [`reset`] emptied), with a fresh thread id; failing
+//! that it allocates a ring while fewer rings than the
+//! [`retired_span_ring_budget`] hold records, and past that evicts the
+//! oldest retired ring's records (counted in `spans_dropped`) and reuses
+//! it. Span memory is therefore bounded by the peak number of live
+//! threads with spans plus that budget, each ring at most
+//! [`SPAN_RING_CAPACITY`] records, not by the number of threads ever
+//! spawned (every parallel batch spawns fresh ones). The gauge
+//! `telemetry.span_rings` holds the current ring count and
+//! `telemetry.span_threads_peak` the most threads that held a ring at
+//! once; the first never exceeds the second plus the budget.
 //!
 //! ## Export
 //!
@@ -51,7 +66,7 @@
 //! and the `repro` harness call it between scenarios; handles stay
 //! valid).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
@@ -130,8 +145,9 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A fixed-bucket log₂-scale histogram of `u64` magnitudes (typically
 /// nanoseconds). Bucket `b ≥ 1` holds values in `[2^(b−1), 2^b)`;
-/// bucket 0 holds exactly 0. Recording is one relaxed `fetch_add` plus
-/// a `fetch_min`/`fetch_max` pair maintaining the observed extremes;
+/// bucket 0 holds exactly 0. Recording is three relaxed `fetch_add`s
+/// (bucket, count, sum) plus a `fetch_min`/`fetch_max` only when the
+/// value is a new extreme;
 /// quantiles are estimated from the bucket counts at read time (the
 /// bucket's geometric midpoint, clamped into `[min, max]` — so the
 /// estimate is within ~√2 of the true quantile and never reports a
@@ -175,8 +191,14 @@ impl Histogram {
         self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Extremes rarely move: read before writing, so concurrent
+        // recorders do not contend on them.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of observations.
@@ -271,7 +293,7 @@ struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
-    rings: Mutex<Vec<Arc<SpanRing>>>,
+    rings: Mutex<Rings>,
     next_thread: AtomicU64,
     next_span: AtomicU64,
 }
@@ -282,7 +304,7 @@ fn registry() -> &'static Registry {
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
         histograms: Mutex::new(BTreeMap::new()),
-        rings: Mutex::new(Vec::new()),
+        rings: Mutex::new(Rings::default()),
         next_thread: AtomicU64::new(0),
         next_span: AtomicU64::new(0),
     })
@@ -348,8 +370,7 @@ macro_rules! histogram {
 /// Keyed names are interned
 /// (leaked once, like every registry name), so an unbounded label space
 /// would be a leak; past the cap, new keys collapse into the shared
-/// `<base>.overflow` cell instead of minting fresh names — bounded by
-/// construction, like the span rings.
+/// `<base>.overflow` cell instead of minting fresh names.
 pub const MAX_KEYED_NAMES: usize = 1024;
 
 /// Interns `"<base>.<key>"` as a `'static` registry name, collapsing to
@@ -388,11 +409,45 @@ pub fn counter_keyed(base: &'static str, key: &str) -> &'static Counter {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// Capacity of each thread's span ring buffer. When a thread records
-/// more than this many spans between snapshots the oldest are
-/// overwritten (counted in [`TelemetrySnapshot::spans_dropped`]) —
-/// telemetry is bounded by construction, never a memory leak.
+/// Capacity of each span ring buffer. When a thread records more than
+/// this many spans between snapshots the oldest are overwritten (counted
+/// in [`TelemetrySnapshot::spans_dropped`]), so one ring never holds more
+/// than this many records.
 pub const SPAN_RING_CAPACITY: usize = 512;
+
+/// The retired-ring budget on hosts with at most 16 hardware threads;
+/// see [`retired_span_ring_budget`].
+pub const RETIRED_SPAN_RINGS: usize = 64;
+
+/// How many rings of exited threads are kept allocated:
+/// [`RETIRED_SPAN_RINGS`], or four per hardware thread where that is
+/// more. A thread's ring outlives it (its records stay visible to the
+/// next [`snapshot`]); a later thread takes over an empty one, allocates
+/// a new one while fewer than this many hold records, and past that
+/// evicts the oldest one's records (counted in `spans_dropped`) and
+/// reuses it. So the registered rings number at most the peak count of
+/// live threads with spans plus this budget, however many threads ever
+/// ran.
+///
+/// Every parallel batch retires one ring per hardware thread, so the
+/// budget grows with the host: a traced perfbench analyze op runs two
+/// batches between resets, and four rings per hardware thread keep both
+/// batches' worker records, with room for as many again.
+pub fn retired_span_ring_budget() -> usize {
+    static BUDGET: OnceLock<usize> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        RETIRED_SPAN_RINGS.max(4 * hw)
+    })
+}
+
+/// Name of the gauge holding the number of registered span rings (live
+/// and retired).
+const SPAN_RINGS_GAUGE: &str = "telemetry.span_rings";
+
+/// Name of the gauge holding the most threads that held a span ring at
+/// once.
+const SPAN_THREADS_PEAK_GAUGE: &str = "telemetry.span_threads_peak";
 
 /// One completed span: a named interval on one thread, with a link to
 /// the span that was open on the same thread when it started.
@@ -404,7 +459,9 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span on the same thread, if any.
     pub parent: Option<u64>,
-    /// Telemetry thread id (dense, assigned at each thread's first span).
+    /// Telemetry thread id (dense, assigned at each thread's first span;
+    /// never shared by two threads, even when one inherits the other's
+    /// ring).
     pub thread: u64,
     /// Start, in monotonic nanoseconds ([`now_ns`]).
     pub start_ns: u64,
@@ -412,36 +469,111 @@ pub struct SpanRecord {
     pub end_ns: u64,
 }
 
-struct RingInner {
+#[derive(Default)]
+struct SpanRing {
     buf: Vec<SpanRecord>,
     /// Next write position once `buf` reached capacity.
     next: usize,
     dropped: u64,
 }
 
-struct SpanRing {
-    thread: u64,
-    inner: Mutex<RingInner>,
-}
-
 impl SpanRing {
-    fn push(&self, rec: SpanRecord) {
-        let mut g = lock(&self.inner);
-        if g.buf.len() < SPAN_RING_CAPACITY {
-            g.buf.push(rec);
+    fn push(&mut self, rec: SpanRecord) {
+        if self.buf.len() < SPAN_RING_CAPACITY {
+            self.buf.push(rec);
         } else {
-            let at = g.next;
-            g.buf[at] = rec;
-            g.next = (at + 1) % SPAN_RING_CAPACITY;
-            g.dropped += 1;
+            let at = self.next;
+            self.buf[at] = rec;
+            self.next = (at + 1) % SPAN_RING_CAPACITY;
+            self.dropped += 1;
         }
+    }
+
+    /// Forgets every record, counting them as dropped; the buffer keeps
+    /// its allocation.
+    fn evict(&mut self) {
+        self.dropped += self.buf.len() as u64;
+        self.clear();
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.next = 0;
     }
 }
 
+type SharedRing = Arc<Mutex<SpanRing>>;
+
+/// The span rings: every ring is held by a live thread, retired with
+/// records, or spare (retired empty).
+#[derive(Default)]
+struct Rings {
+    /// Every registered ring: what [`snapshot`] reads.
+    all: Vec<SharedRing>,
+    /// Rings of exited threads that hold records, oldest retirement
+    /// first. A dead thread's ring changes only when [`reset`] empties
+    /// it, which moves it to `spare`.
+    retired: VecDeque<SharedRing>,
+    /// Empty rings of exited threads.
+    spare: Vec<SharedRing>,
+    /// Most rings held by live threads at once.
+    peak_live: usize,
+}
+
+impl Rings {
+    fn live(&self) -> usize {
+        self.all.len() - self.retired.len() - self.spare.len()
+    }
+
+    /// Publishes the ring count and the live peak as gauges (they
+    /// describe the registry's structure, so [`reset`] keeps them).
+    fn publish(&self) {
+        gauge!(SPAN_RINGS_GAUGE).set(self.all.len() as f64);
+        gauge!(SPAN_THREADS_PEAK_GAUGE).set(self.peak_live as f64);
+    }
+}
+
+/// A ring for a thread's first span: a spare ring if there is one, else
+/// a new ring while fewer than [`retired_span_ring_budget`] retired rings
+/// hold records, else the oldest retired ring with its records evicted.
+fn claim_ring() -> SharedRing {
+    let mut rings = lock(&registry().rings);
+    let ring = if let Some(ring) = rings.spare.pop() {
+        ring
+    } else if rings.retired.len() >= retired_span_ring_budget() {
+        let oldest = rings.retired.pop_front().expect("the budget is non-zero");
+        lock(&oldest).evict();
+        oldest
+    } else {
+        let ring = SharedRing::default();
+        rings.all.push(Arc::clone(&ring));
+        ring
+    };
+    rings.peak_live = rings.peak_live.max(rings.live());
+    rings.publish();
+    ring
+}
+
 struct ThreadSpans {
-    ring: Arc<SpanRing>,
+    ring: SharedRing,
+    /// Telemetry thread id stamped on this thread's records.
+    thread: u64,
     /// Ids of the spans currently open on this thread, outermost first.
     stack: Vec<u64>,
+}
+
+impl Drop for ThreadSpans {
+    /// The thread is exiting: its ring, records intact, waits for a
+    /// later thread.
+    fn drop(&mut self) {
+        let mut rings = lock(&registry().rings);
+        let ring = Arc::clone(&self.ring);
+        if lock(&ring).buf.is_empty() {
+            rings.spare.push(ring);
+        } else {
+            rings.retired.push_back(ring);
+        }
+    }
 }
 
 thread_local! {
@@ -457,29 +589,30 @@ pub struct Span {
     id: u64,
     parent: Option<u64>,
     start_ns: u64,
+    duration: &'static Histogram,
 }
 
 /// Opens a span named `name` on the current thread. The currently open
 /// span (if any) becomes its parent. Dropping the guard closes it.
+///
+/// This resolves the `span.<name>.ns` histogram under a registry lock on
+/// every call; hot call sites use [`span!`], which resolves it once.
 pub fn span(name: &'static str) -> Span {
+    span_into(name, span_histogram(name))
+}
+
+/// Opens a span named `name` whose duration `duration` records: the
+/// body of [`span!`], which passes its cached [`span_histogram`].
+#[doc(hidden)]
+pub fn span_into(name: &'static str, duration: &'static Histogram) -> Span {
     let reg = registry();
     let id = reg.next_span.fetch_add(1, Ordering::Relaxed) + 1;
     let parent = THREAD_SPANS.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let ts = slot.get_or_insert_with(|| {
-            let ring = Arc::new(SpanRing {
-                thread: reg.next_thread.fetch_add(1, Ordering::Relaxed),
-                inner: Mutex::new(RingInner {
-                    buf: Vec::new(),
-                    next: 0,
-                    dropped: 0,
-                }),
-            });
-            lock(&reg.rings).push(Arc::clone(&ring));
-            ThreadSpans {
-                ring,
-                stack: Vec::new(),
-            }
+        let ts = slot.get_or_insert_with(|| ThreadSpans {
+            ring: claim_ring(),
+            thread: reg.next_thread.fetch_add(1, Ordering::Relaxed),
+            stack: Vec::new(),
         });
         let parent = ts.stack.last().copied();
         ts.stack.push(id);
@@ -490,7 +623,21 @@ pub fn span(name: &'static str) -> Span {
         id,
         parent,
         start_ns: now_ns(),
+        duration,
     }
+}
+
+/// Cached [`span()`]: resolves the span's duration histogram once per
+/// call site, so opening and closing a span takes no process-wide lock.
+/// The name is a string literal, so it is the same on every call at a
+/// site; a dynamic name goes through [`span()`].
+#[macro_export]
+macro_rules! span {
+    ($name:literal) => {{
+        static SITE: ::std::sync::OnceLock<&'static $crate::Histogram> =
+            ::std::sync::OnceLock::new();
+        $crate::span_into($name, *SITE.get_or_init(|| $crate::span_histogram($name)))
+    }};
 }
 
 impl Drop for Span {
@@ -509,22 +656,22 @@ impl Drop for Span {
             if let Some(at) = ts.stack.iter().rposition(|&x| x == self.id) {
                 ts.stack.truncate(at);
             }
-            ts.ring.push(SpanRecord {
+            lock(&ts.ring).push(SpanRecord {
                 name: self.name,
                 id: self.id,
                 parent: self.parent,
-                thread: ts.ring.thread,
+                thread: ts.thread,
                 start_ns: self.start_ns,
                 end_ns,
             });
         });
-        span_duration_histogram(self.name).record(end_ns.saturating_sub(self.start_ns));
+        self.duration.record(end_ns.saturating_sub(self.start_ns));
     }
 }
 
 /// The `span.<name>.ns` duration histogram backing a span name. Span
 /// names form a small closed set, so the leaked key strings are bounded.
-fn span_duration_histogram(name: &'static str) -> &'static Histogram {
+pub fn span_histogram(name: &'static str) -> &'static Histogram {
     static KEYS: OnceLock<Mutex<BTreeMap<&'static str, &'static str>>> = OnceLock::new();
     let keys = KEYS.get_or_init(|| Mutex::new(BTreeMap::new()));
     let key = *lock(keys)
@@ -639,8 +786,8 @@ pub fn snapshot() -> TelemetrySnapshot {
         .collect();
     let mut spans = Vec::new();
     let mut spans_dropped = 0;
-    for ring in lock(&reg.rings).iter() {
-        let g = lock(&ring.inner);
+    for ring in &lock(&reg.rings).all {
+        let g = lock(ring);
         spans.extend(g.buf.iter().cloned());
         spans_dropped += g.dropped;
     }
@@ -668,12 +815,15 @@ pub fn reset() {
     for h in lock(&reg.histograms).values() {
         h.reset();
     }
-    for ring in lock(&reg.rings).iter() {
-        let mut g = lock(&ring.inner);
-        g.buf.clear();
-        g.next = 0;
+    let mut rings = lock(&reg.rings);
+    for ring in &rings.all {
+        let mut g = lock(ring);
+        g.clear();
         g.dropped = 0;
     }
+    let emptied = std::mem::take(&mut rings.retired);
+    rings.spare.extend(emptied);
+    rings.publish();
 }
 
 #[cfg(test)]
@@ -826,6 +976,110 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    fn ring_count() -> usize {
+        lock(&registry().rings).all.len()
+    }
+
+    #[test]
+    fn span_rings_are_bounded_by_live_threads_not_threads_spawned() {
+        let _s = serial();
+        let peak_before = gauge("telemetry.span_threads_peak").get() as usize;
+        let before = ring_count();
+        // Threads holding a ring now, such as an earlier test's thread
+        // that is still exiting; they can only exit, and no other test
+        // opens spans meanwhile.
+        let live = lock(&registry().rings).live();
+        // 1 000 short-lived threads, four alive at a time, with no reset
+        // in between: their rings are retired holding records, so past
+        // the budget the oldest are evicted and reused. `join` returns
+        // after a thread's thread-locals are gone, so each round's rings
+        // are retired before the next round starts.
+        for _ in 0..250 {
+            let round: Vec<_> = (0..4)
+                .map(|_| {
+                    std::thread::spawn(|| {
+                        let _outer = span("test.short");
+                        drop(span("test.short.inner"));
+                    })
+                })
+                .collect();
+            for t in round {
+                t.join().unwrap();
+            }
+        }
+        let peak = gauge("telemetry.span_threads_peak").get() as usize;
+        assert!(
+            peak <= peak_before.max(live + 4),
+            "{peak} threads held rings at once"
+        );
+        let bound = before.max(peak + retired_span_ring_budget());
+        let after = ring_count();
+        assert!(
+            after <= bound,
+            "{after} rings after 1000 threads (bound {bound})"
+        );
+        assert_eq!(gauge("telemetry.span_rings").get(), after as f64);
+    }
+
+    #[test]
+    fn an_exited_threads_records_reach_the_next_snapshot() {
+        let _s = serial();
+        reset();
+        let record = |name: &'static str, n: usize| {
+            std::thread::spawn(move || (0..n).map(|_| span(name).id).collect::<Vec<u64>>())
+                .join()
+                .unwrap()
+        };
+        let exited = record("test.exited", 100);
+        // A later thread with a full ring's worth of spans must not take
+        // over the exited thread's ring before a snapshot has read it.
+        let later = record("test.later", SPAN_RING_CAPACITY);
+        let snap = snapshot();
+        let ids = |name| -> Vec<u64> { snap.spans_named(name).iter().map(|s| s.id).collect() };
+        assert_eq!(ids("test.exited"), exited);
+        assert_eq!(ids("test.later"), later);
+        assert_eq!(snap.spans_dropped, 0);
+    }
+
+    #[test]
+    fn a_reused_ring_records_under_a_new_thread_id() {
+        let _s = serial();
+        reset();
+        std::thread::spawn(|| drop(span("test.dead")))
+            .join()
+            .unwrap();
+        let dead = snapshot().spans_named("test.dead")[0].thread;
+        // Emptied by the reset, the dead thread's ring (like every
+        // retired ring) may be taken over.
+        reset();
+        let before = ring_count();
+        std::thread::spawn(|| drop(span("test.heir")))
+            .join()
+            .unwrap();
+        assert_eq!(
+            ring_count(),
+            before,
+            "the heir allocated instead of reusing"
+        );
+        let heir = snapshot().spans_named("test.heir")[0].thread;
+        assert_ne!(heir, dead);
+    }
+
+    #[test]
+    fn span_macro_records_like_span() {
+        let _s = serial();
+        let id = crate::span!("test.macro").id;
+        let snap = snapshot();
+        assert!(snap
+            .spans
+            .iter()
+            .any(|s| s.id == id && s.name == "test.macro"));
+        assert!(snap
+            .histograms
+            .iter()
+            .any(|h| h.name == "span.test.macro.ns" && h.count >= 1));
     }
 
     #[test]

@@ -323,7 +323,7 @@ fn run_trial<T>(
     attempt: &mut Attempt<'_, T>,
     value_of: &dyn Fn(&T) -> Option<f64>,
 ) -> Result<TrialOutcome<T>, ChefError> {
-    let _span = chef_telemetry::span("trial");
+    let _span = chef_telemetry::span!("trial");
     let pinned = exec.fault.as_ref().map(FaultPlan::pin_trial);
     let mut once = |floor: Option<u64>,
                     fault: Option<FaultPlan>|
@@ -641,7 +641,7 @@ impl VariantCache {
                 // A zero-length span marking a compilation the disk tier
                 // made unnecessary — the warm-start signal `repro --smoke`
                 // and the cache-reuse CI job assert on.
-                drop(chef_telemetry::span("compile.skipped"));
+                drop(chef_telemetry::span!("compile.skipped"));
                 return Ok(self.insert(key, Arc::new(func)));
             }
         }
@@ -928,7 +928,7 @@ fn validate_configs_impl(
     fault: Option<&FaultPlan>,
     log: &FaultLog,
 ) -> Result<Vec<ValidationReport>, ChefError> {
-    let _span = chef_telemetry::span("validate");
+    let _span = chef_telemetry::span!("validate");
     let inlined = chef_passes::inline_program(program).map_err(ChefError::Inline)?;
     let primal = inlined
         .function(func)
@@ -1097,7 +1097,7 @@ pub fn tune_with_oracle(
     };
 
     let measure = |names: &[String], e: &ExecOptions| -> Result<ShadowReport, ChefError> {
-        let _span = chef_telemetry::span("oracle_run");
+        let _span = chef_telemetry::span!("oracle_run");
         let pm = config_for(primal, names, cfg.target);
         let compiled = cache
             .get_or_compile(primal, &pm)

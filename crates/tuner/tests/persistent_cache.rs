@@ -109,7 +109,7 @@ fn warm_start_loads_every_variant_without_compiling() {
     // Tag this thread's span ring so the zero-compile-span assertion
     // cannot be confused by tests running concurrently on other
     // threads.
-    drop(chef_telemetry::span("test.warm_phase"));
+    drop(chef_telemetry::span!("test.warm_phase"));
     let my_thread = {
         let snap = chef_telemetry::snapshot();
         snap.spans_named("test.warm_phase")
