@@ -23,6 +23,7 @@
 use crate::activity::{is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
 use chef_ir::ast::*;
+use chef_ir::precision;
 use chef_ir::span::Span;
 use chef_ir::types::{ElemTy, FloatTy, Type};
 use chef_ir::visit::{walk_expr, walk_expr_mut, MutVisitor, Visitor};
@@ -602,7 +603,7 @@ pub(crate) fn canonicalize_block(b: &mut Block) {
                 if let Some(bop) = op.binop() {
                     let lty = rhs
                         .ty
-                        .and_then(|rty| lhs_type(lhs).and_then(|l| Type::promote(l, rty)))
+                        .and_then(|rty| lhs_type(lhs).and_then(|l| precision::arith(l, rty)))
                         .or_else(|| lhs_type(lhs));
                     let read = lhs.to_expr(lhs_type(lhs).unwrap_or(Type::Float(FloatTy::F64)));
                     let mut new_rhs = Expr::new(

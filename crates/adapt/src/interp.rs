@@ -13,7 +13,7 @@
 //! * error estimation happens post-hoc over the recorded tape.
 
 use crate::tape::{Entry, EntryIdx, OpTape, TapeOom};
-use chef_exec::precision::{demotion_error, round_to};
+use chef_exec::precision::{self, demotion_error, round_to};
 use chef_exec::value::ArgValue;
 use chef_ir::ast::*;
 use chef_ir::types::{ElemTy, FloatTy, Type};
@@ -125,14 +125,22 @@ enum Slot {
 
 #[derive(Clone, Copy, Debug)]
 enum TVal {
-    /// value, tape index, effective precision (C-like promotion: narrow
-    /// operands produce narrow results, mirroring `chef-exec`'s compiler).
+    /// value, tape index, and the precision the rule of
+    /// [`chef_ir::precision`] gives it, as the compiler does.
     F(f64, Option<EntryIdx>, FloatTy),
     I(i64),
     B(bool),
 }
 
 impl TVal {
+    fn ty(self) -> Type {
+        match self {
+            TVal::F(.., p) => Type::Float(p),
+            TVal::I(_) => Type::Int,
+            TVal::B(_) => Type::Bool,
+        }
+    }
+
     fn as_f(self) -> (f64, Option<EntryIdx>, FloatTy) {
         match self {
             TVal::F(v, i, p) => (v, i, p),
@@ -639,22 +647,21 @@ impl<'a> Interp<'a> {
                 match ty {
                     Type::Float(ft) => {
                         let (x, idx, p) = v.as_f();
-                        if !p.fits_in(*ft) {
-                            let r = round_to(x, *ft);
-                            let i = match idx {
-                                Some(j) => Some(self.tape.record(Entry {
-                                    a: Some((j, 1.0)),
-                                    b: None,
-                                    value: r,
-                                })?),
-                                None => None,
-                            };
-                            Ok(TVal::F(r, i, *ft))
-                        } else {
+                        if p.fits_in(*ft) {
                             // A cast to a precision holding every value
                             // of `p` is exact.
-                            Ok(TVal::F(x, idx, p))
+                            return Ok(TVal::F(x, idx, *ft));
                         }
+                        let r = round_to(x, *ft);
+                        let i = match idx {
+                            Some(j) => Some(self.tape.record(Entry {
+                                a: Some((j, 1.0)),
+                                b: None,
+                                value: r,
+                            })?),
+                            None => None,
+                        };
+                        Ok(TVal::F(r, i, *ft))
                     }
                     Type::Int => match v {
                         TVal::F(x, ..) => Ok(TVal::I(x as i64)),
@@ -669,9 +676,8 @@ impl<'a> Interp<'a> {
 
     fn binop(&mut self, op: BinOp, a: TVal, b: TVal) -> Result<TVal, AdaptError> {
         use BinOp::*;
-        let float_op = matches!(a, TVal::F(..)) || matches!(b, TVal::F(..));
         if op.is_cmp() {
-            let r = if float_op {
+            let r = if matches!(a, TVal::F(..)) || matches!(b, TVal::F(..)) {
                 let (x, ..) = a.as_f();
                 let (y, ..) = b.as_f();
                 match op {
@@ -697,10 +703,9 @@ impl<'a> Interp<'a> {
             };
             return Ok(TVal::B(r));
         }
-        if float_op {
-            let (x, xi, px) = a.as_f();
-            let (y, yi, py) = b.as_f();
-            let prec = px.max(py);
+        if let Some(Type::Float(prec)) = precision::arith(a.ty(), b.ty()) {
+            let (x, xi, _) = a.as_f();
+            let (y, yi, _) = b.as_f();
             let (raw, da, db) = match op {
                 Add => (x + y, 1.0, 1.0),
                 Sub => (x - y, 1.0, -1.0),
@@ -709,8 +714,6 @@ impl<'a> Interp<'a> {
                 Rem => return Err(AdaptError::Runtime("float %".into())),
                 _ => unreachable!(),
             };
-            // C-like semantics (matching chef-exec): arithmetic whose
-            // operands are all narrow rounds its result to that precision.
             let value = round_to(raw, prec);
             let idx = if xi.is_some() || yi.is_some() {
                 Some(self.tape.record(Entry {
@@ -747,10 +750,10 @@ impl<'a> Interp<'a> {
     }
 
     fn intrinsic(&mut self, i: Intrinsic, vals: &[TVal]) -> Result<TVal, AdaptError> {
+        let prec = precision::intrinsic(vals.iter().map(|v| v.ty()));
         if i.arity() == 2 {
-            let (x, xi, px) = vals[0].as_f();
-            let (y, yi, py) = vals[1].as_f();
-            let prec = px.max(py);
+            let (x, xi, _) = vals[0].as_f();
+            let (y, yi, _) = vals[1].as_f();
             let value = round_to(chef_exec::intrinsics::eval2(i, x, y), prec);
             let (da, db) = match i {
                 Intrinsic::Pow => (y * x.powf(y - 1.0), x.powf(y) * x.ln()),
@@ -781,7 +784,7 @@ impl<'a> Interp<'a> {
             };
             return Ok(TVal::F(value, idx, prec));
         }
-        let (x, xi, prec) = vals[0].as_f();
+        let (x, xi, _) = vals[0].as_f();
         let value = round_to(chef_exec::intrinsics::eval1(i, x), prec);
         let d = numeric_derivative(i, x);
         let idx = match xi {

@@ -2,17 +2,11 @@
 //!
 //! The compiler assigns every variable a register, then lowers statements
 //! to the flat [`Instr`] stream. Floating-point precision is handled
-//! **bottom-up at compile time**: every expression has an *effective
-//! precision* computed from its operands, and any operation whose
-//! effective precision is below `f64` gets an explicit [`Instr::FRound`]
-//! after it. An arithmetic operation takes the higher of its operands'
-//! precisions (an integer operand counts as `f64`). An intrinsic call
-//! takes the highest precision among its float arguments, or `f64` when
-//! it has none: the `<cmath>` overload rule, under which `sin` of a
-//! `float` is computed and rounded as `float` (C's `sin` would promote
-//! it to `double`). Assignments round to the target variable's effective
-//! precision. The index of a compound `a[e] op= v` is evaluated once, as
-//! in C.
+//! **bottom-up at compile time**: every expression has the *effective
+//! precision* that [`chef_ir::precision`] states for its operands, and
+//! any operation whose effective precision is below `f64` gets an
+//! explicit [`Instr::FRound`] after it. The index of a compound
+//! `a[e] op= v` is evaluated once, as in C.
 //!
 //! "Effective" matters because of [`PrecisionMap`]: a mixed-precision
 //! configuration demotes chosen variables without touching the source,
@@ -25,6 +19,7 @@
 
 use crate::bytecode::*;
 use chef_ir::ast::*;
+use chef_ir::precision;
 use chef_ir::span::Span;
 use chef_ir::types::{ElemTy, FloatTy, Type};
 use std::collections::HashMap;
@@ -222,6 +217,17 @@ enum Operand {
     F(FReg, FloatTy),
     I(IReg),
     B(IReg),
+}
+
+impl Operand {
+    /// The KernelC type of the value, as the precision rule sees it.
+    fn ty(self) -> Type {
+        match self {
+            Operand::F(_, p) => Type::Float(p),
+            Operand::I(_) => Type::Int,
+            Operand::B(_) => Type::Bool,
+        }
+    }
 }
 
 struct Compiler<'a> {
@@ -712,9 +718,9 @@ impl<'a> Compiler<'a> {
                 let dst = self.temp_f();
                 self.emit(Instr::FConst { dst, v: *v });
                 // Honor the type annotation: constant folding may replace
-                // a `(float)`-cast subtree with an f32-typed literal whose
-                // value is exactly representable at that precision; the
-                // surrounding operation must keep f32 promotion semantics.
+                // a `(float)`-cast subtree with a `float`-typed literal
+                // whose value is exactly representable at that precision;
+                // the surrounding operation must keep computing at it.
                 let prec = match e.ty {
                     Some(Type::Float(ft)) => ft,
                     _ => FloatTy::F64,
@@ -797,17 +803,16 @@ impl<'a> Compiler<'a> {
                 match ty {
                     Type::Float(ft) => {
                         let (r, p) = self.operand_as_f(inner)?;
-                        if !p.fits_in(*ft) {
-                            let dst = self.temp_f();
-                            self.emit(Instr::FRound {
-                                dst,
-                                src: r,
-                                ty: *ft,
-                            });
-                            Ok(Operand::F(dst, *ft))
-                        } else {
-                            Ok(Operand::F(r, p))
+                        if p.fits_in(*ft) {
+                            return Ok(Operand::F(r, *ft));
                         }
+                        let dst = self.temp_f();
+                        self.emit(Instr::FRound {
+                            dst,
+                            src: r,
+                            ty: *ft,
+                        });
+                        Ok(Operand::F(dst, *ft))
                     }
                     Type::Int => match inner {
                         Operand::I(r) => Ok(Operand::I(r)),
@@ -879,11 +884,9 @@ impl<'a> Compiler<'a> {
             return Ok(Operand::B(dst));
         }
         // Arithmetic.
-        let any_float = matches!(a, Operand::F(..)) || matches!(b, Operand::F(..));
-        if any_float {
-            let (ra, pa) = self.operand_as_f(a)?;
-            let (rb, pb) = self.operand_as_f(b)?;
-            let prec = pa.max(pb);
+        if let Some(Type::Float(prec)) = precision::arith(a.ty(), b.ty()) {
+            let (ra, _) = self.operand_as_f(a)?;
+            let (rb, _) = self.operand_as_f(b)?;
             let dst = self.temp_f();
             let ins = match op {
                 BinOp::Add => Instr::FAdd { dst, a: ra, b: rb },
@@ -926,16 +929,13 @@ impl<'a> Compiler<'a> {
 
     fn intrinsic_call(&mut self, i: Intrinsic, args: &[Expr]) -> Result<Operand, CompileError> {
         let mut regs = Vec::with_capacity(args.len());
-        let mut prec: Option<FloatTy> = None;
+        let mut tys = Vec::with_capacity(args.len());
         for a in args {
             let op = self.expr(a)?;
-            if let Operand::F(_, p) = op {
-                prec = Some(prec.map_or(p, |q| q.max(p)));
-            }
-            let (r, _) = self.operand_as_f(op)?;
-            regs.push(r);
+            tys.push(op.ty());
+            regs.push(self.operand_as_f(op)?.0);
         }
-        let prec = prec.unwrap_or(FloatTy::F64);
+        let prec = precision::intrinsic(tys);
         let dst = self.temp_f();
         match regs.len() {
             1 => {

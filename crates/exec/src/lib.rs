@@ -8,7 +8,8 @@
 //!
 //! Key capabilities:
 //!
-//! * **Precision simulation** ([`precision`]): `half`/`bfloat`/`float`
+//! * **Precision simulation** ([`precision`], chef-ir's statement of
+//!   KernelC's precision rule, re-exported): `half`/`bfloat`/`float`
 //!   variables are stored as `f64` and rounded on every assignment and
 //!   narrow-precision operation, so a [`compile::PrecisionMap`] of
 //!   demotions behaves exactly like the paper's hand-rewritten
@@ -344,7 +345,7 @@ pub mod intrinsics;
 mod opcodes;
 pub mod pack;
 pub mod par;
-pub mod precision;
+pub use chef_ir::precision;
 pub mod shadow;
 pub mod store;
 pub mod tape;

@@ -176,7 +176,7 @@ pub fn content_key(primal: &Function, opts: &CompileOptions) -> ContentKey {
             (name, ty)
         })
         .collect();
-    entries.sort();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
     let absorb = |h: &mut Fnv64| {
         h.write_u32(FORMAT_VERSION);
         h.write_str(&src);

@@ -455,10 +455,11 @@ impl Expr {
         )
     }
 
-    /// Binary-op helper; result type via promotion (panics on non-numeric).
+    /// Binary-op helper; result type by [`crate::precision::arith`]
+    /// (panics on non-numeric).
     pub fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         let ty = if op.is_arith() {
-            Type::promote(lhs.type_of(), rhs.type_of())
+            crate::precision::arith(lhs.type_of(), rhs.type_of())
                 .unwrap_or_else(|| panic!("bad promote {:?} {:?}", lhs.ty, rhs.ty))
         } else {
             Type::Bool
@@ -505,20 +506,11 @@ impl Expr {
         )
     }
 
-    /// Intrinsic call helper; result is the promoted float type of the
-    /// arguments (intrinsics operate on floats).
+    /// Intrinsic call helper; result precision by
+    /// [`crate::precision::intrinsic`].
     pub fn call(i: Intrinsic, args: Vec<Expr>) -> Expr {
         debug_assert_eq!(args.len(), i.arity(), "intrinsic {} arity", i.name());
-        let ty = args
-            .iter()
-            .map(Expr::type_of)
-            .reduce(|a, b| Type::promote(a, b).unwrap_or(Type::Float(FloatTy::F64)))
-            .unwrap_or(Type::Float(FloatTy::F64));
-        let ty = if ty.is_float() {
-            ty
-        } else {
-            Type::Float(FloatTy::F64)
-        };
+        let ty = Type::Float(crate::precision::intrinsic(args.iter().map(Expr::type_of)));
         Expr::typed(
             ExprKind::Call {
                 callee: Callee::Intrinsic(i),

@@ -35,6 +35,7 @@ pub mod ast;
 pub mod diag;
 pub mod lexer;
 pub mod parser;
+pub mod precision;
 pub mod printer;
 pub mod span;
 pub mod token;

@@ -11,6 +11,8 @@
 //!   → wider float at use sites); narrowing happens either at *assignment*
 //!   (that is where rounding error enters — the paper's error models hook
 //!   assignments) or through an explicit cast such as `(float)x`;
+//! * arithmetic and intrinsic calls have the result precision
+//!   [`crate::precision`] states;
 //! * arrays are indexed by `int` and cannot be assigned wholesale;
 //! * user calls must match the callee's signature; intrinsics their arity.
 //!
@@ -20,6 +22,7 @@
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Diagnostics};
+use crate::precision;
 use crate::types::{ElemTy, Type};
 use std::collections::HashMap;
 
@@ -410,7 +413,7 @@ impl<'a> Checker<'a> {
                     }
                     return Some(Type::Int);
                 }
-                match Type::promote(lt, rt) {
+                match precision::arith(lt, rt) {
                     Some(t) => {
                         if op.is_cmp() {
                             Some(Type::Bool)
@@ -444,7 +447,6 @@ impl<'a> Checker<'a> {
                             );
                             return None;
                         }
-                        let mut result = Type::Float(crate::types::FloatTy::F32);
                         for t in arg_tys.iter().flatten() {
                             if !t.is_numeric_scalar() {
                                 self.error(
@@ -456,20 +458,9 @@ impl<'a> Checker<'a> {
                                 );
                                 return None;
                             }
-                            if let Type::Float(_) = t {
-                                result = Type::promote(result, *t).unwrap_or(result);
-                            }
                         }
-                        // Intrinsics on pure-int arguments compute in double.
-                        if !result.is_float() {
-                            result = Type::Float(crate::types::FloatTy::F64);
-                        }
-                        // Minimum precision for math intrinsics is f32; an
-                        // all-int call yields f64 (C's math.h behaviour).
-                        if arg_tys.iter().flatten().all(|t| *t == Type::Int) {
-                            result = Type::Float(crate::types::FloatTy::F64);
-                        }
-                        Some(result)
+                        let result = precision::intrinsic(arg_tys.iter().flatten().copied());
+                        Some(Type::Float(result))
                     }
                     Callee::Func(name) => {
                         let sig = match self.sigs.get(name.as_str()) {

@@ -10,9 +10,10 @@ use std::fmt;
 
 /// Floating-point precision of a scalar or array element.
 ///
-/// Ordered from lowest to highest precision; `Ord` follows that order so the
-/// tuner can compare precisions directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The formats are only partially ordered, by [`FloatTy::fits_in`]; the
+/// format two precisions compute at is their [`FloatTy::join`]
+/// ([`crate::precision`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FloatTy {
     /// IEEE 754 binary16 (`half`): 11-bit significand.
     F16,
@@ -73,9 +74,9 @@ impl FloatTy {
     }
 
     /// `true` when every value of `self` is a value of `wider`, so a
-    /// conversion from `self` to `wider` is exact. `Ord` does not say
-    /// this: `half` has the longer significand and `bfloat` the wider
-    /// exponent range, so neither holds the other.
+    /// conversion from `self` to `wider` is exact. `half` has the longer
+    /// significand and `bfloat` the wider exponent range, so neither holds
+    /// the other.
     pub fn fits_in(self, wider: FloatTy) -> bool {
         match (self, wider) {
             (a, b) if a == b => true,
@@ -84,7 +85,8 @@ impl FloatTy {
         }
     }
 
-    /// All precisions, lowest first.
+    /// All precisions, each listed after every format that fits in it, so
+    /// the first one that holds two formats is their [`FloatTy::join`].
     pub const ALL: [FloatTy; 4] = [FloatTy::F16, FloatTy::BF16, FloatTy::F32, FloatTy::F64];
 }
 
@@ -145,18 +147,6 @@ impl Type {
     pub fn is_differentiable(self) -> bool {
         matches!(self, Type::Float(_) | Type::Array(ElemTy::Float(_)))
     }
-
-    /// Result type of a binary arithmetic operation on `a` and `b`
-    /// following C-like promotion: the wider float wins; int op int = int;
-    /// int promotes to the float operand's precision.
-    pub fn promote(a: Type, b: Type) -> Option<Type> {
-        match (a, b) {
-            (Type::Float(x), Type::Float(y)) => Some(Type::Float(x.max(y))),
-            (Type::Float(x), Type::Int) | (Type::Int, Type::Float(x)) => Some(Type::Float(x)),
-            (Type::Int, Type::Int) => Some(Type::Int),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Type {
@@ -184,10 +174,27 @@ mod tests {
     }
 
     #[test]
-    fn precision_ordering() {
-        assert!(FloatTy::F16 < FloatTy::BF16);
-        assert!(FloatTy::BF16 < FloatTy::F32);
-        assert!(FloatTy::F32 < FloatTy::F64);
+    fn join_is_the_least_format_holding_both() {
+        use FloatTy::*;
+        let want = |a, b| match (a, b) {
+            (F64, _) | (_, F64) => F64,
+            (F32, _) | (_, F32) | (F16, BF16) | (BF16, F16) => F32,
+            _ => a,
+        };
+        for a in FloatTy::ALL {
+            for b in FloatTy::ALL {
+                let j = a.join(b);
+                assert_eq!(j, want(a, b), "{a} join {b}");
+                assert_eq!(j, b.join(a), "{a} join {b} is not commutative");
+                assert!(a.fits_in(j) && b.fits_in(j), "{a} join {b} = {j}");
+                // Every format that holds both holds the join.
+                for t in FloatTy::ALL {
+                    if a.fits_in(t) && b.fits_in(t) {
+                        assert!(j.fits_in(t), "{a} join {b} = {j}, but {t} holds both");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -211,17 +218,20 @@ mod tests {
 
     #[test]
     fn promotion_rules() {
+        use crate::precision::{arith, intrinsic};
+        use FloatTy::*;
         use Type::*;
-        assert_eq!(
-            Type::promote(Float(FloatTy::F32), Float(FloatTy::F64)),
-            Some(Float(FloatTy::F64))
-        );
-        assert_eq!(
-            Type::promote(Int, Float(FloatTy::F32)),
-            Some(Float(FloatTy::F32))
-        );
-        assert_eq!(Type::promote(Int, Int), Some(Int));
-        assert_eq!(Type::promote(Bool, Int), None);
+        assert_eq!(arith(Float(F32), Float(F64)), Some(Float(F64)));
+        assert_eq!(arith(Float(F16), Float(BF16)), Some(Float(F32)));
+        // An int operand of arithmetic counts as double.
+        assert_eq!(arith(Int, Float(F32)), Some(Float(F64)));
+        assert_eq!(arith(Int, Int), Some(Int));
+        assert_eq!(arith(Bool, Int), None);
+        // An int argument of an intrinsic does not count.
+        assert_eq!(intrinsic([Float(F32), Int]), F32);
+        assert_eq!(intrinsic([Float(BF16), Float(F16)]), F32);
+        assert_eq!(intrinsic([Float(F16)]), F16);
+        assert_eq!(intrinsic([Int]), F64);
     }
 
     #[test]

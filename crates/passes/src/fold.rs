@@ -9,6 +9,7 @@
 //! optimizations change the FP error behaviour being analyzed.
 
 use chef_ir::ast::*;
+use chef_ir::precision::{self, round_to};
 use chef_ir::types::{FloatTy, Type};
 use chef_ir::visit::{walk_expr_mut, MutVisitor};
 
@@ -90,58 +91,52 @@ fn fold_expr(e: &Expr) -> Option<Expr> {
             ) => Some((**inner).clone()),
             _ => None,
         },
-        ExprKind::Binary { op, lhs, rhs } => fold_binary(*op, lhs, rhs, &mk),
-        ExprKind::Cast { ty: target, expr } => {
-            // Fold casts of literals where we can round exactly without the
-            // soft-float tables: f32/f64 and int targets.
-            match (&expr.kind, target) {
-                (ExprKind::FloatLit(v), Type::Float(FloatTy::F64)) => {
-                    Some(mk(ExprKind::FloatLit(*v)))
-                }
-                (ExprKind::FloatLit(v), Type::Float(FloatTy::F32)) => {
-                    Some(mk(ExprKind::FloatLit(*v as f32 as f64)))
-                }
-                (ExprKind::FloatLit(v), Type::Int) if v.is_finite() => {
-                    Some(mk(ExprKind::IntLit(*v as i64)))
-                }
-                (ExprKind::IntLit(v), Type::Int) => Some(mk(ExprKind::IntLit(*v))),
-                (ExprKind::IntLit(v), Type::Float(FloatTy::F64)) => {
-                    Some(mk(ExprKind::FloatLit(*v as f64)))
-                }
-                _ => None,
+        ExprKind::Binary { op, lhs, rhs } => fold_binary(*op, lhs, rhs, ty, &mk),
+        // A cast of a literal rounds it to the target precision.
+        ExprKind::Cast { ty: target, expr } => match (&expr.kind, target) {
+            (ExprKind::FloatLit(v), Type::Float(ft)) => {
+                Some(mk(ExprKind::FloatLit(round_to(*v, *ft))))
             }
-        }
+            (ExprKind::IntLit(v), Type::Float(ft)) => {
+                Some(mk(ExprKind::FloatLit(round_to(*v as f64, *ft))))
+            }
+            (ExprKind::FloatLit(v), Type::Int) if v.is_finite() => {
+                Some(mk(ExprKind::IntLit(*v as i64)))
+            }
+            (ExprKind::IntLit(v), Type::Int) => Some(mk(ExprKind::IntLit(*v))),
+            _ => None,
+        },
         _ => None,
     }
 }
 
-fn fold_binary(op: BinOp, lhs: &Expr, rhs: &Expr, mk: &dyn Fn(ExprKind) -> Expr) -> Option<Expr> {
+fn fold_binary(
+    op: BinOp,
+    lhs: &Expr,
+    rhs: &Expr,
+    ty: Option<Type>,
+    mk: &dyn Fn(ExprKind) -> Expr,
+) -> Option<Expr> {
     use ExprKind::*;
-    // The precision the result must be rounded to: for a `float`-typed
-    // node (e.g. both operands came from `(float)` casts) the VM would
-    // compute and then round to f32, so the fold must do the same.
-    // f16/bf16 results are left unfolded (rounding needs the soft-float
-    // tables in `chef-exec`, which this crate does not depend on).
-    let result_prec = match lhs.ty.zip(rhs.ty) {
-        Some((Type::Float(a), Type::Float(b))) => Some(a.max(b)),
-        Some((Type::Float(a), Type::Int)) | Some((Type::Int, Type::Float(a))) => Some(a),
+    let num = |e: &Expr| match e.kind {
+        FloatLit(v) => Some(v),
+        IntLit(v) => Some(v as f64),
         _ => None,
     };
-    let foldable_prec = !matches!(result_prec, Some(FloatTy::F16) | Some(FloatTy::BF16));
     // Literal ⊕ literal.
     match (&lhs.kind, &rhs.kind) {
-        (FloatLit(a), FloatLit(b)) if foldable_prec => {
-            return fold_float_binop(op, *a, *b, result_prec).map(mk);
-        }
         (IntLit(a), IntLit(b)) => {
             return fold_int_binop(op, *a, *b).map(mk);
         }
-        // Mixed int/float arithmetic promotes the int (C semantics).
-        (IntLit(a), FloatLit(b)) if foldable_prec => {
-            return fold_float_binop(op, *a as f64, *b, result_prec).map(mk);
-        }
-        (FloatLit(a), IntLit(b)) if foldable_prec => {
-            return fold_float_binop(op, *a, *b as f64, result_prec).map(mk);
+        (FloatLit(_) | IntLit(_), FloatLit(_) | IntLit(_)) => {
+            // Rounded where the program would round it: at the precision
+            // of the operands' arithmetic (an untyped one counts as double).
+            let ty_of = |e: &Expr| e.ty.unwrap_or(Type::Float(FloatTy::F64));
+            let prec = match precision::arith(ty_of(lhs), ty_of(rhs)) {
+                Some(Type::Float(p)) => p,
+                _ => FloatTy::F64,
+            };
+            return fold_float_binop(op, num(lhs)?, num(rhs)?, prec).map(mk);
         }
         (BoolLit(a), BoolLit(b)) => {
             let v = match op {
@@ -158,58 +153,19 @@ fn fold_binary(op: BinOp, lhs: &Expr, rhs: &Expr, mk: &dyn Fn(ExprKind) -> Expr)
     // IEEE-safe identities. `x + 0.0`, `x - 0.0`, `x * 1.0`, `x / 1.0`
     // are exact for every x including NaN and infinities (note: `0.0 + x`
     // is also exact; `x + (-0.0)` is, too, but plain `+0.0` on the left of
-    // `-` is not: `0.0 - x` ≠ `-x` for x = 0.0).
-    let is_f0 = |e: &Expr| matches!(e.kind, FloatLit(v) if v == 0.0 && v.is_sign_positive());
-    let is_f1 = |e: &Expr| matches!(e.kind, FloatLit(v) if v == 1.0);
-    let is_i0 = |e: &Expr| matches!(e.kind, IntLit(0));
-    let is_i1 = |e: &Expr| matches!(e.kind, IntLit(1));
+    // `-` is not: `0.0 - x` ≠ `-x` for x = 0.0). The operand replaces the
+    // node only if it has the node's type: `n + 0.0` must stay a float and
+    // `(x + 0.0) * y` must keep computing at double for a `float` x.
+    let zero = |e: &Expr| num(e).is_some_and(|v| v.to_bits() == 0);
+    let one = |e: &Expr| num(e) == Some(1.0);
+    let keep = |e: &Expr| (ty.is_some() && e.ty == ty).then(|| e.clone());
     match op {
-        BinOp::Add => {
-            // x + 0.0 → x only when x is a float expression: if x were an
-            // int, the promotion to float must stay.
-            if is_f0(rhs) && lhs.ty.map(Type::is_float) == Some(true) {
-                return Some(lhs.clone());
-            }
-            if is_f0(lhs) && rhs.ty.map(Type::is_float) == Some(true) {
-                return Some(rhs.clone());
-            }
-            if is_i0(rhs) && lhs.ty == Some(Type::Int) {
-                return Some(lhs.clone());
-            }
-            if is_i0(lhs) && rhs.ty == Some(Type::Int) {
-                return Some(rhs.clone());
-            }
-        }
-        BinOp::Sub => {
-            if is_f0(rhs) && lhs.ty.map(Type::is_float) == Some(true) {
-                return Some(lhs.clone());
-            }
-            if is_i0(rhs) && lhs.ty == Some(Type::Int) {
-                return Some(lhs.clone());
-            }
-        }
-        BinOp::Mul => {
-            if is_f1(rhs) && lhs.ty.map(Type::is_float) == Some(true) {
-                return Some(lhs.clone());
-            }
-            if is_f1(lhs) && rhs.ty.map(Type::is_float) == Some(true) {
-                return Some(rhs.clone());
-            }
-            if is_i1(rhs) && lhs.ty == Some(Type::Int) {
-                return Some(lhs.clone());
-            }
-            if is_i1(lhs) && rhs.ty == Some(Type::Int) {
-                return Some(rhs.clone());
-            }
-        }
-        BinOp::Div => {
-            if is_f1(rhs) && lhs.ty.map(Type::is_float) == Some(true) {
-                return Some(lhs.clone());
-            }
-            if is_i1(rhs) && lhs.ty == Some(Type::Int) {
-                return Some(lhs.clone());
-            }
-        }
+        BinOp::Add if zero(rhs) => return keep(lhs),
+        BinOp::Add if zero(lhs) => return keep(rhs),
+        BinOp::Sub if zero(rhs) => return keep(lhs),
+        BinOp::Mul if one(rhs) => return keep(lhs),
+        BinOp::Mul if one(lhs) => return keep(rhs),
+        BinOp::Div if one(rhs) => return keep(lhs),
         // b && true → b ; b && false → false (no side effects in KernelC
         // expressions, so dropping the left operand is safe only when it
         // is the one being erased — here we only erase literals).
@@ -240,13 +196,8 @@ fn fold_binary(op: BinOp, lhs: &Expr, rhs: &Expr, mk: &dyn Fn(ExprKind) -> Expr)
     None
 }
 
-fn fold_float_binop(op: BinOp, a: f64, b: f64, prec: Option<FloatTy>) -> Option<ExprKind> {
-    // Round arithmetic to the node's effective precision, exactly like the
-    // VM would (F16/BF16 were filtered out by the caller).
-    let r = |v: f64| match prec {
-        Some(FloatTy::F32) => v as f32 as f64,
-        _ => v,
-    };
+fn fold_float_binop(op: BinOp, a: f64, b: f64, prec: FloatTy) -> Option<ExprKind> {
+    let r = |v: f64| round_to(v, prec);
     Some(match op {
         BinOp::Add => ExprKind::FloatLit(r(a + b)),
         BinOp::Sub => ExprKind::FloatLit(r(a - b)),
@@ -352,6 +303,22 @@ mod tests {
     fn folds_float_casts() {
         let s = folded("double f() { return (float)0.1; }");
         assert!(s.contains(&format!("return {:?};", 0.1f32 as f64)), "{s}");
+    }
+
+    #[test]
+    fn folds_half_and_bfloat_literals_at_their_join() {
+        let s = folded("double f() { return (half) 0.1 * (bfloat) 3.0; }");
+        let want = round_to(round_to(0.1, FloatTy::F16) * 3.0, FloatTy::F32);
+        assert!(s.contains(&format!("return {want:?};")), "{s}");
+    }
+
+    #[test]
+    fn identity_keeps_the_node_type() {
+        // `x + 0.0` is double for a float x, so `* y` computes at double.
+        let s = folded("double f(float x, float y) { return (x + 0.0) * y; }");
+        assert!(s.contains("x + 0.0"), "{s}");
+        let s = folded("double f(double x, int n) { return (x + 0.0) * (n * 1); }");
+        assert!(s.contains("return x * n;"), "{s}");
     }
 
     #[test]
