@@ -346,15 +346,6 @@ impl Instr {
         self.visit_regs(|_, _, _| {})
     }
 
-    /// Calls `visit` for every scalar (float or int) register read.
-    pub(crate) fn for_each_read(&self, mut visit: impl FnMut(Reg)) {
-        self.visit_regs(|class, r, w| {
-            if !w && class != RegClass::A {
-                visit((class, r))
-            }
-        });
-    }
-
     /// The scalar register the instruction writes, if any.
     pub(crate) fn write(&self) -> Option<Reg> {
         let mut out = None;

@@ -88,38 +88,37 @@ pub struct CompileOptions {
     /// by one; such a function must go through
     /// [`crate::pack::pack_function`] before it can run.
     pub pack: bool,
-    /// Run the CFG optimizer tier ([`crate::cfg`]: dominator-guided
-    /// loop-invariant code motion + register-file compaction) between
-    /// fusion and packing. On by default; turn off to benchmark the
-    /// peephole-only pipeline (results are bit-identical either way).
+    /// Run register-file compaction ([`crate::cfg`]) between fusion and
+    /// packing: unused register slots are dropped, so pooled machines
+    /// allocate smaller register files. On by default; it moves no
+    /// instruction, so results, traps, dispatch counts and shadow
+    /// measurements are identical either way.
     pub cfg: bool,
 }
 
 impl Default for CompileOptions {
-    /// Every stage defaults to **on**. Fusion and the CFG tier are
-    /// overridable process-wide by the environment: `CHEF_EXEC_FUSE=0` /
-    /// `CHEF_EXEC_CFG=0` (also `false`/`off`/`no`) force the respective
-    /// default off. This is how CI runs the whole tier-1 suite on unfused
-    /// streams (or the peephole-only pipeline) without a recompile; code
-    /// that sets the flags explicitly is unaffected. Read once per
-    /// process. Packing has no override: the VM runs only packed code.
+    /// Every stage defaults to **on**. Fusion is overridable
+    /// process-wide by the environment: `CHEF_EXEC_FUSE=0` (also
+    /// `false`/`off`/`no`) forces its default off. This is how CI runs
+    /// the whole tier-1 suite on the raw codegen stream without a
+    /// recompile; code that sets the flag explicitly is unaffected. Read
+    /// once per process. Compaction and packing have no override:
+    /// compaction is unobservable, and the VM runs only packed code.
     fn default() -> Self {
         CompileOptions {
             precisions: PrecisionMap::default(),
-            fuse: env_toggle(&FUSE_DEFAULT, "CHEF_EXEC_FUSE"),
+            fuse: fuse_default(),
             pack: true,
-            cfg: env_toggle(&CFG_DEFAULT, "CHEF_EXEC_CFG"),
+            cfg: true,
         }
     }
 }
 
-static FUSE_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-static CFG_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-/// `true` unless the environment variable is set to a falsy value
+/// `true` unless `CHEF_EXEC_FUSE` is set to a falsy value
 /// (`0`/`false`/`off`/`no`, case-insensitive); cached per process.
-fn env_toggle(cell: &std::sync::OnceLock<bool>, name: &str) -> bool {
-    *cell.get_or_init(|| match std::env::var(name) {
+fn fuse_default() -> bool {
+    static FUSE_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FUSE_DEFAULT.get_or_init(|| match std::env::var("CHEF_EXEC_FUSE") {
         Ok(v) => !matches!(
             v.trim().to_ascii_lowercase().as_str(),
             "0" | "false" | "off" | "no"

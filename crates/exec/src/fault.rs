@@ -52,7 +52,7 @@
 //! Both retrying callers pin this way: the tuner's trial retry and
 //! `chef-service`'s job retry.
 //!
-//! In the style of `CHEF_EXEC_FUSE`/`CHEF_EXEC_CFG`, the environment
+//! In the style of `CHEF_EXEC_FUSE`, the environment
 //! can install a process-wide plan: [`env_plan`] reads
 //! `CHEF_FAULT_SEED` (u64; unset → no plan) and `CHEF_FAULT_KIND`
 //! (`trap`|`panic`|`nan`|`mix`, default `mix`) once per process.

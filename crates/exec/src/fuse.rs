@@ -814,9 +814,8 @@ mod tests {
         let opts = CompileOptions {
             fuse: false,
             // A pristine stream: these tests drive `fuse_function`
-            // by hand and match on exact pre-fusion shapes, which the
-            // CFG tier's LICM would rearrange (e.g. hoisting the loop
-            // constants `IAddImm` fusion wants to see in the body).
+            // by hand and match on exact pre-fusion shapes, register
+            // numbers included, which compaction would renumber.
             cfg: false,
             ..Default::default()
         };

@@ -32,10 +32,10 @@
 //! jump target is stated once, by
 //! the opcode table in `opcodes.rs`, which generates the operand visitor
 //! along with the [`pack::op`] numbers, the packer and [`pack::decode`]:
-//! the fuser's dataflow, the CFG tier's liveness, renaming and
-//! compaction, and [`vm::validate_function`]'s checks all derive from
-//! it. A new instruction is an [`bytecode::Instr`] variant, one table
-//! row and one arm in the dispatch loop.
+//! the fuser's dataflow, register compaction and
+//! [`vm::validate_function`]'s checks all derive from it. A new
+//! instruction is an [`bytecode::Instr`] variant, one table row and one
+//! arm in the dispatch loop.
 //!
 //! 1. **Bytecode fusion** ([`fuse`]): a peephole pass, run to fixpoint
 //!    by default in [`compile::compile`], collapses the compiler's hot idioms
@@ -54,52 +54,23 @@
 //!    (separate roundings, same traps), so fusion is observationally
 //!    bit-identical; the `fusion_differential` test pins this on every
 //!    `chef-apps` kernel.
-//! 2. **CFG optimizer tier** ([`mod@cfg`], between `fuse_to_fixpoint` and
-//!    `pack`, default-on via [`compile::CompileOptions::cfg`], env-gated
-//!    by `CHEF_EXEC_CFG=0`): real block-level compiler infrastructure —
-//!    basic-block CFG construction over the fused stream, an iterative
-//!    Cooper–Harvey–Kennedy dominator tree, and natural-loop detection
-//!    via back edges (irreducible hand-built bytecode makes the pass
-//!    bail cleanly). On top of it run **loop-invariant code motion**
-//!    and **register-file compaction** (dense renumbering of dead
-//!    slots, so pooled machines allocate smaller register files).
+//! 2. **Register compaction** ([`mod@cfg`], between `fuse_to_fixpoint`
+//!    and `pack`, default-on via [`compile::CompileOptions::cfg`]): a
+//!    dense renumbering of each register file drops the slots no
+//!    instruction, parameter or named variable uses, so pooled machines
+//!    allocate smaller register files. It moves no instruction, so it is
+//!    unobservable — results, traps, dispatch counts and shadow
+//!    measurements included — and, since it only lowers register
+//!    indices, it never makes a function unpackable. The
+//!    `cfg_differential` suites pin compaction-on vs -off equality
+//!    (plain, f64/DD shadow, fault injection) on every app kernel,
+//!    adjoints and proptest-generated branching kernels, and pin the
+//!    compacted output by fingerprint per kernel and mode.
 //!
-//!    *Pass ordering*: fusion first (LICM then sees the canonical fused
-//!    forms and hoists whole superinstructions), packing last (both
-//!    fusion and the CFG tier invalidate `packed`, and the packed
-//!    stream must be word-for-word equal to the final enum stream).
-//!    Neither tier may leave a function unpackable: fusion emits a
-//!    superinstruction only when [`pack::fits`] accepts it, and the CFG
-//!    tier undoes its hoists when the result would not pack.
-//!
-//!    *Trap/deadline safety of hoisting*: an instruction moves to the
-//!    loop preheader only if its operands are loop-invariant and its
-//!    write can never trap (`FConst`/`FMov`/`I2F`/pure int ops — safe
-//!    even on a zero-trip entry since all uses are dominated by the
-//!    original definition), **or** — for float ops whose result could
-//!    be non-finite under [`vm::ExecOptions::trap_on_nonfinite`] — if
-//!    it sits behind a synthesized **zero-trip guard**: a copy of the
-//!    header's integer compare-and-branch exit test that skips the
-//!    preheader exactly when the loop would not run, so the hoisted op
-//!    executes iff the first iteration would have executed it, on
-//!    bit-identical operands (same trap kind and source span; only the
-//!    reported pc moves, as under fusion). `FCmp`/`F2I` are never
-//!    hoisted and float-compare exit tests are never used as guards —
-//!    the shadow interpreter re-evaluates those sites, and duplicating
-//!    them would change divergence reports. `IDiv`/`IRem`, loads/
-//!    stores, and tape ops never move. Deadline/budget probes live at
-//!    taken backward jumps, which the pass neither adds nor removes
-//!    per iteration, so cooperative-deadline semantics are unchanged.
-//!    The `cfg_differential` suite pins CFG-on vs CFG-off
-//!    bit-equality (plain, f64/DD shadow, fault injection) on every app
-//!    kernel, adjoints, and proptest-generated branching kernels.
-//!
-//!    *Cost*: LICM applies one loop plan per round and rebuilds the CFG
-//!    after it (`exec.cfg.rounds` counts the rounds). Within a round,
-//!    liveness is a dense-bitset fixpoint at O(blocks × regs/64) word
-//!    operations per sweep, and one read-site index is built for every
-//!    loop plan to share. The optimized output is pinned byte-identical
-//!    by fingerprint in `cfg_differential`, per kernel and mode.
+//!    *Pass ordering*: fusion first, compaction next, packing last
+//!    (both earlier stages invalidate `packed`, and the packed stream
+//!    must be word-for-word equal to the final enum stream). Fusion
+//!    emits a superinstruction only when [`pack::fits`] accepts it.
 //! 3. **Packed-word dispatch** ([`pack`]): the fused stream is flattened
 //!    1:1 into fixed-width `u64` words with a per-function constant pool,
 //!    and one dispatch loop runs the words through a dense-opcode jump
@@ -198,9 +169,9 @@
 //! The engine reports into the process-global `chef-telemetry` registry
 //! as a pure *observer* — no execution decision reads a metric back:
 //!
-//! * **Counters**: arena checkouts (`exec.arena.checkouts`), CFG-tier
-//!   work (`exec.cfg.*`, `exec.licm.hoisted`, `exec.regs.compacted`),
-//!   and shadow divergence tallies (`exec.shadow.divergences`) are
+//! * **Counters**: arena checkouts (`exec.arena.checkouts`), register
+//!   slots dropped by compaction (`exec.regs.compacted`), and shadow
+//!   divergence tallies (`exec.shadow.divergences`) are
 //!   recorded at the same sites that
 //!   already maintain the public per-call statistics; the existing
 //!   fields ([`vm::ExecStats`], [`shadow::ShadowOutcome`],
@@ -252,8 +223,8 @@
 //! limits (an `FLoadOff`/`FStoreOff` offset within `i8`, an immediate
 //! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`
 //! addend, `FAbsMulC` second factor or `FAddAccK` array register below
-//! 256) are stated once, by [`pack::fits`], and fusion and the CFG tier
-//! never emit a form it rejects. What is left are whole-function limits — more
+//! 256) are stated once, by [`pack::fits`]; fusion never emits a form it
+//! rejects, and compaction only lowers register indices. What is left are whole-function limits — more
 //! than 65 535 instructions, or a register index wider than u16 — and
 //! [`compile::compile`] reports those as
 //! [`compile::CompileError::Unsupported`] naming the limit. There is no
@@ -355,7 +326,7 @@ pub mod vm;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::bytecode::{CompiledFunction, ParamKind, RetKind};
-    pub use crate::cfg::{natural_loops, BasicBlock, Cfg, CfgStats, Dominators, NaturalLoop};
+    pub use crate::cfg::CfgStats;
     pub use crate::compile::{
         compile, compile_default, CompileError, CompileOptions, PrecisionMap,
     };

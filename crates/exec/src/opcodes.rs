@@ -399,7 +399,7 @@ macro_rules! opcodes {
             /// so it is visited once, as the write: renaming it renames
             /// the read too. Generated from the opcode table, the one
             /// statement of which fields are registers and which is the
-            /// target; the fuser's dataflow, the CFG tier and
+            /// target; the fuser's dataflow, register compaction and
             /// [`crate::vm::validate_function`] all derive from it.
             #[inline(always)]
             pub(crate) fn visit_regs_mut(

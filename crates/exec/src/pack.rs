@@ -44,7 +44,9 @@
 //!   [`Instr::FAddToK`]/[`Instr::FAddAccK`] index outside `i16`) are
 //!   stated once, by [`fits`]. [`crate::fuse`] asks it before emitting a
 //!   superinstruction and keeps the unfused sequence when the answer is
-//!   no.
+//!   no. Register compaction ([`crate::cfg`]) only lowers register
+//!   indices, so it never turns a fitting instruction into one that
+//!   does not.
 //! * What is left are whole-function limits: more than 65 535
 //!   instructions (jump targets must fit a u16; a target equal to the
 //!   length — "fall off the end" — is still representable), or a

@@ -1373,15 +1373,13 @@ mod tests {
     }
 
     /// Picks the value pinned for the stream `CompileOptions::default()`
-    /// compiles: full pipeline, CFG tier off, fusion off, or both off
-    /// (`CHEF_EXEC_CFG=0` / `CHEF_EXEC_FUSE=0` change instruction counts).
-    fn per_pipeline<T>(full: T, no_cfg: T, no_fuse: T, neither: T) -> T {
-        let o = CompileOptions::default();
-        match (o.fuse, o.cfg) {
-            (true, true) => full,
-            (true, false) => no_cfg,
-            (false, true) => no_fuse,
-            (false, false) => neither,
+    /// compiles: fused, or unfused under `CHEF_EXEC_FUSE=0`, which
+    /// changes instruction counts.
+    fn per_pipeline<T>(fused: T, unfused: T) -> T {
+        if CompileOptions::default().fuse {
+            fused
+        } else {
+            unfused
         }
     }
 
@@ -1586,7 +1584,7 @@ mod tests {
         // Pinned: the compare's pc and its 1-based position in the run.
         assert_eq!(
             (p.pc, p.at_instr),
-            per_pipeline((9, 407), (9, 407), (15, 711), (15, 810)),
+            per_pipeline((9, 407), (15, 810)),
             "{p:?}"
         );
         match p.kind {
@@ -1637,11 +1635,7 @@ mod tests {
             .iter()
             .find(|p| matches!(p.kind, DivergenceKind::F2I { .. }))
             .expect("F2I divergence point");
-        assert_eq!(
-            (p.pc, p.at_instr),
-            per_pipeline((2, 3), (2, 3), (3, 4), (3, 4)),
-            "{p:?}"
-        );
+        assert_eq!((p.pc, p.at_instr), per_pipeline((2, 3), (3, 4)), "{p:?}");
         match p.kind {
             DivergenceKind::F2I {
                 primal_int,
@@ -1750,8 +1744,7 @@ mod tests {
             ..Default::default()
         };
         let t = same_trap(&src("void f() { while (true) { } }"), vec![], &budget);
-        let executed = per_pipeline(1001, 1002, 1001, 1002);
-        assert_eq!(t.kind, TrapKind::InstrBudgetExhausted { executed });
+        assert_eq!(t.kind, TrapKind::InstrBudgetExhausted { executed: 1002 });
 
         let underflow = hand_packed(
             vec![Instr::TPopF { dst: FReg(0) }, Instr::RetVoid],

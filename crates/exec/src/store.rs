@@ -181,9 +181,9 @@ pub fn content_key(primal: &Function, opts: &CompileOptions) -> ContentKey {
         h.write_u32(FORMAT_VERSION);
         h.write_str(&src);
         h.write(&[opts.fuse as u8, opts.pack as u8, opts.cfg as u8]);
-        // The CFG pass-tier revision is part of a variant's identity:
-        // a pre-CFG (or differently-optimizing) process must never
-        // warm-hit an entry this tier produced, and vice versa.
+        // The compaction tier's revision is part of a variant's
+        // identity: a process running another revision must never
+        // warm-hit an entry this one produced, and vice versa.
         h.write_u32(if opts.cfg {
             crate::cfg::CFG_TIER_VERSION
         } else {

@@ -1,31 +1,29 @@
-//! Differential test: the CFG optimizer tier must be unobservable.
+//! Differential test: the compaction tier ([`chef_exec::cfg`]) must be
+//! unobservable.
 //!
-//! Every `chef-apps` kernel is compiled twice — CFG tier off and on —
-//! and executed on the same workload, in three configurations (primal at
+//! Every `chef-apps` kernel is compiled twice — tier off and on — and
+//! executed on the same workload, in three configurations (primal at
 //! declared precisions, primal with every float demoted to `f32`, and
 //! the reverse-AD adjoint).
 //!
 //! The two compilations must agree **bit-for-bit** on the return value
-//! and every output argument, and exactly on the tape/memory counters.
-//! `instrs_executed` may shrink (LICM's whole point) but not grow on
-//! these loop-heavy kernels.
+//! and every output argument, and exactly on every execution statistic,
+//! `instrs_executed` included: compaction renames registers and moves
+//! no instruction.
 //!
-//! In shadow mode the divergence *report* must also be preserved: the
-//! same split count, the same decision sequence (operator, operands,
-//! taken/would-take), and the same per-variable attribution. Only the
-//! `pc`/`at_instr` coordinates of a split may move (hoisting relocates
-//! instructions), and only the *local-error accounting* may differ (a
-//! hoisted rounding op contributes one preheader sample instead of one
-//! per iteration) — neither is part of the decision record.
+//! In shadow mode the whole outcome must agree: the divergence report
+//! (split count, decisions, `pc`/`at_instr` coordinates, per-variable
+//! attribution) and the local-error accounting (per-pc samples,
+//! per-variable tables, `acc_error`).
 //!
 //! Randomly generated branching kernels (bounded loops, near-tie float
 //! compares) and deterministic fault-injection schedules round out the
 //! suite: recovery paths must observe the same outcome kinds and the
 //! same number of plan draws whether or not the tier ran.
 //!
-//! Every CFG-optimized candidate runs under an instruction budget of 10×
-//! what its unoptimized run executed, so a miscompiled loop fails with
-//! `InstrBudgetExhausted` instead of hanging. The optimized bytecode
+//! Every compacted candidate runs under an instruction budget of 10×
+//! what its uncompacted run executed, so a miscompiled loop fails with
+//! `InstrBudgetExhausted` instead of hanging. The compacted bytecode
 //! itself is pinned by fingerprint per kernel and mode.
 
 use chef_exec::cfg;
@@ -35,7 +33,7 @@ use chef_exec::prelude::*;
 use chef_exec::shadow::run_shadow;
 use chef_ir::ast::{Function, Program};
 use chef_ir::types::{ElemTy, FloatTy, Type};
-use chef_passes::testgen::{generate, licm_kernel, GenConfig, SplitMix};
+use chef_passes::testgen::{invariant_loop_kernel, SplitMix};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -94,7 +92,7 @@ fn demote_all(func: &Function) -> PrecisionMap {
     pm
 }
 
-/// Compiles `func` with the CFG tier off and on (everything else equal,
+/// Compiles `func` with the tier off and on (everything else equal,
 /// fusion pinned on so both sides see the same input stream).
 fn compile_pair(
     func: &Function,
@@ -125,8 +123,8 @@ fn big_opts() -> ExecOptions {
     }
 }
 
-/// Options for the CFG-optimized candidate: `base` with an instruction
-/// budget of 10× what the unoptimized run executed, so a miscompiled
+/// Options for the compacted candidate: `base` with an instruction
+/// budget of 10× what the uncompacted run executed, so a miscompiled
 /// loop traps with `InstrBudgetExhausted` instead of hanging the suite.
 fn candidate_opts(base: &ExecOptions, unoptimized_instrs: u64) -> ExecOptions {
     ExecOptions {
@@ -153,9 +151,8 @@ fn assert_args_bit_equal(label: &str, a: &[ArgValue], b: &[ArgValue]) {
     }
 }
 
-/// Runs `func` compiled with the CFG tier off and on; asserts the
-/// outcomes are indistinguishable except for a (never larger)
-/// instruction count.
+/// Runs `func` compiled with the tier off and on; asserts the outcomes
+/// are indistinguishable.
 fn assert_cfg_unobservable(label: &str, func: &Function, pm: &PrecisionMap, args: &[ArgValue]) {
     let (off, on) = compile_pair(func, pm);
     let opts = big_opts();
@@ -175,36 +172,13 @@ fn assert_cfg_unobservable(label: &str, func: &Function, pm: &PrecisionMap, args
         (x, y) => assert_eq!(x, y, "{label}: return differs"),
     }
     assert_args_bit_equal(label, &a.args, &b.args);
-    assert_eq!(
-        a.stats.tape_peak_bytes, b.stats.tape_peak_bytes,
-        "{label}: tape peak"
-    );
-    assert_eq!(
-        a.stats.tape_total_pushes, b.stats.tape_total_pushes,
-        "{label}: tape traffic"
-    );
-    assert_eq!(
-        a.stats.local_array_bytes, b.stats.local_array_bytes,
-        "{label}: local arrays"
-    );
-    assert_eq!(
-        a.stats.arg_array_bytes, b.stats.arg_array_bytes,
-        "{label}: arg arrays"
-    );
-    assert!(
-        b.stats.instrs_executed <= a.stats.instrs_executed,
-        "{label}: CFG tier increased instruction count ({} > {})",
-        b.stats.instrs_executed,
-        a.stats.instrs_executed
-    );
+    assert_eq!(a.stats, b.stats, "{label}: execution statistics differ");
 }
 
 /// Runs the f64-shadow oracle over both compilations; asserts the primal
-/// stream and the divergence *decisions* are preserved. Split
-/// coordinates (`pc`, `at_instr`) and local-error accounting
-/// (`acc_error`, `samples`, `var_error`) may legitimately differ — a
-/// hoisted instruction lives at a new pc and executes once per loop
-/// entry instead of once per iteration.
+/// and shadow results are bit-identical and the rest of the outcome —
+/// statistics, samples, per-variable tables, `acc_error` and the
+/// divergence report — is equal.
 fn assert_cfg_shadow_unobservable(
     label: &str,
     func: &Function,
@@ -237,15 +211,9 @@ fn assert_cfg_shadow_unobservable(
     }
     assert_args_bit_equal(&label, &sa.args, &sb.args);
     assert_eq!(
-        sa.divergence_count, sb.divergence_count,
-        "{label}: split count differs"
-    );
-    let ka: Vec<_> = sa.divergence.iter().map(|d| d.kind).collect();
-    let kb: Vec<_> = sb.divergence.iter().map(|d| d.kind).collect();
-    assert_eq!(ka, kb, "{label}: split decision sequence differs");
-    assert_eq!(
-        sa.var_divergence, sb.var_divergence,
-        "{label}: per-variable split attribution differs"
+        format!("{sa:?}"),
+        format!("{sb:?}"),
+        "{label}: shadow outcome differs"
     );
 }
 
@@ -259,8 +227,7 @@ fn primal_kernels_are_bit_identical_cfg_on_vs_off() {
 
 #[test]
 fn fully_demoted_kernels_are_bit_identical_cfg_on_vs_off() {
-    // Demotion floods the stream with F*Round forms — the Class B
-    // (guard-requiring) hoist candidates.
+    // Demotion floods the stream with F*Round forms.
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
         let pm = demote_all(&func);
@@ -270,8 +237,7 @@ fn fully_demoted_kernels_are_bit_identical_cfg_on_vs_off() {
 
 #[test]
 fn adjoint_kernels_are_bit_identical_cfg_on_vs_off() {
-    // The analysis hot path: reverse-AD adjoints with tape traffic. LICM
-    // must not reorder anything across TPush/TPop.
+    // The analysis hot path: reverse-AD adjoints with tape traffic.
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
         let grad = match chef_ad::reverse::reverse_diff(&func) {
@@ -302,84 +268,6 @@ fn demoted_kernels_preserve_the_shadow_divergence_report() {
         let pm = demote_all(&func);
         assert_cfg_shadow_unobservable(label, &func, &pm, &args);
     }
-}
-
-#[test]
-fn arclen_licm_actually_hoists_and_shrinks_the_run() {
-    // The acceptance anchor: on arclen the tier must *do* something —
-    // hoist at least one invariant op and strictly reduce the dynamic
-    // instruction count — not just be harmless.
-    let func = inlined_kernel(&chef_apps::arclen::program(), chef_apps::arclen::NAME);
-    let args = chef_apps::arclen::args(500);
-    let (off, on) = compile_pair(&func, &PrecisionMap::empty());
-
-    let mut opt = off.clone();
-    let stats = cfg::optimize(&mut opt);
-    assert!(stats.reducible, "arclen's CFG is reducible");
-    assert!(
-        stats.hoisted >= 1,
-        "arclen must yield at least one LICM hoist, got {stats:?}"
-    );
-    // One round applies the plan, the next finds nothing left to hoist.
-    assert_eq!(stats.rounds, 2, "{stats:?}");
-
-    let opts = big_opts();
-    let a = run_with(&off, args.clone(), &opts).expect("cfg-off runs");
-    let b =
-        run_with(&on, args, &candidate_opts(&opts, a.stats.instrs_executed)).expect("cfg-on runs");
-    assert_eq!(a.ret_f().to_bits(), b.ret_f().to_bits());
-    assert!(
-        b.stats.instrs_executed < a.stats.instrs_executed,
-        "LICM did not shrink arclen's dynamic count ({} >= {})",
-        b.stats.instrs_executed,
-        a.stats.instrs_executed
-    );
-}
-
-/// Renaming a hoisted def to a fresh register can push an `FMulAdd`
-/// addend past its 8-bit packed field. The tier must then undo its
-/// hoists, so the function still packs and `compile` still succeeds.
-/// Forward-mode derivatives of the generated programs carry enough
-/// float registers to hit this on some seeds.
-#[test]
-fn cfg_tier_undoes_hoists_that_would_not_pack() {
-    let mut undone = 0;
-    for seed in 0..120 {
-        let g = generate(seed, &GenConfig::default());
-        let fwd = chef_ad::forward::forward_diff(&g.function, "x")
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        // Fusion pinned on: it is what forms the `FMulAdd`s.
-        let mut c = compile(
-            &fwd,
-            &CompileOptions {
-                precisions: PrecisionMap::empty(),
-                fuse: true,
-                cfg: false,
-                pack: false,
-            },
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let stats = cfg::optimize(&mut c);
-        assert!(
-            c.instrs.iter().all(chef_exec::pack::fits),
-            "seed {seed}: the tier left an unpackable instruction"
-        );
-        if stats.hoists_undone {
-            undone += 1;
-            assert_eq!(stats.hoisted, 0, "seed {seed}");
-        }
-        let full = CompileOptions {
-            precisions: PrecisionMap::empty(),
-            fuse: true,
-            cfg: true,
-            pack: true,
-        };
-        compile(&fwd, &full).unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
-    }
-    assert!(
-        undone > 0,
-        "no seed exercised the undo: the test is vacuous"
-    );
 }
 
 // ------------------------------------------------------ fault injection
@@ -491,7 +379,7 @@ proptest! {
     #[test]
     fn branching_kernels_are_bit_identical_cfg_on_vs_off(seed in 0u64..(1u64 << 60)) {
         let mut g = SplitMix(seed | 1);
-        let src = licm_kernel(&mut g);
+        let src = invariant_loop_kernel(&mut g);
         let demote = if g.below(2) == 0 { Some(FloatTy::F32) } else { None };
         let (off, on) = compiled_cfg_pair(&src, demote);
         let args = vec![ArgValue::F(g.lit()), ArgValue::F(g.lit())];
@@ -499,14 +387,14 @@ proptest! {
             max_instrs: Some(1_000_000),
             ..Default::default()
         };
-        // Primal: identical results. No instruction-count assertion here —
-        // on a zero-trip loop the preheader guard is pure overhead (a
-        // handful of instructions), which is fine; only bits matter.
+        // Primal: identical results and counts.
         let a = run_with(&off, args.clone(), &opts).unwrap_or_else(|t| panic!("{t}\n{src}"));
         let on_opts = candidate_opts(&opts, a.stats.instrs_executed);
         let b = run_with(&on, args.clone(), &on_opts).unwrap_or_else(|t| panic!("{t}\n{src}"));
         prop_assert_eq!(a.ret_f().to_bits(), b.ret_f().to_bits(), "{}", src);
-        // Shadow: identical divergence decisions and attribution.
+        prop_assert_eq!(a.stats, b.stats, "{}", src);
+        // Shadow: the same outcome, divergence report and local-error
+        // accounting included.
         let sa = run_shadow::<f64>(&off, args.clone(), &opts)
             .unwrap_or_else(|t| panic!("{t}\n{src}"));
         let sb = run_shadow::<f64>(&on, args, &on_opts)
@@ -515,63 +403,13 @@ proptest! {
         prop_assert_eq!(
             sa.shadow_f().to_bits(), sb.shadow_f().to_bits(), "{}", src
         );
-        prop_assert_eq!(sa.divergence_count, sb.divergence_count, "{}", src);
-        let ka: Vec<_> = sa.divergence.iter().map(|d| d.kind).collect();
-        let kb: Vec<_> = sb.divergence.iter().map(|d| d.kind).collect();
-        prop_assert_eq!(ka, kb, "{}", src);
-        prop_assert_eq!(&sa.var_divergence, &sb.var_divergence, "{}", src);
+        prop_assert_eq!(format!("{sa:?}"), format!("{sb:?}"), "{}", src);
         // And without demotion the f64 shadow can never diverge.
         if demote.is_none() {
             prop_assert_eq!(sb.divergence_count, 0, "{}", src);
         }
     }
 }
-
-// ------------------------------------------------------------ golden dump
-
-/// `repro --cfg arclen` debug surface, pinned: the block/loop structure
-/// the tier sees and the ops it hoists must not drift silently.
-#[test]
-fn arclen_cfg_dump_is_pinned() {
-    let func = inlined_kernel(&chef_apps::arclen::program(), chef_apps::arclen::NAME);
-    let c = compile(
-        &func,
-        &CompileOptions {
-            precisions: PrecisionMap::empty(),
-            fuse: true,
-            pack: false,
-            cfg: false,
-        },
-    )
-    .expect("arclen compiles");
-    let dump = cfg::dump(&c);
-    assert_eq!(dump, GOLDEN_ARCLEN_DUMP, "\nactual dump:\n{dump}");
-
-    let mut opt = c.clone();
-    let stats = cfg::optimize(&mut opt);
-    assert_eq!(
-        stats.hoisted_ops, GOLDEN_ARCLEN_HOISTS,
-        "\nactual hoists:\n{:#?}",
-        stats.hoisted_ops
-    );
-}
-
-const GOLDEN_ARCLEN_DUMP: &str = "\
-cfg arclen: 30 instrs, 8 blocks
-  b0: pc 0..6 preds=[] succs=[1] idom=b0
-  b1: pc 6..7 preds=[0, 5] succs=[6, 2] idom=b0
-  b2: pc 7..12 preds=[1] succs=[3] idom=b1
-  b3: pc 12..13 preds=[2, 4] succs=[5, 4] idom=b2
-  b4: pc 13..20 preds=[3] succs=[3] idom=b3
-  b5: pc 20..28 preds=[3] succs=[1] idom=b3
-  b6: pc 28..29 preds=[1] succs=[] idom=b1
-  b7: pc 29..30 preds=[] succs=[] idom=-
-  loops: 2
-    header=b3 blocks=[3, 4] latches=[4]
-    header=b1 blocks=[1, 2, 3, 4, 5] latches=[5]
-";
-
-const GOLDEN_ARCLEN_HOISTS: &[&str] = &["FMul { dst: FReg(12), a: FReg(0), b: FReg(0) }"];
 
 // ------------------------------------------------- golden output pins
 
@@ -606,14 +444,13 @@ fn fingerprint(f: &chef_exec::bytecode::CompiledFunction) -> u64 {
     h
 }
 
-/// The CFG tier's output is pinned byte for byte: each kernel in each
-/// mode is compiled with the tier off, run through `cfg::optimize`, and
-/// its fingerprint and hoist count must match the table. A rewrite of
-/// the tier's analyses that changes any emitted instruction, register
-/// number or span fails here.
+/// The tier's output is pinned byte for byte: each kernel in each mode
+/// is compiled with the tier off, run through `cfg::optimize`, and its
+/// fingerprint must match the table. A change that moves any emitted
+/// instruction, register number or span fails here.
 #[test]
 fn cfg_output_is_pinned_on_every_kernel_and_mode() {
-    let mut actual: Vec<(String, u64, u32)> = Vec::new();
+    let mut actual: Vec<(String, u64)> = Vec::new();
     for (label, program, name, _) in kernels() {
         let func = inlined_kernel(&program, name);
         let grad = chef_ad::reverse::reverse_diff(&func)
@@ -634,36 +471,36 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
                 },
             )
             .expect("kernel compiles");
-            let stats = cfg::optimize(&mut c);
-            actual.push((format!("{label}/{mode}"), fingerprint(&c), stats.hoisted));
+            cfg::optimize(&mut c);
+            actual.push((format!("{label}/{mode}"), fingerprint(&c)));
         }
     }
     let table: String = actual
         .iter()
-        .map(|(l, fp, h)| format!("    (\"{l}\", 0x{fp:016x}, {h}),\n"))
+        .map(|(l, fp)| format!("    (\"{l}\", 0x{fp:016x}),\n"))
         .collect();
-    let expected: Vec<(String, u64, u32)> = GOLDEN_CFG_OUTPUT
+    let expected: Vec<(String, u64)> = GOLDEN_CFG_OUTPUT
         .iter()
-        .map(|&(l, fp, h)| (l.to_string(), fp, h))
+        .map(|&(l, fp)| (l.to_string(), fp))
         .collect();
     assert_eq!(actual, expected, "\nactual table:\n{table}");
 }
 
-/// `(kernel/mode, fingerprint of the optimized function, hoisted)`.
-const GOLDEN_CFG_OUTPUT: &[(&str, u64, u32)] = &[
-    ("arclen/primal", 0x824763be46728cbb, 1),
-    ("arclen/demoted", 0x7021ae78ddffd081, 1),
-    ("arclen/adjoint", 0x1ff0fc46a7f308a8, 1),
-    ("simpsons/primal", 0x7a1387d9b40528d2, 3),
-    ("simpsons/demoted", 0x6af5d9f8f133cdf3, 3),
-    ("simpsons/adjoint", 0x8bfa5ce65915617c, 4),
-    ("kmeans/primal", 0xfcd4614a9050c91d, 3),
-    ("kmeans/demoted", 0x2ead13056aa739bd, 6),
-    ("kmeans/adjoint", 0xc5a8d600d379b592, 3),
-    ("blackscholes/primal", 0xeaf97e8db24a9d0d, 0),
-    ("blackscholes/demoted", 0x5e2de2df11b35e48, 0),
-    ("blackscholes/adjoint", 0x35a1c12dbb2908ef, 1),
-    ("hpccg/primal", 0x801603f66dc44651, 1),
-    ("hpccg/demoted", 0x95067ff36d94385b, 5),
-    ("hpccg/adjoint", 0xfe13b8d3fd30459d, 1),
+/// `(kernel/mode, fingerprint of the compacted function)`.
+const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
+    ("arclen/primal", 0x3feb3cfffb1c1570),
+    ("arclen/demoted", 0xb877ce7b283fec42),
+    ("arclen/adjoint", 0xa4038cdd804e7f7e),
+    ("simpsons/primal", 0xe105649723252e6d),
+    ("simpsons/demoted", 0xf98f0ba57c0ee455),
+    ("simpsons/adjoint", 0xb844e843460d0fa8),
+    ("kmeans/primal", 0xebedc36df288cee5),
+    ("kmeans/demoted", 0x568113bfdff361e3),
+    ("kmeans/adjoint", 0xd2c7d5a8add37822),
+    ("blackscholes/primal", 0xeaf97e8db24a9d0d),
+    ("blackscholes/demoted", 0x5e2de2df11b35e48),
+    ("blackscholes/adjoint", 0xd6c9e67cdcb8ef80),
+    ("hpccg/primal", 0x77ff88eabf2de20b),
+    ("hpccg/demoted", 0x32968706fd115bd9),
+    ("hpccg/adjoint", 0xb4de7c991b0f8162),
 ];

@@ -136,10 +136,11 @@ fn wrong_version_header_degrades_to_counted_miss() {
 
 #[test]
 fn cfg_tier_variants_never_cross_hit() {
-    // The CFG tier flag (and its revision) are part of a variant's
-    // content key: bytecode optimized by the tier must never be served
-    // to a `cfg: false` compile, and vice versa — a stale cross-hit
-    // would silently change pc-indexed artifacts (profiles, trap sites).
+    // The compaction flag (and the tier's revision) are part of a
+    // variant's content key: bytecode compacted by the tier must never
+    // be served to a `cfg: false` compile, and vice versa — a stale
+    // cross-hit would silently change the register numbering a caller
+    // asked for.
     let mut p = chef_ir::parser::parse_program(KERNEL).unwrap();
     chef_ir::typeck::check_program(&mut p).unwrap();
     let func = &p.functions[0];

@@ -188,21 +188,21 @@ fn packed_wire_format_is_pinned() {
 /// `(shapes or kernel/mode, wire_hash of its packed code)`.
 const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
     ("shapes", 0xf8f2e2faa18f0f5b),
-    ("arclen/primal", 0x8d9c1ca7eac9ad94),
-    ("arclen/demoted", 0xfcf4fca063979594),
-    ("arclen/adjoint", 0x3f699b07a4451196),
-    ("simpsons/primal", 0x50ff43da23be0c2e),
-    ("simpsons/demoted", 0xa18ea2ae3c0985e0),
-    ("simpsons/adjoint", 0x09272ebd750df53e),
-    ("kmeans/primal", 0x93b8303f78a75f18),
-    ("kmeans/demoted", 0x17c904071118ad90),
-    ("kmeans/adjoint", 0xa8157431b125323a),
+    ("arclen/primal", 0x9a18a5865e8e7a52),
+    ("arclen/demoted", 0x12939a0bdfd4a634),
+    ("arclen/adjoint", 0xbd5cda92ffa43c89),
+    ("simpsons/primal", 0xa37eb65363ba0d17),
+    ("simpsons/demoted", 0xea7656a848d7454b),
+    ("simpsons/adjoint", 0x09a5490334fd566a),
+    ("kmeans/primal", 0x8cbe4d8db109d9bf),
+    ("kmeans/demoted", 0x11129e53d3bc0a9a),
+    ("kmeans/adjoint", 0xcbb46058cf4e2893),
     ("blackscholes/primal", 0xe765ee664b58d52a),
     ("blackscholes/demoted", 0x8161d6ddd0a0cfff),
-    ("blackscholes/adjoint", 0xb32d78dd43338599),
-    ("hpccg/primal", 0x195543d60468f72f),
-    ("hpccg/demoted", 0xfac4947b7792e150),
-    ("hpccg/adjoint", 0xabb89ae350375fe3),
+    ("blackscholes/adjoint", 0xa500e40003583ede),
+    ("hpccg/primal", 0x7d91347c94b84e90),
+    ("hpccg/demoted", 0xa4c9edc2fe4afbf8),
+    ("hpccg/adjoint", 0xea52618d9943b0e2),
 ];
 
 // ---------------------------------------------------------------- proptest

@@ -150,18 +150,24 @@ fn fold_binary(
         }
         _ => {}
     }
-    // IEEE-safe identities. `x + 0.0`, `x - 0.0`, `x * 1.0`, `x / 1.0`
-    // are exact for every x including NaN and infinities (note: `0.0 + x`
-    // is also exact; `x + (-0.0)` is, too, but plain `+0.0` on the left of
-    // `-` is not: `0.0 - x` ≠ `-x` for x = 0.0). The operand replaces the
-    // node only if it has the node's type: `n + 0.0` must stay a float and
-    // `(x + 0.0) * y` must keep computing at double for a `float` x.
+    // IEEE-safe identities. `x + (-0.0)`, `(-0.0) + x`, `x - 0.0`,
+    // `x * 1.0` and `x / 1.0` are exact for every x including NaN,
+    // infinities and both zeros. `x + 0.0` is not: `-0.0 + 0.0` is
+    // `+0.0`; nor is `0.0 - x`, which is not `-x` for x = 0.0. An int
+    // sum still folds `n + 0`. The operand replaces the node only if it
+    // has the node's type: `n - 0.0` must stay a float and
+    // `(x - 0.0) * y` must keep computing at double for a `float` x.
     let zero = |e: &Expr| num(e).is_some_and(|v| v.to_bits() == 0);
+    let add_identity = |e: &Expr| match e.kind {
+        FloatLit(v) => v.to_bits() == (-0.0f64).to_bits(),
+        IntLit(v) => v == 0 && ty == Some(Type::Int),
+        _ => false,
+    };
     let one = |e: &Expr| num(e) == Some(1.0);
     let keep = |e: &Expr| (ty.is_some() && e.ty == ty).then(|| e.clone());
     match op {
-        BinOp::Add if zero(rhs) => return keep(lhs),
-        BinOp::Add if zero(lhs) => return keep(rhs),
+        BinOp::Add if add_identity(rhs) => return keep(lhs),
+        BinOp::Add if add_identity(lhs) => return keep(rhs),
         BinOp::Sub if zero(rhs) => return keep(lhs),
         BinOp::Mul if one(rhs) => return keep(lhs),
         BinOp::Mul if one(lhs) => return keep(rhs),
@@ -259,15 +265,15 @@ mod tests {
 
     #[test]
     fn identity_mul_one() {
-        let s = folded("double f(double x) { return x * 1.0 + 0.0; }");
+        let s = folded("double f(double x) { return x * 1.0 - 0.0; }");
         assert!(s.contains("return x;"), "{s}");
     }
 
     #[test]
     fn keeps_int_promotion_with_float_zero() {
-        // n + 0.0 must stay a float expression, not collapse to int n.
-        let s = folded("double f(int n) { return n + 0.0; }");
-        assert!(s.contains("n + 0.0"), "{s}");
+        // n - 0.0 must stay a float expression, not collapse to int n.
+        let s = folded("double f(int n) { return n - 0.0; }");
+        assert!(s.contains("n - 0.0"), "{s}");
     }
 
     #[test]
@@ -280,10 +286,19 @@ mod tests {
 
     #[test]
     fn negative_zero_is_not_erased() {
-        // x + (-0.0) is exact, but our conservative check only erases +0.0;
-        // what matters is we never rewrite 0.0 - x.
+        // `0.0 - x` is not `-x`, and `x + 0.0` is not `x`, for x = ±0.0.
         let s = folded("double f(double x) { return 0.0 - x; }");
         assert!(s.contains("0.0 - x"), "{s}");
+        let s = folded("double f(double x) { return 1.0 / (x + 0.0); }");
+        assert!(s.contains("x + 0.0"), "{s}");
+    }
+
+    #[test]
+    fn adding_negative_zero_folds() {
+        let s = folded("double f(double x) { return (x + -0.0) * (-0.0 + x); }");
+        assert!(s.contains("return x * x;"), "{s}");
+        let s = folded("int f(int n) { return n + 0; }");
+        assert!(s.contains("return n;"), "{s}");
     }
 
     #[test]
@@ -314,10 +329,10 @@ mod tests {
 
     #[test]
     fn identity_keeps_the_node_type() {
-        // `x + 0.0` is double for a float x, so `* y` computes at double.
-        let s = folded("double f(float x, float y) { return (x + 0.0) * y; }");
-        assert!(s.contains("x + 0.0"), "{s}");
-        let s = folded("double f(double x, int n) { return (x + 0.0) * (n * 1); }");
+        // `x - 0.0` is double for a float x, so `* y` computes at double.
+        let s = folded("double f(float x, float y) { return (x - 0.0) * y; }");
+        assert!(s.contains("x - 0.0"), "{s}");
+        let s = folded("double f(double x, int n) { return (x - 0.0) * (n * 1); }");
         assert!(s.contains("return x * n;"), "{s}");
     }
 

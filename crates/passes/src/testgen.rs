@@ -12,11 +12,12 @@
 //! guarded (`d * d + 1.0`) so results stay finite and comparisons stay
 //! meaningful.
 //!
-//! [`branching_kernel`], [`licm_kernel`] and [`straight_line_kernel`]
-//! instead build one fixed kernel shape each from a seeded [`SplitMix`]
-//! stream: near-tie float branches that demotions flip (the shadow
-//! oracle's divergence tests), loops with hoistable invariants (the CFG
-//! tier's differential tests), and straight-line arithmetic.
+//! [`branching_kernel`], [`invariant_loop_kernel`] and
+//! [`straight_line_kernel`] instead build one fixed kernel shape each
+//! from a seeded [`SplitMix`] stream: near-tie float branches that
+//! demotions flip (the shadow oracle's divergence tests), possibly
+//! zero-trip loops around loop-invariant work (the compaction tier's
+//! differential tests), and straight-line arithmetic.
 
 use chef_ir::ast::Function;
 use chef_ir::parser::parse_program;
@@ -294,7 +295,7 @@ fn pick_args(seed: u64) -> Vec<f64> {
 // ------------------------------------------------- hand-shaped kernels
 //
 // The generators below build kernels of one fixed shape each (bounded
-// loops around near-tie float compares, LICM bait, straight-line
+// loops around near-tie float compares, loop-invariant work, straight-line
 // arithmetic) from a seeded [`SplitMix`] stream. They return source
 // text; the caller parses it and picks the demotions.
 
@@ -404,15 +405,15 @@ pub fn branching_kernel(g: &mut SplitMix, n_inputs: usize) -> (String, Vec<Strin
     (src, names)
 }
 
-/// A bounded branching kernel over two inputs, biased toward LICM bait:
-/// loop bodies mix an invariant product (`x0 * x1 * lit`, hoistable)
-/// with the loop-carried accumulation, behind near-tie float branches
-/// and a possibly zero-trip while loop.
-pub fn licm_kernel(g: &mut SplitMix) -> String {
+/// A bounded branching kernel over two inputs: loop bodies mix a
+/// loop-invariant product (`x0 * x1 * lit`) with the loop-carried
+/// accumulation, behind near-tie float branches and a possibly zero-trip
+/// while loop.
+pub fn invariant_loop_kernel(g: &mut SplitMix) -> String {
     let mut src = String::from("double f(double x0, double x1) {\n");
     let inv = format!("x0 * x1 * {:.17}", g.lit());
     let step = format!("x{} * {:.17}", g.below(2), 0.03 + g.unit() * 0.05);
-    let iters = g.below(44); // 0 and 1 trips exercise the zero-trip guard
+    let iters = g.below(44); // 0 and 1 trips included
     let _ = writeln!(src, "    double part = 0.0;");
     let _ = writeln!(
         src,

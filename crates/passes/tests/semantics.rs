@@ -101,6 +101,30 @@ fn o2_preserves_semantics_across_multiple_inputs() {
 }
 
 #[test]
+fn o2_keeps_the_sign_of_a_zero_sum() {
+    // `same_result` compares with `==`, under which -0.0 equals +0.0;
+    // dividing by the sum turns the zero's sign into ±inf, and the bits
+    // are compared.
+    for src in [
+        "double f(double x) { return 1.0 / (x + 0.0); }",
+        "double f(double x) { return 1.0 / (0.0 + x); }",
+        "double f(double x) { return 1.0 / (x + -0.0); }",
+        "double f(double x) { return 1.0 / (x - 0.0); }",
+    ] {
+        let mut p = parse_program(src).unwrap();
+        check_program(&mut p).unwrap();
+        let base = &p.functions[0];
+        let mut opt = base.clone();
+        optimize_function(&mut opt, OptLevel::O2);
+        for x in [-0.0, 0.0] {
+            let args = [ArgValue::F(x)];
+            let (before, after) = (eval(base, &args).unwrap(), eval(&opt, &args).unwrap());
+            assert_eq!(before.to_bits(), after.to_bits(), "{src} at x = {x:?}");
+        }
+    }
+}
+
+#[test]
 fn inlining_preserves_semantics() {
     // Hand-written multi-function programs with by-value, by-ref and array
     // parameters.

@@ -7,12 +7,10 @@
 //!   error are bit-identical, at declared precisions and with every
 //!   float scalar demoted to `f32` (the arrays stay `f64`, so the
 //!   accumulations still fuse and carry pending rounding error). On the
-//!   `f64` shadow, fused and unfused compilations are compared with the
-//!   CFG tier off: its loop-invariant code motion hoists different
-//!   instructions out of the two streams, and a hoisted instruction
-//!   samples its local error once per loop entry instead of once per
-//!   iteration. On the double-double shadow, the shipped stream (fusion
-//!   and CFG tier on) is compared with itself with each
+//!   `f64` shadow, the shipped fused compilation is compared with the
+//!   unfused one, both compacted as shipped. On the double-double
+//!   shadow, the shipped stream (fusion and compaction on) is compared
+//!   with itself with each
 //!   `FAddTo`/`FAddToK` expanded back into its `FLoad` ; `FAdd` ;
 //!   `FStore` window, each `FAbsMulC` into its `FMul` ; `FIntr1 Fabs` ;
 //!   `FMulC` window and each `FAddAccK` into its `FAdd` ; `FAddToK`
@@ -101,13 +99,15 @@ fn cases() -> Vec<Case> {
         .collect()
 }
 
-fn compiled(case: &Case, precisions: PrecisionMap, fuse: bool, cfg: bool) -> CompiledFunction {
+/// The adjoint compiled as shipped (compaction and packing on), fused or
+/// not.
+fn compiled(case: &Case, precisions: PrecisionMap, fuse: bool) -> CompiledFunction {
     compile(
         &case.est.grad,
         &CompileOptions {
             precisions,
             fuse,
-            cfg,
+            cfg: true,
             pack: true,
         },
     )
@@ -263,7 +263,7 @@ fn assert_shadow_unmoved<S: ShadowNum>(
 #[test]
 fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
     for case in cases() {
-        let fused = compiled(&case, PrecisionMap::empty(), true, true);
+        let fused = compiled(&case, PrecisionMap::empty(), true);
         for (form, fused_form) in [
             (
                 "error term",
@@ -279,10 +279,8 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
         }
         let demoted = scalars_demoted(&case);
         for (pm, what) in [(PrecisionMap::empty(), "declared"), (demoted, "demoted")] {
-            let [unfused, fused] =
-                [false, true].map(|fuse| compiled(&case, pm.clone(), fuse, false));
-            assert_shadow_unmoved::<f64>(&case, [&fused, &unfused], &format!("{what}/f64"));
-            let shipped = compiled(&case, pm.clone(), true, true);
+            let [unfused, shipped] = [false, true].map(|fuse| compiled(&case, pm.clone(), fuse));
+            assert_shadow_unmoved::<f64>(&case, [&shipped, &unfused], &format!("{what}/f64"));
             let expanded = accumulates_expanded(&shipped);
             let charged =
                 assert_shadow_unmoved::<DD>(&case, [&shipped, &expanded], &format!("{what}/dd"));
@@ -292,13 +290,13 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
 }
 
 /// `(kernel, instrs_executed, tape_total_pushes)` of one run of the
-/// estimator adjoint compiled with fusion and the CFG tier on.
+/// estimator adjoint compiled with fusion and compaction on.
 const PINNED_COUNTS: [(&str, u64, u64); 5] = [
-    ("arclen", 160_042, 12_004),
-    ("simpsons", 64_019, 4_998),
-    ("kmeans", 102_210, 9_733),
-    ("blackscholes", 12_248, 1_053),
-    ("hpccg", 166_070, 12_174),
+    ("arclen", 161_038, 12_004),
+    ("simpsons", 68_013, 4_998),
+    ("kmeans", 106_030, 9_733),
+    ("blackscholes", 12_297, 1_053),
+    ("hpccg", 170_070, 12_174),
 ];
 
 /// `instrs_executed` of the same runs before the error term and its
@@ -311,7 +309,7 @@ fn estimator_adjoint_dispatch_counts_are_pinned() {
     let actual: Vec<(&str, u64, u64)> = cases()
         .iter()
         .map(|case| {
-            let f = compiled(case, PrecisionMap::empty(), true, true);
+            let f = compiled(case, PrecisionMap::empty(), true);
             let out = chef_exec::vm::run_with(&f, case.args.clone(), &ExecOptions::default())
                 .unwrap_or_else(|t| panic!("{}: trapped: {t}", case.label));
             (
