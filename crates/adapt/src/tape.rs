@@ -78,15 +78,6 @@ impl OpTape {
         Ok(idx)
     }
 
-    /// Records a fresh *input* (leaf) entry.
-    pub fn input(&mut self, value: f64) -> Result<EntryIdx, TapeOom> {
-        self.record(Entry {
-            a: None,
-            b: None,
-            value,
-        })
-    }
-
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -134,12 +125,21 @@ impl OpTape {
 mod tests {
     use super::*;
 
+    /// Records an input (a leaf entry).
+    fn input(t: &mut OpTape, value: f64) -> Result<EntryIdx, TapeOom> {
+        t.record(Entry {
+            a: None,
+            b: None,
+            value,
+        })
+    }
+
     #[test]
     fn records_and_reverses_a_product() {
         // f = x * y at (3, 5): df/dx = 5, df/dy = 3.
         let mut t = OpTape::new();
-        let x = t.input(3.0).unwrap();
-        let y = t.input(5.0).unwrap();
+        let x = input(&mut t, 3.0).unwrap();
+        let y = input(&mut t, 5.0).unwrap();
         let f = t
             .record(Entry {
                 a: Some((x, 5.0)),
@@ -156,7 +156,7 @@ mod tests {
     fn chain_rule_through_shared_subexpression() {
         // g = (x*x) + (x*x): dg/dx = 4x.
         let mut t = OpTape::new();
-        let x = t.input(2.0).unwrap();
+        let x = input(&mut t, 2.0).unwrap();
         let sq = t
             .record(Entry {
                 a: Some((x, 2.0)),
@@ -178,16 +178,16 @@ mod tests {
     #[test]
     fn limit_reports_oom() {
         let mut t = OpTape::with_limit(ENTRY_BYTES * 2);
-        t.input(1.0).unwrap();
-        t.input(2.0).unwrap();
-        assert!(t.input(3.0).is_err());
+        input(&mut t, 1.0).unwrap();
+        input(&mut t, 2.0).unwrap();
+        assert!(input(&mut t, 3.0).is_err());
     }
 
     #[test]
     fn byte_accounting() {
         let mut t = OpTape::new();
         for i in 0..10 {
-            t.input(i as f64).unwrap();
+            input(&mut t, i as f64).unwrap();
         }
         assert_eq!(t.bytes(), 10 * ENTRY_BYTES);
     }

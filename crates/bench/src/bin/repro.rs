@@ -381,7 +381,6 @@ fn adapt_point(program: &Program, func: &str, args: &[ArgValue]) -> Option<(f64,
         .or_fail("function not found after inlining");
     let adapt_opts = AdaptOptions {
         memory_limit: Some(ADAPT_MEM_LIMIT),
-        ..Default::default()
     };
     let (adapt_res, adapt_ms) = time_ms(|| analyze(primal, args, &adapt_opts));
     match adapt_res {
@@ -660,7 +659,7 @@ fn table4() {
 fn sweep_fig(
     title: &str,
     scales: &[u64],
-    mk: impl Fn(i64) -> (Program, &'static str, Vec<ArgValue>) + Sync,
+    mk: impl Fn(i64) -> (Program, &'static str, Vec<ArgValue>),
     lens: &[(&str, &str)],
 ) {
     header(title);
@@ -668,12 +667,10 @@ fn sweep_fig(
         "{:>10} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10}",
         "scale", "app ms", "app MB", "chef ms", "chef MB", "adapt ms", "adapt MB"
     );
-    // The per-scale app + CHEF-FP analyses are independent and
-    // memory-light: fan them out over the batch-execution thread pool
-    // and print in scale order. On a loaded or single-core machine
-    // concurrent timing inflates the absolute milliseconds; the growth
-    // *shape* across scales — what the figures reproduce — is preserved.
-    let rows = chef_exec::par::parallel_map(scales.to_vec(), None, |scale| {
+    // Every point runs serially, so no measurement shares the CPUs with
+    // another, and only one ADAPT tape (which grows toward the 4 GiB
+    // budget) is alive at a time.
+    for &scale in scales {
         let (program, func, args) = mk(scale as i64);
         // Application alone (the paper's "Appl. Time/Memory" series).
         let inlined = chef_passes::inline_program(&program).or_fail("inlining failed");
@@ -686,14 +683,6 @@ fn sweep_fig(
         let app_bytes = app_out.stats.peak_memory_bytes();
 
         let (chef_ms, chef_bytes) = chef_point(&program, func, &args, lens);
-        (
-            scale, app_ms, app_bytes, chef_ms, chef_bytes, program, func, args,
-        )
-    });
-    // The ADAPT baselines stay serial: each run tapes toward the 4 GiB
-    // budget, and concurrent baselines could OOM the host where the
-    // serial sweep (one tape alive at a time) survives.
-    for (scale, app_ms, app_bytes, chef_ms, chef_bytes, program, func, args) in rows {
         let (adapt_ms, adapt_mb) = match adapt_point(&program, func, &args) {
             Some((t, b)) => (format!("{t:.1}"), mb(b)),
             None => ("OOM".to_string(), "OOM".to_string()),

@@ -38,16 +38,6 @@ impl Json {
         Json::Str(s.into())
     }
 
-    /// Array of strings.
-    pub fn str_arr<S: AsRef<str>>(items: impl IntoIterator<Item = S>) -> Json {
-        Json::Arr(
-            items
-                .into_iter()
-                .map(|s| Json::Str(s.as_ref().to_string()))
-                .collect(),
-        )
-    }
-
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();

@@ -1,5 +1,7 @@
-//! Serializable experiment records (consumed by the bench harness and
-//! EXPERIMENTS.md generation).
+//! Serializable experiment records: the shadow oracle's estimate-quality
+//! rows, which `repro --oracle` and `repro --smoke` write to
+//! `BENCH_oracle_smoke.json`, and the telemetry snapshot `repro --smoke`
+//! writes to `TELEMETRY_smoke.json` and `TELEMETRY_spans_smoke.json`.
 //!
 //! Serialization goes through the workspace-local [`crate::json`] writer
 //! (the build is offline, so there is no `serde`); every record implements
@@ -11,93 +13,6 @@ use crate::json::Json;
 pub trait Record {
     /// The JSON representation.
     fn to_json_value(&self) -> Json;
-}
-
-/// One row of the paper's Table I: a mixed-precision configuration and its
-/// quality/performance outcome.
-#[derive(Clone, Debug)]
-pub struct MixedPrecisionRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// User threshold the configuration had to satisfy.
-    pub threshold: f64,
-    /// Measured |f64 − mixed| output difference.
-    pub actual_error: f64,
-    /// CHEF-FP's estimate for the chosen configuration.
-    pub estimated_error: f64,
-    /// Runtime speedup of the mixed variant over the original.
-    pub speedup: f64,
-    /// Names of the demoted variables.
-    pub demoted: Vec<String>,
-}
-
-impl Record for MixedPrecisionRow {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("benchmark", Json::str(&self.benchmark)),
-            ("threshold", Json::Num(self.threshold)),
-            ("actual_error", Json::Num(self.actual_error)),
-            ("estimated_error", Json::Num(self.estimated_error)),
-            ("speedup", Json::Num(self.speedup)),
-            ("demoted", Json::str_arr(&self.demoted)),
-        ])
-    }
-}
-
-/// One analysis-performance sample: a point of Figs. 4–8.
-#[derive(Clone, Debug)]
-pub struct AnalysisSample {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Tool (`app`, `chef-fp`, `adapt`).
-    pub tool: String,
-    /// Workload scale (iterations / points / z-dimension).
-    pub scale: u64,
-    /// Wall-clock time in milliseconds.
-    pub time_ms: f64,
-    /// Peak analysis memory in bytes (`None` when the tool ran out of
-    /// memory at this scale — the paper's missing ADAPT points).
-    pub peak_bytes: Option<u64>,
-}
-
-impl Record for AnalysisSample {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("benchmark", Json::str(&self.benchmark)),
-            ("tool", Json::str(&self.tool)),
-            ("scale", Json::Num(self.scale as f64)),
-            ("time_ms", Json::Num(self.time_ms)),
-            (
-                "peak_bytes",
-                self.peak_bytes.map_or(Json::Null, |b| Json::Num(b as f64)),
-            ),
-        ])
-    }
-}
-
-/// One row of the paper's Table IV: an approximate-function configuration.
-#[derive(Clone, Debug)]
-pub struct ApproxRow {
-    /// Configuration label.
-    pub config: String,
-    /// Average / maximum / accumulated actual error.
-    pub actual: [f64; 3],
-    /// Average / maximum / accumulated estimated error.
-    pub estimated: [f64; 3],
-    /// Speedup of the approximate variant.
-    pub speedup: f64,
-}
-
-impl Record for ApproxRow {
-    fn to_json_value(&self) -> Json {
-        let triple = |t: &[f64; 3]| Json::Arr(t.iter().map(|&v| Json::Num(v)).collect());
-        Json::obj([
-            ("config", Json::str(&self.config)),
-            ("actual", triple(&self.actual)),
-            ("estimated", triple(&self.estimated)),
-            ("speedup", Json::Num(self.speedup)),
-        ])
-    }
 }
 
 /// One row of the shadow-oracle comparison: CHEF-FP's *estimated* error
@@ -250,58 +165,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rows_round_trip_through_json() {
-        let row = MixedPrecisionRow {
-            benchmark: "arclen".into(),
-            threshold: 1e-5,
-            actual_error: 3.24e-6,
-            estimated_error: 3.24e-6,
-            speedup: 1.11,
-            demoted: vec!["t1".into(), "t2".into()],
-        };
-        assert_eq!(
-            to_json(&row),
-            r#"{
-  "actual_error": 0.00000324,
-  "benchmark": "arclen",
-  "demoted": [
-    "t1",
-    "t2"
-  ],
-  "estimated_error": 0.00000324,
-  "speedup": 1.11,
-  "threshold": 0.00001
-}"#
-        );
-    }
-
-    #[test]
-    fn analysis_sample_oom_is_null() {
-        let s = AnalysisSample {
-            benchmark: "kmeans".into(),
-            tool: "adapt".into(),
-            scale: 100_000,
-            time_ms: 12.5,
-            peak_bytes: None,
-        };
-        assert_eq!(
-            to_json(&s),
-            r#"{
-  "benchmark": "kmeans",
-  "peak_bytes": null,
-  "scale": 100000,
-  "time_ms": 12.5,
-  "tool": "adapt"
-}"#
-        );
-        let measured = AnalysisSample {
-            peak_bytes: Some(4096),
-            ..s
-        };
-        assert!(to_json(&measured).contains("\"peak_bytes\": 4096,"));
-    }
-
-    #[test]
     fn estimate_quality_round_trips_and_classifies() {
         let row = EstimateQualityRow {
             kernel: "arclen".into(),
@@ -371,32 +234,5 @@ mod tests {
         };
         assert!(!clean.diverged());
         assert!(to_json(&clean).contains("\"diverged\": false,"));
-    }
-
-    #[test]
-    fn approx_row_round_trips() {
-        let r = ApproxRow {
-            config: "w/ fast exp".into(),
-            actual: [1e-3, 2e-3, 3e-3],
-            estimated: [1.1e-3, 2.1e-3, 3.1e-3],
-            speedup: 2.4,
-        };
-        assert_eq!(
-            to_json(&r),
-            r#"{
-  "actual": [
-    0.001,
-    0.002,
-    0.003
-  ],
-  "config": "w/ fast exp",
-  "estimated": [
-    0.0011,
-    0.0021,
-    0.0031
-  ],
-  "speedup": 2.4
-}"#
-        );
     }
 }

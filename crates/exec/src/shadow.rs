@@ -55,6 +55,11 @@
 //! the shadow files alongside; it is reusable call-to-call exactly like
 //! `Machine`. [`run_shadow`] checks one out of the process's pool for
 //! its shadow type, the shadow counterpart of [`crate::vm::run_with`].
+//!
+//! The same loop runs the ADAPT baseline's forward pass (`adapt-baseline`)
+//! with a taping lane instead of a shadow: its values follow the primal
+//! and its operations record an operation tape, through three hooks on
+//! [`ShadowNum`] that the other lanes leave at their identity defaults.
 
 use crate::arena::sealed::Run;
 use crate::bytecode::*;
@@ -72,8 +77,14 @@ use chef_ir::span::Span;
 /// The number type of the shadow stream.
 ///
 /// Implemented by `f64` (unrounded double shadow — the oracle for
-/// mixed-precision configurations) and by `chef-shadow`'s double-double
-/// `DD` (quasi-exact shadow — the oracle for `f64` programs themselves).
+/// mixed-precision configurations), by `chef-shadow`'s double-double
+/// `DD` (quasi-exact shadow — the oracle for `f64` programs themselves)
+/// and by `adapt-baseline`'s taping lane, whose values follow the primal
+/// and whose operations record an operation tape for the ADAPT
+/// comparator. The taping lane is what the three hooks
+/// ([`ShadowNum::input`], [`ShadowNum::rounded`], [`ShadowNum::commit`])
+/// exist for; their defaults return the value unchanged, so the other
+/// lanes ignore them.
 pub trait ShadowNum: Copy + Send + Sync + 'static {
     /// Whether this type carries a shadow at all. Leave it at the
     /// default: `false` is reserved for the crate's zero-sized plain-VM
@@ -121,6 +132,25 @@ pub trait ShadowNum: Copy + Send + Sync + 'static {
     /// lower integer instead of the rounded one.
     fn trunc_i64(a: Self) -> i64 {
         a.to_f64() as i64
+    }
+    /// Binds `a` as one input: a float parameter or one element of a
+    /// float array parameter, homed in variable `var` (1 + its index in
+    /// the function's float-then-array variable table).
+    fn input(a: Self, _var: u32) -> Self {
+        a
+    }
+    /// The primal rounded this operation's result to `prim` (a rounding
+    /// op, a parameter's entry rounding or the return rounding). The
+    /// shadow is unrounded by design, so the default ignores it.
+    fn rounded(a: Self, _prim: f64) -> Self {
+        a
+    }
+    /// `a` is committed: stored to the named variable `var` (1-based, as
+    /// for [`ShadowNum::input`]) — its home register, or an element of
+    /// its array — or, with `ret`, returned by `RetF` from a register
+    /// homing `var` (0 when the register is a temporary).
+    fn commit(a: Self, _var: u32, _ret: bool) -> Self {
+        a
     }
 }
 
@@ -467,8 +497,8 @@ impl<S: ShadowNum> Lane<S> {
                 ParamKind::F(_) => {
                     let orig = self.scalar_orig[k].unwrap_or(0.0);
                     let prim = f[spec.reg as usize];
-                    self.sf[spec.reg as usize] = S::from_f64(orig);
                     let var = self.fvar_of[spec.reg as usize];
+                    self.sf[spec.reg as usize] = S::input(S::rounded(S::from_f64(orig), prim), var);
                     self.charge_entry((orig - prim).abs(), var);
                 }
                 ParamKind::FArr(_) => {
@@ -478,15 +508,15 @@ impl<S: ShadowNum> Lane<S> {
                     };
                     let mut shadow = std::mem::take(&mut self.sa[spec.reg as usize]);
                     shadow.clear();
+                    let var = self.avar_of[spec.reg as usize];
                     match self.array_orig[k].take() {
                         Some(orig) => {
-                            let var = self.avar_of[spec.reg as usize];
                             for (o, p) in orig.iter().zip(prim) {
-                                shadow.push(S::from_f64(*o));
+                                shadow.push(S::input(S::rounded(S::from_f64(*o), *p), var));
                                 self.charge_entry((o - p).abs(), var);
                             }
                         }
-                        None => shadow.extend(prim.iter().map(|&p| S::from_f64(p))),
+                        None => shadow.extend(prim.iter().map(|&p| S::input(S::from_f64(p), var))),
                     }
                     self.sa[spec.reg as usize] = shadow;
                 }
@@ -600,7 +630,8 @@ impl<S: ShadowNum> Run for ShadowMachine<S> {
 /// dispatches on a dense `u8` opcode the compiler lowers to a jump table.
 /// Every shadow-side statement (shadow values, local-error samples,
 /// pending attribution, divergence checks, the shadow tape and arrays,
-/// the shadow return) sits behind `if S::ACTIVE`, so the `NoShadow`
+/// the shadow return, the taping lane's hooks) sits behind
+/// `if S::ACTIVE`, so the `NoShadow`
 /// instantiation keeps exactly the primal work. Shadow-side register
 /// accesses stay bounds-checked by slice indexing (the shadow arithmetic
 /// dominates that instantiation's cost).
@@ -794,6 +825,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 let mut p: f64 = $pend;
                 let v = fvar_of[d];
                 if v != 0 {
+                    sf[d] = S::commit(sf[d], v, false);
                     var_err[(v - 1) as usize] += p;
                     p = 0.0;
                 }
@@ -813,7 +845,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 local = S::sub($exact, S::from_f64(prim)).to_f64().abs();
                 sample!(local);
             }
-            put!(fld!(w_a), prim, $shadow, $pend + local);
+            put!(fld!(w_a), prim, S::rounded($shadow, prim), $pend + local);
         }};
     }
     // Binary `ShadowNum` method `$op` (evaluated in `f64` on the primal
@@ -910,6 +942,15 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             }
         }};
     }
+    // Taping lane: commits element `$index` of float array `$arr` to its
+    // variable `$var`.
+    macro_rules! commit_elem {
+        ($arr:expr, $index:expr, $var:expr) => {{
+            if let Some(slot) = sa[$arr].get_mut($index as usize) {
+                *slot = S::commit(*slot, $var, false);
+            }
+        }};
+    }
     macro_rules! fload {
         ($index:expr) => {{
             let (arr, index) = (fld!(w_b), $index);
@@ -935,6 +976,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 }
                 let var = avar_of[arr];
                 if var != 0 {
+                    commit_elem!(arr, index, var);
                     var_err[(var - 1) as usize] += pend[src];
                 }
                 pend[src] = 0.0;
@@ -966,6 +1008,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 }
                 let var = avar_of[arr];
                 if var != 0 {
+                    commit_elem!(arr, index, var);
                     var_err[(var - 1) as usize] += pend[src] + local;
                 }
             }
@@ -1030,7 +1073,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 if S::ACTIVE {
                     sample!(local);
                 }
-                put!(fld!(w_a), prim, sf[s], pend[s] + local);
+                put!(fld!(w_a), prim, S::rounded(sf[s], prim), pend[s] + local);
             }
             op::FINTR1 => {
                 let (x, intr) = (fld!(w_b), intrinsic!(fld!(w_d)));
@@ -1304,8 +1347,12 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                 }
                 if S::ACTIVE {
                     sample!((v - rounded).abs());
-                    *shadow_ret = Some(sf[src].to_f64());
-                    *ret_error = Some(S::sub(sf[src], S::from_f64(rounded)).to_f64().abs());
+                    // `get`, not indexing: with no panic path the
+                    // lanes that ignore `var` compile it away.
+                    let var = fvar_of.get(src).map_or(0, |&v| v);
+                    let s = S::commit(S::rounded(sf[src], rounded), var, true);
+                    *shadow_ret = Some(s.to_f64());
+                    *ret_error = Some(S::sub(s, S::from_f64(rounded)).to_f64().abs());
                 }
                 ret!(Some(Value::F(rounded)));
             }

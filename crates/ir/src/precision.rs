@@ -1,9 +1,10 @@
 //! KernelC's precision semantics, stated once.
 //!
 //! Every component that decides the format of an intermediate asks this
-//! module — the type checker, the AST builders, the constant folder, the
-//! bytecode compiler and the ADAPT interpreter — so the estimated, the
-//! optimized and the executed program agree on every rounding:
+//! module — the type checker, the AST builders, the constant folder and
+//! the bytecode compiler (whose VM also runs the ADAPT baseline's
+//! forward pass) — so the estimated, the optimized and the executed
+//! program agree on every rounding:
 //!
 //! * two float operands of arithmetic compute at their [`FloatTy::join`],
 //!   the least format that holds both ([`arith`]);

@@ -20,9 +20,11 @@ fn eval(func: &chef_ir::ast::Function, args: &[ArgValue]) -> Result<f64, Trap> {
     run_with(&compiled, args.to_vec(), &opts).map(|o| o.ret_f())
 }
 
+/// Equal bits (so −0.0 and +0.0 differ), any NaN equal to any NaN, or
+/// both trapped.
 fn same_result(a: Result<f64, Trap>, b: Result<f64, Trap>) -> bool {
     match (a, b) {
-        (Ok(x), Ok(y)) => x == y || (x.is_nan() && y.is_nan()),
+        (Ok(x), Ok(y)) => x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
         (Err(_), Err(_)) => true,
         _ => false,
     }

@@ -31,10 +31,36 @@ fn adapt_outcome(program: &Program, func: &str, args: &[ArgValue]) -> chef_fp::a
     analyze(primal, args, &AdaptOptions::default()).expect("baseline runs")
 }
 
-/// The paper's headline comparison: same estimates, smaller tape.
-fn compare(program: &Program, func: &str, args: &[ArgValue], lens: &[(&str, &str)], label: &str) {
+/// Deterministic memory counts of one analysis: CHEF-FP's peak tape
+/// bytes, and ADAPT's tape entries and peak bytes (entries plus the
+/// reverse pass's adjoint vector).
+struct Pins {
+    chef_tape_peak_bytes: usize,
+    adapt_tape_entries: usize,
+    adapt_tape_peak_bytes: usize,
+}
+
+/// The paper's headline comparison: same estimates, smaller tape, and
+/// both tapes pinned exactly (a change that grows either one fails here).
+fn compare(
+    program: &Program,
+    func: &str,
+    args: &[ArgValue],
+    lens: &[(&str, &str)],
+    label: &str,
+    pins: Pins,
+) {
     let (chef, chef_tape) = chef_outcome(program, func, args, lens);
     let adapt = adapt_outcome(program, func, args);
+    assert_eq!(
+        (chef_tape, adapt.tape_entries, adapt.tape_peak_bytes),
+        (
+            pins.chef_tape_peak_bytes,
+            pins.adapt_tape_entries,
+            pins.adapt_tape_peak_bytes
+        ),
+        "{label}: (chef tape bytes, adapt entries, adapt peak bytes)"
+    );
     // Primal values agree exactly (same arithmetic).
     assert_eq!(chef.value, adapt.value, "{label}: primal mismatch");
     // Estimates agree to rounding (same formula, different association).
@@ -61,6 +87,11 @@ fn arclen_estimates_agree_with_adapt() {
         &arclen::args(500),
         &[],
         "arclen",
+        Pins {
+            chef_tape_peak_bytes: 96_032,
+            adapt_tape_entries: 24_003,
+            adapt_tape_peak_bytes: 1_536_192,
+        },
     );
 }
 
@@ -72,6 +103,11 @@ fn simpsons_estimates_agree_with_adapt() {
         &simpsons::args(500),
         &[],
         "simpsons",
+        Pins {
+            chef_tape_peak_bytes: 39_984,
+            adapt_tape_entries: 12_008,
+            adapt_tape_peak_bytes: 768_512,
+        },
     );
 }
 
@@ -87,6 +123,11 @@ fn kmeans_estimates_agree_with_adapt() {
             ("clusters", "nclusters * nfeatures"),
         ],
         "kmeans",
+        Pins {
+            chef_tape_peak_bytes: 106_824,
+            adapt_tape_entries: 15_963,
+            adapt_tape_peak_bytes: 1_021_632,
+        },
     );
 }
 
@@ -99,6 +140,11 @@ fn hpccg_estimates_agree_with_adapt() {
         &hpccg::args(&p),
         &[("b", "nrow")],
         "hpccg",
+        Pins {
+            chef_tape_peak_bytes: 97_392,
+            adapt_tape_entries: 17_970,
+            adapt_tape_peak_bytes: 1_150_080,
+        },
     );
 }
 
@@ -117,6 +163,11 @@ fn blackscholes_estimates_agree_with_adapt() {
             ("otime", "numOptions"),
         ],
         "bs",
+        Pins {
+            chef_tape_peak_bytes: 8_424,
+            adapt_tape_entries: 2_353,
+            adapt_tape_peak_bytes: 150_592,
+        },
     );
 }
 
@@ -191,7 +242,6 @@ fn adapt_oom_while_chef_survives() {
         &args,
         &AdaptOptions {
             memory_limit: Some(budget),
-            ..Default::default()
         },
     );
     assert!(

@@ -1,8 +1,11 @@
 //! One precision rule, every engine: programs that mix formats, each
 //! run through the VM unoptimized, the VM after the O2 pass pipeline
-//! (with and without bytecode fusion) and the ADAPT interpreter. Every
-//! engine must return the same bits, and the type checker must annotate
-//! the returned expression with the precision the rule gives it
+//! (with and without bytecode fusion) and ADAPT, whose forward pass runs
+//! the unoptimized VM with its taping lane (which must leave the primal
+//! alone). Every engine shares the VM's semantics, so the independent
+//! reference is the hand-computed `want` of each row: every engine must
+//! return its bits, and the type checker must annotate the returned
+//! expression with the precision the rule gives it
 //! (`chef_ir::precision`).
 
 use chef_fp::adapt::{analyze, AdaptOptions};
