@@ -19,6 +19,33 @@
 //! `void f_grad(<primal params>, <adjoint outs>, <extension params>)`,
 //! where each float scalar parameter `x` gains `double &_d_x` and each
 //! float array parameter `a` gains `double _d_a[]`.
+//!
+//! ## The backward form of an assignment
+//!
+//! The general form of `v = rhs` captures the adjoint, zeroes it,
+//! restores `v` and redistributes the capture:
+//!
+//! ```text
+//! _r = _d_v; _d_v = 0.0; pop(v); <rhs's contributions seeded with _r>
+//! ```
+//!
+//! Array elements keep it. A scalar `v` takes one of three shorter forms
+//! instead, after the extension's hook:
+//!
+//! | assignment | backward sweep |
+//! |---|---|
+//! | `v = v ± e`, `v = e + v`; `e` does not read `v` | `pop(v); <e's contributions seeded with ±_d_v>` |
+//! | `v = v * c`, `v = c * v`; `c` reads no float | `pop(v); _d_v = _d_v * c` |
+//! | `rhs` does not read `v` | `pop(v); <rhs's contributions seeded with _d_v>; _d_v = 0.0` |
+//!
+//! The third is exact: no contribution of `rhs` writes `_d_v`, so the
+//! contributions read the same seed from `_d_v` as from its capture, and
+//! zeroing it after them leaves the same state. The first two leave out
+//! `_d_v = 0.0; _d_v += _r` (resp. `_d_v += _r * c`): `0.0 + x` equals
+//! `x` except that it turns `x = −0.0` into `+0.0`, so they can differ
+//! from the general form only in the sign of a zero adjoint, which the
+//! error term's `|x·x̄|` does not see. `pop(v)` still comes before any
+//! contribution, so each reads the value `v` had before the assignment.
 
 use crate::activity::{is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
@@ -964,6 +991,38 @@ impl Rev<'_> {
                 span,
             };
             bwd.extend(self.ext.on_assign(&mut ctx));
+            if let LValue::Var(_) = lhs {
+                if let Some(fold) = fold_scalar_update(rhs, target, &self.grad) {
+                    // (c) restore, then (d) without capturing and zeroing.
+                    if needs_push {
+                        bwd.push(Stmt::synth(StmtKind::TapePop(lhs.clone())));
+                    }
+                    match fold {
+                        Fold::Keep { rest, negate } => {
+                            let seed = if negate {
+                                Expr::neg(adj_read)
+                            } else {
+                                adj_read
+                            };
+                            self.rev_expr(rest, seed, &mut bwd)?;
+                        }
+                        Fold::Scale(c) => bwd.push(Stmt::synth(StmtKind::Assign {
+                            lhs: adj_lv,
+                            op: AssignOp::Assign,
+                            rhs: Expr::mul(adj_read, c.clone()),
+                        })),
+                        Fold::Reset => {
+                            self.rev_expr(rhs, adj_read, &mut bwd)?;
+                            bwd.push(Stmt::synth(StmtKind::Assign {
+                                lhs: adj_lv,
+                                op: AssignOp::Assign,
+                                rhs: Expr::flit(0.0),
+                            }));
+                        }
+                    }
+                    return Ok((fwd, bwd));
+                }
+            }
             // (b) capture and reset the adjoint.
             let (t_id, t_name) = self.fresh_local("_r", Type::Float(FloatTy::F64));
             self.hoisted.push(decl_stmt(&self.grad, t_id, None));
@@ -1124,6 +1183,51 @@ impl Rev<'_> {
             },
         }
     }
+}
+
+/// How the backward sweep of a scalar assignment `v = rhs` skips
+/// capturing `_d_v` into a temporary and zeroing it.
+enum Fold<'e> {
+    /// `v = v ± rest` or `v = rest + v`, `rest` not reading `v`: `_d_v`
+    /// already holds its own contribution; `rest`'s contributions are
+    /// seeded with `±_d_v`.
+    Keep { rest: &'e Expr, negate: bool },
+    /// `v = v * c` or `v = c * v`, `c` without differentiable reads:
+    /// `_d_v = _d_v * c`.
+    Scale(&'e Expr),
+    /// `rhs` does not read `v`: its contributions are seeded with `_d_v`,
+    /// which is zeroed afterwards.
+    Reset,
+}
+
+/// The fold that applies to `target = rhs`, if any.
+fn fold_scalar_update<'e>(rhs: &'e Expr, target: VarId, grad: &Function) -> Option<Fold<'e>> {
+    let is_target = |e: &Expr| matches!(&e.kind, ExprKind::Var(v) if v.id == Some(target));
+    let reads_target = |e: &Expr| reads_of(e).contains(&target);
+    if let ExprKind::Binary { op, lhs, rhs: r } = &rhs.kind {
+        match op {
+            BinOp::Add | BinOp::Sub if is_target(lhs) && !reads_target(r) => {
+                return Some(Fold::Keep {
+                    rest: r,
+                    negate: *op == BinOp::Sub,
+                })
+            }
+            BinOp::Add if is_target(r) && !reads_target(lhs) => {
+                return Some(Fold::Keep {
+                    rest: lhs,
+                    negate: false,
+                })
+            }
+            BinOp::Mul if is_target(lhs) && !has_diff_reads(r, grad) => {
+                return Some(Fold::Scale(r))
+            }
+            BinOp::Mul if is_target(r) && !has_diff_reads(lhs, grad) => {
+                return Some(Fold::Scale(lhs))
+            }
+            _ => {}
+        }
+    }
+    (!reads_target(rhs)).then_some(Fold::Reset)
 }
 
 /// `true` if the expression reads any float variable or element.

@@ -96,6 +96,29 @@ fn overwrites_and_self_reference() {
 }
 
 #[test]
+fn scalar_updates_skip_the_adjoint_capture() {
+    // Every assignment here is a scalar one with a short backward form:
+    // no `_r` capture temporary is emitted, `2.0 * s` scales `_d_s` in
+    // place, and the gradients stay exact.
+    let f = checked(
+        "double f(double x, double y) { double s = x * y; s = s + sin(x); s = s - y * y; \
+         s = 2.0 * s; s = y + s; double t = s * s; return t; }",
+    );
+    let grad = reverse_diff(&f).unwrap();
+    let src = chef_ir::printer::print_function(&grad);
+    let captures = src.matches("double _r").count() - src.matches("double _result").count();
+    assert_eq!(captures, 0, "{src}");
+    assert!(src.contains("_d_s = _d_s * 2.0;"), "{src}");
+    let (x, y) = (0.7, -1.3);
+    let s = 2.0 * (x * y + f64::sin(x) - y * y) + y;
+    let out = run_grad(&grad, &[ArgValue::F(x), ArgValue::F(y)]);
+    let dx = 2.0 * s * 2.0 * (y + f64::cos(x));
+    let dy = 2.0 * s * (2.0 * (x - 2.0 * y) + 1.0);
+    assert!(close(out[0].as_f(), dx, 1e-12), "{:?} vs {dx}", out[0]);
+    assert!(close(out[1].as_f(), dy, 1e-12), "{:?} vs {dy}", out[1]);
+}
+
+#[test]
 fn loop_gradient_arclength_shape() {
     // The paper's Arc Length kernel shape: accumulation in a loop with
     // sqrt of sums.

@@ -81,6 +81,7 @@ fn main() {
     }
     if args.iter().any(|a| a == "--profile" || a == "profile") {
         profile_table();
+        pair_census();
         return;
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
@@ -1704,4 +1705,84 @@ fn profile_table() {
         prof.total(),
         sci(acc)
     );
+}
+
+/// `repro --profile`, second part: the dispatch-pair census of the five
+/// estimator adjoints (`estimate_error` with default options, compiled as
+/// shipped) on small fixed inputs — per-opcode counts and the hottest
+/// adjacent pairs ([`ExecProfile::adjacent_pairs`]), from which fusion
+/// and codegen targets are chosen.
+fn pair_census() {
+    use chef_apps::{arclen, blackscholes, hpccg, kmeans, simpsons};
+    let kernels: [(&str, Program, &str, Vec<ArgValue>); 5] = [
+        ("arclen", arclen::program(), arclen::NAME, arclen::args(500)),
+        (
+            "simpsons",
+            simpsons::program(),
+            simpsons::NAME,
+            simpsons::args(500),
+        ),
+        (
+            "kmeans",
+            kmeans::program(),
+            kmeans::NAME,
+            kmeans::args(&kmeans::workload(100, 5, 4, 42)),
+        ),
+        (
+            "blackscholes",
+            blackscholes::program(),
+            blackscholes::NAME,
+            blackscholes::args(&blackscholes::workload(50, 42)),
+        ),
+        (
+            "hpccg",
+            hpccg::program(),
+            hpccg::NAME,
+            hpccg::args(&hpccg::problem(4, 4, 4)),
+        ),
+    ];
+    for (label, program, name, primal) in kernels {
+        let mut opts = EstimateOptions::default();
+        if label == "kmeans" {
+            opts = opts
+                .with_array_len("attributes", "npoints * nfeatures")
+                .with_array_len("clusters", "nclusters * nfeatures");
+        }
+        let est = estimate_error(&program, name, &opts).or_fail("estimator build failed");
+        let func = compile_default(&est.grad).or_fail("estimator adjoint compile failed");
+        // The primal arguments, then what `ErrorEstimator::execute`
+        // appends: zeroed adjoints, `_fp_error`, `_primal_out` and the
+        // attribution table.
+        let mut args = primal.clone();
+        args.extend(primal.iter().filter_map(|a| match a {
+            ArgValue::F(_) => Some(ArgValue::F(0.0)),
+            ArgValue::FArr(v) => Some(ArgValue::FArr(vec![0.0; v.len()])),
+            _ => None,
+        }));
+        args.extend([ArgValue::F(0.0), ArgValue::F(0.0)]);
+        args.push(ArgValue::FArr(vec![0.0; est.slots().len()]));
+        let exec = ExecOptions {
+            profile: true,
+            ..Default::default()
+        };
+        let out = run_with(&func, args, &exec).or_fail("estimator adjoint trapped");
+        let prof = out.profile.as_ref().or_fail("profile missing");
+        let total = prof.total() as f64;
+        let pct = |c: u64| 100.0 * c as f64 / total;
+        header(&format!(
+            "dispatch-pair census: {label} estimator adjoint, {} dispatches",
+            prof.total()
+        ));
+        println!("{:<32} {:>10} {:>7}", "opcode", "count", "disp%");
+        for (op, c) in prof.opcode_histogram(&func) {
+            println!("{op:<32} {c:>10} {:>6.2}%", pct(c));
+        }
+        println!(
+            "\n{:<32} {:>10} {:>7}",
+            "adjacent pair (top 10)", "count", "disp%"
+        );
+        for ((a, b), c) in prof.adjacent_pairs(&func).into_iter().take(10) {
+            println!("{:<32} {c:>10} {:>6.2}%", format!("{a} ; {b}"), pct(c));
+        }
+    }
 }

@@ -6,7 +6,9 @@
 //! precision* that [`chef_ir::precision`] states for its operands, and
 //! any operation whose effective precision is below `f64` gets an
 //! explicit [`Instr::FRound`] after it. The index of a compound
-//! `a[e] op= v` is evaluated once, as in C.
+//! `a[e] op= v` is evaluated once, as in C. Loops are lowered rotated:
+//! the condition is tested on entry and then at the bottom of every
+//! iteration, so each iteration ends in one conditional backward jump.
 //!
 //! "Effective" matters because of [`PrecisionMap`]: a mixed-precision
 //! configuration demotes chosen variables without touching the source,
@@ -433,43 +435,10 @@ impl<'a> Compiler<'a> {
                 if let Some(i) = init {
                     self.stmt(i)?;
                 }
-                let lcond = self.here();
-                let jexit = match cond {
-                    Some(c) => {
-                        self.reset_temps();
-                        self.cur_span = c.span;
-                        let creg = self.expr_as_b(c)?;
-                        Some(self.emit(Instr::JmpIfFalse {
-                            cond: creg,
-                            target: 0,
-                        }))
-                    }
-                    None => None,
-                };
-                self.block(body)?;
-                if let Some(st) = step {
-                    self.stmt(st)?;
-                }
-                self.emit(Instr::Jmp { target: lcond });
-                let end = self.here();
-                if let Some(j) = jexit {
-                    self.patch_jump(j, end);
-                }
-                Ok(())
+                let cond = cond.as_ref().map(|c| (c, c.span));
+                self.rotated_loop(cond, body, step.as_deref())
             }
-            StmtKind::While { cond, body } => {
-                let lcond = self.here();
-                let creg = self.expr_as_b(cond)?;
-                let jexit = self.emit(Instr::JmpIfFalse {
-                    cond: creg,
-                    target: 0,
-                });
-                self.block(body)?;
-                self.emit(Instr::Jmp { target: lcond });
-                let end = self.here();
-                self.patch_jump(jexit, end);
-                Ok(())
-            }
+            StmtKind::While { cond, body } => self.rotated_loop(Some((cond, s.span)), body, None),
             StmtKind::Return(e) => {
                 match (e, self.func.ret) {
                     (None, _) => {
@@ -1006,6 +975,66 @@ impl<'a> Compiler<'a> {
         self.operand_as_i(op)
     }
 
+    /// Lowers a loop rotated, with its test at the bottom:
+    ///
+    /// ```text
+    ///       cond; JmpIfFalse end
+    /// top:  body; step; cond; JmpIfTrue top
+    /// end:
+    /// ```
+    ///
+    /// so an iteration ends in one conditional backward jump, which
+    /// fusion merges with its compare, instead of a `Jmp` back to a test
+    /// at the top. The condition is compiled twice, for the entry and the
+    /// bottom test, each at `span`. A loop without a condition, or with a
+    /// constant-true one, ends in `Jmp top` and has no entry test.
+    fn rotated_loop(
+        &mut self,
+        cond: Option<(&Expr, Span)>,
+        body: &Block,
+        step: Option<&Stmt>,
+    ) -> Result<(), CompileError> {
+        let cond = cond.filter(|(c, _)| !matches!(c.kind, ExprKind::BoolLit(true)));
+        let jexit = match cond {
+            Some((c, span)) => {
+                let creg = self.loop_test(c, span)?;
+                Some(self.emit(Instr::JmpIfFalse {
+                    cond: creg,
+                    target: 0,
+                }))
+            }
+            None => None,
+        };
+        let top = self.here();
+        self.block(body)?;
+        if let Some(st) = step {
+            self.stmt(st)?;
+        }
+        match cond {
+            Some((c, span)) => {
+                let creg = self.loop_test(c, span)?;
+                self.emit(Instr::JmpIfTrue {
+                    cond: creg,
+                    target: top,
+                });
+            }
+            None => {
+                self.emit(Instr::Jmp { target: top });
+            }
+        }
+        if let Some(j) = jexit {
+            let end = self.here();
+            self.patch_jump(j, end);
+        }
+        Ok(())
+    }
+
+    fn loop_test(&mut self, c: &Expr, span: Span) -> Result<IReg, CompileError> {
+        self.reset_temps();
+        self.cur_span = span;
+        self.expr_as_b(c)
+    }
+
     fn expr_as_b(&mut self, e: &Expr) -> Result<IReg, CompileError> {
         match self.expr(e)? {
             Operand::B(r) => Ok(r),
@@ -1095,6 +1124,7 @@ fn cmp_of(op: BinOp) -> CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::ArgValue;
     use chef_ir::parser::parse_program;
     use chef_ir::typeck::check_program;
 
@@ -1244,16 +1274,108 @@ mod tests {
         assert!(unpacked.packed.is_none());
     }
 
+    /// `(pc, target)` of every backward jump, conditional or not.
+    fn back_edges(f: &CompiledFunction) -> Vec<(usize, usize)> {
+        f.instrs
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, i)| {
+                let t = i.target()? as usize;
+                (t <= pc).then_some((pc, t))
+            })
+            .collect()
+    }
+
     #[test]
     fn loop_compiles_with_backward_jump() {
+        // Rotated: the test sits at the bottom, so the back edge is the
+        // (fused) conditional jump and no `Jmp` remains.
         let f = compile_src(
             "double f(int n) { double s = 0.0; for (int i = 0; i < n; i++) { s += 1.0; } return s; }",
         );
-        let has_backjump = f.instrs.iter().enumerate().any(|(pc, i)| match i {
-            Instr::Jmp { target } => (*target as usize) < pc,
-            _ => false,
-        });
-        assert!(has_backjump, "{}", f.disassemble());
+        assert_eq!(back_edges(&f).len(), 1, "{}", f.disassemble());
+        assert!(
+            !f.instrs.iter().any(|i| matches!(i, Instr::Jmp { .. })),
+            "{}",
+            f.disassemble()
+        );
+    }
+
+    #[test]
+    fn zero_trip_loops_run_no_body() {
+        for src in [
+            "double f(int n) { double s = 5.0; for (int i = 0; i < n; i++) { s = s / 0.0; } return s; }",
+            "double f(int n) { double s = 5.0; while (n > 0) { s = s / 0.0; n = n - 1; } return s; }",
+        ] {
+            let f = compile_src(src);
+            let out = crate::vm::run(&f, vec![ArgValue::I(0)]).unwrap();
+            assert_eq!(out.ret_f(), 5.0, "{src}");
+            let out = crate::vm::run(&f, vec![ArgValue::I(3)]).unwrap();
+            assert!(out.ret_f().is_infinite(), "{src}");
+        }
+    }
+
+    #[test]
+    fn float_condition_while_loop_counts_the_same() {
+        // Entry and bottom tests compare the same way: the first value of
+        // `x` at or above the limit ends the loop, whichever test sees it.
+        let src = "double f(double x, double lim) {
+            double k = 0.0;
+            while (x < lim) { x = x * 1.5 + 0.25; k = k + 1.0; }
+            return k * 1000.0 + x;
+        }";
+        let f = compile_src(src);
+        let native = |mut x: f64, lim: f64| {
+            let mut k = 0.0;
+            while x < lim {
+                x = x * 1.5 + 0.25;
+                k += 1.0;
+            }
+            k * 1000.0 + x
+        };
+        for (x, lim) in [
+            (0.0, 100.0),
+            (7.0, 7.0),
+            (8.0, 7.0),
+            (0.1, f64::NAN),
+            (-0.25, 1e6),
+        ] {
+            let out = crate::vm::run(&f, vec![ArgValue::F(x), ArgValue::F(lim)]).unwrap();
+            assert_eq!(
+                out.ret_f().to_bits(),
+                native(x, lim).to_bits(),
+                "x={x} lim={lim}"
+            );
+        }
+    }
+
+    #[test]
+    fn endless_loops_still_hit_the_budget_and_the_deadline() {
+        use crate::vm::{run_with, ExecOptions, TrapKind};
+        for src in [
+            "void f(int n) { while (true) { } }",
+            "void f(int n) { while (n > 0) { } }",
+            "void f(int n) { for (;;) { n = n + 1; } }",
+        ] {
+            let f = compile_src(src);
+            assert_eq!(back_edges(&f).len(), 1, "{src}\n{}", f.disassemble());
+            let budget = ExecOptions {
+                max_instrs: Some(1000),
+                ..Default::default()
+            };
+            let err = run_with(&f, vec![ArgValue::I(1)], &budget).unwrap_err();
+            let TrapKind::InstrBudgetExhausted { executed } = err.kind else {
+                panic!("{src}: expected a budget trap, got {:?}", err.kind);
+            };
+            assert!((1001..1010).contains(&executed), "{src}: {executed}");
+            let deadline = ExecOptions::default().deadline_in(std::time::Duration::from_millis(5));
+            let err = run_with(&f, vec![ArgValue::I(1)], &deadline).unwrap_err();
+            assert!(
+                matches!(err.kind, TrapKind::DeadlineExceeded { .. }),
+                "{src}: {:?}",
+                err.kind
+            );
+        }
     }
 
     #[test]

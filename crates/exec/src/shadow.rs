@@ -1631,7 +1631,7 @@ mod tests {
         // Pinned: the compare's pc and its 1-based position in the run.
         assert_eq!(
             (p.pc, p.at_instr),
-            per_pipeline((9, 407), (15, 810)),
+            per_pipeline((9, 307), (16, 710)),
             "{p:?}"
         );
         match p.kind {
@@ -1791,7 +1791,7 @@ mod tests {
             ..Default::default()
         };
         let t = same_trap(&src("void f() { while (true) { } }"), vec![], &budget);
-        assert_eq!(t.kind, TrapKind::InstrBudgetExhausted { executed: 1002 });
+        assert_eq!(t.kind, TrapKind::InstrBudgetExhausted { executed: 1001 });
 
         let underflow = hand_packed(
             vec![Instr::TPopF { dst: FReg(0) }, Instr::RetVoid],

@@ -284,6 +284,35 @@ impl ExecProfile {
         v
     }
 
+    /// Dynamic counts of adjacent instruction pairs by opcode mnemonic,
+    /// hottest first (ties broken alphabetically): the pair at `pc`,
+    /// `pc + 1` ran `pc_counts[pc]` times when both pcs ran equally often
+    /// and no jump targets `pc + 1`, so that every execution of the
+    /// second fell through from the first. Pairs that fail either test
+    /// are left out, so the table is a lower bound on what a fusion of
+    /// the pair would save.
+    pub fn adjacent_pairs(&self, func: &CompiledFunction) -> Vec<((String, String), u64)> {
+        let mut targeted = vec![false; func.instrs.len() + 1];
+        for ins in &func.instrs {
+            if let Some(t) = ins.target() {
+                targeted[t as usize] = true;
+            }
+        }
+        let mut by_pair: std::collections::BTreeMap<(String, String), u64> =
+            std::collections::BTreeMap::new();
+        for (pc, w) in self.pc_counts.windows(2).enumerate() {
+            if w[0] > 0 && w[0] == w[1] && !targeted[pc + 1] {
+                let (a, b) = (&func.instrs[pc], &func.instrs[pc + 1]);
+                *by_pair
+                    .entry((instr_mnemonic(a), instr_mnemonic(b)))
+                    .or_insert(0) += w[0];
+            }
+        }
+        let mut v: Vec<_> = by_pair.into_iter().collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        v
+    }
+
     /// Accumulates another profile of the same function (for aggregating
     /// across a batch of calls). Panics on mismatched lengths unless one
     /// side is empty.
@@ -1037,6 +1066,45 @@ pub(crate) mod tests {
         // A run that fits the budget is unaffected.
         let ok = run_with(&f, vec![ArgValue::I(2)], &opts).unwrap();
         assert_eq!(ok.ret_f(), 2.0);
+    }
+
+    #[test]
+    fn adjacent_pairs_count_fall_through_pairs_only() {
+        let mut p = parse_program(
+            "double f(int n) { double s = 1.5; for (int i = 0; i < n; i++) { s = s * 3.0; s = sqrt(s); } return s; }",
+        )
+        .unwrap();
+        check_program(&mut p).unwrap();
+        let fused = CompileOptions {
+            fuse: true,
+            ..Default::default()
+        };
+        let f = compile(&p.functions[0], &fused).unwrap();
+        let opts = ExecOptions {
+            profile: true,
+            ..Default::default()
+        };
+        let out = run_with(&f, vec![ArgValue::I(10)], &opts).unwrap();
+        let prof = out.profile.unwrap();
+        let pairs = prof.adjacent_pairs(&f);
+        let count = |a: &str, b: &str| {
+            pairs
+                .iter()
+                .find(|((x, y), _)| x == a && y == b)
+                .map(|p| p.1)
+        };
+        // The loop body runs ten times: its two operations pair up ten
+        // times, although the first is a jump target (the back edge's).
+        assert_eq!(
+            count("FMulC", "FIntr1"),
+            Some(10),
+            "{pairs:?}\n{}",
+            f.disassemble()
+        );
+        // The body's first operation is entered by the back edge too, so
+        // no pair ends in it.
+        assert!(pairs.iter().all(|((_, b), _)| b != "FMulC"), "{pairs:?}");
+        assert!(pairs.iter().all(|&(_, c)| c <= out.stats.instrs_executed));
     }
 
     #[test]

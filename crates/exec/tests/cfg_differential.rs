@@ -488,19 +488,19 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
 
 /// `(kernel/mode, fingerprint of the compacted function)`.
 const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
-    ("arclen/primal", 0x3feb3cfffb1c1570),
-    ("arclen/demoted", 0xb877ce7b283fec42),
-    ("arclen/adjoint", 0xa4038cdd804e7f7e),
-    ("simpsons/primal", 0xe105649723252e6d),
-    ("simpsons/demoted", 0xf98f0ba57c0ee455),
-    ("simpsons/adjoint", 0xb844e843460d0fa8),
-    ("kmeans/primal", 0xebedc36df288cee5),
-    ("kmeans/demoted", 0x568113bfdff361e3),
-    ("kmeans/adjoint", 0xd2c7d5a8add37822),
-    ("blackscholes/primal", 0xeaf97e8db24a9d0d),
-    ("blackscholes/demoted", 0x5e2de2df11b35e48),
-    ("blackscholes/adjoint", 0xd6c9e67cdcb8ef80),
-    ("hpccg/primal", 0x77ff88eabf2de20b),
-    ("hpccg/demoted", 0x32968706fd115bd9),
-    ("hpccg/adjoint", 0xb4de7c991b0f8162),
+    ("arclen/primal", 0xc786f88816a1fe82),
+    ("arclen/demoted", 0x4166092c226ce35e),
+    ("arclen/adjoint", 0xc05c0354d15eecbd),
+    ("simpsons/primal", 0x8102f2b00c1386f4),
+    ("simpsons/demoted", 0xacad77dbc070f088),
+    ("simpsons/adjoint", 0xda5b5839609e1e12),
+    ("kmeans/primal", 0x0d5acfcdb20d7601),
+    ("kmeans/demoted", 0x3517ff29f24a464f),
+    ("kmeans/adjoint", 0xb866024d0608ba91),
+    ("blackscholes/primal", 0x85b6e1ffcebc6d29),
+    ("blackscholes/demoted", 0x9fb1c25ef793ee06),
+    ("blackscholes/adjoint", 0xaa56ed38e237a94f),
+    ("hpccg/primal", 0xb6497134e3589492),
+    ("hpccg/demoted", 0xd99442e84b48255e),
+    ("hpccg/adjoint", 0x9617d18cb02da559),
 ];

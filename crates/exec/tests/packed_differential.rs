@@ -188,21 +188,21 @@ fn packed_wire_format_is_pinned() {
 /// `(shapes or kernel/mode, wire_hash of its packed code)`.
 const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
     ("shapes", 0xf8f2e2faa18f0f5b),
-    ("arclen/primal", 0x9a18a5865e8e7a52),
-    ("arclen/demoted", 0x12939a0bdfd4a634),
-    ("arclen/adjoint", 0xbd5cda92ffa43c89),
-    ("simpsons/primal", 0xa37eb65363ba0d17),
-    ("simpsons/demoted", 0xea7656a848d7454b),
-    ("simpsons/adjoint", 0x09a5490334fd566a),
-    ("kmeans/primal", 0x8cbe4d8db109d9bf),
-    ("kmeans/demoted", 0x11129e53d3bc0a9a),
-    ("kmeans/adjoint", 0xcbb46058cf4e2893),
-    ("blackscholes/primal", 0xe765ee664b58d52a),
-    ("blackscholes/demoted", 0x8161d6ddd0a0cfff),
-    ("blackscholes/adjoint", 0xa500e40003583ede),
-    ("hpccg/primal", 0x7d91347c94b84e90),
-    ("hpccg/demoted", 0xa4c9edc2fe4afbf8),
-    ("hpccg/adjoint", 0xea52618d9943b0e2),
+    ("arclen/primal", 0x69b310f1639b5c1d),
+    ("arclen/demoted", 0xee9b22a16c7c9ac9),
+    ("arclen/adjoint", 0x0bb7ef516c9f2202),
+    ("simpsons/primal", 0x46143873d9b282a3),
+    ("simpsons/demoted", 0x3ff3e43cf6fd4479),
+    ("simpsons/adjoint", 0xacf80eb1c2585678),
+    ("kmeans/primal", 0x82bccb9ee8974c42),
+    ("kmeans/demoted", 0x681b0cbe69ee655f),
+    ("kmeans/adjoint", 0x6a7b4c0acfb58eac),
+    ("blackscholes/primal", 0x4fb986c8ed3e7ff1),
+    ("blackscholes/demoted", 0xf071e8539a3839e6),
+    ("blackscholes/adjoint", 0xb85b51f6e72d13bb),
+    ("hpccg/primal", 0xaff2f21bea488ce0),
+    ("hpccg/demoted", 0x6822ca79e2d4284b),
+    ("hpccg/adjoint", 0x5d712182e7dd5cb2),
 ];
 
 // ---------------------------------------------------------------- proptest

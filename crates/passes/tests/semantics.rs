@@ -127,6 +127,56 @@ fn o2_keeps_the_sign_of_a_zero_sum() {
 }
 
 #[test]
+fn o2_evaluates_nothing_a_short_circuit_skips() {
+    // A repeat below the right operand of `&&`/`||` is not hoisted: in
+    // front of its guard it would trap where O0 returns.
+    let cases: [(&str, Vec<ArgValue>, bool); 4] = [
+        (
+            "double f(double x, int n) { bool a = n != 0 && 10 / n > 1; bool b = n != 0 && 10 / n < 5; \
+             double r = 0.0; if (a) { r = r + 1.0; } if (b) { r = r + 2.0; } return r; }",
+            vec![ArgValue::F(1.0), ArgValue::I(0)],
+            false,
+        ),
+        (
+            "double f(double x, int n) { bool a = n == 0 || 10 / n > 1; bool b = n == 0 || 10 / n < 5; \
+             double r = 0.0; if (a) { r = r + 1.0; } if (b) { r = r + 2.0; } return r; }",
+            vec![ArgValue::F(1.0), ArgValue::I(0)],
+            false,
+        ),
+        (
+            "double f(double x, int n) { bool a = x > 0.0 && log(x) > 1.0; bool b = x > 0.0 && log(x) < 5.0; \
+             double r = 0.0; if (a) { r = r + 1.0; } if (b) { r = r + 2.0; } return r; }",
+            vec![ArgValue::F(-1.0), ArgValue::I(0)],
+            true,
+        ),
+        // The unguarded repeat is still shared, and traps as at O0.
+        (
+            "double f(double x, int n) { int a = 10 / n; int b = 10 / n + 1; return a + b; }",
+            vec![ArgValue::F(1.0), ArgValue::I(0)],
+            false,
+        ),
+    ];
+    for (src, args, trap_on_nonfinite) in cases {
+        let mut p = parse_program(src).unwrap();
+        check_program(&mut p).unwrap();
+        let base = &p.functions[0];
+        let mut opt = base.clone();
+        optimize_function(&mut opt, OptLevel::O2);
+        let opts = ExecOptions {
+            trap_on_nonfinite,
+            ..Default::default()
+        };
+        let run = |f| run_with(&compile_default(f).unwrap(), args.clone(), &opts);
+        let (before, after) = (run(base), run(&opt));
+        match (&before, &after) {
+            (Ok(b), Ok(a)) => assert_eq!(b.ret_f().to_bits(), a.ret_f().to_bits(), "{src}"),
+            (Err(b), Err(a)) => assert_eq!(b.kind, a.kind, "{src}"),
+            _ => panic!("{src}: O0 {before:?}, O2 {after:?}"),
+        }
+    }
+}
+
+#[test]
 fn inlining_preserves_semantics() {
     // Hand-written multi-function programs with by-value, by-ref and array
     // parameters.

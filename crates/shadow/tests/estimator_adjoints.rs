@@ -18,9 +18,11 @@
 //!   their unfused pair samples two, which only a shadow more precise
 //!   than `f64` can tell apart.
 //! * A dispatch-count gate: each adjoint's `instrs_executed` on a small
-//!   fixed input is pinned exactly, below the count before the error
-//!   term fused, so a lost fusion fails here without a clock;
-//!   `tape_total_pushes` is pinned alongside and did not move.
+//!   fixed input is pinned exactly, below the count before the backward
+//!   sweep's cleanup (the AD's zero-and-restore fold, CSE across tape
+//!   pops, loop rotation), so a lost fusion or optimization fails here
+//!   without a clock; `tape_total_pushes` is pinned alongside and did not
+//!   move.
 
 use chef_core::prelude::{estimate_error, ErrorEstimator, EstimateOptions};
 use chef_exec::bytecode::{FReg, IReg, Instr};
@@ -292,17 +294,18 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
 /// `(kernel, instrs_executed, tape_total_pushes)` of one run of the
 /// estimator adjoint compiled with fusion and compaction on.
 const PINNED_COUNTS: [(&str, u64, u64); 5] = [
-    ("arclen", 161_038, 12_004),
-    ("simpsons", 68_013, 4_998),
-    ("kmeans", 106_030, 9_733),
-    ("blackscholes", 12_297, 1_053),
-    ("hpccg", 170_070, 12_174),
+    ("arclen", 119_038, 12_004),
+    ("simpsons", 58_018, 4_998),
+    ("kmeans", 91_380, 9_733),
+    ("blackscholes", 10_526, 1_053),
+    ("hpccg", 144_926, 12_174),
 ];
 
-/// `instrs_executed` of the same runs before the error term and its
-/// accumulations fused (same kernel order); each pinned count must stay
+/// `instrs_executed` of the same runs before the backward sweep lost its
+/// zero-and-restore triples, shared subexpressions across tape pops and
+/// loops were rotated (same kernel order); each pinned count must stay
 /// below.
-const BEFORE_FUSED_ERROR_TERM: [u64; 5] = [184_051, 73_025, 119_763, 15_101, 184_489];
+const BEFORE_SWEEP_CLEANUP: [u64; 5] = [161_038, 68_013, 106_030, 12_297, 170_070];
 
 #[test]
 fn estimator_adjoint_dispatch_counts_are_pinned() {
@@ -320,7 +323,7 @@ fn estimator_adjoint_dispatch_counts_are_pinned() {
         })
         .collect();
     assert_eq!(actual, PINNED_COUNTS, "dispatch or tape counts moved");
-    for ((label, now, _), before) in PINNED_COUNTS.iter().zip(BEFORE_FUSED_ERROR_TERM) {
+    for ((label, now, _), before) in PINNED_COUNTS.iter().zip(BEFORE_SWEEP_CLEANUP) {
         assert!(*now < before, "{label}: {now} is not below {before}");
     }
 }
