@@ -1708,10 +1708,12 @@ fn profile_table() {
 }
 
 /// `repro --profile`, second part: the dispatch-pair census of the five
-/// estimator adjoints (`estimate_error` with default options, compiled as
-/// shipped) on small fixed inputs — per-opcode counts and the hottest
-/// adjacent pairs ([`ExecProfile::adjacent_pairs`]), from which fusion
-/// and codegen targets are chosen.
+/// kernels in three modes — the primal at its declared precisions, the
+/// primal with every float demoted to `f32` (what the tuner runs) and
+/// the estimator adjoint (`estimate_error` with default options), each
+/// compiled as shipped, on small fixed inputs: per-opcode counts and the
+/// hottest adjacent pairs ([`ExecProfile::adjacent_pairs`]), from which
+/// fusion and codegen targets are chosen.
 fn pair_census() {
     use chef_apps::{arclen, blackscholes, hpccg, kmeans, simpsons};
     let kernels: [(&str, Program, &str, Vec<ArgValue>); 5] = [
@@ -1742,6 +1744,28 @@ fn pair_census() {
         ),
     ];
     for (label, program, name, primal) in kernels {
+        let function = program.function(name).or_fail("kernel not found");
+        let mut demoted = PrecisionMap::empty();
+        for (id, v) in function.vars_iter() {
+            use chef_ir::types::{ElemTy, FloatTy, Type};
+            if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
+                demoted.set(id, FloatTy::F32);
+            }
+        }
+        for (mode, precisions) in [
+            ("primal", PrecisionMap::empty()),
+            ("f32-demoted primal", demoted),
+        ] {
+            let func = chef_exec::compile::compile(
+                function,
+                &chef_exec::compile::CompileOptions {
+                    precisions,
+                    ..Default::default()
+                },
+            )
+            .or_fail("primal compile failed");
+            census(&format!("{label} {mode}"), &func, primal.clone());
+        }
         let mut opts = EstimateOptions::default();
         if label == "kmeans" {
             opts = opts
@@ -1761,28 +1785,33 @@ fn pair_census() {
         }));
         args.extend([ArgValue::F(0.0), ArgValue::F(0.0)]);
         args.push(ArgValue::FArr(vec![0.0; est.slots().len()]));
-        let exec = ExecOptions {
-            profile: true,
-            ..Default::default()
-        };
-        let out = run_with(&func, args, &exec).or_fail("estimator adjoint trapped");
-        let prof = out.profile.as_ref().or_fail("profile missing");
-        let total = prof.total() as f64;
-        let pct = |c: u64| 100.0 * c as f64 / total;
-        header(&format!(
-            "dispatch-pair census: {label} estimator adjoint, {} dispatches",
-            prof.total()
-        ));
-        println!("{:<32} {:>10} {:>7}", "opcode", "count", "disp%");
-        for (op, c) in prof.opcode_histogram(&func) {
-            println!("{op:<32} {c:>10} {:>6.2}%", pct(c));
-        }
-        println!(
-            "\n{:<32} {:>10} {:>7}",
-            "adjacent pair (top 10)", "count", "disp%"
-        );
-        for ((a, b), c) in prof.adjacent_pairs(&func).into_iter().take(10) {
-            println!("{:<32} {c:>10} {:>6.2}%", format!("{a} ; {b}"), pct(c));
-        }
+        census(&format!("{label} estimator adjoint"), &func, args);
+    }
+}
+
+/// Prints one run's per-opcode counts and its ten hottest adjacent pairs.
+fn census(what: &str, func: &CompiledFunction, args: Vec<ArgValue>) {
+    let exec = ExecOptions {
+        profile: true,
+        ..Default::default()
+    };
+    let out = run_with(func, args, &exec).or_fail("census run trapped");
+    let prof = out.profile.as_ref().or_fail("profile missing");
+    let total = prof.total() as f64;
+    let pct = |c: u64| 100.0 * c as f64 / total;
+    header(&format!(
+        "dispatch-pair census: {what}, {} dispatches",
+        prof.total()
+    ));
+    println!("{:<32} {:>10} {:>7}", "opcode", "count", "disp%");
+    for (op, c) in prof.opcode_histogram(func) {
+        println!("{op:<32} {c:>10} {:>6.2}%", pct(c));
+    }
+    println!(
+        "\n{:<32} {:>10} {:>7}",
+        "adjacent pair (top 10)", "count", "disp%"
+    );
+    for ((a, b), c) in prof.adjacent_pairs(func).into_iter().take(10) {
+        println!("{:<32} {c:>10} {:>6.2}%", format!("{a} ; {b}"), pct(c));
     }
 }

@@ -23,6 +23,9 @@
 //!   pops, loop rotation), so a lost fusion or optimization fails here
 //!   without a clock; `tape_total_pushes` is pinned alongside and did not
 //!   move.
+//! * The same gate on the primals the adjoints differentiate, compiled
+//!   as shipped at their declared precisions and with every float
+//!   (arrays included) demoted to `f32`, on the same inputs.
 
 use chef_core::prelude::{estimate_error, ErrorEstimator, EstimateOptions};
 use chef_exec::bytecode::{FReg, IReg, Instr};
@@ -30,7 +33,7 @@ use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_exec::shadow::{run_shadow, ShadowNum, ShadowOutcome};
 use chef_ir::ast::Program;
-use chef_ir::types::{FloatTy, Type};
+use chef_ir::types::{ElemTy, FloatTy, Type};
 use chef_shadow::DD;
 
 /// One kernel's estimator with the arguments of one run: the primal
@@ -41,6 +44,8 @@ struct Case {
     label: &'static str,
     est: ErrorEstimator,
     args: Vec<ArgValue>,
+    /// The primal the estimator differentiates, and its arguments.
+    primal: (chef_ir::ast::Function, Vec<ArgValue>),
 }
 
 fn cases() -> Vec<Case> {
@@ -87,6 +92,7 @@ fn cases() -> Vec<Case> {
             }
             let est = estimate_error(&program, name, &opts)
                 .unwrap_or_else(|e| panic!("{label}: estimator builds: {e}"));
+            let function = program.function(name).expect("kernel is defined").clone();
             let mut args = primal.clone();
             args.extend(primal.iter().filter_map(|a| match a {
                 ArgValue::F(_) => Some(ArgValue::F(0.0)),
@@ -96,7 +102,12 @@ fn cases() -> Vec<Case> {
             args.push(ArgValue::F(0.0));
             args.push(ArgValue::F(0.0));
             args.push(ArgValue::FArr(vec![0.0; est.slots().len()]));
-            Case { label, est, args }
+            Case {
+                label,
+                est,
+                args,
+                primal: (function, primal),
+            }
         })
         .collect()
 }
@@ -104,8 +115,18 @@ fn cases() -> Vec<Case> {
 /// The adjoint compiled as shipped (compaction and packing on), fused or
 /// not.
 fn compiled(case: &Case, precisions: PrecisionMap, fuse: bool) -> CompiledFunction {
+    compiled_fn(case, &case.est.grad, precisions, fuse)
+}
+
+/// `func` compiled as shipped (compaction and packing on), fused or not.
+fn compiled_fn(
+    case: &Case,
+    func: &chef_ir::ast::Function,
+    precisions: PrecisionMap,
+    fuse: bool,
+) -> CompiledFunction {
     compile(
-        &case.est.grad,
+        func,
         &CompileOptions {
             precisions,
             fuse,
@@ -113,7 +134,7 @@ fn compiled(case: &Case, precisions: PrecisionMap, fuse: bool) -> CompiledFuncti
             pack: true,
         },
     )
-    .unwrap_or_else(|e| panic!("{}: adjoint compiles: {e}", case.label))
+    .unwrap_or_else(|e| panic!("{}: {} compiles: {e}", case.label, func.name))
 }
 
 /// Every float scalar of the adjoint demoted to `f32`; arrays untouched.
@@ -326,4 +347,46 @@ fn estimator_adjoint_dispatch_counts_are_pinned() {
     for ((label, now, _), before) in PINNED_COUNTS.iter().zip(BEFORE_SWEEP_CLEANUP) {
         assert!(*now < before, "{label}: {now} is not below {before}");
     }
+}
+
+/// `(kernel, primal, f32-demoted primal)` `instrs_executed` of one run of
+/// each primal compiled with fusion and compaction on, on the inputs of
+/// [`PINNED_COUNTS`].
+const PINNED_PRIMAL_COUNTS: [(&str, u64, u64); 5] = [
+    ("arclen", 24_508, 28_010),
+    ("simpsons", 16_506, 17_507),
+    ("kmeans", 24_334, 26_935),
+    ("blackscholes", 1_641, 1_742),
+    ("hpccg", 42_156, 128_662),
+];
+
+#[test]
+fn primal_and_demoted_dispatch_counts_are_pinned() {
+    let actual: Vec<(&str, u64, u64)> = cases()
+        .iter()
+        .map(|case| {
+            let (func, args) = &case.primal;
+            let mut demoted = PrecisionMap::empty();
+            for (id, v) in func.vars_iter() {
+                if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
+                    demoted.set(id, FloatTy::F32);
+                }
+            }
+            let [primal, demoted] = [PrecisionMap::empty(), demoted].map(|pm| {
+                let f = compiled_fn(case, func, pm, true);
+                // Two back-to-back runs: the count is a property of the
+                // code and the input, not of the machine's state.
+                let [a, b] = [(); 2].map(|()| {
+                    chef_exec::vm::run_with(&f, args.clone(), &ExecOptions::default())
+                        .unwrap_or_else(|t| panic!("{}: trapped: {t}", case.label))
+                        .stats
+                        .instrs_executed
+                });
+                assert_eq!(a, b, "{}: two runs dispatched differently", case.label);
+                a
+            });
+            (case.label, primal, demoted)
+        })
+        .collect();
+    assert_eq!(actual, PINNED_PRIMAL_COUNTS, "primal dispatch counts moved");
 }
