@@ -184,9 +184,10 @@ pub fn is_diff(ty: chef_ir::types::Type) -> bool {
     ty.is_differentiable()
 }
 
-/// Collects the set of variables assigned anywhere in a block (used for
-/// canonical-loop validation).
-pub fn assigned_in(b: &Block) -> HashSet<VarId> {
+/// Collects the set of variables assigned (or popped) anywhere in
+/// `stmts`, nested statements included: the reverse transformation's
+/// check that a loop's induction variable has no other write.
+pub fn assigned_in(stmts: &[Stmt]) -> HashSet<VarId> {
     struct W(HashSet<VarId>);
     impl Visitor for W {
         fn visit_stmt(&mut self, s: &Stmt) {
@@ -205,7 +206,9 @@ pub fn assigned_in(b: &Block) -> HashSet<VarId> {
         }
     }
     let mut w = W(HashSet::new());
-    w.visit_block(b);
+    for s in stmts {
+        w.visit_stmt(s);
+    }
     w.0
 }
 

@@ -47,7 +47,7 @@
 //! error term's `|x·x̄|` does not see. `pop(v)` still comes before any
 //! contribution, so each reads the value `v` had before the assignment.
 
-use crate::activity::{is_diff, reads_of, UsageInfo};
+use crate::activity::{assigned_in, is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
 use chef_ir::ast::*;
 use chef_ir::precision;
@@ -851,7 +851,41 @@ impl Rev<'_> {
         }
     }
 
-    /// The generic loop transformation (correct for all loop shapes):
+    /// Transforms a loop into one of two forms.
+    ///
+    /// **Reversible** — when `tbr` is on and the step (the `for` step, or
+    /// the last top-level statement of a `while` body) is an induction
+    /// step `v = v ± c` with `v` an `int`, `c` an odd integer literal and
+    /// `v` written nowhere else in the body (see [`Rev::induction`]), the
+    /// backward sweep runs the loop backward by inverting the step:
+    ///
+    /// ```text
+    /// fwd:  fwd(init); _e = v;
+    ///       while (cond) { fwd(body); v = v + c; }
+    ///       __tape_push(_e);
+    /// bwd:  __tape_pop(_e);
+    ///       while (v != _e) { v = v - c; bwd(body) }
+    ///       bwd(init);
+    /// ```
+    ///
+    /// An `init` that sets `v` to an integer literal `L` leaves out `_e`,
+    /// its push and its pop, and the backward test reads `v != L`.
+    /// Neither the step nor an iteration counter touches the tape.
+    ///
+    /// *Sound:* `v` is assigned in a loop, so TBR pushes every other
+    /// write to `v` (`UsageInfo::needs_push`), and the backward sweep pops
+    /// all of them that follow the loop before it reaches the loop: `v`
+    /// holds its forward exit value `e + k·c` (wrapping) when the backward
+    /// loop starts, after `k` iterations from entry value `e`. Each
+    /// backward iteration first restores the value `v` had in the body of
+    /// that forward iteration.
+    ///
+    /// *Exact count:* the backward loop stops at the first `j` with
+    /// `(k − j)·c ≡ 0 (mod 2⁶⁴)`. An odd `c` is a unit modulo 2⁶⁴, so that
+    /// is `j = k` for every trip count the forward loop can run.
+    ///
+    /// **Counted** — every other loop, and every loop when `tbr` is off
+    /// (the ablation baseline):
     ///
     /// ```text
     /// fwd:  fwd(init); _cnt = 0;
@@ -873,6 +907,19 @@ impl Rev<'_> {
         body: &Block,
         _span: Span,
     ) -> Result<(Vec<Stmt>, Vec<Stmt>), AdError> {
+        // A `while` body's last top-level statement may be its step.
+        let rest;
+        let (step, body) = match (step, body.stmts.split_last()) {
+            (None, Some((last, others))) if self.induction(last, others).is_some() => {
+                rest = Block {
+                    stmts: others.to_vec(),
+                    span: body.span,
+                };
+                (Some(last), &rest)
+            }
+            _ => (step, body),
+        };
+        let induction = step.and_then(|st| self.induction(st, &body.stmts));
         let (init_fwd, init_bwd) = match init {
             Some(i) => self.xform_stmt(i)?,
             None => (vec![], vec![]),
@@ -881,19 +928,56 @@ impl Rev<'_> {
         let saved_top = self.top_level;
         self.top_level = false;
         let (mut body_fwd, body_bwd) = self.xform_block(body)?;
-        let (step_fwd, step_bwd) = match step {
-            Some(st) => self.xform_stmt(st)?,
-            None => (vec![], vec![]),
+        let (step_fwd, step_bwd) = match (step, &induction) {
+            (Some(st), Some(ind)) => (vec![st.clone()], vec![ind.inverse()]),
+            (Some(st), None) => self.xform_stmt(st)?,
+            (None, _) => (vec![], vec![]),
         };
         self.top_level = saved_top;
         self.loop_depth -= 1;
+        body_fwd.extend(step_fwd);
+        let mut rev_body = step_bwd;
+        rev_body.extend(body_bwd);
+
+        if let Some(ind) = induction {
+            let v_rd = ind.read();
+            let mut fwd = init_fwd;
+            let mut bwd = Vec::new();
+            let entry = match init.and_then(|i| literal_init(i, ind.var)) {
+                Some(lit) => Expr::ilit(lit),
+                None => {
+                    let (e_id, e_name) = self.fresh_local("_e", Type::Int);
+                    self.hoisted.push(decl_stmt(&self.grad, e_id, None));
+                    let e_lv = LValue::Var(VarRef::resolved(e_name.clone(), e_id));
+                    fwd.push(Stmt::synth(StmtKind::Assign {
+                        lhs: e_lv.clone(),
+                        op: AssignOp::Assign,
+                        rhs: v_rd.clone(),
+                    }));
+                    bwd.push(Stmt::synth(StmtKind::TapePop(e_lv)));
+                    Expr::var(&e_name, e_id, Type::Int)
+                }
+            };
+            fwd.push(Stmt::synth(StmtKind::While {
+                cond,
+                body: Block::of(body_fwd),
+            }));
+            if let Some(StmtKind::TapePop(e_lv)) = bwd.first().map(|s| &s.kind) {
+                fwd.push(Stmt::synth(StmtKind::TapePush(e_lv.to_expr(Type::Int))));
+            }
+            bwd.push(Stmt::synth(StmtKind::While {
+                cond: Expr::binary(BinOp::Ne, v_rd, entry),
+                body: Block::of(rev_body),
+            }));
+            bwd.extend(init_bwd);
+            return Ok((fwd, bwd));
+        }
 
         let (cnt_id, cnt_name) = self.fresh_local("_cnt", Type::Int);
         self.hoisted.push(decl_stmt(&self.grad, cnt_id, None));
         let cnt_lv = || LValue::Var(VarRef::resolved(cnt_name.clone(), cnt_id));
         let cnt_rd = || Expr::var(&cnt_name, cnt_id, Type::Int);
 
-        body_fwd.extend(step_fwd);
         body_fwd.push(Stmt::synth(StmtKind::Assign {
             lhs: cnt_lv(),
             op: AssignOp::Assign,
@@ -914,8 +998,6 @@ impl Rev<'_> {
 
         let (j_id, j_name) = self.fresh_local("_j", Type::Int);
         let j_rd = || Expr::var(&j_name, j_id, Type::Int);
-        let mut rev_body = step_bwd;
-        rev_body.extend(body_bwd);
         let mut bwd = vec![Stmt::synth(StmtKind::TapePop(cnt_lv()))];
         bwd.push(Stmt::synth(StmtKind::For {
             init: Some(Box::new(Stmt::synth(StmtKind::Decl {
@@ -937,6 +1019,42 @@ impl Rev<'_> {
         Ok((fwd, bwd))
     }
 
+    /// The induction step `step` is, if the loop can run backward by
+    /// inverting it: `tbr` is on, `step` is `v = v ± c` or `v = c + v`
+    /// with `v` an `int` and `c` an odd integer literal, and no statement
+    /// of `body` writes `v`.
+    fn induction(&self, step: &Stmt, body: &[Stmt]) -> Option<Induction> {
+        if !self.cfg.tbr {
+            return None;
+        }
+        let StmtKind::Assign {
+            lhs: LValue::Var(v),
+            op: AssignOp::Assign,
+            rhs,
+        } = &step.kind
+        else {
+            return None;
+        };
+        let id = v.id?;
+        if self.var_type(id) != Type::Int {
+            return None;
+        }
+        let ExprKind::Binary { op, lhs, rhs } = &rhs.kind else {
+            return None;
+        };
+        let is_v = |e: &Expr| matches!(&e.kind, ExprKind::Var(r) if r.id == Some(id));
+        let step = match op {
+            BinOp::Add if is_v(lhs) => int_literal(rhs)?,
+            BinOp::Add if is_v(rhs) => int_literal(lhs)?,
+            BinOp::Sub if is_v(lhs) => int_literal(rhs)?.wrapping_neg(),
+            _ => return None,
+        };
+        (step % 2 != 0 && !assigned_in(body).contains(&id)).then(|| Induction {
+            var: id,
+            name: v.name.clone(),
+            step,
+        })
+    }
     fn xform_assign(
         &mut self,
         lhs: &LValue,
@@ -1228,6 +1346,66 @@ fn fold_scalar_update<'e>(rhs: &'e Expr, target: VarId, grad: &Function) -> Opti
         }
     }
     (!reads_target(rhs)).then_some(Fold::Reset)
+}
+
+/// A loop's induction step `var = var + step` (wrapping), which the
+/// backward sweep inverts instead of taping.
+struct Induction {
+    var: VarId,
+    name: Symbol,
+    /// Odd, so the inverse walk meets the entry value after exactly as
+    /// many steps as the forward loop took.
+    step: i64,
+}
+
+impl Induction {
+    fn read(&self) -> Expr {
+        Expr::var(&self.name, self.var, Type::Int)
+    }
+
+    /// `var = var - step`, written with a non-negative literal.
+    fn inverse(&self) -> Stmt {
+        let rhs = if self.step > 0 {
+            Expr::sub(self.read(), Expr::ilit(self.step))
+        } else {
+            Expr::add(self.read(), Expr::ilit(self.step.wrapping_neg()))
+        };
+        Stmt::synth(StmtKind::Assign {
+            lhs: LValue::Var(VarRef::resolved(self.name.clone(), self.var)),
+            op: AssignOp::Assign,
+            rhs,
+        })
+    }
+}
+
+/// The value of an integer literal, negated or not.
+fn int_literal(e: &Expr) -> Option<i64> {
+    match &e.kind {
+        ExprKind::IntLit(v) => Some(*v),
+        ExprKind::Unary {
+            op: UnOp::Neg,
+            operand,
+        } => int_literal(operand).map(i64::wrapping_neg),
+        _ => None,
+    }
+}
+
+/// The literal a loop's `init` sets `var` to, if it is one.
+fn literal_init(init: &Stmt, var: VarId) -> Option<i64> {
+    match &init.kind {
+        StmtKind::Decl {
+            id: Some(id),
+            init: Some(e),
+            size: None,
+            ..
+        } if *id == var => int_literal(e),
+        StmtKind::Assign {
+            lhs: LValue::Var(v),
+            op: AssignOp::Assign,
+            rhs,
+        } if v.id == Some(var) => int_literal(rhs),
+        _ => None,
+    }
 }
 
 /// `true` if the expression reads any float variable or element.

@@ -446,3 +446,193 @@ fn unsupported_shapes_report_errors() {
         Err(AdError::MissingTrailingReturn)
     ));
 }
+
+/// One estimator run (`chef_core::estimate_error_src`, the shipped
+/// pipeline) with TBR on or off: the optimized generated source, and the
+/// primal value, `fp_error`, gradients and per-variable table as bits.
+fn estimate_bits(src: &str, args: &[ArgValue], tbr: bool) -> (String, Vec<String>) {
+    let opts = chef_core::EstimateOptions {
+        tbr,
+        ..Default::default()
+    };
+    let est = chef_core::estimate_error_src(src, "f", &opts).unwrap();
+    let out = est.execute(args).unwrap();
+    let bits = |v: &ArgValue| match v {
+        ArgValue::F(x) => format!("{:x}", x.to_bits()),
+        ArgValue::FArr(v) => format!("{:x?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
+        other => format!("{other:?}"),
+    };
+    let mut results = vec![
+        format!("value {:x}", out.value.to_bits()),
+        format!("fp_error {:x}", out.fp_error.to_bits()),
+    ];
+    results.extend(
+        out.gradient
+            .iter()
+            .map(|(n, v)| format!("d{n} {}", bits(v))),
+    );
+    let mut table: Vec<String> = out
+        .per_variable
+        .iter()
+        .map(|(n, e)| format!("err {n} {:x}", e.to_bits()))
+        .collect();
+    table.sort();
+    results.extend(table);
+    (chef_ir::printer::print_function(&est.grad), results)
+}
+
+/// Asserts that the default emission and the counted baseline
+/// (`tbr = false`) give bit-identical results on every argument list,
+/// and that the default emission ran `reversible` of its loops backward
+/// by inverting their step and kept `counted` loop counters; returns the
+/// default emission's source.
+fn loops_reverse_exactly(
+    src: &str,
+    arg_lists: &[Vec<ArgValue>],
+    reversible: usize,
+    counted: usize,
+) -> String {
+    let mut generated = String::new();
+    for args in arg_lists {
+        let (source, on) = estimate_bits(src, args, true);
+        let (baseline, off) = estimate_bits(src, args, false);
+        assert_eq!(on, off, "{args:?}\n{source}");
+        assert_eq!(
+            baseline.matches("int _cnt").count(),
+            reversible + counted,
+            "the baseline counts every loop:\n{baseline}"
+        );
+        generated = source;
+    }
+    let inverted = generated
+        .lines()
+        .filter(|l| l.trim_start().starts_with("while (") && l.contains(" != "))
+        .count();
+    assert_eq!(inverted, reversible, "reversible loops:\n{generated}");
+    assert_eq!(
+        generated.matches("int _cnt").count(),
+        counted,
+        "counted loops:\n{generated}"
+    );
+    generated
+}
+
+#[test]
+fn loops_run_backward_down_counting_and_by_three() {
+    let src = "double f(double x, int n) {
+        double s = 0.0;
+        for (int i = n; i > 0; i--) { s = s + x * i; }
+        for (int k = 0; k < n; k += 3) { s = s * x + k; }
+        for (int m = n; m > -4; m = m - 3) { s = s + 0.25 * m * x; }
+        return s;
+    }";
+    let args = |n| vec![ArgValue::F(0.7), ArgValue::I(n)];
+    let generated = loops_reverse_exactly(src, &[args(10), args(1), args(0)], 3, 0);
+    // `k = 0` is a literal init: the test reads it, with no tape entry.
+    assert!(generated.contains("while (k != 0)"), "{generated}");
+}
+
+#[test]
+fn zero_trip_loops_run_backward_zero_times() {
+    let src = "double f(double x, int n) {
+        double s = x;
+        for (int i = 5; i < n; i++) { s = s * x; }
+        int j = n;
+        while (j < 3) { s = s + x; j = j + 1; }
+        return s;
+    }";
+    let args = |n| vec![ArgValue::F(1.1), ArgValue::I(n)];
+    loops_reverse_exactly(src, &[args(2), args(3), args(8)], 2, 0);
+}
+
+#[test]
+fn a_data_dependent_while_exit_runs_backward() {
+    // hpccg's `iter` loop: the exit depends on the data, not on `it`.
+    let src = "double f(double x, int maxit) {
+        double r = x;
+        int it = 0;
+        while (it < maxit && r > 0.001) {
+            r = r * 0.5 + 0.0001 * x;
+            it = it + 1;
+        }
+        return r;
+    }";
+    let args = |x, n| vec![ArgValue::F(x), ArgValue::I(n)];
+    loops_reverse_exactly(src, &[args(3.0, 100), args(0.01, 100), args(3.0, 2)], 1, 0);
+}
+
+#[test]
+fn nested_loops_with_a_non_literal_init_run_backward() {
+    // hpccg's sparse rows: the inner loop starts at `rowptr[i]`, so its
+    // entry value is kept on the tape instead of a trip count.
+    let src = "double f(double v[], int rowptr[], int n) {
+        double s = 0.0;
+        for (int i = 0; i < n; i++) {
+            for (int j = rowptr[i]; j < rowptr[i + 1]; j++) {
+                s = s + v[j] * v[j] * s;
+            }
+        }
+        return s;
+    }";
+    let args = vec![
+        ArgValue::FArr(vec![0.5, -1.25, 2.0, 0.125, 3.5]),
+        ArgValue::IArr(vec![0, 2, 2, 5]),
+        ArgValue::I(3),
+    ];
+    let generated = loops_reverse_exactly(src, &[args], 2, 0);
+    assert!(generated.contains("while (i != 0)"), "{generated}");
+    assert!(generated.contains("int _e"), "{generated}");
+}
+
+#[test]
+fn an_induction_variable_read_and_overwritten_after_its_loop_runs_backward() {
+    let src = "double f(double x, int n) {
+        double s = 0.0;
+        int i = 0;
+        for (i = 1; i < n; i = i + 1) { s = s + x / i; }
+        s = s * i;
+        i = 7;
+        s = s + x * i;
+        return s;
+    }";
+    let args = |n| vec![ArgValue::F(0.3), ArgValue::I(n)];
+    loops_reverse_exactly(src, &[args(6), args(0)], 1, 0);
+}
+
+#[test]
+fn a_wrapping_induction_variable_runs_backward_exactly() {
+    // `i` wraps past `i64::MAX` in the forward loop; the inverse step
+    // wraps back, and the walk still meets the entry value after exactly
+    // six steps.
+    let src = "double f(double x) {
+        double s = x;
+        int k = 0;
+        for (int i = 9223372036854775805; k < 6; i = i + 1) {
+            s = s * x + 0.5 * (i % 7);
+            k = k + 1;
+        }
+        return s;
+    }";
+    loops_reverse_exactly(src, &[vec![ArgValue::F(0.9)]], 1, 0);
+}
+
+#[test]
+fn loops_without_an_invertible_step_keep_their_counter() {
+    // The step sits inside an `if`; `i` is also written in the body; the
+    // step is even. All three keep the counted form, and the one loop
+    // with a plain step next to them still runs backward.
+    let src = "double f(double x, int n) {
+        double s = x;
+        int i = 0;
+        while (i < n) {
+            s = s * 0.5 + x;
+            if (s > 1.0) { i = i + 1; } else { i = i + 1; }
+        }
+        for (int j = 0; j < n; j++) { s = s + x; j = j + 1; }
+        for (int k = 0; k < n; k = k + 2) { s = s * x; }
+        for (int m = 0; m < n; m++) { s = s - x * m; }
+        return s;
+    }";
+    let args = |n| vec![ArgValue::F(0.6), ArgValue::I(n)];
+    loops_reverse_exactly(src, &[args(5), args(0)], 1, 3);
+}

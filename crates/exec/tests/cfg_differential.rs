@@ -490,17 +490,17 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
 const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
     ("arclen/primal", 0xc786f88816a1fe82),
     ("arclen/demoted", 0x4166092c226ce35e),
-    ("arclen/adjoint", 0xc05c0354d15eecbd),
+    ("arclen/adjoint", 0xd0669525b3694c15),
     ("simpsons/primal", 0x8102f2b00c1386f4),
     ("simpsons/demoted", 0xacad77dbc070f088),
-    ("simpsons/adjoint", 0xda5b5839609e1e12),
+    ("simpsons/adjoint", 0xec1da56c6fa0942a),
     ("kmeans/primal", 0x0d5acfcdb20d7601),
     ("kmeans/demoted", 0x3517ff29f24a464f),
-    ("kmeans/adjoint", 0xb866024d0608ba91),
+    ("kmeans/adjoint", 0x191f85738405fa14),
     ("blackscholes/primal", 0x85b6e1ffcebc6d29),
     ("blackscholes/demoted", 0x9fb1c25ef793ee06),
-    ("blackscholes/adjoint", 0xaa56ed38e237a94f),
+    ("blackscholes/adjoint", 0xf69426fd4136886c),
     ("hpccg/primal", 0xb6497134e3589492),
     ("hpccg/demoted", 0xd99442e84b48255e),
-    ("hpccg/adjoint", 0x9617d18cb02da559),
+    ("hpccg/adjoint", 0xaa8b143a7d155751),
 ];

@@ -190,19 +190,19 @@ const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
     ("shapes", 0xf8f2e2faa18f0f5b),
     ("arclen/primal", 0x69b310f1639b5c1d),
     ("arclen/demoted", 0xee9b22a16c7c9ac9),
-    ("arclen/adjoint", 0x0bb7ef516c9f2202),
+    ("arclen/adjoint", 0x526a0c1e2155d962),
     ("simpsons/primal", 0x46143873d9b282a3),
     ("simpsons/demoted", 0x3ff3e43cf6fd4479),
-    ("simpsons/adjoint", 0xacf80eb1c2585678),
+    ("simpsons/adjoint", 0xe4546eec4ed71dc8),
     ("kmeans/primal", 0x82bccb9ee8974c42),
     ("kmeans/demoted", 0x681b0cbe69ee655f),
-    ("kmeans/adjoint", 0x6a7b4c0acfb58eac),
+    ("kmeans/adjoint", 0xbfc315dc1f3e6050),
     ("blackscholes/primal", 0x4fb986c8ed3e7ff1),
     ("blackscholes/demoted", 0xf071e8539a3839e6),
-    ("blackscholes/adjoint", 0xb85b51f6e72d13bb),
+    ("blackscholes/adjoint", 0x1c9f2e4f29b11ead),
     ("hpccg/primal", 0xaff2f21bea488ce0),
     ("hpccg/demoted", 0x6822ca79e2d4284b),
-    ("hpccg/adjoint", 0x5d712182e7dd5cb2),
+    ("hpccg/adjoint", 0x394deed9696bcd1a),
 ];
 
 // ---------------------------------------------------------------- proptest

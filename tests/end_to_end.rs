@@ -88,7 +88,7 @@ fn arclen_estimates_agree_with_adapt() {
         &[],
         "arclen",
         Pins {
-            chef_tape_peak_bytes: 96_032,
+            chef_tape_peak_bytes: 68_024,
             adapt_tape_entries: 24_003,
             adapt_tape_peak_bytes: 1_536_192,
         },
@@ -104,7 +104,7 @@ fn simpsons_estimates_agree_with_adapt() {
         &[],
         "simpsons",
         Pins {
-            chef_tape_peak_bytes: 39_984,
+            chef_tape_peak_bytes: 31_984,
             adapt_tape_entries: 12_008,
             adapt_tape_peak_bytes: 768_512,
         },
@@ -124,7 +124,7 @@ fn kmeans_estimates_agree_with_adapt() {
         ],
         "kmeans",
         Pins {
-            chef_tape_peak_bytes: 106_824,
+            chef_tape_peak_bytes: 71_616,
             adapt_tape_entries: 15_963,
             adapt_tape_peak_bytes: 1_021_632,
         },
@@ -141,7 +141,7 @@ fn hpccg_estimates_agree_with_adapt() {
         &[("b", "nrow")],
         "hpccg",
         Pins {
-            chef_tape_peak_bytes: 97_392,
+            chef_tape_peak_bytes: 53_400,
             adapt_tape_entries: 17_970,
             adapt_tape_peak_bytes: 1_150_080,
         },
@@ -164,7 +164,7 @@ fn blackscholes_estimates_agree_with_adapt() {
         ],
         "bs",
         Pins {
-            chef_tape_peak_bytes: 8_424,
+            chef_tape_peak_bytes: 8_016,
             adapt_tape_entries: 2_353,
             adapt_tape_peak_bytes: 150_592,
         },
