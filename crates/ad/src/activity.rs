@@ -15,6 +15,13 @@
 //!   side, and no statement at an earlier position reads `v` (an earlier
 //!   reader's adjoint runs *later* in the backward sweep and needs the
 //!   pre-assignment value).
+//!
+//!   One write is exempt: the induction step `v = v ± c` of a loop the
+//!   reverse transformation runs backward by inverting that step (see
+//!   `reverse`'s loop forms) is neither pushed nor popped. The rule above
+//!   is what makes that sound: `v` is assigned in a loop, so every
+//!   *other* write to `v` pushes, and the backward sweep has restored
+//!   `v` to its forward exit value by the time it reaches the loop.
 
 use chef_ir::ast::*;
 use chef_ir::visit::{walk_expr, Visitor};

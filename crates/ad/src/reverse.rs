@@ -46,6 +46,24 @@
 //! from the general form only in the sign of a zero adjoint, which the
 //! error term's `|x·x̄|` does not see. `pop(v)` still comes before any
 //! contribution, so each reads the value `v` had before the assignment.
+//!
+//! ## The backward form of a loop
+//!
+//! A loop runs backward in one of two forms (`Rev::xform_loop` has both
+//! in full):
+//!
+//! * **reversible**, with TBR on, when its step (the `for` step, or the
+//!   last top-level statement of a `while` body) is `v = v ± c` with `v`
+//!   an `int`, `c` an odd integer literal and `v` written nowhere else in
+//!   the body. The backward loop inverts the step, `while (v != entry)
+//!   { v = v - c; … }`, where `entry` is the init's literal or the entry
+//!   value, pushed once per loop execution. Neither the step nor a
+//!   counter touches the tape. An odd step is invertible modulo 2⁶⁴, so
+//!   the wrapping walk back meets the entry value after exactly the
+//!   forward trip count;
+//! * **counted**, otherwise and whenever TBR is off: an iteration counter
+//!   `_cnt` is pushed after the loop and drives a `for` loop backward,
+//!   with every step assignment pushed and popped like any other.
 
 use crate::activity::{assigned_in, is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
