@@ -275,6 +275,14 @@ pub enum Instr {
     },
     /// `i[dst] = i[a] + imm` (wrapping) — loop increments.
     IAddImm { dst: IReg, a: IReg, imm: i64 },
+    /// `i[dst] = i[a] * i[b] + i[c]` (wrapping) — row-major index
+    /// arithmetic `p * n + f`: `IMul t,a,b` ; `IAdd dst,t,c`.
+    IMulAdd {
+        dst: IReg,
+        a: IReg,
+        b: IReg,
+        c: IReg,
+    },
     /// Jump to `target` when `!(f[a] op f[b])` — fused compare-and-branch
     /// (the loop-exit test).
     FCmpJmpFalse {

@@ -13,6 +13,7 @@
 //! | `FIntr1/FIntr2 t,…` ; `FRound d,t,ty` | [`Instr::FIntr1Round`] … |
 //! | `FMov t,s` ; `FRound d,t,ty` | [`Instr::FRound`] `d,s,ty` |
 //! | `IConst t,c` ; `IAdd d,a,t` | [`Instr::IAddImm`] |
+//! | `IMul t,a,b` ; `IAdd d,t,c` | [`Instr::IMulAdd`] |
 //! | `IConst t,c` ; `IAdd u,i,t` ; `FLoad d,arr,u` | [`Instr::FLoadOff`] |
 //! | `IConst t,c` ; `IAdd u,i,t` ; `FStore arr,u,s` | [`Instr::FStoreOff`] |
 //! | `FCmp/ICmp t,…` ; `JmpIfFalse/True t,L` | [`Instr::FCmpJmpFalse`] … |
@@ -27,9 +28,9 @@
 //!
 //! A fused form is emitted only when [`crate::pack::fits`] says it has a
 //! packed encoding (an `FLoadOff` offset within `i8`, an immediate
-//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`
-//! addend, `FAbsMulC` second factor or `FAddAccK` array register below
-//! 256);
+//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd` or
+//! `IMulAdd` addend, `FAbsMulC` second factor or `FAddAccK` array
+//! register below 256);
 //! otherwise the window stays unfused, so fusion never makes a function
 //! unpackable.
 //!
@@ -79,7 +80,8 @@ use crate::bytecode::*;
 /// What [`fuse_function`] did, by pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FuseStats {
-    /// `FMul`+`FAdd` → [`Instr::FMulAdd`].
+    /// `FMul`+`FAdd` → [`Instr::FMulAdd`], and `IMul`+`IAdd` →
+    /// [`Instr::IMulAdd`].
     pub mul_add: u32,
     /// Arithmetic + `FRound` → `F*Round`.
     pub op_round: u32,
@@ -498,6 +500,20 @@ fn match_specific(
             }
             stats.const_op += 1;
             Rewrite::one(ins, 2)
+        }
+        // IMul t,a,b ; IAdd d,t,c  →  IMulAdd: the row-major index
+        // `p * n + f` of array code.
+        Instr::IMul { dst: t, a, b } => {
+            let &Instr::IAdd { dst, a: x, b: y } = at(1)? else {
+                return None;
+            };
+            let c = IReg(other_operand(t.0, x.0, y.0)?);
+            let ins = Instr::IMulAdd { dst, a, b, c };
+            if free(1) && crate::pack::fits(&ins) && (dst == t || dead_i(2, t)) {
+                stats.mul_add += 1;
+                return Rewrite::one(ins, 2);
+            }
+            None
         }
         // FLoad u,arr,i ; FAdd w,u,s ; FStore arr,i,w → FAddTo arr,i,s:
         // the `a[i] += s` of adjoint and error-estimation code.

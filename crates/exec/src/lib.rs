@@ -221,8 +221,8 @@
 //!
 //! Packing is **total on compiler output**. The per-instruction field
 //! limits (an `FLoadOff`/`FStoreOff` offset within `i8`, an immediate
-//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`
-//! addend, `FAbsMulC` second factor or `FAddAccK` array register below
+//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd` or
+//! `IMulAdd` addend, `FAbsMulC` second factor or `FAddAccK` array register below
 //! 256) are stated once, by [`pack::fits`]; fusion never emits a form it
 //! rejects, and compaction only lowers register indices. What is left are whole-function limits — more
 //! than 65 535 instructions, or a register index wider than u16 — and

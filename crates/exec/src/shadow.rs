@@ -1120,6 +1120,12 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             op::IADD => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_add(ir!(fld!(w_c)))),
             op::ISUB => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_sub(ir!(fld!(w_c)))),
             op::IMUL => iw!(fld!(w_a), ir!(fld!(w_b)).wrapping_mul(ir!(fld!(w_c)))),
+            op::IMULADD => iw!(
+                fld!(w_a),
+                ir!(fld!(w_b))
+                    .wrapping_mul(ir!(fld!(w_c)))
+                    .wrapping_add(ir!(fld!(w_d)))
+            ),
             op::IDIV => {
                 let d = ir!(fld!(w_c));
                 if d == 0 {

@@ -50,10 +50,11 @@ use std::sync::{Arc, OnceLock};
 /// version also feeds [`content_key`], so a bump changes every key and
 /// stale-format entries are simply never looked up again. Bump it too
 /// when codegen or fusion changes what a source compiles to (version 4:
-/// loops rotated, tested at the bottom), since the key hashes the source
+/// loops rotated, tested at the bottom; version 5: `IMul` ; `IAdd`
+/// fused into `IMulAdd`), since the key hashes the source
 /// and the options but no codegen revision, and an old entry would
 /// otherwise warm-hit the old code.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Entry file magic.
 const MAGIC: [u8; 8] = *b"CHEFFUNC";

@@ -494,9 +494,9 @@ const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
     ("simpsons/primal", 0x8102f2b00c1386f4),
     ("simpsons/demoted", 0xacad77dbc070f088),
     ("simpsons/adjoint", 0xec1da56c6fa0942a),
-    ("kmeans/primal", 0x0d5acfcdb20d7601),
-    ("kmeans/demoted", 0x3517ff29f24a464f),
-    ("kmeans/adjoint", 0x191f85738405fa14),
+    ("kmeans/primal", 0xa4a79c8ee330017b),
+    ("kmeans/demoted", 0x17dfdcc4f0948e62),
+    ("kmeans/adjoint", 0x1fec1908511e0ac1),
     ("blackscholes/primal", 0x85b6e1ffcebc6d29),
     ("blackscholes/demoted", 0x9fb1c25ef793ee06),
     ("blackscholes/adjoint", 0xf69426fd4136886c),

@@ -323,6 +323,12 @@ pub(crate) fn instruction_shapes() -> Vec<Instr> {
             src: f(3),
             arr: AReg(255),
         },
+        Instr::IMulAdd {
+            dst: i(1),
+            a: i(2),
+            b: i(3),
+            c: i(255),
+        },
         Instr::RetI { src: i(7) },
         Instr::RetB { src: i(0) },
     ]

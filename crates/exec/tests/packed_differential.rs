@@ -187,16 +187,16 @@ fn packed_wire_format_is_pinned() {
 
 /// `(shapes or kernel/mode, wire_hash of its packed code)`.
 const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
-    ("shapes", 0xf8f2e2faa18f0f5b),
+    ("shapes", 0x374f17bfe02ef764),
     ("arclen/primal", 0x69b310f1639b5c1d),
     ("arclen/demoted", 0xee9b22a16c7c9ac9),
     ("arclen/adjoint", 0x526a0c1e2155d962),
     ("simpsons/primal", 0x46143873d9b282a3),
     ("simpsons/demoted", 0x3ff3e43cf6fd4479),
     ("simpsons/adjoint", 0xe4546eec4ed71dc8),
-    ("kmeans/primal", 0x82bccb9ee8974c42),
-    ("kmeans/demoted", 0x681b0cbe69ee655f),
-    ("kmeans/adjoint", 0xbfc315dc1f3e6050),
+    ("kmeans/primal", 0xe121d4ee18744e5c),
+    ("kmeans/demoted", 0x9dc5e7274114b90d),
+    ("kmeans/adjoint", 0x53e328f2d2da4c48),
     ("blackscholes/primal", 0x4fb986c8ed3e7ff1),
     ("blackscholes/demoted", 0xf071e8539a3839e6),
     ("blackscholes/adjoint", 0x1c9f2e4f29b11ead),

@@ -316,7 +316,7 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
 const PINNED_COUNTS: [(&str, u64, u64); 5] = [
     ("arclen", 111_034, 8_503),
     ("simpsons", 56_016, 3_998),
-    ("kmeans", 83_776, 6_532),
+    ("kmeans", 75_776, 6_532),
     ("blackscholes", 10_422, 1_002),
     ("hpccg", 133_625, 6_675),
 ];
@@ -364,7 +364,7 @@ fn estimator_adjoint_dispatch_counts_are_pinned() {
 const PINNED_PRIMAL_COUNTS: [(&str, u64, u64); 5] = [
     ("arclen", 24_508, 28_010),
     ("simpsons", 16_506, 17_507),
-    ("kmeans", 24_334, 26_935),
+    ("kmeans", 20_334, 22_935),
     ("blackscholes", 1_641, 1_742),
     ("hpccg", 42_156, 128_662),
 ];
