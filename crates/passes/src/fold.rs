@@ -165,6 +165,35 @@ fn fold_binary(
     };
     let one = |e: &Expr| num(e) == Some(1.0);
     let keep = |e: &Expr| (ty.is_some() && e.ty == ty).then(|| e.clone());
+    // `-(e) * c` and `c * -(e)` → `e * (-c)` for a float `e` and a float
+    // literal `c`: rounding is symmetric in sign, so the product is the
+    // same value, one negation fewer (simpsons' `exp(-x * 0.5)`).
+    if op == BinOp::Mul {
+        let negated_float = |e: &Expr| match &e.kind {
+            Unary {
+                op: UnOp::Neg,
+                operand,
+            } if matches!(operand.ty, Some(Type::Float(_))) => Some((**operand).clone()),
+            _ => None,
+        };
+        let negated_lit = |e: &Expr| match e.kind {
+            FloatLit(c) => Some(Expr {
+                kind: FloatLit(-c),
+                ..e.clone()
+            }),
+            _ => None,
+        };
+        let pair = negated_float(lhs)
+            .zip(negated_lit(rhs))
+            .or_else(|| negated_float(rhs).zip(negated_lit(lhs)));
+        if let Some((e, c)) = pair {
+            return Some(mk(Binary {
+                op,
+                lhs: Box::new(e),
+                rhs: Box::new(c),
+            }));
+        }
+    }
     match op {
         BinOp::Add if add_identity(rhs) => return keep(lhs),
         BinOp::Add if add_identity(lhs) => return keep(rhs),
@@ -306,6 +335,15 @@ mod tests {
         let s = folded("double f(double x) { if (true) { x = 1.0; } else { x = 2.0; } return x; }");
         assert!(s.contains("x = 1.0;"), "{s}");
         assert!(!s.contains("x = 2.0;"), "{s}");
+    }
+
+    #[test]
+    fn moves_a_negation_into_a_literal_factor() {
+        let s = folded("double f(double x) { return exp(-x * 0.5) + 2.0 * -x; }");
+        assert!(s.contains("exp(x * -0.5) + x * -2.0"), "{s}");
+        // An int operand's negation wraps; it stays.
+        let s = folded("double f(int n) { return -n * 0.5; }");
+        assert!(s.contains("-n * 0.5"), "{s}");
     }
 
     #[test]

@@ -315,7 +315,7 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
 /// estimator adjoint compiled with fusion and compaction on.
 const PINNED_COUNTS: [(&str, u64, u64); 5] = [
     ("arclen", 111_034, 8_503),
-    ("simpsons", 56_016, 3_998),
+    ("simpsons", 54_016, 3_998),
     ("kmeans", 75_776, 6_532),
     ("blackscholes", 10_422, 1_002),
     ("hpccg", 133_625, 6_675),
