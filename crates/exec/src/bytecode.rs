@@ -219,6 +219,14 @@ pub enum Instr {
     FSubCR { dst: FReg, k: f64, a: FReg },
     /// `f[dst] = f[a] * k`
     FMulC { dst: FReg, a: FReg, k: f64 },
+    /// `f[dst] = round_to(f[a] * k, ty)` — the constant-operand product
+    /// of demoted code: `FMulC t,a,k` ; `FRound dst,t,ty`.
+    FMulCRound {
+        dst: FReg,
+        a: FReg,
+        k: f64,
+        ty: FloatTy,
+    },
     /// `f[dst] = f[a] / k`
     FDivC { dst: FReg, a: FReg, k: f64 },
     /// `f[dst] = k / f[a]` (the `1.0 / x` idiom)

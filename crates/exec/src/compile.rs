@@ -394,8 +394,10 @@ impl<'a> Compiler<'a> {
                     }
                     _ => {
                         if let Some(e) = init {
-                            let op = self.expr(e)?;
-                            self.store_to_slot(slot, op)?;
+                            if !self.store_exact_literal(slot, e) {
+                                let op = self.expr(e)?;
+                                self.store_to_slot(slot, op)?;
+                            }
                         }
                     }
                 }
@@ -526,6 +528,11 @@ impl<'a> Compiler<'a> {
     }
 
     fn assign(&mut self, lhs: &LValue, op: AssignOp, rhs: &Expr) -> Result<(), CompileError> {
+        if let (LValue::Var(v), AssignOp::Assign) = (lhs, op) {
+            if self.store_exact_literal(self.slot(v)?, rhs) {
+                return Ok(());
+            }
+        }
         let rhs_op = self.expr(rhs)?;
         match lhs {
             LValue::Var(v) => {
@@ -636,6 +643,25 @@ impl<'a> Compiler<'a> {
             }
             _ => Err(indexing_a_scalar(span)),
         }
+    }
+
+    /// Stores a float literal that a narrower slot holds exactly as one
+    /// `FConst` into the slot: rounding it at run time (`FConst` ;
+    /// `FRound`) changes no bit, and the shadow lanes sample nothing for
+    /// it either way. `false`, emitting nothing, for anything else.
+    fn store_exact_literal(&mut self, slot: Slot, e: &Expr) -> bool {
+        let (Slot::F(dst, prec), ExprKind::FloatLit(v)) = (slot, &e.kind) else {
+            return false;
+        };
+        let lit = match e.ty {
+            Some(Type::Float(ft)) => ft,
+            _ => FloatTy::F64,
+        };
+        if lit.fits_in(prec) || precision::round_to(*v, prec).to_bits() != v.to_bits() {
+            return false;
+        }
+        self.emit(Instr::FConst { dst, v: *v });
+        true
     }
 
     fn store_to_slot(&mut self, slot: Slot, op: Operand) -> Result<(), CompileError> {

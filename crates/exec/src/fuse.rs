@@ -10,6 +10,7 @@
 //! | `FMul t,a,b` ; `FAdd d,t,c` | [`Instr::FMulAdd`] |
 //! | `FMul t,a,b` ; `FConst k` ; `FAdd d,t,k` | `FConst` + [`Instr::FMulAdd`] |
 //! | `FAdd/FSub/FMul/FDiv t,a,b` ; `FRound d,t,ty` | [`Instr::FAddRound`] … |
+//! | `FMulC t,a,k` ; `FRound d,t,ty` | [`Instr::FMulCRound`] |
 //! | `FIntr1/FIntr2 t,…` ; `FRound d,t,ty` | [`Instr::FIntr1Round`] … |
 //! | `FMov t,s` ; `FRound d,t,ty` | [`Instr::FRound`] `d,s,ty` |
 //! | `IConst t,c` ; `IAdd d,a,t` | [`Instr::IAddImm`] |
@@ -83,7 +84,7 @@ pub struct FuseStats {
     /// `FMul`+`FAdd` → [`Instr::FMulAdd`], and `IMul`+`IAdd` →
     /// [`Instr::IMulAdd`].
     pub mul_add: u32,
-    /// Arithmetic + `FRound` → `F*Round`.
+    /// Arithmetic (`FMulC` included) + `FRound` → `F*Round`.
     pub op_round: u32,
     /// Constant-offset array loads.
     pub load_off: u32,
@@ -686,6 +687,18 @@ fn match_specific(
             a,
             b,
             ty,
+        })
+        .and_then(|(ins, dst)| {
+            if dst == t || dead_f(2, t) {
+                stats.op_round += 1;
+                Rewrite::one(ins, 2)
+            } else {
+                None
+            }
+        }),
+        // FMulC t,a,k ; FRound d,t  →  FMulCRound (demoted `k * 2.0`).
+        Instr::FMulC { dst: t, a, k } => fuse_round(at(1), free(1), t, |dst, ty| {
+            Instr::FMulCRound { dst, a, k, ty }
         })
         .and_then(|(ins, dst)| {
             if dst == t || dead_f(2, t) {

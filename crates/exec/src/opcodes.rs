@@ -542,4 +542,5 @@ opcodes! {
     FABSMULC = 67 => FAbsMulC { dst: FW @ A, a: FR @ B, k: Pool @ C, b: FR @ D };
     FADDACCK = 68 => FAddAccK { acc: FU @ A, k: Imm @ B, src: FR @ C, arr: AR @ D };
     IMULADD = 69 => IMulAdd { dst: IW @ A, a: IR @ B, b: IR @ C, c: IR @ D };
+    FMULCROUND = 70 => FMulCRound { dst: FW @ A, a: FR @ B, k: Pool @ C, ty: Code @ D };
 }

@@ -1280,6 +1280,12 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             op::FSUBC => rk!(sub),
             op::FSUBCR => rk!(rev sub),
             op::FMULC => rk!(mul),
+            op::FMULCROUND => {
+                // One rounding sample, as `FMulRound` takes for its pair.
+                let (x, k) = (fld!(w_b), f64::from_bits(pool!(fld!(w_c))));
+                let ty = ty_from(fld!(w_d) as u8);
+                bin!(mul, fr!(x), k, sf[x], S::from_f64(k), pend[x], ty);
+            }
             op::FDIVC => rk!(div),
             op::FDIVCR => rk!(rev div),
             op::FADDTO => faddto!(fld!(w_a), ir!(fld!(w_b)), fld!(w_c)),
@@ -1637,7 +1643,7 @@ mod tests {
         // Pinned: the compare's pc and its 1-based position in the run.
         assert_eq!(
             (p.pc, p.at_instr),
-            per_pipeline((9, 307), (16, 710)),
+            per_pipeline((8, 306), (15, 709)),
             "{p:?}"
         );
         match p.kind {

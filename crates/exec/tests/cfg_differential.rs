@@ -489,18 +489,18 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
 /// `(kernel/mode, fingerprint of the compacted function)`.
 const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
     ("arclen/primal", 0xc786f88816a1fe82),
-    ("arclen/demoted", 0x4166092c226ce35e),
+    ("arclen/demoted", 0xfdde8881023fbfad),
     ("arclen/adjoint", 0xd0669525b3694c15),
     ("simpsons/primal", 0x8102f2b00c1386f4),
     ("simpsons/demoted", 0xacad77dbc070f088),
     ("simpsons/adjoint", 0xec1da56c6fa0942a),
     ("kmeans/primal", 0xa4a79c8ee330017b),
-    ("kmeans/demoted", 0x17dfdcc4f0948e62),
+    ("kmeans/demoted", 0x0bc7f85e04c05291),
     ("kmeans/adjoint", 0x1fec1908511e0ac1),
     ("blackscholes/primal", 0x85b6e1ffcebc6d29),
-    ("blackscholes/demoted", 0x9fb1c25ef793ee06),
+    ("blackscholes/demoted", 0xf88af59ef64dc7c6),
     ("blackscholes/adjoint", 0xf69426fd4136886c),
     ("hpccg/primal", 0xb6497134e3589492),
-    ("hpccg/demoted", 0xd99442e84b48255e),
+    ("hpccg/demoted", 0x1ac3ddc343819d96),
     ("hpccg/adjoint", 0xaa8b143a7d155751),
 ];

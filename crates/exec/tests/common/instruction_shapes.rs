@@ -329,6 +329,12 @@ pub(crate) fn instruction_shapes() -> Vec<Instr> {
             b: i(3),
             c: i(255),
         },
+        Instr::FMulCRound {
+            dst: f(1),
+            a: f(2),
+            k: 0.1,
+            ty: FloatTy::F32,
+        },
         Instr::RetI { src: i(7) },
         Instr::RetB { src: i(0) },
     ]
