@@ -927,17 +927,20 @@ impl Rev<'_> {
     ) -> Result<(Vec<Stmt>, Vec<Stmt>), AdError> {
         // A `while` body's last top-level statement may be its step.
         let rest;
-        let (step, body) = match (step, body.stmts.split_last()) {
-            (None, Some((last, others))) if self.induction(last, others).is_some() => {
-                rest = Block {
-                    stmts: others.to_vec(),
-                    span: body.span,
-                };
-                (Some(last), &rest)
-            }
-            _ => (step, body),
+        let (step, body, induction) = match (step, body.stmts.split_last()) {
+            (Some(st), _) => (Some(st), body, self.induction(st, &body.stmts)),
+            (None, Some((last, others))) => match self.induction(last, others) {
+                Some(ind) => {
+                    rest = Block {
+                        stmts: others.to_vec(),
+                        span: body.span,
+                    };
+                    (Some(last), &rest, Some(ind))
+                }
+                None => (None, body, None),
+            },
+            (None, None) => (None, body, None),
         };
-        let induction = step.and_then(|st| self.induction(st, &body.stmts));
         let (init_fwd, init_bwd) = match init {
             Some(i) => self.xform_stmt(i)?,
             None => (vec![], vec![]),
@@ -960,9 +963,10 @@ impl Rev<'_> {
         if let Some(ind) = induction {
             let v_rd = ind.read();
             let mut fwd = init_fwd;
-            let mut bwd = Vec::new();
-            let entry = match init.and_then(|i| literal_init(i, ind.var)) {
-                Some(lit) => Expr::ilit(lit),
+            // The entry value: the init's literal, or `_e`, saved on entry
+            // and taped after the loop.
+            let (entry, saved) = match init.and_then(|i| literal_init(i, ind.var)) {
+                Some(lit) => (Expr::ilit(lit), None),
                 None => {
                     let (e_id, e_name) = self.fresh_local("_e", Type::Int);
                     self.hoisted.push(decl_stmt(&self.grad, e_id, None));
@@ -972,16 +976,17 @@ impl Rev<'_> {
                         op: AssignOp::Assign,
                         rhs: v_rd.clone(),
                     }));
-                    bwd.push(Stmt::synth(StmtKind::TapePop(e_lv)));
-                    Expr::var(&e_name, e_id, Type::Int)
+                    (Expr::var(&e_name, e_id, Type::Int), Some(e_lv))
                 }
             };
             fwd.push(Stmt::synth(StmtKind::While {
                 cond,
                 body: Block::of(body_fwd),
             }));
-            if let Some(StmtKind::TapePop(e_lv)) = bwd.first().map(|s| &s.kind) {
+            let mut bwd = Vec::new();
+            if let Some(e_lv) = saved {
                 fwd.push(Stmt::synth(StmtKind::TapePush(e_lv.to_expr(Type::Int))));
+                bwd.push(Stmt::synth(StmtKind::TapePop(e_lv)));
             }
             bwd.push(Stmt::synth(StmtKind::While {
                 cond: Expr::binary(BinOp::Ne, v_rd, entry),
