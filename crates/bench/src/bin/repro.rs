@@ -1745,13 +1745,7 @@ fn pair_census() {
     ];
     for (label, program, name, primal) in kernels {
         let function = program.function(name).or_fail("kernel not found");
-        let mut demoted = PrecisionMap::empty();
-        for (id, v) in function.vars_iter() {
-            use chef_ir::types::{ElemTy, FloatTy, Type};
-            if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
-                demoted.set(id, FloatTy::F32);
-            }
-        }
+        let demoted = PrecisionMap::demote_all(function, chef_ir::types::FloatTy::F32);
         for (mode, precisions) in [
             ("primal", PrecisionMap::empty()),
             ("f32-demoted primal", demoted),

@@ -414,6 +414,33 @@ fn opt_levels_do_not_change_estimates() {
 }
 
 #[test]
+fn opt_levels_agree_on_a_nan_input_up_to_nan_sign() {
+    // O2 folds `-x * 0.5` into `x * -0.5`, which passes a NaN `x` through
+    // with its own sign instead of the flipped one.
+    use chef_passes::OptLevel;
+    let p = program("double f(double x) { double y = exp(-x * 0.5); return y * x; }");
+    let sign = 1u64 << 63;
+    for x in [0.3, f64::NAN, -f64::NAN] {
+        let outs = [OptLevel::O0, OptLevel::O2].map(|opt_level| {
+            let opts = EstimateOptions {
+                opt_level,
+                ..Default::default()
+            };
+            let out = estimate_error(&p, "f", &opts)
+                .unwrap()
+                .execute(&[ArgValue::F(x)])
+                .unwrap();
+            [out.value, out.fp_error, out.gradient_f("x")].map(f64::to_bits)
+        });
+        if x.is_nan() {
+            assert_eq!(outs[0].map(|b| b & !sign), outs[1].map(|b| b & !sign), "x = {x:?}");
+        } else {
+            assert_eq!(outs[0], outs[1], "x = {x:?}");
+        }
+    }
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     // Unknown function.
     assert!(matches!(

@@ -43,6 +43,17 @@ impl PrecisionMap {
         self.map.insert(id, ty);
     }
 
+    /// Every float variable of `func`, scalar and array, at `ty`.
+    pub fn demote_all(func: &Function, ty: FloatTy) -> Self {
+        let mut pm = PrecisionMap::empty();
+        for (id, v) in func.vars_iter() {
+            if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
+                pm.set(id, ty);
+            }
+        }
+        pm
+    }
+
     /// Builder-style [`PrecisionMap::set`].
     pub fn with(mut self, id: VarId, ty: FloatTy) -> Self {
         self.set(id, ty);

@@ -32,7 +32,7 @@ use chef_exec::fault::{FaultKind, FaultPlan};
 use chef_exec::prelude::*;
 use chef_exec::shadow::run_shadow;
 use chef_ir::ast::{Function, Program};
-use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_ir::types::FloatTy;
 use chef_passes::testgen::{invariant_loop_kernel, SplitMix};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,17 +79,6 @@ fn inlined_kernel(program: &Program, func: &str) -> Function {
         .function(func)
         .expect("kernel exists")
         .clone()
-}
-
-/// Demotes every float variable (scalar and array) to `f32`.
-fn demote_all(func: &Function) -> PrecisionMap {
-    let mut pm = PrecisionMap::empty();
-    for (id, v) in func.vars_iter() {
-        if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
-            pm.set(id, FloatTy::F32);
-        }
-    }
-    pm
 }
 
 /// Compiles `func` with the tier off and on (everything else equal,
@@ -230,7 +219,7 @@ fn fully_demoted_kernels_are_bit_identical_cfg_on_vs_off() {
     // Demotion floods the stream with F*Round forms.
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
-        let pm = demote_all(&func);
+        let pm = PrecisionMap::demote_all(&func, FloatTy::F32);
         assert_cfg_unobservable(&format!("{label}/demoted"), &func, &pm, &args);
     }
 }
@@ -265,7 +254,7 @@ fn adjoint_kernels_are_bit_identical_cfg_on_vs_off() {
 fn demoted_kernels_preserve_the_shadow_divergence_report() {
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
-        let pm = demote_all(&func);
+        let pm = PrecisionMap::demote_all(&func, FloatTy::F32);
         assert_cfg_shadow_unobservable(label, &func, &pm, &args);
     }
 }
@@ -457,7 +446,7 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
             .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
         let modes = [
             ("primal", &func, PrecisionMap::empty()),
-            ("demoted", &func, demote_all(&func)),
+            ("demoted", &func, PrecisionMap::demote_all(&func, FloatTy::F32)),
             ("adjoint", &grad, PrecisionMap::empty()),
         ];
         for (mode, f, pm) in modes {

@@ -19,7 +19,7 @@ use chef_exec::bytecode::Instr;
 use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_ir::ast::{Function, Program};
-use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_ir::types::FloatTy;
 
 /// One app kernel with a representative (small) workload.
 fn kernels() -> Vec<(&'static str, Program, &'static str, Vec<ArgValue>)> {
@@ -63,17 +63,6 @@ fn inlined_kernel(program: &Program, func: &str) -> Function {
         .function(func)
         .expect("kernel exists")
         .clone()
-}
-
-/// Demotes every float variable (scalar and array) to `f32`.
-fn demote_all(func: &Function) -> PrecisionMap {
-    let mut pm = PrecisionMap::empty();
-    for (id, v) in func.vars_iter() {
-        if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
-            pm.set(id, FloatTy::F32);
-        }
-    }
-    pm
 }
 
 /// Runs `func` compiled with fusion off and on; asserts the outcomes are
@@ -169,7 +158,7 @@ fn fully_demoted_kernels_are_bit_identical_fused_vs_unfused() {
     // rounds, exercising the F*Round fused forms.
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
-        let pm = demote_all(&func);
+        let pm = PrecisionMap::demote_all(&func, FloatTy::F32);
         let fused = compile(
             &func,
             &CompileOptions {

@@ -13,7 +13,7 @@ use chef_exec::bytecode::CompiledFunction;
 use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_ir::ast::{Function, Program, VarId};
-use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_ir::types::FloatTy;
 use chef_passes::testgen::{straight_line_kernel, SplitMix};
 use proptest::prelude::*;
 
@@ -52,16 +52,6 @@ fn inlined_kernel(program: &Program, func: &str) -> Function {
         .clone()
 }
 
-fn demote_all(func: &Function) -> PrecisionMap {
-    let mut pm = PrecisionMap::empty();
-    for (id, v) in func.vars_iter() {
-        if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
-            pm.set(id, FloatTy::F32);
-        }
-    }
-    pm
-}
-
 /// Every word of `compiled` decodes back to its enum instruction, and
 /// the packed disassembly names one instruction per word.
 fn assert_words_decode(label: &str, compiled: &CompiledFunction) {
@@ -93,7 +83,7 @@ fn packed_words_decode_back_to_their_instructions() {
             .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
         let modes = [
             ("primal", &func, PrecisionMap::empty()),
-            ("demoted", &func, demote_all(&func)),
+            ("demoted", &func, PrecisionMap::demote_all(&func, FloatTy::F32)),
             ("adjoint", &grad, PrecisionMap::empty()),
         ];
         for (mode, f, pm) in modes {
@@ -159,7 +149,7 @@ fn packed_wire_format_is_pinned() {
             .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
         let modes = [
             ("primal", &func, PrecisionMap::empty()),
-            ("demoted", &func, demote_all(&func)),
+            ("demoted", &func, PrecisionMap::demote_all(&func, FloatTy::F32)),
             ("adjoint", &grad, PrecisionMap::empty()),
         ];
         for (mode, f, pm) in modes {

@@ -167,7 +167,9 @@ fn fold_binary(
     let keep = |e: &Expr| (ty.is_some() && e.ty == ty).then(|| e.clone());
     // `-(e) * c` and `c * -(e)` → `e * (-c)` for a float `e` and a float
     // literal `c`: rounding is symmetric in sign, so the product is the
-    // same value, one negation fewer (simpsons' `exp(-x * 0.5)`).
+    // same value, one negation fewer (simpsons' `exp(-x * 0.5)`). A NaN
+    // `e` is the exception: the product passes the NaN through, so it
+    // keeps `e`'s sign where the original carried the flipped one.
     if op == BinOp::Mul {
         let negated_float = |e: &Expr| match &e.kind {
             Unary {

@@ -127,6 +127,28 @@ fn o2_keeps_the_sign_of_a_zero_sum() {
 }
 
 #[test]
+fn o2_moves_a_negation_into_a_literal_factor_up_to_nan_sign() {
+    // `-x * 0.5` becomes `x * -0.5`: the same bits for every non-NaN `x`;
+    // a NaN `x` comes out as the same NaN with its sign bit flipped.
+    let src = "double f(double x) { return -x * 0.5 + 2.0 * -x; }";
+    let mut p = parse_program(src).unwrap();
+    check_program(&mut p).unwrap();
+    let base = &p.functions[0];
+    let mut opt = base.clone();
+    optimize_function(&mut opt, OptLevel::O2);
+    let sign = 1u64 << 63;
+    for x in [1.5, -0.0, 0.0, f64::INFINITY, f64::NAN, -f64::NAN] {
+        let args = [ArgValue::F(x)];
+        let (before, after) = (eval(base, &args).unwrap(), eval(&opt, &args).unwrap());
+        if x.is_nan() {
+            assert_eq!(before.to_bits() & !sign, after.to_bits() & !sign, "x = {x:?}");
+        } else {
+            assert_eq!(before.to_bits(), after.to_bits(), "x = {x:?}");
+        }
+    }
+}
+
+#[test]
 fn o2_evaluates_nothing_a_short_circuit_skips() {
     // A repeat below the right operand of `&&`/`||` is not hoisted: in
     // front of its guard it would trap where O0 returns.

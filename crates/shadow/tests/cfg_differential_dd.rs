@@ -12,7 +12,7 @@ use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_exec::shadow::run_shadow;
 use chef_ir::ast::{Function, Program};
-use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_ir::types::FloatTy;
 use chef_shadow::DD;
 
 fn kernels() -> Vec<(&'static str, Program, &'static str, Vec<ArgValue>)> {
@@ -46,21 +46,11 @@ fn inlined_kernel(program: &Program, func: &str) -> Function {
         .clone()
 }
 
-fn demote_all(func: &Function) -> PrecisionMap {
-    let mut pm = PrecisionMap::empty();
-    for (id, v) in func.vars_iter() {
-        if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
-            pm.set(id, FloatTy::F32);
-        }
-    }
-    pm
-}
-
 #[test]
 fn demoted_kernels_preserve_the_dd_shadow_report_cfg_on_vs_off() {
     for (label, program, name, args) in kernels() {
         let func = inlined_kernel(&program, name);
-        let pm = demote_all(&func);
+        let pm = PrecisionMap::demote_all(&func, FloatTy::F32);
         let mk = |cfg_on: bool| {
             compile(
                 &func,

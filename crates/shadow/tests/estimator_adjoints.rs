@@ -32,7 +32,7 @@ use chef_exec::compile::{compile, CompileOptions, PrecisionMap};
 use chef_exec::prelude::*;
 use chef_exec::shadow::{run_shadow, ShadowNum, ShadowOutcome};
 use chef_ir::ast::Program;
-use chef_ir::types::{ElemTy, FloatTy, Type};
+use chef_ir::types::{FloatTy, Type};
 use chef_shadow::DD;
 
 /// One kernel's estimator with the arguments of one run: the primal
@@ -375,12 +375,7 @@ fn primal_and_demoted_dispatch_counts_are_pinned() {
         .iter()
         .map(|case| {
             let (func, args) = &case.primal;
-            let mut demoted = PrecisionMap::empty();
-            for (id, v) in func.vars_iter() {
-                if let Type::Float(_) | Type::Array(ElemTy::Float(_)) = v.ty {
-                    demoted.set(id, FloatTy::F32);
-                }
-            }
+            let demoted = PrecisionMap::demote_all(func, FloatTy::F32);
             let [primal, demoted] = [PrecisionMap::empty(), demoted].map(|pm| {
                 let f = compiled_fn(case, func, pm, true);
                 // Two back-to-back runs: the count is a property of the
