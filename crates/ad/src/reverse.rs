@@ -1139,9 +1139,9 @@ impl Rev<'_> {
                         bwd.push(Stmt::synth(StmtKind::TapePop(lhs.clone())));
                     }
                     match fold {
-                        Fold::Keep { rest, negate } => {
-                            let seed = if negate {
-                                Expr::neg(adj_read)
+                        Fold::Keep { rest, negated } => {
+                            let seed = if negated {
+                                self.negate(adj_read)
                             } else {
                                 adj_read
                             };
@@ -1200,32 +1200,25 @@ impl Rev<'_> {
             ExprKind::FloatLit(_) | ExprKind::IntLit(_) | ExprKind::BoolLit(_) => Ok(()),
             ExprKind::Var(v) => {
                 if let Some(AdjTarget::Scalar(id, name)) = self.adjoint_of.get(&v.vid()).cloned() {
-                    out.push(Stmt::synth(StmtKind::Assign {
-                        lhs: LValue::Var(VarRef::resolved(name, id)),
-                        op: AssignOp::AddAssign,
-                        rhs: seed,
-                    }));
+                    out.push(self.accumulate(LValue::Var(VarRef::resolved(name, id)), seed));
                 }
                 Ok(())
             }
             ExprKind::Index { base, index } => {
                 if let Some(AdjTarget::Array(id, name)) = self.adjoint_of.get(&base.vid()).cloned()
                 {
-                    out.push(Stmt::synth(StmtKind::Assign {
-                        lhs: LValue::Index {
-                            base: VarRef::resolved(name, id),
-                            index: (**index).clone(),
-                        },
-                        op: AssignOp::AddAssign,
-                        rhs: seed,
-                    }));
+                    let lhs = LValue::Index {
+                        base: VarRef::resolved(name, id),
+                        index: (**index).clone(),
+                    };
+                    out.push(self.accumulate(lhs, seed));
                 }
                 Ok(())
             }
             ExprKind::Unary {
                 op: UnOp::Neg,
                 operand,
-            } => self.rev_expr(operand, Expr::neg(seed), out),
+            } => self.rev_expr(operand, self.negate(seed), out),
             ExprKind::Unary { op: UnOp::Not, .. } => Ok(()),
             ExprKind::Binary { op, lhs, rhs } => match op {
                 BinOp::Add => {
@@ -1234,26 +1227,32 @@ impl Rev<'_> {
                 }
                 BinOp::Sub => {
                     self.rev_expr(lhs, seed.clone(), out)?;
-                    self.rev_expr(rhs, Expr::neg(seed), out)
+                    self.rev_expr(rhs, self.negate(seed), out)
                 }
                 BinOp::Mul => {
                     if has_diff_reads(lhs, &self.grad) {
-                        self.rev_expr(lhs, Expr::mul(seed.clone(), (**rhs).clone()), out)?;
+                        let s = self.scale(seed.clone(), |s| Expr::mul(s, (**rhs).clone()));
+                        self.rev_expr(lhs, s, out)?;
                     }
                     if has_diff_reads(rhs, &self.grad) {
-                        self.rev_expr(rhs, Expr::mul(seed, (**lhs).clone()), out)?;
+                        self.rev_expr(
+                            rhs,
+                            self.scale(seed, |s| Expr::mul(s, (**lhs).clone())),
+                            out,
+                        )?;
                     }
                     Ok(())
                 }
                 BinOp::Div => {
                     if has_diff_reads(lhs, &self.grad) {
-                        self.rev_expr(lhs, Expr::div(seed.clone(), (**rhs).clone()), out)?;
+                        let s = self.scale(seed.clone(), |s| Expr::div(s, (**rhs).clone()));
+                        self.rev_expr(lhs, s, out)?;
                     }
                     if has_diff_reads(rhs, &self.grad) {
                         // d/db (a/b) = -a/b²
                         let b2 = Expr::mul((**rhs).clone(), (**rhs).clone());
-                        let s = Expr::neg(Expr::div(Expr::mul(seed, (**lhs).clone()), b2));
-                        self.rev_expr(rhs, s, out)?;
+                        let s = self.scale(seed, |s| Expr::div(Expr::mul(s, (**lhs).clone()), b2));
+                        self.rev_expr(rhs, self.negate(s), out)?;
                     }
                     Ok(())
                 }
@@ -1271,7 +1270,7 @@ impl Rev<'_> {
                         let mut pos = Vec::new();
                         self.rev_expr(a, seed.clone(), &mut pos)?;
                         let mut neg = Vec::new();
-                        self.rev_expr(a, Expr::neg(seed), &mut neg)?;
+                        self.rev_expr(a, self.negate(seed), &mut neg)?;
                         out.push(Stmt::synth(StmtKind::If {
                             cond: Expr::binary(BinOp::Ge, a.clone(), Expr::flit(0.0)),
                             then_branch: Block::of(pos),
@@ -1295,17 +1294,23 @@ impl Rev<'_> {
                     Intrinsic::Pow => {
                         let (da, db) = pow_derivatives(&args[0], &args[1]);
                         if has_diff_reads(&args[0], &self.grad) {
-                            self.rev_expr(&args[0], Expr::mul(seed.clone(), da), out)?;
+                            self.rev_expr(
+                                &args[0],
+                                self.scale(seed.clone(), |s| Expr::mul(s, da)),
+                                out,
+                            )?;
                         }
                         if has_diff_reads(&args[1], &self.grad) {
-                            self.rev_expr(&args[1], Expr::mul(seed, db), out)?;
+                            self.rev_expr(&args[1], self.scale(seed, |s| Expr::mul(s, db)), out)?;
                         }
                         Ok(())
                     }
                     _ => {
                         debug_assert_eq!(i.arity(), 1);
                         match unary_derivative(*i, &args[0]) {
-                            Some(d) => self.rev_expr(&args[0], Expr::mul(seed, d), out),
+                            Some(d) => {
+                                self.rev_expr(&args[0], self.scale(seed, |s| Expr::mul(s, d)), out)
+                            }
                             None => Ok(()), // floor/ceil: zero derivative
                         }
                     }
@@ -1324,6 +1329,48 @@ impl Rev<'_> {
             },
         }
     }
+
+    /// `-seed`. With TBR on, a double negation cancels (exact: negation
+    /// only flips the sign bit).
+    fn negate(&self, seed: Expr) -> Expr {
+        match seed.kind {
+            ExprKind::Unary {
+                op: UnOp::Neg,
+                operand,
+            } if self.cfg.tbr => *operand,
+            _ => Expr::neg(seed),
+        }
+    }
+
+    /// `f(seed)` for a product or quotient `f`. With TBR on, a negation of
+    /// `seed` moves outside: `(-s) * c` becomes `-(s * c)`. Rounding is
+    /// symmetric in sign, so the two are the same number; only a NaN `c`
+    /// can come out with the opposite sign. Negations kept outermost
+    /// cancel, or end in [`Rev::accumulate`]'s subtraction, instead of
+    /// costing a dispatch each.
+    fn scale(&self, seed: Expr, f: impl FnOnce(Expr) -> Expr) -> Expr {
+        match seed.kind {
+            ExprKind::Unary {
+                op: UnOp::Neg,
+                operand,
+            } if self.cfg.tbr => Expr::neg(f(*operand)),
+            _ => f(seed),
+        }
+    }
+
+    /// `lhs += seed`; with TBR on, `lhs -= s` for a negated seed `-s`:
+    /// `x - s` is `x + (-s)` by IEEE definition, except that a NaN `s`
+    /// keeps its sign.
+    fn accumulate(&self, lhs: LValue, seed: Expr) -> Stmt {
+        let (op, rhs) = match seed.kind {
+            ExprKind::Unary {
+                op: UnOp::Neg,
+                operand,
+            } if self.cfg.tbr => (AssignOp::SubAssign, *operand),
+            _ => (AssignOp::AddAssign, seed),
+        };
+        Stmt::synth(StmtKind::Assign { lhs, op, rhs })
+    }
 }
 
 /// How the backward sweep of a scalar assignment `v = rhs` skips
@@ -1332,7 +1379,7 @@ enum Fold<'e> {
     /// `v = v ± rest` or `v = rest + v`, `rest` not reading `v`: `_d_v`
     /// already holds its own contribution; `rest`'s contributions are
     /// seeded with `±_d_v`.
-    Keep { rest: &'e Expr, negate: bool },
+    Keep { rest: &'e Expr, negated: bool },
     /// `v = v * c` or `v = c * v`, `c` without differentiable reads:
     /// `_d_v = _d_v * c`.
     Scale(&'e Expr),
@@ -1350,13 +1397,13 @@ fn fold_scalar_update<'e>(rhs: &'e Expr, target: VarId, grad: &Function) -> Opti
             BinOp::Add | BinOp::Sub if is_target(lhs) && !reads_target(r) => {
                 return Some(Fold::Keep {
                     rest: r,
-                    negate: *op == BinOp::Sub,
+                    negated: *op == BinOp::Sub,
                 })
             }
             BinOp::Add if is_target(r) && !reads_target(lhs) => {
                 return Some(Fold::Keep {
                     rest: lhs,
-                    negate: false,
+                    negated: false,
                 })
             }
             BinOp::Mul if is_target(lhs) && !has_diff_reads(r, grad) => {

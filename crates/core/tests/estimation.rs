@@ -433,7 +433,11 @@ fn opt_levels_agree_on_a_nan_input_up_to_nan_sign() {
             [out.value, out.fp_error, out.gradient_f("x")].map(f64::to_bits)
         });
         if x.is_nan() {
-            assert_eq!(outs[0].map(|b| b & !sign), outs[1].map(|b| b & !sign), "x = {x:?}");
+            assert_eq!(
+                outs[0].map(|b| b & !sign),
+                outs[1].map(|b| b & !sign),
+                "x = {x:?}"
+            );
         } else {
             assert_eq!(outs[0], outs[1], "x = {x:?}");
         }

@@ -165,6 +165,14 @@ pub enum Instr {
         b: FReg,
         c: FReg,
     },
+    /// `f[dst] = f[c] - f[a] * f[b]` — [`Instr::FMulAdd`]'s subtracting
+    /// twin (`x -= a * b`), rounded separately like the unfused pair.
+    FMulSub {
+        dst: FReg,
+        a: FReg,
+        b: FReg,
+        c: FReg,
+    },
     /// `f[dst] = round_to(f[a] + f[b], ty)` — the dominant pair in
     /// demoted code.
     FAddRound {
@@ -264,6 +272,9 @@ pub enum Instr {
     /// accumulation `FLoad` ; `FAdd` ; `FStore` of adjoint and
     /// error-estimation code, with the loaded element the left operand.
     FAddTo { arr: AReg, idx: IReg, src: FReg },
+    /// `farr[arr][i[idx]] -= f[src]` (bounds-checked) — [`Instr::FAddTo`]'s
+    /// subtracting twin: `FLoad` ; `FSub` ; `FStore`.
+    FSubFrom { arr: AReg, idx: IReg, src: FReg },
     /// `farr[arr][k] += f[src]` (bounds-checked) — [`Instr::FAddTo`] at a
     /// constant index.
     FAddToK { arr: AReg, k: i64, src: FReg },

@@ -8,6 +8,7 @@
 //! | window | fused |
 //! |---|---|
 //! | `FMul t,a,b` ; `FAdd d,t,c` | [`Instr::FMulAdd`] |
+//! | `FMul t,a,b` ; `FSub d,c,t` | [`Instr::FMulSub`] |
 //! | `FMul t,a,b` ; `FConst k` ; `FAdd d,t,k` | `FConst` + [`Instr::FMulAdd`] |
 //! | `FAdd/FSub/FMul/FDiv t,a,b` ; `FRound d,t,ty` | [`Instr::FAddRound`] … |
 //! | `FMulC t,a,k` ; `FRound d,t,ty` | [`Instr::FMulCRound`] |
@@ -19,6 +20,7 @@
 //! | `IConst t,c` ; `IAdd u,i,t` ; `FStore arr,u,s` | [`Instr::FStoreOff`] |
 //! | `FCmp/ICmp t,…` ; `JmpIfFalse/True t,L` | [`Instr::FCmpJmpFalse`] … |
 //! | `FLoad u,arr,i` ; `FAdd w,u,s` ; `FStore arr,i,w` | [`Instr::FAddTo`] |
+//! | `FLoad u,arr,i` ; `FSub w,u,s` ; `FStore arr,i,w` | [`Instr::FSubFrom`] |
 //! | `IConst t,k` ; `FAddTo arr,t,s` | [`Instr::FAddToK`] |
 //! | `FMul t,a,b` ; `FIntr1 u,Fabs,t` ; `FMulC d,u,k` | [`Instr::FAbsMulC`] |
 //! | `FAdd acc,acc,s` ; `FAddToK arr,k,s` | [`Instr::FAddAccK`] |
@@ -29,8 +31,8 @@
 //!
 //! A fused form is emitted only when [`crate::pack::fits`] says it has a
 //! packed encoding (an `FLoadOff` offset within `i8`, an immediate
-//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd` or
-//! `IMulAdd` addend, `FAbsMulC` second factor or `FAddAccK` array
+//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`,
+//! `FMulSub` or `IMulAdd` addend, `FAbsMulC` second factor or `FAddAccK` array
 //! register below 256);
 //! otherwise the window stays unfused, so fusion never makes a function
 //! unpackable.
@@ -64,9 +66,9 @@
 //!   are additionally considered read at every function exit, because
 //!   call teardown copies them back to the caller).
 //!
-//! The accumulate window (`a[i] += s`) has two more: the loaded element
-//! must be the sum's **left** operand, so the fused add sees its
-//! operands in the original order; and neither the element's nor the
+//! The accumulate windows (`a[i] += s`, `a[i] -= s`) have two more: the
+//! loaded element must be the sum's (difference's) **left** operand, so
+//! the fused op sees its operands in the original order; and neither the element's nor the
 //! sum's register may be a named variable, because the shadow lane
 //! charges a named register's pending error to that variable and a
 //! non-finite trap names it. `f32`/`f16` arrays round the sum before
@@ -81,8 +83,8 @@ use crate::bytecode::*;
 /// What [`fuse_function`] did, by pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FuseStats {
-    /// `FMul`+`FAdd` → [`Instr::FMulAdd`], and `IMul`+`IAdd` →
-    /// [`Instr::IMulAdd`].
+    /// `FMul`+`FAdd` → [`Instr::FMulAdd`], `FMul`+`FSub` →
+    /// [`Instr::FMulSub`], and `IMul`+`IAdd` → [`Instr::IMulAdd`].
     pub mul_add: u32,
     /// Arithmetic (`FMulC` included) + `FRound` → `F*Round`.
     pub op_round: u32,
@@ -90,8 +92,8 @@ pub struct FuseStats {
     pub load_off: u32,
     /// Constant-offset array stores.
     pub store_off: u32,
-    /// `FLoad`+`FAdd`+`FStore` → [`Instr::FAddTo`], and `IConst`+`FAddTo`
-    /// → [`Instr::FAddToK`].
+    /// `FLoad`+`FAdd`/`FSub`+`FStore` → [`Instr::FAddTo`]/
+    /// [`Instr::FSubFrom`], and `IConst`+`FAddTo` → [`Instr::FAddToK`].
     pub accumulate: u32,
     /// `FMul`+`FIntr1 Fabs`+`FMulC` → [`Instr::FAbsMulC`], and
     /// `FAdd`+`FAddToK` → [`Instr::FAddAccK`].
@@ -517,10 +519,13 @@ fn match_specific(
             None
         }
         // FLoad u,arr,i ; FAdd w,u,s ; FStore arr,i,w → FAddTo arr,i,s:
-        // the `a[i] += s` of adjoint and error-estimation code.
+        // the `a[i] += s` of adjoint and error-estimation code; with an
+        // `FSub`, the adjoint's `a[i] -= s` → FSubFrom.
         Instr::FLoad { dst: u, arr, idx } => {
-            let &Instr::FAdd { dst: w, a, b: s } = at(1)? else {
-                return None;
+            let (w, a, s, sub) = match *at(1)? {
+                Instr::FAdd { dst, a, b } => (dst, a, b, false),
+                Instr::FSub { dst, a, b } => (dst, a, b, true),
+                _ => return None,
             };
             let &Instr::FStore {
                 arr: arr2,
@@ -543,7 +548,14 @@ fn match_specific(
                 return None;
             }
             stats.accumulate += 1;
-            Rewrite::one(Instr::FAddTo { arr, idx, src: s }, 3)
+            Rewrite::one(
+                if sub {
+                    Instr::FSubFrom { arr, idx, src: s }
+                } else {
+                    Instr::FAddTo { arr, idx, src: s }
+                },
+                3,
+            )
         }
         // FConst t ; arithmetic using t → constant-operand form: the
         // constant stops being re-materialized on every loop iteration.
@@ -578,7 +590,8 @@ fn match_specific(
                 None
             }
         }
-        // FMul t,a,b ; [FConst k ;] FAdd d,t,c  →  FMulAdd, or
+        // FMul t,a,b ; [FConst k ;] FAdd d,t,c  →  FMulAdd,
+        // FMul t,a,b ; FSub d,c,t  →  FMulSub, or
         // FMul t,a,b ; FIntr1 u,Fabs,t ; FMulC d,u,k  →  FAbsMulC.
         Instr::FMul { dst: t, a, b } => {
             match *at(1)? {
@@ -601,6 +614,15 @@ fn match_specific(
                 Instr::FAdd { dst, a: x, b: y } if free(1) => {
                     let c = FReg(other_operand(t.0, x.0, y.0)?);
                     let ins = Instr::FMulAdd { dst, a, b, c };
+                    if crate::pack::fits(&ins) && (dst == t || dead_f(2, t)) {
+                        stats.mul_add += 1;
+                        return Rewrite::one(ins, 2);
+                    }
+                    None
+                }
+                // The product is the subtrahend: `c - a * b`.
+                Instr::FSub { dst, a: c, b: y } if free(1) && y == t && c != t => {
+                    let ins = Instr::FMulSub { dst, a, b, c };
                     if crate::pack::fits(&ins) && (dst == t || dead_f(2, t)) {
                         stats.mul_add += 1;
                         return Rewrite::one(ins, 2);

@@ -42,7 +42,7 @@
 //!    into superinstructions — `FMulAdd`, fused op+round (`FAddRound` …,
 //!    the dominant pair in demoted code), intrinsic+round, constant-offset
 //!    array access (`FLoadOff`/`FStoreOff`), array accumulation
-//!    (`FAddTo`/`FAddToK`: the `a[i] += v` load-add-store of adjoint and
+//!    (`FAddTo`/`FAddToK`/`FSubFrom`: the `a[i] += v` load-add-store of adjoint and
 //!    error-estimation code in one dispatch), the estimator's error term
 //!    (`FAbsMulC`: `ε·|x·x̄|` as one dispatch for its mul, `fabs` and
 //!    constant multiply) and its two accumulations (`FAddAccK`: the
@@ -221,9 +221,9 @@
 //!
 //! Packing is **total on compiler output**. The per-instruction field
 //! limits (an `FLoadOff`/`FStoreOff` offset within `i8`, an immediate
-//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd` or
-//! `IMulAdd` addend, `FAbsMulC` second factor or `FAddAccK` array register below
-//! 256) are stated once, by [`pack::fits`]; fusion never emits a form it
+//! compare or `FAddToK`/`FAddAccK` index within `i16`, an `FMulAdd`,
+//! `FMulSub` or `IMulAdd` addend, `FAbsMulC` second factor or `FAddAccK`
+//! array register below 256) are stated once, by [`pack::fits`]; fusion never emits a form it
 //! rejects, and compaction only lowers register indices. What is left are whole-function limits — more
 //! than 65 535 instructions, or a register index wider than u16 — and
 //! [`compile::compile`] reports those as

@@ -543,4 +543,6 @@ opcodes! {
     FADDACCK = 68 => FAddAccK { acc: FU @ A, k: Imm @ B, src: FR @ C, arr: AR @ D };
     IMULADD = 69 => IMulAdd { dst: IW @ A, a: IR @ B, b: IR @ C, c: IR @ D };
     FMULCROUND = 70 => FMulCRound { dst: FW @ A, a: FR @ B, k: Pool @ C, ty: Code @ D };
+    FMULSUB = 71 => FMulSub { dst: FW @ A, a: FR @ B, b: FR @ C, c: FR @ D };
+    FSUBFROM = 72 => FSubFrom { arr: AR @ A, idx: IR @ B, src: FR @ C };
 }

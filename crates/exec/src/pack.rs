@@ -37,8 +37,8 @@
 //! [`crate::compile::compile`] produces must pack. Two rules make that so:
 //!
 //! * Per-instruction range rules (a register above 65 535, or above 255
-//!   in an 8-bit D position: [`Instr::FMulAdd`]'s and
-//!   [`Instr::IMulAdd`]'s addend,
+//!   in an 8-bit D position: [`Instr::FMulAdd`]'s, [`Instr::FMulSub`]'s
+//!   and [`Instr::IMulAdd`]'s addend,
 //!   [`Instr::FAbsMulC`]'s second factor, [`Instr::FAddAccK`]'s array;
 //!   an [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset outside `i8`; an
 //!   [`Instr::ICmpImmJmpFalse`]/[`Instr::ICmpImmJmpTrue`] immediate or
@@ -364,7 +364,7 @@ impl Pools {
 
 /// Whether `ins` has a packed encoding, by the opcode table's slot
 /// widths: every register below 65 536 (below 256 in the D slot:
-/// [`Instr::FMulAdd`]'s and [`Instr::IMulAdd`]'s addend,
+/// [`Instr::FMulAdd`]'s, [`Instr::FMulSub`]'s and [`Instr::IMulAdd`]'s addend,
 /// [`Instr::FAbsMulC`]'s second factor,
 /// [`Instr::FAddAccK`]'s array), every jump target below 65 536, an
 /// [`Instr::FLoadOff`]/[`Instr::FStoreOff`] offset within `i8` and an
@@ -483,9 +483,16 @@ pub(crate) mod tests {
 
     #[test]
     fn packer_bails_on_wide_operands() {
-        // The 4th register of FMulAdd and IMulAdd only has 8 bits.
+        // The 4th register of FMulAdd, FMulSub and IMulAdd only has 8 bits.
         for (c, ok) in [(255, true), (256, false)] {
             let ins = Instr::FMulAdd {
+                dst: FReg(0),
+                a: FReg(1),
+                b: FReg(2),
+                c: FReg(c),
+            };
+            assert_eq!(fits(&ins), ok, "{ins:?}");
+            let ins = Instr::FMulSub {
                 dst: FReg(0),
                 a: FReg(1),
                 b: FReg(2),

@@ -986,25 +986,29 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
     // `farr[$arr][$index] += f[$src]`: the work of the `FLoad` ; `FAdd` ;
     // `FStore` it fuses, in order, with the element and the sum in no
     // register (the unfused stream held them in unnamed temporaries).
+    // `sub` subtracts instead (`FSubFrom`).
     macro_rules! faddto {
-        ($arr:expr, $index:expr, $src:expr) => {{
+        ($arr:expr, $index:expr, $src:expr) => {
+            faddto!(add, $arr, $index, $src)
+        };
+        ($op:ident, $arr:expr, $index:expr, $src:expr) => {{
             let (arr, index, src): (usize, i64, usize) = ($arr, $index, $src);
             let slot = elem!(F, arr, index);
             let (old, x) = (*slot, fr!(src));
             if trap_nf && !old.is_finite() {
                 return Err(nonfinite_trap(func, None, old, pc));
             }
-            let sum = old + x;
+            let sum = <f64 as ShadowNum>::$op(old, x);
             if trap_nf && !sum.is_finite() {
                 return Err(nonfinite_trap(func, None, sum, pc));
             }
             *slot = sum;
             if S::ACTIVE {
-                let exact = S::add(S::from_f64(old), S::from_f64(x));
+                let exact = S::$op(S::from_f64(old), S::from_f64(x));
                 let local = S::sub(exact, S::from_f64(sum)).to_f64().abs();
                 sample!(local);
                 if let Some(shadow) = sa[arr].get_mut(index as usize) {
-                    *shadow = S::add(*shadow, sf[src]);
+                    *shadow = S::$op(*shadow, sf[src]);
                 }
                 let var = avar_of[arr];
                 if var != 0 {
@@ -1216,6 +1220,16 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
                     pend[x] + pend[y] + pend[c]
                 );
             }
+            op::FMULSUB => {
+                let (x, y, c) = (fld!(w_b), fld!(w_c), fld!(w_d));
+                let (pa, pb, pcv) = (fr!(x), fr!(y), fr!(c));
+                arith!(
+                    pcv - pa * pb,
+                    S::sub(S::from_f64(pcv), S::mul(S::from_f64(pa), S::from_f64(pb))),
+                    S::sub(sf[c], S::mul(sf[x], sf[y])),
+                    pend[x] + pend[y] + pend[c]
+                );
+            }
             op::FADDROUND => rr!(add, ty_from(fld!(w_d) as u8)),
             op::FSUBROUND => rr!(sub, ty_from(fld!(w_d) as u8)),
             op::FMULROUND => rr!(mul, ty_from(fld!(w_d) as u8)),
@@ -1290,6 +1304,7 @@ pub(crate) fn exec_loop<S: ShadowNum, const PROFILE: bool>(
             op::FDIVCR => rk!(rev div),
             op::FADDTO => faddto!(fld!(w_a), ir!(fld!(w_b)), fld!(w_c)),
             op::FADDTOK => faddto!(fld!(w_a), fld!(w_b_i16), fld!(w_c)),
+            op::FSUBFROM => faddto!(sub, fld!(w_a), ir!(fld!(w_b)), fld!(w_c)),
             op::FABSMULC => {
                 // The error term `|a·b|·k` in the steps of the `FMul` ;
                 // `FIntr1 Fabs` ; `FMulC` it fuses, with the product and

@@ -335,6 +335,17 @@ pub(crate) fn instruction_shapes() -> Vec<Instr> {
             k: 0.1,
             ty: FloatTy::F32,
         },
+        Instr::FMulSub {
+            dst: f(1),
+            a: f(2),
+            b: f(3),
+            c: f(255),
+        },
+        Instr::FSubFrom {
+            arr: AReg(3),
+            idx: i(4),
+            src: f(5),
+        },
         Instr::RetI { src: i(7) },
         Instr::RetB { src: i(0) },
     ]

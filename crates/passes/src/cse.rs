@@ -26,9 +26,10 @@
 //!
 //! A temporary is added only when it costs no dispatch. Hoisting an
 //! expression of `k` operations out of `n` occurrences saves `(n-1)·k`
-//! of them, but each occurrence that is a product feeding an add, which
-//! the bytecode fuser would merge with it into one `FMulAdd`, gives one
-//! back: two `s += p * q` stay as they are.
+//! of them, but each occurrence that is a product feeding an add or a
+//! subtraction, which the bytecode fuser would merge with it into one
+//! `FMulAdd` or `FMulSub`, gives one back: two `s += p * q` stay as they
+//! are, and so do two `s -= p * q`.
 
 use chef_ir::ast::*;
 use chef_ir::types::Type;
@@ -335,7 +336,7 @@ fn cse_one_block(b: &mut Block, f: &mut Function, fresh: &mut usize) -> bool {
                 &s.kind,
                 StmtKind::Assign {
                     lhs: LValue::Var(_),
-                    op: AssignOp::AddAssign,
+                    op: AssignOp::AddAssign | AssignOp::SubAssign,
                     ..
                 }
             );
@@ -566,9 +567,13 @@ mod tests {
 
     #[test]
     fn leaves_products_that_fuse_into_their_adds() {
-        // Each `+= p * q` is one `FMulAdd`; a temporary would add one.
+        // Each `+= p * q` is one `FMulAdd`, each `-= p * q` one `FMulSub`;
+        // a temporary would add one.
         let s =
             csed("double f(double p, double q, double s) { s += p * q; s += p * q; return s; }");
+        assert!(!s.contains("_cse"), "{s}");
+        let s =
+            csed("double f(double p, double q, double s) { s -= p * q; s -= p * q; return s; }");
         assert!(!s.contains("_cse"), "{s}");
         let s = csed(
             "double f(double p, double q, double s) { double a = s + p * q; double b = p * q + s; return a - b; }",

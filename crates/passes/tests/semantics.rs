@@ -141,7 +141,11 @@ fn o2_moves_a_negation_into_a_literal_factor_up_to_nan_sign() {
         let args = [ArgValue::F(x)];
         let (before, after) = (eval(base, &args).unwrap(), eval(&opt, &args).unwrap());
         if x.is_nan() {
-            assert_eq!(before.to_bits() & !sign, after.to_bits() & !sign, "x = {x:?}");
+            assert_eq!(
+                before.to_bits() & !sign,
+                after.to_bits() & !sign,
+                "x = {x:?}"
+            );
         } else {
             assert_eq!(before.to_bits(), after.to_bits(), "x = {x:?}");
         }

@@ -314,11 +314,11 @@ fn estimator_adjoints_shadow_identically_fused_vs_unfused() {
 /// `(kernel, instrs_executed, tape_total_pushes)` of one run of the
 /// estimator adjoint compiled with fusion and compaction on.
 const PINNED_COUNTS: [(&str, u64, u64); 5] = [
-    ("arclen", 111_034, 8_503),
-    ("simpsons", 54_016, 3_998),
-    ("kmeans", 75_776, 6_532),
-    ("blackscholes", 10_422, 1_002),
-    ("hpccg", 133_625, 6_675),
+    ("arclen", 108_034, 8_503),
+    ("simpsons", 53_014, 3_998),
+    ("kmeans", 73_776, 6_532),
+    ("blackscholes", 9_956, 1_002),
+    ("hpccg", 133_105, 6_675),
 ];
 
 /// `(instrs_executed, tape_total_pushes)` of the same runs before the
@@ -365,8 +365,8 @@ const PINNED_PRIMAL_COUNTS: [(&str, u64, u64); 5] = [
     ("arclen", 24_508, 25_008),
     ("simpsons", 16_506, 17_507),
     ("kmeans", 20_334, 22_434),
-    ("blackscholes", 1_641, 1_691),
-    ("hpccg", 42_156, 127_934),
+    ("blackscholes", 1_541, 1_691),
+    ("hpccg", 41_900, 127_934),
 ];
 
 #[test]
