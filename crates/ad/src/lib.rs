@@ -30,6 +30,7 @@ pub mod activity;
 pub mod derivatives;
 pub mod forward;
 pub mod reverse;
+mod zeroed;
 
 pub use forward::forward_diff;
 pub use reverse::{

@@ -67,6 +67,7 @@
 
 use crate::activity::{assigned_in, is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
+use crate::zeroed::zeroed_adjoints;
 use chef_ir::ast::*;
 use chef_ir::precision;
 use chef_ir::span::Span;
@@ -352,6 +353,7 @@ pub fn reverse_diff_with(
     // Primal locals become locals of the gradient (hoisted), plus adjoint
     // shadows for differentiable ones.
     let mut hoisted: Vec<Stmt> = Vec::new();
+    let mut local_adjoints: HashSet<VarId> = HashSet::new();
     let mut local_array_sizes: HashMap<VarId, ()> = HashMap::new();
     for (vid, info) in primal.vars_iter() {
         if info.is_param {
@@ -377,6 +379,7 @@ pub fn reverse_diff_with(
                 Type::Float(_) => {
                     let did = grad.add_var(name.clone(), Type::Float(FloatTy::F64));
                     hoisted.push(decl_stmt_init(&grad, did, Expr::flit(0.0)));
+                    local_adjoints.insert(did);
                     adjoint_of.insert(id, AdjTarget::Scalar(did, name));
                 }
                 Type::Array(_) => {
@@ -510,6 +513,9 @@ pub fn reverse_diff_with(
     stmts.extend(head_bwd);
     stmts.extend(bwd);
     stmts.append(&mut fin_stmts);
+    if cfg.tbr {
+        zeroed_adjoints(&mut stmts, &local_adjoints);
+    }
     let mut grad = rev.grad;
     grad.body = Block::of(stmts);
     Ok(grad)

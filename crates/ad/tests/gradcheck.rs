@@ -636,3 +636,62 @@ fn loops_without_an_invertible_step_keep_their_counter() {
     let args = |n| vec![ArgValue::F(0.6), ArgValue::I(n)];
     loops_reverse_exactly(src, &[args(5), args(0)], 1, 3);
 }
+
+#[test]
+fn negated_contributions_subtract() {
+    // A subtrahend, a negation and a divisor each seed their operands
+    // with a negated adjoint; the default emission subtracts it where the
+    // baseline adds its negation, with bit-identical results.
+    let src = "double f(double x, double y, double a[], int n) {
+        double s = 0.0;
+        for (int i = 0; i < n; i++) {
+            s = s - a[i] * y;
+            s = s + x / a[i];
+        }
+        double t = -(x * s) - y;
+        return t;
+    }";
+    let args = vec![
+        ArgValue::F(0.8),
+        ArgValue::F(-1.5),
+        ArgValue::FArr(vec![0.5, 2.0, -3.0]),
+        ArgValue::I(3),
+    ];
+    let (source, on) = estimate_bits(src, &args, true);
+    let (baseline, off) = estimate_bits(src, &args, false);
+    assert_eq!(on, off, "{source}");
+    assert!(baseline.contains("+= -"), "{baseline}");
+    assert!(!source.contains("+= -"), "{source}");
+    assert!(source.contains("_d_a[i] -= "), "{source}");
+}
+
+#[test]
+fn accumulations_into_zeroed_adjoints_become_stores() {
+    // `u`'s and `w`'s adjoints are zero when their first contribution
+    // arrives, in every iteration: the contribution is stored, and the
+    // zeroing that no longer reaches a read goes.
+    let src = "double f(double x, int n) {
+        double s = 0.0;
+        for (int i = 0; i < n; i++) {
+            double u = x * i;
+            double w = u * u;
+            if (w > 1.0) { w = w * 0.5; }
+            s = s + w;
+        }
+        return s;
+    }";
+    for n in [0, 1, 4] {
+        let args = vec![ArgValue::F(0.9), ArgValue::I(n)];
+        let (source, on) = estimate_bits(src, &args, true);
+        let (baseline, off) = estimate_bits(src, &args, false);
+        assert_eq!(on, off, "{source}");
+        assert!(baseline.contains("_d_w += _d_s"), "{baseline}");
+        assert!(source.contains("_d_w = _d_s"), "{source}");
+        assert!(source.contains("_d_u = "), "{source}");
+        let zeroings = |s: &str| s.lines().filter(|l| l.ends_with(" = 0.0;")).count();
+        assert!(
+            zeroings(&source) < zeroings(&baseline),
+            "{source}\n{baseline}"
+        );
+    }
+}

@@ -188,19 +188,19 @@ const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
     ("shapes", 0xcb683e72b556e35f),
     ("arclen/primal", 0x69b310f1639b5c1d),
     ("arclen/demoted", 0x91557f0ab0ad9f40),
-    ("arclen/adjoint", 0xc1699083d2b43be9),
+    ("arclen/adjoint", 0x072de2fcb39be1e7),
     ("simpsons/primal", 0x46143873d9b282a3),
     ("simpsons/demoted", 0x3ff3e43cf6fd4479),
-    ("simpsons/adjoint", 0x9e03513687970cdf),
+    ("simpsons/adjoint", 0x36cbc057738b7bae),
     ("kmeans/primal", 0xe121d4ee18744e5c),
     ("kmeans/demoted", 0x095a91624b3dd831),
-    ("kmeans/adjoint", 0x9d5680777d97e641),
+    ("kmeans/adjoint", 0x87a13f85937e04f7),
     ("blackscholes/primal", 0x5a3af87e770a4596),
     ("blackscholes/demoted", 0x3eecea1bdcb1c78c),
-    ("blackscholes/adjoint", 0xbe75dd70f82861c5),
+    ("blackscholes/adjoint", 0xddeee9e993e5accf),
     ("hpccg/primal", 0x0019178800b068d4),
     ("hpccg/demoted", 0x260f6eb8e3ec013c),
-    ("hpccg/adjoint", 0xd46aa6680f290279),
+    ("hpccg/adjoint", 0xf3e5cb21f725700a),
 ];
 
 // ---------------------------------------------------------------- proptest
