@@ -64,6 +64,22 @@
 //! * **counted**, otherwise and whenever TBR is off: an iteration counter
 //!   `_cnt` is pushed after the loop and drives a `for` loop backward,
 //!   with every step assignment pushed and popped like any other.
+//!
+//! ## Negated contributions and zeroed adjoints
+//!
+//! With TBR on, two more rules shorten the backward sweep; TBR off keeps
+//! the plain emission as the baseline they are checked against.
+//!
+//! * A subtrahend, a negated operand and a divisor receive a negated
+//!   seed. The negation stays outermost through products and quotients
+//!   (`-(s * c)`, not `(-s) * c`: rounding is symmetric in sign), two
+//!   negations cancel, and a negated seed `-s` ends as `x -= s` instead
+//!   of `x += -s`, which IEEE defines as the same sum. Only the sign of
+//!   a NaN can differ.
+//! * Once the sweep is assembled, an accumulation into a local adjoint
+//!   known to be `+0.0` on every path becomes a store, and a zeroing
+//!   that every path overwrites before reading goes (`crate::zeroed`).
+//!   Only the sign of a zero adjoint can differ.
 
 use crate::activity::{assigned_in, is_diff, reads_of, UsageInfo};
 use crate::derivatives::{min_max_select, pow_derivatives, unary_derivative};
