@@ -433,10 +433,27 @@ fn fingerprint(f: &chef_exec::bytecode::CompiledFunction) -> u64 {
     h
 }
 
+/// The adjoint `chef_core::estimate_error` compiles for `name`: the
+/// reverse sweep with the error model's extension hooks, then constant
+/// folding, CSE and DCE.
+fn estimator_adjoint(label: &str, program: &Program, name: &str) -> Function {
+    let mut opts = chef_core::prelude::EstimateOptions::default();
+    if label == "kmeans" {
+        opts = opts
+            .with_array_len("attributes", "npoints * nfeatures")
+            .with_array_len("clusters", "nclusters * nfeatures");
+    }
+    chef_core::prelude::estimate_error(program, name, &opts)
+        .unwrap_or_else(|e| panic!("{label}: estimator builds: {e}"))
+        .grad
+}
+
 /// The tier's output is pinned byte for byte: each kernel in each mode
 /// is compiled with the tier off, run through `cfg::optimize`, and its
 /// fingerprint must match the table. A change that moves any emitted
-/// instruction, register number or span fails here.
+/// instruction, register number or span fails here. The `estimator`
+/// mode is the adjoint `estimate_error` ships, so a change to
+/// chef-passes or to the error model's hooks fails here too.
 #[test]
 fn cfg_output_is_pinned_on_every_kernel_and_mode() {
     let mut actual: Vec<(String, u64)> = Vec::new();
@@ -444,6 +461,7 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
         let func = inlined_kernel(&program, name);
         let grad = chef_ad::reverse::reverse_diff(&func)
             .unwrap_or_else(|e| panic!("{label}: reverse_diff failed: {e}"));
+        let estimator = estimator_adjoint(label, &program, name);
         let modes = [
             ("primal", &func, PrecisionMap::empty()),
             (
@@ -452,6 +470,7 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
                 PrecisionMap::demote_all(&func, FloatTy::F32),
             ),
             ("adjoint", &grad, PrecisionMap::empty()),
+            ("estimator", &estimator, PrecisionMap::empty()),
         ];
         for (mode, f, pm) in modes {
             let mut c = compile(
@@ -484,16 +503,21 @@ const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
     ("arclen/primal", 0xc786f88816a1fe82),
     ("arclen/demoted", 0xfdde8881023fbfad),
     ("arclen/adjoint", 0x9c057f4a646cd561),
+    ("arclen/estimator", 0x691f51ae91ca4ed8),
     ("simpsons/primal", 0x8102f2b00c1386f4),
     ("simpsons/demoted", 0xacad77dbc070f088),
     ("simpsons/adjoint", 0xaa6a85bf1f56e3bb),
+    ("simpsons/estimator", 0x648a78f30bb3f449),
     ("kmeans/primal", 0xa4a79c8ee330017b),
     ("kmeans/demoted", 0x0bc7f85e04c05291),
     ("kmeans/adjoint", 0x21655a3542ec4ca9),
+    ("kmeans/estimator", 0x73c30c8f7bc2d5f1),
     ("blackscholes/primal", 0xec663c279fdab2e6),
     ("blackscholes/demoted", 0x5a1ad51dd33f82a8),
     ("blackscholes/adjoint", 0x79fbc4a71df39136),
+    ("blackscholes/estimator", 0x631243442cb0ef58),
     ("hpccg/primal", 0xa7cc23bb6d207094),
     ("hpccg/demoted", 0x1ac3ddc343819d96),
     ("hpccg/adjoint", 0xca103335d15a0a74),
+    ("hpccg/estimator", 0x676800d108abf732),
 ];
