@@ -24,7 +24,8 @@
 //!   pinned alongside, at or below its count before that round.
 //! * The same gate on the primals the adjoints differentiate, compiled
 //!   as shipped at their declared precisions and with every float
-//!   (arrays included) demoted to `f32`, on the same inputs.
+//!   (arrays included) demoted to `f32`, on the same inputs, run on the
+//!   plain VM and on the `f64` and double-double shadows.
 
 use chef_core::prelude::{estimate_error, ErrorEstimator, EstimateOptions};
 use chef_exec::bytecode::{FReg, IReg, Instr};
@@ -369,28 +370,71 @@ const PINNED_PRIMAL_COUNTS: [(&str, u64, u64); 5] = [
     ("hpccg", 41_900, 127_934),
 ];
 
+/// The primal of `case` compiled as shipped at its declared precisions
+/// and with every float demoted to `f32`.
+fn primal_variants(case: &Case) -> [CompiledFunction; 2] {
+    let func = &case.primal.0;
+    let demoted = PrecisionMap::demote_all(func, FloatTy::F32);
+    [PrecisionMap::empty(), demoted].map(|pm| compiled_fn(case, func, pm, true))
+}
+
+/// `instrs_executed` of two back-to-back runs of `run`, which must agree:
+/// the count is a property of the code and the input, not of the
+/// machine's state.
+fn dispatches_twice(case: &Case, what: &str, run: impl Fn() -> u64) -> u64 {
+    let [a, b] = [(); 2].map(|()| run());
+    assert_eq!(a, b, "{} {what}: two runs dispatched differently", case.label);
+    a
+}
+
 #[test]
 fn primal_and_demoted_dispatch_counts_are_pinned() {
     let actual: Vec<(&str, u64, u64)> = cases()
         .iter()
         .map(|case| {
-            let (func, args) = &case.primal;
-            let demoted = PrecisionMap::demote_all(func, FloatTy::F32);
-            let [primal, demoted] = [PrecisionMap::empty(), demoted].map(|pm| {
-                let f = compiled_fn(case, func, pm, true);
-                // Two back-to-back runs: the count is a property of the
-                // code and the input, not of the machine's state.
-                let [a, b] = [(); 2].map(|()| {
-                    chef_exec::vm::run_with(&f, args.clone(), &ExecOptions::default())
+            let [primal, demoted] = primal_variants(case).map(|f| {
+                dispatches_twice(case, "vm", || {
+                    chef_exec::vm::run_with(&f, case.primal.1.clone(), &ExecOptions::default())
                         .unwrap_or_else(|t| panic!("{}: trapped: {t}", case.label))
                         .stats
                         .instrs_executed
-                });
-                assert_eq!(a, b, "{}: two runs dispatched differently", case.label);
-                a
+                })
             });
             (case.label, primal, demoted)
         })
         .collect();
     assert_eq!(actual, PINNED_PRIMAL_COUNTS, "primal dispatch counts moved");
+}
+
+/// Asserts the `S`-shadow runs of every primal variant dispatch as
+/// [`PINNED_PRIMAL_COUNTS`] says, twice over.
+fn assert_shadow_counts_pinned<S: ShadowNum>(lane: &str) {
+    let actual: Vec<(&str, u64, u64)> = cases()
+        .iter()
+        .map(|case| {
+            let [primal, demoted] = primal_variants(case).map(|f| {
+                dispatches_twice(case, lane, || {
+                    run_shadow::<S>(&f, case.primal.1.clone(), &ExecOptions::default())
+                        .unwrap_or_else(|t| panic!("{} {lane}: trapped: {t}", case.label))
+                        .stats
+                        .instrs_executed
+                })
+            });
+            (case.label, primal, demoted)
+        })
+        .collect();
+    assert_eq!(
+        actual, PINNED_PRIMAL_COUNTS,
+        "{lane} shadow dispatch counts moved"
+    );
+}
+
+/// The shadow lanes run the same compiled primals through the one
+/// dispatch loop, and the primal operands decide every branch, so their
+/// dispatch counts are pinned to [`PINNED_PRIMAL_COUNTS`] for the `f64`
+/// and the double-double shadow alike.
+#[test]
+fn shadow_dispatch_counts_are_pinned() {
+    assert_shadow_counts_pinned::<f64>("f64");
+    assert_shadow_counts_pinned::<DD>("dd");
 }
