@@ -15,9 +15,10 @@
 //! | `FIntr1/FIntr2 t,…` ; `FRound d,t,ty` | [`Instr::FIntr1Round`] … |
 //! | `FMov t,s` ; `FRound d,t,ty` | [`Instr::FRound`] `d,s,ty` |
 //! | `IConst t,c` ; `IAdd d,a,t` | [`Instr::IAddImm`] |
+//! | `IConst t,c` ; `ISub d,a,t` | [`Instr::IAddImm`] `d,a,-c` (wrapping) |
 //! | `IMul t,a,b` ; `IAdd d,t,c` | [`Instr::IMulAdd`] |
-//! | `IConst t,c` ; `IAdd u,i,t` ; `FLoad d,arr,u` | [`Instr::FLoadOff`] |
-//! | `IConst t,c` ; `IAdd u,i,t` ; `FStore arr,u,s` | [`Instr::FStoreOff`] |
+//! | `IConst t,c` ; `IAdd`/`ISub u,i,t` ; `FLoad d,arr,u` | [`Instr::FLoadOff`] |
+//! | `IConst t,c` ; `IAdd`/`ISub u,i,t` ; `FStore arr,u,s` | [`Instr::FStoreOff`] |
 //! | `FCmp/ICmp t,…` ; `JmpIfFalse/True t,L` | [`Instr::FCmpJmpFalse`] … |
 //! | `FLoad u,arr,i` ; `FAdd w,u,s` ; `FStore arr,i,w` | [`Instr::FAddTo`] |
 //! | `FLoad u,arr,i` ; `FSub w,u,s` ; `FStore arr,i,w` | [`Instr::FSubFrom`] |
@@ -98,7 +99,7 @@ pub struct FuseStats {
     /// `FMul`+`FIntr1 Fabs`+`FMulC` → [`Instr::FAbsMulC`], and
     /// `FAdd`+`FAddToK` → [`Instr::FAddAccK`].
     pub error_term: u32,
-    /// `IConst`+`IAdd` → [`Instr::IAddImm`].
+    /// `IConst`+`IAdd`, or `ISub` of the constant, → [`Instr::IAddImm`].
     pub add_imm: u32,
     /// Compare + conditional jump.
     pub cmp_branch: u32,
@@ -400,9 +401,10 @@ fn match_specific(
     let named = |r: FReg| func.fvar_names.iter().any(|&(n, _)| n == r.0);
 
     match *at(0)? {
-        // IConst t ; IAdd … — address arithmetic and loop increments —
-        // IConst t ; FAddTo arr,t,s — an accumulation at a constant index
-        // — or IConst t ; ICmpJmp… — the constant-bound loop test.
+        // IConst t ; IAdd … or ISub …,t — address arithmetic and loop
+        // steps, up or down — IConst t ; FAddTo arr,t,s — an accumulation
+        // at a constant index — or IConst t ; ICmpJmp… — the
+        // constant-bound loop test.
         Instr::IConst { dst: t, v } => {
             if let Some(&Instr::FAddTo { arr, idx, src }) = at(1) {
                 let ins = Instr::FAddToK { arr, k: v, src };
@@ -412,11 +414,18 @@ fn match_specific(
                 }
                 return None;
             }
-            if let Some(&Instr::IAdd { dst: u, a, b }) = at(1) {
+            // `a - c` is `a + (-c)` in wrapping arithmetic (`i64::MIN`
+            // included), so a constant subtracted on the right takes the
+            // add forms below; `c - a` does not.
+            let sum = match *at(1)? {
+                Instr::IAdd { dst, a, b } => Some((dst, other_operand(t.0, a.0, b.0)?, v)),
+                Instr::ISub { dst, a, b } if b == t && a != t => Some((dst, a.0, v.wrapping_neg())),
+                _ => None,
+            };
+            if let Some((u, base, v)) = sum {
                 if !free(1) {
                     return None;
                 }
-                let base = other_operand(t.0, a.0, b.0)?;
                 let base = IReg(base);
                 // 3-instruction form: the sum feeds an array access. Taken
                 // only when the fused form has a packed encoding
@@ -1082,6 +1091,119 @@ mod tests {
         let x = 1.0 / 3.0;
         let out = run(&f, vec![ArgValue::F(x)]).unwrap();
         assert_eq!(out.ret_f(), x as f32 as f64);
+    }
+
+    /// `int f(int a)` over hand-built integer code, so a window's exact
+    /// shape and register numbers are pinned.
+    fn int_function(instrs: Vec<Instr>, n_iregs: u32) -> CompiledFunction {
+        CompiledFunction {
+            name: "isub".into(),
+            spans: vec![chef_ir::span::Span::DUMMY; instrs.len()],
+            instrs,
+            n_fregs: 0,
+            n_iregs,
+            n_aregs: 0,
+            params: vec![ParamSpec {
+                name: "a".into(),
+                kind: ParamKind::I,
+                by_ref: false,
+                reg: 0,
+            }],
+            ret: RetKind::I,
+            fvar_names: vec![],
+            avar_names: vec![],
+            packed: None,
+        }
+    }
+
+    fn ret_i(f: &CompiledFunction, a: i64) -> i64 {
+        match run(f, vec![ArgValue::I(a)]).unwrap().ret {
+            Some(crate::value::Value::I(v)) => v,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn subtracted_constant_fuses_into_add_immediate() {
+        // `a - c` → `IAddImm a, -c`, wrapping like the `ISub`: `i64::MIN`
+        // is its own negation, and `a + i64::MIN` wraps to `a - i64::MIN`.
+        for c in [1, -3, 40_000, i64::MIN] {
+            let window = vec![
+                Instr::IConst { dst: IReg(1), v: c },
+                Instr::ISub {
+                    dst: IReg(2),
+                    a: IReg(0),
+                    b: IReg(1),
+                },
+                Instr::RetI { src: IReg(2) },
+            ];
+            let unfused = int_function(window.clone(), 3);
+            let mut fused = int_function(window, 3);
+            let stats = fuse_to_fixpoint(&mut fused);
+            assert_eq!(stats.add_imm, 1, "{stats:?}\n{}", fused.disassemble());
+            assert_eq!(
+                fused.instrs[0],
+                Instr::IAddImm {
+                    dst: IReg(2),
+                    a: IReg(0),
+                    imm: c.wrapping_neg()
+                }
+            );
+            for a in [0, 7, -1, i64::MAX, i64::MIN] {
+                assert_eq!(ret_i(&fused, a), a.wrapping_sub(c), "{a} - {c}");
+                assert_eq!(ret_i(&unfused, a), a.wrapping_sub(c), "{a} - {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn constant_minus_register_does_not_fuse() {
+        // `c - a` is no add-immediate.
+        let mut f = int_function(
+            vec![
+                Instr::IConst { dst: IReg(1), v: 5 },
+                Instr::ISub {
+                    dst: IReg(2),
+                    a: IReg(1),
+                    b: IReg(0),
+                },
+                Instr::RetI { src: IReg(2) },
+            ],
+            3,
+        );
+        let before = f.instrs.clone();
+        let stats = fuse_to_fixpoint(&mut f);
+        assert_eq!(stats.total(), 0, "{stats:?}\n{}", f.disassemble());
+        assert_eq!(f.instrs, before);
+        assert_eq!(ret_i(&f, 7), -2);
+    }
+
+    #[test]
+    fn live_subtracted_constant_does_not_fuse() {
+        // The constant's register is read after the window, so its
+        // `IConst` must stay.
+        let mut f = int_function(
+            vec![
+                Instr::IConst { dst: IReg(1), v: 4 },
+                Instr::ISub {
+                    dst: IReg(2),
+                    a: IReg(0),
+                    b: IReg(1),
+                },
+                Instr::IMul {
+                    dst: IReg(3),
+                    a: IReg(2),
+                    b: IReg(1),
+                },
+                Instr::RetI { src: IReg(3) },
+            ],
+            4,
+        );
+        let before = f.instrs.clone();
+        let stats = fuse_to_fixpoint(&mut f);
+        assert_eq!(stats.total(), 0, "{stats:?}\n{}", f.disassemble());
+        assert_eq!(f.instrs, before);
+        assert_eq!(ret_i(&f, 7), 12);
     }
 
     #[test]

@@ -502,22 +502,22 @@ fn cfg_output_is_pinned_on_every_kernel_and_mode() {
 const GOLDEN_CFG_OUTPUT: &[(&str, u64)] = &[
     ("arclen/primal", 0xc786f88816a1fe82),
     ("arclen/demoted", 0xfdde8881023fbfad),
-    ("arclen/adjoint", 0x9c057f4a646cd561),
-    ("arclen/estimator", 0x691f51ae91ca4ed8),
+    ("arclen/adjoint", 0x098b05ea5f7eede9),
+    ("arclen/estimator", 0x5dd720a649857108),
     ("simpsons/primal", 0x8102f2b00c1386f4),
     ("simpsons/demoted", 0xacad77dbc070f088),
-    ("simpsons/adjoint", 0xaa6a85bf1f56e3bb),
-    ("simpsons/estimator", 0x648a78f30bb3f449),
+    ("simpsons/adjoint", 0x9f60a95a69a2e7f8),
+    ("simpsons/estimator", 0xc067f2a9e9de8fdc),
     ("kmeans/primal", 0xa4a79c8ee330017b),
     ("kmeans/demoted", 0x0bc7f85e04c05291),
-    ("kmeans/adjoint", 0x21655a3542ec4ca9),
-    ("kmeans/estimator", 0x73c30c8f7bc2d5f1),
+    ("kmeans/adjoint", 0x6f975736f89a58bd),
+    ("kmeans/estimator", 0x29b91feb97af8533),
     ("blackscholes/primal", 0xec663c279fdab2e6),
     ("blackscholes/demoted", 0x5a1ad51dd33f82a8),
-    ("blackscholes/adjoint", 0x79fbc4a71df39136),
-    ("blackscholes/estimator", 0x631243442cb0ef58),
+    ("blackscholes/adjoint", 0xbabe1591a3493c19),
+    ("blackscholes/estimator", 0xec0e372831360ed4),
     ("hpccg/primal", 0xa7cc23bb6d207094),
     ("hpccg/demoted", 0x1ac3ddc343819d96),
-    ("hpccg/adjoint", 0xca103335d15a0a74),
-    ("hpccg/estimator", 0x676800d108abf732),
+    ("hpccg/adjoint", 0xa50251690afbf1d6),
+    ("hpccg/estimator", 0x5e616c90e7ab9cb2),
 ];

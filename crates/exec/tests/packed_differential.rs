@@ -188,19 +188,19 @@ const GOLDEN_WIRE_FORMAT: &[(&str, u64)] = &[
     ("shapes", 0xcb683e72b556e35f),
     ("arclen/primal", 0x69b310f1639b5c1d),
     ("arclen/demoted", 0x91557f0ab0ad9f40),
-    ("arclen/adjoint", 0x072de2fcb39be1e7),
+    ("arclen/adjoint", 0xad0a15bd2cb88b5c),
     ("simpsons/primal", 0x46143873d9b282a3),
     ("simpsons/demoted", 0x3ff3e43cf6fd4479),
-    ("simpsons/adjoint", 0x36cbc057738b7bae),
+    ("simpsons/adjoint", 0x20c2d9da4ac5e773),
     ("kmeans/primal", 0xe121d4ee18744e5c),
     ("kmeans/demoted", 0x095a91624b3dd831),
-    ("kmeans/adjoint", 0x87a13f85937e04f7),
+    ("kmeans/adjoint", 0x0305033a35df6b4b),
     ("blackscholes/primal", 0x5a3af87e770a4596),
     ("blackscholes/demoted", 0x3eecea1bdcb1c78c),
-    ("blackscholes/adjoint", 0xddeee9e993e5accf),
+    ("blackscholes/adjoint", 0xaba638efd6f860f0),
     ("hpccg/primal", 0x0019178800b068d4),
     ("hpccg/demoted", 0x260f6eb8e3ec013c),
-    ("hpccg/adjoint", 0xf3e5cb21f725700a),
+    ("hpccg/adjoint", 0x55d53c5b75242db8),
 ];
 
 // ---------------------------------------------------------------- proptest
