@@ -370,67 +370,51 @@ const PINNED_PRIMAL_COUNTS: [(&str, u64, u64); 5] = [
     ("hpccg", 41_900, 127_934),
 ];
 
-/// The primal of `case` compiled as shipped at its declared precisions
-/// and with every float demoted to `f32`.
-fn primal_variants(case: &Case) -> [CompiledFunction; 2] {
-    let func = &case.primal.0;
-    let demoted = PrecisionMap::demote_all(func, FloatTy::F32);
-    [PrecisionMap::empty(), demoted].map(|pm| compiled_fn(case, func, pm, true))
-}
-
-/// `instrs_executed` of two back-to-back runs of `run`, which must agree:
-/// the count is a property of the code and the input, not of the
-/// machine's state.
-fn dispatches_twice(case: &Case, what: &str, run: impl Fn() -> u64) -> u64 {
-    let [a, b] = [(); 2].map(|()| run());
-    assert_eq!(
-        a, b,
-        "{} {what}: two runs dispatched differently",
-        case.label
-    );
-    a
+/// `(kernel, primal, f32-demoted primal)` dispatch counts of each primal
+/// compiled as shipped, each from two back-to-back runs of `run` that
+/// must agree: the count is a property of the code and the input, not
+/// of the machine's state.
+fn primal_counts(
+    what: &str,
+    run: impl Fn(&CompiledFunction, &[ArgValue]) -> u64,
+) -> Vec<(&'static str, u64, u64)> {
+    cases()
+        .iter()
+        .map(|case| {
+            let (func, args) = &case.primal;
+            let demoted = PrecisionMap::demote_all(func, FloatTy::F32);
+            let [primal, demoted] = [PrecisionMap::empty(), demoted].map(|pm| {
+                let f = compiled_fn(case, func, pm, true);
+                let [a, b] = [(); 2].map(|()| run(&f, args));
+                assert_eq!(
+                    a, b,
+                    "{} {what}: two runs dispatched differently",
+                    case.label
+                );
+                a
+            });
+            (case.label, primal, demoted)
+        })
+        .collect()
 }
 
 #[test]
 fn primal_and_demoted_dispatch_counts_are_pinned() {
-    let actual: Vec<(&str, u64, u64)> = cases()
-        .iter()
-        .map(|case| {
-            let [primal, demoted] = primal_variants(case).map(|f| {
-                dispatches_twice(case, "vm", || {
-                    chef_exec::vm::run_with(&f, case.primal.1.clone(), &ExecOptions::default())
-                        .unwrap_or_else(|t| panic!("{}: trapped: {t}", case.label))
-                        .stats
-                        .instrs_executed
-                })
-            });
-            (case.label, primal, demoted)
-        })
-        .collect();
+    let actual = primal_counts("vm", |f, args| {
+        chef_exec::vm::run_with(f, args.to_vec(), &ExecOptions::default())
+            .unwrap_or_else(|t| panic!("{}: trapped: {t}", f.name))
+            .stats
+            .instrs_executed
+    });
     assert_eq!(actual, PINNED_PRIMAL_COUNTS, "primal dispatch counts moved");
 }
 
-/// Asserts the `S`-shadow runs of every primal variant dispatch as
-/// [`PINNED_PRIMAL_COUNTS`] says, twice over.
-fn assert_shadow_counts_pinned<S: ShadowNum>(lane: &str) {
-    let actual: Vec<(&str, u64, u64)> = cases()
-        .iter()
-        .map(|case| {
-            let [primal, demoted] = primal_variants(case).map(|f| {
-                dispatches_twice(case, lane, || {
-                    run_shadow::<S>(&f, case.primal.1.clone(), &ExecOptions::default())
-                        .unwrap_or_else(|t| panic!("{} {lane}: trapped: {t}", case.label))
-                        .stats
-                        .instrs_executed
-                })
-            });
-            (case.label, primal, demoted)
-        })
-        .collect();
-    assert_eq!(
-        actual, PINNED_PRIMAL_COUNTS,
-        "{lane} shadow dispatch counts moved"
-    );
+/// `instrs_executed` of one `S`-shadow run of `f`.
+fn shadow_dispatches<S: ShadowNum>(f: &CompiledFunction, args: &[ArgValue]) -> u64 {
+    run_shadow::<S>(f, args.to_vec(), &ExecOptions::default())
+        .unwrap_or_else(|t| panic!("{}: shadow trapped: {t}", f.name))
+        .stats
+        .instrs_executed
 }
 
 /// The shadow lanes run the same compiled primals through the one
@@ -439,6 +423,8 @@ fn assert_shadow_counts_pinned<S: ShadowNum>(lane: &str) {
 /// and the double-double shadow alike.
 #[test]
 fn shadow_dispatch_counts_are_pinned() {
-    assert_shadow_counts_pinned::<f64>("f64");
-    assert_shadow_counts_pinned::<DD>("dd");
+    let f64_lane = primal_counts("f64", shadow_dispatches::<f64>);
+    assert_eq!(f64_lane, PINNED_PRIMAL_COUNTS, "f64 shadow counts moved");
+    let dd_lane = primal_counts("dd", shadow_dispatches::<DD>);
+    assert_eq!(dd_lane, PINNED_PRIMAL_COUNTS, "DD shadow counts moved");
 }
