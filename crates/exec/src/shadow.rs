@@ -628,6 +628,10 @@ impl<S: ShadowNum> Run for ShadowMachine<S> {
 /// from its packed form: it fetches 8-byte words, reads operand fields
 /// straight out of them, reads wide constants from the hoisted pool, and
 /// dispatches on a dense `u8` opcode the compiler lowers to a jump table.
+/// The workspace's `.cargo/config.toml` starts every loop header on a
+/// 64-byte line (`-align-loops=64`), so this loop's speed does not depend
+/// on where the linker places the function; a build that sets `RUSTFLAGS`
+/// replaces that setting.
 /// Every shadow-side statement (shadow values, local-error samples,
 /// pending attribution, divergence checks, the shadow tape and arrays,
 /// the shadow return, the taping lane's hooks) sits behind
